@@ -2,7 +2,8 @@
 //!
 //! Sweeps the nonblocking pipeline depth K ∈ {1, 2, 4, 8} on both
 //! distributed drivers — the 1D driver at two rank counts — over one
-//! R-MAT instance, plus the blocking exchange as the identity anchor;
+//! R-MAT instance, plus `overlap: None` (the same one-chunk run as K = 1,
+//! kept as the identity anchor);
 //! every cell keeps the best of [`TRIALS`] trials. K = 1 runs the pipeline machinery with a single
 //! chunk — the whole frontier is in flight with nothing to do until the
 //! wait — so it exposes every microsecond of rendezvous skew; deeper
@@ -56,7 +57,8 @@ struct AblationPoint {
     /// `"1d"` or `"2d"`.
     algorithm: String,
     ranks: usize,
-    /// Pipeline depth; 0 encodes the blocking `alltoallv_wire` baseline.
+    /// Pipeline depth; 0 encodes `overlap: None` — one chunk, the same
+    /// run as 1 (the identity anchor).
     k: usize,
     /// End-to-end traversal seconds (driver-internal timing).
     seconds: f64,
@@ -117,7 +119,7 @@ fn summarize(name: &str, points: &[&AblationPoint]) {
         .map(|p| {
             vec![
                 if p.k == 0 {
-                    "blocking".to_string()
+                    "none".to_string()
                 } else {
                     format!("K={}", p.k)
                 },

@@ -338,8 +338,8 @@ impl Sieve {
         seen
     }
 
-    /// Reads slot `i` without marking it. The overlap pipeline filters
-    /// each chunk against the sieve read-only while an exchange is in
+    /// Reads slot `i` without marking it. The 1D exchange filters each
+    /// chunk against the sieve read-only while a level's chunks are in
     /// flight and defers the marking ([`Sieve::set`]) to the end of the
     /// level, so chunking cannot change which duplicates are dropped.
     pub fn contains(&self, i: usize) -> bool {
@@ -354,8 +354,9 @@ impl Sieve {
     }
 
     /// Counts `n` duplicates dropped outside [`Sieve::test_and_set`] — the
-    /// overlap pipeline's read-only [`Sieve::contains`] filter reports its
-    /// drops here so `sieve_hits` telemetry matches the sequential path.
+    /// read-only [`Sieve::contains`] filter reports its drops here, so the
+    /// growth of [`Sieve::hits`] over a level is that level's `sieve_hits`
+    /// whichever way the drops were taken.
     pub fn count_hits(&self, n: u64) {
         self.hits.fetch_add(n, Ordering::Relaxed);
     }

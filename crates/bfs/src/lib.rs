@@ -45,6 +45,7 @@ pub mod baseline;
 pub mod centrality;
 pub mod direction;
 pub mod distribute;
+mod exchange;
 pub mod frontier_codec;
 pub mod multi_source;
 pub mod one_d;

@@ -11,15 +11,16 @@
 
 use crate::direction::DirectionConfig;
 use crate::distribute::{extract_1d, Local1d};
+use crate::exchange::{chunk, exchange_pairs};
 use crate::frontier_codec::{
-    decode_pairs, decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
-    Sieve,
+    decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats, Sieve,
 };
 use crate::{BfsOutput, UNREACHED};
-use dmbfs_comm::{Comm, CommStats, LevelDirection, LevelTiming, WireBuf};
+use dmbfs_comm::{Comm, CommStats, LevelDirection, LevelTiming};
 use dmbfs_graph::{CsrGraph, VertexId};
 use dmbfs_runtime::{run_ranks, scatter_block, DirectionMode};
 use dmbfs_trace::{RankTrace, SpanKind};
+use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -232,8 +233,21 @@ fn rank_bfs(
 }
 
 /// One top-down level: pack the frontier's adjacencies by owner, exchange
-/// (blocking or through the overlap pipeline), and let owners claim the
-/// newly visited vertices. Returns the local slice of the next frontier.
+/// them, and let owners claim the newly visited vertices. Returns the local
+/// slice of the next frontier.
+///
+/// Under a codec the level runs through [`exchange_pairs`] in
+/// `k = overlap.map_or(1, get)` chunks of the frontier: per chunk and
+/// destination the pairs are sorted, duplicate targets collapse to their
+/// maximum parent (the canonical tie-break, see [`unpack_serial`]),
+/// already-sent vertices drop out through the sieve, and the rest is
+/// encoded; each landed chunk is decoded and claimed. `k` is invisible to
+/// the parent tree: the sieve is only *read* ([`Sieve::contains`]) while
+/// the level runs and marked ([`Sieve::set`]) once at its end, so chunk
+/// boundaries never change which pairs are dropped, and the receiver's
+/// claim / max-parent merge is order-independent. A vertex targeted from
+/// two chunks is sent twice (one chunk's dedup would have collapsed it) —
+/// extra wire bytes, never a different tree.
 #[allow(clippy::too_many_arguments)]
 fn top_down_level(
     comm: &Comm,
@@ -248,73 +262,67 @@ fn top_down_level(
     parents: &[AtomicI64],
     codec_levels: &mut Vec<LevelCodecStats>,
 ) -> Vec<VertexId> {
-    let p = comm.size();
-    match overlap.filter(|_| codec != Codec::Off) {
-        // The chunked double-buffered pipeline: pack + sieve + encode
-        // chunk c+1 while chunk c is in flight on the nonblocking
-        // exchange, decoding/unpacking completed chunks as they land.
-        // `Codec::Off` has no wire buffers to pipeline, so it always
-        // takes the blocking path below.
-        Some(k) => {
-            let (next, stats) = overlapped_level(
-                comm,
-                local,
-                frontier,
-                codec,
-                visited_sieve,
-                level,
-                pool,
-                k.get(),
-                levels,
-                parents,
-            );
-            codec_levels.push(stats);
-            next
-        }
-        None => {
-            // Lines 13–19: enumerate adjacencies into per-destination
-            // buffers.
-            let pack_t = comm.trace_start();
-            let send = match pool {
-                Some(pool) => {
-                    let batch_t = comm.trace_start();
-                    let send = pool.install(|| pack_parallel(local, frontier, p));
-                    comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
-                    send
+    if codec == Codec::Off {
+        // The un-encoded reference: lines 13–19 pack, line 21 is the plain
+        // typed all-to-all, lines 23–28 claim.
+        let send = pack(comm, local, frontier, pool);
+        let exchange_t = comm.trace_start();
+        let recv = comm.alltoallv(send);
+        let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
+        comm.trace_span(SpanKind::Exchange, exchange_t, received);
+        return unpack(comm, local, &recv, levels, parents, level, pool);
+    }
+
+    let k = overlap.map_or(1, NonZeroUsize::get);
+    let mut stats = LevelCodecStats {
+        level: level as usize,
+        ..Default::default()
+    };
+    // Targets shipped this level, marked in the sieve only after the last
+    // chunk.
+    let sent: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    let hits_before = visited_sieve.map_or(0, Sieve::hits);
+    let mut next: Vec<VertexId> = Vec::new();
+    exchange_pairs(
+        comm,
+        pool,
+        k,
+        &mut stats,
+        |c| pack(comm, local, chunk(frontier, k, c), pool),
+        |j, mut pairs| {
+            pairs.sort_unstable();
+            // Sorted by (target, parent): sliding the later parent into the
+            // retained element leaves each target once, with its max parent.
+            pairs.dedup_by(|a, b| {
+                if a.0 == b.0 {
+                    b.1 = a.1;
+                    true
+                } else {
+                    false
                 }
-                None => pack_serial(local, frontier, p),
-            };
-            comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
-            // Line 21: the all-to-all exchange of (target, parent)
-            // pairs — either the plain typed collective or the codec
-            // pipeline (dedup → sieve → encode → exchange → decode).
-            let exchange_t = comm.trace_start();
-            let recv = if codec == Codec::Off {
-                comm.alltoallv(send)
-            } else {
-                let (bufs, stats) =
-                    encode_exchange(comm, local, send, codec, visited_sieve, level, pool);
-                codec_levels.push(stats);
-                bufs
-            };
-            let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
-            comm.trace_span(SpanKind::Exchange, exchange_t, received);
-            // Lines 23–28: owners claim newly visited vertices.
-            let unpack_t = comm.trace_start();
-            let next = match pool {
-                Some(pool) => {
-                    let batch_t = comm.trace_start();
-                    let next =
-                        pool.install(|| unpack_parallel(local, &recv, levels, parents, level));
-                    comm.trace_span(SpanKind::TaskBatch, batch_t, received);
-                    next
-                }
-                None => unpack_serial(local, &recv, levels, parents, level),
-            };
-            comm.trace_span(SpanKind::Unpack, unpack_t, next.len() as u64);
-            next
+            });
+            if let Some(s) = visited_sieve {
+                let before = pairs.len();
+                pairs.retain(|&(t, _)| !s.contains(t as usize));
+                s.count_hits((before - pairs.len()) as u64);
+                sent.lock().extend(pairs.iter().map(|&(t, _)| t));
+            }
+            encode_pairs(&pairs, local.block.range(j), codec)
+        },
+        |recv| next.extend(unpack(comm, local, &recv, levels, parents, level, pool)),
+    );
+    if let Some(s) = visited_sieve {
+        stats.sieve_hits = s.hits() - hits_before;
+        // A target shipped from two chunks is marked once: `set` on a
+        // marked slot would count a sieve hit that dropped nothing.
+        for t in sent.into_inner() {
+            if !s.contains(t as usize) {
+                s.set(t as usize);
+            }
         }
     }
+    codec_levels.push(stats);
+    next
 }
 
 /// The direction-optimizing level loop (Buluç–Beamer–Madduri,
@@ -573,227 +581,53 @@ fn bottom_up_level(
     (next, examined)
 }
 
-/// The codec pipeline around the all-to-all: per destination, sort the
-/// pairs and collapse duplicate targets to their maximum parent (the
-/// canonical tie-break, see [`unpack_serial`]), drop already-sent vertices
-/// through the sieve, encode, exchange as wire bytes, decode.
-///
-/// Under a hybrid pool the per-destination encode work (sort, dedup,
-/// sieve, encode) and the receive-side decode both fan out across pool
-/// threads: destinations are independent, and the sieve's atomic bitmap
-/// covers disjoint owner ranges per destination. The collective itself
-/// stays on the rank's main thread (the [`Comm`] threading invariant).
-fn encode_exchange(
-    comm: &Comm,
-    local: &Local1d,
-    send: Vec<Vec<(u64, u64)>>,
-    codec: Codec,
-    sieve: Option<&Sieve>,
-    level: i64,
-    pool: Option<&rayon::ThreadPool>,
-) -> (Vec<Vec<(u64, u64)>>, LevelCodecStats) {
-    let encode_one = |j: usize, mut pairs: Vec<(u64, u64)>| -> (WireBuf, u64) {
-        pairs.sort_unstable();
-        // Sorted by (target, parent): sliding the later parent into the
-        // retained element leaves each target once, with its max parent.
-        pairs.dedup_by(|a, b| {
-            if a.0 == b.0 {
-                b.1 = a.1;
-                true
-            } else {
-                false
-            }
-        });
-        let mut dropped = 0u64;
-        if let Some(s) = sieve {
-            let before = pairs.len();
-            pairs.retain(|&(t, _)| !s.test_and_set(t as usize));
-            dropped = (before - pairs.len()) as u64;
-        }
-        (encode_pairs(&pairs, local.block.range(j), codec), dropped)
-    };
-    let encode_t = comm.trace_start();
-    let encoded: Vec<(WireBuf, u64)> = match pool {
-        Some(pool) => pool.install(|| {
-            send.into_par_iter()
-                .enumerate()
-                .map(|(j, pairs)| encode_one(j, pairs))
-                .collect()
-        }),
-        None => send
-            .into_iter()
-            .enumerate()
-            .map(|(j, pairs)| encode_one(j, pairs))
-            .collect(),
-    };
-    let mut stats = LevelCodecStats {
-        level: level as usize,
-        ..Default::default()
-    };
-    let mut bufs: Vec<WireBuf> = Vec::with_capacity(encoded.len());
-    for (j, (buf, dropped)) in encoded.into_iter().enumerate() {
-        stats.sieve_hits += dropped;
-        if j != comm.rank() {
-            stats.note(&buf);
-        }
-        bufs.push(buf);
-    }
-    comm.trace_span(SpanKind::Encode, encode_t, stats.sieve_hits);
-    let wire = comm.alltoallv_wire(bufs);
-    let decode_t = comm.trace_start();
-    let recv: Vec<Vec<(u64, u64)>> = match pool {
-        Some(pool) => pool.install(|| wire.par_iter().map(|b| decode_pairs(b.bytes())).collect()),
-        None => wire.iter().map(|b| decode_pairs(b.bytes())).collect(),
-    };
-    let decoded: u64 = recv.iter().map(|b| b.len() as u64).sum();
-    comm.trace_span(SpanKind::Decode, decode_t, decoded);
-    (recv, stats)
-}
-
-/// One level of the chunked, double-buffered overlap pipeline: the
-/// frontier is split into `k` contiguous chunks; while chunk `c`'s wire
-/// buffers are in flight on the nonblocking [`Comm::ialltoallv_wire`],
-/// chunk `c + 1` is packed, deduplicated, sieved, and encoded, and each
-/// completed chunk is decoded and unpacked as it lands. Every rank runs
-/// exactly `k` start/wait pairs per level — chunks may be empty, but the
-/// collective schedule stays symmetric across ranks.
-///
-/// Bit-identity with the blocking path: the sieve is only *read*
-/// ([`Sieve::contains`]) while chunks are in flight and marked
-/// ([`Sieve::set`]) once at the end of the level, so chunk boundaries
-/// never change which pairs are dropped; and the receiver's claim /
-/// max-parent merge (see [`unpack_serial`]) is order-independent, so
-/// delivering a level's pairs in `k` batches leaves the parent tree
-/// unchanged. A vertex targeted from two chunks is sent twice (the
-/// blocking path's whole-level dedup would have collapsed it) — extra
-/// wire bytes, never a different tree.
-#[allow(clippy::too_many_arguments)]
-fn overlapped_level(
+/// Lines 13–19: enumerate the adjacencies of `frontier` into
+/// per-destination buffers, on the rank pool when there is one.
+fn pack(
     comm: &Comm,
     local: &Local1d,
     frontier: &[VertexId],
-    codec: Codec,
-    sieve: Option<&Sieve>,
-    level: i64,
     pool: Option<&rayon::ThreadPool>,
-    k: usize,
+) -> Vec<Vec<(u64, u64)>> {
+    let p = comm.size();
+    let pack_t = comm.trace_start();
+    let send = match pool {
+        Some(pool) => {
+            let batch_t = comm.trace_start();
+            let send = pool.install(|| pack_parallel(local, frontier, p));
+            comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
+            send
+        }
+        None => pack_serial(local, frontier, p),
+    };
+    comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
+    send
+}
+
+/// Lines 23–28: owners claim the newly visited vertices among `recv`, on
+/// the rank pool when there is one. Returns the vertices claimed.
+fn unpack(
+    comm: &Comm,
+    local: &Local1d,
+    recv: &[Vec<(u64, u64)>],
     levels: &[AtomicI64],
     parents: &[AtomicI64],
-) -> (Vec<VertexId>, LevelCodecStats) {
-    let p = comm.size();
-    let mut stats = LevelCodecStats {
-        level: level as usize,
-        ..Default::default()
-    };
-    // Targets shipped this level, marked in the sieve only after the last
-    // chunk (deduplicated first, so a target shipped from two chunks never
-    // counts a spurious sieve hit at marking time).
-    let mut sent: Vec<u64> = Vec::new();
-
-    let encode_chunk =
-        |c: usize, stats: &mut LevelCodecStats, sent: &mut Vec<u64>| -> Vec<WireBuf> {
-            let (lo, hi) = (c * frontier.len() / k, (c + 1) * frontier.len() / k);
-            let chunk = &frontier[lo..hi];
-            let pack_t = comm.trace_start();
-            let send = match pool {
-                Some(pool) => pool.install(|| pack_parallel(local, chunk, p)),
-                None => pack_serial(local, chunk, p),
-            };
-            comm.trace_span(SpanKind::Pack, pack_t, chunk.len() as u64);
-            let encode_one = |j: usize, mut pairs: Vec<(u64, u64)>| -> (WireBuf, Vec<u64>, u64) {
-                pairs.sort_unstable();
-                pairs.dedup_by(|a, b| {
-                    if a.0 == b.0 {
-                        b.1 = a.1;
-                        true
-                    } else {
-                        false
-                    }
-                });
-                let mut dropped = 0u64;
-                if let Some(s) = sieve {
-                    let before = pairs.len();
-                    pairs.retain(|&(t, _)| !s.contains(t as usize));
-                    dropped = (before - pairs.len()) as u64;
-                    s.count_hits(dropped);
-                }
-                let targets: Vec<u64> = pairs.iter().map(|&(t, _)| t).collect();
-                (
-                    encode_pairs(&pairs, local.block.range(j), codec),
-                    targets,
-                    dropped,
-                )
-            };
-            let encode_t = comm.trace_start();
-            let encoded: Vec<(WireBuf, Vec<u64>, u64)> = match pool {
-                Some(pool) => pool.install(|| {
-                    send.into_par_iter()
-                        .enumerate()
-                        .map(|(j, pairs)| encode_one(j, pairs))
-                        .collect()
-                }),
-                None => send
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, pairs)| encode_one(j, pairs))
-                    .collect(),
-            };
-            let mut bufs: Vec<WireBuf> = Vec::with_capacity(encoded.len());
-            let mut chunk_hits = 0u64;
-            for (j, (buf, targets, dropped)) in encoded.into_iter().enumerate() {
-                stats.sieve_hits += dropped;
-                chunk_hits += dropped;
-                if j != comm.rank() {
-                    stats.note(&buf);
-                }
-                sent.extend(targets);
-                bufs.push(buf);
-            }
-            comm.trace_span(SpanKind::Encode, encode_t, chunk_hits);
-            bufs
-        };
-
-    let decode_unpack = |wire: Vec<WireBuf>, next: &mut Vec<VertexId>| {
-        let decode_t = comm.trace_start();
-        let recv: Vec<Vec<(u64, u64)>> = match pool {
-            Some(pool) => {
-                pool.install(|| wire.par_iter().map(|b| decode_pairs(b.bytes())).collect())
-            }
-            None => wire.iter().map(|b| decode_pairs(b.bytes())).collect(),
-        };
-        let decoded: u64 = recv.iter().map(|b| b.len() as u64).sum();
-        comm.trace_span(SpanKind::Decode, decode_t, decoded);
-        let unpack_t = comm.trace_start();
-        let claimed = match pool {
-            Some(pool) => pool.install(|| unpack_parallel(local, &recv, levels, parents, level)),
-            None => unpack_serial(local, &recv, levels, parents, level),
-        };
-        comm.trace_span(SpanKind::Unpack, unpack_t, claimed.len() as u64);
-        next.extend(claimed);
-    };
-
-    let mut next: Vec<VertexId> = Vec::new();
-    let mut pending = comm.ialltoallv_wire(encode_chunk(0, &mut stats, &mut sent));
-    for c in 1..k {
-        // Encode chunk c while chunk c - 1 is in flight, then rotate the
-        // double buffer: collect c - 1, launch c, unpack c - 1 while c
-        // flies.
-        let bufs = encode_chunk(c, &mut stats, &mut sent);
-        let wire = pending.wait();
-        pending = comm.ialltoallv_wire(bufs);
-        decode_unpack(wire, &mut next);
-    }
-    let wire = pending.wait();
-    decode_unpack(wire, &mut next);
-
-    if let Some(s) = sieve {
-        sent.sort_unstable();
-        sent.dedup();
-        for &t in &sent {
-            s.set(t as usize);
+    level: i64,
+    pool: Option<&rayon::ThreadPool>,
+) -> Vec<VertexId> {
+    let unpack_t = comm.trace_start();
+    let next = match pool {
+        Some(pool) => {
+            let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
+            let batch_t = comm.trace_start();
+            let next = pool.install(|| unpack_parallel(local, recv, levels, parents, level));
+            comm.trace_span(SpanKind::TaskBatch, batch_t, received);
+            next
         }
-    }
-    (next, stats)
+        None => unpack_serial(local, recv, levels, parents, level),
+    };
+    comm.trace_span(SpanKind::Unpack, unpack_t, next.len() as u64);
+    next
 }
 
 /// Serial buffer packing (flat variant).
@@ -1161,7 +995,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_runs_are_bit_identical_to_blocking() {
+    fn every_chunk_count_is_bit_identical_to_one_chunk() {
         let g = rmat_graph(9, 11);
         let baseline = bfs1d(&g, 2, &Bfs1dConfig::flat(4));
         for k in [1usize, 2, 3, 8] {
@@ -1182,31 +1016,35 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_run_records_exchange_pairs_per_level() {
+    fn every_chunk_count_records_k_exchange_pairs_per_level() {
         let g = rmat_graph(8, 2);
-        let k = 2u32;
-        let run = bfs1d_run(
-            &g,
-            0,
-            &Bfs1dConfig::flat(4)
-                .with_overlap(std::num::NonZeroUsize::new(k as usize))
-                .with_trace(true),
-        );
-        for t in &run.per_rank_trace {
-            let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count() as u32;
-            assert_eq!(count(SpanKind::ExchangeStart), k * run.num_levels);
-            assert_eq!(count(SpanKind::ExchangeWait), k * run.num_levels);
-            assert_eq!(count(SpanKind::Exchange), 0, "no blocking exchange ran");
-        }
-        // Each rank records k alltoallv-pattern events per level, each with
-        // exposed wall and a (possibly zero) hidden window.
-        for stats in &run.per_rank_stats {
-            let a2a = stats
-                .events
-                .iter()
-                .filter(|e| e.pattern == Pattern::Alltoallv)
-                .count() as u32;
-            assert_eq!(a2a, k * run.num_levels);
+        // No overlap configured is the one-chunk pipeline.
+        for (overlap, k) in [(None, 1u32), (std::num::NonZeroUsize::new(2), 2)] {
+            let run = bfs1d_run(
+                &g,
+                0,
+                &Bfs1dConfig::flat(4).with_overlap(overlap).with_trace(true),
+            );
+            for t in &run.per_rank_trace {
+                let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count() as u32;
+                assert_eq!(count(SpanKind::ExchangeStart), k * run.num_levels);
+                assert_eq!(count(SpanKind::ExchangeWait), k * run.num_levels);
+                assert_eq!(
+                    count(SpanKind::Exchange),
+                    0,
+                    "only the un-encoded path traces a typed exchange"
+                );
+            }
+            // Each rank records k alltoallv-pattern events per level, each
+            // with exposed wall and a (possibly zero) hidden window.
+            for stats in &run.per_rank_stats {
+                let a2a = stats
+                    .events
+                    .iter()
+                    .filter(|e| e.pattern == Pattern::Alltoallv)
+                    .count() as u32;
+                assert_eq!(a2a, k * run.num_levels);
+            }
         }
     }
 }

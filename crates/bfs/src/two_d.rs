@@ -28,13 +28,13 @@
 //! §4.3 / Fig. 4 demonstrates.
 
 use crate::distribute::{extract_2d, Local2d};
+use crate::exchange::{chunk, exchange_pairs};
 use crate::frontier_codec::{
-    decode_pairs, decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
-    Sieve,
+    decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats, Sieve,
 };
 use crate::{BfsOutput, UNREACHED};
 use dmbfs_comm::algorithms::{allgather_doubling, allgather_ring};
-use dmbfs_comm::{Comm, CommStats, LevelTiming, WireBuf};
+use dmbfs_comm::{Comm, CommStats, LevelTiming};
 use dmbfs_graph::{CsrGraph, Grid2D, VertexId};
 use dmbfs_matrix::{spmsv, Dcsc, MergeKernel, RowSplitDcsc, SelectMax, SpaWorkspace, SparseVector};
 use dmbfs_runtime::{run_ranks, scatter_block, FaultPlan, RunConfig};
@@ -110,8 +110,9 @@ pub struct Bfs2dConfig {
     /// Comm/compute overlap: `Some(k)` moves each level's fold exchange
     /// through a `k`-chunk double-buffered pipeline on the nonblocking
     /// `ialltoallv_wire` (encode chunk `c + 1` while chunk `c` is in
-    /// flight). `None` (the default) keeps the blocking fold. Parent trees
-    /// are bit-identical either way; ignored under [`Codec::Off`].
+    /// flight). `None` (the default) means one chunk: `None` ≡ `Some(1)`,
+    /// the same code path. Parent trees are bit-identical for every `k`;
+    /// ignored under [`Codec::Off`].
     pub overlap: Option<std::num::NonZeroUsize>,
     /// Record the ordered collective-fingerprint sequence each rank
     /// issues (see [`dmbfs_runtime::RunConfig::schedule_capture`]).
@@ -185,7 +186,7 @@ impl Bfs2dConfig {
     }
 
     /// Sets the fold-exchange overlap chunk count (see
-    /// [`Bfs2dConfig::overlap`]); `None` disables the pipeline.
+    /// [`Bfs2dConfig::overlap`]); `None` means one chunk.
     pub fn with_overlap(mut self, overlap: Option<std::num::NonZeroUsize>) -> Self {
         self.overlap = overlap;
         self
@@ -521,79 +522,36 @@ impl RankState {
             work.spmsv_output += t.nnz() as u64;
             // Line 8: fold along the processor row to the vector owners.
             let fold_t = comm.trace_start();
-            let folded: Vec<Vec<(u64, u64)>> =
-                // Overlap depth and codec are shared config, not rank state.
+            let entries = t.entries();
+            let folded: Vec<Vec<(u64, u64)>> = if codec == Codec::Off {
+                // The un-encoded reference: one typed all-to-all, no sieve.
+                row_comm.alltoallv(self.bucket_by_owner(entries, None))
+            } else {
+                // The SpMSV output crosses the row in `k` chunks (one when
+                // no overlap is configured). It lists each local row at
+                // most once per level, so the sieve's `test_and_set` drops
+                // the same rows for every `k`, and the decoded chunks
+                // concatenate into one pair multiset that the mask below
+                // (a sort + max-parent reduce) folds identically however
+                // it was batched.
+                // Overlap depth is shared config, not rank state.
                 // schedule: replicated
-                match self.cfg.overlap.filter(|_| codec != Codec::Off) {
-                    // The chunked double-buffered pipeline: the SpMSV output is
-                    // split into chunks, each chunk's encode overlaps the
-                    // previous chunk's in-flight exchange, and the decoded
-                    // pieces concatenate into the same multiset the blocking
-                    // fold delivers (the level-end mask below is a sort +
-                    // max-parent reduce, so batching cannot change the tree).
-                    Some(kc) => {
-                        let entries: Vec<(u64, u64)> = t.iter().collect();
-                        self.fold_overlapped(
-                            comm,
-                            row_comm,
-                            &entries,
-                            pool,
-                            kc.get(),
-                            fold_sieve.as_ref(),
-                            &mut lvl,
-                        )
-                    }
-                    None => {
-                        let mut fold_bufs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); grid.cols()];
-                        for (r, parent) in t.iter() {
-                            if let Some(s) = fold_sieve.as_ref() {
-                                if s.test_and_set(r as usize) {
-                                    lvl.sieve_hits += 1;
-                                    continue;
-                                }
-                            }
-                            let g = self.block.row_range.start + r;
-                            let (oi, oj) = self.vector_owner(g);
-                            debug_assert_eq!(oi, i, "fold target must stay in the processor row");
-                            fold_bufs[oj].push((g, parent));
-                        }
-                        if codec == Codec::Off {
-                            row_comm.alltoallv(fold_bufs)
-                        } else {
-                            // Per-destination encodes are independent; fan them
-                            // out on the rank pool. The collective itself stays
-                            // on this (the rank's main) thread — see the Comm
-                            // threading invariant.
-                            let encode_t = comm.trace_start();
-                            let encode_one = |(oj, pairs): (usize, &Vec<(u64, u64)>)| -> WireBuf {
-                                encode_pairs(pairs, self.owner_vrange(i, oj), codec)
-                            };
-                            let bufs: Vec<WireBuf> = match pool {
-                                Some(pool) => pool.install(|| {
-                                    fold_bufs.par_iter().enumerate().map(encode_one).collect()
-                                }),
-                                None => fold_bufs.iter().enumerate().map(encode_one).collect(),
-                            };
-                            for (oj, b) in bufs.iter().enumerate() {
-                                if oj != row_comm.rank() {
-                                    lvl.note(b);
-                                }
-                            }
-                            comm.trace_span(SpanKind::Encode, encode_t, lvl.sieve_hits);
-                            let wire = row_comm.alltoallv_wire(bufs);
-                            let decode_t = comm.trace_start();
-                            let out: Vec<Vec<(u64, u64)>> = match pool {
-                                Some(pool) => pool.install(|| {
-                                    wire.par_iter().map(|b| decode_pairs(b.bytes())).collect()
-                                }),
-                                None => wire.iter().map(|b| decode_pairs(b.bytes())).collect(),
-                            };
-                            let decoded: u64 = out.iter().map(|b| b.len() as u64).sum();
-                            comm.trace_span(SpanKind::Decode, decode_t, decoded);
-                            out
-                        }
-                    }
-                };
+                let k = self.cfg.overlap.map_or(1, std::num::NonZeroUsize::get);
+                let sieve = fold_sieve.as_ref();
+                let hits_before = sieve.map_or(0, Sieve::hits);
+                let mut decoded: Vec<Vec<(u64, u64)>> = Vec::with_capacity(k * grid.cols());
+                exchange_pairs(
+                    row_comm,
+                    pool,
+                    k,
+                    &mut lvl,
+                    |c| self.bucket_by_owner(chunk(entries, k, c), sieve),
+                    |oj, pairs| encode_pairs(&pairs, self.owner_vrange(i, oj), codec),
+                    |recv| decoded.extend(recv),
+                );
+                lvl.sieve_hits = sieve.map_or(0, Sieve::hits) - hits_before;
+                decoded
+            };
             if codec != Codec::Off {
                 codec_levels.push(lvl);
             }
@@ -657,91 +615,28 @@ impl RankState {
         }
     }
 
-    /// The fold phase as a `k`-chunk double-buffered pipeline on the
-    /// nonblocking row exchange: while chunk `c`'s wire buffers are in
-    /// flight, chunk `c + 1` is sieved and encoded, and completed chunks
-    /// are decoded as they land. Every rank of the row runs exactly `k`
-    /// start/wait pairs per level (collective symmetry with empty chunks).
-    ///
-    /// Bit-identity with the blocking fold: the SpMSV output lists each
-    /// local row at most once per level, so the per-chunk
-    /// [`Sieve::test_and_set`] drops exactly the rows the whole-level pass
-    /// would; and the decoded chunks concatenate into the same pair
-    /// multiset, which the caller's sort + max-parent mask reduces
-    /// identically.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_overlapped(
+    /// Buckets SpMSV output entries `(local row, parent)` by the grid
+    /// column of the row's vector owner, as global `(vertex, parent)`
+    /// pairs, skipping (and marking) rows `sieve` saw at an earlier level.
+    fn bucket_by_owner(
         &self,
-        comm: &Comm,
-        row_comm: &Comm,
         entries: &[(u64, u64)],
-        pool: Option<&rayon::ThreadPool>,
-        k: usize,
         sieve: Option<&Sieve>,
-        lvl: &mut LevelCodecStats,
     ) -> Vec<Vec<(u64, u64)>> {
-        let (i, _) = self.coords;
-        let codec = self.cfg.codec;
-        let cols = self.cfg.grid.cols();
-
-        let encode_chunk = |c: usize, lvl: &mut LevelCodecStats| -> Vec<WireBuf> {
-            let (lo, hi) = (c * entries.len() / k, (c + 1) * entries.len() / k);
-            let mut fold_bufs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); cols];
-            for &(r, parent) in &entries[lo..hi] {
-                if let Some(s) = sieve {
-                    if s.test_and_set(r as usize) {
-                        lvl.sieve_hits += 1;
-                        continue;
-                    }
-                }
-                let g = self.block.row_range.start + r;
-                let (oi, oj) = self.vector_owner(g);
-                debug_assert_eq!(oi, i, "fold target must stay in the processor row");
-                fold_bufs[oj].push((g, parent));
+        let mut fold_bufs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.cfg.grid.cols()];
+        for &(r, parent) in entries {
+            if sieve.is_some_and(|s| s.test_and_set(r as usize)) {
+                continue;
             }
-            let encode_t = comm.trace_start();
-            let encode_one = |(oj, pairs): (usize, &Vec<(u64, u64)>)| -> WireBuf {
-                encode_pairs(pairs, self.owner_vrange(i, oj), codec)
-            };
-            let bufs: Vec<WireBuf> = match pool {
-                Some(pool) => {
-                    pool.install(|| fold_bufs.par_iter().enumerate().map(encode_one).collect())
-                }
-                None => fold_bufs.iter().enumerate().map(encode_one).collect(),
-            };
-            for (oj, b) in bufs.iter().enumerate() {
-                if oj != row_comm.rank() {
-                    lvl.note(b);
-                }
-            }
-            comm.trace_span(SpanKind::Encode, encode_t, lvl.sieve_hits);
-            bufs
-        };
-
-        let decode_chunk = |wire: Vec<WireBuf>, decoded: &mut Vec<Vec<(u64, u64)>>| {
-            let decode_t = comm.trace_start();
-            let out: Vec<Vec<(u64, u64)>> = match pool {
-                Some(pool) => {
-                    pool.install(|| wire.par_iter().map(|b| decode_pairs(b.bytes())).collect())
-                }
-                None => wire.iter().map(|b| decode_pairs(b.bytes())).collect(),
-            };
-            let n: u64 = out.iter().map(|b| b.len() as u64).sum();
-            comm.trace_span(SpanKind::Decode, decode_t, n);
-            decoded.extend(out);
-        };
-
-        let mut decoded: Vec<Vec<(u64, u64)>> = Vec::with_capacity(k * cols);
-        let mut pending = row_comm.ialltoallv_wire(encode_chunk(0, lvl));
-        for c in 1..k {
-            let bufs = encode_chunk(c, lvl);
-            let wire = pending.wait();
-            pending = row_comm.ialltoallv_wire(bufs);
-            decode_chunk(wire, &mut decoded);
+            let g = self.block.row_range.start + r;
+            let (oi, oj) = self.vector_owner(g);
+            debug_assert_eq!(
+                oi, self.coords.0,
+                "fold target must stay in the processor row"
+            );
+            fold_bufs[oj].push((g, parent));
         }
-        let wire = pending.wait();
-        decode_chunk(wire, &mut decoded);
-        decoded
+        fold_bufs
     }
 
     /// Line 5: sends each owned frontier entry toward the processor column
@@ -927,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_fold_is_bit_identical_to_blocking() {
+    fn every_fold_chunk_count_is_bit_identical_to_one_chunk() {
         let g = rmat_graph(9, 17);
         let baseline = bfs2d(&g, 1, &Bfs2dConfig::flat(Grid2D::new(2, 2)));
         for k in [1usize, 2, 4] {
@@ -952,20 +847,22 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_fold_traces_exchange_pairs() {
+    fn every_fold_chunk_count_traces_k_exchange_pairs() {
         let g = rmat_graph(8, 23);
-        let k = 2u32;
-        let run = bfs2d_run(
-            &g,
-            0,
-            &Bfs2dConfig::flat(Grid2D::new(2, 2))
-                .with_overlap(std::num::NonZeroUsize::new(k as usize))
-                .with_trace(true),
-        );
-        for t in &run.per_rank_trace {
-            let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count() as u32;
-            assert_eq!(count(SpanKind::ExchangeStart), k * run.num_levels);
-            assert_eq!(count(SpanKind::ExchangeWait), k * run.num_levels);
+        // No overlap configured is the one-chunk pipeline.
+        for (overlap, k) in [(None, 1u32), (std::num::NonZeroUsize::new(2), 2)] {
+            let run = bfs2d_run(
+                &g,
+                0,
+                &Bfs2dConfig::flat(Grid2D::new(2, 2))
+                    .with_overlap(overlap)
+                    .with_trace(true),
+            );
+            for t in &run.per_rank_trace {
+                let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count() as u32;
+                assert_eq!(count(SpanKind::ExchangeStart), k * run.num_levels);
+                assert_eq!(count(SpanKind::ExchangeWait), k * run.num_levels);
+            }
         }
     }
 

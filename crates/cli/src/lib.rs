@@ -297,8 +297,9 @@ struct WireOpts {
     codec: Codec,
     sieve: bool,
     /// `--overlap N`: split each frontier exchange into N chunks on a
-    /// double-buffered nonblocking pipeline. `None` keeps the blocking
-    /// exchange. Ignored under `--codec off` (no wire path to overlap).
+    /// double-buffered nonblocking pipeline. Absent means one chunk — the
+    /// same run as `--overlap 1`. Ignored under `--codec off` (no wire
+    /// path to overlap).
     overlap: Option<NonZeroUsize>,
     /// `--direction topdown|bottomup|hybrid`: the traversal-direction
     /// policy of the 1D driver (the only distributed driver with a
@@ -955,8 +956,8 @@ struct ChaosCell {
     kind: String,
     rank: usize,
     level: i64,
-    /// Exchange pipeline depth the cell ran under: 0 = blocking
-    /// `alltoallv_wire`, k ≥ 1 = `--overlap k` nonblocking pipeline.
+    /// Exchange pipeline depth the cell ran under: k ≥ 1 = `--overlap k`;
+    /// 0 = no `--overlap`, which is the one-chunk pipeline (same run as 1).
     overlap: usize,
     /// Traversal-direction policy the cell ran under. Hybrid cells route
     /// the fault through the bottom-up path's `allgatherv_wire` bitmap
@@ -1164,14 +1165,15 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     if inject_ranks.is_empty() || levels.is_empty() {
         return Err(err("--inject-ranks and --levels must be non-empty"));
     }
-    // Pipeline-depth slices: 0 = blocking exchange, k = `--overlap k`.
-    // The default sweeps both so every fault kind is exercised at the
-    // nonblocking start site as well as the blocking collective.
+    // Pipeline-depth slices: k = `--overlap k`, 0 = flag absent (one
+    // chunk, the same run as 1). The default sweeps the one-chunk and a
+    // multi-chunk pipeline so every fault kind is exercised with and
+    // without a second exchange in the level.
     let mut overlaps = Vec::new();
     for t in split_list(&args.opt_str("overlaps", "0,2")) {
         let k: usize = t.parse().map_err(|_| {
             err(format!(
-                "--overlaps expects chunk counts (0 = blocking), got '{t}'"
+                "--overlaps expects chunk counts (0 = one chunk, like 1), got '{t}'"
             ))
         })?;
         if !overlaps.contains(&k) {
@@ -1389,8 +1391,12 @@ mod tests {
         parse_args(parts.iter().map(|s| s.to_string())).unwrap()
     }
 
+    /// A fresh directory per call: tests run on parallel threads and each
+    /// removes its directory when done, so they must not share one.
     fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dmbfs-cli-{}", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("dmbfs-cli-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

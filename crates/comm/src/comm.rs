@@ -909,89 +909,6 @@ impl Comm {
         result
     }
 
-    /// Variable scatter from `root`: the root passes `Some(bufs)` with one
-    /// buffer per rank; every rank returns its buffer.
-    #[track_caller]
-    pub fn scatterv<T: Clone + Send + Sync + 'static>(
-        &self,
-        root: usize,
-        bufs: Option<Vec<Vec<T>>>,
-    ) -> Vec<T> {
-        assert!(root < self.size());
-        assert_eq!(
-            bufs.is_some(),
-            self.rank == root,
-            "exactly the root must supply the scatter buffers"
-        );
-        if let Some(ref b) = bufs {
-            assert_eq!(b.len(), self.size(), "need one buffer per rank");
-        }
-        self.fault_enter(CollectiveKind::Scatterv);
-        self.verify_enter(
-            CollectiveKind::Scatterv,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let elem = size_of::<T>() as u64;
-        let out = bufs
-            .as_ref()
-            .map(|b| {
-                b.iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != self.rank)
-                    .map(|(_, v)| v.len() as u64 * elem)
-                    .sum()
-            })
-            .unwrap_or(0);
-        self.deposit(bufs);
-        self.shared.barrier.wait();
-        let mine = self
-            .read::<Option<Vec<Vec<T>>>>(root)
-            .as_ref()
-            .as_ref()
-            .expect("root deposited Some")[self.rank]
-            .clone();
-        self.shared.barrier.wait();
-        let inn = if self.rank == root {
-            0
-        } else {
-            mine.len() as u64 * elem
-        };
-        self.record(Pattern::Broadcast, out, inn, start);
-        mine
-    }
-
-    /// Exclusive prefix scan: rank r receives `op` folded over the values
-    /// of ranks `0..r` (`init` for rank 0). Deterministic rank order.
-    #[track_caller]
-    pub fn exscan<T: Clone + Send + Sync + 'static>(
-        &self,
-        mine: T,
-        init: T,
-        op: impl Fn(T, T) -> T,
-    ) -> T {
-        self.fault_enter(CollectiveKind::Exscan);
-        self.verify_enter(
-            CollectiveKind::Exscan,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let elem = size_of::<T>() as u64;
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let mut acc = init;
-        for j in 0..self.rank {
-            acc = op(acc, (*self.read::<T>(j)).clone());
-        }
-        self.shared.barrier.wait();
-        self.record(Pattern::Allreduce, elem, elem * self.rank as u64, start);
-        acc
-    }
-
     /// Reduce-scatter: every rank contributes one value per rank; rank `j`
     /// returns `op` folded over everyone's j-th contribution. The
     /// building block of communication-avoiding reductions.
@@ -1078,89 +995,13 @@ impl Comm {
     /// [`CommEvent`] carries the logical bytes in `bytes_out`/`bytes_in`
     /// and the encoded sizes in `wire_out`/`wire_in`, which is what the
     /// α–β replay charges bandwidth for.
+    ///
+    /// This is [`Comm::ialltoallv_wire`] completed on the spot: there is
+    /// one wire all-to-all, and "blocking" means nothing overlaps it. It
+    /// fingerprints, faults and traces as that start/wait pair.
     #[track_caller]
     pub fn alltoallv_wire(&self, bufs: Vec<WireBuf>) -> Vec<WireBuf> {
-        assert_eq!(bufs.len(), self.size(), "need one buffer per rank");
-        self.fault_enter(CollectiveKind::AlltoallvWire);
-        self.verify_enter(
-            CollectiveKind::AlltoallvWire,
-            TypeId::of::<WireBuf>(),
-            "WireBuf",
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let mut bufs = bufs;
-        let (mut bytes_out, mut wire_out) = (0u64, 0u64);
-        for (j, b) in bufs.iter().enumerate() {
-            if j != self.rank {
-                bytes_out += b.logical_bytes;
-                wire_out += b.wire_bytes();
-            }
-        }
-        // End-to-end checksums (verifier on only), taken before any armed
-        // corrupt fault flips a byte in an off-rank buffer.
-        let sums: Option<Vec<u64>> = self
-            .shared
-            .verify
-            .as_ref()
-            .map(|_| bufs.iter().map(|b| fnv1a64(b.bytes())).collect());
-        let eligible = |j: usize, b: &WireBuf| j != self.rank && !b.bytes().is_empty();
-        let has_payload = bufs.iter().enumerate().any(|(j, b)| eligible(j, b));
-        if let Some(seed) = self.corruption_seed(CollectiveKind::AlltoallvWire, has_payload) {
-            let b = bufs
-                .iter_mut()
-                .enumerate()
-                .find(|(j, b)| eligible(*j, b))
-                .map(|(_, b)| b)
-                .expect("has_payload checked");
-            let (i, mask) = corrupt_site(seed, b.bytes().len());
-            b.bytes_mut()[i] ^= mask;
-        }
-        // The sender's own bucket is moved aside locally — it never touches
-        // the exchange board (its checksum slot goes unused).
-        let own = std::mem::take(&mut bufs[self.rank]);
-        // Seal after checksum + corruption: large off-rank buffers loan
-        // their allocation to the receivers instead of being cloned out of
-        // the board (see docs/zero-copy.md for the ordering argument).
-        let mut loaned_out = 0u64;
-        for (j, b) in bufs.iter_mut().enumerate() {
-            if j != self.rank {
-                b.seal();
-                if b.is_loaned() {
-                    loaned_out += b.wire_bytes();
-                }
-            }
-        }
-        self.deposit((bufs, sums));
-        self.shared.barrier.wait();
-        let mut recv: Vec<WireBuf> = Vec::with_capacity(self.size());
-        let (mut bytes_in, mut wire_in) = (0u64, 0u64);
-        let mut own = Some(own);
-        for j in 0..self.size() {
-            if j == self.rank {
-                recv.push(own.take().expect("own bucket moved once"));
-                continue;
-            }
-            let theirs = self.read::<(Vec<WireBuf>, Option<Vec<u64>>)>(j);
-            // A loaned buffer clones as a refcount bump; a copied (eager)
-            // one memcpys here, inside the collective wall.
-            let mine = theirs.0[self.rank].clone();
-            self.check_wire(mine.bytes(), theirs.1.as_ref().map(|s| s[self.rank]), j);
-            bytes_in += mine.logical_bytes;
-            wire_in += mine.wire_bytes();
-            recv.push(mine);
-        }
-        self.shared.barrier.wait();
-        self.record_wire(
-            Pattern::Alltoallv,
-            bytes_out,
-            bytes_in,
-            wire_out,
-            wire_in,
-            loaned_out,
-            start,
-        );
-        recv
+        self.ialltoallv_wire(bufs).wait()
     }
 
     /// Starts a **nonblocking** wire all-to-all: deposits `bufs` (one
@@ -1170,7 +1011,7 @@ impl Comm {
     /// with the in-flight exchange, then calls [`PendingExchange::wait`]
     /// to rendezvous and collect what the peers sent.
     ///
-    /// Observer coverage mirrors [`Comm::alltoallv_wire`]:
+    /// Observer coverage:
     ///
     /// * **verifier** — the pair fingerprints as two matched collectives,
     ///   `ialltoallv_wire` at the start site and `ialltoallv_wire_wait` at
@@ -1618,29 +1459,24 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_exchange_matches_blocking_results() {
+    fn alltoallv_wire_is_start_plus_wait() {
         let out = World::run(3, |comm| {
             let bufs: Vec<WireBuf> = (0..3)
                 .map(|j| WireBuf::new(vec![comm.rank() as u8; j + 1], 16 * (j as u64 + 1)))
                 .collect();
-            let blocking = comm.alltoallv_wire(bufs.clone());
-            let overlapped = comm.ialltoallv_wire(bufs).wait();
-            assert_eq!(overlapped, blocking);
+            let immediate = comm.alltoallv_wire(bufs.clone());
+            let split = comm.ialltoallv_wire(bufs).wait();
+            assert_eq!(split, immediate);
             let stats = comm.take_stats();
-            assert_eq!(stats.num_calls(), 2, "one blocking + one overlapped event");
-            let (b, o) = (&stats.events[0], &stats.events[1]);
+            assert_eq!(stats.num_calls(), 2, "one event per exchange");
+            let (a, b) = (&stats.events[0], &stats.events[1]);
+            assert_eq!(a.pattern, Pattern::Alltoallv);
             assert_eq!(b.pattern, Pattern::Alltoallv);
-            assert_eq!(o.pattern, Pattern::Alltoallv);
-            assert_eq!(b.bytes_out, o.bytes_out);
-            assert_eq!(b.bytes_in, o.bytes_in);
-            assert_eq!(b.wire_out, o.wire_out);
-            assert_eq!(b.wire_in, o.wire_in);
-            assert_eq!(
-                b.hidden,
-                Duration::ZERO,
-                "blocking collectives hide nothing"
-            );
-            overlapped
+            assert_eq!(a.bytes_out, b.bytes_out);
+            assert_eq!(a.bytes_in, b.bytes_in);
+            assert_eq!(a.wire_out, b.wire_out);
+            assert_eq!(a.wire_in, b.wire_in);
+            split
         });
         // Every rank received one buffer per peer with the sender's id.
         for (rank, recv) in out.iter().enumerate() {
@@ -1688,7 +1524,7 @@ mod tests {
             assert_eq!(
                 kinds,
                 vec![SpanKind::ExchangeStart, SpanKind::ExchangeWait],
-                "an overlapped exchange traces as a start/wait pair, not a Collective"
+                "the wire all-to-all traces as a start/wait pair, not a Collective"
             );
             let (start, wait) = (t.spans[0], t.spans[1]);
             assert_eq!(start.pattern, CollectiveTag::Alltoallv);

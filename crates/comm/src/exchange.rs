@@ -1,12 +1,13 @@
-//! Depth-2 ring rendezvous for the nonblocking exchange.
+//! Depth-2 ring rendezvous for the wire all-to-all (`ialltoallv_wire` +
+//! `wait`, and `alltoallv_wire`, which is the two back to back).
 //!
-//! The blocking collectives rendezvous on the slot board with a two-barrier
+//! The typed collectives rendezvous on the slot board with a two-barrier
 //! protocol: every rank waits for every *other rank's read* before the
-//! board can be reused. That is exactly the wrong dependency for a
-//! nonblocking exchange — a rank completing `wait()` must block only on
-//! its peers' **starts** (their deposits), never on their waits, or the
-//! pipeline degenerates into K barriers per level and chunking can only
-//! add overhead.
+//! board can be reused. That is exactly the wrong dependency for an
+//! exchange whose start and wait are separate calls — a rank completing
+//! `wait()` must block only on its peers' **starts** (their deposits),
+//! never on their waits, or the pipeline degenerates into K barriers per
+//! level and chunking can only add overhead.
 //!
 //! This board gives each depositor rank a private *lane* of two slots,
 //! indexed by `epoch % 2`. A deposit fills the slot for its epoch; a
@@ -74,9 +75,20 @@ impl ExchangeBoard {
         }
     }
 
-    /// Checks poison and the watchdog inside a lane wait loop, panicking
-    /// (and poisoning, for the watchdog) instead of blocking forever.
-    fn check_stuck(&self, lane: &Lane, started: Instant, limit: Option<Duration>, what: &str) {
+    /// Checks poison and the watchdog inside a wait loop on rank `owner`'s
+    /// lane, panicking (and poisoning, for the watchdog) instead of
+    /// blocking forever. The watchdog message names the rank whose lane is
+    /// stuck: for a `wait` that is the peer that never started the
+    /// exchange — the rank a mismatched or dead peer diagnosis needs.
+    fn check_stuck(
+        &self,
+        owner: usize,
+        epoch: u64,
+        started: Instant,
+        limit: Option<Duration>,
+        what: &str,
+    ) {
+        let lane = &self.lanes[owner];
         if self.poison.is_set() {
             lane.cvar.notify_all();
             panic!("communicator poisoned: a peer rank panicked");
@@ -86,9 +98,9 @@ impl ExchangeBoard {
                 self.poison.set();
                 lane.cvar.notify_all();
                 panic!(
-                    "collective watchdog: nonblocking exchange {what} still waiting \
-                     after {limit:?} — probable mismatched start/wait pairing across \
-                     ranks (set DMBFS_COMM_TIMEOUT_SECS to adjust, 0 to disable)"
+                    "collective watchdog: wire all-to-all {what} rank {owner}'s exchange \
+                     #{epoch} after {limit:?} — probable mismatched collective calls \
+                     across ranks (set DMBFS_COMM_TIMEOUT_SECS to adjust, 0 to disable)"
                 );
             }
         }
@@ -124,7 +136,13 @@ impl ExchangeBoard {
             // Occupied by epoch - 2 with unread payloads: impossible in a
             // well-formed program (see module docs), so this only spins
             // toward the watchdog when the protocol is broken.
-            self.check_stuck(lane, started, limit, "deposit");
+            self.check_stuck(
+                rank,
+                epoch,
+                started,
+                limit,
+                "deposit still blocked behind the unread predecessor of",
+            );
             lane.cvar.wait_for(&mut ring, Duration::from_millis(20));
         }
     }
@@ -164,7 +182,13 @@ impl ExchangeBoard {
                     return payload;
                 }
             }
-            self.check_stuck(lane, started, limit, "wait");
+            self.check_stuck(
+                from,
+                epoch,
+                started,
+                limit,
+                "wait still waiting for the start of",
+            );
             if yields < YIELDS_BEFORE_PARK {
                 yields += 1;
                 drop(ring);

@@ -36,12 +36,13 @@
 //! communicator handles (world and splits share one counter); `level L` is
 //! the 0-based BFS level as published by `Comm::trace_enter_level` and
 //! fires at the first eligible collective with current level ≥ L. Corrupt
-//! faults only fire at wire collectives (`alltoallv_wire`,
-//! `ialltoallv_wire`, `allgatherv_wire`, `sendrecv_wire`) carrying a
-//! non-empty outbound payload, and stay armed until one passes; detection
-//! requires the collective-matching verifier, which checksums wire
-//! payloads end to end. For the nonblocking `ialltoallv_wire` the fault
-//! fires at the *start* site (where the buffers are deposited); the
+//! faults only fire at wire collectives (`ialltoallv_wire`,
+//! `allgatherv_wire`, `sendrecv_wire`) carrying a non-empty outbound
+//! payload, and stay armed until one passes; detection requires the
+//! collective-matching verifier, which checksums wire payloads end to end.
+//! The wire all-to-all is always a start/wait pair (`alltoallv_wire` is
+//! the two back to back, so it is named `ialltoallv_wire` here too): the
+//! fault fires at the *start* site (where the buffers are deposited); the
 //! checksum trips at the receivers' `wait()`.
 
 use crate::verify::CollectiveKind;
@@ -220,7 +221,7 @@ impl FromStr for FaultSpec {
                 if !is_wire(c) {
                     return Err(format!(
                         "fault spec `{s}`: corrupt faults only fire at wire collectives \
-                         (alltoallv_wire|ialltoallv_wire|allgatherv_wire|sendrecv_wire), \
+                         (ialltoallv_wire|allgatherv_wire|sendrecv_wire), \
                          not `{}`",
                         c.name()
                     ));
@@ -241,8 +242,7 @@ impl FromStr for FaultSpec {
 pub(crate) fn is_wire(kind: CollectiveKind) -> bool {
     matches!(
         kind,
-        CollectiveKind::AlltoallvWire
-            | CollectiveKind::IalltoallvWire
+        CollectiveKind::IalltoallvWire
             | CollectiveKind::AllgathervWire
             | CollectiveKind::SendrecvWire
     )
@@ -563,7 +563,7 @@ mod tests {
             "failstop@r0:op17",
             "delay=750@r1:level2:coll=allreduce",
             "corrupt=42@r3:level1",
-            "corrupt=7@r0:op5:coll=alltoallv_wire",
+            "corrupt=7@r0:op5:coll=allgatherv_wire",
             "corrupt=3@r1:level2:coll=ialltoallv_wire",
             "panic@r0:level1;delay=100@r2:level2",
         ] {
@@ -650,9 +650,9 @@ mod tests {
     fn corrupt_waits_for_a_wire_payload() {
         let plan: FaultPlan = "corrupt=9@r0:op0".parse().unwrap();
         let inj = FaultInjector::new(plan, 0);
-        inj.on_collective(CollectiveKind::AlltoallvWire, Location::caller());
+        inj.on_collective(CollectiveKind::IalltoallvWire, Location::caller());
         assert_eq!(
-            inj.corrupt_seed(CollectiveKind::AlltoallvWire, false),
+            inj.corrupt_seed(CollectiveKind::IalltoallvWire, false),
             None,
             "empty payload leaves the fault armed"
         );

@@ -58,7 +58,10 @@
 //!   matched collectives (so the watchdog names ranks stuck in `wait()`),
 //!   faults fire at the start site with checksums tripping at the wait,
 //!   stats split exposed vs overlap-hidden wall time, and the trace emits
-//!   `ExchangeStart`/`ExchangeWait` spans.
+//!   `ExchangeStart`/`ExchangeWait` spans. [`Comm::alltoallv_wire`] is that
+//!   pair completed on the spot — the wire all-to-all has one
+//!   implementation, and every observer sees the blocking call as a
+//!   start/wait pair with nothing in between.
 //!
 //! What this deliberately does **not** model in-process: network latency and
 //! bandwidth (that is `dmbfs-model`'s job, driven by the recorded events).

@@ -39,14 +39,13 @@ pub enum CollectiveKind {
     Barrier,
     /// [`crate::Comm::alltoallv`]
     Alltoallv,
-    /// [`crate::Comm::alltoallv_wire`]
-    AlltoallvWire,
-    /// [`crate::Comm::ialltoallv_wire`] — the start half of the
-    /// nonblocking exchange.
+    /// [`crate::Comm::ialltoallv_wire`] — the start half of the wire
+    /// all-to-all ([`crate::Comm::alltoallv_wire`] issues it too: it is
+    /// start + wait back to back).
     IalltoallvWire,
-    /// [`crate::PendingExchange::wait`] — the wait half of the nonblocking
-    /// exchange. A distinct kind so the watchdog dump names ranks stuck in
-    /// `wait()` as such, not as a generic start.
+    /// [`crate::PendingExchange::wait`] — the wait half of the wire
+    /// all-to-all. A distinct kind so the watchdog dump names ranks stuck
+    /// in `wait()` as such, not as a generic start.
     IalltoallvWireWait,
     /// [`crate::Comm::allgatherv`] (also reached via `allgather`)
     Allgatherv,
@@ -60,10 +59,6 @@ pub enum CollectiveKind {
     Gather,
     /// [`crate::Comm::gatherv`]
     Gatherv,
-    /// [`crate::Comm::scatterv`]
-    Scatterv,
-    /// [`crate::Comm::exscan`]
-    Exscan,
     /// [`crate::Comm::reduce_scatter`]
     ReduceScatter,
     /// [`crate::Comm::sendrecv`]
@@ -80,10 +75,9 @@ impl std::str::FromStr for CollectiveKind {
     /// Inverse of [`CollectiveKind::name`] — used by the fault-plan grammar
     /// (`coll=<name>`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        const ALL: [CollectiveKind; 17] = [
+        const ALL: [CollectiveKind; 14] = [
             CollectiveKind::Barrier,
             CollectiveKind::Alltoallv,
-            CollectiveKind::AlltoallvWire,
             CollectiveKind::IalltoallvWire,
             CollectiveKind::IalltoallvWireWait,
             CollectiveKind::Allgatherv,
@@ -92,15 +86,13 @@ impl std::str::FromStr for CollectiveKind {
             CollectiveKind::Broadcast,
             CollectiveKind::Gather,
             CollectiveKind::Gatherv,
-            CollectiveKind::Scatterv,
-            CollectiveKind::Exscan,
             CollectiveKind::ReduceScatter,
             CollectiveKind::Sendrecv,
             CollectiveKind::SendrecvWire,
             CollectiveKind::Split,
         ];
         ALL.into_iter().find(|k| k.name() == s).ok_or_else(|| {
-            format!("unknown collective `{s}` (expected e.g. barrier, allreduce, alltoallv_wire)")
+            format!("unknown collective `{s}` (expected e.g. barrier, allreduce, ialltoallv_wire)")
         })
     }
 }
@@ -111,7 +103,6 @@ impl CollectiveKind {
         match self {
             CollectiveKind::Barrier => "barrier",
             CollectiveKind::Alltoallv => "alltoallv",
-            CollectiveKind::AlltoallvWire => "alltoallv_wire",
             CollectiveKind::IalltoallvWire => "ialltoallv_wire",
             CollectiveKind::IalltoallvWireWait => "ialltoallv_wire_wait",
             CollectiveKind::Allgatherv => "allgatherv",
@@ -120,8 +111,6 @@ impl CollectiveKind {
             CollectiveKind::Broadcast => "broadcast",
             CollectiveKind::Gather => "gather",
             CollectiveKind::Gatherv => "gatherv",
-            CollectiveKind::Scatterv => "scatterv",
-            CollectiveKind::Exscan => "exscan",
             CollectiveKind::ReduceScatter => "reduce_scatter",
             CollectiveKind::Sendrecv => "sendrecv",
             CollectiveKind::SendrecvWire => "sendrecv_wire",

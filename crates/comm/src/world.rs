@@ -305,27 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn scatterv_distributes_root_buffers() {
-        let out = World::run(3, |comm| {
-            let bufs =
-                (comm.rank() == 1).then(|| (0..3).map(|j| vec![j as u64 * 10; j + 1]).collect());
-            comm.scatterv(1, bufs)
-        });
-        assert_eq!(out[0], vec![0]);
-        assert_eq!(out[1], vec![10, 10]);
-        assert_eq!(out[2], vec![20, 20, 20]);
-    }
-
-    #[test]
-    fn exscan_computes_exclusive_prefixes() {
-        let out = World::run(5, |comm| {
-            comm.exscan(comm.rank() as u64 + 1, 0, |a, b| a + b)
-        });
-        // Rank r gets sum of 1..=r.
-        assert_eq!(out, vec![0, 1, 3, 6, 10]);
-    }
-
-    #[test]
     fn reduce_scatter_reduces_columns() {
         let out = World::run(3, |comm| {
             // Rank r contributes [r, r*10, r*100]; column j reduces by sum.

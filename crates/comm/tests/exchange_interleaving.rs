@@ -242,3 +242,52 @@ fn depth_one_ring_reaches_a_blocked_deposit() {
          always run first"
     );
 }
+
+/// The schedule the blocking `alltoallv_wire` produces: every start is
+/// immediately followed by its own wait, many times in a row with no
+/// barrier-carrying collective in between (the benchmark's comm layer
+/// loops exactly this). In the model that is the same per-epoch program
+/// as a pipelined chunk — deposit, then collect every peer — so what this
+/// adds is length: six epochs wrap each lane's two slots three times.
+#[test]
+#[cfg_attr(miri, ignore = "exhaustive state-space search is too slow under miri")]
+fn back_to_back_start_wait_pairs_wrap_the_ring_safely() {
+    for (ranks, epochs) in [(2, 6), (3, 4)] {
+        let report = Model {
+            ranks,
+            epochs,
+            depth: 2,
+        }
+        .check();
+        assert!(
+            !report.deposit_blocked && !report.deadlock,
+            "{ranks} ranks x {epochs} epochs: {report:?}"
+        );
+    }
+}
+
+/// The same schedule on the real board: a tight loop of blocking wire
+/// all-to-alls, a slot-board collective only every few iterations, must
+/// hand every rank exactly what its peers addressed to it in that epoch.
+#[test]
+#[cfg_attr(miri, ignore = "hundreds of cross-thread rendezvous")]
+fn back_to_back_blocking_exchanges_deliver_every_epoch_exactly() {
+    use dmbfs_comm::{WireBuf, World};
+    const RANKS: usize = 4;
+    World::run(RANKS, |comm| {
+        for epoch in 0..200u64 {
+            let me = comm.rank() as u64;
+            let bufs = (0..RANKS as u64)
+                .map(|to| WireBuf::new(vec![me as u8, to as u8, epoch as u8], epoch))
+                .collect();
+            let recv = comm.alltoallv_wire(bufs);
+            for (from, buf) in recv.iter().enumerate() {
+                assert_eq!(buf.bytes(), [from as u8, me as u8, epoch as u8]);
+                assert_eq!(buf.logical_bytes, epoch);
+            }
+            if epoch % 7 == 0 {
+                assert_eq!(comm.allreduce(1u64, |a, b| a + b), RANKS as u64);
+            }
+        }
+    });
+}

@@ -4,7 +4,7 @@
 //! receive timeout so a verifier regression fails the test instead of
 //! wedging the suite.
 
-use dmbfs_comm::{FailureKind, VerifyConfig, VerifyFailure, World};
+use dmbfs_comm::{FailureKind, VerifyConfig, VerifyFailure, WireBuf, World};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -69,6 +69,35 @@ fn mismatched_collectives_name_both_ranks_and_locations() {
     assert!(dump.contains("collective mismatch"), "{dump}");
     assert!(dump.contains("rank 0: barrier"), "{dump}");
     assert!(dump.contains("rank 1: allreduce"), "{dump}");
+}
+
+/// The blocking wire all-to-all rendezvouses on the exchange ring, not the
+/// slot board; a peer that issues a slot-board collective instead must
+/// still end in the typed mismatch, with the wire side named by the start
+/// half it fingerprints as.
+#[test]
+fn wire_alltoall_against_a_slot_board_collective_is_a_typed_mismatch() {
+    let failure = expect_failure(|| {
+        World::run_verified(2, fast_config(), |comm| {
+            if comm.rank() == 0 {
+                let bufs = vec![WireBuf::default(), WireBuf::new(vec![7], 8)];
+                comm.alltoallv_wire(bufs); // lint: allow(collective-symmetry)
+            } else {
+                comm.allreduce(1u64, |a, b| a + b); // lint: allow(collective-symmetry)
+            }
+        });
+    });
+    assert_eq!(failure.kind, FailureKind::Mismatch);
+    let ops: Vec<_> = failure
+        .pending
+        .iter()
+        .map(|op| op.as_ref().expect("both ranks recorded an operation"))
+        .collect();
+    assert_eq!(ops[0].kind, "ialltoallv_wire");
+    assert_eq!(ops[1].kind, "allreduce");
+    assert!(ops
+        .iter()
+        .all(|op| op.location.contains("verify_negative.rs")));
 }
 
 #[test]

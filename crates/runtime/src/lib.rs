@@ -199,10 +199,12 @@ pub struct RunConfig {
     /// Comm/compute overlap: `Some(k)` splits each level's frontier
     /// exchange into `k` chunks moved through a double-buffered pipeline on
     /// the nonblocking `ialltoallv_wire` — while chunk `i` is in flight,
-    /// the rank packs and encodes chunk `i + 1`. `None` (the default) keeps
-    /// the single blocking exchange. Parent trees are bit-identical either
-    /// way; only meaningful with a codec (ignored under [`Codec::Off`],
-    /// which has no wire buffers to pipeline).
+    /// the rank packs and encodes chunk `i + 1`. `None` (the default) means
+    /// one chunk: `None` ≡ `Some(1)`, the same code path, the blocking
+    /// exchange being the pipeline with nothing to overlap. Parent trees
+    /// are bit-identical for every `k`; only meaningful with a codec
+    /// (ignored under [`Codec::Off`], which has no wire buffers to
+    /// pipeline).
     pub overlap: Option<NonZeroUsize>,
     /// Per-level traversal direction policy (see [`DirectionMode`]). Only
     /// the BFS drivers with a bottom-up step honor it; other drivers
@@ -295,7 +297,7 @@ impl RunConfig {
     }
 
     /// Sets the comm/compute overlap chunk count (see
-    /// [`RunConfig::overlap`]); `None` disables the pipeline.
+    /// [`RunConfig::overlap`]); `None` means one chunk.
     pub fn with_overlap(mut self, overlap: Option<NonZeroUsize>) -> Self {
         self.overlap = overlap;
         self

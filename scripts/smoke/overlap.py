@@ -1,6 +1,7 @@
-"""Overlap-smoke asserts: the traces contain the nonblocking
-ExchangeStart/ExchangeWait span pairs — the pipeline ran, it was not
-silently downgraded to the blocking exchange."""
+"""Overlap-smoke asserts: under `--overlap 2` every level of the trace
+holds two ExchangeStart/ExchangeWait span pairs per rank — the chunk
+count took effect, it was not silently downgraded to the one-chunk
+exchange every run performs."""
 
 import json
 
@@ -17,6 +18,9 @@ for name in ("overlap-1d.jsonl", "overlap-2d.jsonl"):
         s = sorted(x["start_ns"] for x in starts if x["rank"] == rank)
         w = sorted(x["start_ns"] for x in waits if x["rank"] == rank)
         assert len(s) == len(w) > 0, f"{name}: rank {rank} unpaired"
+        levels = sum(1 for x in spans if x["kind"] == "Level" and x["rank"] == rank)
+        assert len(s) == 2 * levels, \
+            f"{name}: rank {rank} ran {len(s)} exchanges over {levels} levels, not 2 per level"
         assert all(a <= b for a, b in zip(s, w)), \
             f"{name}: rank {rank} wait before its start"
     print(f"{name}: {len(starts)} start/wait pairs across {header['ranks']} ranks")

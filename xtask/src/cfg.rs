@@ -152,8 +152,6 @@ const PRIMITIVES: &[&str] = &[
     "broadcast",
     "gather",
     "gatherv",
-    "scatterv",
-    "exscan",
     "reduce_scatter",
     "sendrecv",
     "sendrecv_wire",

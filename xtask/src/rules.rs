@@ -64,8 +64,6 @@ const COLLECTIVES: &[&str] = &[
     "broadcast",
     "gather",
     "gatherv",
-    "scatterv",
-    "exscan",
     "reduce_scatter",
     "sendrecv",
     "sendrecv_wire",

@@ -292,12 +292,13 @@ impl Analysis {
 /// Maps a source-level primitive method name to the dynamic fingerprint
 /// sequence it produces. `split` fingerprints itself and then delegates
 /// to an `allgather` (one `allgatherv` fingerprint); `allgather`
-/// delegates to `allgatherv`; `wait` is the exchange completion.
+/// delegates to `allgatherv`; `wait` is the exchange completion, and
+/// `alltoallv_wire` is a start immediately followed by its wait.
 fn fingerprints(method: &str) -> &'static [&'static str] {
     match method {
         "barrier" => &["barrier"],
         "alltoallv" => &["alltoallv"],
-        "alltoallv_wire" => &["alltoallv_wire"],
+        "alltoallv_wire" => &["ialltoallv_wire", "ialltoallv_wire_wait"],
         "ialltoallv_wire" => &["ialltoallv_wire"],
         "wait" => &["ialltoallv_wire_wait"],
         "allgatherv" => &["allgatherv"],
@@ -307,8 +308,6 @@ fn fingerprints(method: &str) -> &'static [&'static str] {
         "broadcast" => &["broadcast"],
         "gather" => &["gather"],
         "gatherv" => &["gatherv"],
-        "scatterv" => &["scatterv"],
-        "exscan" => &["exscan"],
         "reduce_scatter" => &["reduce_scatter"],
         "sendrecv" => &["sendrecv"],
         "sendrecv_wire" => &["sendrecv_wire"],
