@@ -3,12 +3,12 @@
 //! Sweeps loan on/off × ranks × scale on the 1D driver and measures the
 //! exposed frontier-exchange wall (`dmbfs_model::imbalance::analyze`,
 //! alltoallv Collective spans summed over ranks and levels). With the
-//! loan path on, a sealed `WireBuf` crosses the exchange board as an
+//! loan path on, a sealed `WireBuf` crosses the rendezvous board as an
 //! `Arc` refcount bump and receivers decode straight from the sender's
 //! allocation; with it off (`set_loan_threshold(None)`) every receiver
 //! memcpys its slice off the board — the pre-refactor behavior. The
-//! two-barrier protocol makes the read phase collective, so the removed
-//! memcpy wall comes straight out of the exposed exchange time.
+//! copies happen inside the collective call, so the removed memcpy wall
+//! comes straight out of the exposed exchange time.
 //!
 //! Measurement design, tuned for an oversubscribed single-socket host:
 //!

@@ -1,13 +1,12 @@
 //! Communicator handles and typed collectives.
 
-use crate::barrier::{Poison, PoisonBarrier};
-use crate::exchange::ExchangeBoard;
+use crate::exchange::{ExchangeBoard, Poison};
 use crate::fault::{corrupt_site, fnv1a64, FaultInjector, FaultPlan};
 use crate::stats::{CommEvent, CommStats, LevelTiming, Pattern};
 use crate::verify::{CollectiveKind, Fingerprint, VerifyBoard};
 use dmbfs_trace::{CollectiveTag, RankTrace, SpanKind, TraceSink};
 use parking_lot::Mutex;
-use std::any::{Any, TypeId};
+use std::any::{type_name, TypeId};
 use std::cell::{Cell, RefCell};
 use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,14 +56,14 @@ pub fn set_loan_threshold(threshold: Option<u64>) {
     LOAN_THRESHOLD.store(threshold.unwrap_or(u64::MAX), Ordering::Relaxed);
 }
 
-/// How a [`WireBuf`]'s bytes travel through the exchange board.
+/// How a [`WireBuf`]'s bytes travel through the rendezvous board.
 ///
 /// `Copied` is the eager path: the receiver clones the bytes out of the
 /// board (one memcpy per receiver). `Loaned` is the rendezvous path: the
 /// sender's allocation is moved (not copied) behind an `Arc` at seal time,
 /// receivers decode straight from the sender's buffer, and the loan is
 /// released when the last reference drops — which may be *after* the
-/// exchange ring retires the slot; the refcount keeps the epoch-scoped
+/// board's ring retires the slot; the refcount keeps the epoch-scoped
 /// retirement safe. See `docs/zero-copy.md`.
 #[derive(Clone, Debug)]
 enum WirePayload {
@@ -133,7 +132,7 @@ impl WireBuf {
         match &mut self.payload {
             WirePayload::Copied(v) => v,
             WirePayload::Loaned(_) => panic!(
-                "WireBuf is sealed: the payload was loaned to the exchange board \
+                "WireBuf is sealed: the payload was loaned to the rendezvous board \
                  and may be referenced by other ranks; mutate before the seal \
                  (checksum -> corrupt -> seal -> deposit)"
             ),
@@ -166,35 +165,34 @@ impl WireBuf {
     }
 }
 
-/// Shared state of one communicator: an exchange board with one slot per
-/// rank plus a poisonable barrier.
+/// What one rank deposits for one wire all-to-all: its outbound buffer per
+/// destination (own bucket taken out), plus per-destination pre-corruption
+/// checksums when the verifier is on.
+type ExchangePayload = (Vec<WireBuf>, Option<Vec<u64>>);
+
+/// Clones every rank's contribution out of its shared `Arc`.
+fn cloned<T: Clone>(all: &[Arc<T>]) -> Vec<T> {
+    all.iter().map(|v| T::clone(v)).collect()
+}
+
+/// Shared state of one communicator: the one rendezvous board every
+/// collective deposits on and collects from (see the `exchange` module).
 pub(crate) struct Shared {
-    pub(crate) slots: Vec<Mutex<Option<Arc<dyn Any + Send + Sync>>>>,
-    pub(crate) barrier: PoisonBarrier,
+    pub(crate) board: ExchangeBoard,
     pub(crate) poison: Arc<Poison>,
     /// Collective-matching verifier board; `None` when verification is off
     /// (the default), so the per-collective cost is one `Option` check.
     pub(crate) verify: Option<Arc<VerifyBoard>>,
-    /// Barrier-free depth-2 ring board for the nonblocking exchange: a
-    /// completing `wait()` blocks only on peers' *starts*, never on their
-    /// waits (see the `exchange` module).
-    pub(crate) exchange: ExchangeBoard,
 }
 
 impl Shared {
-    pub(crate) fn new(size: usize, poison: Arc<Poison>) -> Arc<Self> {
-        Self::new_with_verify(size, poison, None)
-    }
-
-    pub(crate) fn new_with_verify(
+    pub(crate) fn new(
         size: usize,
         poison: Arc<Poison>,
         verify: Option<Arc<VerifyBoard>>,
     ) -> Arc<Self> {
         Arc::new(Self {
-            slots: (0..size).map(|_| Mutex::new(None)).collect(),
-            barrier: PoisonBarrier::new(size, poison.clone()),
-            exchange: ExchangeBoard::new(size, poison.clone()),
+            board: ExchangeBoard::new(size, poison.clone()),
             poison,
             verify,
         })
@@ -206,9 +204,10 @@ impl Shared {
 /// (the world communicator) and [`Comm::split`] (sub-communicators); each
 /// handle belongs to exactly one thread.
 ///
-/// All collectives are **blocking** and must be called by every rank of the
-/// communicator in the same order with compatible arguments, exactly as in
-/// MPI. Payload types need `Clone + Send + Sync + 'static`.
+/// All collectives but [`Comm::ialltoallv_wire`] are **blocking** and must
+/// be called by every rank of the communicator in the same order with
+/// compatible arguments, exactly as in MPI. Payload types need
+/// `Clone + Send + Sync + 'static`.
 ///
 /// # Threading invariant (hybrid MPI + threads)
 ///
@@ -222,9 +221,9 @@ impl Shared {
 ///   cannot be shared with pool workers by reference;
 /// * run time: every collective asserts it is running on the thread that
 ///   created the handle, catching handles smuggled across threads by
-///   move (`Comm` is `Send`) — the barrier generation counters and the
-///   per-rank exchange-board slots assume one caller per rank, and a
-///   second thread entering a collective would corrupt the rendezvous.
+///   move (`Comm` is `Send`) — the epoch counter and the rank's lane on
+///   the rendezvous board assume one caller per rank, and a second thread
+///   entering a collective would corrupt the rendezvous.
 pub struct Comm {
     shared: Arc<Shared>,
     rank: usize,
@@ -254,15 +253,16 @@ pub struct Comm {
     verify_epoch: Cell<u64>,
     /// True between [`Comm::ialltoallv_wire`] and the matching
     /// [`PendingExchange::wait`]. While set, no other collective may run
-    /// on this handle: the depth-2 exchange ring assumes one outstanding
-    /// exchange, and an interleaved barrier collective would let a rank
-    /// run more than one exchange ahead of a slow peer.
+    /// on this handle: the depth-2 ring's proof assumes one operation in
+    /// flight per communicator, and a collective interleaved between a
+    /// start and its wait would let a rank deposit two epochs ahead of a
+    /// peer that has not collected the start yet.
     pending_exchange: Cell<bool>,
-    /// This rank's nonblocking-exchange counter on this communicator: the
-    /// epoch of the next `ialltoallv_wire` it will start, indexing the
-    /// depth-2 exchange ring. Advances identically on every rank because
-    /// the exchange is collective.
-    exchange_epoch: Cell<u64>,
+    /// This rank's collective counter on this communicator: the epoch of
+    /// the next deposit, indexing the depth-2 ring. Typed and wire
+    /// collectives share it, and it advances identically on every rank
+    /// because every operation on a communicator is collective.
+    epoch: Cell<u64>,
 }
 
 /// The trace-side name of a collective pattern. `dmbfs-trace` is a leaf
@@ -291,7 +291,7 @@ impl Comm {
             owner: std::thread::current().id(),
             verify_epoch: Cell::new(0),
             pending_exchange: Cell::new(false),
-            exchange_epoch: Cell::new(0),
+            epoch: Cell::new(0),
         }
     }
 
@@ -299,38 +299,6 @@ impl Comm {
     /// communicator (see [`crate::World::run_verified`]).
     pub fn verify_enabled(&self) -> bool {
         self.shared.verify.is_some()
-    }
-
-    /// Records this rank's fingerprint for the collective it is entering
-    /// and rendezvouses with the rest of the group for cross-checking.
-    /// No-op (one `Option` check) when verification is off.
-    #[inline]
-    fn verify_enter(
-        &self,
-        kind: CollectiveKind,
-        type_id: TypeId,
-        type_name: &'static str,
-        location: &'static Location<'static>,
-    ) {
-        // Schedule capture sits before the verify gate: the harvest works
-        // (and the conformance test runs) with or without the verifier.
-        if let Some(log) = self.sched_log.borrow().as_ref() {
-            log.lock().push(kind.name());
-        }
-        if let Some(board) = self.shared.verify.as_ref() {
-            let epoch = self.verify_epoch.get();
-            self.verify_epoch.set(epoch + 1);
-            board.enter(
-                self.rank,
-                Fingerprint {
-                    kind,
-                    type_id,
-                    type_name,
-                    epoch,
-                    location,
-                },
-            );
-        }
     }
 
     /// Arms a deterministic fault plan on this rank: subsequent
@@ -378,20 +346,6 @@ impl Comm {
             .as_ref()
             .map(|log| std::mem::take(&mut *log.lock()))
             .unwrap_or_default()
-    }
-
-    /// Fault hook at the top of every collective, **before** the verifier
-    /// rendezvous — so a delayed or fail-stopped rank is late *to* the
-    /// rendezvous and the verify watchdog names it, matching how real MPI
-    /// tools observe stragglers and dead processes. No-op (one `Option`
-    /// check) when no plan is armed.
-    #[inline]
-    #[track_caller]
-    fn fault_enter(&self, kind: CollectiveKind) {
-        let inj = self.fault.borrow().as_ref().cloned();
-        if let Some(inj) = inj {
-            inj.on_collective(kind, Location::caller());
-        }
     }
 
     /// The corruption half of the fault hook: called by the wire
@@ -442,9 +396,9 @@ impl Comm {
     }
 
     /// Asserts no nonblocking exchange is in flight on this handle. Every
-    /// collective entry point passes through here (via [`Comm::deposit`]
-    /// or [`Comm::barrier`]): the exchange board has one slot per rank, so
-    /// an interleaved collective would overwrite the in-flight buffers.
+    /// collective passes through here (via [`Comm::publish`]): "one
+    /// operation in flight per communicator" is the premise of the depth-2
+    /// ring's no-blocked-deposit proof (see the `exchange` module).
     fn assert_no_inflight(&self) {
         assert!(
             !self.pending_exchange.get(),
@@ -456,8 +410,7 @@ impl Comm {
     /// A standalone single-rank communicator: lets distributed code run
     /// unmodified in a serial context (tests, examples).
     pub fn single() -> Self {
-        let poison = Arc::new(Poison::default());
-        Self::new(Shared::new(1, poison), 0)
+        Self::new(Shared::new(1, Arc::new(Poison::default()), None), 0)
     }
 
     /// This rank's id in `0..size()`.
@@ -467,7 +420,7 @@ impl Comm {
 
     /// Number of ranks in this communicator.
     pub fn size(&self) -> usize {
-        self.shared.slots.len()
+        self.shared.board.size()
     }
 
     /// Snapshot of the statistics recorded so far.
@@ -549,58 +502,16 @@ impl Comm {
         self.tracer.borrow_mut().take().map(|t| t.lock().drain())
     }
 
-    /// Emit the span for one finished collective (pattern, group size,
-    /// logical and wire bytes on the send side, and how many of the wire
-    /// bytes went out as zero-copy loans). Called from the same two choke
-    /// points that record [`CommEvent`]s.
-    fn trace_collective(
+    /// Appends one [`CommEvent`]. Only the wire collectives take part in
+    /// loan accounting: they pass `loaned_out` and the rest of `wire_out`
+    /// counts as copied.
+    fn push_event(
         &self,
         pattern: Pattern,
-        bytes: u64,
-        wire: u64,
-        loaned: u64,
-        start: Instant,
-    ) {
-        if let Some(t) = self.tracer.borrow().as_ref() {
-            t.lock().collective(
-                collective_tag(pattern),
-                start,
-                self.size() as u64,
-                bytes,
-                wire,
-                loaned,
-            );
-        }
-    }
-
-    fn record(&self, pattern: Pattern, bytes_out: u64, bytes_in: u64, start: Instant) {
-        // Plain collectives put their logical payload on the wire verbatim;
-        // only the wire collectives participate in loan accounting.
-        self.stats.borrow_mut().events.push(CommEvent {
-            pattern,
-            group_size: self.size(),
-            bytes_out,
-            bytes_in,
-            wire_out: bytes_out,
-            wire_in: bytes_in,
-            wall: start.elapsed(),
-            hidden: Duration::ZERO,
-            loaned_out: 0,
-            copied_out: 0,
-        });
-        self.trace_collective(pattern, bytes_out, bytes_out, 0, start);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record_wire(
-        &self,
-        pattern: Pattern,
-        bytes_out: u64,
-        bytes_in: u64,
-        wire_out: u64,
-        wire_in: u64,
-        loaned_out: u64,
-        start: Instant,
+        [bytes_out, bytes_in]: [u64; 2],
+        [wire_out, wire_in]: [u64; 2],
+        loaned_out: Option<u64>,
+        [wall, hidden]: [Duration; 2],
     ) {
         self.stats.borrow_mut().events.push(CommEvent {
             pattern,
@@ -609,58 +520,162 @@ impl Comm {
             bytes_in,
             wire_out,
             wire_in,
-            wall: start.elapsed(),
-            hidden: Duration::ZERO,
-            loaned_out,
-            copied_out: wire_out - loaned_out,
+            wall,
+            hidden,
+            loaned_out: loaned_out.unwrap_or(0),
+            copied_out: loaned_out.map_or(0, |loaned| wire_out - loaned),
         });
-        self.trace_collective(pattern, bytes_out, wire_out, loaned_out, start);
     }
 
-    /// First step of every data-bearing collective — which makes it the
-    /// single choke point (together with [`Comm::barrier`]) where the
-    /// owner-thread invariant is enforced.
-    fn deposit<T: Send + Sync + 'static>(&self, value: T) {
-        self.assert_owner();
-        self.assert_no_inflight();
-        *self.shared.slots[self.rank].lock() = Some(Arc::new(value));
-    }
-
-    fn read<T: Send + Sync + 'static>(&self, rank: usize) -> Arc<T> {
-        let guard = self.shared.slots[rank].lock();
-        let any = match guard.as_ref() {
-            Some(v) => v.clone(),
-            None => panic!(
-                "exchange-board slot of rank {rank} empty while rank {} was reading: \
-                 mismatched collective call (run under World::run_verified to pinpoint it)",
-                self.rank
-            ),
-        };
-        match any.downcast::<T>() {
-            Ok(v) => v,
-            Err(_) => panic!(
-                "exchange-board type mismatch reading rank {rank} from rank {}: \
-                 ranks called different collectives (run under World::run_verified \
-                 to pinpoint it)",
-                self.rank
-            ),
+    /// Records one finished blocking wire collective, timed from `start`:
+    /// its [`CommEvent`] and, when traced, its span (pattern, group size,
+    /// logical, wire and loaned bytes on the send side).
+    fn record_wire(
+        &self,
+        pattern: Pattern,
+        bytes: [u64; 2],
+        wire: [u64; 2],
+        loaned_out: Option<u64>,
+        start: Instant,
+    ) {
+        let wall = [start.elapsed(), Duration::ZERO];
+        self.push_event(pattern, bytes, wire, loaned_out, wall);
+        if let Some(t) = self.tracer.borrow().as_ref() {
+            let (tag, p) = (collective_tag(pattern), self.size() as u64);
+            let loaned = loaned_out.unwrap_or(0);
+            t.lock()
+                .collective(tag, start, p, bytes[0], wire[0], loaned);
         }
     }
 
-    /// Pure synchronization barrier.
+    /// [`Comm::record_wire`] for the plain collectives, which put their
+    /// logical payload on the wire verbatim.
+    fn record(&self, pattern: Pattern, bytes_out: u64, bytes_in: u64, start: Instant) {
+        let bytes = [bytes_out, bytes_in];
+        self.record_wire(pattern, bytes, bytes, None, start);
+    }
+
+    /// Top of every collective: the fault hook, then the verifier
+    /// fingerprint (both against the caller's `#[track_caller]` location),
+    /// then the clock the recorded [`CommEvent`] is timed from. Each
+    /// disabled observer costs one `Option` check.
     #[track_caller]
-    pub fn barrier(&self) {
+    fn enter(&self, kind: CollectiveKind, type_id: TypeId, type_name: &'static str) -> Instant {
+        let location = Location::caller();
+        // Faults fire **before** the verifier rendezvous — so a delayed or
+        // fail-stopped rank is late *to* the rendezvous and the verify
+        // watchdog names it, matching how real MPI tools observe stragglers
+        // and dead processes.
+        let inj = self.fault.borrow().as_ref().cloned();
+        if let Some(inj) = inj {
+            inj.on_collective(kind, location);
+        }
+        // Schedule capture sits before the verify gate: the harvest works
+        // (and the conformance test runs) with or without the verifier.
+        if let Some(log) = self.sched_log.borrow().as_ref() {
+            log.lock().push(kind.name());
+        }
+        if let Some(board) = self.shared.verify.as_ref() {
+            let epoch = self.verify_epoch.get();
+            self.verify_epoch.set(epoch + 1);
+            let fingerprint = Fingerprint {
+                kind,
+                type_id,
+                type_name,
+                epoch,
+                location,
+            };
+            board.enter(self.rank, fingerprint);
+        }
+        Instant::now()
+    }
+
+    /// [`Comm::enter`] for a collective moving elements of type `T`.
+    #[track_caller]
+    fn enter_typed<T: 'static>(&self, kind: CollectiveKind) -> Instant {
+        self.enter(kind, TypeId::of::<T>(), type_name::<T>())
+    }
+
+    /// [`Comm::enter`] for a collective moving encoded [`WireBuf`]s.
+    #[track_caller]
+    fn enter_wire(&self, kind: CollectiveKind) -> Instant {
+        self.enter(kind, TypeId::of::<WireBuf>(), "WireBuf")
+    }
+
+    /// Deposit half of the rendezvous: publishes `mine` as this rank's
+    /// contribution to the communicator's next epoch and returns that
+    /// epoch. Every collective reaches the board through here, which makes
+    /// it the choke point where the owner-thread and one-in-flight
+    /// invariants are enforced. A single-rank group has no peer to collect
+    /// the deposit, so it skips the board.
+    fn publish<T: Send + Sync + 'static>(&self, kind: CollectiveKind, mine: Arc<T>) -> u64 {
         self.assert_owner();
         self.assert_no_inflight();
-        self.fault_enter(CollectiveKind::Barrier);
-        self.verify_enter(
-            CollectiveKind::Barrier,
-            TypeId::of::<()>(),
-            "()",
-            Location::caller(),
-        );
-        let start = Instant::now();
-        self.shared.barrier.wait();
+        let epoch = self.epoch.get();
+        self.epoch.set(epoch + 1);
+        if self.size() > 1 {
+            self.shared
+                .board
+                .deposit(self.rank, epoch, mine, type_name::<T>(), kind.name());
+        }
+        epoch
+    }
+
+    /// Collect half of the rendezvous: peer `from`'s contribution to
+    /// `epoch`, blocking until that rank has published it. Ranks that
+    /// called different collectives still meet here — one board, one epoch
+    /// counter — so the mismatch shows at once as a failed downcast.
+    fn collect<T: Send + Sync + 'static>(
+        &self,
+        kind: CollectiveKind,
+        from: usize,
+        epoch: u64,
+    ) -> Arc<T> {
+        let (payload, theirs) = self.shared.board.collect(from, epoch, kind.name());
+        payload.downcast::<T>().unwrap_or_else(|_| {
+            panic!(
+                "rendezvous type mismatch at op #{epoch}: rank {} in {} expected `{}` but \
+                 rank {from} published `{theirs}` — ranks called different collectives \
+                 (run under World::run_verified to pinpoint it)",
+                self.rank,
+                kind.name(),
+                type_name::<T>(),
+            )
+        })
+    }
+
+    /// The one rendezvous every blocking collective is written on:
+    /// publishes `mine` at the next epoch, collects every peer's lane, and
+    /// returns all contributions indexed by rank (this rank's own `Arc`
+    /// never touches the board). What a collective computes is a fold over
+    /// the result; [`Comm::ialltoallv_wire`] / [`PendingExchange::wait`]
+    /// are the same publish and collects with the caller's work between.
+    fn rendezvous<T: Send + Sync + 'static>(&self, kind: CollectiveKind, mine: T) -> Vec<Arc<T>> {
+        let mine = Arc::new(mine);
+        let epoch = self.publish(kind, mine.clone());
+        (0..self.size())
+            .map(|j| {
+                if j == self.rank {
+                    mine.clone()
+                } else {
+                    self.collect(kind, j, epoch)
+                }
+            })
+            .collect()
+    }
+
+    /// Sum of `bytes(contribution)` over this rank's peers — the inbound
+    /// side of a collective's byte accounting.
+    fn peer_sum<T>(&self, all: &[Arc<T>], bytes: impl Fn(&T) -> u64) -> u64 {
+        let peers = all.iter().enumerate().filter(|&(j, _)| j != self.rank);
+        peers.map(|(_, theirs)| bytes(theirs)).sum()
+    }
+
+    /// Pure synchronization barrier: a rendezvous with a unit payload.
+    #[track_caller]
+    pub fn barrier(&self) {
+        let start = self.enter_typed::<()>(CollectiveKind::Barrier);
+        self.rendezvous(CollectiveKind::Barrier, ());
         self.record(Pattern::Barrier, 0, 0, start);
     }
 
@@ -686,14 +701,7 @@ impl Comm {
     #[track_caller]
     pub fn alltoallv<T: Clone + Send + Sync + 'static>(&self, bufs: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(bufs.len(), self.size(), "need one buffer per rank");
-        self.fault_enter(CollectiveKind::Alltoallv);
-        self.verify_enter(
-            CollectiveKind::Alltoallv,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter_typed::<T>(CollectiveKind::Alltoallv);
         let elem = size_of::<T>() as u64;
         let bytes_out: u64 = bufs
             .iter()
@@ -701,18 +709,9 @@ impl Comm {
             .filter(|&(j, _)| j != self.rank)
             .map(|(_, b)| b.len() as u64 * elem)
             .sum();
-        self.deposit(bufs);
-        self.shared.barrier.wait();
-        let mut recv: Vec<Vec<T>> = Vec::with_capacity(self.size());
-        let mut bytes_in = 0u64;
-        for j in 0..self.size() {
-            let theirs = self.read::<Vec<Vec<T>>>(j);
-            if j != self.rank {
-                bytes_in += theirs[self.rank].len() as u64 * elem;
-            }
-            recv.push(theirs[self.rank].clone());
-        }
-        self.shared.barrier.wait();
+        let all = self.rendezvous(CollectiveKind::Alltoallv, bufs);
+        let bytes_in = self.peer_sum(&all, |theirs| theirs[self.rank].len() as u64 * elem);
+        let recv = all.iter().map(|theirs| theirs[self.rank].clone()).collect();
         self.record(Pattern::Alltoallv, bytes_out, bytes_in, start);
         recv
     }
@@ -722,30 +721,14 @@ impl Comm {
     /// (Algorithm 3 line 6) runs this on the processor-column communicator.
     #[track_caller]
     pub fn allgatherv<T: Clone + Send + Sync + 'static>(&self, mine: Vec<T>) -> Vec<Vec<T>> {
-        self.fault_enter(CollectiveKind::Allgatherv);
-        self.verify_enter(
-            CollectiveKind::Allgatherv,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter_typed::<T>(CollectiveKind::Allgatherv);
         let elem = size_of::<T>() as u64;
         let bytes_out = mine.len() as u64 * elem * (self.size() as u64 - 1);
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let mut all: Vec<Vec<T>> = Vec::with_capacity(self.size());
-        let mut bytes_in = 0u64;
-        for j in 0..self.size() {
-            let theirs = self.read::<Vec<T>>(j);
-            if j != self.rank {
-                bytes_in += theirs.len() as u64 * elem;
-            }
-            all.push((*theirs).clone());
-        }
-        self.shared.barrier.wait();
+        let all = self.rendezvous(CollectiveKind::Allgatherv, mine);
+        let bytes_in = self.peer_sum(&all, |theirs| theirs.len() as u64 * elem);
+        let gathered = cloned(&all);
         self.record(Pattern::Allgatherv, bytes_out, bytes_in, start);
-        all
+        gathered
     }
 
     /// All-gather of one value per rank. Fingerprints as an `allgatherv`
@@ -767,33 +750,17 @@ impl Comm {
         mine: T,
         op: impl Fn(T, T) -> T,
     ) -> T {
-        self.fault_enter(CollectiveKind::Allreduce);
-        self.verify_enter(
-            CollectiveKind::Allreduce,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter_typed::<T>(CollectiveKind::Allreduce);
         let elem = size_of::<T>() as u64;
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let mut acc: Option<T> = None;
-        for j in 0..self.size() {
-            let v = (*self.read::<T>(j)).clone();
-            acc = Some(match acc {
-                None => v,
-                Some(a) => op(a, v),
-            });
-        }
-        self.shared.barrier.wait();
+        let all = self.rendezvous(CollectiveKind::Allreduce, mine);
+        let folded = all.iter().map(|v| T::clone(v)).reduce(op);
         self.record(
             Pattern::Allreduce,
             elem,
             elem * (self.size() as u64 - 1),
             start,
         );
-        acc.expect("communicator has at least one rank")
+        folded.expect("communicator has at least one rank")
     }
 
     /// Broadcast from `root`: `root` passes `Some(value)`, everyone else
@@ -806,21 +773,10 @@ impl Comm {
             self.rank == root,
             "exactly the root must supply the broadcast value"
         );
-        self.fault_enter(CollectiveKind::Broadcast);
-        self.verify_enter(
-            CollectiveKind::Broadcast,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter_typed::<T>(CollectiveKind::Broadcast);
         let elem = size_of::<T>() as u64;
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let value = (*self.read::<Option<T>>(root))
-            .clone()
-            .expect("root deposited Some");
-        self.shared.barrier.wait();
+        let all = self.rendezvous(CollectiveKind::Broadcast, mine);
+        let value = Option::clone(&all[root]).expect("root deposited Some");
         let (out, inn) = if self.rank == root {
             (elem * (self.size() as u64 - 1), 0)
         } else {
@@ -835,27 +791,10 @@ impl Comm {
     #[track_caller]
     pub fn gather<T: Clone + Send + Sync + 'static>(&self, root: usize, mine: T) -> Option<Vec<T>> {
         assert!(root < self.size());
-        self.fault_enter(CollectiveKind::Gather);
-        self.verify_enter(
-            CollectiveKind::Gather,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter_typed::<T>(CollectiveKind::Gather);
         let elem = size_of::<T>() as u64;
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let result = if self.rank == root {
-            let mut all = Vec::with_capacity(self.size());
-            for j in 0..self.size() {
-                all.push((*self.read::<T>(j)).clone());
-            }
-            Some(all)
-        } else {
-            None
-        };
-        self.shared.barrier.wait();
+        let all = self.rendezvous(CollectiveKind::Gather, mine);
+        let result = (self.rank == root).then(|| cloned(&all));
         let (out, inn) = if self.rank == root {
             (0, elem * (self.size() as u64 - 1))
         } else {
@@ -874,37 +813,16 @@ impl Comm {
         mine: Vec<T>,
     ) -> Option<Vec<Vec<T>>> {
         assert!(root < self.size());
-        self.fault_enter(CollectiveKind::Gatherv);
-        self.verify_enter(
-            CollectiveKind::Gatherv,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter_typed::<T>(CollectiveKind::Gatherv);
         let elem = size_of::<T>() as u64;
-        let out = if self.rank == root {
-            0
+        let sent = mine.len() as u64 * elem;
+        let all = self.rendezvous(CollectiveKind::Gatherv, mine);
+        let (result, out, inn) = if self.rank == root {
+            let inn = self.peer_sum(&all, |theirs| theirs.len() as u64 * elem);
+            (Some(cloned(&all)), 0, inn)
         } else {
-            mine.len() as u64 * elem
+            (None, sent, 0)
         };
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let (result, inn) = if self.rank == root {
-            let mut all = Vec::with_capacity(self.size());
-            let mut inn = 0;
-            for j in 0..self.size() {
-                let theirs = self.read::<Vec<T>>(j);
-                if j != self.rank {
-                    inn += theirs.len() as u64 * elem;
-                }
-                all.push((*theirs).clone());
-            }
-            (Some(all), inn)
-        } else {
-            (None, 0)
-        };
-        self.shared.barrier.wait();
         self.record(Pattern::Gather, out, inn, start);
         result
     }
@@ -919,29 +837,12 @@ impl Comm {
         op: impl Fn(T, T) -> T,
     ) -> T {
         assert_eq!(mine.len(), self.size(), "need one contribution per rank");
-        self.fault_enter(CollectiveKind::ReduceScatter);
-        self.verify_enter(
-            CollectiveKind::ReduceScatter,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let elem = size_of::<T>() as u64;
-        let p = self.size() as u64;
-        self.deposit(mine);
-        self.shared.barrier.wait();
-        let mut acc: Option<T> = None;
-        for j in 0..self.size() {
-            let v = self.read::<Vec<T>>(j)[self.rank].clone();
-            acc = Some(match acc {
-                None => v,
-                Some(a) => op(a, v),
-            });
-        }
-        self.shared.barrier.wait();
-        self.record(Pattern::Allreduce, elem * (p - 1), elem * (p - 1), start);
-        acc.expect("communicator has at least one rank")
+        let start = self.enter_typed::<T>(CollectiveKind::ReduceScatter);
+        let moved = size_of::<T>() as u64 * (self.size() as u64 - 1);
+        let all = self.rendezvous(CollectiveKind::ReduceScatter, mine);
+        let folded = all.iter().map(|v| v[self.rank].clone()).reduce(op);
+        self.record(Pattern::Allreduce, moved, moved, start);
+        folded.expect("communicator has at least one rank")
     }
 
     /// Pairwise exchange: sends `data` to `partner` and returns what
@@ -957,37 +858,29 @@ impl Comm {
         data: Vec<T>,
     ) -> Vec<T> {
         assert!(partner < self.size());
-        self.fault_enter(CollectiveKind::Sendrecv);
-        self.verify_enter(
-            CollectiveKind::Sendrecv,
-            TypeId::of::<T>(),
-            std::any::type_name::<T>(),
-            Location::caller(),
-        );
-        let start = Instant::now();
-        let elem = size_of::<T>() as u64;
-        let bytes_out = if partner == self.rank {
+        let start = self.enter_typed::<T>(CollectiveKind::Sendrecv);
+        // The diagonal's self-exchange moves no bytes.
+        let elem = if partner == self.rank {
             0
         } else {
-            data.len() as u64 * elem
+            size_of::<T>() as u64
         };
-        self.deposit((partner, data));
-        self.shared.barrier.wait();
-        let theirs = self.read::<(usize, Vec<T>)>(partner);
+        let bytes_out = data.len() as u64 * elem;
+        let all = self.rendezvous(CollectiveKind::Sendrecv, (partner, data));
+        let (back, received) = &*all[partner];
+        self.assert_partner_points_back(partner, *back);
+        let received = received.clone();
+        let bytes_in = received.len() as u64 * elem;
+        self.record(Pattern::PointToPoint, bytes_out, bytes_in, start);
+        received
+    }
+
+    fn assert_partner_points_back(&self, partner: usize, back: usize) {
         assert_eq!(
-            theirs.0, self.rank,
+            back, self.rank,
             "sendrecv partner mismatch: rank {} expected partner {} to point back",
             self.rank, partner
         );
-        let received = theirs.1.clone();
-        let bytes_in = if partner == self.rank {
-            0
-        } else {
-            received.len() as u64 * elem
-        };
-        self.shared.barrier.wait();
-        self.record(Pattern::PointToPoint, bytes_out, bytes_in, start);
-        received
     }
 
     /// Wire-aware variable all-to-all: like [`Comm::alltoallv`], but each
@@ -1005,7 +898,7 @@ impl Comm {
     }
 
     /// Starts a **nonblocking** wire all-to-all: deposits `bufs` (one
-    /// encoded [`WireBuf`] per destination rank) on the exchange board and
+    /// encoded [`WireBuf`] per destination rank) on the rendezvous board and
     /// returns immediately with a [`PendingExchange`]. The caller overlaps
     /// local work — packing, sieving, encoding the next frontier chunk —
     /// with the in-flight exchange, then calls [`PendingExchange::wait`]
@@ -1029,19 +922,13 @@ impl Comm {
     ///
     /// At most one exchange may be in flight per communicator, and no
     /// other collective may run on the handle while it is (asserted): the
-    /// exchange board has one slot per rank, so an interleaved collective
-    /// would overwrite the in-flight buffers.
+    /// ring is two epochs deep on the premise that a rank deposits epoch
+    /// `e + 1` only after collecting every peer's epoch `e`, and a
+    /// collective issued between a start and its wait would break it.
     #[track_caller]
     pub fn ialltoallv_wire(&self, bufs: Vec<WireBuf>) -> PendingExchange<'_> {
         assert_eq!(bufs.len(), self.size(), "need one buffer per rank");
-        self.fault_enter(CollectiveKind::IalltoallvWire);
-        self.verify_enter(
-            CollectiveKind::IalltoallvWire,
-            TypeId::of::<WireBuf>(),
-            "WireBuf",
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter_wire(CollectiveKind::IalltoallvWire);
         let mut bufs = bufs;
         let (mut bytes_out, mut wire_out) = (0u64, 0u64);
         for (j, b) in bufs.iter().enumerate() {
@@ -1082,20 +969,8 @@ impl Comm {
                 }
             }
         }
-        self.assert_owner();
-        self.assert_no_inflight();
-        let epoch = self.exchange_epoch.get();
-        self.exchange_epoch.set(epoch + 1);
-        // The own bucket never round-trips through the ring, so only the
-        // size - 1 peers collect this slot; counting the depositor too
-        // would leave pending_reads stuck at 1 and the slot unretired,
-        // deadlocking the deposit two epochs later. A single-rank group
-        // has no peer readers at all — skip the board entirely.
-        if self.size() > 1 {
-            self.shared
-                .exchange
-                .deposit(self.rank, epoch, Arc::new((bufs, sums)), self.size() - 1);
-        }
+        let payload: ExchangePayload = (bufs, sums);
+        let epoch = self.publish(CollectiveKind::IalltoallvWire, Arc::new(payload));
         self.pending_exchange.set(true);
         if let Some(t) = self.tracer.borrow().as_ref() {
             t.lock().exchange(
@@ -1124,14 +999,7 @@ impl Comm {
     /// encoded payload. See [`Comm::alltoallv_wire`] for the accounting.
     #[track_caller]
     pub fn allgatherv_wire(&self, mine: WireBuf) -> Vec<WireBuf> {
-        self.fault_enter(CollectiveKind::AllgathervWire);
-        self.verify_enter(
-            CollectiveKind::AllgathervWire,
-            TypeId::of::<WireBuf>(),
-            "WireBuf",
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter_wire(CollectiveKind::AllgathervWire);
         let mut mine = mine;
         let peers = self.size() as u64 - 1;
         let bytes_out = mine.logical_bytes * peers;
@@ -1142,39 +1010,27 @@ impl Comm {
             let (i, mask) = corrupt_site(seed, mine.bytes().len());
             mine.bytes_mut()[i] ^= mask;
         }
-        // Seal after checksum + corruption, then keep the own contribution
-        // locally (a refcount bump once sealed) — it never round-trips
-        // through the board.
+        // Seal after checksum + corruption: every receiver's clone of a
+        // large payload (this rank's own included) is a refcount bump.
         mine.seal();
         let loaned_out = if mine.is_loaned() { wire_out } else { 0 };
-        let own = mine.clone();
-        self.deposit((mine, sum));
-        self.shared.barrier.wait();
-        let mut all: Vec<WireBuf> = Vec::with_capacity(self.size());
-        let (mut bytes_in, mut wire_in) = (0u64, 0u64);
-        let mut own = Some(own);
-        for j in 0..self.size() {
-            if j == self.rank {
-                all.push(own.take().expect("own contribution moved once"));
-                continue;
+        let all = self.rendezvous(CollectiveKind::AllgathervWire, (mine, sum));
+        for (j, (buf, sum)) in all.iter().map(|theirs| &**theirs).enumerate() {
+            if j != self.rank {
+                self.check_wire(buf.bytes(), *sum, j);
             }
-            let theirs = self.read::<(WireBuf, Option<u64>)>(j);
-            self.check_wire(theirs.0.bytes(), theirs.1, j);
-            bytes_in += theirs.0.logical_bytes;
-            wire_in += theirs.0.wire_bytes();
-            all.push(theirs.0.clone());
         }
-        self.shared.barrier.wait();
+        let bytes_in = self.peer_sum(&all, |theirs| theirs.0.logical_bytes);
+        let wire_in = self.peer_sum(&all, |theirs| theirs.0.wire_bytes());
+        let gathered = all.iter().map(|theirs| theirs.0.clone()).collect();
         self.record_wire(
             Pattern::Allgatherv,
-            bytes_out,
-            bytes_in,
-            wire_out,
-            wire_in,
-            loaned_out,
+            [bytes_out, bytes_in],
+            [wire_out, wire_in],
+            Some(loaned_out),
             start,
         );
-        all
+        gathered
     }
 
     /// Wire-aware pairwise exchange: like [`Comm::sendrecv`] with an
@@ -1182,14 +1038,7 @@ impl Comm {
     #[track_caller]
     pub fn sendrecv_wire(&self, partner: usize, data: WireBuf) -> WireBuf {
         assert!(partner < self.size());
-        self.fault_enter(CollectiveKind::SendrecvWire);
-        self.verify_enter(
-            CollectiveKind::SendrecvWire,
-            TypeId::of::<WireBuf>(),
-            "WireBuf",
-            Location::caller(),
-        );
-        let start = Instant::now();
+        let start = self.enter_wire(CollectiveKind::SendrecvWire);
         let mut data = data;
         let (bytes_out, wire_out) = if partner == self.rank {
             (0, 0)
@@ -1204,36 +1053,28 @@ impl Comm {
         }
         // Seal after checksum + corruption: the partner's clone becomes a
         // refcount bump for large payloads (and so does the diagonal
-        // self-exchange's round trip).
+        // self-exchange's).
         data.seal();
         let loaned_out = if partner != self.rank && data.is_loaned() {
             wire_out
         } else {
             0
         };
-        self.deposit((partner, data, sum));
-        self.shared.barrier.wait();
-        let theirs = self.read::<(usize, WireBuf, Option<u64>)>(partner);
-        assert_eq!(
-            theirs.0, self.rank,
-            "sendrecv partner mismatch: rank {} expected partner {} to point back",
-            self.rank, partner
-        );
-        let received = theirs.1.clone();
-        self.check_wire(received.bytes(), theirs.2, partner);
+        let all = self.rendezvous(CollectiveKind::SendrecvWire, (partner, data, sum));
+        let (back, received, sum) = &*all[partner];
+        self.assert_partner_points_back(partner, *back);
+        let received = received.clone();
+        self.check_wire(received.bytes(), *sum, partner);
         let (bytes_in, wire_in) = if partner == self.rank {
             (0, 0)
         } else {
             (received.logical_bytes, received.wire_bytes())
         };
-        self.shared.barrier.wait();
         self.record_wire(
             Pattern::PointToPoint,
-            bytes_out,
-            bytes_in,
-            wire_out,
-            wire_in,
-            loaned_out,
+            [bytes_out, bytes_in],
+            [wire_out, wire_in],
+            Some(loaned_out),
             start,
         );
         received
@@ -1249,13 +1090,7 @@ impl Comm {
     /// expand phase.
     #[track_caller]
     pub fn split(&self, color: u64, key: u64) -> Comm {
-        self.fault_enter(CollectiveKind::Split);
-        self.verify_enter(
-            CollectiveKind::Split,
-            TypeId::of::<()>(),
-            "()",
-            Location::caller(),
-        );
+        self.enter_typed::<()>(CollectiveKind::Split);
         // Round 1: learn everyone's (color, key).
         let infos = self.allgather((color, key));
         let mut members: Vec<usize> = (0..self.size()).filter(|&r| infos[r].0 == color).collect();
@@ -1267,28 +1102,18 @@ impl Comm {
         let leader = members[0];
 
         // Round 2: each group leader creates the shared state; members pick
-        // it up from the leader's world slot.
+        // it out of the leader's contribution.
         let start = Instant::now();
-        let created: Option<Arc<Shared>> = if self.rank == leader {
+        let created: Option<Arc<Shared>> = (self.rank == leader).then(|| {
             // The child inherits verification: the leader derives a fresh
             // board (new group id, same timeout) and every member receives
             // it with the shared state, so sub-communicator collectives are
             // cross-checked exactly like world ones.
             let child_verify = self.shared.verify.as_ref().map(|b| b.child(&members));
-            Some(Shared::new_with_verify(
-                members.len(),
-                self.shared.poison.clone(),
-                child_verify,
-            ))
-        } else {
-            None
-        };
-        self.deposit(created);
-        self.shared.barrier.wait();
-        let group_shared = (*self.read::<Option<Arc<Shared>>>(leader))
-            .clone()
-            .expect("leader deposited the group state");
-        self.shared.barrier.wait();
+            Shared::new(members.len(), self.shared.poison.clone(), child_verify)
+        });
+        let all = self.rendezvous(CollectiveKind::Split, created);
+        let group_shared = Option::clone(&all[leader]).expect("leader deposited the group state");
         self.record(Pattern::Broadcast, 0, 0, start);
 
         let child = Comm::new(group_shared, my_group_rank);
@@ -1304,14 +1129,14 @@ impl Comm {
 
 /// An in-flight nonblocking wire exchange started by
 /// [`Comm::ialltoallv_wire`]. The outbound buffers are already deposited
-/// on the exchange ring; call [`PendingExchange::wait`] to collect what
+/// on the rendezvous board; call [`PendingExchange::wait`] to collect what
 /// the peers sent. Dropping the handle without waiting leaves the
 /// communicator unusable (the next collective asserts), mirroring a
 /// leaked `MPI_Request`.
 #[must_use = "a started exchange must be completed: call .wait() to collect the received buffers"]
 pub struct PendingExchange<'a> {
     comm: &'a Comm,
-    /// Ring epoch of this exchange on the communicator's exchange board.
+    /// The communicator epoch this exchange was deposited at.
     epoch: u64,
     /// Wall time spent inside the start call — the exposed half of start,
     /// charged to the recorded event's `wall` together with the wait call.
@@ -1324,7 +1149,7 @@ pub struct PendingExchange<'a> {
     /// Wire bytes of the deposited buffers that sealed into loans.
     loaned_out: u64,
     /// The sender's own bucket, held locally until the wait instead of
-    /// round-tripping through the exchange ring.
+    /// round-tripping through the board.
     own: WireBuf,
 }
 
@@ -1343,13 +1168,9 @@ impl PendingExchange<'_> {
         comm.assert_owner();
         let entered = Instant::now();
         let hidden = entered.duration_since(self.in_flight_since);
-        comm.fault_enter(CollectiveKind::IalltoallvWireWait);
-        comm.verify_enter(
-            CollectiveKind::IalltoallvWireWait,
-            TypeId::of::<WireBuf>(),
-            "WireBuf",
-            Location::caller(),
-        );
+        // Timed from before the hooks: an injected delay or the verifier's
+        // rendezvous here is exposed wait, not overlap-hidden time.
+        comm.enter_wire(CollectiveKind::IalltoallvWireWait);
         let mut recv: Vec<WireBuf> = Vec::with_capacity(comm.size());
         let (mut bytes_in, mut wire_in) = (0u64, 0u64);
         let mut loaned_in = 0u64;
@@ -1359,7 +1180,8 @@ impl PendingExchange<'_> {
                 recv.push(own.take().expect("own bucket moved once"));
                 continue;
             }
-            let theirs = comm.shared.exchange.collect(j, self.epoch);
+            let theirs: Arc<ExchangePayload> =
+                comm.collect(CollectiveKind::IalltoallvWireWait, j, self.epoch);
             let mine = theirs.0[comm.rank].clone();
             comm.check_wire(mine.bytes(), theirs.1.as_ref().map(|s| s[comm.rank]), j);
             bytes_in += mine.logical_bytes;
@@ -1370,18 +1192,13 @@ impl PendingExchange<'_> {
             recv.push(mine);
         }
         comm.pending_exchange.set(false);
-        comm.stats.borrow_mut().events.push(CommEvent {
-            pattern: Pattern::Alltoallv,
-            group_size: comm.size(),
-            bytes_out: self.bytes_out,
-            bytes_in,
-            wire_out: self.wire_out,
-            wire_in,
-            wall: self.start_call + entered.elapsed(),
-            hidden,
-            loaned_out: self.loaned_out,
-            copied_out: self.wire_out - self.loaned_out,
-        });
+        comm.push_event(
+            Pattern::Alltoallv,
+            [self.bytes_out, bytes_in],
+            [self.wire_out, wire_in],
+            Some(self.loaned_out),
+            [self.start_call + entered.elapsed(), hidden],
+        );
         if let Some(t) = comm.tracer.borrow().as_ref() {
             t.lock().exchange(
                 SpanKind::ExchangeWait,

@@ -68,7 +68,7 @@ pub enum FaultKind {
     /// Exit the rank silently, *without* poisoning the world — the MPI
     /// "fail-stop process" class, where peers learn of the death only by
     /// timing out. Under the verifier the watchdog names the dead rank;
-    /// without it, peers stall until the barrier watchdog
+    /// without it, peers stall until the comm watchdog
     /// (`DMBFS_COMM_TIMEOUT_SECS`) fires with an untyped message.
     FailStop,
     /// Sleep for the given milliseconds before entering the collective —

@@ -9,9 +9,12 @@
 //! * Every rank runs on its own OS thread with *strictly private* state —
 //!   the rank closure receives only its [`Comm`] handle, and all inter-rank
 //!   data movement goes through explicit typed collectives.
-//! * Collectives rendezvous on a shared exchange board with a two-barrier
-//!   protocol (deposit → barrier → read → barrier), which makes the board
-//!   safely reusable and gives MPI's bulk-synchronous semantics exactly.
+//! * Every collective is one protocol shape on one rendezvous board: the
+//!   rank deposits its contribution at the communicator's next epoch, then
+//!   collects every peer's — a depth-2 ring per rank, no barriers, safely
+//!   reusable because at most one operation is in flight per communicator
+//!   (see the `exchange` module). A collective returns once every peer has
+//!   *arrived* at it, which is MPI's completion semantics.
 //! * [`Comm::split`] mirrors `MPI_Comm_split`, providing the row and column
 //!   communicators of the 2D algorithm (§3.2).
 //! * The wire collectives are **zero-copy for large payloads**: a
@@ -21,8 +24,8 @@
 //!   cloning it off the board — the shared-memory analog of MPI's
 //!   eager/rendezvous split. See `docs/zero-copy.md`.
 //! * Every collective records a [`CommEvent`] — pattern, group size, bytes
-//!   in/out, wall time spent inside the call (including barrier waiting,
-//!   i.e. load imbalance, which is how the paper accounts MPI time in
+//!   in/out, wall time spent inside the call (including waiting for peers
+//!   to arrive, i.e. load imbalance, which is how the paper accounts MPI time in
 //!   Fig. 4: "The waiting time for this blocking collective is accounted
 //!   for the total MPI time"). `dmbfs-model` replays these events through
 //!   an α–β network model to predict times on real interconnects.
@@ -49,10 +52,11 @@
 //!   can be *exercised*, not just trusted. See the [`fault`] module and
 //!   `docs/fault-injection.md`.
 //!
-//! * [`Comm::ialltoallv_wire`] is the one **nonblocking** collective: it
-//!   deposits the outbound buffers and returns a [`PendingExchange`] so the
-//!   caller can overlap local work (packing/encoding the next frontier
-//!   chunk) with the in-flight exchange before collecting the results in
+//! * [`Comm::ialltoallv_wire`] is the one **nonblocking** collective, the
+//!   split form of the same deposit and collect: it deposits the outbound
+//!   buffers and returns a [`PendingExchange`] so the caller can overlap
+//!   local work (packing/encoding the next frontier chunk) with the
+//!   in-flight exchange before collecting the results in
 //!   [`PendingExchange::wait`]. The start/wait pair stays a first-class
 //!   citizen of every observer above: the verifier fingerprints it as two
 //!   matched collectives (so the watchdog names ranks stuck in `wait()`),
@@ -66,16 +70,15 @@
 //! What this deliberately does **not** model in-process: network latency and
 //! bandwidth (that is `dmbfs-model`'s job, driven by the recorded events).
 //! Overlap is modeled only at the granularity the BFS pipeline needs — one
-//! in-flight exchange per communicator, rendezvousing on a barrier-free
-//! depth-2 ring where a `wait()` blocks only until each peer has *started*
-//! the matching exchange (deposited its buffers), never on the peers' own
-//! waits — so pipelined chunks genuinely absorb encode-time skew instead
-//! of multiplying barrier count. There is no asynchronous progress thread.
+//! in-flight exchange per communicator, whose `wait()` blocks only until
+//! each peer has *started* the matching exchange (deposited its buffers),
+//! never on the peers' own waits — so pipelined chunks genuinely absorb
+//! encode-time skew instead of multiplying rendezvous. There is no
+//! asynchronous progress thread.
 
 #![warn(missing_docs)]
 
 pub mod algorithms;
-mod barrier;
 mod comm;
 mod exchange;
 pub mod fault;

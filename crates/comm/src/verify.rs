@@ -6,8 +6,8 @@
 //! of collectives, in the same order, with compatible element types —
 //! exactly the property tools like MUST and clang's MPI-Checker verify on
 //! real MPI programs. Without the verifier, a violation surfaces only as a
-//! watchdog hang, a poison panic with no context, or (worst) a garbled
-//! exchange-board downcast. With it, every collective entry point records
+//! watchdog hang, a poison panic with no context, or an untyped
+//! rendezvous-board downcast failure. With it, every collective entry point records
 //! a [`Fingerprint`] — collective kind, element `TypeId`, per-rank epoch
 //! counter, and `#[track_caller]` source location — on a shared
 //! [`VerifyBoard`]; ranks cross-check fingerprints at rendezvous and, on
@@ -21,7 +21,7 @@
 //! disabled hook is one `Option` check per collective (bounded by the
 //! overhead test in `dmbfs-bfs` alongside the tracing one).
 
-use crate::barrier::Poison;
+use crate::exchange::Poison;
 use parking_lot::{Condvar, Mutex};
 use std::any::TypeId;
 use std::fmt;
@@ -322,10 +322,12 @@ impl VerifyWorld {
 }
 
 /// One slot per rank on the board. `ring` keeps the fingerprints of the
-/// two most recent epochs (indexed by parity): the bulk-synchronous
-/// two-barrier protocol inside every collective guarantees ranks are never
-/// more than one collective apart while a comparison is in flight, so two
-/// entries suffice. `latest` feeds the pending-ops dump.
+/// two most recent epochs (indexed by parity). Two entries suffice because
+/// [`VerifyBoard::enter`] is itself a full rendezvous: a rank records
+/// epoch `e + 1` only after every rank recorded `e`, and `e + 2` only
+/// after every rank recorded `e + 1` — by which time each of them has
+/// finished comparing `e`, whose entry `e + 2` overwrites. `latest` feeds
+/// the pending-ops dump.
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
     ring: [Option<Fingerprint>; 2],

@@ -1,7 +1,7 @@
 //! World launcher: one thread per rank, panic propagation.
 
-use crate::barrier::Poison;
 use crate::comm::{Comm, Shared};
+use crate::exchange::Poison;
 use crate::fault::{FailStopExit, InjectedFault};
 use crate::verify::{FailureKind, VerifyBoard, VerifyConfig, VerifyFailure, VerifyWorld};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -79,7 +79,7 @@ impl World {
         let poison = Arc::new(Poison::default());
         let board =
             verify.map(|config| VerifyBoard::new(p, 0, config, VerifyWorld::new(), poison.clone()));
-        let shared = Shared::new_with_verify(p, poison.clone(), board);
+        let shared = Shared::new(p, poison.clone(), board);
         let f = &f;
 
         let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
@@ -93,7 +93,7 @@ impl World {
                         // An injected fail-stop is a *silent* death: the
                         // rank vanishes without poisoning the world, so
                         // peers learn of it only by timing out (the verify
-                        // watchdog, or the barrier watchdog) — exactly a
+                        // watchdog, or the board's own watchdog) — exactly a
                         // fail-stopped MPI process.
                         if result.as_ref().is_err_and(|e| !e.is::<FailStopExit>()) {
                             poison.set();
@@ -207,6 +207,19 @@ mod tests {
             comm.allreduce(21u64, |a, b| a + b)
         });
         assert_eq!(out, vec![21]);
+    }
+
+    #[test]
+    fn barrier_releases_nobody_before_everyone_arrived() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let arrived = AtomicUsize::new(0);
+        World::run(4, |comm| {
+            for round in 1..=50 {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                comm.barrier();
+                assert!(arrived.load(Ordering::SeqCst) >= round * 4);
+            }
+        });
     }
 
     #[test]
@@ -433,6 +446,9 @@ mod tests {
     #[test]
     fn comm_single_runs_collectives() {
         let comm = Comm::single();
+        for _ in 0..10 {
+            comm.barrier(); // nobody to wait for: never blocks
+        }
         assert_eq!(comm.allreduce(7u64, |a, b| a + b), 7);
         assert_eq!(comm.allgather(5u8), vec![5]);
         let recv = comm.alltoallv(vec![vec![9u8]]);

@@ -71,10 +71,10 @@ fn mismatched_collectives_name_both_ranks_and_locations() {
     assert!(dump.contains("rank 1: allreduce"), "{dump}");
 }
 
-/// The blocking wire all-to-all rendezvouses on the exchange ring, not the
-/// slot board; a peer that issues a slot-board collective instead must
-/// still end in the typed mismatch, with the wire side named by the start
-/// half it fingerprints as.
+/// A wire all-to-all against a typed collective: the verifier's own
+/// rendezvous comes first, so the run ends in the typed mismatch (not the
+/// data board's untyped downcast failure), with the wire side named by the
+/// start half it fingerprints as.
 #[test]
 fn wire_alltoall_against_a_slot_board_collective_is_a_typed_mismatch() {
     let failure = expect_failure(|| {

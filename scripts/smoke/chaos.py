@@ -16,7 +16,7 @@ assert doc["untyped_watchdogs"] == 0, doc
 assert doc["completed"] == 0, "some faults never fired"
 assert doc["typed_rate"] == 1.0, doc["typed_rate"]
 # Panic and fail-stop must never fall through to the last-resort
-# barrier watchdog: panics carry their own payload, fail-stops
+# comm watchdog: panics carry their own payload, fail-stops
 # are named by the verify watchdog.
 for c in cells:
     if c["kind"] == "panic":
