@@ -6,8 +6,7 @@
 //! for: every row carries the configuration axes, min-of-trials wall
 //! time, the wire-byte ledger (logical / wire / loaned / copied — the
 //! zero-copy split), and an output fingerprint, so two sweeps at the same
-//! scale diff cleanly. `bin/zerocopy_ablation.rs` reuses the same row
-//! machinery for the loan on/off comparison.
+//! scale diff cleanly.
 //!
 //! Knobs: `DMBFS_SCALE` (default 14), `DMBFS_RESULT_DIR`.
 

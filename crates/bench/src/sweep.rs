@@ -1,5 +1,5 @@
-//! Harness-level (algorithm × `RunConfig`) sweep rows — the shared ledger
-//! format behind `bin/sweep.rs` and `bin/zerocopy_ablation.rs`.
+//! Harness-level (algorithm × `RunConfig`) sweep rows — the ledger format
+//! behind `bin/sweep.rs` (and the recorded `results/zerocopy_ablation.json`).
 //!
 //! Every distributed driver now returns a `*Run` harvest (output +
 //! per-rank stats + per-rank traces + seconds), so one row shape covers

@@ -13,6 +13,9 @@
 //! The implementation follows the published heuristic: switch top-down →
 //! bottom-up when the frontier's out-edge count exceeds `1/alpha` of the
 //! unexplored edges, and back when the frontier shrinks below `n/beta`.
+//! The rules live once, in [`DirectionSwitch`]: the serial traversal here
+//! feeds it exact counts, the 1D driver (`crate::one_d`) feeds it the same
+//! counts allreduced, so both take the same per-level decisions.
 //! [`DirectionOptOutput::edges_examined`] exposes the examined-edge counts
 //! so the saving is measurable deterministically (see the
 //! `ablation_direction` benchmark) — on a single-core host, wall-clock
@@ -20,6 +23,11 @@
 
 use crate::{BfsOutput, UNREACHED};
 use dmbfs_graph::{CsrGraph, VertexId};
+use dmbfs_runtime::DirectionMode;
+
+/// Traversal direction of one level — the tag the distributed drivers
+/// record in their level timings.
+pub use dmbfs_comm::LevelDirection as Direction;
 
 /// Tuning knobs of the direction heuristic (defaults from the SC'12 paper).
 #[derive(Clone, Copy, Debug)]
@@ -65,13 +73,104 @@ pub struct LevelStep {
     pub edges_examined: u64,
 }
 
-/// Traversal direction of one level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Classic frontier expansion (Algorithm 1's inner loops).
-    TopDown,
-    /// Unvisited-vertex probing with early exit.
-    BottomUp,
+/// The per-level αβ direction switch: five counters and three rules
+/// (enter bottom-up, leave it, back off after a losing round).
+///
+/// Every input is a *global* count, so any party that feeds it the same
+/// numbers — the serial loop below, or each rank of the 1D driver after
+/// its per-level allreduce — reaches the same decision with no further
+/// communication. [`DirectionMode::TopDown`] and [`DirectionMode::BottomUp`]
+/// are the switch pinned: [`DirectionSwitch::decide`] returns the one
+/// direction whatever is observed.
+#[derive(Clone, Debug, Default)]
+pub struct DirectionSwitch {
+    mode: DirectionMode,
+    cfg: DirectionConfig,
+    /// Vertices and stored adjacencies of the whole graph.
+    n: u64,
+    total_edges: u64,
+    /// The direction of the level in flight.
+    direction: Direction,
+    /// Adaptive backoff: each bottom-up round that loses (examines more
+    /// edges than the top-down estimate it displaced) raises the bar for
+    /// re-entry exponentially. On the low-diameter graphs the optimization
+    /// targets, bottom-up wins immediately and the backoff never engages;
+    /// on adversarial community-chained graphs it caps the damage at one
+    /// exploratory round per backoff step. Floored at 1 (the hardest legal
+    /// threshold): repeated losses must never drive the divisor to 0, which
+    /// would silently disable bottom-up for the rest of the traversal even
+    /// when a frontier's edges outnumber everything unexplored.
+    alpha_eff: u64,
+    prev_frontier: u64,
+    explored_edges: u64,
+    reached: u64,
+    /// Out-edges of the frontier the last [`DirectionSwitch::decide`] saw:
+    /// the top-down cost estimate a bottom-up round has to beat.
+    frontier_edges: u64,
+}
+
+impl DirectionSwitch {
+    /// A switch over a graph of `n` vertices and `total_edges` stored
+    /// adjacencies, with nothing reached yet: seed it by observing the
+    /// source frontier (`observe(1, degree(source), 0)`).
+    pub fn new(mode: DirectionMode, cfg: DirectionConfig, n: u64, total_edges: u64) -> Self {
+        Self {
+            mode,
+            cfg,
+            n,
+            total_edges,
+            alpha_eff: cfg.alpha.max(1),
+            ..Self::default()
+        }
+    }
+
+    /// The direction of the level a frontier of `frontier` vertices with
+    /// `frontier_edges` out-edges is about to expand.
+    pub fn decide(&mut self, frontier: u64, frontier_edges: u64) -> Direction {
+        let unexplored = self.total_edges.saturating_sub(self.explored_edges);
+        // As in the SC'12 formulation, entering additionally requires a
+        // *growing* frontier — a shrinking frontier near the end of the
+        // traversal never justifies scanning all unvisited vertices (this
+        // keeps high-diameter chains top-down) — and, since a bottom-up
+        // round costs at least one probe per unvisited vertex, it must beat
+        // the top-down cost estimate outright: without that guard,
+        // community-structured high-diameter graphs (each community briefly
+        // presenting a "large" local frontier) thrash into wasteful
+        // whole-graph scans.
+        let enter = || {
+            self.cfg.alpha > 0
+                && frontier > self.prev_frontier
+                && frontier_edges > unexplored / self.alpha_eff
+                && self.n - self.reached < frontier_edges
+        };
+        let leave = || self.cfg.beta > 0 && frontier * self.cfg.beta < self.n;
+        self.direction = match (self.mode, self.direction) {
+            (DirectionMode::TopDown, _) => Direction::TopDown,
+            (DirectionMode::BottomUp, _) => Direction::BottomUp,
+            (DirectionMode::Hybrid, Direction::TopDown) if enter() => Direction::BottomUp,
+            (DirectionMode::Hybrid, Direction::BottomUp) if leave() => Direction::TopDown,
+            (DirectionMode::Hybrid, unchanged) => unchanged,
+        };
+        self.prev_frontier = frontier;
+        self.frontier_edges = frontier_edges;
+        self.direction
+    }
+
+    /// Accounts a finished level: it reached `next` new vertices with
+    /// `next_edges` out-edges and examined `examined` edges doing so. A
+    /// bottom-up round that examined more than the top-down estimate lost:
+    /// `alpha_eff` shrinks so the entry condition (`m_f > m_unexplored /
+    /// alpha`) becomes much harder to satisfy — the floor keeps
+    /// `frontier_edges > unexplored` as the re-entry condition of last
+    /// resort — and the next level falls back to top-down.
+    pub fn observe(&mut self, next: u64, next_edges: u64, examined: u64) {
+        self.explored_edges += next_edges;
+        self.reached += next;
+        if self.direction == Direction::BottomUp && examined > self.frontier_edges {
+            self.alpha_eff = (self.alpha_eff / 8).max(1);
+            self.direction = Direction::TopDown;
+        }
+    }
 }
 
 /// Runs direction-optimizing BFS with default heuristics.
@@ -95,55 +194,18 @@ pub fn direction_optimizing_bfs_with(
     let mut in_frontier = vec![false; n];
     in_frontier[source as usize] = true;
 
-    let total_edges = g.num_edges();
-    let mut explored_edges: u64 = g.degree(source) as u64;
-    let mut reached: u64 = 1;
+    let mut switch = DirectionSwitch::new(DirectionMode::Hybrid, *cfg, n as u64, g.num_edges());
+    let mut frontier_edges = g.degree(source) as u64;
+    switch.observe(1, frontier_edges, 0);
     let mut steps: Vec<LevelStep> = Vec::new();
     let mut total_examined: u64 = 0;
     let mut level: i64 = 1;
-    let mut bottom_up = false;
-    let mut prev_frontier_len = 0usize;
-    // Adaptive backoff: each bottom-up round that loses (examines more
-    // edges than the top-down estimate it displaced) raises the bar for
-    // re-entry exponentially. On the low-diameter graphs the optimization
-    // targets, bottom-up wins immediately and the backoff never engages;
-    // on adversarial community-chained graphs it caps the damage at one
-    // exploratory round per backoff step. Floored at 1 (the hardest legal
-    // threshold): repeated losses must never drive the divisor to 0, which
-    // would silently disable bottom-up for the rest of the traversal even
-    // when a frontier's edges outnumber everything unexplored.
-    let mut alpha_eff = cfg.alpha.max(1);
 
     while !frontier.is_empty() {
-        // Heuristic switches (evaluated on the frontier entering the
-        // level). As in the SC'12 formulation, the switch to bottom-up
-        // additionally requires a *growing* frontier — a shrinking frontier
-        // near the end of the traversal never justifies scanning all
-        // unvisited vertices (this keeps high-diameter chains top-down).
-        let frontier_edges: u64 = frontier.iter().map(|&u| g.degree(u) as u64).sum();
-        let unexplored = total_edges.saturating_sub(explored_edges);
-        let growing = frontier.len() > prev_frontier_len;
-        // A bottom-up round costs at least one probe per unvisited vertex,
-        // so it must also beat the top-down cost estimate outright —
-        // without this guard, community-structured high-diameter graphs
-        // (each community briefly presenting a "large" local frontier)
-        // thrash into wasteful whole-graph scans.
-        let unvisited = n as u64 - reached;
-        if !bottom_up
-            && cfg.alpha > 0
-            && growing
-            && frontier_edges > unexplored / alpha_eff
-            && unvisited < frontier_edges
-        {
-            bottom_up = true;
-        } else if bottom_up && cfg.beta > 0 && (frontier.len() as u64) * cfg.beta < n as u64 {
-            bottom_up = false;
-        }
-        prev_frontier_len = frontier.len();
-
+        let direction = switch.decide(frontier.len() as u64, frontier_edges);
         let mut examined: u64 = 0;
         let mut next: Vec<VertexId> = Vec::new();
-        if bottom_up {
+        if direction == Direction::BottomUp {
             // Bottom-up: every unvisited vertex probes its neighbors for a
             // frontier member, exiting at the first hit.
             for v in 0..n as u64 {
@@ -176,25 +238,13 @@ pub fn direction_optimizing_bfs_with(
 
         steps.push(LevelStep {
             level: level as u32,
-            direction: if bottom_up {
-                Direction::BottomUp
-            } else {
-                Direction::TopDown
-            },
+            direction,
             frontier: frontier.len() as u64,
             edges_examined: examined,
         });
         total_examined += examined;
-        explored_edges += next.iter().map(|&v| g.degree(v) as u64).sum::<u64>();
-        reached += next.len() as u64;
-        if bottom_up && examined > frontier_edges {
-            // The round lost; shrink alpha so the switch condition
-            // (m_f > m_unexplored / alpha) becomes much harder to satisfy.
-            // The floor keeps `frontier_edges > unexplored` as the re-entry
-            // condition of last resort instead of reaching alpha_eff == 0.
-            alpha_eff = (alpha_eff / 8).max(1);
-            bottom_up = false;
-        }
+        frontier_edges = next.iter().map(|&v| g.degree(v) as u64).sum();
+        switch.observe(next.len() as u64, frontier_edges, examined);
 
         for &u in &frontier {
             in_frontier[u as usize] = false;
@@ -354,6 +404,69 @@ mod tests {
             "bottom-up must re-enter after backoffs, got {bottom_up_rounds} rounds: {:?}",
             run.steps
         );
+    }
+
+    /// One scripted step: `decide(frontier, frontier_edges)` → expected
+    /// direction, then `observe(.., examined)` → expected `alpha_eff`.
+    type Step = ((u64, u64), Direction, u64, u64);
+
+    /// Runs `steps` on a switch over 1 000 vertices / 10 000 edges seeded
+    /// with `reached` vertices and 3 000 explored edges — so with α = 14
+    /// the entry threshold is 7 000 / 14 = 500 frontier edges.
+    fn run_script(mode: DirectionMode, alpha: u64, beta: u64, reached: u64, steps: &[Step]) {
+        let cfg = DirectionConfig { alpha, beta };
+        let mut s = DirectionSwitch::new(mode, cfg, 1_000, 10_000);
+        s.observe(reached, 3_000, 0);
+        for (i, &((frontier, edges), expect, examined, alpha_eff)) in steps.iter().enumerate() {
+            let at = format!("{mode:?} α {alpha} β {beta} reached {reached}, step {i}");
+            assert_eq!(s.decide(frontier, edges), expect, "{at}");
+            s.observe(0, 0, examined);
+            assert_eq!(s.alpha_eff, alpha_eff, "{at}");
+        }
+    }
+
+    #[test]
+    fn switch_rules_table() {
+        use Direction::{BottomUp as BU, TopDown as TD};
+        use DirectionMode::{BottomUp, Hybrid, TopDown};
+        // Enters on a growing, heavy frontier that beats the scan (100
+        // unvisited) — not without growth, not at the threshold, not when
+        // 600 unvisited make the scan cost as much as expanding.
+        run_script(Hybrid, 14, 24, 900, &[((100, 600), BU, 9, 14)]);
+        let flat = [((100, 10), TD, 10, 14), ((100, 600), TD, 600, 14)];
+        run_script(Hybrid, 14, 24, 900, &flat);
+        run_script(Hybrid, 14, 24, 900, &[((100, 500), TD, 500, 14)]);
+        run_script(Hybrid, 14, 24, 400, &[((100, 600), TD, 600, 14)]);
+        // Leaves below n / β = 1000 / 24: a frontier of 42 stays, 41 goes.
+        let shrink = [
+            ((100, 600), BU, 9, 14),
+            ((42, 5), BU, 1, 14),
+            ((41, 5), TD, 5, 14),
+        ];
+        run_script(Hybrid, 14, 24, 900, &shrink);
+        // A round that examines more than its estimate loses: alpha_eff is
+        // divided by 8 with floor 1 and the next level falls back; examining
+        // exactly the estimate is no loss. At the floor the entry bar is
+        // `frontier_edges > unexplored` (7 000).
+        let losses = [
+            ((100, 600), BU, 600, 100),
+            ((100, 600), BU, 601, 12),
+            ((200, 600), BU, 601, 1),
+            ((300, 7_000), TD, 7_000, 1),
+            ((400, 7_001), BU, 7_002, 1),
+            ((500, 9), TD, 9, 1),
+        ];
+        run_script(Hybrid, 100, 24, 900, &losses);
+        // α = 0 never enters, β = 0 never leaves, and the pinned modes never
+        // move: the same walk leaves each where it started.
+        let still =
+            |dir, alpha_eff| losses.map(|(f, _, examined, _)| (f, dir, examined, alpha_eff));
+        run_script(Hybrid, 0, 24, 900, &still(TD, 1));
+        run_script(TopDown, 100, 24, 900, &still(TD, 100));
+        let pinned_up = losses.map(|(f, _, x, a)| (f, BU, x, a));
+        run_script(BottomUp, 100, 24, 900, &pinned_up);
+        let sticky = [((100, 600), BU, 9, 14), ((1, 1), BU, 1, 14)];
+        run_script(Hybrid, 14, 0, 900, &sticky);
     }
 
     #[test]

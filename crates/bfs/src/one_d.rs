@@ -8,8 +8,14 @@
 //! note [...] is the extraneous computation (and communication) introduced
 //! due to the distributed graph scenario: creating the message buffers of
 //! cumulative size O(m) and the All-to-all communication step."
+//!
+//! There is one level loop (`RankSearch::search`): per level a step — the
+//! top-down exchange above, or a bottom-up bitmap allgather plus owner-side
+//! scan — then one `[u64; 3]` allreduce that is both the termination test
+//! and the input of the αβ [`DirectionSwitch`] shared with the serial
+//! `crate::direction` code. A pure top-down run is that switch pinned.
 
-use crate::direction::DirectionConfig;
+use crate::direction::{DirectionConfig, DirectionSwitch};
 use crate::distribute::{extract_1d, Local1d};
 use crate::exchange::{chunk, exchange_pairs};
 use crate::frontier_codec::{
@@ -18,7 +24,7 @@ use crate::frontier_codec::{
 use crate::{BfsOutput, UNREACHED};
 use dmbfs_comm::{Comm, CommStats, LevelDirection, LevelTiming};
 use dmbfs_graph::{CsrGraph, VertexId};
-use dmbfs_runtime::{run_ranks, scatter_block, DirectionMode};
+use dmbfs_runtime::{run_ranks, scatter_block};
 use dmbfs_trace::{RankTrace, SpanKind};
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -88,24 +94,12 @@ pub fn bfs1d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs1dConfig) -> Dist1dRun
     assert!(cfg.ranks > 0);
     assert!((source) < g.num_vertices(), "source out of range");
     let ranks = cfg.ranks;
-    let codec = cfg.codec;
-    let sieve = cfg.sieve;
-    let overlap = cfg.overlap;
-    let direction = cfg.direction;
 
     let run = run_ranks(cfg, |ctx| {
         let local = extract_1d(g, ranks, ctx.rank());
         let (levels, parents, num_levels, codec_levels) = ctx.timed(source, || {
-            rank_bfs(
-                ctx.comm(),
-                &local,
-                source,
-                ctx.pool(),
-                codec,
-                sieve,
-                overlap,
-                direction,
-            )
+            let state = RankSearch::new(ctx.comm(), &local, ctx.pool(), cfg);
+            state.search(source)
         });
         (local.range.start, levels, parents, num_levels, codec_levels)
     });
@@ -130,504 +124,368 @@ pub fn bfs1d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs1dConfig) -> Dist1dRun
     }
 }
 
-/// The per-rank level loop of Algorithm 2, or — under
-/// [`DirectionMode::Hybrid`] / [`DirectionMode::BottomUp`] — the
-/// direction-optimizing variant that swaps the frontier exchange for a
-/// bitmap broadcast plus owner-side scan on bottom-up levels.
-#[allow(clippy::too_many_arguments)]
-fn rank_bfs(
-    comm: &Comm,
-    local: &Local1d,
-    source: VertexId,
-    pool: Option<&rayon::ThreadPool>,
-    codec: Codec,
-    sieve: bool,
-    overlap: Option<NonZeroUsize>,
-    direction: DirectionMode,
-) -> (Vec<i64>, Vec<i64>, u32, Vec<LevelCodecStats>) {
-    let nloc = local.count();
-    let levels: Vec<AtomicI64> = (0..nloc).map(|_| AtomicI64::new(UNREACHED)).collect();
-    let parents: Vec<AtomicI64> = (0..nloc).map(|_| AtomicI64::new(UNREACHED)).collect();
-
-    // Lines 4–7: the owner seeds the frontier.
-    let mut frontier: Vec<VertexId> = Vec::new();
-    if local.block.owner(source) == comm.rank() {
-        let s = local.to_local(source);
-        levels[s].store(0, Ordering::Relaxed);
-        parents[s].store(source as i64, Ordering::Relaxed);
-        frontier.push(source);
-    }
-
-    // One bit per global vertex: a vertex's owner is fixed, so this also
-    // keys (vertex, destination) pairs. Only allocated when sieving.
-    let visited_sieve =
-        (sieve && codec != Codec::Off).then(|| Sieve::new(local.block.domain() as usize));
-    let mut codec_levels: Vec<LevelCodecStats> = Vec::new();
-
-    if direction != DirectionMode::TopDown {
-        let (num_levels, codec_levels) = hybrid_loop(
-            comm,
-            local,
-            frontier,
-            pool,
-            codec,
-            visited_sieve.as_ref(),
-            overlap,
-            direction,
-            &levels,
-            &parents,
-        );
-        return (
-            levels.into_iter().map(AtomicI64::into_inner).collect(),
-            parents.into_iter().map(AtomicI64::into_inner).collect(),
-            num_levels,
-            codec_levels,
-        );
-    }
-
-    let mut level: i64 = 1;
-    loop {
-        comm.trace_enter_level(level - 1);
-        let level_t = comm.trace_start();
-        let level_start = Instant::now();
-        let comm_before = comm.comm_wall();
-        let next = top_down_level(
-            comm,
-            local,
-            &frontier,
-            codec,
-            visited_sieve.as_ref(),
-            overlap,
-            level,
-            pool,
-            &levels,
-            &parents,
-            &mut codec_levels,
-        );
-        // Global termination test.
-        let global_next = comm.allreduce(next.len() as u64, |a, b| a + b);
-        // Attribute the level's wall time: everything outside collectives
-        // is local compute (pack, codec work, unpack).
-        let comm_spent = comm.comm_wall() - comm_before;
-        comm.push_level_timing(LevelTiming {
-            level: (level - 1) as u32,
-            compute: level_start.elapsed().saturating_sub(comm_spent),
-            comm: comm_spent,
-            direction: LevelDirection::TopDown,
-        });
-        comm.trace_span(SpanKind::Level, level_t, frontier.len() as u64);
-        if global_next == 0 {
-            comm.trace_enter_level(dmbfs_trace::NO_LEVEL);
-            break;
-        }
-        frontier = next;
-        level += 1;
-    }
-
-    (
-        levels.into_iter().map(AtomicI64::into_inner).collect(),
-        parents.into_iter().map(AtomicI64::into_inner).collect(),
-        level as u32,
-        codec_levels,
-    )
+/// One rank's share of a 1D search: its handles, the shared run
+/// configuration, and the state the level steps read and update.
+struct RankSearch<'a> {
+    comm: &'a Comm,
+    local: &'a Local1d,
+    pool: Option<&'a rayon::ThreadPool>,
+    cfg: &'a Bfs1dConfig,
+    levels: Vec<AtomicI64>,
+    parents: Vec<AtomicI64>,
+    /// One bit per global vertex: a vertex's owner is fixed, so this also
+    /// keys (vertex, destination) pairs. Only allocated when sieving.
+    sieve: Option<Sieve>,
+    codec_levels: Vec<LevelCodecStats>,
 }
 
-/// One top-down level: pack the frontier's adjacencies by owner, exchange
-/// them, and let owners claim the newly visited vertices. Returns the local
-/// slice of the next frontier.
-///
-/// Under a codec the level runs through [`exchange_pairs`] in
-/// `k = overlap.map_or(1, get)` chunks of the frontier: per chunk and
-/// destination the pairs are sorted, duplicate targets collapse to their
-/// maximum parent (the canonical tie-break, see [`unpack_serial`]),
-/// already-sent vertices drop out through the sieve, and the rest is
-/// encoded; each landed chunk is decoded and claimed. `k` is invisible to
-/// the parent tree: the sieve is only *read* ([`Sieve::contains`]) while
-/// the level runs and marked ([`Sieve::set`]) once at its end, so chunk
-/// boundaries never change which pairs are dropped, and the receiver's
-/// claim / max-parent merge is order-independent. A vertex targeted from
-/// two chunks is sent twice (one chunk's dedup would have collapsed it) —
-/// extra wire bytes, never a different tree.
-#[allow(clippy::too_many_arguments)]
-fn top_down_level(
-    comm: &Comm,
-    local: &Local1d,
-    frontier: &[VertexId],
-    codec: Codec,
-    visited_sieve: Option<&Sieve>,
-    overlap: Option<NonZeroUsize>,
-    level: i64,
-    pool: Option<&rayon::ThreadPool>,
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-    codec_levels: &mut Vec<LevelCodecStats>,
-) -> Vec<VertexId> {
-    if codec == Codec::Off {
-        // The un-encoded reference: lines 13–19 pack, line 21 is the plain
-        // typed all-to-all, lines 23–28 claim.
-        let send = pack(comm, local, frontier, pool);
-        let exchange_t = comm.trace_start();
-        let recv = comm.alltoallv(send);
-        let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
-        comm.trace_span(SpanKind::Exchange, exchange_t, received);
-        return unpack(comm, local, &recv, levels, parents, level, pool);
+impl<'a> RankSearch<'a> {
+    fn new(
+        comm: &'a Comm,
+        local: &'a Local1d,
+        pool: Option<&'a rayon::ThreadPool>,
+        cfg: &'a Bfs1dConfig,
+    ) -> Self {
+        let unreached = || (0..local.count()).map(|_| AtomicI64::new(UNREACHED));
+        Self {
+            comm,
+            local,
+            pool,
+            cfg,
+            levels: unreached().collect(),
+            parents: unreached().collect(),
+            sieve: (cfg.sieve && cfg.codec != Codec::Off)
+                .then(|| Sieve::new(local.block.domain() as usize)),
+            codec_levels: Vec::new(),
+        }
     }
 
-    let k = overlap.map_or(1, NonZeroUsize::get);
-    let mut stats = LevelCodecStats {
-        level: level as usize,
-        ..Default::default()
-    };
-    // Targets shipped this level, marked in the sieve only after the last
-    // chunk.
-    let sent: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    let hits_before = visited_sieve.map_or(0, Sieve::hits);
-    let mut next: Vec<VertexId> = Vec::new();
-    exchange_pairs(
-        comm,
-        pool,
-        k,
-        &mut stats,
-        |c| pack(comm, local, chunk(frontier, k, c), pool),
-        |j, mut pairs| {
-            pairs.sort_unstable();
-            // Sorted by (target, parent): sliding the later parent into the
-            // retained element leaves each target once, with its max parent.
-            pairs.dedup_by(|a, b| {
-                if a.0 == b.0 {
-                    b.1 = a.1;
-                    true
-                } else {
-                    false
-                }
+    /// The per-rank level loop of Algorithm 2, with direction as a
+    /// per-level step (Buluç–Beamer–Madduri, arXiv:1705.04590 §4 adapted to
+    /// the 1D partition): each level runs either the top-down exchange of
+    /// Algorithm 2 or a distributed bottom-up step, as
+    /// [`DirectionSwitch`] decides.
+    ///
+    /// Every input of the switch (frontier size, frontier out-edges, edges
+    /// examined) is a *global* count carried by the one `[u64; 3]`
+    /// allreduce that also is the level's termination test, so all ranks
+    /// compute the identical decision and the collective schedule stays
+    /// symmetric with no extra broadcast — and identical to what the serial
+    /// [`crate::direction::direction_optimizing_bfs`] decides from exact
+    /// counts. `DirectionMode::TopDown` / `DirectionMode::BottomUp` pin the
+    /// switch; the loop and its schedule do not change. Level arrays
+    /// match the serial oracle; bottom-up parents are the first hit in CSR
+    /// adjacency order, deterministic across rank counts.
+    fn search(mut self, source: VertexId) -> (Vec<i64>, Vec<i64>, u32, Vec<LevelCodecStats>) {
+        let (comm, local) = (self.comm, self.local);
+        // Lines 4–7: the owner seeds the frontier.
+        let mut frontier: Vec<VertexId> = Vec::new();
+        if local.block.owner(source) == comm.rank() {
+            let s = local.to_local(source);
+            self.levels[s].store(0, Ordering::Relaxed);
+            self.parents[s].store(source as i64, Ordering::Relaxed);
+            frontier.push(source);
+        }
+
+        // The graph's global vertex count is identical on every rank even
+        // though each rank holds a different block of it.
+        // schedule: replicated
+        let n_global = local.block.domain();
+        // The direction mode is shared config, not rank state.
+        // schedule: replicated
+        let mode = self.cfg.direction;
+        let add3 = |a: [u64; 3], b: [u64; 3]| [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
+        let out_edges =
+            |f: &[VertexId]| -> u64 { f.iter().map(|&u| local.neighbors(u).len() as u64).sum() };
+
+        // Seed the switch: one allreduce folds the edge total and the
+        // source frontier's size/out-edges together.
+        let [total_edges, mut gfrontier, mut gfrontier_edges] = comm.allreduce(
+            [
+                local.num_local_edges() as u64,
+                frontier.len() as u64,
+                out_edges(&frontier),
+            ],
+            add3,
+        );
+        let mut switch =
+            DirectionSwitch::new(mode, DirectionConfig::default(), n_global, total_edges);
+        switch.observe(gfrontier, gfrontier_edges, 0);
+        let mut level: i64 = 1;
+        loop {
+            comm.trace_enter_level(level - 1);
+            let level_t = comm.trace_start();
+            let level_start = Instant::now();
+            let comm_before = comm.comm_wall();
+            let direction = switch.decide(gfrontier, gfrontier_edges);
+            let dir_t = comm.trace_start();
+            comm.trace_span(SpanKind::Direction, dir_t, direction.tag());
+
+            let (next, examined) = if direction == LevelDirection::BottomUp {
+                self.bottom_up_level(&mut frontier, level)
+            } else {
+                // A top-down level examines every out-edge of the frontier
+                // — exactly this rank's packed adjacencies.
+                let examined = out_edges(&frontier);
+                (self.top_down_level(&frontier, level), examined)
+            };
+
+            // Termination test + switch refresh in one collective: the next
+            // frontier's global size and out-edges, and the level's
+            // globally examined edges (for the adaptive backoff).
+            let [gnext, gnext_edges, gexamined] =
+                comm.allreduce([next.len() as u64, out_edges(&next), examined], add3);
+            switch.observe(gnext, gnext_edges, gexamined);
+            // Attribute the level's wall time: everything outside
+            // collectives is local compute (pack, codec work, unpack, scan).
+            let comm_spent = comm.comm_wall() - comm_before;
+            comm.push_level_timing(LevelTiming {
+                level: (level - 1) as u32,
+                compute: level_start.elapsed().saturating_sub(comm_spent),
+                comm: comm_spent,
+                direction,
             });
-            if let Some(s) = visited_sieve {
-                let before = pairs.len();
-                pairs.retain(|&(t, _)| !s.contains(t as usize));
-                s.count_hits((before - pairs.len()) as u64);
-                sent.lock().extend(pairs.iter().map(|&(t, _)| t));
-            }
-            encode_pairs(&pairs, local.block.range(j), codec)
-        },
-        |recv| next.extend(unpack(comm, local, &recv, levels, parents, level, pool)),
-    );
-    if let Some(s) = visited_sieve {
-        stats.sieve_hits = s.hits() - hits_before;
-        // A target shipped from two chunks is marked once: `set` on a
-        // marked slot would count a sieve hit that dropped nothing.
-        for t in sent.into_inner() {
-            if !s.contains(t as usize) {
-                s.set(t as usize);
-            }
-        }
-    }
-    codec_levels.push(stats);
-    next
-}
-
-/// The direction-optimizing level loop (Buluç–Beamer–Madduri,
-/// arXiv:1705.04590 §4 adapted to the 1D partition): each level runs
-/// either the top-down exchange of Algorithm 2 or a distributed bottom-up
-/// step — the global frontier is allgathered as a bitmap and every
-/// locally-owned unvisited vertex probes its in-neighbors against it,
-/// claiming a parent on the first hit.
-///
-/// The αβ switch replicates `crate::direction` exactly, but every input
-/// (frontier size, frontier out-edges, edges examined, explored edges) is
-/// a *global* count carried by one `[u64; 3]` allreduce per level, so all
-/// ranks compute the identical decision and the collective schedule stays
-/// symmetric with no extra broadcast. Level arrays therefore match the
-/// serial oracle; bottom-up parents are the first hit in CSR adjacency
-/// order, deterministic across rank counts.
-#[allow(clippy::too_many_arguments)]
-fn hybrid_loop(
-    comm: &Comm,
-    local: &Local1d,
-    mut frontier: Vec<VertexId>,
-    pool: Option<&rayon::ThreadPool>,
-    codec: Codec,
-    visited_sieve: Option<&Sieve>,
-    overlap: Option<NonZeroUsize>,
-    direction: DirectionMode,
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-) -> (u32, Vec<LevelCodecStats>) {
-    let dir_cfg = DirectionConfig::default();
-    // The graph's global vertex count is identical on every rank even
-    // though each rank holds a different block of it.
-    // schedule: replicated
-    let n_global = local.block.domain();
-    let mut codec_levels: Vec<LevelCodecStats> = Vec::new();
-    let add3 = |a: [u64; 3], b: [u64; 3]| [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
-    let out_edges =
-        |f: &[VertexId]| -> u64 { f.iter().map(|&u| local.neighbors(u).len() as u64).sum() };
-
-    // Seed the global heuristic state: one allreduce folds the edge total
-    // and the source frontier's size/out-edges together.
-    let [total_edges, mut gfrontier, mut gfrontier_edges] = comm.allreduce(
-        [
-            local.num_local_edges() as u64,
-            frontier.len() as u64,
-            out_edges(&frontier),
-        ],
-        add3,
-    );
-    let mut explored_edges = gfrontier_edges;
-    let mut reached = gfrontier;
-    let mut prev_gfrontier = 0u64;
-    let mut bottom_up = false;
-    let mut alpha_eff = dir_cfg.alpha.max(1);
-    let mut level: i64 = 1;
-    loop {
-        comm.trace_enter_level(level - 1);
-        let level_t = comm.trace_start();
-        let level_start = Instant::now();
-        let comm_before = comm.comm_wall();
-        // The per-level decision — identical on every rank because all of
-        // its inputs are allreduced global counts (see `crate::direction`
-        // for the heuristic's rationale).
-        match direction {
-            DirectionMode::BottomUp => bottom_up = true,
-            DirectionMode::Hybrid => {
-                let unexplored = total_edges.saturating_sub(explored_edges);
-                let growing = gfrontier > prev_gfrontier;
-                let unvisited = n_global - reached;
-                if !bottom_up
-                    && dir_cfg.alpha > 0
-                    && growing
-                    && gfrontier_edges > unexplored / alpha_eff
-                    && unvisited < gfrontier_edges
-                {
-                    bottom_up = true;
-                } else if bottom_up && dir_cfg.beta > 0 && gfrontier * dir_cfg.beta < n_global {
-                    bottom_up = false;
-                }
-            }
-            DirectionMode::TopDown => unreachable!("handled by the plain loop"),
-        }
-        prev_gfrontier = gfrontier;
-        let dir = if bottom_up {
-            LevelDirection::BottomUp
-        } else {
-            LevelDirection::TopDown
-        };
-        let dir_t = comm.trace_start();
-        comm.trace_span(SpanKind::Direction, dir_t, dir.tag());
-
-        let (next, examined_local) = if bottom_up {
-            let (next, examined) = bottom_up_level(
-                comm,
-                local,
-                &mut frontier,
-                level,
-                pool,
-                levels,
-                parents,
-                &mut codec_levels,
-            );
-            (next, examined)
-        } else {
-            // A top-down level examines every out-edge of the frontier —
-            // exactly this rank's packed adjacencies.
-            let examined = out_edges(&frontier);
-            let next = top_down_level(
-                comm,
-                local,
-                &frontier,
-                codec,
-                visited_sieve,
-                overlap,
-                level,
-                pool,
-                levels,
-                parents,
-                &mut codec_levels,
-            );
-            (next, examined)
-        };
-
-        // Termination test + heuristic refresh in one collective: the next
-        // frontier's global size and out-edges, and the level's globally
-        // examined edges (for the adaptive backoff).
-        let [gnext, gnext_edges, gexamined] =
-            comm.allreduce([next.len() as u64, out_edges(&next), examined_local], add3);
-        explored_edges += gnext_edges;
-        reached += gnext;
-        if bottom_up && gexamined > gfrontier_edges {
-            // The round lost (same rule and floor as `crate::direction`):
-            // raise the re-entry bar and fall back to top-down.
-            alpha_eff = (alpha_eff / 8).max(1);
-            bottom_up = false;
-        }
-        let comm_spent = comm.comm_wall() - comm_before;
-        comm.push_level_timing(LevelTiming {
-            level: (level - 1) as u32,
-            compute: level_start.elapsed().saturating_sub(comm_spent),
-            comm: comm_spent,
-            direction: dir,
-        });
-        comm.trace_span(SpanKind::Level, level_t, frontier.len() as u64);
-        if gnext == 0 {
-            comm.trace_enter_level(dmbfs_trace::NO_LEVEL);
-            break;
-        }
-        gfrontier = gnext;
-        gfrontier_edges = gnext_edges;
-        frontier = next;
-        level += 1;
-    }
-    (level as u32, codec_levels)
-}
-
-/// One distributed bottom-up level. The rank's frontier slice (owned
-/// vertices at distance `level - 1`) travels as a [`Codec::Bitmap`]
-/// `encode_set` payload through one `allgatherv_wire`; the decoded slices
-/// form the global frontier bitmap, and the owner-side scan claims every
-/// locally-owned unvisited vertex whose adjacency hits the bitmap — first
-/// hit in CSR order, so parents are deterministic for any rank count.
-/// Returns the next local frontier and the number of edges examined.
-#[allow(clippy::too_many_arguments)]
-fn bottom_up_level(
-    comm: &Comm,
-    local: &Local1d,
-    frontier: &mut [VertexId],
-    level: i64,
-    pool: Option<&rayon::ThreadPool>,
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-    codec_levels: &mut Vec<LevelCodecStats>,
-) -> (Vec<VertexId>, u64) {
-    // The set encoder wants sorted-unique vertices; claims arrive once per
-    // vertex, so sorting suffices.
-    frontier.sort_unstable();
-    let broadcast_t = comm.trace_start();
-    let mine = encode_set(frontier, local.range.clone(), Codec::Bitmap);
-    let mut stats = LevelCodecStats {
-        level: level as usize,
-        ..Default::default()
-    };
-    stats.note(&mine);
-    codec_levels.push(stats);
-    let slices = comm.allgatherv_wire(mine);
-    // Assemble the global frontier bitmap (one bit per vertex of the
-    // domain) from the decoded per-rank slices.
-    let domain = local.block.domain() as usize;
-    let mut bits = vec![0u64; domain.div_ceil(64)];
-    let mut global_frontier = 0u64;
-    for buf in &slices {
-        for v in decode_set(buf.bytes()) {
-            bits[(v / 64) as usize] |= 1 << (v % 64);
-            global_frontier += 1;
-        }
-    }
-    comm.trace_span(SpanKind::BitmapBroadcast, broadcast_t, global_frontier);
-
-    // Owner-side scan: each unvisited owned vertex probes its adjacency
-    // against the bitmap, exiting at the first hit. Rows are independent
-    // (each claims only its own vertex), so the hybrid pool splits the
-    // owned range with no synchronization beyond the atomic stores.
-    let scan_t = comm.trace_start();
-    let in_frontier = |u: VertexId| bits[(u / 64) as usize] >> (u % 64) & 1 == 1;
-    let scan_one = |i: usize, next: &mut Vec<VertexId>, examined: &mut u64| {
-        if levels[i].load(Ordering::Relaxed) != UNREACHED {
-            return;
-        }
-        let v = local.to_global(i);
-        for &u in local.neighbors(v) {
-            *examined += 1;
-            if in_frontier(u) {
-                levels[i].store(level, Ordering::Relaxed);
-                parents[i].store(u as i64, Ordering::Relaxed);
-                next.push(v);
+            comm.trace_span(SpanKind::Level, level_t, frontier.len() as u64);
+            if gnext == 0 {
+                comm.trace_enter_level(dmbfs_trace::NO_LEVEL);
                 break;
             }
+            gfrontier = gnext;
+            gfrontier_edges = gnext_edges;
+            frontier = next;
+            level += 1;
         }
-    };
-    let (next, examined) = match pool {
-        Some(pool) => {
-            let batch_t = comm.trace_start();
-            let out = pool.install(|| {
-                (0..local.count())
-                    .into_par_iter()
-                    .with_min_len(64)
-                    .fold(
-                        || (Vec::new(), 0u64),
-                        |(mut next, mut examined), i| {
-                            scan_one(i, &mut next, &mut examined);
-                            (next, examined)
-                        },
-                    )
-                    .reduce(
-                        || (Vec::new(), 0u64),
-                        |(mut a, ae), (mut b, be)| {
-                            a.append(&mut b);
-                            (a, ae + be)
-                        },
-                    )
-            });
-            comm.trace_span(SpanKind::TaskBatch, batch_t, local.count() as u64);
-            out
-        }
-        None => {
-            let mut next = Vec::new();
-            let mut examined = 0u64;
-            for i in 0..local.count() {
-                scan_one(i, &mut next, &mut examined);
-            }
-            (next, examined)
-        }
-    };
-    comm.trace_span(SpanKind::BottomUpScan, scan_t, examined);
-    (next, examined)
-}
 
-/// Lines 13–19: enumerate the adjacencies of `frontier` into
-/// per-destination buffers, on the rank pool when there is one.
-fn pack(
-    comm: &Comm,
-    local: &Local1d,
-    frontier: &[VertexId],
-    pool: Option<&rayon::ThreadPool>,
-) -> Vec<Vec<(u64, u64)>> {
-    let p = comm.size();
-    let pack_t = comm.trace_start();
-    let send = match pool {
-        Some(pool) => {
-            let batch_t = comm.trace_start();
-            let send = pool.install(|| pack_parallel(local, frontier, p));
-            comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
-            send
-        }
-        None => pack_serial(local, frontier, p),
-    };
-    comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
-    send
-}
+        (
+            self.levels.into_iter().map(AtomicI64::into_inner).collect(),
+            self.parents
+                .into_iter()
+                .map(AtomicI64::into_inner)
+                .collect(),
+            level as u32,
+            self.codec_levels,
+        )
+    }
 
-/// Lines 23–28: owners claim the newly visited vertices among `recv`, on
-/// the rank pool when there is one. Returns the vertices claimed.
-fn unpack(
-    comm: &Comm,
-    local: &Local1d,
-    recv: &[Vec<(u64, u64)>],
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-    level: i64,
-    pool: Option<&rayon::ThreadPool>,
-) -> Vec<VertexId> {
-    let unpack_t = comm.trace_start();
-    let next = match pool {
-        Some(pool) => {
+    /// One top-down level: pack the frontier's adjacencies by owner,
+    /// exchange them, and let owners claim the newly visited vertices.
+    /// Returns the local slice of the next frontier.
+    ///
+    /// Under a codec the level runs through [`exchange_pairs`] in
+    /// `k = overlap.map_or(1, get)` chunks of the frontier: per chunk and
+    /// destination the pairs are sorted, duplicate targets collapse to
+    /// their maximum parent (the canonical tie-break, see
+    /// [`unpack_serial`]), already-sent vertices drop out through the
+    /// sieve, and the rest is encoded; each landed chunk is decoded and
+    /// claimed. `k` is invisible to the parent tree: the sieve is only
+    /// *read* ([`Sieve::contains`]) while the level runs and marked
+    /// ([`Sieve::set`]) once at its end, so chunk boundaries never change
+    /// which pairs are dropped, and the receiver's claim / max-parent merge
+    /// is order-independent. A vertex targeted from two chunks is sent
+    /// twice (one chunk's dedup would have collapsed it) — extra wire
+    /// bytes, never a different tree.
+    fn top_down_level(&mut self, frontier: &[VertexId], level: i64) -> Vec<VertexId> {
+        let (comm, local) = (self.comm, self.local);
+        // Codec and overlap depth are shared config, not rank state.
+        // schedule: replicated
+        let codec = self.cfg.codec;
+        if codec == Codec::Off {
+            // The un-encoded reference: lines 13–19 pack, line 21 is the
+            // plain typed all-to-all, lines 23–28 claim.
+            let send = self.pack(frontier);
+            let exchange_t = comm.trace_start();
+            let recv = comm.alltoallv(send);
             let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
-            let batch_t = comm.trace_start();
-            let next = pool.install(|| unpack_parallel(local, recv, levels, parents, level));
-            comm.trace_span(SpanKind::TaskBatch, batch_t, received);
-            next
+            comm.trace_span(SpanKind::Exchange, exchange_t, received);
+            return self.unpack(&recv, level);
         }
-        None => unpack_serial(local, recv, levels, parents, level),
-    };
-    comm.trace_span(SpanKind::Unpack, unpack_t, next.len() as u64);
-    next
+
+        // schedule: replicated
+        let k = self.cfg.overlap.map_or(1, NonZeroUsize::get);
+        let mut stats = LevelCodecStats {
+            level: level as usize,
+            ..Default::default()
+        };
+        // Targets shipped this level, marked in the sieve only after the
+        // last chunk.
+        let sent: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+        let visited_sieve = self.sieve.as_ref();
+        let hits_before = visited_sieve.map_or(0, Sieve::hits);
+        let mut next: Vec<VertexId> = Vec::new();
+        exchange_pairs(
+            comm,
+            self.pool,
+            k,
+            &mut stats,
+            |c| self.pack(chunk(frontier, k, c)),
+            |j, mut pairs| {
+                pairs.sort_unstable();
+                // Sorted by (target, parent): sliding the later parent into
+                // the retained element leaves each target once, with its
+                // max parent.
+                pairs.dedup_by(|a, b| {
+                    if a.0 == b.0 {
+                        b.1 = a.1;
+                        true
+                    } else {
+                        false
+                    }
+                });
+                if let Some(s) = visited_sieve {
+                    let before = pairs.len();
+                    pairs.retain(|&(t, _)| !s.contains(t as usize));
+                    s.count_hits((before - pairs.len()) as u64);
+                    sent.lock().extend(pairs.iter().map(|&(t, _)| t));
+                }
+                encode_pairs(&pairs, local.block.range(j), codec)
+            },
+            |recv| next.extend(self.unpack(&recv, level)),
+        );
+        if let Some(s) = visited_sieve {
+            stats.sieve_hits = s.hits() - hits_before;
+            // A target shipped from two chunks is marked once: `set` on a
+            // marked slot would count a sieve hit that dropped nothing.
+            for t in sent.into_inner() {
+                if !s.contains(t as usize) {
+                    s.set(t as usize);
+                }
+            }
+        }
+        self.codec_levels.push(stats);
+        next
+    }
+
+    /// One distributed bottom-up level. The rank's frontier slice (owned
+    /// vertices at distance `level - 1`) travels as a [`Codec::Bitmap`]
+    /// `encode_set` payload through one `allgatherv_wire`; the decoded
+    /// slices form the global frontier bitmap, and the owner-side scan
+    /// claims every locally-owned unvisited vertex whose adjacency hits the
+    /// bitmap — first hit in CSR order, so parents are deterministic for
+    /// any rank count. Returns the next local frontier and the number of
+    /// edges examined.
+    fn bottom_up_level(&mut self, frontier: &mut [VertexId], level: i64) -> (Vec<VertexId>, u64) {
+        let (comm, local) = (self.comm, self.local);
+        let (levels, parents) = (&self.levels[..], &self.parents[..]);
+        // The set encoder wants sorted-unique vertices; claims arrive once
+        // per vertex, so sorting suffices.
+        frontier.sort_unstable();
+        let broadcast_t = comm.trace_start();
+        let mine = encode_set(frontier, local.range.clone(), Codec::Bitmap);
+        let mut stats = LevelCodecStats {
+            level: level as usize,
+            ..Default::default()
+        };
+        stats.note(&mine);
+        self.codec_levels.push(stats);
+        let slices = comm.allgatherv_wire(mine);
+        // Assemble the global frontier bitmap (one bit per vertex of the
+        // domain) from the decoded per-rank slices.
+        let domain = local.block.domain() as usize;
+        let mut bits = vec![0u64; domain.div_ceil(64)];
+        let mut global_frontier = 0u64;
+        for buf in &slices {
+            for v in decode_set(buf.bytes()) {
+                bits[(v / 64) as usize] |= 1 << (v % 64);
+                global_frontier += 1;
+            }
+        }
+        comm.trace_span(SpanKind::BitmapBroadcast, broadcast_t, global_frontier);
+
+        // Owner-side scan: each unvisited owned vertex probes its adjacency
+        // against the bitmap, exiting at the first hit. Rows are
+        // independent (each claims only its own vertex), so the hybrid pool
+        // splits the owned range with no synchronization beyond the atomic
+        // stores.
+        let scan_t = comm.trace_start();
+        let in_frontier = |u: VertexId| bits[(u / 64) as usize] >> (u % 64) & 1 == 1;
+        let scan_one = |i: usize, next: &mut Vec<VertexId>, examined: &mut u64| {
+            if levels[i].load(Ordering::Relaxed) != UNREACHED {
+                return;
+            }
+            let v = local.to_global(i);
+            for &u in local.neighbors(v) {
+                *examined += 1;
+                if in_frontier(u) {
+                    levels[i].store(level, Ordering::Relaxed);
+                    parents[i].store(u as i64, Ordering::Relaxed);
+                    next.push(v);
+                    break;
+                }
+            }
+        };
+        let (next, examined) = match self.pool {
+            Some(pool) => {
+                let batch_t = comm.trace_start();
+                let out = pool.install(|| {
+                    (0..local.count())
+                        .into_par_iter()
+                        .with_min_len(64)
+                        .fold(
+                            || (Vec::new(), 0u64),
+                            |(mut next, mut examined), i| {
+                                scan_one(i, &mut next, &mut examined);
+                                (next, examined)
+                            },
+                        )
+                        .reduce(
+                            || (Vec::new(), 0u64),
+                            |(mut a, ae), (mut b, be)| {
+                                a.append(&mut b);
+                                (a, ae + be)
+                            },
+                        )
+                });
+                comm.trace_span(SpanKind::TaskBatch, batch_t, local.count() as u64);
+                out
+            }
+            None => {
+                let (mut next, mut examined) = (Vec::new(), 0u64);
+                (0..local.count()).for_each(|i| scan_one(i, &mut next, &mut examined));
+                (next, examined)
+            }
+        };
+        comm.trace_span(SpanKind::BottomUpScan, scan_t, examined);
+        (next, examined)
+    }
+
+    /// Lines 13–19: enumerate the adjacencies of `frontier` into
+    /// per-destination buffers, on the rank pool when there is one.
+    fn pack(&self, frontier: &[VertexId]) -> Vec<Vec<(u64, u64)>> {
+        let (comm, local) = (self.comm, self.local);
+        let p = comm.size();
+        let pack_t = comm.trace_start();
+        let send = match self.pool {
+            Some(pool) => {
+                let batch_t = comm.trace_start();
+                let send = pool.install(|| pack_parallel(local, frontier, p));
+                comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
+                send
+            }
+            None => pack_serial(local, frontier, p),
+        };
+        comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
+        send
+    }
+
+    /// Lines 23–28: owners claim the newly visited vertices among `recv`,
+    /// on the rank pool when there is one. Returns the vertices claimed.
+    fn unpack(&self, recv: &[Vec<(u64, u64)>], level: i64) -> Vec<VertexId> {
+        let (comm, local) = (self.comm, self.local);
+        let (levels, parents) = (&self.levels[..], &self.parents[..]);
+        let unpack_t = comm.trace_start();
+        let next = match self.pool {
+            Some(pool) => {
+                let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
+                let batch_t = comm.trace_start();
+                let next = pool.install(|| unpack_parallel(local, recv, levels, parents, level));
+                comm.trace_span(SpanKind::TaskBatch, batch_t, received);
+                next
+            }
+            None => unpack_serial(local, recv, levels, parents, level),
+        };
+        comm.trace_span(SpanKind::Unpack, unpack_t, next.len() as u64);
+        next
+    }
 }
 
 /// Serial buffer packing (flat variant).
@@ -740,6 +598,7 @@ mod tests {
     use dmbfs_comm::Pattern;
     use dmbfs_graph::gen::{grid2d, path, rmat, RmatConfig};
     use dmbfs_graph::{CsrGraph, EdgeList};
+    use dmbfs_runtime::DirectionMode;
 
     fn rmat_graph(scale: u32, seed: u64) -> CsrGraph {
         let mut el = rmat(&RmatConfig::graph500(scale, seed));
@@ -883,14 +742,8 @@ mod tests {
             // counts as the serial one, so the schedules must agree level
             // for level.
             let dirs = run.level_directions();
-            let serial_dirs: Vec<LevelDirection> = serial_dir
-                .steps
-                .iter()
-                .map(|s| match s.direction {
-                    crate::direction::Direction::TopDown => LevelDirection::TopDown,
-                    crate::direction::Direction::BottomUp => LevelDirection::BottomUp,
-                })
-                .collect();
+            let serial_dirs: Vec<LevelDirection> =
+                serial_dir.steps.iter().map(|s| s.direction).collect();
             assert_eq!(dirs, serial_dirs, "p = {p}");
             assert!(
                 dirs.contains(&LevelDirection::BottomUp),

@@ -12,12 +12,17 @@
 //! 3. **Typed faults in the bottom-up machinery**: a fault pinned to the
 //!    bitmap-broadcast allgather surfaces as a typed report naming the
 //!    injected rank, exactly like faults in the top-down exchange.
+//! 4. **One loop**: a pinned direction is the αβ switch held still, not
+//!    a second level loop — where the switch never fires, `hybrid` and
+//!    `topdown` are indistinguishable from outside (collective schedule,
+//!    call and byte counts, outputs).
 
 use dmbfs_bfs::frontier_codec::Codec;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::serial::serial_bfs;
 use dmbfs_bfs::validate::validate_bfs;
-use dmbfs_comm::{CollectiveKind, VerifyFailure};
+use dmbfs_comm::{CollectiveKind, LevelDirection, VerifyFailure};
+use dmbfs_graph::gen::{grid2d, path};
 use dmbfs_graph::{CsrGraph, EdgeList};
 use dmbfs_runtime::{
     DirectionMode, FailStopExit, FaultKind, FaultPlan, FaultSpec, FaultTrigger, InjectedFault,
@@ -137,6 +142,44 @@ fn faults_in_the_bitmap_broadcast_are_typed_and_name_the_rank() {
             panic!("unexpected fail-stop report: {}", f.0);
         } else {
             panic!("untyped panic payload from a bitmap-broadcast fault");
+        }
+    }
+}
+
+/// The pinned loop *is* the switching loop. On graphs whose frontiers never
+/// meet the αβ entry condition the hybrid run takes every level top-down,
+/// and then nothing observable separates it from `DirectionMode::TopDown`:
+/// same per-rank collective sequence (seed allreduce included), same call
+/// and byte counts, same trees.
+#[test]
+fn pinned_top_down_is_the_hybrid_loop_with_the_switch_at_rest() {
+    for (name, el) in [("path", path(40)), ("grid", grid2d(7, 9))] {
+        let g = CsrGraph::from_edge_list(&el);
+        for codec in [Codec::Off, Codec::Adaptive] {
+            let cfg = |direction| {
+                Bfs1dConfig::flat(3)
+                    .with_codec(codec)
+                    .with_direction(direction)
+                    .with_schedule_capture(true)
+            };
+            let hybrid = bfs1d_run(&g, 0, &cfg(DirectionMode::Hybrid));
+            let dirs = hybrid.level_directions();
+            assert!(
+                dirs.iter().all(|&d| d == LevelDirection::TopDown),
+                "{name}: the switch must stay at rest, got {dirs:?}"
+            );
+            let pinned = bfs1d_run(&g, 0, &cfg(DirectionMode::TopDown));
+            assert_eq!(pinned.level_directions(), dirs, "{name}");
+            assert!(!pinned.per_rank_schedule[0].is_empty(), "{name}");
+            assert_eq!(pinned.per_rank_schedule, hybrid.per_rank_schedule, "{name}");
+            for (a, b) in pinned.per_rank_stats.iter().zip(&hybrid.per_rank_stats) {
+                assert_eq!(a.num_calls(), b.num_calls(), "{name} {codec:?}");
+                assert_eq!(a.bytes_out(), b.bytes_out(), "{name} {codec:?}");
+                assert_eq!(a.wire_out(), b.wire_out(), "{name} {codec:?}");
+            }
+            assert_eq!(pinned.output.levels, hybrid.output.levels, "{name}");
+            assert_eq!(pinned.output.parents, hybrid.output.parents, "{name}");
+            assert_eq!(pinned.num_levels, hybrid.num_levels, "{name}");
         }
     }
 }

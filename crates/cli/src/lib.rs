@@ -679,12 +679,7 @@ fn cmd_bfs(args: &Args) -> Result<String, CliError> {
         let loaned: u64 = stats.iter().map(|s| s.loaned_bytes()).sum();
         let copied: u64 = stats.iter().map(|s| s.copied_bytes()).sum();
         report.push_str(&format!(
-            "\nwire: loaned_bytes {loaned} copied_bytes {copied} \
-             (zero-copy loan threshold: {})",
-            match dmbfs_comm::loan_threshold() {
-                Some(t) => format!("{t} B"),
-                None => "off".to_string(),
-            },
+            "\nwire: loaned_bytes {loaned} copied_bytes {copied}"
         ));
     }
     if let Some(trace) = trace {

@@ -9,159 +9,60 @@ use parking_lot::Mutex;
 use std::any::{type_name, TypeId};
 use std::cell::{Cell, RefCell};
 use std::panic::Location;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
-
-/// Loan threshold in wire bytes: payloads at or above it are sealed into a
-/// shared loan at deposit time; smaller ones stay owned and are memcpy'd at
-/// the receiver — the shared-memory analog of MPI's eager/rendezvous split.
-/// `u64::MAX` disables loaning entirely.
-static LOAN_THRESHOLD: AtomicU64 = AtomicU64::new(DEFAULT_LOAN_THRESHOLD);
-static LOAN_THRESHOLD_INIT: std::sync::Once = std::sync::Once::new();
-
-/// Default eager/rendezvous crossover: below this many wire bytes the
-/// receiver-side memcpy is cheaper than sharing the allocation.
-pub const DEFAULT_LOAN_THRESHOLD: u64 = 256;
-
-/// The effective loan threshold: `Some(bytes)` when loaning is enabled,
-/// `None` when disabled. Reads `DMBFS_LOAN_THRESHOLD` (integer bytes, or
-/// `off` to disable) once on first use; [`set_loan_threshold`] overrides it.
-pub fn loan_threshold() -> Option<u64> {
-    LOAN_THRESHOLD_INIT.call_once(|| {
-        if let Ok(v) = std::env::var("DMBFS_LOAN_THRESHOLD") {
-            let parsed = if v.eq_ignore_ascii_case("off") {
-                Some(u64::MAX)
-            } else {
-                v.parse::<u64>().ok()
-            };
-            if let Some(t) = parsed {
-                LOAN_THRESHOLD.store(t, Ordering::Relaxed);
-            }
-        }
-    });
-    match LOAN_THRESHOLD.load(Ordering::Relaxed) {
-        u64::MAX => None,
-        t => Some(t),
-    }
-}
-
-/// Sets the loan threshold process-wide: `Some(bytes)` enables the loan
-/// path for payloads of at least `bytes` wire bytes, `None` disables it
-/// (every payload travels copied). Benches and tests use this to A/B the
-/// zero-copy path in one process; takes precedence over the environment.
-pub fn set_loan_threshold(threshold: Option<u64>) {
-    LOAN_THRESHOLD_INIT.call_once(|| {});
-    LOAN_THRESHOLD.store(threshold.unwrap_or(u64::MAX), Ordering::Relaxed);
-}
-
-/// How a [`WireBuf`]'s bytes travel through the rendezvous board.
-///
-/// `Copied` is the eager path: the receiver clones the bytes out of the
-/// board (one memcpy per receiver). `Loaned` is the rendezvous path: the
-/// sender's allocation is moved (not copied) behind an `Arc` at seal time,
-/// receivers decode straight from the sender's buffer, and the loan is
-/// released when the last reference drops — which may be *after* the
-/// board's ring retires the slot; the refcount keeps the epoch-scoped
-/// retirement safe. See `docs/zero-copy.md`.
-#[derive(Clone, Debug)]
-enum WirePayload {
-    /// Owned bytes; cloning memcpys.
-    Copied(Vec<u8>),
-    /// Sealed shared bytes; cloning bumps a refcount.
-    Loaned(Arc<Vec<u8>>),
-}
-
-impl Default for WirePayload {
-    fn default() -> Self {
-        WirePayload::Copied(Vec::new())
-    }
-}
 
 /// An encoded payload travelling through a wire-aware collective: the
 /// encoded bytes plus the logical (pre-encoding) size they stand for, so
 /// accounting can report both sides of the compression ratio.
 ///
-/// The bytes start out owned (`Copied`); the wire collectives seal large
-/// payloads into a shared loan just before depositing them (see
-/// [`loan_threshold`]). A sealed buffer is immutable — [`WireBuf::bytes_mut`]
-/// panics on it — which is what makes handing receivers a reference into
-/// the sender's allocation sound: checksums and fault corruption always
-/// mutate *before* the seal.
-#[derive(Clone, Debug, Default)]
+/// The bytes live behind an `Arc` from [`WireBuf::new`] on, so crossing
+/// the rendezvous board never copies them: receivers clone a refcount and
+/// decode straight from the sender's allocation, which is released when
+/// the last reference drops — possibly *after* the board's ring retires
+/// the slot; the refcount keeps the epoch-scoped retirement safe. A shared
+/// buffer is immutable — [`WireBuf::bytes_mut`] panics on it — so checksums
+/// and fault corruption always mutate *before* the deposit. See
+/// `docs/zero-copy.md`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireBuf {
     /// The encoded bytes as produced by a frontier codec.
-    payload: WirePayload,
+    bytes: Arc<Vec<u8>>,
     /// Size in bytes of the logical payload the encoding represents.
     pub logical_bytes: u64,
 }
-
-impl PartialEq for WireBuf {
-    fn eq(&self, other: &Self) -> bool {
-        // Loaned and copied buffers with the same contents are equal: the
-        // transport representation is invisible to the algorithm.
-        self.logical_bytes == other.logical_bytes && self.bytes() == other.bytes()
-    }
-}
-
-impl Eq for WireBuf {}
 
 impl WireBuf {
     /// Wraps already-encoded bytes with their logical size.
     pub fn new(bytes: Vec<u8>, logical_bytes: u64) -> Self {
         Self {
-            payload: WirePayload::Copied(bytes),
+            bytes: Arc::new(bytes),
             logical_bytes,
         }
     }
 
-    /// Read access to the encoded bytes, loaned or owned.
+    /// Read access to the encoded bytes.
     pub fn bytes(&self) -> &[u8] {
-        match &self.payload {
-            WirePayload::Copied(v) => v,
-            WirePayload::Loaned(a) => a,
-        }
+        &self.bytes
     }
 
     /// Mutable access to the encoded bytes. Panics once the buffer is
-    /// sealed into a loan: a deposited loan is shared with every receiver,
-    /// so mutating it would race their decodes — the seal is the runtime
-    /// enforcement of "senders must not mutate after deposit".
+    /// shared (a clone is alive, e.g. the copy deposited on the board):
+    /// other ranks may be decoding from the same allocation, so mutating
+    /// it would race them — the refcount is the runtime enforcement of
+    /// "senders must not mutate after deposit".
     pub fn bytes_mut(&mut self) -> &mut Vec<u8> {
-        match &mut self.payload {
-            WirePayload::Copied(v) => v,
-            WirePayload::Loaned(_) => panic!(
-                "WireBuf is sealed: the payload was loaned to the rendezvous board \
-                 and may be referenced by other ranks; mutate before the seal \
-                 (checksum -> corrupt -> seal -> deposit)"
-            ),
-        }
-    }
-
-    /// Seals the buffer for deposit: payloads at or above the loan
-    /// threshold move their allocation behind an `Arc` (no byte is
-    /// copied), so receivers share it instead of cloning it. Small or
-    /// threshold-disabled payloads stay owned. Idempotent.
-    fn seal(&mut self) {
-        if let Some(threshold) = loan_threshold() {
-            if let WirePayload::Copied(v) = &mut self.payload {
-                if v.len() as u64 >= threshold {
-                    self.payload = WirePayload::Loaned(Arc::new(std::mem::take(v)));
-                }
-            }
-        }
-    }
-
-    /// Whether the payload travels as a shared loan (sealed) rather than
-    /// an owned copy.
-    pub fn is_loaned(&self) -> bool {
-        matches!(self.payload, WirePayload::Loaned(_))
+        Arc::get_mut(&mut self.bytes).expect(
+            "WireBuf is shared: the payload was deposited on the rendezvous board \
+             (or cloned) and may be referenced by other ranks; mutate before the \
+             deposit (checksum -> corrupt -> deposit)",
+        )
     }
 
     /// Encoded (on-the-wire) length in bytes.
     pub fn wire_bytes(&self) -> u64 {
-        self.bytes().len() as u64
+        self.bytes.len() as u64
     }
 }
 
@@ -502,15 +403,15 @@ impl Comm {
         self.tracer.borrow_mut().take().map(|t| t.lock().drain())
     }
 
-    /// Appends one [`CommEvent`]. Only the wire collectives take part in
-    /// loan accounting: they pass `loaned_out` and the rest of `wire_out`
-    /// counts as copied.
+    /// Appends one [`CommEvent`]. `loaned_out` is `wire_out` for the wire
+    /// collectives — every [`WireBuf`] crosses the board as a shared loan —
+    /// and 0 for the plain ones; nothing is ledgered as copied.
     fn push_event(
         &self,
         pattern: Pattern,
         [bytes_out, bytes_in]: [u64; 2],
         [wire_out, wire_in]: [u64; 2],
-        loaned_out: Option<u64>,
+        loaned_out: u64,
         [wall, hidden]: [Duration; 2],
     ) {
         self.stats.borrow_mut().events.push(CommEvent {
@@ -522,37 +423,37 @@ impl Comm {
             wire_in,
             wall,
             hidden,
-            loaned_out: loaned_out.unwrap_or(0),
-            copied_out: loaned_out.map_or(0, |loaned| wire_out - loaned),
+            loaned_out,
+            copied_out: 0,
         });
     }
 
-    /// Records one finished blocking wire collective, timed from `start`:
-    /// its [`CommEvent`] and, when traced, its span (pattern, group size,
+    /// Records one finished blocking collective, timed from `start`: its
+    /// [`CommEvent`] and, when traced, its span (pattern, group size,
     /// logical, wire and loaned bytes on the send side).
     fn record_wire(
         &self,
         pattern: Pattern,
         bytes: [u64; 2],
         wire: [u64; 2],
-        loaned_out: Option<u64>,
+        loaned_out: u64,
         start: Instant,
     ) {
         let wall = [start.elapsed(), Duration::ZERO];
         self.push_event(pattern, bytes, wire, loaned_out, wall);
         if let Some(t) = self.tracer.borrow().as_ref() {
             let (tag, p) = (collective_tag(pattern), self.size() as u64);
-            let loaned = loaned_out.unwrap_or(0);
             t.lock()
-                .collective(tag, start, p, bytes[0], wire[0], loaned);
+                .collective(tag, start, p, bytes[0], wire[0], loaned_out);
         }
     }
 
     /// [`Comm::record_wire`] for the plain collectives, which put their
-    /// logical payload on the wire verbatim.
+    /// logical payload on the wire verbatim (cloned out of the board, so
+    /// nothing is ledgered as loaned).
     fn record(&self, pattern: Pattern, bytes_out: u64, bytes_in: u64, start: Instant) {
         let bytes = [bytes_out, bytes_in];
-        self.record_wire(pattern, bytes, bytes, None, start);
+        self.record_wire(pattern, bytes, bytes, 0, start);
     }
 
     /// Top of every collective: the fault hook, then the verifier
@@ -957,18 +858,9 @@ impl Comm {
             b.bytes_mut()[i] ^= mask;
         }
         // Own bucket stays local (stashed on the pending handle until the
-        // wait); off-rank buffers seal after checksum + corruption so the
-        // ring hands receivers a loan instead of a copy.
+        // wait); off-rank buffers are deposited after checksum + corruption
+        // and every receiver takes a refcount on them, never a copy.
         let own = std::mem::take(&mut bufs[self.rank]);
-        let mut loaned_out = 0u64;
-        for (j, b) in bufs.iter_mut().enumerate() {
-            if j != self.rank {
-                b.seal();
-                if b.is_loaned() {
-                    loaned_out += b.wire_bytes();
-                }
-            }
-        }
         let payload: ExchangePayload = (bufs, sums);
         let epoch = self.publish(CollectiveKind::IalltoallvWire, Arc::new(payload));
         self.pending_exchange.set(true);
@@ -980,7 +872,7 @@ impl Comm {
                 self.size() as u64,
                 bytes_out,
                 wire_out,
-                loaned_out,
+                wire_out,
             );
         }
         PendingExchange {
@@ -990,7 +882,6 @@ impl Comm {
             in_flight_since: Instant::now(),
             bytes_out,
             wire_out,
-            loaned_out,
             own,
         }
     }
@@ -1010,10 +901,8 @@ impl Comm {
             let (i, mask) = corrupt_site(seed, mine.bytes().len());
             mine.bytes_mut()[i] ^= mask;
         }
-        // Seal after checksum + corruption: every receiver's clone of a
-        // large payload (this rank's own included) is a refcount bump.
-        mine.seal();
-        let loaned_out = if mine.is_loaned() { wire_out } else { 0 };
+        // Deposit after checksum + corruption: every receiver's clone
+        // (this rank's own included) is a refcount bump.
         let all = self.rendezvous(CollectiveKind::AllgathervWire, (mine, sum));
         for (j, (buf, sum)) in all.iter().map(|theirs| &**theirs).enumerate() {
             if j != self.rank {
@@ -1027,7 +916,7 @@ impl Comm {
             Pattern::Allgatherv,
             [bytes_out, bytes_in],
             [wire_out, wire_in],
-            Some(loaned_out),
+            wire_out,
             start,
         );
         gathered
@@ -1051,15 +940,8 @@ impl Comm {
             let (i, mask) = corrupt_site(seed, data.bytes().len());
             data.bytes_mut()[i] ^= mask;
         }
-        // Seal after checksum + corruption: the partner's clone becomes a
-        // refcount bump for large payloads (and so does the diagonal
-        // self-exchange's).
-        data.seal();
-        let loaned_out = if partner != self.rank && data.is_loaned() {
-            wire_out
-        } else {
-            0
-        };
+        // Deposit after checksum + corruption: the partner's clone is a
+        // refcount bump (and so is the diagonal self-exchange's).
         let all = self.rendezvous(CollectiveKind::SendrecvWire, (partner, data, sum));
         let (back, received, sum) = &*all[partner];
         self.assert_partner_points_back(partner, *back);
@@ -1074,7 +956,7 @@ impl Comm {
             Pattern::PointToPoint,
             [bytes_out, bytes_in],
             [wire_out, wire_in],
-            Some(loaned_out),
+            wire_out,
             start,
         );
         received
@@ -1146,8 +1028,6 @@ pub struct PendingExchange<'a> {
     in_flight_since: Instant,
     bytes_out: u64,
     wire_out: u64,
-    /// Wire bytes of the deposited buffers that sealed into loans.
-    loaned_out: u64,
     /// The sender's own bucket, held locally until the wait instead of
     /// round-tripping through the board.
     own: WireBuf,
@@ -1173,7 +1053,6 @@ impl PendingExchange<'_> {
         comm.enter_wire(CollectiveKind::IalltoallvWireWait);
         let mut recv: Vec<WireBuf> = Vec::with_capacity(comm.size());
         let (mut bytes_in, mut wire_in) = (0u64, 0u64);
-        let mut loaned_in = 0u64;
         let mut own = Some(self.own);
         for j in 0..comm.size() {
             if j == comm.rank {
@@ -1186,9 +1065,6 @@ impl PendingExchange<'_> {
             comm.check_wire(mine.bytes(), theirs.1.as_ref().map(|s| s[comm.rank]), j);
             bytes_in += mine.logical_bytes;
             wire_in += mine.wire_bytes();
-            if mine.is_loaned() {
-                loaned_in += mine.wire_bytes();
-            }
             recv.push(mine);
         }
         comm.pending_exchange.set(false);
@@ -1196,7 +1072,7 @@ impl PendingExchange<'_> {
             Pattern::Alltoallv,
             [self.bytes_out, bytes_in],
             [self.wire_out, wire_in],
-            Some(self.loaned_out),
+            self.wire_out,
             [self.start_call + entered.elapsed(), hidden],
         );
         if let Some(t) = comm.tracer.borrow().as_ref() {
@@ -1207,7 +1083,7 @@ impl PendingExchange<'_> {
                 comm.size() as u64,
                 bytes_in,
                 wire_in,
-                loaned_in,
+                wire_in,
             );
         }
         recv

@@ -19,7 +19,7 @@
 //! finished reading, so a completed collective leaves nothing to wait
 //! for and a pipelined `wait()` absorbs encode-time skew instead of
 //! adding barriers. Retirement only drops the lane's own reference: a
-//! receiver still holding a loan (a sealed `WireBuf` inside the payload)
+//! receiver still holding a loan (a `WireBuf` cloned out of the payload)
 //! keeps the bytes alive through the `Arc` refcount, which is what makes
 //! reusing the slot safe under zero-copy.
 //!

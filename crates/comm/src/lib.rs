@@ -17,12 +17,10 @@
 //!   *arrived* at it, which is MPI's completion semantics.
 //! * [`Comm::split`] mirrors `MPI_Comm_split`, providing the row and column
 //!   communicators of the 2D algorithm (§3.2).
-//! * The wire collectives are **zero-copy for large payloads**: a
-//!   [`WireBuf`] at or above the loan threshold ([`loan_threshold`] /
-//!   `DMBFS_LOAN_THRESHOLD`) is sealed into a shared loan at deposit time,
-//!   so receivers decode straight from the sender's allocation instead of
-//!   cloning it off the board — the shared-memory analog of MPI's
-//!   eager/rendezvous split. See `docs/zero-copy.md`.
+//! * The wire collectives are **zero-copy**: a [`WireBuf`] holds its bytes
+//!   behind an `Arc` from construction, so receivers take a refcount and
+//!   decode straight from the sender's allocation instead of cloning it
+//!   off the board, whatever the payload size. See `docs/zero-copy.md`.
 //! * Every collective records a [`CommEvent`] — pattern, group size, bytes
 //!   in/out, wall time spent inside the call (including waiting for peers
 //!   to arrive, i.e. load imbalance, which is how the paper accounts MPI time in
@@ -86,9 +84,7 @@ mod stats;
 mod verify;
 mod world;
 
-pub use comm::{
-    loan_threshold, set_loan_threshold, Comm, PendingExchange, WireBuf, DEFAULT_LOAN_THRESHOLD,
-};
+pub use comm::{Comm, PendingExchange, WireBuf};
 pub use fault::{
     fault_disabled_hook_cost, FailStopExit, FaultKind, FaultPlan, FaultSpec, FaultTrigger,
     InjectedFault,

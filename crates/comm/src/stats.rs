@@ -142,12 +142,13 @@ pub struct CommEvent {
     /// collectives.
     pub hidden: Duration,
     /// Of `wire_out`, the bytes that travelled as a zero-copy loan
-    /// (receivers decoded straight from this rank's sealed buffer). Only
-    /// the wire collectives loan; zero for plain collectives.
+    /// (receivers decoded straight from this rank's shared buffer): all of
+    /// it for the wire collectives, zero for plain collectives.
     pub loaned_out: u64,
-    /// Of `wire_out`, the bytes that travelled as an owned copy (each
-    /// receiver memcpy'd them off the exchange board) — the eager side of
-    /// the loan threshold. Only counted by the wire collectives.
+    /// Of `wire_out`, the bytes a wire collective shipped as an owned copy.
+    /// No collective does — `Comm` always records 0; the field and
+    /// [`CommStats::copied_bytes`] stay until the benchmark stops reading
+    /// them.
     pub copied_out: u64,
 }
 
@@ -234,7 +235,8 @@ impl CommStats {
     }
 
     /// Total wire bytes this rank sent as owned copies through the wire
-    /// collectives (see [`CommEvent::copied_out`]).
+    /// collectives — 0 for every recorded run (see
+    /// [`CommEvent::copied_out`]).
     pub fn copied_bytes(&self) -> u64 {
         self.events.iter().map(|e| e.copied_out).sum()
     }

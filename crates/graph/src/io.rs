@@ -37,36 +37,67 @@ pub fn write_binary<W: Write>(el: &EdgeList, w: W) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads the binary edge-list format from `r`.
-pub fn read_binary<R: Read>(r: R) -> io::Result<EdgeList> {
+/// Cap on the up-front reservation for a record count read from a file:
+/// the header is untrusted input, so a corrupt `m` must not turn into a
+/// capacity-overflow panic or a failed multi-terabyte allocation before a
+/// single record is read. Beyond the cap the vector grows as records
+/// actually arrive.
+const MAX_RESERVE: u64 = 1 << 20;
+
+/// The shared body of both binary readers: magic, `n`, `m`, then `m`
+/// little-endian records of `LEN` bytes, each starting with a `(u64
+/// source, u64 target)` pair checked against `n`; `record` builds the
+/// element from the endpoints and the record's remaining bytes. A short
+/// read is [`io::ErrorKind::UnexpectedEof`] naming the record index and
+/// the `m` the header promised.
+fn read_records<R: Read, T, const LEN: usize>(
+    r: R,
+    magic: &[u8; 8],
+    format: &str,
+    record: impl Fn(u64, u64, &[u8]) -> T,
+) -> io::Result<(u64, Vec<T>)> {
     let mut r = BufReader::new(r);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let truncated = |e: io::Error, what: String| match e.kind() {
+        io::ErrorKind::UnexpectedEof => {
+            io::Error::new(e.kind(), format!("dmbfs {format} truncated: {what}"))
+        }
+        _ => e,
+    };
+    let mut head = [0u8; 24];
+    r.read_exact(&mut head)
+        .map_err(|e| truncated(e, "shorter than its 24-byte header".into()))?;
+    if &head[..8] != magic {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "not a dmbfs binary edge list (bad magic)",
+            format!("not a dmbfs {format} (bad magic)"),
         ));
     }
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8);
-    r.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8);
-    let mut edges: Vec<Edge> = Vec::with_capacity(m as usize);
-    let mut buf16 = [0u8; 16];
-    for _ in 0..m {
-        r.read_exact(&mut buf16)?;
-        let u = u64::from_le_bytes(buf16[..8].try_into().unwrap());
-        let v = u64::from_le_bytes(buf16[8..].try_into().unwrap());
+    let [n, m] = [8, 16].map(|at| u64::from_le_bytes(std::array::from_fn(|k| head[at + k])));
+    let mut records = Vec::with_capacity(m.min(MAX_RESERVE) as usize);
+    let mut rec = [0u8; LEN];
+    for i in 0..m {
+        r.read_exact(&mut rec).map_err(|e| {
+            truncated(
+                e,
+                format!("file ends inside record {i}, header promised m = {m}"),
+            )
+        })?;
+        let endpoint = |at: usize| u64::from_le_bytes(std::array::from_fn(|k| rec[at + k]));
+        let (u, v) = (endpoint(0), endpoint(8));
         if u >= n || v >= n {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("edge ({u}, {v}) out of range for n = {n}"),
             ));
         }
-        edges.push((u, v));
+        records.push(record(u, v, &rec[16..]));
     }
+    Ok((n, records))
+}
+
+/// Reads the binary edge-list format from `r`.
+pub fn read_binary<R: Read>(r: R) -> io::Result<EdgeList> {
+    let (n, edges) = read_records::<_, Edge, 16>(r, MAGIC, "binary edge list", |u, v, _| (u, v))?;
     Ok(EdgeList::new(n, edges))
 }
 
@@ -101,36 +132,13 @@ pub fn write_binary_weighted<W: Write>(
 
 /// Reads the weighted binary format, returning `(num_vertices, edges)`.
 pub fn read_binary_weighted<R: Read>(r: R) -> io::Result<(u64, Vec<WeightedEdge>)> {
-    let mut r = BufReader::new(r);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC_WEIGHTED {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a dmbfs weighted edge list (bad magic)",
-        ));
-    }
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8);
-    r.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8);
-    let mut edges: Vec<WeightedEdge> = Vec::with_capacity(m as usize);
-    let mut rec = [0u8; 20];
-    for _ in 0..m {
-        r.read_exact(&mut rec)?;
-        let u = u64::from_le_bytes(rec[..8].try_into().unwrap());
-        let v = u64::from_le_bytes(rec[8..16].try_into().unwrap());
-        let weight = Weight::from_le_bytes(rec[16..].try_into().unwrap());
-        if u >= n || v >= n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("edge ({u}, {v}) out of range for n = {n}"),
-            ));
-        }
-        edges.push((u, v, weight));
-    }
-    Ok((n, edges))
+    read_records::<_, WeightedEdge, 20>(r, MAGIC_WEIGHTED, "weighted edge list", |u, v, tail| {
+        (
+            u,
+            v,
+            Weight::from_le_bytes(std::array::from_fn(|k| tail[k])),
+        )
+    })
 }
 
 /// Writes the edge list as a Matrix Market coordinate pattern file
@@ -196,7 +204,7 @@ pub fn read_matrix_market<R: Read>(r: R) -> io::Result<EdgeList> {
                     return Err(bad("adjacency matrices must be square"));
                 }
                 dims = Some((rows, cols, nnz));
-                edges.reserve(nnz as usize);
+                edges.reserve(nnz.min(MAX_RESERVE) as usize);
             }
             Some((rows, _, _)) => {
                 let row: u64 = it
@@ -267,6 +275,55 @@ mod tests {
         write_binary(&el, &mut buf).unwrap();
         buf.truncate(buf.len() - 7);
         assert!(read_binary(buf.as_slice()).is_err());
+    }
+
+    /// Both binary formats, each as a valid 3-record file plus its reader
+    /// reduced to "did it fail, and how".
+    type ReadErr = fn(&[u8]) -> io::Error;
+    fn both_formats() -> [(Vec<u8>, ReadErr); 2] {
+        let mut plain = Vec::new();
+        write_binary(&EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3)]), &mut plain).unwrap();
+        let mut weighted = Vec::new();
+        write_binary_weighted(4, &[(0, 1, 5), (1, 2, 6), (2, 3, 7)], &mut weighted).unwrap();
+        [
+            (plain, |b| read_binary(b).unwrap_err()),
+            (weighted, |b| read_binary_weighted(b).unwrap_err()),
+        ]
+    }
+
+    #[test]
+    fn corrupt_record_count_is_an_error_not_an_abort() {
+        for (mut file, read_err) in both_formats() {
+            // Header only, `m = u64::MAX`: this used to reach
+            // `Vec::with_capacity` unchecked.
+            file.truncate(24);
+            file[16..].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = read_err(&file);
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("record 0") && msg.contains(&u64::MAX.to_string()),
+                "{msg}"
+            );
+            // A header cut short is the same kind of error.
+            assert_eq!(read_err(&file[..20]).kind(), io::ErrorKind::UnexpectedEof);
+        }
+        // Matrix Market's size line is outside input too.
+        let mm = format!(
+            "%%MatrixMarket matrix coordinate pattern general\n3 3 {}\n1 2\n",
+            u64::MAX
+        );
+        assert!(read_matrix_market(mm.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn truncation_mid_record_names_the_record_and_the_promised_count() {
+        for (file, read_err) in both_formats() {
+            let err = read_err(&file[..file.len() - 7]); // inside record 2
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            let msg = err.to_string();
+            assert!(msg.contains("record 2") && msg.contains("m = 3"), "{msg}");
+        }
     }
 
     #[test]

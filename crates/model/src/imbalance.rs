@@ -87,22 +87,20 @@ pub struct ImbalanceReport {
     /// the outbound sides of wire-collective spans (`Collective` with an
     /// alltoallv/allgatherv/point-to-point pattern, plus `ExchangeStart`;
     /// `ExchangeWait` counts the same bytes inbound and is skipped to avoid
-    /// double-counting). Together with
-    /// [`ImbalanceReport::total_copied_wire_bytes`] this attributes the
-    /// receiver-side memcpy wall the loan path removed — see
+    /// double-counting): everything the wire collectives moved — see
     /// `docs/zero-copy.md`.
     pub total_loaned_wire_bytes: u64,
-    /// Wire bytes that receivers still memcpy'd off the exchange board
-    /// (the eager/`Copied` path), over the same spans as
+    /// Bytes that receivers cloned off the exchange board — what plain
+    /// typed collectives moved — over the same spans as
     /// [`ImbalanceReport::total_loaned_wire_bytes`].
     pub total_copied_wire_bytes: u64,
     /// Total compute time across all ranks and levels.
     pub total_compute_ns: u64,
     /// Per-level traversal direction (`"topdown"` / `"bottomup"`), read
-    /// from the hybrid driver's per-level `Direction` spans (detail 0 =
+    /// from the 1D driver's per-level `Direction` spans (detail 0 =
     /// top-down, 1 = bottom-up). `None` for levels without a direction
-    /// span — traces from the plain drivers predate the tag, and their
-    /// levels are implicitly top-down. Lets the heatmap attribute skew to
+    /// span — 2D traces carry none, and their levels are implicitly
+    /// top-down. Lets the heatmap attribute skew to
     /// the direction that produced it: bottom-up levels wait in the
     /// bitmap allgather, top-down levels in the alltoallv exchange.
     pub level_directions: Vec<Option<String>>,

@@ -116,9 +116,9 @@ pub enum DirectionMode {
     /// Classic level-synchronous top-down expansion every level.
     #[default]
     TopDown,
-    /// Bottom-up owner-side scan every level after the first (the first
-    /// level is always top-down: only the source is in the frontier).
-    /// Mainly useful for determinism tests and ablation floors.
+    /// Bottom-up owner-side scan every level, the first included (the
+    /// direction switch pinned). Mainly useful for determinism tests and
+    /// ablation floors.
     BottomUp,
     /// The Beamer αβ hybrid: start top-down, switch to bottom-up when the
     /// frontier's out-edges dominate the unexplored edges (α), switch back

@@ -72,8 +72,8 @@ pub enum SpanKind {
     ExchangeWait,
     /// One batch handed to the per-rank work-stealing pool.
     TaskBatch,
-    /// Direction-optimizing BFS: the per-level direction decision, emitted
-    /// once per level by the hybrid driver. `detail` is the
+    /// The per-level direction decision, emitted once per level by the 1D
+    /// driver (pinned top-down / bottom-up runs included). `detail` is the
     /// `LevelDirection` tag (0 = top-down, 1 = bottom-up).
     Direction,
     /// Direction-optimizing BFS: encode the local frontier slice as a
@@ -179,10 +179,9 @@ pub struct SpanRecord {
     pub bytes: u64,
     /// Post-codec wire bytes (collective spans; 0 elsewhere).
     pub wire: u64,
-    /// Wire bytes that moved as zero-copy loans rather than receiver-side
-    /// copies (wire collective spans; 0 elsewhere). `wire - loaned` is the
-    /// memcpy'd share, which is how the imbalance report attributes the
-    /// saved copy wall — see `docs/zero-copy.md`.
+    /// Wire bytes that moved as zero-copy loans: equal to `wire` on wire
+    /// collective spans, 0 on plain typed collectives (whose elements are
+    /// cloned out of the board) and elsewhere — see `docs/zero-copy.md`.
     pub loaned: u64,
 }
 

@@ -8,7 +8,7 @@ lines = [json.loads(l) for l in open("direction-1d.jsonl")]
 header, spans = lines[0], lines[1:]
 assert header["type"] == "header" and header["ranks"] == 4, header
 dirs = [s for s in spans if s["kind"] == "Direction"]
-assert dirs, "no Direction spans — the hybrid loop never ran"
+assert dirs, "no Direction spans — the 1D level loop never ran"
 # Every rank tags every level, and the tags agree across ranks:
 # the decision is a pure function of allreduced global counts.
 schedule = {}

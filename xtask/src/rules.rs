@@ -44,9 +44,10 @@ pub const TIMED_REGIONS_ONLY: &str = "timed-regions-only";
 /// them, or the call deadlocks the rendezvous.
 pub const COLLECTIVE_SYMMETRY: &str = "collective-symmetry";
 /// Rule: a payload received from a `*_wire` collective must not be mutated
-/// through `bytes_mut` — large payloads cross the board as `Arc` loans
-/// shared with the sender, so the runtime panics on the write; the lint
-/// catches the shape at review time (see `docs/zero-copy.md`).
+/// through `bytes_mut` — every payload, whatever its size, crosses the
+/// board as an `Arc` loan shared with the sender, so the runtime panics on
+/// the write while any other holder is alive; the lint catches the shape
+/// at review time (see `docs/zero-copy.md`).
 pub const NO_POST_DEPOSIT_MUTATION: &str = "no-post-deposit-mutation";
 
 /// The names of every `Comm` collective entry point; a `.name(` call on a
@@ -402,8 +403,9 @@ fn receiver_plausible(toks: &[Tok], dot: usize, name: &str) -> bool {
 /// carries the taint through `pending.wait()` results, `clone()`s, and
 /// `&mut recv[i]` aliases — is wire-received, and mutating it after the
 /// board crossing is the use-after-deposit shape the loan path forbids
-/// (`WireBuf::bytes_mut` panics on a sealed payload at runtime; this rule
-/// catches the pattern at review time).
+/// (`WireBuf::bytes_mut` panics on a shared payload at runtime — but only
+/// while another holder is alive, which depends on ring retirement timing,
+/// so this rule is what catches the pattern for every payload size).
 fn no_post_deposit_mutation(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     let toks = &lexed.toks;
     let mut tainted: Vec<String> = Vec::new();
@@ -459,8 +461,8 @@ fn no_post_deposit_mutation(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
                 file: path.to_string(),
                 line: toks[i + 1].line,
                 rule: NO_POST_DEPOSIT_MUTATION,
-                message: "`bytes_mut` on a payload received from a wire collective — large \
-                          payloads cross the board as `Arc` loans shared with the sender \
+                message: "`bytes_mut` on a payload received from a wire collective — every \
+                          payload crosses the board as an `Arc` loan shared with the sender \
                           (the runtime panics on this write); mutate before the deposit, or \
                           copy out with `bytes().to_vec()` (docs/zero-copy.md)"
                     .to_string(),
