@@ -5,15 +5,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dmbfs_bfs::baseline::{pbgl_like_bfs, reference_mpi_bfs};
 use dmbfs_bfs::direction::direction_optimizing_bfs;
 use dmbfs_bfs::one_d::{bfs1d, Bfs1dConfig};
-use dmbfs_bfs::pagerank::{distributed_pagerank, PageRankConfig};
-use dmbfs_bfs::pregel::pregel_bfs;
 use dmbfs_bfs::serial::serial_bfs;
 use dmbfs_bfs::shared::{shared_bfs_with, DiscoveryMode, SharedBfsConfig};
-use dmbfs_bfs::sssp::{distributed_delta_stepping, distributed_sssp};
 use dmbfs_bfs::two_d::{bfs2d, Bfs2dConfig};
 use dmbfs_graph::components::sample_sources;
 use dmbfs_graph::gen::{rmat, RmatConfig};
-use dmbfs_graph::weighted::{attach_uniform_weights, WeightedCsr};
 use dmbfs_graph::{CsrGraph, Grid2D, RandomPermutation};
 use std::hint::black_box;
 
@@ -59,35 +55,11 @@ fn bench_variants(c: &mut Criterion) {
     group.bench_function("baseline_pbgl_p4", |b| {
         b.iter(|| black_box(pbgl_like_bfs(&g, s, 4)))
     });
-    group.bench_function("pregel_p4", |b| b.iter(|| black_box(pregel_bfs(&g, s, 4))));
     group.bench_function("direction_optimizing", |b| {
         b.iter(|| black_box(direction_optimizing_bfs(&g, s)))
     });
     group.finish();
 }
 
-fn bench_applications(c: &mut Criterion) {
-    let (g, s) = instance();
-    let el = g.to_edge_list();
-    let wg = WeightedCsr::from_edges(g.num_vertices(), &attach_uniform_weights(&el, 16, 3));
-    let mut group = c.benchmark_group("apps");
-    group.sample_size(10);
-    group.bench_function("sssp_bellman_ford_p4", |b| {
-        b.iter(|| black_box(distributed_sssp(&wg, s, 4)))
-    });
-    group.bench_function("sssp_delta_stepping_p4", |b| {
-        b.iter(|| black_box(distributed_delta_stepping(&wg, s, 8, 4)))
-    });
-    group.bench_function("pagerank_2x2", |b| {
-        let cfg = PageRankConfig {
-            max_iterations: 10,
-            tolerance: 0.0,
-            ..PageRankConfig::new(dmbfs_graph::Grid2D::new(2, 2))
-        };
-        b.iter(|| black_box(distributed_pagerank(&g, &cfg)))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_variants, bench_applications);
+criterion_group!(benches, bench_variants);
 criterion_main!(benches);

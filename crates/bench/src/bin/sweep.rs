@@ -1,6 +1,6 @@
 //! Harness-level sweep: one `results/sweep.json` ledger row per
-//! (algorithm × `RunConfig`) point, across every distributed driver that
-//! returns a `*Run` harvest — bfs-1d, bfs-2d, components, sssp, pagerank.
+//! (algorithm × `RunConfig`) point, across both distributed BFS drivers —
+//! bfs-1d and bfs-2d.
 //!
 //! The sweep is the cheap end-to-end regression net the ROADMAP asked
 //! for: every row carries the configuration axes, min-of-trials wall
@@ -11,15 +11,10 @@
 //! Knobs: `DMBFS_SCALE` (default 14), `DMBFS_RESULT_DIR`.
 
 use dmbfs_bench::harness::{functional_scale, print_table, rmat_graph, write_result};
-use dmbfs_bench::sweep::{
-    bfs1d_point, bfs2d_point, components_point, pagerank_point, sssp_point, SweepPoint,
-};
-use dmbfs_bfs::pagerank::PageRankConfig;
+use dmbfs_bench::sweep::{bfs1d_point, bfs2d_point, SweepPoint};
 use dmbfs_bfs::two_d::Bfs2dConfig;
 use dmbfs_graph::components::sample_sources;
-use dmbfs_graph::gen::{rmat, RmatConfig};
-use dmbfs_graph::weighted::{attach_uniform_weights, WeightedCsr};
-use dmbfs_graph::{Grid2D, RandomPermutation};
+use dmbfs_graph::Grid2D;
 use dmbfs_runtime::{Codec, DirectionMode, RunConfig};
 use serde::Serialize;
 use std::num::NonZeroUsize;
@@ -42,12 +37,6 @@ fn main() {
     let scale = functional_scale();
     let g = rmat_graph(scale, 16, 21);
     let source = sample_sources(&g, 1, 3)[0];
-    // Weighted twin of the same R-MAT instance for SSSP.
-    let mut el = rmat(&RmatConfig::graph500(scale, 21));
-    el.canonicalize_undirected();
-    let el = RandomPermutation::new(el.num_vertices, 9).apply_edge_list(&el);
-    let wg = WeightedCsr::from_edges(el.num_vertices, &attach_uniform_weights(&el, 255, 13));
-    let wsource = sample_sources(&wg.structure(), 1, 5)[0];
     println!("instance: R-MAT scale {scale}, {TRIALS} trials per point");
 
     let mut points: Vec<SweepPoint> = Vec::new();
@@ -83,29 +72,12 @@ fn main() {
     ));
 
     // bfs-2d on the closest-square grid.
-    let grid = Grid2D::new(2, 2);
     points.push(bfs2d_point(
         &g,
         source,
-        &Bfs2dConfig::flat(grid).with_trace(true),
+        &Bfs2dConfig::flat(Grid2D::new(2, 2)).with_trace(true),
         TRIALS,
     ));
-
-    // components / sssp / pagerank, one default point each.
-    points.push(components_point(
-        &g,
-        &RunConfig::flat(4).with_trace(true),
-        TRIALS,
-    ));
-    points.push(sssp_point(
-        &wg,
-        wsource,
-        &RunConfig::flat(4).with_trace(true),
-        TRIALS,
-    ));
-    let mut pr = PageRankConfig::new(grid);
-    pr.trace = true;
-    points.push(pagerank_point(&g, &pr, TRIALS));
 
     // Every 1D top-down point must agree bit-for-bit: codec, sieve,
     // overlap, and the thread pool are all transport/scheduling axes

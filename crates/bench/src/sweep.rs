@@ -1,22 +1,18 @@
 //! Harness-level (algorithm × `RunConfig`) sweep rows — the ledger format
 //! behind `bin/sweep.rs` (and the recorded `results/zerocopy_ablation.json`).
 //!
-//! Every distributed driver now returns a `*Run` harvest (output +
+//! Both distributed BFS drivers return a `*Run` harvest (output +
 //! per-rank stats + per-rank traces + seconds), so one row shape covers
-//! bfs/sssp/pagerank/components: the run's configuration axes, its
+//! bfs-1d and bfs-2d: the run's configuration axes, its
 //! measured wall time (min over trials), the wire-byte ledger summed over
 //! ranks (logical, wire, loaned, copied — the zero-copy split of
 //! `docs/zero-copy.md`), the traced exposed-exchange wall when tracing is
 //! on, and an FNV-1a fingerprint of the algorithm output so two sweeps
 //! can assert bit-identity without committing whole parent trees.
 
-use dmbfs_bfs::apps::distributed_components_run;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
-use dmbfs_bfs::pagerank::{distributed_pagerank_run, PageRankConfig};
-use dmbfs_bfs::sssp::distributed_sssp_run;
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
 use dmbfs_comm::CommStats;
-use dmbfs_graph::weighted::WeightedCsr;
 use dmbfs_graph::{CsrGraph, VertexId};
 use dmbfs_model::imbalance::analyze;
 use dmbfs_runtime::RunConfig;
@@ -26,7 +22,7 @@ use serde::Serialize;
 /// One ledger row: a single (algorithm × `RunConfig`) point.
 #[derive(Clone, Debug, Serialize)]
 pub struct SweepPoint {
-    /// `"bfs-1d"`, `"bfs-2d"`, `"components"`, `"sssp"`, `"pagerank"`.
+    /// `"bfs-1d"` or `"bfs-2d"`.
     pub algorithm: String,
     /// Simulated MPI ranks (grid size for the 2D algorithms).
     pub ranks: usize,
@@ -55,9 +51,8 @@ pub struct SweepPoint {
     /// Exposed frontier-exchange wall from the imbalance report, summed
     /// over ranks; 0 when the point ran untraced.
     pub exchange_exposed_ns: u64,
-    /// FNV-1a fingerprint of the algorithm output (parents + levels,
-    /// labels, dists, or score bits). Equal fingerprints ⇒ bit-identical
-    /// results.
+    /// FNV-1a fingerprint of the algorithm output (parents + levels).
+    /// Equal fingerprints ⇒ bit-identical results.
     pub output_fingerprint: u64,
 }
 
@@ -90,7 +85,7 @@ fn exchange_exposed(traces: &[RankTrace]) -> u64 {
     }
 }
 
-/// One trial's harvest, normalized across the five drivers.
+/// One trial's harvest, normalized across the two drivers.
 struct Trial {
     seconds: f64,
     stats: Vec<CommStats>,
@@ -189,59 +184,6 @@ pub fn bfs2d_point(g: &CsrGraph, source: VertexId, cfg: &Bfs2dConfig, trials: us
                     .map(|&p| p as u64)
                     .chain(run.output.levels.iter().map(|&l| l as u64)),
             ),
-            stats: run.per_rank_stats,
-            traces: run.per_rank_trace,
-        }
-    })
-}
-
-/// Connected components by label propagation.
-pub fn components_point(g: &CsrGraph, cfg: &RunConfig, trials: usize) -> SweepPoint {
-    best_of("components", run_axes(cfg), trials, || {
-        let run = distributed_components_run(g, cfg);
-        Trial {
-            seconds: run.seconds,
-            fingerprint: fingerprint_u64s(run.output.labels.iter().copied()),
-            stats: run.per_rank_stats,
-            traces: run.per_rank_trace,
-        }
-    })
-}
-
-/// SSSP (level-synchronous Bellman–Ford).
-pub fn sssp_point(g: &WeightedCsr, source: VertexId, cfg: &RunConfig, trials: usize) -> SweepPoint {
-    best_of("sssp", run_axes(cfg), trials, || {
-        let run = distributed_sssp_run(g, source, cfg);
-        Trial {
-            seconds: run.seconds,
-            fingerprint: fingerprint_u64s(
-                run.output
-                    .dists
-                    .iter()
-                    .copied()
-                    .chain(run.output.parents.iter().map(|&p| p as u64)),
-            ),
-            stats: run.per_rank_stats,
-            traces: run.per_rank_trace,
-        }
-    })
-}
-
-/// PageRank on the 2D grid.
-pub fn pagerank_point(g: &CsrGraph, cfg: &PageRankConfig, trials: usize) -> SweepPoint {
-    let axes = (
-        cfg.grid.size(),
-        cfg.threads_per_rank,
-        "off".to_string(),
-        false,
-        0,
-        "topdown".to_string(),
-    );
-    best_of("pagerank", axes, trials, || {
-        let run = distributed_pagerank_run(g, cfg);
-        Trial {
-            seconds: run.seconds,
-            fingerprint: fingerprint_u64s(run.output.scores.iter().map(|s| s.to_bits())),
             stats: run.per_rank_stats,
             traces: run.per_rank_trace,
         }

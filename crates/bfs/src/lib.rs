@@ -25,35 +25,21 @@
 //! * [`distribute`] — graph partitioning helpers shared by the distributed
 //!   algorithms (1D adjacency slices, 2D submatrix extraction).
 //!
-//! Extensions beyond the paper's evaluation (each anchored to a claim or
-//! future-work item the paper makes — see DESIGN.md):
+//! One extension beyond the paper's evaluation (anchored to the
+//! future-work item the paper names — see DESIGN.md):
 //!
 //! * [`direction`] — Beamer-style direction-optimizing BFS.
-//! * [`multi_source`] — bit-parallel MS-BFS (64 sources per sweep).
-//! * [`apps`] — distributed connected components and diameter estimation.
-//! * [`sssp`] — Bellman–Ford and Δ-stepping shortest paths (+ Dijkstra
-//!   oracle and tree validator).
-//! * [`pagerank`] — 2D-grid PageRank (dense SpMV + `reduce_scatter`).
-//! * [`pregel`] — a vertex-centric framework with aggregators, carrying
-//!   BFS/components/PageRank vertex programs.
-//! * [`centrality`] — Brandes betweenness (serial, parallel, sampled).
 
 #![warn(missing_docs)]
 
-pub mod apps;
 pub mod baseline;
-pub mod centrality;
 pub mod direction;
 pub mod distribute;
 mod exchange;
 pub mod frontier_codec;
-pub mod multi_source;
 pub mod one_d;
-pub mod pagerank;
-pub mod pregel;
 pub mod serial;
 pub mod shared;
-pub mod sssp;
 pub mod teps;
 pub mod two_d;
 pub mod validate;

@@ -1,44 +1,31 @@
-//! Property-based tests for the unified execution runtime: migrating every
-//! driver onto `dmbfs_runtime::run_ranks` must not change a single answer.
+//! Property-based tests for the unified execution runtime: migrating the
+//! baseline drivers onto `dmbfs_runtime::run_ranks` must not change a
+//! single answer.
 //!
-//! Two families of properties:
+//! Two properties per run:
 //!
-//! 1. **Oracle equivalence** — each migrated distributed algorithm matches
-//!    its serial reference (exactly for SSSP / components / Pregel BFS /
-//!    the baselines; within power-iteration tolerance for PageRank) under
-//!    flat and hybrid configurations.
-//! 2. **Strict observer** — running with `trace: true` yields bit-identical
-//!    outputs to `trace: false` for every algorithm, while producing a
-//!    non-empty per-rank trace. Tracing must never perturb a run.
+//! 1. **Oracle equivalence** — each baseline matches the serial BFS levels
+//!    under flat and hybrid configurations.
+//! 2. **Strict observer** — running with `trace: true` produces a
+//!    non-empty per-rank trace, and `trace: false` none, without changing
+//!    the levels. Tracing must never perturb a run.
 
-use dmbfs_bfs::apps::distributed_components_run;
 use dmbfs_bfs::baseline::{pbgl_like_bfs_with, reference_mpi_bfs_with};
-use dmbfs_bfs::pagerank::{distributed_pagerank_run, serial_pagerank, PageRankConfig};
-use dmbfs_bfs::pregel::{run_pregel_with, BfsProgram};
 use dmbfs_bfs::serial::serial_bfs;
-use dmbfs_bfs::sssp::{
-    distributed_delta_stepping_run, distributed_sssp_run, serial_sssp, validate_sssp,
-};
-use dmbfs_graph::components::connected_components;
-use dmbfs_graph::weighted::{attach_uniform_weights, WeightedCsr};
-use dmbfs_graph::{CsrGraph, EdgeList, Grid2D};
+use dmbfs_graph::{CsrGraph, EdgeList};
 use dmbfs_runtime::RunConfig;
 use proptest::prelude::*;
 
 /// Strategy: a canonicalized undirected graph on `n` vertices.
 fn graph(n: u64, max_m: usize) -> impl Strategy<Value = CsrGraph> {
-    edge_list(n, max_m).prop_map(|el| CsrGraph::from_edge_list(&el))
-}
-
-fn edge_list(n: u64, max_m: usize) -> impl Strategy<Value = EdgeList> {
     prop::collection::vec((0..n, 0..n), 1..max_m).prop_map(move |edges| {
         let mut el = EdgeList::new(n, edges);
         el.canonicalize_undirected();
-        el
+        CsrGraph::from_edge_list(&el)
     })
 }
 
-/// The configurations every algorithm must agree across: flat and hybrid,
+/// The configurations every baseline must agree across: flat and hybrid,
 /// each with tracing off and on.
 fn configs(p: usize) -> [RunConfig; 4] {
     [
@@ -51,88 +38,6 @@ fn configs(p: usize) -> [RunConfig; 4] {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn sssp_matches_serial_oracle_in_every_mode(
-        el in edge_list(60, 300),
-        p in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        let g = WeightedCsr::from_edges(
-            el.num_vertices,
-            &attach_uniform_weights(&el, 9, seed),
-        );
-        let source = seed % el.num_vertices;
-        let oracle = serial_sssp(&g, source);
-        for cfg in configs(p) {
-            let run = distributed_sssp_run(&g, source, &cfg);
-            // Distances are unique; parents may break shortest-path ties
-            // differently than Dijkstra, so the validator checks them.
-            prop_assert_eq!(&run.output.dists, &oracle.dists, "{:?}", cfg);
-            validate_sssp(&g, &run.output).unwrap();
-            prop_assert_eq!(run.per_rank_trace.len(), cfg.ranks);
-            prop_assert_eq!(
-                run.per_rank_trace.iter().all(|t| !t.spans.is_empty()),
-                cfg.trace,
-                "spans iff traced: {:?}", cfg
-            );
-
-            let delta = distributed_delta_stepping_run(&g, source, 4, &cfg);
-            prop_assert_eq!(&delta.output.dists, &oracle.dists, "delta {:?}", cfg);
-            validate_sssp(&g, &delta.output).unwrap();
-        }
-    }
-
-    #[test]
-    fn components_match_union_find_in_every_mode(
-        g in graph(60, 300),
-        p in 1usize..5,
-    ) {
-        let oracle = connected_components(&g);
-        let baseline = distributed_components_run(&g, &RunConfig::flat(p));
-        for cfg in configs(p) {
-            let run = distributed_components_run(&g, &cfg);
-            prop_assert_eq!(
-                run.output.num_components(),
-                oracle.num_components,
-                "{:?}", cfg
-            );
-            // Exact same labels regardless of threads/trace.
-            prop_assert_eq!(&run.output.labels, &baseline.output.labels, "{:?}", cfg);
-            prop_assert_eq!(run.output.rounds, baseline.output.rounds, "{:?}", cfg);
-            prop_assert_eq!(
-                run.per_rank_trace.iter().all(|t| !t.spans.is_empty()),
-                cfg.trace,
-                "spans iff traced: {:?}", cfg
-            );
-        }
-    }
-
-    #[test]
-    fn pregel_bfs_matches_serial_oracle_in_every_mode(
-        g in graph(60, 300),
-        p in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        let source = seed % g.num_vertices();
-        let oracle = serial_bfs(&g, source);
-        let program = BfsProgram { source };
-        for cfg in configs(p) {
-            let run = run_pregel_with(&g, &program, &[source], &cfg);
-            for (v, state) in run.states.iter().enumerate() {
-                prop_assert_eq!(
-                    state.level.unwrap_or(-1),
-                    oracle.levels[v],
-                    "vertex {} {:?}", v, cfg
-                );
-            }
-            prop_assert_eq!(
-                run.per_rank_trace.iter().all(|t| !t.spans.is_empty()),
-                cfg.trace,
-                "spans iff traced: {:?}", cfg
-            );
-        }
-    }
 
     #[test]
     fn baselines_match_serial_oracle_in_every_mode(
@@ -154,40 +59,6 @@ proptest! {
                     "{} spans iff traced: {:?}", name, cfg
                 );
             }
-        }
-    }
-
-    #[test]
-    fn pagerank_matches_serial_within_tolerance_and_trace_is_an_observer(
-        g in graph(60, 300),
-        p in 1usize..5,
-    ) {
-        let grid = Grid2D::closest_square(p);
-        let oracle = serial_pagerank(&g, 0.85, 1e-8, 100);
-        let base = distributed_pagerank_run(&g, &PageRankConfig::new(grid));
-        for (threads, trace) in [(1, false), (1, true), (3, false), (3, true)] {
-            let cfg = PageRankConfig::new(grid)
-                .with_threads(threads)
-                .with_trace(trace);
-            let run = distributed_pagerank_run(&g, &cfg);
-            // Bitwise-identical across threads/trace; near the serial
-            // oracle up to iteration-order rounding.
-            prop_assert_eq!(&run.output.scores, &base.output.scores,
-                "threads={} trace={}", threads, trace);
-            prop_assert_eq!(run.output.iterations, base.output.iterations);
-            for (v, (&got, &want)) in
-                run.output.scores.iter().zip(&oracle.scores).enumerate()
-            {
-                prop_assert!(
-                    (got - want).abs() < 1e-6,
-                    "vertex {v}: {got} vs serial {want}"
-                );
-            }
-            prop_assert_eq!(
-                run.per_rank_trace.iter().all(|t| !t.spans.is_empty()),
-                trace,
-                "spans iff traced"
-            );
         }
     }
 }

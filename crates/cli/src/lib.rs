@@ -7,9 +7,8 @@
 //!   (symmetrized + shuffled).
 //! * `stats` — instance characterization: degrees, components, diameter.
 //! * `bfs` — run any BFS variant from a file, validate, report TEPS.
-//! * `components` — distributed connected components.
-//! * `sssp` — distributed single-source shortest paths on uniformly
-//!   weighted instances.
+//! * `teps` — the Graph 500 protocol: many sampled sources, harmonic-mean
+//!   TEPS.
 //! * `convert` — binary ↔ Matrix Market.
 //! * `chaos` — sweep the deterministic fault grid (algorithm × fault kind
 //!   × rank × level × overlap × direction) under the collective verifier
@@ -19,15 +18,10 @@
 //! The argument grammar is deliberately tiny (`--key value` pairs after a
 //! subcommand); everything is also available as a library call for tests.
 
-use dmbfs_bfs::apps::{distributed_components_run, distributed_diameter};
-use dmbfs_bfs::centrality::approx_betweenness;
 use dmbfs_bfs::frontier_codec::Codec;
-use dmbfs_bfs::multi_source::exact_component_diameter;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
-use dmbfs_bfs::pagerank::{distributed_pagerank_run, PageRankConfig};
 use dmbfs_bfs::serial::serial_bfs;
 use dmbfs_bfs::shared::shared_bfs;
-use dmbfs_bfs::sssp::{distributed_sssp_run, validate_sssp};
 use dmbfs_bfs::teps::teps_edges;
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
 use dmbfs_bfs::validate::validate_bfs;
@@ -35,11 +29,9 @@ use dmbfs_comm::{CommStats, FailureKind, VerifyFailure};
 use dmbfs_graph::components::{connected_components, sample_sources};
 use dmbfs_graph::gen::{erdos_renyi, rmat, webcrawl, RmatConfig, WebCrawlConfig};
 use dmbfs_graph::stats::{approx_diameter, degree_stats};
-use dmbfs_graph::weighted::{attach_uniform_weights, WeightedCsr};
 use dmbfs_graph::{io, CsrGraph, EdgeList, Grid2D, RandomPermutation};
 use dmbfs_runtime::{
     DirectionMode, FailStopExit, FaultKind, FaultPlan, FaultSpec, FaultTrigger, InjectedFault,
-    RunConfig,
 };
 use dmbfs_trace::RankTrace;
 use serde::Serialize;
@@ -149,14 +141,14 @@ impl Args {
         }
     }
 
-    /// `--threads T`, rejecting zero — shared by every distributed
-    /// subcommand so hybrid mode spells the same everywhere.
-    fn opt_threads(&self) -> Result<usize, CliError> {
-        let threads = self.opt_u64("threads", 1)? as usize;
-        if threads == 0 {
-            return Err(err("--threads expects a positive thread count"));
+    /// `--ranks`, `--threads` or `--sources`, rejecting zero at parse
+    /// time: a run over no ranks, threads or sources has nothing to
+    /// measure, and the library would only meet it with an `assert!`.
+    fn opt_count(&self, key: &str, default: u64) -> Result<usize, CliError> {
+        match self.opt_u64(key, default)? {
+            0 => Err(err(format!("--{key} expects a positive count, got 0"))),
+            n => Ok(n as usize),
         }
-        Ok(threads)
     }
 }
 
@@ -178,17 +170,6 @@ USAGE:
                   [--codec ...] [--sieve ...] [--overlap N] [--direction ...]
                   [--verify true|false] [--fault SPEC[;SPEC]]
                   [--trace FILE] [--trace-format chrome|jsonl]
-  dmbfs components FILE [--ranks P] [--threads T] [--verify true|false]
-                        [--fault SPEC[;SPEC]]
-                        [--trace FILE] [--trace-format chrome|jsonl]
-  dmbfs sssp FILE [--ranks P] [--threads T] [--max-weight W] [--source V]
-                  [--verify true|false] [--fault SPEC[;SPEC]]
-                  [--trace FILE] [--trace-format chrome|jsonl]
-  dmbfs diameter FILE [--exact true] [--ranks P]
-  dmbfs pagerank FILE [--ranks P] [--threads T] [--damping D] [--top K]
-                      [--verify true|false] [--fault SPEC[;SPEC]]
-                      [--trace FILE] [--trace-format chrome|jsonl]
-  dmbfs centrality FILE [--samples K] [--top K]
   dmbfs convert FILE --to bin|mm --out FILE
   dmbfs chaos [--scale S] [--edge-factor E] [--ranks P] [--seed X]
               [--algorithms 1d,2d] [--kinds panic,failstop,delay,corrupt]
@@ -211,11 +192,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "stats" => cmd_stats(args),
         "bfs" => cmd_bfs(args),
         "teps" => cmd_teps(args),
-        "components" => cmd_components(args),
-        "sssp" => cmd_sssp(args),
-        "diameter" => cmd_diameter(args),
-        "pagerank" => cmd_pagerank(args),
-        "centrality" => cmd_centrality(args),
         "convert" => cmd_convert(args),
         "chaos" => cmd_chaos(args),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
@@ -337,14 +313,6 @@ impl WireOpts {
             direction,
         })
     }
-}
-
-/// The strict-observer switches of a distributed run: span tracing and
-/// the collective-matching verifier. Neither changes the computed result.
-#[derive(Clone, Copy, Debug, Default)]
-struct ObserverOpts {
-    trace: bool,
-    verify: bool,
 }
 
 /// `--fault SPEC[;SPEC...]`, falling back to the `DMBFS_FAULTS` environment
@@ -484,153 +452,181 @@ impl TraceOpts {
     }
 }
 
-/// One-line description of the effective process/thread layout — the
-/// flat-vs-hybrid distinction of §6 ("Flat MPI" vs "Hybrid"). The 2D
-/// algorithm reports the realized grid, which may round `--ranks` down
-/// to the closest-square decomposition.
-fn mode_line(algorithm: &str, ranks: usize, threads: usize) -> String {
-    match algorithm {
-        "serial" | "shared" | "direction" => {
-            format!("mode {algorithm}: single process (--ranks/--threads not used)")
-        }
-        "2d" => {
-            let grid = Grid2D::closest_square(ranks);
-            let kind = if threads > 1 { "hybrid" } else { "flat" };
-            format!(
-                "mode {kind}: {} ranks ({}x{} grid) x {threads} thread(s)/rank",
-                grid.size(),
-                grid.rows(),
-                grid.cols(),
-            )
-        }
-        _ => {
-            let kind = if threads > 1 { "hybrid" } else { "flat" };
-            format!("mode {kind}: {ranks} ranks x {threads} thread(s)/rank")
-        }
-    }
-}
-
-/// The ` direction X` suffix of the bfs/teps report header. Only the 1D
-/// driver honors `--direction`, so only its header carries the tag — the
-/// other algorithms stay byte-identical to their pre-direction output.
-fn direction_note(algorithm: &str, direction: DirectionMode) -> String {
-    if algorithm == "1d" {
-        format!(" direction {}", direction.name())
-    } else {
-        String::new()
-    }
-}
-
-/// One algorithm invocation: the BFS output, the runner's own
-/// barrier-to-barrier seconds when it measures them (the distributed
-/// drivers do; the single-process variants return `None`), the per-rank
-/// span traces (empty unless `trace` is set), and the per-rank comm stats
-/// (empty for the single-process variants).
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::type_complexity)]
-fn run_algorithm_traced(
-    g: &CsrGraph,
-    algorithm: &str,
+/// The flags `bfs` and `teps` share. [`SearchOpts::from_args`] parses
+/// and cross-checks them before any search runs, so an unknown algorithm
+/// or a flag the algorithm cannot honor is a [`CliError`], never a panic
+/// inside a search.
+#[derive(Clone, Debug)]
+struct SearchOpts {
+    algorithm: String,
     ranks: usize,
     threads: usize,
-    source: u64,
     wire: WireOpts,
-    observe: ObserverOpts,
+    /// Span tracing; neither it nor `verify` changes the computed result.
+    trace: Option<TraceOpts>,
+    verify: bool,
     faults: FaultPlan,
-) -> Result<
-    (
+}
+
+impl SearchOpts {
+    fn from_args(args: &Args) -> Result<Self, CliError> {
+        let algorithm = args.opt_str("algorithm", "2d");
+        if !matches!(
+            algorithm.as_str(),
+            "serial" | "shared" | "direction" | "1d" | "2d"
+        ) {
+            return Err(err(format!(
+                "unknown algorithm '{algorithm}' (expected serial|shared|direction|1d|2d)"
+            )));
+        }
+        let wire = WireOpts::from_args(args)?;
+        let trace = TraceOpts::from_args(args)?;
+        let verify = args.opt_bool("verify", false)?;
+        let faults = fault_plan_from_args(args, verify)?;
+        let distributed = matches!(algorithm.as_str(), "1d" | "2d");
+        for (flag, set) in [
+            ("--trace", trace.is_some()),
+            ("--verify", verify),
+            ("--fault", !faults.is_empty()),
+        ] {
+            if set && !distributed {
+                return Err(err(format!(
+                    "{flag} requires a distributed algorithm (1d|2d), got '{algorithm}'"
+                )));
+            }
+        }
+        // Only the 1D driver has a distributed bottom-up step; the serial
+        // `direction` algorithm has its own heuristic and the 2D SpMSV driver
+        // is top-down by construction.
+        if wire.direction != DirectionMode::TopDown && algorithm != "1d" {
+            return Err(err(format!(
+                "--direction {} requires the 1d algorithm (only the 1D driver has a \
+                 distributed bottom-up step), got '{algorithm}'",
+                wire.direction.name()
+            )));
+        }
+        Ok(Self {
+            ranks: args.opt_count("ranks", 4)?,
+            threads: args.opt_count("threads", 1)?,
+            algorithm,
+            wire,
+            trace,
+            verify,
+            faults,
+        })
+    }
+
+    /// One-line description of the effective process/thread layout — the
+    /// flat-vs-hybrid distinction of §6 ("Flat MPI" vs "Hybrid"). The 2D
+    /// algorithm reports the realized grid, which may round `--ranks` down
+    /// to the closest-square decomposition.
+    fn mode_line(&self) -> String {
+        let (algorithm, ranks, threads) = (&self.algorithm, self.ranks, self.threads);
+        let kind = if threads > 1 { "hybrid" } else { "flat" };
+        match algorithm.as_str() {
+            "serial" | "shared" | "direction" => {
+                format!("mode {algorithm}: single process (--ranks/--threads not used)")
+            }
+            "2d" => {
+                let grid = Grid2D::closest_square(ranks);
+                format!(
+                    "mode {kind}: {} ranks ({}x{} grid) x {threads} thread(s)/rank",
+                    grid.size(),
+                    grid.rows(),
+                    grid.cols(),
+                )
+            }
+            _ => format!("mode {kind}: {ranks} ranks x {threads} thread(s)/rank"),
+        }
+    }
+
+    /// The ` direction X` suffix of the report header. Only the 1D driver
+    /// honors `--direction`, so only its header carries the tag — the
+    /// other algorithms stay byte-identical to their pre-direction output.
+    fn direction_note(&self) -> String {
+        if self.algorithm == "1d" {
+            format!(" direction {}", self.wire.direction.name())
+        } else {
+            String::new()
+        }
+    }
+
+    /// One search from `source`: the BFS output, the runner's own
+    /// barrier-to-barrier seconds when it measures them (the distributed
+    /// drivers do; the single-process variants return `None`), the per-rank
+    /// span traces (empty unless tracing), and the per-rank comm stats
+    /// (empty for the single-process variants).
+    #[allow(clippy::type_complexity)]
+    fn search(
+        &self,
+        g: &CsrGraph,
+        source: u64,
+    ) -> (
         dmbfs_bfs::BfsOutput,
         Option<f64>,
         Vec<RankTrace>,
         Vec<CommStats>,
-    ),
-    CliError,
-> {
-    if observe.trace && !matches!(algorithm, "1d" | "2d") {
-        return Err(err(format!(
-            "--trace requires a distributed algorithm (1d|2d), got '{algorithm}'"
-        )));
-    }
-    if observe.verify && !matches!(algorithm, "1d" | "2d") {
-        return Err(err(format!(
-            "--verify requires a distributed algorithm (1d|2d), got '{algorithm}'"
-        )));
-    }
-    if !faults.is_empty() && !matches!(algorithm, "1d" | "2d") {
-        return Err(err(format!(
-            "--fault requires a distributed algorithm (1d|2d), got '{algorithm}'"
-        )));
-    }
-    // Only the 1D driver has a distributed bottom-up step; the serial
-    // `direction` algorithm has its own heuristic and the 2D SpMSV driver
-    // is top-down by construction.
-    if wire.direction != DirectionMode::TopDown && algorithm != "1d" {
-        return Err(err(format!(
-            "--direction {} requires the 1d algorithm (only the 1D driver has a \
-             distributed bottom-up step), got '{algorithm}'",
-            wire.direction.name()
-        )));
-    }
-    Ok(match algorithm {
-        "serial" => (serial_bfs(g, source), None, Vec::new(), Vec::new()),
-        "shared" => (shared_bfs(g, source), None, Vec::new(), Vec::new()),
-        "direction" => (
-            dmbfs_bfs::direction::direction_optimizing_bfs(g, source).output,
-            None,
-            Vec::new(),
-            Vec::new(),
-        ),
-        "1d" => {
-            let cfg = if threads > 1 {
-                Bfs1dConfig::hybrid(ranks, threads)
-            } else {
-                Bfs1dConfig::flat(ranks)
+    ) {
+        let (ranks, threads, wire) = (self.ranks, self.threads, self.wire);
+        match self.algorithm.as_str() {
+            "serial" => (serial_bfs(g, source), None, Vec::new(), Vec::new()),
+            "shared" => (shared_bfs(g, source), None, Vec::new(), Vec::new()),
+            "direction" => (
+                dmbfs_bfs::direction::direction_optimizing_bfs(g, source).output,
+                None,
+                Vec::new(),
+                Vec::new(),
+            ),
+            "1d" => {
+                let cfg = if threads > 1 {
+                    Bfs1dConfig::hybrid(ranks, threads)
+                } else {
+                    Bfs1dConfig::flat(ranks)
+                }
+                .with_codec(wire.codec)
+                .with_sieve(wire.sieve)
+                .with_overlap(wire.overlap)
+                .with_direction(wire.direction)
+                .with_trace(self.trace.is_some())
+                .with_verify(self.verify)
+                .with_faults(self.faults);
+                let run = bfs1d_run(g, source, &cfg);
+                (
+                    run.output,
+                    Some(run.seconds),
+                    run.per_rank_trace,
+                    run.per_rank_stats,
+                )
             }
-            .with_codec(wire.codec)
-            .with_sieve(wire.sieve)
-            .with_overlap(wire.overlap)
-            .with_direction(wire.direction)
-            .with_trace(observe.trace)
-            .with_verify(observe.verify)
-            .with_faults(faults);
-            let run = bfs1d_run(g, source, &cfg);
-            (
-                run.output,
-                Some(run.seconds),
-                run.per_rank_trace,
-                run.per_rank_stats,
-            )
-        }
-        "2d" => {
-            let grid = Grid2D::closest_square(ranks);
-            let cfg = if threads > 1 {
-                Bfs2dConfig::hybrid(grid, threads)
-            } else {
-                Bfs2dConfig::flat(grid)
+            "2d" => {
+                let grid = Grid2D::closest_square(ranks);
+                let cfg = if threads > 1 {
+                    Bfs2dConfig::hybrid(grid, threads)
+                } else {
+                    Bfs2dConfig::flat(grid)
+                }
+                .with_codec(wire.codec)
+                .with_sieve(wire.sieve)
+                .with_overlap(wire.overlap)
+                .with_trace(self.trace.is_some())
+                .with_verify(self.verify)
+                .with_faults(self.faults);
+                let run = bfs2d_run(g, source, &cfg);
+                (
+                    run.output,
+                    Some(run.seconds),
+                    run.per_rank_trace,
+                    run.per_rank_stats,
+                )
             }
-            .with_codec(wire.codec)
-            .with_sieve(wire.sieve)
-            .with_overlap(wire.overlap)
-            .with_trace(observe.trace)
-            .with_verify(observe.verify)
-            .with_faults(faults);
-            let run = bfs2d_run(g, source, &cfg);
-            (
-                run.output,
-                Some(run.seconds),
-                run.per_rank_trace,
-                run.per_rank_stats,
-            )
+            other => unreachable!("SearchOpts::from_args admitted algorithm '{other}'"),
         }
-        other => return Err(err(format!("unknown algorithm '{other}'"))),
-    })
+    }
 }
 
 fn cmd_bfs(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
-    let algorithm = args.opt_str("algorithm", "2d");
-    let ranks = args.opt_u64("ranks", 4)? as usize;
-    let threads = args.opt_threads()?;
+    let opts = SearchOpts::from_args(args)?;
     let source = match args.options.get("source") {
         Some(v) => v.parse().map_err(|_| err("--source expects a vertex id"))?,
         None => sample_sources(&g, 1, 7)
@@ -644,30 +640,21 @@ fn cmd_bfs(args: &Args) -> Result<String, CliError> {
             g.num_vertices()
         )));
     }
-    let wire = WireOpts::from_args(args)?;
-    let trace = TraceOpts::from_args(args)?;
-    let observe = ObserverOpts {
-        trace: trace.is_some(),
-        verify: args.opt_bool("verify", false)?,
-    };
-    let faults = fault_plan_from_args(args, observe.verify)?;
     let t0 = Instant::now();
-    let (out, _, traces, stats) = run_reporting_faults(&faults, || {
-        run_algorithm_traced(
-            &g, &algorithm, ranks, threads, source, wire, observe, faults,
-        )
-    })?;
+    let (out, _, traces, stats) =
+        run_reporting_faults(&opts.faults, || Ok(opts.search(&g, source)))?;
     let secs = t0.elapsed().as_secs_f64();
     if args.opt_str("validate", "true") == "true" {
         validate_bfs(&g, source, &out.parents, out.levels())
             .map_err(|e| err(format!("validation failed: {e}")))?;
     }
     let edges = teps_edges(&g, &out);
-    let dir_note = direction_note(&algorithm, wire.direction);
     let mut report = format!(
-        "{}\nalgorithm {algorithm}{dir_note} source {source}: reached {} of {} vertices, depth {}, \
+        "{}\nalgorithm {}{} source {source}: reached {} of {} vertices, depth {}, \
          {} edges, {:.1} ms, {:.2} MTEPS (validated)",
-        mode_line(&algorithm, ranks, threads),
+        opts.mode_line(),
+        opts.algorithm,
+        opts.direction_note(),
         out.num_reached(),
         g.num_vertices(),
         out.depth(),
@@ -682,7 +669,7 @@ fn cmd_bfs(args: &Args) -> Result<String, CliError> {
             "\nwire: loaned_bytes {loaned} copied_bytes {copied}"
         ));
     }
-    if let Some(trace) = trace {
+    if let Some(trace) = &opts.trace {
         report.push('\n');
         report.push_str(&trace.write(&traces)?);
     }
@@ -691,46 +678,36 @@ fn cmd_bfs(args: &Args) -> Result<String, CliError> {
 
 fn cmd_teps(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
-    let algorithm = args.opt_str("algorithm", "2d");
-    let ranks = args.opt_u64("ranks", 4)? as usize;
-    let threads = args.opt_threads()?;
-    let num_sources = args.opt_u64("sources", 16)? as usize;
-    let wire = WireOpts::from_args(args)?;
-    let trace = TraceOpts::from_args(args)?;
-    let observe = ObserverOpts {
-        trace: trace.is_some(),
-        verify: args.opt_bool("verify", false)?,
-    };
-    let faults = fault_plan_from_args(args, observe.verify)?;
+    let opts = SearchOpts::from_args(args)?;
+    let num_sources = args.opt_count("sources", 16)?;
     // Each sampled root runs in its own World with its own stats and trace
     // sink: `benchmark_bfs_detailed` keeps the per-search instrumentation
     // namespaced by source, and the distributed runners' internal
     // barrier-to-barrier seconds feed the TEPS statistics (the harness
     // timer would otherwise fold World setup/teardown into search time).
-    let (report, details) = run_reporting_faults(&faults, || {
+    let (report, details) = run_reporting_faults(&opts.faults, || {
         Ok(dmbfs_bfs::teps::benchmark_bfs_detailed(
             &g,
             num_sources,
             5,
             |s| {
-                let (out, seconds, traces, _) =
-                    run_algorithm_traced(&g, &algorithm, ranks, threads, s, wire, observe, faults)
-                        .expect("algorithm runs");
+                let (out, seconds, traces, _) = opts.search(&g, s);
                 (out, seconds, traces)
             },
         ))
     })?;
-    let dir_note = direction_note(&algorithm, wire.direction);
     let mut out = format!(
-        "{}\nalgorithm {algorithm}{dir_note}: {} sources, {:.2} MTEPS aggregate, \
+        "{}\nalgorithm {}{}: {} sources, {:.2} MTEPS aggregate, \
          {:.2} MTEPS harmonic mean, {:.1} ms mean search time",
-        mode_line(&algorithm, ranks, threads),
+        opts.mode_line(),
+        opts.algorithm,
+        opts.direction_note(),
         report.runs.len(),
         report.mteps(),
         report.harmonic_mean_teps / 1e6,
         report.mean_seconds * 1e3,
     );
-    if let Some(trace) = trace {
+    if let Some(trace) = &opts.trace {
         // Searches ran sequentially from a per-search epoch; lay them end
         // to end (1 ms apart) on one timeline before exporting.
         let runs: Vec<Vec<RankTrace>> = details.into_iter().map(|(_, t)| t).collect();
@@ -739,181 +716,6 @@ fn cmd_teps(args: &Args) -> Result<String, CliError> {
         out.push_str(&trace.write(&merged)?);
     }
     Ok(out)
-}
-
-fn cmd_components(args: &Args) -> Result<String, CliError> {
-    let g = load(args)?;
-    let ranks = args.opt_u64("ranks", 4)? as usize;
-    let threads = args.opt_threads()?;
-    let trace = TraceOpts::from_args(args)?;
-    let verify = args.opt_bool("verify", false)?;
-    let faults = fault_plan_from_args(args, verify)?;
-    let cfg = RunConfig::flat(ranks)
-        .with_threads(threads)
-        .with_trace(trace.is_some())
-        .with_verify(verify)
-        .with_faults(faults);
-    let t0 = Instant::now();
-    let run = run_reporting_faults(&faults, || Ok(distributed_components_run(&g, &cfg)))?;
-    let secs = t0.elapsed().as_secs_f64();
-    let out = run.output;
-    let mut report = format!(
-        "{}\n{} components in {} rounds over {} ranks ({:.1} ms)",
-        mode_line("components", ranks, threads),
-        out.num_components(),
-        out.rounds,
-        ranks,
-        secs * 1e3,
-    );
-    if let Some(trace) = trace {
-        report.push('\n');
-        report.push_str(&trace.write(&run.per_rank_trace)?);
-    }
-    Ok(report)
-}
-
-fn cmd_sssp(args: &Args) -> Result<String, CliError> {
-    let path = args.input_file()?;
-    let el = if path.ends_with(".mtx") {
-        io::read_matrix_market(std::fs::File::open(&path)?)?
-    } else {
-        io::load_binary(&path)?
-    };
-    let ranks = args.opt_u64("ranks", 4)? as usize;
-    let threads = args.opt_threads()?;
-    let trace = TraceOpts::from_args(args)?;
-    let max_weight = args.opt_u64("max-weight", 10)? as u32;
-    let weighted = WeightedCsr::from_edges(
-        el.num_vertices,
-        &attach_uniform_weights(&el, max_weight.max(1), 5),
-    );
-    let source = match args.options.get("source") {
-        Some(v) => v.parse().map_err(|_| err("--source expects a vertex id"))?,
-        None => {
-            let g = CsrGraph::from_edge_list(&el);
-            sample_sources(&g, 1, 7)
-                .first()
-                .copied()
-                .ok_or_else(|| err("graph has no usable source"))?
-        }
-    };
-    let verify = args.opt_bool("verify", false)?;
-    let faults = fault_plan_from_args(args, verify)?;
-    let cfg = RunConfig::flat(ranks)
-        .with_threads(threads)
-        .with_trace(trace.is_some())
-        .with_verify(verify)
-        .with_faults(faults);
-    let t0 = Instant::now();
-    let run = run_reporting_faults(&faults, || {
-        Ok(distributed_sssp_run(&weighted, source, &cfg))
-    })?;
-    let secs = t0.elapsed().as_secs_f64();
-    let out = &run.output;
-    validate_sssp(&weighted, out).map_err(|e| err(format!("validation failed: {e}")))?;
-    let max_dist = out
-        .dists
-        .iter()
-        .filter(|&&d| d != dmbfs_bfs::sssp::UNREACHABLE)
-        .max()
-        .copied()
-        .unwrap_or(0);
-    let mut report = format!(
-        "{}\nsssp from {source} over {ranks} ranks (weights 1..={max_weight}): reached {} vertices,          max distance {max_dist}, {:.1} ms (validated)",
-        mode_line("sssp", ranks, threads),
-        out.num_reached(),
-        secs * 1e3,
-    );
-    if let Some(trace) = trace {
-        report.push('\n');
-        report.push_str(&trace.write(&run.per_rank_trace)?);
-    }
-    Ok(report)
-}
-
-fn cmd_diameter(args: &Args) -> Result<String, CliError> {
-    let g = load(args)?;
-    let probe = sample_sources(&g, 1, 1)
-        .first()
-        .copied()
-        .ok_or_else(|| err("graph has no usable vertex"))?;
-    let t0 = Instant::now();
-    let (value, kind) = if args.opt_str("exact", "false") == "true" {
-        (exact_component_diameter(&g, probe), "exact (MS-BFS sweep)")
-    } else {
-        let ranks = args.opt_u64("ranks", 4)? as usize;
-        (
-            distributed_diameter(&g, probe, 4, ranks),
-            "lower bound (distributed double sweep)",
-        )
-    };
-    Ok(format!(
-        "diameter of the giant component: {value} — {kind} ({:.1} ms)",
-        t0.elapsed().as_secs_f64() * 1e3
-    ))
-}
-
-fn cmd_pagerank(args: &Args) -> Result<String, CliError> {
-    let g = load(args)?;
-    let ranks = args.opt_u64("ranks", 4)? as usize;
-    let threads = args.opt_threads()?;
-    let trace = TraceOpts::from_args(args)?;
-    let top = args.opt_u64("top", 5)? as usize;
-    let damping: f64 = args
-        .opt_str("damping", "0.85")
-        .parse()
-        .map_err(|_| err("--damping expects a float"))?;
-    let verify = args.opt_bool("verify", false)?;
-    let faults = fault_plan_from_args(args, verify)?;
-    let cfg = PageRankConfig {
-        damping,
-        ..PageRankConfig::new(Grid2D::closest_square(ranks))
-    }
-    .with_threads(threads)
-    .with_trace(trace.is_some())
-    .with_verify(verify)
-    .with_faults(faults);
-    let t0 = Instant::now();
-    let run = run_reporting_faults(&faults, || Ok(distributed_pagerank_run(&g, &cfg)))?;
-    let secs = t0.elapsed().as_secs_f64();
-    let out = run.output;
-    let mut report = format!(
-        "{}\npagerank converged in {} iterations over {ranks} ranks ({:.1} ms); top {top}:\n",
-        mode_line("2d", ranks, threads),
-        out.iterations,
-        secs * 1e3
-    );
-    for &v in out.ranking().iter().take(top) {
-        report.push_str(&format!(
-            "  vertex {v:>8}  score {:.6}\n",
-            out.scores[v as usize]
-        ));
-    }
-    if let Some(trace) = trace {
-        report.push_str(&trace.write(&run.per_rank_trace)?);
-        report.push('\n');
-    }
-    Ok(report)
-}
-
-fn cmd_centrality(args: &Args) -> Result<String, CliError> {
-    let g = load(args)?;
-    let samples = args.opt_u64("samples", 64)? as usize;
-    let top = args.opt_u64("top", 5)? as usize;
-    let t0 = Instant::now();
-    let scores = approx_betweenness(&g, samples, 7);
-    let secs = t0.elapsed().as_secs_f64();
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-    let mut report = format!(
-        "betweenness ({} sampled sources, {:.1} ms); top {top}:\n",
-        samples.min(g.num_vertices() as usize),
-        secs * 1e3
-    );
-    for &v in order.iter().take(top) {
-        report.push_str(&format!("  vertex {v:>8}  score {:.1}\n", scores[v]));
-    }
-    Ok(report)
 }
 
 fn cmd_convert(args: &Args) -> Result<String, CliError> {
@@ -1435,6 +1237,7 @@ mod tests {
 
         let stats = run(&args(&["stats", file_s])).unwrap();
         assert!(stats.contains("vertices            512"), "{stats}");
+        assert!(stats.contains("components"), "{stats}");
 
         for algorithm in ["serial", "shared", "direction", "1d", "2d"] {
             let msg = run(&args(&[
@@ -1448,9 +1251,6 @@ mod tests {
             .unwrap();
             assert!(msg.contains("validated"), "{algorithm}: {msg}");
         }
-
-        let msg = run(&args(&["components", file_s, "--ranks", "3"])).unwrap();
-        assert!(msg.contains("components in"), "{msg}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1581,87 +1381,6 @@ mod tests {
     }
 
     #[test]
-    fn sssp_command_validates() {
-        let dir = tmpdir();
-        let file = dir.join("w.bin");
-        run(&args(&[
-            "generate",
-            "--model",
-            "rmat",
-            "--scale",
-            "8",
-            "--out",
-            file.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let msg = run(&args(&[
-            "sssp",
-            file.to_str().unwrap(),
-            "--ranks",
-            "3",
-            "--max-weight",
-            "7",
-        ]))
-        .unwrap();
-        assert!(msg.contains("validated"), "{msg}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn diameter_command_reports_both_modes() {
-        let dir = tmpdir();
-        let file = dir.join("d.bin");
-        run(&args(&[
-            "generate",
-            "--model",
-            "rmat",
-            "--scale",
-            "8",
-            "--out",
-            file.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let est = run(&args(&["diameter", file.to_str().unwrap()])).unwrap();
-        assert!(est.contains("lower bound"), "{est}");
-        let exact = run(&args(&[
-            "diameter",
-            file.to_str().unwrap(),
-            "--exact",
-            "true",
-        ]))
-        .unwrap();
-        assert!(exact.contains("exact"), "{exact}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pagerank_and_centrality_commands_report() {
-        let dir = tmpdir();
-        let file = dir.join("pr.bin");
-        run(&args(&[
-            "generate",
-            "--model",
-            "rmat",
-            "--scale",
-            "8",
-            "--out",
-            file.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let msg = run(&args(&["pagerank", file.to_str().unwrap(), "--ranks", "4"])).unwrap();
-        assert!(msg.contains("converged"), "{msg}");
-        let msg = run(&args(&[
-            "centrality",
-            file.to_str().unwrap(),
-            "--samples",
-            "16",
-        ]))
-        .unwrap();
-        assert!(msg.contains("betweenness"), "{msg}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn bfs_codec_and_sieve_flags() {
         let dir = tmpdir();
         let file = dir.join("codec.bin");
@@ -1763,16 +1482,6 @@ mod tests {
             .unwrap();
             assert!(msg.contains("validated"), "{alg}: {msg}");
         }
-        let msg = run(&args(&[
-            "components",
-            file_s,
-            "--ranks",
-            "4",
-            "--verify",
-            "true",
-        ]))
-        .unwrap();
-        assert!(msg.contains("components"), "{msg}");
         let bad = run(&args(&["bfs", file_s, "--verify", "maybe"]));
         assert!(bad.is_err());
         let bad = run(&args(&[
@@ -1918,54 +1627,6 @@ mod tests {
     }
 
     #[test]
-    fn sssp_pagerank_components_take_threads_and_trace() {
-        let dir = tmpdir();
-        let file = dir.join("rt.bin");
-        let file_s = file.to_str().unwrap();
-        run(&args(&[
-            "generate", "--model", "rmat", "--scale", "8", "--out", file_s,
-        ]))
-        .unwrap();
-
-        for (cmd, needle) in [
-            ("sssp", "validated"),
-            ("pagerank", "converged"),
-            ("components", "components in"),
-        ] {
-            let jsonl = dir.join(format!("{cmd}.jsonl"));
-            let msg = run(&args(&[
-                cmd,
-                file_s,
-                "--ranks",
-                "4",
-                "--threads",
-                "2",
-                "--trace",
-                jsonl.to_str().unwrap(),
-                "--trace-format",
-                "jsonl",
-            ]))
-            .unwrap();
-            assert!(msg.contains(needle), "{cmd}: {msg}");
-            assert!(msg.contains("mode hybrid"), "{cmd}: {msg}");
-            assert!(msg.contains("trace: "), "{cmd}: {msg}");
-            let traces =
-                dmbfs_trace::from_jsonl(&std::fs::read_to_string(&jsonl).unwrap()).unwrap();
-            assert_eq!(traces.len(), 4, "{cmd}");
-            assert!(traces.iter().all(|t| !t.spans.is_empty()), "{cmd}");
-
-            let bad = run(&args(&[cmd, file_s, "--threads", "0"]));
-            assert!(
-                bad.unwrap_err().0.contains("positive thread count"),
-                "{cmd}"
-            );
-            let bad = run(&args(&[cmd, file_s, "--trace-format", "jsonl"]));
-            assert!(bad.unwrap_err().0.contains("requires --trace"), "{cmd}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn bfs_fault_flag_reports_the_injected_rank() {
         let dir = tmpdir();
         let file = dir.join("fault.bin");
@@ -2003,9 +1664,16 @@ mod tests {
         .unwrap_err()
         .0;
         assert!(e.contains("--verify"), "{e}");
-        let e = run(&args(&["components", file_s, "--fault", "failstop@r1:op4"]))
-            .unwrap_err()
-            .0;
+        let e = run(&args(&[
+            "bfs",
+            file_s,
+            "--algorithm",
+            "2d",
+            "--fault",
+            "failstop@r1:op4",
+        ]))
+        .unwrap_err()
+        .0;
         assert!(e.contains("--verify"), "{e}");
 
         // Faults are gated to distributed algorithms, like --verify.
@@ -2278,5 +1946,82 @@ mod tests {
         .unwrap();
         assert!(msg.contains("MTEPS"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes a scale-7 R-MAT graph into a fresh directory.
+    fn small_graph() -> (std::path::PathBuf, String) {
+        let dir = tmpdir();
+        let file = dir.join("g.bin").to_str().unwrap().to_string();
+        run(&args(&[
+            "generate", "--model", "rmat", "--scale", "7", "--out", &file,
+        ]))
+        .unwrap();
+        (dir, file)
+    }
+
+    #[test]
+    fn bfs_and_teps_reject_bad_flags_before_searching() {
+        let (dir, file) = small_graph();
+        let out = dir.join("t.json");
+        let out = out.to_str().unwrap();
+        for (flags, needle) in [
+            (&["--algorithm", "bogus"][..], "unknown algorithm 'bogus'"),
+            (
+                &["--algorithm", "serial", "--trace", out],
+                "--trace requires",
+            ),
+            (
+                &["--algorithm", "serial", "--verify", "true"],
+                "--verify requires",
+            ),
+            (
+                &["--algorithm", "shared", "--fault", "panic@r0:op1"],
+                "--fault requires",
+            ),
+            (
+                &["--algorithm", "2d", "--direction", "hybrid"],
+                "requires the 1d algorithm",
+            ),
+        ] {
+            for cmd in ["bfs", "teps"] {
+                let mut argv = vec![cmd, file.as_str(), "--sources", "2"];
+                argv.extend_from_slice(flags);
+                let e = run(&args(&argv)).unwrap_err().0;
+                assert!(e.contains(needle), "{cmd} {flags:?}: {e}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Asserts `argv` on the shared small graph fails naming `--flag`.
+    fn assert_zero_count_rejected(argv: &[&str], flag: &str) {
+        let (dir, file) = small_graph();
+        let mut full = vec![argv[0], file.as_str()];
+        full.extend_from_slice(&argv[1..]);
+        let e = run(&args(&full)).unwrap_err().0;
+        assert!(e.contains(flag) && e.contains("positive"), "{full:?}: {e}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_ranks_is_a_flag_error_for_1d() {
+        for cmd in ["bfs", "teps"] {
+            assert_zero_count_rejected(&[cmd, "--algorithm", "1d", "--ranks", "0"], "--ranks");
+        }
+    }
+
+    #[test]
+    fn zero_ranks_is_a_flag_error_for_2d() {
+        for cmd in ["bfs", "teps"] {
+            assert_zero_count_rejected(&[cmd, "--algorithm", "2d", "--ranks", "0"], "--ranks");
+        }
+    }
+
+    #[test]
+    fn zero_sources_is_a_flag_error() {
+        assert_zero_count_rejected(
+            &["teps", "--algorithm", "1d", "--sources", "0"],
+            "--sources",
+        );
     }
 }

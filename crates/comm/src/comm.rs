@@ -728,24 +728,6 @@ impl Comm {
         result
     }
 
-    /// Reduce-scatter: every rank contributes one value per rank; rank `j`
-    /// returns `op` folded over everyone's j-th contribution. The
-    /// building block of communication-avoiding reductions.
-    #[track_caller]
-    pub fn reduce_scatter<T: Clone + Send + Sync + 'static>(
-        &self,
-        mine: Vec<T>,
-        op: impl Fn(T, T) -> T,
-    ) -> T {
-        assert_eq!(mine.len(), self.size(), "need one contribution per rank");
-        let start = self.enter_typed::<T>(CollectiveKind::ReduceScatter);
-        let moved = size_of::<T>() as u64 * (self.size() as u64 - 1);
-        let all = self.rendezvous(CollectiveKind::ReduceScatter, mine);
-        let folded = all.iter().map(|v| v[self.rank].clone()).reduce(op);
-        self.record(Pattern::Allreduce, moved, moved, start);
-        folded.expect("communicator has at least one rank")
-    }
-
     /// Pairwise exchange: sends `data` to `partner` and returns what
     /// `partner` sent here. The partner assignment must be a symmetric
     /// permutation across all ranks (`partner(partner(r)) == r`), and every

@@ -590,6 +590,12 @@ mod tests {
         ] {
             assert!(s.parse::<FaultPlan>().is_err(), "`{s}` must be rejected");
         }
+        // A name that is no `Comm` collective is the named parse error,
+        // not a filter that never fires.
+        let e = "panic@r0:op1:coll=reduce_scatter"
+            .parse::<FaultPlan>()
+            .unwrap_err();
+        assert!(e.contains("unknown collective `reduce_scatter`"), "{e}");
     }
 
     #[test]

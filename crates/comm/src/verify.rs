@@ -59,8 +59,6 @@ pub enum CollectiveKind {
     Gather,
     /// [`crate::Comm::gatherv`]
     Gatherv,
-    /// [`crate::Comm::reduce_scatter`]
-    ReduceScatter,
     /// [`crate::Comm::sendrecv`]
     Sendrecv,
     /// [`crate::Comm::sendrecv_wire`]
@@ -75,7 +73,7 @@ impl std::str::FromStr for CollectiveKind {
     /// Inverse of [`CollectiveKind::name`] — used by the fault-plan grammar
     /// (`coll=<name>`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        const ALL: [CollectiveKind; 14] = [
+        const ALL: [CollectiveKind; 13] = [
             CollectiveKind::Barrier,
             CollectiveKind::Alltoallv,
             CollectiveKind::IalltoallvWire,
@@ -86,7 +84,6 @@ impl std::str::FromStr for CollectiveKind {
             CollectiveKind::Broadcast,
             CollectiveKind::Gather,
             CollectiveKind::Gatherv,
-            CollectiveKind::ReduceScatter,
             CollectiveKind::Sendrecv,
             CollectiveKind::SendrecvWire,
             CollectiveKind::Split,
@@ -111,7 +108,6 @@ impl CollectiveKind {
             CollectiveKind::Broadcast => "broadcast",
             CollectiveKind::Gather => "gather",
             CollectiveKind::Gatherv => "gatherv",
-            CollectiveKind::ReduceScatter => "reduce_scatter",
             CollectiveKind::Sendrecv => "sendrecv",
             CollectiveKind::SendrecvWire => "sendrecv_wire",
             CollectiveKind::Split => "split",

@@ -318,20 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_reduces_columns() {
-        let out = World::run(3, |comm| {
-            // Rank r contributes [r, r*10, r*100]; column j reduces by sum.
-            let mine = vec![
-                comm.rank() as u64,
-                comm.rank() as u64 * 10,
-                comm.rank() as u64 * 100,
-            ];
-            comm.reduce_scatter(mine, |a, b| a + b)
-        });
-        assert_eq!(out, vec![3, 30, 300]); // 0+1+2 scaled per column
-    }
-
-    #[test]
     fn sendrecv_transposes_pairs() {
         // 2x2 grid transpose: ranks 1 and 2 swap, 0 and 3 self-exchange.
         let out = World::run(4, |comm| {

@@ -1,8 +1,9 @@
 //! Weighted graph support.
 //!
 //! §1 of the paper lists "shortest paths" among the classical problems its
-//! traversal machinery serves; the SSSP application in `dmbfs-bfs` needs
-//! edge weights. [`WeightedCsr`] mirrors [`crate::CsrGraph`] with a weight
+//! traversal machinery serves; this module is the graph-side input such a
+//! search would take. No BFS driver reads it: the paper's searches are
+//! unweighted. [`WeightedCsr`] mirrors [`crate::CsrGraph`] with a weight
 //! per stored adjacency; [`attach_uniform_weights`] turns any benchmark
 //! edge list into a weighted instance deterministically (the Graph 500
 //! SSSP benchmark does the same with uniform random weights).

@@ -12,7 +12,7 @@
 //! * [`Csc`] — plain compressed sparse columns, used as the reference
 //!   implementation DCSC is tested against and for small dense-ish blocks.
 //! * [`semiring`] — the algebra: [`semiring::SelectMax`] for BFS parents and
-//!   [`semiring::MinPlus`] / [`semiring::BoolOr`] for tests and extensions.
+//!   [`semiring::MinPlus`] / [`semiring::BoolOr`] for tests.
 //! * [`mod@spmsv`] — the two merge kernels of §4.2: the sparse accumulator (SPA)
 //!   and the priority-queue (heap) multiway merge, plus the concurrency-based
 //!   polyalgorithm the paper settles on, and a row-split parallel driver for

@@ -45,8 +45,9 @@ impl Semiring for SelectMax {
     }
 }
 
-/// (min, +) tropical semiring over `u64` distances; exercised by tests and
-/// available for SSSP-style extensions. Multiply adds the unit edge weight.
+/// (min, +) tropical semiring over `u64` distances: the second semiring
+/// the tests run the SpMSV kernels under, to show they are generic.
+/// Multiply adds the unit edge weight.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MinPlus;
 

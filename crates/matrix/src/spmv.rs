@@ -2,9 +2,9 @@
 //!
 //! The paper's 2D decomposition descends from parallel SpMV (Hendrickson,
 //! Leland & Plimpton's matrix-vector algorithm, the paper's \[22\]); this
-//! module provides the dense-vector kernel that regime needs — used by the
-//! distributed PageRank application, whose vectors are dense from the
-//! first iteration (every vertex holds mass), unlike BFS frontiers.
+//! module provides the dense-vector kernel that regime needs, where every
+//! vertex holds a value from the first iteration, unlike BFS frontiers.
+//! No BFS driver calls it.
 
 use crate::Dcsc;
 

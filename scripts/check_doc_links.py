@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""Validate relative markdown links across the repository's docs.
+"""Validate relative markdown links and runnable names across the docs.
 
 Scans every tracked ``*.md`` file (repo root, docs/, results/, crates/)
 for inline markdown links and checks that relative targets exist on disk.
 External links (http/https/mailto) and pure in-page anchors are skipped;
 a ``path#anchor`` target is checked for the path only.
+
+Every ``--bin NAME`` / ``--example NAME`` in those files and in
+``.github/workflows/*.yml`` must name ``crates/bench/src/bin/NAME.rs`` or
+``examples/NAME.rs``, so a deleted binary or example leaves no command
+behind that no longer runs. Placeholders (``<name>``, ``NAME``) are not
+names and are skipped.
 
 Usage: python3 scripts/check_doc_links.py [repo-root]
 Exits non-zero listing every broken link.
@@ -19,6 +25,9 @@ import sys
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN = re.compile(r"`[^`]*`")
 FENCE = re.compile(r"^(```|~~~)")
+# Code spans and fences included: that is where commands live.
+RUNNABLE = re.compile(r"--(bin|example)[ =]([a-z0-9_]+)\b")
+RUNNABLE_PATH = {"bin": "crates/bench/src/bin/{}.rs", "example": "examples/{}.rs"}
 
 SCAN_DIRS = [".", "docs", "results", "scripts"]
 SKIP_DIRS = {"target", "third_party", ".git", "node_modules"}
@@ -61,10 +70,35 @@ def links_in(path):
                 yield lineno, match.group(1)
 
 
+def workflow_files(root):
+    workflows = os.path.join(root, ".github", "workflows")
+    if os.path.isdir(workflows):
+        for name in sorted(os.listdir(workflows)):
+            if name.endswith(".yml"):
+                yield os.path.join(workflows, name)
+
+
+def runnables_in(path):
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            for match in RUNNABLE.finditer(line):
+                yield lineno, match.group(1), match.group(2)
+
+
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     broken = []
     checked = 0
+    named = 0
+    for path in [*md_files(root), *workflow_files(root)]:
+        for lineno, kind, name in runnables_in(path):
+            named += 1
+            target = RUNNABLE_PATH[kind].format(name)
+            if not os.path.exists(os.path.join(root, target)):
+                broken.append(
+                    f"{os.path.relpath(path, root)}:{lineno}: --{kind} {name} "
+                    f"has no {target}"
+                )
     for path in md_files(root):
         for lineno, target in links_in(path):
             if target.startswith(("http://", "https://", "mailto:", "#")):
@@ -80,9 +114,11 @@ def main():
                 )
     if broken:
         print("\n".join(broken))
-        print(f"\n{len(broken)} broken link(s) out of {checked} checked")
+        print(f"\n{len(broken)} broken out of {checked} links and {named} names checked")
         return 1
-    print(f"all {checked} relative markdown links resolve")
+    print(
+        f"all {checked} relative markdown links and {named} --bin/--example names resolve"
+    )
     return 0
 
 

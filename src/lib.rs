@@ -53,27 +53,13 @@ pub use dmbfs_runtime as runtime;
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use dmbfs_bfs::apps::{
-        distributed_components, distributed_components_run, distributed_diameter, ComponentsRun,
-    };
     pub use dmbfs_bfs::baseline::{
         pbgl_like_bfs, pbgl_like_bfs_with, reference_mpi_bfs, reference_mpi_bfs_with, BaselineRun,
     };
-    pub use dmbfs_bfs::centrality::{approx_betweenness, parallel_betweenness, serial_betweenness};
     pub use dmbfs_bfs::direction::direction_optimizing_bfs;
-    pub use dmbfs_bfs::multi_source::multi_source_bfs;
     pub use dmbfs_bfs::one_d::{bfs1d, Bfs1dConfig};
-    pub use dmbfs_bfs::pagerank::{
-        distributed_pagerank, distributed_pagerank_run, serial_pagerank, PageRankConfig,
-        PageRankRun,
-    };
-    pub use dmbfs_bfs::pregel::{pregel_bfs, run_pregel, run_pregel_with, VertexProgram};
     pub use dmbfs_bfs::serial::serial_bfs;
     pub use dmbfs_bfs::shared::shared_bfs;
-    pub use dmbfs_bfs::sssp::{
-        distributed_delta_stepping, distributed_delta_stepping_run, distributed_sssp,
-        distributed_sssp_run, serial_sssp, validate_sssp, SsspRun,
-    };
     pub use dmbfs_bfs::teps::{benchmark_bfs, TepsReport};
     pub use dmbfs_bfs::two_d::ExpandAlgorithm;
     pub use dmbfs_bfs::two_d::{bfs2d, Bfs2dConfig, VectorDistribution};
@@ -82,7 +68,6 @@ pub mod prelude {
     pub use dmbfs_comm::{Comm, CommStats, World};
     pub use dmbfs_graph::components::sample_sources;
     pub use dmbfs_graph::gen::{erdos_renyi, rmat, webcrawl, RmatConfig, WebCrawlConfig};
-    pub use dmbfs_graph::weighted::{attach_uniform_weights, WeightedCsr};
     pub use dmbfs_graph::{Block1D, CsrGraph, EdgeList, Grid2D, OwnerMap2D, RandomPermutation};
     pub use dmbfs_matrix::{Dcsc, SpaWorkspace, SparseVector, SymmetricDcsc};
     pub use dmbfs_model::{MachineProfile, ScalePredictor};

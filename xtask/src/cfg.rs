@@ -152,7 +152,6 @@ const PRIMITIVES: &[&str] = &[
     "broadcast",
     "gather",
     "gatherv",
-    "reduce_scatter",
     "sendrecv",
     "sendrecv_wire",
     "split",

@@ -65,7 +65,6 @@ const COLLECTIVES: &[&str] = &[
     "broadcast",
     "gather",
     "gatherv",
-    "reduce_scatter",
     "sendrecv",
     "sendrecv_wire",
     "split",

@@ -308,7 +308,6 @@ fn fingerprints(method: &str) -> &'static [&'static str] {
         "broadcast" => &["broadcast"],
         "gather" => &["gather"],
         "gatherv" => &["gatherv"],
-        "reduce_scatter" => &["reduce_scatter"],
         "sendrecv" => &["sendrecv"],
         "sendrecv_wire" => &["sendrecv_wire"],
         "split" => &["split", "allgatherv"],

@@ -77,22 +77,25 @@ fn real_workspace_is_schedule_clean() {
     );
 }
 
-/// Every driver in `crates/bfs` surfaces as an entry point with a
-/// non-empty schedule — the machine-readable report the conformance test
-/// consumes.
+/// Exactly the four drivers in `crates/bfs` surface as entry points, each
+/// with a non-empty schedule — the machine-readable report the
+/// conformance test consumes. A driver added or lost fails here.
 #[test]
 fn real_workspace_extracts_the_driver_entry_points() {
     let analysis = analyze_workspace(&workspace_root()).expect("workspace must be readable");
-    for name in [
-        "bfs1d_run",
-        "bfs2d_run",
-        "distributed_pagerank_run",
-        "distributed_sssp_run",
-        "distributed_components_run",
-    ] {
-        let e = analysis
-            .entry(name)
-            .unwrap_or_else(|| panic!("driver {name} must surface as an entry point"));
+    let mut names: Vec<&str> = analysis.entries.iter().map(|e| e.name.as_str()).collect();
+    names.sort_unstable();
+    assert_eq!(
+        names,
+        [
+            "bfs1d_run",
+            "bfs2d_run",
+            "pbgl_like_bfs_with",
+            "reference_mpi_bfs_with"
+        ]
+    );
+    for e in &analysis.entries {
+        let name = &e.name;
         let mut rendered = String::new();
         xtask::schedule::render(&e.schedule, 0, &mut rendered);
         assert!(
