@@ -17,7 +17,6 @@ use dmbfs_graph::components::sample_sources;
 use dmbfs_graph::Grid2D;
 use dmbfs_runtime::{Codec, DirectionMode, RunConfig};
 use serde::Serialize;
-use std::num::NonZeroUsize;
 
 /// Trials per point; each row keeps its fastest trial.
 const TRIALS: usize = 3;
@@ -41,7 +40,7 @@ fn main() {
 
     let mut points: Vec<SweepPoint> = Vec::new();
 
-    // bfs-1d axes: codec × sieve × overlap × direction × flat/hybrid,
+    // bfs-1d axes: codec × sieve × direction × flat/hybrid,
     // one move away from the default per point (not the full product).
     let base = RunConfig::flat(4).with_trace(true);
     points.push(bfs1d_point(&g, source, &base, TRIALS));
@@ -52,12 +51,6 @@ fn main() {
         TRIALS,
     ));
     points.push(bfs1d_point(&g, source, &base.with_sieve(false), TRIALS));
-    points.push(bfs1d_point(
-        &g,
-        source,
-        &base.with_overlap(NonZeroUsize::new(2)),
-        TRIALS,
-    ));
     points.push(bfs1d_point(
         &g,
         source,
@@ -79,8 +72,8 @@ fn main() {
         TRIALS,
     ));
 
-    // Every 1D top-down point must agree bit-for-bit: codec, sieve,
-    // overlap, and the thread pool are all transport/scheduling axes
+    // Every 1D top-down point must agree bit-for-bit: codec, sieve and
+    // the thread pool are all transport/scheduling axes
     // with no license to change the parent tree. (Direction-optimizing
     // and 2D points legitimately pick different — equally valid —
     // parents, so they are excluded; levels equality for those is
@@ -102,7 +95,6 @@ fn main() {
                 format!("{}x{}", p.ranks, p.threads_per_rank),
                 p.codec.clone(),
                 if p.sieve { "on" } else { "off" }.to_string(),
-                p.overlap.to_string(),
                 p.direction.clone(),
                 format!("{:.1}", p.seconds * 1e3),
                 p.wire_out.to_string(),
@@ -118,7 +110,6 @@ fn main() {
             "p x t",
             "codec",
             "sieve",
-            "K",
             "direction",
             "wall ms",
             "wire B",

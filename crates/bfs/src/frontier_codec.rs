@@ -338,29 +338,6 @@ impl Sieve {
         seen
     }
 
-    /// Reads slot `i` without marking it. The 1D exchange filters each
-    /// chunk against the sieve read-only while a level's chunks are in
-    /// flight and defers the marking ([`Sieve::set`]) to the end of the
-    /// level, so chunking cannot change which duplicates are dropped.
-    pub fn contains(&self, i: usize) -> bool {
-        self.bits[i / 64].load(Ordering::Relaxed) & (1u64 << (i % 64)) != 0
-    }
-
-    /// Marks slot `i` unconditionally (counting a hit when already set,
-    /// like [`Sieve::test_and_set`]) — the deferred-marking half of the
-    /// [`Sieve::contains`] protocol.
-    pub fn set(&self, i: usize) {
-        let _ = self.test_and_set(i);
-    }
-
-    /// Counts `n` duplicates dropped outside [`Sieve::test_and_set`] — the
-    /// read-only [`Sieve::contains`] filter reports its drops here, so the
-    /// growth of [`Sieve::hits`] over a level is that level's `sieve_hits`
-    /// whichever way the drops were taken.
-    pub fn count_hits(&self, n: u64) {
-        self.hits.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Number of duplicates dropped so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -536,20 +513,6 @@ mod tests {
         assert!(!s.test_and_set(99));
         assert!(s.test_and_set(42));
         assert_eq!(s.hits(), 2);
-    }
-
-    #[test]
-    fn sieve_contains_reads_without_marking() {
-        let s = Sieve::new(128);
-        assert!(!s.contains(64));
-        assert!(!s.contains(64), "contains never marks");
-        s.set(64);
-        assert!(s.contains(64));
-        assert_eq!(s.hits(), 0, "first set of a clear slot is not a hit");
-        s.set(64);
-        assert_eq!(s.hits(), 1, "re-setting counts like test_and_set");
-        s.count_hits(3);
-        assert_eq!(s.hits(), 4);
     }
 
     #[test]

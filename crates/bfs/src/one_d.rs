@@ -17,7 +17,7 @@
 
 use crate::direction::{DirectionConfig, DirectionSwitch};
 use crate::distribute::{extract_1d, Local1d};
-use crate::exchange::{chunk, exchange_pairs};
+use crate::exchange::exchange_pairs;
 use crate::frontier_codec::{
     decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats, Sieve,
 };
@@ -26,9 +26,7 @@ use dmbfs_comm::{Comm, CommStats, LevelDirection, LevelTiming};
 use dmbfs_graph::{CsrGraph, VertexId};
 use dmbfs_runtime::{run_ranks, scatter_block};
 use dmbfs_trace::{RankTrace, SpanKind};
-use parking_lot::Mutex;
 use rayon::prelude::*;
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 
@@ -271,22 +269,16 @@ impl<'a> RankSearch<'a> {
     /// exchange them, and let owners claim the newly visited vertices.
     /// Returns the local slice of the next frontier.
     ///
-    /// Under a codec the level runs through [`exchange_pairs`] in
-    /// `k = overlap.map_or(1, get)` chunks of the frontier: per chunk and
+    /// Under a codec the level runs through [`exchange_pairs`]: per
     /// destination the pairs are sorted, duplicate targets collapse to
     /// their maximum parent (the canonical tie-break, see
     /// [`unpack_serial`]), already-sent vertices drop out through the
-    /// sieve, and the rest is encoded; each landed chunk is decoded and
-    /// claimed. `k` is invisible to the parent tree: the sieve is only
-    /// *read* ([`Sieve::contains`]) while the level runs and marked
-    /// ([`Sieve::set`]) once at its end, so chunk boundaries never change
-    /// which pairs are dropped, and the receiver's claim / max-parent merge
-    /// is order-independent. A vertex targeted from two chunks is sent
-    /// twice (one chunk's dedup would have collapsed it) — extra wire
-    /// bytes, never a different tree.
+    /// sieve's [`Sieve::test_and_set`], which also marks the survivors as
+    /// sent, and the rest is encoded. After the dedup each target sits in
+    /// one bucket exactly once, so every test is of a distinct vertex.
     fn top_down_level(&mut self, frontier: &[VertexId], level: i64) -> Vec<VertexId> {
         let (comm, local) = (self.comm, self.local);
-        // Codec and overlap depth are shared config, not rank state.
+        // The codec is shared config, not rank state.
         // schedule: replicated
         let codec = self.cfg.codec;
         if codec == Codec::Off {
@@ -300,24 +292,17 @@ impl<'a> RankSearch<'a> {
             return self.unpack(&recv, level);
         }
 
-        // schedule: replicated
-        let k = self.cfg.overlap.map_or(1, NonZeroUsize::get);
         let mut stats = LevelCodecStats {
             level: level as usize,
             ..Default::default()
         };
-        // Targets shipped this level, marked in the sieve only after the
-        // last chunk.
-        let sent: Mutex<Vec<u64>> = Mutex::new(Vec::new());
         let visited_sieve = self.sieve.as_ref();
         let hits_before = visited_sieve.map_or(0, Sieve::hits);
-        let mut next: Vec<VertexId> = Vec::new();
-        exchange_pairs(
+        let recv = exchange_pairs(
             comm,
             self.pool,
-            k,
             &mut stats,
-            |c| self.pack(chunk(frontier, k, c)),
+            self.pack(frontier),
             |j, mut pairs| {
                 pairs.sort_unstable();
                 // Sorted by (target, parent): sliding the later parent into
@@ -332,27 +317,14 @@ impl<'a> RankSearch<'a> {
                     }
                 });
                 if let Some(s) = visited_sieve {
-                    let before = pairs.len();
-                    pairs.retain(|&(t, _)| !s.contains(t as usize));
-                    s.count_hits((before - pairs.len()) as u64);
-                    sent.lock().extend(pairs.iter().map(|&(t, _)| t));
+                    pairs.retain(|&(t, _)| !s.test_and_set(t as usize));
                 }
                 encode_pairs(&pairs, local.block.range(j), codec)
             },
-            |recv| next.extend(self.unpack(&recv, level)),
         );
-        if let Some(s) = visited_sieve {
-            stats.sieve_hits = s.hits() - hits_before;
-            // A target shipped from two chunks is marked once: `set` on a
-            // marked slot would count a sieve hit that dropped nothing.
-            for t in sent.into_inner() {
-                if !s.contains(t as usize) {
-                    s.set(t as usize);
-                }
-            }
-        }
+        stats.sieve_hits = visited_sieve.map_or(0, Sieve::hits) - hits_before;
         self.codec_levels.push(stats);
-        next
+        self.unpack(&recv, level)
     }
 
     /// One distributed bottom-up level. The rank's frontier slice (owned
@@ -828,19 +800,19 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_composes_with_codec_sieve_and_overlap() {
+    fn hybrid_composes_with_codec_and_sieve() {
         let g = rmat_graph(9, 11);
         let expected = serial_bfs(&g, 2);
         for codec in [Codec::Off, Codec::Adaptive] {
-            for overlap in [None, std::num::NonZeroUsize::new(2)] {
+            for sieve in [false, true] {
                 let cfg = Bfs1dConfig::flat(4)
                     .with_direction(DirectionMode::Hybrid)
                     .with_codec(codec)
-                    .with_overlap(overlap);
+                    .with_sieve(sieve);
                 let run = bfs1d_run(&g, 2, &cfg);
                 assert_eq!(
                     run.output.levels, expected.levels,
-                    "codec {codec:?}, overlap {overlap:?}"
+                    "codec {codec:?}, sieve {sieve}"
                 );
                 validate_bfs(&g, 2, &run.output.parents, &run.output.levels).unwrap();
             }
@@ -848,56 +820,27 @@ mod tests {
     }
 
     #[test]
-    fn every_chunk_count_is_bit_identical_to_one_chunk() {
-        let g = rmat_graph(9, 11);
-        let baseline = bfs1d(&g, 2, &Bfs1dConfig::flat(4));
-        for k in [1usize, 2, 3, 8] {
-            let cfg = Bfs1dConfig::flat(4).with_overlap(std::num::NonZeroUsize::new(k));
-            let out = bfs1d(&g, 2, &cfg);
-            assert_eq!(out.parents, baseline.parents, "k = {k}");
-            assert_eq!(out.levels, baseline.levels, "k = {k}");
-        }
-        // Overlap composes with the hybrid pool and with sieving off.
-        let hybrid = bfs1d(
-            &g,
-            2,
-            &Bfs1dConfig::hybrid(3, 2)
-                .with_sieve(false)
-                .with_overlap(std::num::NonZeroUsize::new(2)),
-        );
-        assert_eq!(hybrid.levels, baseline.levels);
-    }
-
-    #[test]
-    fn every_chunk_count_records_k_exchange_pairs_per_level() {
+    fn every_level_records_one_exchange_pair() {
         let g = rmat_graph(8, 2);
-        // No overlap configured is the one-chunk pipeline.
-        for (overlap, k) in [(None, 1u32), (std::num::NonZeroUsize::new(2), 2)] {
-            let run = bfs1d_run(
-                &g,
+        let run = bfs1d_run(&g, 0, &Bfs1dConfig::flat(4).with_trace(true));
+        for t in &run.per_rank_trace {
+            let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count() as u32;
+            assert_eq!(count(SpanKind::ExchangeStart), run.num_levels);
+            assert_eq!(count(SpanKind::ExchangeWait), run.num_levels);
+            assert_eq!(
+                count(SpanKind::Exchange),
                 0,
-                &Bfs1dConfig::flat(4).with_overlap(overlap).with_trace(true),
+                "only the un-encoded path traces a typed exchange"
             );
-            for t in &run.per_rank_trace {
-                let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count() as u32;
-                assert_eq!(count(SpanKind::ExchangeStart), k * run.num_levels);
-                assert_eq!(count(SpanKind::ExchangeWait), k * run.num_levels);
-                assert_eq!(
-                    count(SpanKind::Exchange),
-                    0,
-                    "only the un-encoded path traces a typed exchange"
-                );
-            }
-            // Each rank records k alltoallv-pattern events per level, each
-            // with exposed wall and a (possibly zero) hidden window.
-            for stats in &run.per_rank_stats {
-                let a2a = stats
-                    .events
-                    .iter()
-                    .filter(|e| e.pattern == Pattern::Alltoallv)
-                    .count() as u32;
-                assert_eq!(a2a, k * run.num_levels);
-            }
+        }
+        // Each rank records one alltoallv-pattern event per level.
+        for stats in &run.per_rank_stats {
+            let a2a = stats
+                .events
+                .iter()
+                .filter(|e| e.pattern == Pattern::Alltoallv)
+                .count() as u32;
+            assert_eq!(a2a, run.num_levels);
         }
     }
 }

@@ -28,7 +28,7 @@
 //! §4.3 / Fig. 4 demonstrates.
 
 use crate::distribute::{extract_2d, Local2d};
-use crate::exchange::{chunk, exchange_pairs};
+use crate::exchange::exchange_pairs;
 use crate::frontier_codec::{
     decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats, Sieve,
 };
@@ -107,13 +107,6 @@ pub struct Bfs2dConfig {
     pub faults: FaultPlan,
     /// Overrides the verifier's watchdog timeout (`None` = env default).
     pub verify_timeout: Option<Duration>,
-    /// Comm/compute overlap: `Some(k)` moves each level's fold exchange
-    /// through a `k`-chunk double-buffered pipeline on the nonblocking
-    /// `ialltoallv_wire` (encode chunk `c + 1` while chunk `c` is in
-    /// flight). `None` (the default) means one chunk: `None` ≡ `Some(1)`,
-    /// the same code path. Parent trees are bit-identical for every `k`;
-    /// ignored under [`Codec::Off`].
-    pub overlap: Option<std::num::NonZeroUsize>,
     /// Record the ordered collective-fingerprint sequence each rank
     /// issues (see [`dmbfs_runtime::RunConfig::schedule_capture`]).
     /// Strictly an observer.
@@ -135,7 +128,6 @@ impl Bfs2dConfig {
             verify: false,
             faults: FaultPlan::none(),
             verify_timeout: None,
-            overlap: None,
             schedule_capture: false,
         }
     }
@@ -185,13 +177,6 @@ impl Bfs2dConfig {
         self
     }
 
-    /// Sets the fold-exchange overlap chunk count (see
-    /// [`Bfs2dConfig::overlap`]); `None` means one chunk.
-    pub fn with_overlap(mut self, overlap: Option<std::num::NonZeroUsize>) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
     /// Enables or disables collective-schedule capture (see
     /// [`Bfs2dConfig::schedule_capture`]).
     pub fn with_schedule_capture(mut self, capture: bool) -> Self {
@@ -217,7 +202,6 @@ impl Bfs2dConfig {
             verify: self.verify,
             faults: self.faults,
             verify_timeout: self.verify_timeout,
-            overlap: self.overlap,
             // The 2D SpMSV driver has no bottom-up step; its runtime view
             // is always top-down.
             direction: dmbfs_runtime::DirectionMode::TopDown,
@@ -527,27 +511,17 @@ impl RankState {
                 // The un-encoded reference: one typed all-to-all, no sieve.
                 row_comm.alltoallv(self.bucket_by_owner(entries, None))
             } else {
-                // The SpMSV output crosses the row in `k` chunks (one when
-                // no overlap is configured). It lists each local row at
-                // most once per level, so the sieve's `test_and_set` drops
-                // the same rows for every `k`, and the decoded chunks
-                // concatenate into one pair multiset that the mask below
-                // (a sort + max-parent reduce) folds identically however
-                // it was batched.
-                // Overlap depth is shared config, not rank state.
-                // schedule: replicated
-                let k = self.cfg.overlap.map_or(1, std::num::NonZeroUsize::get);
+                // The SpMSV output lists each local row at most once per
+                // level, so the sieve's `test_and_set` drops exactly the
+                // rows folded at an earlier level.
                 let sieve = fold_sieve.as_ref();
                 let hits_before = sieve.map_or(0, Sieve::hits);
-                let mut decoded: Vec<Vec<(u64, u64)>> = Vec::with_capacity(k * grid.cols());
-                exchange_pairs(
+                let decoded = exchange_pairs(
                     row_comm,
                     pool,
-                    k,
                     &mut lvl,
-                    |c| self.bucket_by_owner(chunk(entries, k, c), sieve),
+                    self.bucket_by_owner(entries, sieve),
                     |oj, pairs| encode_pairs(&pairs, self.owner_vrange(i, oj), codec),
-                    |recv| decoded.extend(recv),
                 );
                 lvl.sieve_hits = sieve.map_or(0, Sieve::hits) - hits_before;
                 decoded
@@ -822,47 +796,17 @@ mod tests {
     }
 
     #[test]
-    fn every_fold_chunk_count_is_bit_identical_to_one_chunk() {
-        let g = rmat_graph(9, 17);
-        let baseline = bfs2d(&g, 1, &Bfs2dConfig::flat(Grid2D::new(2, 2)));
-        for k in [1usize, 2, 4] {
-            let cfg =
-                Bfs2dConfig::flat(Grid2D::new(2, 2)).with_overlap(std::num::NonZeroUsize::new(k));
-            let out = bfs2d(&g, 1, &cfg);
-            assert_eq!(out.parents, baseline.parents, "k = {k}");
-            assert_eq!(out.levels, baseline.levels, "k = {k}");
-        }
-        // Overlap composes with the hybrid pool and the diagonal
-        // distribution.
-        let diag = bfs2d(
-            &g,
-            1,
-            &Bfs2dConfig {
-                distribution: VectorDistribution::Diagonal,
-                ..Bfs2dConfig::hybrid(Grid2D::new(2, 2), 2)
-            }
-            .with_overlap(std::num::NonZeroUsize::new(2)),
-        );
-        assert_eq!(diag.levels, baseline.levels);
-    }
-
-    #[test]
-    fn every_fold_chunk_count_traces_k_exchange_pairs() {
+    fn every_fold_traces_one_exchange_pair() {
         let g = rmat_graph(8, 23);
-        // No overlap configured is the one-chunk pipeline.
-        for (overlap, k) in [(None, 1u32), (std::num::NonZeroUsize::new(2), 2)] {
-            let run = bfs2d_run(
-                &g,
-                0,
-                &Bfs2dConfig::flat(Grid2D::new(2, 2))
-                    .with_overlap(overlap)
-                    .with_trace(true),
-            );
-            for t in &run.per_rank_trace {
-                let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count() as u32;
-                assert_eq!(count(SpanKind::ExchangeStart), k * run.num_levels);
-                assert_eq!(count(SpanKind::ExchangeWait), k * run.num_levels);
-            }
+        let run = bfs2d_run(
+            &g,
+            0,
+            &Bfs2dConfig::flat(Grid2D::new(2, 2)).with_trace(true),
+        );
+        for t in &run.per_rank_trace {
+            let count = |kind| t.spans.iter().filter(|s| s.kind == kind).count() as u32;
+            assert_eq!(count(SpanKind::ExchangeStart), run.num_levels);
+            assert_eq!(count(SpanKind::ExchangeWait), run.num_levels);
         }
     }
 

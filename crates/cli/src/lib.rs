@@ -11,12 +11,13 @@
 //!   TEPS.
 //! * `convert` — binary ↔ Matrix Market.
 //! * `chaos` — sweep the deterministic fault grid (algorithm × fault kind
-//!   × rank × level × overlap × direction) under the collective verifier
+//!   × rank × level × direction) under the collective verifier
 //!   and ledger whether each injected fault was detected with a typed
 //!   root-cause report — see `docs/fault-injection.md`.
 //!
 //! The argument grammar is deliberately tiny (`--key value` pairs after a
-//! subcommand); everything is also available as a library call for tests.
+//! subcommand); an option the subcommand does not accept is an error.
+//! Everything is also available as a library call for tests.
 
 use dmbfs_bfs::frontier_codec::Codec;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
@@ -37,7 +38,6 @@ use dmbfs_trace::RankTrace;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 /// A parsed command line: subcommand plus `--key value` options.
@@ -150,7 +150,54 @@ impl Args {
             n => Ok(n as usize),
         }
     }
+
+    /// `--scale S`: the generated graph has `2^S` vertices. R-MAT needs
+    /// `S < 63` and a web crawl community needs `2^S ≥ 2`, so anything
+    /// outside `1..=MAX_SCALE` is an error rather than a wrapped shift, a
+    /// truncated `u32` or a generator `assert!`.
+    fn opt_scale(&self, default: u64) -> Result<u32, CliError> {
+        match self.opt_u64("scale", default)? {
+            s @ 1..=MAX_SCALE => Ok(s as u32),
+            s => Err(err(format!("--scale expects 1..={MAX_SCALE}, got {s}"))),
+        }
+    }
+
+    /// Rejects every option not in `accepted`, naming each, so a typo or
+    /// a retired flag fails instead of silently running something else.
+    fn reject_unknown(&self, accepted: &[&str]) -> Result<(), CliError> {
+        let unknown: Vec<String> = self
+            .options
+            .keys()
+            .filter(|k| !accepted.contains(&k.as_str()))
+            .map(|k| format!("--{k}"))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        Err(err(format!(
+            "unknown option {} for `{}` (see `dmbfs help`)",
+            unknown.join(", "),
+            self.command
+        )))
+    }
 }
+
+/// Largest `--scale` a generator accepts.
+const MAX_SCALE: u64 = 62;
+
+/// The options `bfs` and `teps` share (see [`SearchOpts`]).
+const SEARCH_FLAGS: &[&str] = &[
+    "algorithm",
+    "ranks",
+    "threads",
+    "codec",
+    "sieve",
+    "direction",
+    "verify",
+    "fault",
+    "trace",
+    "trace-format",
+];
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -163,17 +210,17 @@ USAGE:
   dmbfs bfs FILE [--algorithm serial|shared|direction|1d|2d] [--ranks P]
                  [--threads T] [--source V] [--validate true]
                  [--codec off|raw|varint|bitmap|adaptive] [--sieve true|false]
-                 [--overlap N] [--direction topdown|bottomup|hybrid (1d only)]
+                 [--direction topdown|bottomup|hybrid (1d only)]
                  [--verify true|false] [--fault SPEC[;SPEC]]
                  [--trace FILE] [--trace-format chrome|jsonl]
   dmbfs teps FILE [--algorithm ...] [--ranks P] [--threads T] [--sources N]
-                  [--codec ...] [--sieve ...] [--overlap N] [--direction ...]
+                  [--codec ...] [--sieve ...] [--direction ...]
                   [--verify true|false] [--fault SPEC[;SPEC]]
                   [--trace FILE] [--trace-format chrome|jsonl]
   dmbfs convert FILE --to bin|mm --out FILE
   dmbfs chaos [--scale S] [--edge-factor E] [--ranks P] [--seed X]
               [--algorithms 1d,2d] [--kinds panic,failstop,delay,corrupt]
-              [--inject-ranks R,R] [--levels L,L] [--overlaps 0,2]
+              [--inject-ranks R,R] [--levels L,L]
               [--directions topdown,hybrid (hybrid: 1d only)]
               [--timeout-secs T] [--delay-ms MS] [--out FILE]
   dmbfs help
@@ -187,21 +234,43 @@ Fault SPEC grammar (also the DMBFS_FAULTS environment variable):
 
 /// Executes a parsed command, returning the report to print.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "generate" => cmd_generate(args),
-        "stats" => cmd_stats(args),
-        "bfs" => cmd_bfs(args),
-        "teps" => cmd_teps(args),
-        "convert" => cmd_convert(args),
-        "chaos" => cmd_chaos(args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(err(format!("unknown command '{other}'\n\n{USAGE}"))),
-    }
+    type Command = fn(&Args) -> Result<String, CliError>;
+    let (command, accepted): (Command, Vec<&str>) = match args.command.as_str() {
+        "generate" => (
+            cmd_generate,
+            vec!["model", "scale", "edge-factor", "seed", "prepared", "out"],
+        ),
+        "stats" => (cmd_stats, vec![]),
+        "bfs" => (cmd_bfs, [SEARCH_FLAGS, &["source", "validate"]].concat()),
+        "teps" => (cmd_teps, [SEARCH_FLAGS, &["sources"]].concat()),
+        "convert" => (cmd_convert, vec!["to", "out"]),
+        "chaos" => (
+            cmd_chaos,
+            vec![
+                "scale",
+                "edge-factor",
+                "ranks",
+                "seed",
+                "algorithms",
+                "kinds",
+                "inject-ranks",
+                "levels",
+                "directions",
+                "timeout-secs",
+                "delay-ms",
+                "out",
+            ],
+        ),
+        "help" | "--help" | "-h" => return Ok(USAGE.to_string()),
+        other => return Err(err(format!("unknown command '{other}'\n\n{USAGE}"))),
+    };
+    args.reject_unknown(&accepted)?;
+    command(args)
 }
 
 fn cmd_generate(args: &Args) -> Result<String, CliError> {
     let model = args.opt_str("model", "rmat");
-    let scale = args.opt_u64("scale", 14)? as u32;
+    let scale = args.opt_scale(14)?;
     let ef = args.opt_u64("edge-factor", 16)?;
     let seed = args.opt_u64("seed", 1)?;
     let out = args.require("out")?;
@@ -272,11 +341,6 @@ fn cmd_stats(args: &Args) -> Result<String, CliError> {
 struct WireOpts {
     codec: Codec,
     sieve: bool,
-    /// `--overlap N`: split each frontier exchange into N chunks on a
-    /// double-buffered nonblocking pipeline. Absent means one chunk — the
-    /// same run as `--overlap 1`. Ignored under `--codec off` (no wire
-    /// path to overlap).
-    overlap: Option<NonZeroUsize>,
     /// `--direction topdown|bottomup|hybrid`: the traversal-direction
     /// policy of the 1D driver (the only distributed driver with a
     /// bottom-up step). See docs/direction-optimizing.md.
@@ -294,22 +358,9 @@ impl WireOpts {
             .parse::<DirectionMode>()
             .map_err(err)?;
         let sieve = args.opt_bool("sieve", true)?;
-        let overlap = match args.options.get("overlap") {
-            Some(v) => {
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| err("--overlap expects a positive chunk count"))?;
-                Some(
-                    NonZeroUsize::new(n)
-                        .ok_or_else(|| err("--overlap expects a positive chunk count"))?,
-                )
-            }
-            None => None,
-        };
         Ok(Self {
             codec,
             sieve,
-            overlap,
             direction,
         })
     }
@@ -585,7 +636,6 @@ impl SearchOpts {
                 }
                 .with_codec(wire.codec)
                 .with_sieve(wire.sieve)
-                .with_overlap(wire.overlap)
                 .with_direction(wire.direction)
                 .with_trace(self.trace.is_some())
                 .with_verify(self.verify)
@@ -607,7 +657,6 @@ impl SearchOpts {
                 }
                 .with_codec(wire.codec)
                 .with_sieve(wire.sieve)
-                .with_overlap(wire.overlap)
                 .with_trace(self.trace.is_some())
                 .with_verify(self.verify)
                 .with_faults(self.faults);
@@ -753,9 +802,6 @@ struct ChaosCell {
     kind: String,
     rank: usize,
     level: i64,
-    /// Exchange pipeline depth the cell ran under: k ≥ 1 = `--overlap k`;
-    /// 0 = no `--overlap`, which is the one-chunk pipeline (same run as 1).
-    overlap: usize,
     /// Traversal-direction policy the cell ran under. Hybrid cells route
     /// the fault through the bottom-up path's `allgatherv_wire` bitmap
     /// broadcast instead of the top-down alltoallv exchange.
@@ -883,13 +929,12 @@ fn classify_payload(payload: &(dyn std::any::Any + Send), injected: usize) -> Ce
 }
 
 /// `dmbfs chaos`: sweep the deterministic fault grid — algorithm × fault
-/// kind × injected rank × BFS level × exchange-pipeline depth × traversal
-/// direction — over one
+/// kind × injected rank × BFS level × traversal direction — over one
 /// internally generated R-MAT instance, always under the collective
 /// verifier with a short watchdog, and ledger how every cell was detected.
 /// See docs/fault-injection.md.
 fn cmd_chaos(args: &Args) -> Result<String, CliError> {
-    let scale = args.opt_u64("scale", 12)? as u32;
+    let scale = args.opt_scale(12)?;
     let ef = args.opt_u64("edge-factor", 16)?;
     let ranks = args.opt_u64("ranks", 4)? as usize;
     if ranks < 2 {
@@ -962,24 +1007,6 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     if inject_ranks.is_empty() || levels.is_empty() {
         return Err(err("--inject-ranks and --levels must be non-empty"));
     }
-    // Pipeline-depth slices: k = `--overlap k`, 0 = flag absent (one
-    // chunk, the same run as 1). The default sweeps the one-chunk and a
-    // multi-chunk pipeline so every fault kind is exercised with and
-    // without a second exchange in the level.
-    let mut overlaps = Vec::new();
-    for t in split_list(&args.opt_str("overlaps", "0,2")) {
-        let k: usize = t.parse().map_err(|_| {
-            err(format!(
-                "--overlaps expects chunk counts (0 = one chunk, like 1), got '{t}'"
-            ))
-        })?;
-        if !overlaps.contains(&k) {
-            overlaps.push(k);
-        }
-    }
-    if overlaps.is_empty() {
-        return Err(err("--overlaps must name at least one pipeline depth"));
-    }
     // Direction slices: top-down exercises the alltoallv exchange, hybrid
     // additionally routes levels through the bitmap-broadcast/bottom-up
     // path, so faults landing there get detection coverage too.
@@ -1013,12 +1040,8 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
         .ok_or_else(|| err("generated graph has no usable source"))?;
 
     let timeout = Duration::from_secs(timeout_secs);
-    let total = algorithms.len()
-        * kinds.len()
-        * inject_ranks.len()
-        * levels.len()
-        * overlaps.len()
-        * directions.len();
+    let total =
+        algorithms.len() * kinds.len() * inject_ranks.len() * levels.len() * directions.len();
     let mut report = String::new();
     writeln!(
         report,
@@ -1027,13 +1050,12 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     .unwrap();
     writeln!(
         report,
-        "grid: {} algorithm(s) x {} kind(s) x {} rank(s) x {} level(s) x {} overlap(s) \
+        "grid: {} algorithm(s) x {} kind(s) x {} rank(s) x {} level(s) \
          x {} direction(s) = {total} cells, verify watchdog {timeout_secs} s",
         algorithms.len(),
         kinds.len(),
         inject_ranks.len(),
         levels.len(),
-        overlaps.len(),
         directions.len(),
     )
     .unwrap();
@@ -1049,88 +1071,80 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
         for kind_s in &kinds {
             for &inj_rank in &inject_ranks {
                 for &level in &levels {
-                    for &ov in &overlaps {
-                        for &dir in &directions {
-                            cell_idx += 1;
-                            let kind = match kind_s.as_str() {
-                                "panic" => FaultKind::Panic,
-                                "failstop" => FaultKind::FailStop,
-                                "delay" => FaultKind::Delay { millis: delay_ms },
-                                _ => FaultKind::CorruptWire {
-                                    seed: seed ^ cell_idx.wrapping_mul(0x9E37_79B9),
-                                },
-                            };
-                            let plan = FaultPlan::none().with_fault(FaultSpec {
-                                rank: inj_rank,
-                                trigger: FaultTrigger::AtLevel(level),
+                    for &dir in &directions {
+                        cell_idx += 1;
+                        let kind = match kind_s.as_str() {
+                            "panic" => FaultKind::Panic,
+                            "failstop" => FaultKind::FailStop,
+                            "delay" => FaultKind::Delay { millis: delay_ms },
+                            _ => FaultKind::CorruptWire {
+                                seed: seed ^ cell_idx.wrapping_mul(0x9E37_79B9),
+                            },
+                        };
+                        let plan = FaultPlan::none().with_fault(FaultSpec {
+                            rank: inj_rank,
+                            trigger: FaultTrigger::AtLevel(level),
+                            collective: None,
+                            kind,
+                        });
+                        let t0 = Instant::now();
+                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            if alg == "1d" {
+                                let cfg = Bfs1dConfig::flat(ranks)
+                                    .with_direction(dir)
+                                    .with_verify(true)
+                                    .with_verify_timeout(timeout)
+                                    .with_faults(plan);
+                                bfs1d_run(&g, source, &cfg).output
+                            } else {
+                                let cfg = Bfs2dConfig::flat(Grid2D::closest_square(ranks))
+                                    .with_verify(true)
+                                    .with_verify_timeout(timeout)
+                                    .with_faults(plan);
+                                bfs2d_run(&g, source, &cfg).output
+                            }
+                        }));
+                        let millis = t0.elapsed().as_secs_f64() * 1e3;
+                        let outcome = match &result {
+                            Ok(_) => CellOutcome {
+                                detection: "completed",
+                                typed: false,
+                                named_rank: false,
                                 collective: None,
-                                kind,
-                            });
-                            let overlap = NonZeroUsize::new(ov);
-                            let t0 = Instant::now();
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if alg == "1d" {
-                                        let cfg = Bfs1dConfig::flat(ranks)
-                                            .with_overlap(overlap)
-                                            .with_direction(dir)
-                                            .with_verify(true)
-                                            .with_verify_timeout(timeout)
-                                            .with_faults(plan);
-                                        bfs1d_run(&g, source, &cfg).output
-                                    } else {
-                                        let cfg = Bfs2dConfig::flat(Grid2D::closest_square(ranks))
-                                            .with_overlap(overlap)
-                                            .with_verify(true)
-                                            .with_verify_timeout(timeout)
-                                            .with_faults(plan);
-                                        bfs2d_run(&g, source, &cfg).output
-                                    }
-                                }));
-                            let millis = t0.elapsed().as_secs_f64() * 1e3;
-                            let outcome = match &result {
-                                Ok(_) => CellOutcome {
-                                    detection: "completed",
-                                    typed: false,
-                                    named_rank: false,
-                                    collective: None,
-                                    detail: "run finished; the scheduled fault never fired"
-                                        .to_string(),
-                                },
-                                Err(payload) => classify_payload(payload.as_ref(), inj_rank),
-                            };
-                            writeln!(
-                                report,
-                                "  {alg:>2} {kind_s:<8} r{inj_rank} level{level} ov{ov} \
-                                 {:<8} -> {:<18} [{}{}] {millis:.0} ms",
-                                dir.name(),
-                                outcome.detection,
-                                if outcome.named_rank {
-                                    "rank named"
-                                } else {
-                                    "rank NOT named"
-                                },
-                                match &outcome.collective {
-                                    Some(c) => format!(", {c}"),
-                                    None => String::new(),
-                                },
-                            )
-                            .unwrap();
-                            cells.push(ChaosCell {
-                                algorithm: alg.clone(),
-                                kind: kind_s.clone(),
-                                rank: inj_rank,
-                                level,
-                                overlap: ov,
-                                direction: dir.name().to_string(),
-                                detection: outcome.detection.to_string(),
-                                typed: outcome.typed,
-                                named_rank: outcome.named_rank,
-                                collective: outcome.collective,
-                                millis,
-                                detail: outcome.detail,
-                            });
-                        }
+                                detail: "run finished; the scheduled fault never fired".to_string(),
+                            },
+                            Err(payload) => classify_payload(payload.as_ref(), inj_rank),
+                        };
+                        writeln!(
+                            report,
+                            "  {alg:>2} {kind_s:<8} r{inj_rank} level{level} {:<8} \
+                             -> {:<18} [{}{}] {millis:.0} ms",
+                            dir.name(),
+                            outcome.detection,
+                            if outcome.named_rank {
+                                "rank named"
+                            } else {
+                                "rank NOT named"
+                            },
+                            match &outcome.collective {
+                                Some(c) => format!(", {c}"),
+                                None => String::new(),
+                            },
+                        )
+                        .unwrap();
+                        cells.push(ChaosCell {
+                            algorithm: alg.clone(),
+                            kind: kind_s.clone(),
+                            rank: inj_rank,
+                            level,
+                            direction: dir.name().to_string(),
+                            detection: outcome.detection.to_string(),
+                            typed: outcome.typed,
+                            named_rank: outcome.named_rank,
+                            collective: outcome.collective,
+                            millis,
+                            detail: outcome.detail,
+                        });
                     }
                 }
             }
@@ -1415,51 +1429,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_overlap_flag_runs_and_rejects_bad_values() {
-        let dir = tmpdir();
-        let file = dir.join("overlap.bin");
-        let file_s = file.to_str().unwrap();
-        run(&args(&[
-            "generate", "--model", "rmat", "--scale", "8", "--out", file_s,
-        ]))
-        .unwrap();
-        for alg in ["1d", "2d"] {
-            for k in ["1", "2", "4"] {
-                let msg = run(&args(&[
-                    "bfs",
-                    file_s,
-                    "--algorithm",
-                    alg,
-                    "--ranks",
-                    "4",
-                    "--overlap",
-                    k,
-                ]))
-                .unwrap();
-                assert!(msg.contains("validated"), "{alg} overlap {k}: {msg}");
-            }
-        }
-        // Overlapped runs still verify cleanly (split start/wait pair).
-        let msg = run(&args(&[
-            "bfs",
-            file_s,
-            "--algorithm",
-            "1d",
-            "--ranks",
-            "4",
-            "--overlap",
-            "2",
-            "--verify",
-            "true",
-        ]))
-        .unwrap();
-        assert!(msg.contains("validated"), "{msg}");
-        assert!(run(&args(&["bfs", file_s, "--overlap", "0"])).is_err());
-        assert!(run(&args(&["bfs", file_s, "--overlap", "lots"])).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn bfs_verify_flag_runs_and_rejects_bad_values() {
         let dir = tmpdir();
         let file = dir.join("verify.bin");
@@ -1720,23 +1689,19 @@ mod tests {
             out_s,
         ]))
         .unwrap();
-        // 2 kinds × 2 pipeline depths (the default --overlaps 0,2 slice).
-        assert!(msg.contains("4/4 typed"), "{msg}");
+        // 2 kinds, one cell each.
+        assert!(msg.contains("2/2 typed"), "{msg}");
         assert!(msg.contains("0 untyped watchdog(s)"), "{msg}");
 
         let v: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        assert!(v["typed"] == 4i64, "{v:?}");
-        assert!(v["named_rank"] == 4i64, "{v:?}");
+        assert!(v["total_cells"] == 2i64, "{v:?}");
+        assert!(v["typed"] == 2i64, "{v:?}");
+        assert!(v["named_rank"] == 2i64, "{v:?}");
         assert!(v["untyped_watchdogs"] == 0i64, "{v:?}");
         assert!(v["typed_rate"] == 1.0, "{v:?}");
         assert!(v["cells"][0]["detection"] == "injected-panic", "{v:?}");
-        assert!(v["cells"][0]["overlap"] == 0i64, "{v:?}");
-        assert!(v["cells"][1]["detection"] == "injected-panic", "{v:?}");
-        assert!(v["cells"][1]["overlap"] == 2i64, "{v:?}");
-        assert!(v["cells"][2]["detection"] == "verify-corruption", "{v:?}");
-        assert!(v["cells"][3]["detection"] == "verify-corruption", "{v:?}");
-        assert!(v["cells"][3]["overlap"] == 2i64, "{v:?}");
+        assert!(v["cells"][1]["detection"] == "verify-corruption", "{v:?}");
 
         // Flag validation.
         assert!(run(&args(&["chaos", "--kinds", "meteor"])).is_err());
@@ -1788,8 +1753,6 @@ mod tests {
             "4",
             "--direction",
             "hybrid",
-            "--overlap",
-            "2",
             "--verify",
             "true",
             "--trace",
@@ -1865,8 +1828,6 @@ mod tests {
             "2",
             "--levels",
             "1",
-            "--overlaps",
-            "0",
             "--directions",
             "bottomup,hybrid",
             "--timeout-secs",
@@ -1983,8 +1944,9 @@ mod tests {
                 "requires the 1d algorithm",
             ),
         ] {
-            for cmd in ["bfs", "teps"] {
-                let mut argv = vec![cmd, file.as_str(), "--sources", "2"];
+            for (cmd, own) in [("bfs", &[][..]), ("teps", &["--sources", "2"][..])] {
+                let mut argv = vec![cmd, file.as_str()];
+                argv.extend_from_slice(own);
                 argv.extend_from_slice(flags);
                 let e = run(&args(&argv)).unwrap_err().0;
                 assert!(e.contains(needle), "{cmd} {flags:?}: {e}");
@@ -2023,5 +1985,73 @@ mod tests {
             &["teps", "--algorithm", "1d", "--sources", "0"],
             "--sources",
         );
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_naming_them() {
+        let (dir, file) = small_graph();
+        // A typo used to run on the default 4 ranks and exit 0.
+        let e = run(&args(&[
+            "bfs",
+            &file,
+            "--algorithm",
+            "1d",
+            "--rank",
+            "8",
+            "--bogus",
+            "yes",
+        ]))
+        .unwrap_err()
+        .0;
+        assert!(
+            e.contains("unknown option --bogus, --rank for `bfs`"),
+            "{e}"
+        );
+        // The retired pipeline flags, and flags of a sibling subcommand.
+        for argv in [
+            &["bfs", &file, "--overlap", "2"][..],
+            &["teps", &file, "--overlap", "2"],
+            &["bfs", &file, "--sources", "2"],
+            &["teps", &file, "--source", "0"],
+            &["chaos", "--overlaps", "0,2"],
+            &["generate", "--out", "unused.bin", "--ranks", "4"],
+            &["stats", &file, "--algorithm", "1d"],
+        ] {
+            let e = run(&args(argv)).unwrap_err().0;
+            let flag = argv[argv.len() - 2];
+            assert!(
+                e.contains(&format!("unknown option {flag} ")),
+                "{argv:?}: {e}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Asserts `generate` with `extra` flags fails on `--scale` and writes
+    /// nothing.
+    fn assert_scale_rejected(extra: &[&str]) {
+        let dir = tmpdir();
+        let file = dir.join("never.bin");
+        let mut argv = vec!["generate", "--out", file.to_str().unwrap()];
+        argv.extend_from_slice(extra);
+        let e = run(&args(&argv)).unwrap_err().0;
+        assert!(e.contains("--scale expects 1..=62"), "{argv:?}: {e}");
+        assert!(!file.exists(), "{argv:?} wrote a graph");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn er_scale_past_the_id_width_is_a_flag_error() {
+        assert_scale_rejected(&["--model", "er", "--scale", "64"]);
+    }
+
+    #[test]
+    fn scale_beyond_u32_is_not_truncated() {
+        assert_scale_rejected(&["--model", "rmat", "--scale", "4294967297"]);
+    }
+
+    #[test]
+    fn rmat_scale_64_is_a_flag_error_not_a_panic() {
+        assert_scale_rejected(&["--model", "rmat", "--scale", "64"]);
     }
 }

@@ -774,7 +774,8 @@ impl Comm {
     ///
     /// This is [`Comm::ialltoallv_wire`] completed on the spot: there is
     /// one wire all-to-all, and "blocking" means nothing overlaps it. It
-    /// fingerprints, faults and traces as that start/wait pair.
+    /// fingerprints, faults and traces as that start/wait pair. It is the
+    /// form the BFS drivers call, once per level.
     #[track_caller]
     pub fn alltoallv_wire(&self, bufs: Vec<WireBuf>) -> Vec<WireBuf> {
         self.ialltoallv_wire(bufs).wait()
@@ -782,10 +783,11 @@ impl Comm {
 
     /// Starts a **nonblocking** wire all-to-all: deposits `bufs` (one
     /// encoded [`WireBuf`] per destination rank) on the rendezvous board and
-    /// returns immediately with a [`PendingExchange`]. The caller overlaps
-    /// local work — packing, sieving, encoding the next frontier chunk —
-    /// with the in-flight exchange, then calls [`PendingExchange::wait`]
-    /// to rendezvous and collect what the peers sent.
+    /// returns immediately with a [`PendingExchange`]. The caller may do
+    /// local work while the exchange is in flight, then calls
+    /// [`PendingExchange::wait`] to rendezvous and collect what the peers
+    /// sent. [`Comm::alltoallv_wire`] is built on it, and the benchmark's
+    /// transport layer times the split form directly.
     ///
     /// Observer coverage:
     ///
@@ -801,7 +803,7 @@ impl Comm {
     ///   in-flight window between them;
     /// * **trace** — an `ExchangeStart` span is emitted here and an
     ///   `ExchangeWait` span at the wait, so wait-matrix analysis can
-    ///   measure how much communication the overlap hid.
+    ///   measure how much communication the in-flight window hid.
     ///
     /// At most one exchange may be in flight per communicator, and no
     /// other collective may run on the handle while it is (asserted): the

@@ -17,8 +17,8 @@
 //! There is no second rendezvous. A collect depends only on the peer's
 //! *deposit* — its arrival at the collective — never on the peer having
 //! finished reading, so a completed collective leaves nothing to wait
-//! for and a pipelined `wait()` absorbs encode-time skew instead of
-//! adding barriers. Retirement only drops the lane's own reference: a
+//! for and a split-form `wait()` absorbs the caller's local-work skew
+//! instead of adding barriers. Retirement only drops the lane's own reference: a
 //! receiver still holding a loan (a `WireBuf` cloned out of the payload)
 //! keeps the bytes alive through the `Arc` refcount, which is what makes
 //! reusing the slot safe under zero-copy.

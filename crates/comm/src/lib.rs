@@ -52,27 +52,26 @@
 //!
 //! * [`Comm::ialltoallv_wire`] is the one **nonblocking** collective, the
 //!   split form of the same deposit and collect: it deposits the outbound
-//!   buffers and returns a [`PendingExchange`] so the caller can overlap
-//!   local work (packing/encoding the next frontier chunk) with the
-//!   in-flight exchange before collecting the results in
-//!   [`PendingExchange::wait`]. The start/wait pair stays a first-class
-//!   citizen of every observer above: the verifier fingerprints it as two
-//!   matched collectives (so the watchdog names ranks stuck in `wait()`),
-//!   faults fire at the start site with checksums tripping at the wait,
-//!   stats split exposed vs overlap-hidden wall time, and the trace emits
+//!   buffers and returns a [`PendingExchange`]; the caller may do local
+//!   work before collecting the results in [`PendingExchange::wait`]. The
+//!   start/wait pair stays a first-class citizen of every observer above:
+//!   the verifier fingerprints it as two matched collectives (so the
+//!   watchdog names ranks stuck in `wait()`), faults fire at the start
+//!   site with checksums tripping at the wait, stats split exposed vs
+//!   hidden (in-flight) wall time, and the trace emits
 //!   `ExchangeStart`/`ExchangeWait` spans. [`Comm::alltoallv_wire`] is that
 //!   pair completed on the spot — the wire all-to-all has one
 //!   implementation, and every observer sees the blocking call as a
-//!   start/wait pair with nothing in between.
+//!   start/wait pair with nothing in between. The BFS drivers call the
+//!   blocking form, one exchange per level; the split form is kept for
+//!   the benchmark's transport-layer measurement.
 //!
 //! What this deliberately does **not** model in-process: network latency and
 //! bandwidth (that is `dmbfs-model`'s job, driven by the recorded events).
-//! Overlap is modeled only at the granularity the BFS pipeline needs — one
-//! in-flight exchange per communicator, whose `wait()` blocks only until
-//! each peer has *started* the matching exchange (deposited its buffers),
-//! never on the peers' own waits — so pipelined chunks genuinely absorb
-//! encode-time skew instead of multiplying rendezvous. There is no
-//! asynchronous progress thread.
+//! One exchange may be in flight per communicator, and its `wait()` blocks
+//! only until each peer has *started* the matching exchange (deposited its
+//! buffers), never on the peers' own waits. There is no asynchronous
+//! progress thread.
 
 #![warn(missing_docs)]
 

@@ -138,8 +138,9 @@ pub struct CommEvent {
     pub wall: Duration,
     /// For a nonblocking exchange: the in-flight window between the start
     /// call returning and the wait call being entered — communication time
-    /// the overlap pipeline hid under local compute. Zero for blocking
-    /// collectives.
+    /// hidden under whatever local work the caller did in between. Zero for
+    /// the typed blocking collectives; for [`crate::Comm::alltoallv_wire`],
+    /// whose halves run back to back, only the call-to-call gap.
     pub hidden: Duration,
     /// Of `wire_out`, the bytes that travelled as a zero-copy loan
     /// (receivers decoded straight from this rank's shared buffer): all of
@@ -184,9 +185,9 @@ impl CommStats {
         self.events.iter().map(|e| e.wall).sum()
     }
 
-    /// Total overlap-hidden communication time across all events: the
-    /// in-flight windows of nonblocking exchanges (zero unless the drivers
-    /// ran with overlap enabled).
+    /// Total hidden communication time across all events: the in-flight
+    /// windows of nonblocking exchanges (≈ zero for the BFS drivers, which
+    /// call the blocking form).
     pub fn hidden_total(&self) -> Duration {
         self.events.iter().map(|e| e.hidden).sum()
     }

@@ -237,7 +237,7 @@ fn depth_two_ring_is_safe_for_two_ranks() {
 
 /// Every mixed program: each sequence of up to four collectives, fused or
 /// split, sharing one epoch counter, on groups of one to three ranks —
-/// what a BFS level is made of (wire exchange chunks, then the
+/// a superset of what a BFS level is made of (a wire exchange, then the
 /// termination allreduce, then the next level's). Properties 1–4 hold
 /// over every interleaving of every one; a single-rank group never
 /// touches the board.

@@ -52,10 +52,6 @@ pub(crate) fn stream_rng(seed: u64, stream: u64) -> Xoshiro256PlusPlus {
     Xoshiro256PlusPlus::from_seed(key)
 }
 
-/// Crate-internal alias used by [`crate::weighted`] for per-edge weight
-/// streams (kept out of the public API).
-pub(crate) use stream_rng as stream_rng_pub;
-
 #[cfg(test)]
 mod tests {
     use super::*;

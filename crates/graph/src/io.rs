@@ -16,13 +16,11 @@
 //! lives in — adjacency matrices written by this module load in Octave,
 //! SciPy, and CombBLAS.
 
-use crate::weighted::{Weight, WeightedEdge};
 use crate::{Edge, EdgeList};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"DMBFSEL1";
-const MAGIC_WEIGHTED: &[u8; 8] = b"DMBFSWL1";
 
 /// Writes the binary edge-list format to `w`.
 pub fn write_binary<W: Write>(el: &EdgeList, w: W) -> io::Result<()> {
@@ -44,7 +42,7 @@ pub fn write_binary<W: Write>(el: &EdgeList, w: W) -> io::Result<()> {
 /// actually arrive.
 const MAX_RESERVE: u64 = 1 << 20;
 
-/// The shared body of both binary readers: magic, `n`, `m`, then `m`
+/// The body of the binary reader: magic, `n`, `m`, then `m`
 /// little-endian records of `LEN` bytes, each starting with a `(u64
 /// source, u64 target)` pair checked against `n`; `record` builds the
 /// element from the endpoints and the record's remaining bytes. A short
@@ -109,36 +107,6 @@ pub fn save_binary<P: AsRef<Path>>(el: &EdgeList, path: P) -> io::Result<()> {
 /// Reads from a file path (binary format).
 pub fn load_binary<P: AsRef<Path>>(path: P) -> io::Result<EdgeList> {
     read_binary(std::fs::File::open(path)?)
-}
-
-/// Writes a weighted edge list: magic `DMBFSWL1`, then `n`, `m`, then
-/// `m` little-endian `(u64 source, u64 target, u32 weight)` records.
-pub fn write_binary_weighted<W: Write>(
-    num_vertices: u64,
-    edges: &[WeightedEdge],
-    w: W,
-) -> io::Result<()> {
-    let mut w = BufWriter::new(w);
-    w.write_all(MAGIC_WEIGHTED)?;
-    w.write_all(&num_vertices.to_le_bytes())?;
-    w.write_all(&(edges.len() as u64).to_le_bytes())?;
-    for &(u, v, weight) in edges {
-        w.write_all(&u.to_le_bytes())?;
-        w.write_all(&v.to_le_bytes())?;
-        w.write_all(&weight.to_le_bytes())?;
-    }
-    w.flush()
-}
-
-/// Reads the weighted binary format, returning `(num_vertices, edges)`.
-pub fn read_binary_weighted<R: Read>(r: R) -> io::Result<(u64, Vec<WeightedEdge>)> {
-    read_records::<_, WeightedEdge, 20>(r, MAGIC_WEIGHTED, "weighted edge list", |u, v, tail| {
-        (
-            u,
-            v,
-            Weight::from_le_bytes(std::array::from_fn(|k| tail[k])),
-        )
-    })
 }
 
 /// Writes the edge list as a Matrix Market coordinate pattern file
@@ -277,37 +245,30 @@ mod tests {
         assert!(read_binary(buf.as_slice()).is_err());
     }
 
-    /// Both binary formats, each as a valid 3-record file plus its reader
-    /// reduced to "did it fail, and how".
-    type ReadErr = fn(&[u8]) -> io::Error;
-    fn both_formats() -> [(Vec<u8>, ReadErr); 2] {
-        let mut plain = Vec::new();
-        write_binary(&EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3)]), &mut plain).unwrap();
-        let mut weighted = Vec::new();
-        write_binary_weighted(4, &[(0, 1, 5), (1, 2, 6), (2, 3, 7)], &mut weighted).unwrap();
-        [
-            (plain, |b| read_binary(b).unwrap_err()),
-            (weighted, |b| read_binary_weighted(b).unwrap_err()),
-        ]
+    /// A valid 3-record binary file.
+    fn three_records() -> Vec<u8> {
+        let mut file = Vec::new();
+        write_binary(&EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3)]), &mut file).unwrap();
+        file
     }
 
     #[test]
     fn corrupt_record_count_is_an_error_not_an_abort() {
-        for (mut file, read_err) in both_formats() {
-            // Header only, `m = u64::MAX`: this used to reach
-            // `Vec::with_capacity` unchecked.
-            file.truncate(24);
-            file[16..].copy_from_slice(&u64::MAX.to_le_bytes());
-            let err = read_err(&file);
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-            let msg = err.to_string();
-            assert!(
-                msg.contains("record 0") && msg.contains(&u64::MAX.to_string()),
-                "{msg}"
-            );
-            // A header cut short is the same kind of error.
-            assert_eq!(read_err(&file[..20]).kind(), io::ErrorKind::UnexpectedEof);
-        }
+        let mut file = three_records();
+        // Header only, `m = u64::MAX`: this used to reach
+        // `Vec::with_capacity` unchecked.
+        file.truncate(24);
+        file[16..].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = read_binary(file.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("record 0") && msg.contains(&u64::MAX.to_string()),
+            "{msg}"
+        );
+        // A header cut short is the same kind of error.
+        let err = read_binary(&file[..20]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         // Matrix Market's size line is outside input too.
         let mm = format!(
             "%%MatrixMarket matrix coordinate pattern general\n3 3 {}\n1 2\n",
@@ -318,12 +279,11 @@ mod tests {
 
     #[test]
     fn truncation_mid_record_names_the_record_and_the_promised_count() {
-        for (file, read_err) in both_formats() {
-            let err = read_err(&file[..file.len() - 7]); // inside record 2
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-            let msg = err.to_string();
-            assert!(msg.contains("record 2") && msg.contains("m = 3"), "{msg}");
-        }
+        let file = three_records();
+        let err = read_binary(&file[..file.len() - 7]).unwrap_err(); // inside record 2
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let msg = err.to_string();
+        assert!(msg.contains("record 2") && msg.contains("m = 3"), "{msg}");
     }
 
     #[test]
@@ -361,26 +321,6 @@ mod tests {
         let back = load_binary(&path).unwrap();
         assert_eq!(el, back);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn weighted_binary_round_trip() {
-        use crate::weighted::attach_uniform_weights;
-        let el = sample();
-        let edges = attach_uniform_weights(&el, 9, 5);
-        let mut buf = Vec::new();
-        write_binary_weighted(el.num_vertices, &edges, &mut buf).unwrap();
-        let (n, back) = read_binary_weighted(buf.as_slice()).unwrap();
-        assert_eq!(n, el.num_vertices);
-        assert_eq!(back, edges);
-    }
-
-    #[test]
-    fn weighted_binary_rejects_plain_format() {
-        let el = sample();
-        let mut buf = Vec::new();
-        write_binary(&el, &mut buf).unwrap();
-        assert!(read_binary_weighted(buf.as_slice()).is_err());
     }
 
     #[test]

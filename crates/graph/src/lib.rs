@@ -35,7 +35,6 @@ pub mod ordering;
 pub mod partition;
 pub mod permute;
 pub mod stats;
-pub mod weighted;
 
 pub use csr::CsrGraph;
 pub use edge_list::EdgeList;

@@ -7,7 +7,6 @@ use dmbfs_graph::ordering::rcm_permutation;
 use dmbfs_graph::partition::{Block1D, Grid2D, OwnerMap2D};
 use dmbfs_graph::permute::RandomPermutation;
 use dmbfs_graph::stats::bfs_levels;
-use dmbfs_graph::weighted::{attach_uniform_weights, WeightedCsr};
 use dmbfs_graph::{io, VertexId};
 use proptest::prelude::*;
 
@@ -171,23 +170,6 @@ proptest! {
         d1.sort_unstable();
         d2.sort_unstable();
         prop_assert_eq!(d1, d2);
-    }
-
-    #[test]
-    fn attached_weights_are_symmetric_and_in_range(
-        e in edges(40, 160),
-        max_w in 1u32..20,
-        seed in any::<u64>(),
-    ) {
-        let mut el = EdgeList::new(40, e);
-        el.canonicalize_undirected();
-        let weighted = attach_uniform_weights(&el, max_w, seed);
-        let wg = WeightedCsr::from_edges(40, &weighted);
-        for (u, v, w) in wg.edges() {
-            prop_assert!((1..=max_w).contains(&w));
-            let back = wg.neighbors(v).iter().find(|&&(t, _)| t == u);
-            prop_assert_eq!(back.map(|&(_, w)| w), Some(w));
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`Csc`] — plain compressed sparse columns, used as the reference
 //!   implementation DCSC is tested against and for small dense-ish blocks.
 //! * [`semiring`] — the algebra: [`semiring::SelectMax`] for BFS parents and
-//!   [`semiring::MinPlus`] / [`semiring::BoolOr`] for tests.
+//!   [`semiring::MinPlus`] for tests.
 //! * [`mod@spmsv`] — the two merge kernels of §4.2: the sparse accumulator (SPA)
 //!   and the priority-queue (heap) multiway merge, plus the concurrency-based
 //!   polyalgorithm the paper settles on, and a row-split parallel driver for
@@ -25,12 +25,11 @@ pub mod dcsc;
 pub mod semiring;
 pub mod sparse_vector;
 pub mod spmsv;
-pub mod spmv;
 pub mod symmetric;
 
 pub use csc::Csc;
 pub use dcsc::Dcsc;
-pub use semiring::{BoolOr, MinPlus, SelectMax, Semiring};
+pub use semiring::{MinPlus, SelectMax, Semiring};
 pub use sparse_vector::SparseVector;
 pub use spmsv::{spmsv, spmsv_heap, spmsv_spa, MergeKernel, RowSplitDcsc, SpaWorkspace};
 pub use symmetric::SymmetricDcsc;

@@ -65,24 +65,6 @@ impl Semiring for MinPlus {
     }
 }
 
-/// Boolean (or, and) semiring: reachability only.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BoolOr;
-
-impl Semiring for BoolOr {
-    type T = bool;
-
-    #[inline]
-    fn multiply(_row: Index, _col: Index, x: bool) -> bool {
-        x
-    }
-
-    #[inline]
-    fn add(a: bool, b: bool) -> bool {
-        a || b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,13 +81,6 @@ mod tests {
         assert_eq!(MinPlus::multiply(0, 0, 5), 6);
         assert_eq!(MinPlus::add(3, 7), 3);
         assert_eq!(MinPlus::multiply(0, 0, u64::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn bool_or_is_or() {
-        assert!(BoolOr::add(true, false));
-        assert!(!BoolOr::add(false, false));
-        assert!(BoolOr::multiply(0, 0, true));
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   share, clipped at the last peer's deposit), the heatmap cells of
 //!   Fig. 4;
 //! * a **hidden matrix** `hidden_ns[rank][level]` — in-flight exchange time
-//!   between a start span ending and its wait span beginning, i.e. the
-//!   communication the `--overlap` pipeline moved behind compute;
+//!   between a start span ending and its wait span beginning, i.e.
+//!   communication a split-form exchange moved behind compute (≈ 0 for the
+//!   BFS drivers, whose one exchange per level is the blocking form);
 //! * a **compute matrix** `compute_ns[rank][level]` — the rank's `Level` span
 //!   minus its collective time at that level, i.e. time doing local work;
 //! * per-level and whole-run **imbalance factors** (max over mean across
@@ -38,7 +39,7 @@ pub struct ImbalanceReport {
     pub levels: usize,
     /// `wait_ns[rank][level]`: nanoseconds inside collectives — the Fig. 4
     /// heatmap cell. Includes barrier waiting, so it *is* the imbalance.
-    /// For overlapped runs this counts the *exposed* time only: the
+    /// For wire exchanges this counts the *exposed* time only: the
     /// `ExchangeStart` span durations plus each `ExchangeWait`'s
     /// *late-sender* share — the wait clipped at the instant the last
     /// rank's matching `ExchangeStart` ended, i.e. the moment every
@@ -52,8 +53,9 @@ pub struct ImbalanceReport {
     /// `hidden_ns[rank][level]`: nanoseconds of in-flight nonblocking
     /// exchange time overlapped with local compute — the gap between the
     /// k-th `ExchangeStart` span ending and the k-th `ExchangeWait` span
-    /// beginning at that (rank, level). Zero everywhere for runs without
-    /// `--overlap`. This is the communication the pipeline *hid*.
+    /// beginning at that (rank, level). The BFS drivers call the blocking
+    /// form, so for them it is only the few instructions between its two
+    /// halves; a caller of the split form sees the communication it *hid*.
     pub hidden_ns: Vec<Vec<u64>>,
     /// `level_ns[rank][level]`: duration of the rank's whole level span.
     pub level_ns: Vec<Vec<u64>>,
@@ -78,10 +80,9 @@ pub struct ImbalanceReport {
     /// The alltoallv share of [`ImbalanceReport::total_wait_ns`]: blocking
     /// `Alltoallv` collective spans plus the exposed halves of nonblocking
     /// exchanges. This isolates the frontier-exchange comm wall from the
-    /// per-level allreduce/allgather baseline, which is what the overlap
-    /// pipeline can and cannot touch respectively.
+    /// per-level allreduce/allgather baseline.
     pub total_exchange_exposed_ns: u64,
-    /// Total overlap-hidden exchange time across all ranks and levels.
+    /// Total hidden exchange time across all ranks and levels.
     pub total_hidden_ns: u64,
     /// Wire bytes that crossed the exchange as zero-copy loans, summed over
     /// the outbound sides of wire-collective spans (`Collective` with an
@@ -152,7 +153,7 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
     let mut total_copied_wire_bytes = 0u64;
 
     // ready_ns[level][k]: the instant the *last* rank finished its k-th
-    // ExchangeStart at that level — when chunk k's data was fully
+    // ExchangeStart at that level — when exchange k's data was fully
     // deposited and a waiter's k-th wait stops being communication. (In
     // the 2D driver the fold exchanges run per processor row; the trace
     // does not record group membership, so the max is taken over all
@@ -179,8 +180,8 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
 
     for (r, t) in traces.iter().enumerate() {
         // The k-th ExchangeStart at a (rank, level) pairs with the k-th
-        // ExchangeWait there: the driver's double-buffered pipeline keeps
-        // at most one exchange in flight, so starts and waits interleave
+        // ExchangeWait there: a communicator keeps at most one exchange
+        // in flight, so starts and waits interleave
         // strictly (start₀ wait₀ start₁ wait₁ …) in recording order.
         let mut starts: Vec<Vec<u64>> = vec![Vec::new(); levels];
         let mut waits: Vec<Vec<(u64, u64)>> = vec![Vec::new(); levels];
@@ -368,12 +369,12 @@ mod tests {
 
     #[test]
     fn overlapped_exchanges_split_exposed_from_hidden() {
-        // Two ranks, one level, a two-chunk pipeline each. Rank 1 is the
-        // late sender for chunk 0: its start₀ ends at 52, so rank 0's
-        // wait₀ [50,55] is exposed only for [50,52] — the rest of the span
-        // is post-ready (CPU queueing) and stays out of the wait matrix.
-        // Chunk 1 deposits (ending 60) all land before either wait₁
-        // begins, so both wait₁ spans are fully hidden-by-readiness.
+        // Two ranks, one level, two split-form exchanges each. Rank 1 is
+        // the late sender for exchange 0: its start₀ ends at 52, so rank
+        // 0's wait₀ [50,55] is exposed only for [50,52] — the rest of the
+        // span is post-ready (CPU queueing) and stays out of the wait
+        // matrix. Exchange 1 deposits (ending 60) all land before either
+        // wait₁ begins, so both wait₁ spans are fully hidden-by-readiness.
         let traces = vec![
             rank(
                 0,

@@ -62,10 +62,12 @@ pub enum SpanKind {
     Mask,
     /// One collective call on a communicator (emitted by `dmbfs-comm`).
     Collective,
-    /// Start half of a nonblocking exchange (`ialltoallv_wire`): the time
-    /// spent depositing outbound buffers. The matching wait half is
-    /// [`SpanKind::ExchangeWait`]; the gap between the two is comm the
-    /// overlap pipeline hid under compute.
+    /// Start half of a wire exchange (`ialltoallv_wire`, and the blocking
+    /// `alltoallv_wire` the BFS drivers call, which is the same start/wait
+    /// pair): the time spent depositing outbound buffers. The matching wait
+    /// half is [`SpanKind::ExchangeWait`]; the gap between the two is comm
+    /// hidden under the caller's compute — only the call-to-call gap for
+    /// the blocking form.
     ExchangeStart,
     /// Wait half of a nonblocking exchange: the exposed time blocked in
     /// `PendingExchange::wait()` collecting peers' buffers.
