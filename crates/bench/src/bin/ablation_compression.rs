@@ -72,10 +72,7 @@ fn modeled_ms(profile: &MachineProfile, stats: &[CommStats]) -> f64 {
 
 fn main() {
     println!("=== ablation_compression — frontier wire encodings + sieve ===");
-    let scale: u32 = std::env::var("DMBFS_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
+    let scale = dmbfs_bench::harness::scale_or(16);
     let ranks = 16usize;
     let grid = Grid2D::new(4, 4);
     let franklin = MachineProfile::franklin();

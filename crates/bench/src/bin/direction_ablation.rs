@@ -1,10 +1,10 @@
 //! Ablation: distributed direction-optimizing BFS (αβ hybrid on the 1D
 //! driver) vs pure top-down, on wall-clock TEPS and wire bytes.
 //!
-//! The serial `ablation_direction` binary measures the heuristic's savings
-//! in *edges examined*; this one measures what the distributed runtime
-//! actually pays. Per cell (rank count × direction) the best of [`TRIALS`]
-//! trials is kept. Every trial is validated: the parent tree passes
+//! The serial heuristic's savings in *edges examined* are asserted by the
+//! `dmbfs_bfs::direction` unit tests; this binary measures what the
+//! distributed runtime actually pays. Per cell (rank count × direction)
+//! the best of [`TRIALS`] trials is kept. Every trial is validated: the parent tree passes
 //! `validate_bfs` and the level array is bit-identical to the serial
 //! oracle — the hybrid's win cannot come from doing different work.
 //!
@@ -35,16 +35,10 @@ const RANKS: [usize; 2] = [4, 8];
 /// mercy of scheduler placement.
 const TRIALS: usize = 3;
 
-/// The ablation's own scale default (override: `DMBFS_SCALE`). The issue's
-/// acceptance bar is an R-MAT instance at scale ≥ 16: big enough that the
-/// mid-traversal frontier covers a large fraction of the graph and the α
-/// switch actually fires.
-fn ablation_scale() -> u32 {
-    std::env::var("DMBFS_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16)
-}
+/// The ablation's own scale default (override: `DMBFS_SCALE`): an R-MAT
+/// instance at scale ≥ 16 is big enough that the mid-traversal frontier
+/// covers a large fraction of the graph and the α switch actually fires.
+const DEFAULT_SCALE: u32 = 16;
 
 /// One (ranks, direction) cell of the sweep.
 #[derive(Serialize)]
@@ -119,7 +113,7 @@ fn measure(
 
 fn main() {
     println!("=== direction_ablation — distributed αβ hybrid vs pure top-down (1D driver) ===");
-    let scale = ablation_scale();
+    let scale = dmbfs_bench::harness::scale_or(DEFAULT_SCALE);
     let g = rmat_graph(scale, 16, 21);
     let source = sample_sources(&g, 1, 3)[0];
     let oracle = serial_bfs(&g, source);

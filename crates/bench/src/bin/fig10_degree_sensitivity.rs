@@ -10,8 +10,10 @@
 //! mean shorter frontier vectors, shrinking the 2D algorithm's cache
 //! working sets.)
 
-use dmbfs_bench::harness::calibrated_predictor;
-use dmbfs_bench::harness::{fmt_gteps, num_sources, print_table, rmat_graph, write_result};
+use dmbfs_bench::harness::{
+    calibrated_predictor, fmt_gteps, functional_scale, num_sources, print_table, rmat_graph,
+    write_result,
+};
 use dmbfs_bench::scaling::{model_series, run_functional, FunctionalPoint, ModelPoint};
 use dmbfs_graph::components::sample_sources;
 use dmbfs_model::{Algorithm, GraphShape, MachineProfile};
@@ -28,6 +30,7 @@ struct Fig10 {
 
 fn main() {
     println!("=== fig10_degree_sensitivity — Franklin — GTEPS vs average degree ===");
+    let (base, n_sources) = (functional_scale(), num_sources());
     let pred = calibrated_predictor(MachineProfile::franklin());
 
     let mut all = Vec::new();
@@ -64,13 +67,12 @@ fn main() {
 
     // Functional miniature with the same constant-edges construction:
     // (scale+2, deg 4), (scale, deg 16), (scale-2, deg 64) at p = 16.
-    let base = dmbfs_bench::harness::functional_scale();
     let mut functional = Vec::new();
     let rows: Vec<Vec<String>> = [(base + 2, 4u64), (base, 16), (base - 2, 64)]
         .iter()
         .map(|&(scale, degree)| {
             let g = rmat_graph(scale, degree, 9);
-            let sources = sample_sources(&g, num_sources(), 11);
+            let sources = sample_sources(&g, n_sources, 11);
             let mut row = vec![format!("SCALE {scale}, degree {degree}")];
             for alg in [Algorithm::OneDFlat, Algorithm::TwoDFlat] {
                 let pt = run_functional(&g, alg, 16, &sources);

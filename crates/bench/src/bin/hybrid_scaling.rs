@@ -86,10 +86,7 @@ fn critical_path(per_rank: &[CommStats], num_levels: u32) -> Vec<LevelRow> {
 
 fn main() {
     println!("=== hybrid_scaling — flat vs hybrid per-level compute/comm ===");
-    let scale = std::env::var("DMBFS_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16u32);
+    let scale = dmbfs_bench::harness::scale_or(16);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let g = rmat_graph(scale, 16, 99);
     let source = dmbfs_graph::components::sample_sources(&g, 1, 9)[0];

@@ -26,6 +26,7 @@ struct Row {
 fn main() {
     println!("=== single_node — shared-memory BFS variants ===");
     let scale = dmbfs_bench::harness::functional_scale() + 4;
+    let sources = num_sources();
     let g = rmat_graph(scale, 16, 77);
     println!(
         "instance: R-MAT scale {scale} (n = {}, stored adjacencies = {}), {} hardware threads",
@@ -81,7 +82,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut table = Vec::new();
     for (name, runner) in &variants {
-        let report = benchmark_bfs(&g, num_sources(), 3, |s| (runner(s), None));
+        let report = benchmark_bfs(&g, sources, 3, |s| (runner(s), None));
         table.push(vec![
             name.clone(),
             format!("{:.1}", report.mteps()),

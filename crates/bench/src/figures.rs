@@ -1,4 +1,4 @@
-//! Figure-level drivers shared by the per-figure binaries.
+//! Figure-level drivers shared by the figure binaries.
 
 use crate::harness::{
     calibrated_predictor, fmt_gteps, fmt_secs, functional_scale, num_sources, print_table,
@@ -47,16 +47,16 @@ impl Metric {
 }
 
 /// One panel of a figure: an instance plus the core counts of its x-axis.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Panel {
     /// Panel caption, e.g. "(a) n = 2^29, m = 2^33".
-    pub label: String,
+    pub label: &'static str,
     /// R-MAT scale.
     pub scale: u32,
     /// R-MAT edge factor.
     pub edge_factor: u64,
     /// Core counts of the x-axis.
-    pub cores: Vec<usize>,
+    pub cores: &'static [usize],
 }
 
 #[derive(Serialize)]
@@ -84,7 +84,7 @@ pub fn strong_scaling_figure(
     let mut all_model = Vec::new();
     for panel in panels {
         let shape = GraphShape::rmat(panel.scale, panel.edge_factor);
-        let series = model_series(&pred, &shape, &panel.cores);
+        let series = model_series(&pred, &shape, panel.cores);
         let rows: Vec<Vec<String>> = panel
             .cores
             .iter()
@@ -101,7 +101,7 @@ pub fn strong_scaling_figure(
             })
             .collect();
         print_table(
-            &panel.label,
+            panel.label,
             &[
                 "cores",
                 Algorithm::ALL[0].name(),

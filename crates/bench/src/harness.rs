@@ -7,6 +7,7 @@ use dmbfs_graph::{CsrGraph, RandomPermutation};
 use dmbfs_model::{GraphShape, MachineProfile, ScalePredictor};
 use serde::Serialize;
 use std::io::Write;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -33,21 +34,56 @@ pub fn webcrawl_graph(community_size: u64, seed: u64) -> CsrGraph {
 
 /// Functional R-MAT scale for this machine (override: `DMBFS_SCALE`).
 pub fn functional_scale() -> u32 {
-    env_u64("DMBFS_SCALE", 14) as u32
+    scale_or(14)
+}
+
+/// `DMBFS_SCALE`, or `default` when it is unset — for experiments whose
+/// instance must be larger than the functional default.
+pub fn scale_or(default: u32) -> u32 {
+    knob("DMBFS_SCALE", default.into(), SCALE_RANGE) as u32
 }
 
 /// Sources per TEPS measurement (override: `DMBFS_SOURCES`; the paper uses
 /// ≥ 16 — the default here is smaller because functional runs multiplex
 /// dozens of rank threads onto this machine's cores).
 pub fn num_sources() -> usize {
-    env_u64("DMBFS_SOURCES", 4) as usize
+    knob("DMBFS_SOURCES", 4, 1..=u64::MAX) as usize
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Accepted `DMBFS_SCALE` values: `fig10_degree_sensitivity` also runs
+/// the scale minus 2, and R-MAT ids are `u64`.
+const SCALE_RANGE: RangeInclusive<u64> = 3..=62;
+
+/// Reads an environment knob through [`parse_knob`]; a bad value ends the
+/// experiment with exit code 2.
+fn knob(name: &str, default: u64, range: RangeInclusive<u64>) -> u64 {
+    let raw = std::env::var(name).ok();
+    parse_knob(name, raw.as_deref(), default, range).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses one numeric knob: unset (`None`) is `default`; a value that is
+/// not an integer in `range` is an error naming the variable and value.
+fn parse_knob(
+    name: &str,
+    raw: Option<&str>,
+    default: u64,
+    range: RangeInclusive<u64>,
+) -> Result<u64, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    match raw.trim().parse::<u64>() {
+        Ok(v) if range.contains(&v) => Ok(v),
+        Ok(v) if v < *range.start() => Err(format!(
+            "{name}={raw} is below the minimum {}",
+            range.start()
+        )),
+        Ok(_) => Err(format!("{name}={raw} is above the maximum {}", range.end())),
+        Err(_) => Err(format!("{name}={raw:?} is not a whole number")),
+    }
 }
 
 /// A calibrated predictor for `profile`: measures this machine's serial
@@ -175,6 +211,43 @@ mod tests {
         assert_eq!(back["x"], 1);
         std::env::remove_var("DMBFS_RESULT_DIR");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unset_knobs_take_their_default() {
+        assert_eq!(parse_knob("DMBFS_SCALE", None, 14, SCALE_RANGE), Ok(14));
+        assert_eq!(
+            parse_knob("DMBFS_SCALE", Some("12"), 14, SCALE_RANGE),
+            Ok(12)
+        );
+        assert_eq!(parse_knob("DMBFS_SOURCES", Some(" 8 "), 4, 1..=99), Ok(8));
+    }
+
+    #[test]
+    fn unparsable_scale_is_rejected_naming_the_variable() {
+        let err = parse_knob("DMBFS_SCALE", Some("abc"), 14, SCALE_RANGE).unwrap_err();
+        assert!(err.contains("DMBFS_SCALE") && err.contains("abc"), "{err}");
+    }
+
+    #[test]
+    fn zero_sources_are_rejected_naming_the_variable() {
+        let err = parse_knob("DMBFS_SOURCES", Some("0"), 4, 1..=99).unwrap_err();
+        assert!(err.contains("DMBFS_SOURCES=0"), "{err}");
+    }
+
+    #[test]
+    fn scale_below_three_is_rejected_naming_the_variable() {
+        for low in ["0", "1", "2"] {
+            let err = parse_knob("DMBFS_SCALE", Some(low), 14, SCALE_RANGE).unwrap_err();
+            assert!(err.contains(&format!("DMBFS_SCALE={low}")), "{err}");
+        }
+        assert_eq!(parse_knob("DMBFS_SCALE", Some("3"), 14, SCALE_RANGE), Ok(3));
+    }
+
+    #[test]
+    fn negative_and_oversized_values_are_rejected() {
+        assert!(parse_knob("DMBFS_SOURCES", Some("-1"), 4, 1..=99).is_err());
+        assert!(parse_knob("DMBFS_SCALE", Some("63"), 14, SCALE_RANGE).is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! # dmbfs-bench — harness regenerating every table and figure of the paper
 //!
-//! One binary per experiment (see `src/bin/`); each prints the paper's
+//! One binary per paper figure, table or ablation (see `src/bin/`; Figs.
+//! 5–8 are the four rows of `strong_scaling`); each prints the paper's
 //! rows/series to stdout and writes machine-readable JSON under
 //! `results/` (override with `DMBFS_RESULT_DIR`). EXPERIMENTS.md in the
 //! repository root is the paper-vs-measured ledger generated from these
@@ -16,7 +17,8 @@
 //! * **F+M**: functional runs calibrate and validate the model; the model
 //!   extrapolates to paper scale.
 //!
-//! Environment knobs (all optional):
+//! Environment knobs (all optional; a value that is not a whole number,
+//! a scale below 3 or 0 sources ends the binary with exit code 2):
 //!
 //! * `DMBFS_RESULT_DIR` — where JSON results go (default `results/`).
 //! * `DMBFS_SCALE` — override the default functional R-MAT scale.

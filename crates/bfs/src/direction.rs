@@ -17,9 +17,9 @@
 //! feeds it exact counts, the 1D driver (`crate::one_d`) feeds it the same
 //! counts allreduced, so both take the same per-level decisions.
 //! [`DirectionOptOutput::edges_examined`] exposes the examined-edge counts
-//! so the saving is measurable deterministically (see the
-//! `ablation_direction` benchmark) — on a single-core host, wall-clock
-//! alone would be noise.
+//! so the saving is measurable deterministically (the tests below assert
+//! it on R-MAT and on community chains) — on a single-core host,
+//! wall-clock alone would be noise.
 
 use crate::{BfsOutput, UNREACHED};
 use dmbfs_graph::{CsrGraph, VertexId};

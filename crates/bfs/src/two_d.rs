@@ -33,7 +33,6 @@ use crate::frontier_codec::{
     decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats, Sieve,
 };
 use crate::{BfsOutput, UNREACHED};
-use dmbfs_comm::algorithms::{allgather_doubling, allgather_ring};
 use dmbfs_comm::{Comm, CommStats, LevelTiming};
 use dmbfs_graph::{CsrGraph, Grid2D, VertexId};
 use dmbfs_matrix::{spmsv, Dcsc, MergeKernel, RowSplitDcsc, SelectMax, SpaWorkspace, SparseVector};
@@ -59,22 +58,6 @@ pub enum VectorDistribution {
     Diagonal,
 }
 
-/// Which allgather algorithm runs the expand phase (§7's collective-
-/// optimization future work: the schedules differ in latency/bandwidth
-/// trade-offs, visible in the recorded event streams and the replay model).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ExpandAlgorithm {
-    /// One logical exchange on the runtime's board (an ideal MPI
-    /// implementation's `MPI_Allgatherv`).
-    #[default]
-    Board,
-    /// Ring allgather: `pr − 1` neighbor rounds, bandwidth-optimal.
-    Ring,
-    /// Recursive doubling: `log₂ pr` rounds, latency-optimal; requires a
-    /// power-of-two processor-column size (falls back to Board otherwise).
-    Doubling,
-}
-
 /// Configuration of a 2D run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Bfs2dConfig {
@@ -86,11 +69,9 @@ pub struct Bfs2dConfig {
     pub distribution: VectorDistribution,
     /// SpMSV merge kernel (§4.2; `Auto` is the paper's polyalgorithm).
     pub kernel: MergeKernel,
-    /// Expand-phase collective algorithm (§7 ablation).
-    pub expand: ExpandAlgorithm,
     /// Wire encoding of the transpose/expand/fold payloads (see
-    /// [`crate::frontier_codec`]). The Ring/Doubling expand schedules and
-    /// the rectangular-grid transpose keep their typed collectives.
+    /// [`crate::frontier_codec`]). The rectangular-grid transpose keeps
+    /// its typed collective.
     pub codec: Codec,
     /// Sender-side filtering of fold rows already emitted at an earlier
     /// level. Ignored under [`Codec::Off`].
@@ -121,7 +102,6 @@ impl Bfs2dConfig {
             threads_per_rank: 1,
             distribution: VectorDistribution::TwoD,
             kernel: MergeKernel::Auto,
-            expand: ExpandAlgorithm::Board,
             codec: Codec::Adaptive,
             sieve: true,
             trace: false,
@@ -468,24 +448,16 @@ impl RankState {
             comm.trace_span(SpanKind::Transpose, transpose_t, transposed.len() as u64);
             // Line 6: expand along the processor column.
             let expand_t = comm.trace_start();
-            // The expand algorithm is shared config, not rank state.
-            // schedule: replicated
-            let gathered = match self.cfg.expand {
-                ExpandAlgorithm::Board if codec != Codec::Off => {
-                    let buf = encode_set(&transposed, self.block.col_range.clone(), codec);
-                    lvl.note(&buf);
-                    col_comm
-                        .allgatherv_wire(buf)
-                        .iter()
-                        .map(|b| decode_set(b.bytes()))
-                        .collect()
-                }
-                ExpandAlgorithm::Board => col_comm.allgatherv(transposed),
-                ExpandAlgorithm::Ring => allgather_ring(col_comm, transposed),
-                ExpandAlgorithm::Doubling if col_comm.size().is_power_of_two() => {
-                    allgather_doubling(col_comm, transposed)
-                }
-                ExpandAlgorithm::Doubling => col_comm.allgatherv(transposed),
+            let gathered = if codec != Codec::Off {
+                let buf = encode_set(&transposed, self.block.col_range.clone(), codec);
+                lvl.note(&buf);
+                col_comm
+                    .allgatherv_wire(buf)
+                    .iter()
+                    .map(|b| decode_set(b.bytes()))
+                    .collect()
+            } else {
+                col_comm.allgatherv(transposed)
             };
             let fvec = self.assemble_frontier(gathered);
             comm.trace_span(SpanKind::ExpandPhase, expand_t, fvec.nnz() as u64);
@@ -808,53 +780,6 @@ mod tests {
             assert_eq!(count(SpanKind::ExchangeStart), run.num_levels);
             assert_eq!(count(SpanKind::ExchangeWait), run.num_levels);
         }
-    }
-
-    #[test]
-    fn expand_algorithms_agree() {
-        let g = rmat_graph(8, 33);
-        let expected = serial_bfs(&g, 0);
-        for (grid, expand) in [
-            (Grid2D::new(4, 2), ExpandAlgorithm::Ring),
-            (Grid2D::new(4, 2), ExpandAlgorithm::Doubling),
-            (Grid2D::new(3, 3), ExpandAlgorithm::Ring),
-            (Grid2D::new(3, 3), ExpandAlgorithm::Doubling), // falls back
-        ] {
-            let cfg = Bfs2dConfig {
-                expand,
-                ..Bfs2dConfig::flat(grid)
-            };
-            let out = bfs2d(&g, 0, &cfg);
-            assert_eq!(out.levels, expected.levels, "{grid:?} {expand:?}");
-            validate_bfs(&g, 0, &out.parents, &out.levels).unwrap();
-        }
-    }
-
-    #[test]
-    fn expand_algorithms_have_distinct_event_schedules() {
-        let g = rmat_graph(8, 35);
-        let mk = |expand| {
-            let cfg = Bfs2dConfig {
-                expand,
-                ..Bfs2dConfig::flat(Grid2D::new(4, 4))
-            };
-            bfs2d_run(&g, 0, &cfg)
-        };
-        let board = mk(ExpandAlgorithm::Board);
-        let ring = mk(ExpandAlgorithm::Ring);
-        assert_eq!(board.output.levels, ring.output.levels);
-        // Ring replaces each Allgatherv with p2p rounds: more calls.
-        let calls = |run: &Dist2dRun| run.per_rank_stats[0].num_calls();
-        assert!(calls(&ring) > calls(&board));
-        let ag = |run: &Dist2dRun| {
-            run.per_rank_stats[0]
-                .events
-                .iter()
-                .filter(|e| e.pattern == Pattern::Allgatherv)
-                .count()
-        };
-        assert_eq!(ag(&ring), 0);
-        assert_eq!(ag(&board) as u32, board.num_levels);
     }
 
     #[test]

@@ -412,7 +412,7 @@ impl Comm {
         [bytes_out, bytes_in]: [u64; 2],
         [wire_out, wire_in]: [u64; 2],
         loaned_out: u64,
-        [wall, hidden]: [Duration; 2],
+        wall: Duration,
     ) {
         self.stats.borrow_mut().events.push(CommEvent {
             pattern,
@@ -422,7 +422,6 @@ impl Comm {
             wire_out,
             wire_in,
             wall,
-            hidden,
             loaned_out,
             copied_out: 0,
         });
@@ -439,8 +438,7 @@ impl Comm {
         loaned_out: u64,
         start: Instant,
     ) {
-        let wall = [start.elapsed(), Duration::ZERO];
-        self.push_event(pattern, bytes, wire, loaned_out, wall);
+        self.push_event(pattern, bytes, wire, loaned_out, start.elapsed());
         if let Some(t) = self.tracer.borrow().as_ref() {
             let (tag, p) = (collective_tag(pattern), self.size() as u64);
             t.lock()
@@ -799,11 +797,10 @@ impl Comm {
     ///   the buffers leave the rank); checksum corruption planted here
     ///   trips at the receivers' `wait()`;
     /// * **stats** — the recorded [`CommEvent`]'s `wall` is the *exposed*
-    ///   time (inside this call plus inside `wait()`) and `hidden` is the
-    ///   in-flight window between them;
+    ///   time: inside this call plus inside `wait()`, not the in-flight
+    ///   window between them;
     /// * **trace** — an `ExchangeStart` span is emitted here and an
-    ///   `ExchangeWait` span at the wait, so wait-matrix analysis can
-    ///   measure how much communication the in-flight window hid.
+    ///   `ExchangeWait` span at the wait.
     ///
     /// At most one exchange may be in flight per communicator, and no
     /// other collective may run on the handle while it is (asserted): the
@@ -863,7 +860,6 @@ impl Comm {
             comm: self,
             epoch,
             start_call: start.elapsed(),
-            in_flight_since: Instant::now(),
             bytes_out,
             wire_out,
             own,
@@ -1007,9 +1003,6 @@ pub struct PendingExchange<'a> {
     /// Wall time spent inside the start call — the exposed half of start,
     /// charged to the recorded event's `wall` together with the wait call.
     start_call: Duration,
-    /// When the start call returned: the beginning of the in-flight window
-    /// whose length `wait()` reports as overlap-hidden communication.
-    in_flight_since: Instant,
     bytes_out: u64,
     wire_out: u64,
     /// The sender's own bucket, held locally until the wait instead of
@@ -1023,17 +1016,15 @@ impl PendingExchange<'_> {
     /// **started** the matching exchange (deposited its buffers) — never
     /// on the peers' own waits — and checks end-to-end wire checksums
     /// (verifier on). Records one [`CommEvent`] whose `wall` is the
-    /// exposed time (inside the start call plus inside this call) and
-    /// whose `hidden` is the in-flight window between them, and emits the
-    /// `ExchangeWait` span.
+    /// exposed time (inside the start call plus inside this call), and
+    /// emits the `ExchangeWait` span.
     #[track_caller]
     pub fn wait(self) -> Vec<WireBuf> {
         let comm = self.comm;
         comm.assert_owner();
-        let entered = Instant::now();
-        let hidden = entered.duration_since(self.in_flight_since);
         // Timed from before the hooks: an injected delay or the verifier's
-        // rendezvous here is exposed wait, not overlap-hidden time.
+        // rendezvous here is exposed wait.
+        let entered = Instant::now();
         comm.enter_wire(CollectiveKind::IalltoallvWireWait);
         let mut recv: Vec<WireBuf> = Vec::with_capacity(comm.size());
         let (mut bytes_in, mut wire_in) = (0u64, 0u64);
@@ -1057,7 +1048,7 @@ impl PendingExchange<'_> {
             [self.bytes_out, bytes_in],
             [self.wire_out, wire_in],
             self.wire_out,
-            [self.start_call + entered.elapsed(), hidden],
+            self.start_call + entered.elapsed(),
         );
         if let Some(t) = comm.tracer.borrow().as_ref() {
             t.lock().exchange(
@@ -1167,21 +1158,24 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "sleep-based overlap-window timing")]
     fn nonblocking_exchange_records_hidden_window() {
-        let stats = World::run(2, |comm| {
+        let sleep = Duration::from_millis(20);
+        let out = World::run(2, |comm| {
             let bufs = vec![WireBuf::new(vec![9], 8), WireBuf::new(vec![9], 8)];
+            let t0 = Instant::now();
             let pending = comm.ialltoallv_wire(bufs);
-            std::thread::sleep(Duration::from_millis(20));
+            std::thread::sleep(sleep);
             pending.wait();
-            comm.take_stats()
+            (t0.elapsed(), comm.take_stats())
         });
-        for s in &stats {
+        for (elapsed, s) in &out {
             assert_eq!(s.num_calls(), 1);
+            let wall = s.events[0].wall;
             assert!(
-                s.events[0].hidden >= Duration::from_millis(10),
-                "the in-flight sleep must show up as hidden time, got {:?}",
-                s.events[0].hidden
+                wall > Duration::ZERO && wall + sleep <= *elapsed,
+                "the wall must exclude the in-flight sleep: wall {wall:?}, \
+                 start-to-wait {elapsed:?}"
             );
-            assert_eq!(s.hidden_total(), s.events[0].hidden);
+            assert_eq!(s.wall(), wall);
         }
     }
 

@@ -57,8 +57,8 @@
 //!   start/wait pair stays a first-class citizen of every observer above:
 //!   the verifier fingerprints it as two matched collectives (so the
 //!   watchdog names ranks stuck in `wait()`), faults fire at the start
-//!   site with checksums tripping at the wait, stats split exposed vs
-//!   hidden (in-flight) wall time, and the trace emits
+//!   site with checksums tripping at the wait, stats record the exposed
+//!   wall time (the two calls, not the window between), and the trace emits
 //!   `ExchangeStart`/`ExchangeWait` spans. [`Comm::alltoallv_wire`] is that
 //!   pair completed on the spot — the wire all-to-all has one
 //!   implementation, and every observer sees the blocking call as a
@@ -75,7 +75,6 @@
 
 #![warn(missing_docs)]
 
-pub mod algorithms;
 mod comm;
 mod exchange;
 pub mod fault;

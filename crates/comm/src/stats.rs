@@ -136,12 +136,6 @@ pub struct CommEvent {
     /// nonblocking exchange this is the *exposed* time only: the start and
     /// wait calls themselves, excluding the in-flight window.
     pub wall: Duration,
-    /// For a nonblocking exchange: the in-flight window between the start
-    /// call returning and the wait call being entered — communication time
-    /// hidden under whatever local work the caller did in between. Zero for
-    /// the typed blocking collectives; for [`crate::Comm::alltoallv_wire`],
-    /// whose halves run back to back, only the call-to-call gap.
-    pub hidden: Duration,
     /// Of `wire_out`, the bytes that travelled as a zero-copy loan
     /// (receivers decoded straight from this rank's shared buffer): all of
     /// it for the wire collectives, zero for plain collectives.
@@ -183,13 +177,6 @@ impl CommStats {
     /// [`CommEvent::wall`]).
     pub fn wall(&self) -> Duration {
         self.events.iter().map(|e| e.wall).sum()
-    }
-
-    /// Total hidden communication time across all events: the in-flight
-    /// windows of nonblocking exchanges (≈ zero for the BFS drivers, which
-    /// call the blocking form).
-    pub fn hidden_total(&self) -> Duration {
-        self.events.iter().map(|e| e.hidden).sum()
     }
 
     /// Wall time inside collectives matching `pattern`.
@@ -282,7 +269,6 @@ mod tests {
             wire_out: out,
             wire_in: inn,
             wall: Duration::from_micros(micros),
-            hidden: Duration::ZERO,
             loaned_out: 0,
             copied_out: 0,
         }
@@ -377,18 +363,6 @@ mod tests {
             .expect("stats with recorded wire traffic must report a compression ratio");
         assert!((ratio - 258.0 / 1008.0).abs() < 1e-12);
         assert_eq!(CommStats::default().compression_ratio(), None);
-    }
-
-    #[test]
-    fn hidden_time_sums_separately_from_exposed_wall() {
-        let mut overlapped = ev(Pattern::Alltoallv, 100, 100, 5);
-        overlapped.hidden = Duration::from_micros(40);
-        let stats = CommStats {
-            events: vec![overlapped, ev(Pattern::Allreduce, 8, 8, 2)],
-            ..Default::default()
-        };
-        assert_eq!(stats.wall(), Duration::from_micros(7));
-        assert_eq!(stats.hidden_total(), Duration::from_micros(40));
     }
 
     #[test]

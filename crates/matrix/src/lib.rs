@@ -25,14 +25,12 @@ pub mod dcsc;
 pub mod semiring;
 pub mod sparse_vector;
 pub mod spmsv;
-pub mod symmetric;
 
 pub use csc::Csc;
 pub use dcsc::Dcsc;
 pub use semiring::{MinPlus, SelectMax, Semiring};
 pub use sparse_vector::SparseVector;
 pub use spmsv::{spmsv, spmsv_heap, spmsv_spa, MergeKernel, RowSplitDcsc, SpaWorkspace};
-pub use symmetric::SymmetricDcsc;
 
 /// Row/column index type (matches `dmbfs_graph::VertexId`).
 pub type Index = u64;

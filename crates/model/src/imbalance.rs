@@ -15,10 +15,6 @@
 //!   (`ExchangeStart` durations and each `ExchangeWait`'s late-sender
 //!   share, clipped at the last peer's deposit), the heatmap cells of
 //!   Fig. 4;
-//! * a **hidden matrix** `hidden_ns[rank][level]` — in-flight exchange time
-//!   between a start span ending and its wait span beginning, i.e.
-//!   communication a split-form exchange moved behind compute (≈ 0 for the
-//!   BFS drivers, whose one exchange per level is the blocking form);
 //! * a **compute matrix** `compute_ns[rank][level]` — the rank's `Level` span
 //!   minus its collective time at that level, i.e. time doing local work;
 //! * per-level and whole-run **imbalance factors** (max over mean across
@@ -47,16 +43,8 @@ pub struct ImbalanceReport {
     /// Time a waiter spends runnable-but-descheduled after the data is
     /// ready is CPU queueing, not communication — on hosts where rank
     /// threads outnumber cores it would otherwise swamp the signal — and
-    /// falls into [`ImbalanceReport::compute_ns`]. The in-flight window
-    /// between a start and its wait is [`ImbalanceReport::hidden_ns`].
+    /// falls into [`ImbalanceReport::compute_ns`].
     pub wait_ns: Vec<Vec<u64>>,
-    /// `hidden_ns[rank][level]`: nanoseconds of in-flight nonblocking
-    /// exchange time overlapped with local compute — the gap between the
-    /// k-th `ExchangeStart` span ending and the k-th `ExchangeWait` span
-    /// beginning at that (rank, level). The BFS drivers call the blocking
-    /// form, so for them it is only the few instructions between its two
-    /// halves; a caller of the split form sees the communication it *hid*.
-    pub hidden_ns: Vec<Vec<u64>>,
     /// `level_ns[rank][level]`: duration of the rank's whole level span.
     pub level_ns: Vec<Vec<u64>>,
     /// `compute_ns[rank][level]`: level time minus collective time
@@ -82,8 +70,6 @@ pub struct ImbalanceReport {
     /// exchanges. This isolates the frontier-exchange comm wall from the
     /// per-level allreduce/allgather baseline.
     pub total_exchange_exposed_ns: u64,
-    /// Total hidden exchange time across all ranks and levels.
-    pub total_hidden_ns: u64,
     /// Wire bytes that crossed the exchange as zero-copy loans, summed over
     /// the outbound sides of wire-collective spans (`Collective` with an
     /// alltoallv/allgatherv/point-to-point pattern, plus `ExchangeStart`;
@@ -147,7 +133,6 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
 
     let mut wait_ns = vec![vec![0u64; levels]; ranks];
     let mut level_ns = vec![vec![0u64; levels]; ranks];
-    let mut hidden_ns = vec![vec![0u64; levels]; ranks];
     let mut total_exchange_exposed_ns = 0u64;
     let mut total_loaned_wire_bytes = 0u64;
     let mut total_copied_wire_bytes = 0u64;
@@ -179,11 +164,8 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
     }
 
     for (r, t) in traces.iter().enumerate() {
-        // The k-th ExchangeStart at a (rank, level) pairs with the k-th
-        // ExchangeWait there: a communicator keeps at most one exchange
-        // in flight, so starts and waits interleave
-        // strictly (start₀ wait₀ start₁ wait₁ …) in recording order.
-        let mut starts: Vec<Vec<u64>> = vec![Vec::new(); levels];
+        // The k-th ExchangeWait at a (rank, level) completes that level's
+        // k-th exchange: a communicator keeps at most one in flight.
         let mut waits: Vec<Vec<(u64, u64)>> = vec![Vec::new(); levels];
         for s in &t.spans {
             if s.level < 0 {
@@ -213,7 +195,6 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
                     total_exchange_exposed_ns += s.dur_ns();
                     total_loaned_wire_bytes += s.loaned;
                     total_copied_wire_bytes += s.wire.saturating_sub(s.loaned);
-                    starts[l].push(s.end_ns);
                 }
                 SpanKind::ExchangeWait => {
                     waits[l].push((s.start_ns, s.end_ns));
@@ -222,10 +203,9 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
                 _ => {}
             }
         }
-        for l in 0..levels {
-            starts[l].sort_unstable();
-            waits[l].sort_unstable();
-            for (k, &(wait_begin, wait_end)) in waits[l].iter().enumerate() {
+        for (l, waits) in waits.iter_mut().enumerate() {
+            waits.sort_unstable();
+            for (k, &(wait_begin, wait_end)) in waits.iter().enumerate() {
                 // Exposed share of the k-th wait: until the last matching
                 // deposit landed (the waiter's own start is in the max, so
                 // a ready instant always exists; full duration otherwise).
@@ -233,9 +213,6 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
                 let exposed = ready.clamp(wait_begin, wait_end) - wait_begin;
                 wait_ns[r][l] += exposed;
                 total_exchange_exposed_ns += exposed;
-                if let Some(start_end) = starts[l].get(k) {
-                    hidden_ns[r][l] += wait_begin.saturating_sub(*start_end);
-                }
             }
         }
     }
@@ -274,12 +251,10 @@ pub fn analyze(traces: &[RankTrace]) -> ImbalanceReport {
         levels,
         total_wait_ns: wait_ns.iter().flatten().sum(),
         total_exchange_exposed_ns,
-        total_hidden_ns: hidden_ns.iter().flatten().sum(),
         total_loaned_wire_bytes,
         total_copied_wire_bytes,
         total_compute_ns: compute_ns.iter().flatten().sum(),
         wait_ns,
-        hidden_ns,
         level_ns,
         compute_ns,
         level_imbalance,
@@ -374,7 +349,7 @@ mod tests {
         // 0's wait₀ [50,55] is exposed only for [50,52] — the rest of the
         // span is post-ready (CPU queueing) and stays out of the wait
         // matrix. Exchange 1 deposits (ending 60) all land before either
-        // wait₁ begins, so both wait₁ spans are fully hidden-by-readiness.
+        // wait₁ begins, so neither wait₁ span is exposed.
         let traces = vec![
             rank(
                 0,
@@ -405,9 +380,6 @@ mod tests {
         // Exchange share: everything above except nothing — the lone
         // Collective span is Alltoallv-patterned too, so 27 + 44.
         assert_eq!(rep.total_exchange_exposed_ns, 71);
-        // Hidden stays the start→wait in-flight gap, per rank.
-        assert_eq!(rep.hidden_ns, vec![vec![60], vec![0]]);
-        assert_eq!(rep.total_hidden_ns, 60);
         // Everything not exposed comm is charged to the compute cell.
         assert_eq!(rep.compute_ns, vec![vec![93], vec![76]]);
     }
@@ -446,20 +418,6 @@ mod tests {
         let rep = analyze(&traces);
         assert_eq!(rep.total_loaned_wire_bytes, 600 + 100);
         assert_eq!(rep.total_copied_wire_bytes, 400 + 50);
-    }
-
-    #[test]
-    fn blocking_traces_have_zero_hidden_time() {
-        let traces = vec![rank(
-            0,
-            vec![
-                span(SpanKind::Collective, 0, 5, 25),
-                span(SpanKind::Level, 0, 0, 40),
-            ],
-        )];
-        let rep = analyze(&traces);
-        assert_eq!(rep.hidden_ns, vec![vec![0]]);
-        assert_eq!(rep.total_hidden_ns, 0);
     }
 
     #[test]

@@ -95,7 +95,6 @@ mod tests {
             wire_out: bytes,
             wire_in: bytes,
             wall: Duration::ZERO,
-            hidden: Duration::ZERO,
             loaned_out: 0,
             copied_out: bytes,
         }

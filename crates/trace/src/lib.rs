@@ -65,9 +65,7 @@ pub enum SpanKind {
     /// Start half of a wire exchange (`ialltoallv_wire`, and the blocking
     /// `alltoallv_wire` the BFS drivers call, which is the same start/wait
     /// pair): the time spent depositing outbound buffers. The matching wait
-    /// half is [`SpanKind::ExchangeWait`]; the gap between the two is comm
-    /// hidden under the caller's compute — only the call-to-call gap for
-    /// the blocking form.
+    /// half is [`SpanKind::ExchangeWait`].
     ExchangeStart,
     /// Wait half of a nonblocking exchange: the exposed time blocked in
     /// `PendingExchange::wait()` collecting peers' buffers.

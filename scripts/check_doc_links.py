@@ -12,8 +12,12 @@ Every ``--bin NAME`` / ``--example NAME`` in those files and in
 behind that no longer runs. Placeholders (``<name>``, ``NAME``) are not
 names and are skipped.
 
+``results/README.md`` must name every bench binary
+(``crates/bench/src/bin/NAME.rs``) and every ``results/*.json`` file, so
+an undocumented binary or an orphan result fails as well.
+
 Usage: python3 scripts/check_doc_links.py [repo-root]
-Exits non-zero listing every broken link.
+Exits non-zero listing every broken link and every unnamed file.
 """
 
 import os
@@ -30,6 +34,8 @@ RUNNABLE = re.compile(r"--(bin|example)[ =]([a-z0-9_]+)\b")
 RUNNABLE_PATH = {"bin": "crates/bench/src/bin/{}.rs", "example": "examples/{}.rs"}
 
 SCAN_DIRS = [".", "docs", "results", "scripts"]
+RESULTS_README = "results/README.md"
+BENCH_BINS = "crates/bench/src/bin"
 SKIP_DIRS = {"target", "third_party", ".git", "node_modules"}
 
 
@@ -85,9 +91,28 @@ def runnables_in(path):
                 yield lineno, match.group(1), match.group(2)
 
 
+def unnamed_outputs(root):
+    """Bench binaries and result files that results/README.md never names.
+
+    A binary counts as named when its stem appears as a word (its own
+    ``NAME.json`` counts); a result file when its full file name appears.
+    """
+    with open(os.path.join(root, RESULTS_README), encoding="utf-8") as f:
+        text = f.read()
+    words = set(re.findall(r"[a-z0-9_]+", text))
+    files = set(re.findall(r"[a-z0-9_]+\.json", text))
+    for name in sorted(os.listdir(os.path.join(root, BENCH_BINS))):
+        stem, ext = os.path.splitext(name)
+        if ext == ".rs" and stem not in words:
+            yield f"{RESULTS_README}: bench binary {BENCH_BINS}/{name} is not named"
+    for name in sorted(os.listdir(os.path.join(root, "results"))):
+        if name.endswith(".json") and name not in files:
+            yield f"{RESULTS_README}: result file results/{name} is not named"
+
+
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
-    broken = []
+    broken = list(unnamed_outputs(root))
     checked = 0
     named = 0
     for path in [*md_files(root), *workflow_files(root)]:

@@ -4,10 +4,11 @@
 Usage:
     python3 scripts/plot_figures.py [results_dir] [output_dir]
 
-Reads `results/*.json` (produced by `cargo run -p dmbfs-bench --bin figN_*`)
-and writes one SVG per figure. Only needs matplotlib; figures degrade to a
-text summary when matplotlib is unavailable, so the script always succeeds
-in CI.
+Reads `results/*.json` (produced by the bench binaries: `strong_scaling`
+for figs 5-8, `fig9_weak_scaling`, `fig4_imbalance`) and writes one SVG per
+figure. A missing input file is an error naming it (exit code 1). Only
+needs matplotlib; figures degrade to a text summary when matplotlib is
+unavailable.
 """
 
 import json
@@ -21,11 +22,21 @@ ALGORITHMS = ["1D Flat MPI", "2D Flat MPI", "1D Hybrid", "2D Hybrid"]
 MARKERS = {"1D Flat MPI": "o", "2D Flat MPI": "s", "1D Hybrid": "^", "2D Hybrid": "D"}
 
 
+# (name, plotted key, y label, title) of each strong/weak-scaling figure.
+SCALING_FIGURES = [
+    ("fig5_strong_scaling_franklin", "gteps", "GTEPS", "Fig. 5 — strong scaling, Franklin"),
+    ("fig6_comm_franklin", "comm_seconds", "comm time (s)",
+     "Fig. 6 — communication time, Franklin"),
+    ("fig7_strong_scaling_hopper", "gteps", "GTEPS", "Fig. 7 — strong scaling, Hopper"),
+    ("fig8_comm_hopper", "comm_seconds", "comm time (s)", "Fig. 8 — communication time, Hopper"),
+    ("fig9_weak_scaling", "total_seconds", "mean search time (s)",
+     "Fig. 9 — weak scaling, Franklin"),
+]
+HEATMAP_FIGURE = "fig4_imbalance"
+
+
 def load(name):
-    path = RESULTS / f"{name}.json"
-    if not path.exists():
-        return None
-    with open(path) as f:
+    with open(RESULTS / f"{name}.json") as f:
         return json.load(f)
 
 
@@ -40,9 +51,6 @@ def series_by_algorithm(points, key):
 
 def plot_strong_scaling(plt, name, key, ylabel, title):
     doc = load(name)
-    if doc is None:
-        print(f"skip {name}: no results (run the bench binary first)")
-        return
     fig, ax = plt.subplots(figsize=(6, 4))
     for alg, pts in series_by_algorithm(doc["model"], key).items():
         xs, ys = zip(*pts)
@@ -61,9 +69,6 @@ def plot_strong_scaling(plt, name, key, ylabel, title):
 
 def plot_heatmaps(plt, name):
     doc = load(name)
-    if doc is None:
-        print(f"skip {name}: no results")
-        return
     fig, axes = plt.subplots(1, 2, figsize=(9, 4))
     for ax, key, title in [
         (axes[0], "diagonal_mpi_pct", "diagonal (1D) vector distribution"),
@@ -88,6 +93,13 @@ def text_summary():
 
 
 def main():
+    needed = [fig[0] for fig in SCALING_FIGURES] + [HEATMAP_FIGURE]
+    missing = [n for n in needed if not (RESULTS / f"{n}.json").exists()]
+    if missing:
+        for name in missing:
+            print(f"missing {RESULTS / name}.json: run the bench binary first",
+                  file=sys.stderr)
+        return 1
     OUT.mkdir(parents=True, exist_ok=True)
     try:
         import matplotlib
@@ -96,20 +108,13 @@ def main():
         import matplotlib.pyplot as plt
     except ImportError:
         text_summary()
-        return
+        return 0
 
-    plot_strong_scaling(plt, "fig5_strong_scaling_franklin", "gteps", "GTEPS",
-                        "Fig. 5 — strong scaling, Franklin")
-    plot_strong_scaling(plt, "fig6_comm_franklin", "comm_seconds", "comm time (s)",
-                        "Fig. 6 — communication time, Franklin")
-    plot_strong_scaling(plt, "fig7_strong_scaling_hopper", "gteps", "GTEPS",
-                        "Fig. 7 — strong scaling, Hopper")
-    plot_strong_scaling(plt, "fig8_comm_hopper", "comm_seconds", "comm time (s)",
-                        "Fig. 8 — communication time, Hopper")
-    plot_strong_scaling(plt, "fig9_weak_scaling", "total_seconds", "mean search time (s)",
-                        "Fig. 9 — weak scaling, Franklin")
-    plot_heatmaps(plt, "fig4_load_imbalance")
+    for name, key, ylabel, title in SCALING_FIGURES:
+        plot_strong_scaling(plt, name, key, ylabel, title)
+    plot_heatmaps(plt, HEATMAP_FIGURE)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -61,7 +61,6 @@ pub mod prelude {
     pub use dmbfs_bfs::serial::serial_bfs;
     pub use dmbfs_bfs::shared::shared_bfs;
     pub use dmbfs_bfs::teps::{benchmark_bfs, TepsReport};
-    pub use dmbfs_bfs::two_d::ExpandAlgorithm;
     pub use dmbfs_bfs::two_d::{bfs2d, Bfs2dConfig, VectorDistribution};
     pub use dmbfs_bfs::validate::validate_bfs;
     pub use dmbfs_bfs::BfsOutput;
@@ -69,7 +68,7 @@ pub mod prelude {
     pub use dmbfs_graph::components::sample_sources;
     pub use dmbfs_graph::gen::{erdos_renyi, rmat, webcrawl, RmatConfig, WebCrawlConfig};
     pub use dmbfs_graph::{Block1D, CsrGraph, EdgeList, Grid2D, OwnerMap2D, RandomPermutation};
-    pub use dmbfs_matrix::{Dcsc, SpaWorkspace, SparseVector, SymmetricDcsc};
+    pub use dmbfs_matrix::{Dcsc, SpaWorkspace, SparseVector};
     pub use dmbfs_model::{MachineProfile, ScalePredictor};
     pub use dmbfs_runtime::{run_ranks, Codec, DistRun, RankCtx, RunConfig};
 }

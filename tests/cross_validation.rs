@@ -162,8 +162,8 @@ fn baselines_match_serial_everywhere() {
 #[test]
 fn exotic_2d_configuration_combinations_match_serial() {
     // Combinations not covered elsewhere: hybrid × diagonal distribution,
-    // hybrid × ring expand, hybrid on rectangular grids, heap kernel with
-    // diagonal distribution.
+    // hybrid on square and rectangular grids, heap kernel with diagonal
+    // distribution, SPA kernel with hybrid.
     use dmbfs::matrix::MergeKernel;
     let (_, g) = zoo().remove(0);
     let source = sample_sources(&g, 1, 13)[0];
@@ -174,10 +174,7 @@ fn exotic_2d_configuration_combinations_match_serial() {
             distribution: VectorDistribution::Diagonal,
             ..Bfs2dConfig::hybrid(Grid2D::new(3, 3), 2)
         },
-        Bfs2dConfig {
-            expand: ExpandAlgorithm::Ring,
-            ..Bfs2dConfig::hybrid(Grid2D::new(2, 2), 2)
-        },
+        Bfs2dConfig::hybrid(Grid2D::new(2, 2), 2),
         Bfs2dConfig::hybrid(Grid2D::new(2, 4), 2),
         Bfs2dConfig {
             distribution: VectorDistribution::Diagonal,
@@ -185,7 +182,6 @@ fn exotic_2d_configuration_combinations_match_serial() {
             ..Bfs2dConfig::flat(Grid2D::new(4, 4))
         },
         Bfs2dConfig {
-            expand: ExpandAlgorithm::Doubling,
             kernel: MergeKernel::Spa,
             ..Bfs2dConfig::hybrid(Grid2D::new(4, 2), 3)
         },
