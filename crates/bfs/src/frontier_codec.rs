@@ -26,9 +26,8 @@
 //! `tests/properties.rs`).
 //!
 //! [`Sieve`] implements the sender-side filter: a per-rank bitmap of
-//! every (global vertex, destination) already sent, so re-discovered
-//! vertices — which the owner would discard anyway — never reach the
-//! wire.
+//! every vertex already sent to its owner, so re-discovered vertices —
+//! which the owner would discard anyway — never reach the wire.
 
 use dmbfs_comm::WireBuf;
 use dmbfs_graph::VertexId;
@@ -289,16 +288,19 @@ fn decode_targets(
     targets
 }
 
-/// Sender-side duplicate filter: one bit per (vertex, destination) this
-/// rank has already emitted. A BFS vertex is discovered exactly once, so
-/// anything the bit already covers is a cross-level duplicate the owner
-/// would discard — sieving drops it before it costs wire bytes.
+/// Sender-side duplicate filter: one bit per key this rank has already
+/// emitted — a global vertex in 1D (its owner is fixed, so the vertex
+/// names the destination too), a local matrix row in the 2D fold. A BFS
+/// vertex is discovered exactly once, so anything the bit already covers
+/// is a cross-level duplicate the owner would discard — sieving drops it
+/// before it costs wire bytes. The 1D gather tests each distinct target
+/// once per level.
 ///
-/// The bit array is atomic so the per-destination encode loop can sieve
-/// from pool threads through a shared `&Sieve` (in the 1D exchange each
-/// destination's targets fall in a disjoint owner range, so concurrent
-/// callers never contend on the same *vertex*, only — harmlessly — on
-/// neighbouring bits of a shared word).
+/// The bit array is atomic so the per-destination gather can sieve from
+/// pool threads through a shared `&Sieve` (each destination's targets
+/// fall in a disjoint owner range, so concurrent callers never contend on
+/// the same *vertex*, only — harmlessly — on neighbouring bits of a
+/// shared word).
 #[derive(Debug)]
 pub struct Sieve {
     bits: Vec<AtomicU64>,

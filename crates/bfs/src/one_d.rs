@@ -1,13 +1,16 @@
 //! 1D vertex-partitioned distributed BFS — Algorithm 2 of the paper.
 //!
 //! Each process owns `n/p` vertices and their outgoing edges (§3.1). A
-//! level expands by enumerating the adjacencies of the local frontier into
-//! per-destination buffers (thread-parallel with thread-local buffers in
-//! the hybrid variant), exchanging them with a single `Alltoallv`, and
-//! having each owner claim the newly visited vertices. "The key aspects to
-//! note [...] is the extraneous computation (and communication) introduced
-//! due to the distributed graph scenario: creating the message buffers of
-//! cumulative size O(m) and the All-to-all communication step."
+//! level expands by enumerating the adjacencies of the local frontier,
+//! exchanging them with a single `Alltoallv`, and having each owner claim
+//! the newly visited vertices. "The key aspects to note [...] is the
+//! extraneous computation (and communication) introduced due to the
+//! distributed graph scenario: creating the message buffers of cumulative
+//! size O(m) and the All-to-all communication step."
+//!
+//! Those O(m) pairs are never materialised: the enumeration scatters into
+//! a per-rank SelectMax accumulator (§4.2) keeping each target's max
+//! parent, and the buffers are gathered from it, one pair per target.
 //!
 //! There is one level loop (`RankSearch::search`): per level a step — the
 //! top-down exchange above, or a bottom-up bitmap allgather plus owner-side
@@ -17,7 +20,7 @@
 
 use crate::direction::{DirectionConfig, DirectionSwitch};
 use crate::distribute::{extract_1d, Local1d};
-use crate::exchange::exchange_pairs;
+use crate::exchange::{exchange_pairs, PairBuckets};
 use crate::frontier_codec::{
     decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats, Sieve,
 };
@@ -27,7 +30,7 @@ use dmbfs_graph::{CsrGraph, VertexId};
 use dmbfs_runtime::{run_ranks, scatter_block};
 use dmbfs_trace::{RankTrace, SpanKind};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Configuration of a 1D run — since the runtime refactor this *is* the
@@ -131,9 +134,16 @@ struct RankSearch<'a> {
     cfg: &'a Bfs1dConfig,
     levels: Vec<AtomicI64>,
     parents: Vec<AtomicI64>,
-    /// One bit per global vertex: a vertex's owner is fixed, so this also
-    /// keys (vertex, destination) pairs. Only allocated when sieving.
+    /// One bit per global vertex, set once the vertex was sent to its
+    /// owner. Only allocated when sieving.
     sieve: Option<Sieve>,
+    /// The top-down SelectMax accumulator, one slot per global vertex: the
+    /// max parent's local index + 1, or 0. All 0 between levels. `Relaxed`
+    /// throughout: it and `touched` publish no other data, and the end of
+    /// the scatter's pool batch orders it before the gather.
+    best: Vec<AtomicU32>,
+    /// One bit per global vertex: the slots of `best` this level touched.
+    touched: Vec<AtomicU64>,
     codec_levels: Vec<LevelCodecStats>,
 }
 
@@ -145,6 +155,8 @@ impl<'a> RankSearch<'a> {
         cfg: &'a Bfs1dConfig,
     ) -> Self {
         let unreached = || (0..local.count()).map(|_| AtomicI64::new(UNREACHED));
+        let domain = local.block.domain() as usize;
+        assert!(local.count() < u32::MAX as usize, "a parent slot is a u32");
         Self {
             comm,
             local,
@@ -152,8 +164,11 @@ impl<'a> RankSearch<'a> {
             cfg,
             levels: unreached().collect(),
             parents: unreached().collect(),
-            sieve: (cfg.sieve && cfg.codec != Codec::Off)
-                .then(|| Sieve::new(local.block.domain() as usize)),
+            sieve: (cfg.sieve && cfg.codec != Codec::Off).then(|| Sieve::new(domain)),
+            best: (0..domain).map(|_| AtomicU32::new(0)).collect(),
+            touched: (0..domain.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             codec_levels: Vec::new(),
         }
     }
@@ -265,65 +280,101 @@ impl<'a> RankSearch<'a> {
         )
     }
 
-    /// One top-down level: pack the frontier's adjacencies by owner,
-    /// exchange them, and let owners claim the newly visited vertices.
-    /// Returns the local slice of the next frontier.
-    ///
-    /// Under a codec the level runs through [`exchange_pairs`]: per
-    /// destination the pairs are sorted, duplicate targets collapse to
-    /// their maximum parent (the canonical tie-break, see
-    /// [`unpack_serial`]), already-sent vertices drop out through the
-    /// sieve's [`Sieve::test_and_set`], which also marks the survivors as
-    /// sent, and the rest is encoded. After the dedup each target sits in
-    /// one bucket exactly once, so every test is of a distinct vertex.
+    /// One top-down level (lines 13–28): scatter the frontier's
+    /// adjacencies into the SelectMax accumulator, keeping each target's
+    /// max parent (the tie-break of [`unpack_serial`]); gather it per
+    /// destination in ascending id order, as [`encode_pairs`] wants, with
+    /// one [`Sieve::test_and_set`] per distinct target; exchange; claim.
+    /// Flat and pooled ranks run the same two closures. Returns the local
+    /// slice of the next frontier.
     fn top_down_level(&mut self, frontier: &[VertexId], level: i64) -> Vec<VertexId> {
         let (comm, local) = (self.comm, self.local);
         // The codec is shared config, not rank state.
         // schedule: replicated
         let codec = self.cfg.codec;
-        if codec == Codec::Off {
-            // The un-encoded reference: lines 13–19 pack, line 21 is the
-            // plain typed all-to-all, lines 23–28 claim.
-            let send = self.pack(frontier);
+        let (best, touched, sieve) = (&self.best[..], &self.touched[..], self.sieve.as_ref());
+        let hits_before = sieve.map_or(0, Sieve::hits);
+        let pack_t = comm.trace_start();
+        // Parents are this rank's own vertices and a block is contiguous,
+        // so the max local index is the max global id. Only the caller
+        // whose `fetch_max` lifted the slot from 0 marks it touched.
+        let scatter = |&u: &VertexId| {
+            let slot = local.to_local(u) as u32 + 1;
+            for &v in local.neighbors(u) {
+                let v = v as usize;
+                if best[v].load(Ordering::Relaxed) < slot
+                    && best[v].fetch_max(slot, Ordering::Relaxed) == 0
+                {
+                    touched[v / 64].fetch_or(1 << (v % 64), Ordering::Relaxed);
+                }
+            }
+        };
+        // Takes and clears destination `j`'s slots; edge words are masked.
+        let gather = |j: usize| -> Vec<(u64, u64)> {
+            let range = local.block.range(j);
+            let (lo, hi) = (range.start as usize, range.end as usize);
+            let mut pairs = Vec::new();
+            let words = &touched[lo / 64..hi.div_ceil(64)];
+            for (w, word) in (lo / 64..).zip(words) {
+                let base = w * 64;
+                let mask =
+                    (!0u64 << lo.saturating_sub(base)) & (!0u64 >> (base + 64).saturating_sub(hi));
+                if word.load(Ordering::Relaxed) & mask == 0 {
+                    continue;
+                }
+                let mut bits = word.fetch_and(!mask, Ordering::Relaxed) & mask;
+                while bits != 0 {
+                    let v = base + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let slot = best[v].swap(0, Ordering::Relaxed);
+                    if !sieve.is_some_and(|s| s.test_and_set(v)) {
+                        pairs.push((v as u64, local.to_global(slot as usize - 1)));
+                    }
+                }
+            }
+            pairs
+        };
+        // The frontier is `unpack`'s output, ascending runs, so walking it
+        // from the back offers the largest parent first and most later
+        // arrivals stop at the plain load.
+        let buckets: PairBuckets = match self.pool {
+            Some(pool) => {
+                let batch_t = comm.trace_start();
+                let buckets = pool.install(|| {
+                    let rev = frontier.iter().rev().into_par_iter();
+                    rev.with_min_len(64).for_each(scatter);
+                    (0..comm.size()).into_par_iter().map(gather).collect()
+                });
+                comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
+                buckets
+            }
+            None => {
+                frontier.iter().rev().for_each(scatter);
+                (0..comm.size()).map(gather).collect()
+            }
+        };
+        debug_assert!(touched.iter().all(|w| w.load(Ordering::Relaxed) == 0));
+        comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
+
+        let recv = if codec == Codec::Off {
+            // The un-encoded reference: line 21 is the plain typed all-to-all.
             let exchange_t = comm.trace_start();
-            let recv = comm.alltoallv(send);
+            let recv = comm.alltoallv(buckets);
             let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
             comm.trace_span(SpanKind::Exchange, exchange_t, received);
-            return self.unpack(&recv, level);
-        }
-
-        let mut stats = LevelCodecStats {
-            level: level as usize,
-            ..Default::default()
+            recv
+        } else {
+            let mut stats = LevelCodecStats {
+                level: level as usize,
+                sieve_hits: sieve.map_or(0, Sieve::hits) - hits_before,
+                ..Default::default()
+            };
+            let recv = exchange_pairs(comm, self.pool, &mut stats, buckets, |j, pairs| {
+                encode_pairs(pairs, local.block.range(j), codec)
+            });
+            self.codec_levels.push(stats);
+            recv
         };
-        let visited_sieve = self.sieve.as_ref();
-        let hits_before = visited_sieve.map_or(0, Sieve::hits);
-        let recv = exchange_pairs(
-            comm,
-            self.pool,
-            &mut stats,
-            self.pack(frontier),
-            |j, mut pairs| {
-                pairs.sort_unstable();
-                // Sorted by (target, parent): sliding the later parent into
-                // the retained element leaves each target once, with its
-                // max parent.
-                pairs.dedup_by(|a, b| {
-                    if a.0 == b.0 {
-                        b.1 = a.1;
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if let Some(s) = visited_sieve {
-                    pairs.retain(|&(t, _)| !s.test_and_set(t as usize));
-                }
-                encode_pairs(&pairs, local.block.range(j), codec)
-            },
-        );
-        stats.sieve_hits = visited_sieve.map_or(0, Sieve::hits) - hits_before;
-        self.codec_levels.push(stats);
         self.unpack(&recv, level)
     }
 
@@ -420,25 +471,6 @@ impl<'a> RankSearch<'a> {
         (next, examined)
     }
 
-    /// Lines 13–19: enumerate the adjacencies of `frontier` into
-    /// per-destination buffers, on the rank pool when there is one.
-    fn pack(&self, frontier: &[VertexId]) -> Vec<Vec<(u64, u64)>> {
-        let (comm, local) = (self.comm, self.local);
-        let p = comm.size();
-        let pack_t = comm.trace_start();
-        let send = match self.pool {
-            Some(pool) => {
-                let batch_t = comm.trace_start();
-                let send = pool.install(|| pack_parallel(local, frontier, p));
-                comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
-                send
-            }
-            None => pack_serial(local, frontier, p),
-        };
-        comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
-        send
-    }
-
     /// Lines 23–28: owners claim the newly visited vertices among `recv`,
     /// on the rank pool when there is one. Returns the vertices claimed.
     fn unpack(&self, recv: &[Vec<(u64, u64)>], level: i64) -> Vec<VertexId> {
@@ -460,50 +492,16 @@ impl<'a> RankSearch<'a> {
     }
 }
 
-/// Serial buffer packing (flat variant).
-fn pack_serial(local: &Local1d, frontier: &[VertexId], p: usize) -> Vec<Vec<(u64, u64)>> {
-    let mut send: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-    for &u in frontier {
-        for &v in local.neighbors(u) {
-            send[local.block.owner(v)].push((v, u));
-        }
-    }
-    send
-}
-
-/// Thread-parallel packing with thread-local buffers merged at the end
-/// (the `tBuf_ij` scheme of Algorithm 2 lines 11/16/19).
-fn pack_parallel(local: &Local1d, frontier: &[VertexId], p: usize) -> Vec<Vec<(u64, u64)>> {
-    frontier
-        .par_iter()
-        .with_min_len(64)
-        .fold(
-            || vec![Vec::new(); p],
-            |mut bufs: Vec<Vec<(u64, u64)>>, &u| {
-                for &v in local.neighbors(u) {
-                    bufs[local.block.owner(v)].push((v, u));
-                }
-                bufs
-            },
-        )
-        .reduce(
-            || vec![Vec::new(); p],
-            |mut a, mut b| {
-                for (dst, src) in a.iter_mut().zip(b.iter_mut()) {
-                    dst.append(src);
-                }
-                a
-            },
-        )
-}
-
 /// Serial unpack: distance check and claim (lines 23–26).
 ///
 /// The tie-break between same-level claims is canonical: the numerically
-/// largest parent wins. That makes the final parent of a vertex the max
-/// over *all* same-level arrivals, independent of arrival order, of
-/// per-sender dedup, and of sender-side sieving — which is what keeps the
+/// largest parent wins — the same `SelectMax` each sender's accumulator
+/// already applied to its own candidates. That makes the final parent of
+/// a vertex the max over *all* same-level candidates, independent of
+/// arrival order and of sender-side sieving, which is what keeps the
 /// parent trees bit-identical across every codec × sieve configuration.
+/// The output is the received buckets concatenated in source-rank order,
+/// each ascending — the order the next level's scatter walks backwards.
 fn unpack_serial(
     local: &Local1d,
     recv: &[Vec<(u64, u64)>],

@@ -493,7 +493,7 @@ impl RankState {
                     pool,
                     &mut lvl,
                     self.bucket_by_owner(entries, sieve),
-                    |oj, pairs| encode_pairs(&pairs, self.owner_vrange(i, oj), codec),
+                    |oj, pairs| encode_pairs(pairs, self.owner_vrange(i, oj), codec),
                 );
                 lvl.sieve_hits = sieve.map_or(0, Sieve::hits) - hits_before;
                 decoded
