@@ -109,7 +109,6 @@ fn pick_tag(codec: Codec, k: u64, range_len: u64, parent_bytes: u64) -> u8 {
                 .expect("three candidates")
                 .0
         }
-        Codec::Off => unreachable!("Codec::Off never reaches the encoder"),
     }
 }
 
@@ -546,6 +545,7 @@ mod tests {
             assert_eq!(codec.name().parse::<Codec>().unwrap(), codec);
         }
         assert!("zstd".parse::<Codec>().is_err());
+        assert!("off".parse::<Codec>().is_err());
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub struct Dist1dRun {
     pub seconds: f64,
     /// Number of BFS levels executed.
     pub num_levels: u32,
-    /// Per-level codec telemetry, merged across ranks (empty under
-    /// [`Codec::Off`]).
+    /// Per-level codec telemetry, merged across ranks: one entry per
+    /// level.
     pub codec_levels: Vec<LevelCodecStats>,
     /// Per-rank span traces (index = rank); empty spans unless
     /// [`Bfs1dConfig::trace`] was set.
@@ -164,7 +164,7 @@ impl<'a> RankSearch<'a> {
             cfg,
             levels: unreached().collect(),
             parents: unreached().collect(),
-            sieve: (cfg.sieve && cfg.codec != Codec::Off).then(|| Sieve::new(domain)),
+            sieve: cfg.sieve.then(|| Sieve::new(domain)),
             best: (0..domain).map(|_| AtomicU32::new(0)).collect(),
             touched: (0..domain.div_ceil(64))
                 .map(|_| AtomicU64::new(0))
@@ -289,8 +289,6 @@ impl<'a> RankSearch<'a> {
     /// slice of the next frontier.
     fn top_down_level(&mut self, frontier: &[VertexId], level: i64) -> Vec<VertexId> {
         let (comm, local) = (self.comm, self.local);
-        // The codec is shared config, not rank state.
-        // schedule: replicated
         let codec = self.cfg.codec;
         let (best, touched, sieve) = (&self.best[..], &self.touched[..], self.sieve.as_ref());
         let hits_before = sieve.map_or(0, Sieve::hits);
@@ -356,25 +354,15 @@ impl<'a> RankSearch<'a> {
         debug_assert!(touched.iter().all(|w| w.load(Ordering::Relaxed) == 0));
         comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
 
-        let recv = if codec == Codec::Off {
-            // The un-encoded reference: line 21 is the plain typed all-to-all.
-            let exchange_t = comm.trace_start();
-            let recv = comm.alltoallv(buckets);
-            let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
-            comm.trace_span(SpanKind::Exchange, exchange_t, received);
-            recv
-        } else {
-            let mut stats = LevelCodecStats {
-                level: level as usize,
-                sieve_hits: sieve.map_or(0, Sieve::hits) - hits_before,
-                ..Default::default()
-            };
-            let recv = exchange_pairs(comm, self.pool, &mut stats, buckets, |j, pairs| {
-                encode_pairs(pairs, local.block.range(j), codec)
-            });
-            self.codec_levels.push(stats);
-            recv
+        let mut stats = LevelCodecStats {
+            level: level as usize,
+            sieve_hits: sieve.map_or(0, Sieve::hits) - hits_before,
+            ..Default::default()
         };
+        let recv = exchange_pairs(comm, self.pool, &mut stats, buckets, |j, pairs| {
+            encode_pairs(pairs, local.block.range(j), codec)
+        });
+        self.codec_levels.push(stats);
         self.unpack(&recv, level)
     }
 
@@ -801,7 +789,7 @@ mod tests {
     fn hybrid_composes_with_codec_and_sieve() {
         let g = rmat_graph(9, 11);
         let expected = serial_bfs(&g, 2);
-        for codec in [Codec::Off, Codec::Adaptive] {
+        for codec in [Codec::Raw, Codec::Adaptive] {
             for sieve in [false, true] {
                 let cfg = Bfs1dConfig::flat(4)
                     .with_direction(DirectionMode::Hybrid)
@@ -828,7 +816,7 @@ mod tests {
             assert_eq!(
                 count(SpanKind::Exchange),
                 0,
-                "only the un-encoded path traces a typed exchange"
+                "no driver emits a typed `Exchange` span"
             );
         }
         // Each rank records one alltoallv-pattern event per level.

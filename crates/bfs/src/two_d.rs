@@ -74,7 +74,7 @@ pub struct Bfs2dConfig {
     /// its typed collective.
     pub codec: Codec,
     /// Sender-side filtering of fold rows already emitted at an earlier
-    /// level. Ignored under [`Codec::Off`].
+    /// level.
     pub sieve: bool,
     /// Record per-rank span traces (see `dmbfs-trace`). Strictly an
     /// observer: the computed parent tree is bit-identical either way.
@@ -223,8 +223,8 @@ pub struct Dist2dRun {
     pub seconds: f64,
     /// BFS levels executed.
     pub num_levels: u32,
-    /// Per-level codec telemetry, merged across ranks (empty under
-    /// [`Codec::Off`]).
+    /// Per-level codec telemetry, merged across ranks: one entry per
+    /// level.
     pub codec_levels: Vec<LevelCodecStats>,
     /// Per-world-rank span traces (row-major grid order); empty spans
     /// unless [`Bfs2dConfig::trace`] was set. Row/column-communicator
@@ -389,20 +389,19 @@ impl RankState {
         source: VertexId,
         pool: Option<&rayon::ThreadPool>,
     ) -> (Vec<i64>, Vec<i64>, u32, RankWork, Vec<LevelCodecStats>) {
-        // schedule: replicated
-        let grid = self.cfg.grid;
         let (i, j) = self.coords;
         let nloc = (self.vrange.end - self.vrange.start) as usize;
         let mut levels = vec![UNREACHED; nloc];
         let mut parents = vec![UNREACHED; nloc];
         let mut work = RankWork::default();
         let mut ws: SpaWorkspace<u64> = SpaWorkspace::new(self.block.nrows());
-        // schedule: replicated
         let codec = self.cfg.codec;
         // One bit per local matrix row: a row folded once was claimed by
         // its vector owner at that level, so later re-emissions are
         // duplicates the owner's mask would discard anyway.
-        let fold_sieve = (self.cfg.sieve && codec != Codec::Off)
+        let fold_sieve = self
+            .cfg
+            .sieve
             .then(|| Sieve::new(self.block.nrows() as usize));
         let mut codec_levels: Vec<LevelCodecStats> = Vec::new();
 
@@ -428,19 +427,9 @@ impl RankState {
                 level: level as usize,
                 ..Default::default()
             };
-            // Line 5: TransposeVector (wire-encoded on square grids).
+            // Line 5: TransposeVector.
             let transpose_t = comm.trace_start();
-            let mut transposed = if codec != Codec::Off && grid.is_square() {
-                debug_assert!(frontier.iter().all(|&g| self.block.map.col_owner(g) == i));
-                let partner = grid.rank_of(j, i);
-                let buf = encode_set(&frontier, self.vrange.clone(), codec);
-                if partner != comm.rank() {
-                    lvl.note(&buf);
-                }
-                decode_set(comm.sendrecv_wire(partner, buf).bytes())
-            } else {
-                self.transpose(comm, &frontier)
-            };
+            let mut transposed = self.transpose(comm, &frontier, &mut lvl);
             // The rectangular transpose concatenates pieces from several
             // senders; sort so every downstream path sees canonical order.
             transposed.sort_unstable();
@@ -448,17 +437,13 @@ impl RankState {
             comm.trace_span(SpanKind::Transpose, transpose_t, transposed.len() as u64);
             // Line 6: expand along the processor column.
             let expand_t = comm.trace_start();
-            let gathered = if codec != Codec::Off {
-                let buf = encode_set(&transposed, self.block.col_range.clone(), codec);
-                lvl.note(&buf);
-                col_comm
-                    .allgatherv_wire(buf)
-                    .iter()
-                    .map(|b| decode_set(b.bytes()))
-                    .collect()
-            } else {
-                col_comm.allgatherv(transposed)
-            };
+            let buf = encode_set(&transposed, self.block.col_range.clone(), codec);
+            lvl.note(&buf);
+            let gathered = col_comm
+                .allgatherv_wire(buf)
+                .iter()
+                .map(|b| decode_set(b.bytes()))
+                .collect();
             let fvec = self.assemble_frontier(gathered);
             comm.trace_span(SpanKind::ExpandPhase, expand_t, fvec.nnz() as u64);
             work.expand_received += fvec.nnz() as u64;
@@ -479,28 +464,20 @@ impl RankState {
             // Line 8: fold along the processor row to the vector owners.
             let fold_t = comm.trace_start();
             let entries = t.entries();
-            let folded: Vec<Vec<(u64, u64)>> = if codec == Codec::Off {
-                // The un-encoded reference: one typed all-to-all, no sieve.
-                row_comm.alltoallv(self.bucket_by_owner(entries, None))
-            } else {
-                // The SpMSV output lists each local row at most once per
-                // level, so the sieve's `test_and_set` drops exactly the
-                // rows folded at an earlier level.
-                let sieve = fold_sieve.as_ref();
-                let hits_before = sieve.map_or(0, Sieve::hits);
-                let decoded = exchange_pairs(
-                    row_comm,
-                    pool,
-                    &mut lvl,
-                    self.bucket_by_owner(entries, sieve),
-                    |oj, pairs| encode_pairs(pairs, self.owner_vrange(i, oj), codec),
-                );
-                lvl.sieve_hits = sieve.map_or(0, Sieve::hits) - hits_before;
-                decoded
-            };
-            if codec != Codec::Off {
-                codec_levels.push(lvl);
-            }
+            // The SpMSV output lists each local row at most once per level,
+            // so the sieve's `test_and_set` drops exactly the rows folded at
+            // an earlier level.
+            let sieve = fold_sieve.as_ref();
+            let hits_before = sieve.map_or(0, Sieve::hits);
+            let folded = exchange_pairs(
+                row_comm,
+                pool,
+                &mut lvl,
+                self.bucket_by_owner(entries, sieve),
+                |oj, pairs| encode_pairs(pairs, self.owner_vrange(i, oj), codec),
+            );
+            lvl.sieve_hits = sieve.map_or(0, Sieve::hits) - hits_before;
+            codec_levels.push(lvl);
             // Lines 9–11: mask by π̄, update π, form the next frontier.
             let mut next: Vec<VertexId> = Vec::new();
             let mut merged: Vec<(u64, u64)> = folded.into_iter().flatten().collect();
@@ -587,9 +564,16 @@ impl RankState {
 
     /// Line 5: sends each owned frontier entry toward the processor column
     /// that owns its matrix-column chunk. On square grids every entry of
-    /// P(i,j) targets P(j,i) — the paper's pairwise exchange; on general
-    /// grids this becomes a (sparse) all-to-all.
-    fn transpose(&self, comm: &Comm, frontier: &[VertexId]) -> Vec<VertexId> {
+    /// P(i,j) targets P(j,i) — the paper's pairwise exchange, encoded
+    /// under the run's codec and noted in `lvl` unless the partner is
+    /// this rank; on general grids this becomes a (sparse) typed
+    /// all-to-all.
+    fn transpose(
+        &self,
+        comm: &Comm,
+        frontier: &[VertexId],
+        lvl: &mut LevelCodecStats,
+    ) -> Vec<VertexId> {
         // schedule: replicated
         let grid = self.cfg.grid;
         let (i, j) = self.coords;
@@ -597,7 +581,11 @@ impl RankState {
             // All owned entries live in row chunk i = column chunk i.
             debug_assert!(frontier.iter().all(|&g| self.block.map.col_owner(g) == i));
             let partner = grid.rank_of(j, i);
-            comm.sendrecv(partner, frontier.to_vec())
+            let buf = encode_set(frontier, self.vrange.clone(), self.cfg.codec);
+            if partner != comm.rank() {
+                lvl.note(&buf);
+            }
+            decode_set(comm.sendrecv_wire(partner, buf).bytes())
         } else {
             let mut bufs: Vec<Vec<VertexId>> = vec![Vec::new(); comm.size()];
             for &g in frontier {

@@ -1,8 +1,9 @@
 //! Property-based tests for the frontier wire codecs: every encoding
 //! round-trips exactly, and — the load-bearing invariant — the BFS
 //! parent tree is bit-identical across every codec × sieve choice for
-//! both distributed algorithms. Compression is a transport concern; it
-//! must never change the answer.
+//! both distributed algorithms, against the `Raw`, sieve-off run (the
+//! identity encoding with nothing filtered). Compression is a transport
+//! concern; it must never change the answer.
 
 use dmbfs_bfs::frontier_codec::{decode_pairs, decode_set, encode_pairs, encode_set, Codec};
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
@@ -43,13 +44,7 @@ fn graph(n: u64, max_m: usize) -> impl Strategy<Value = CsrGraph> {
 }
 
 fn codec_strategy() -> impl Strategy<Value = Codec> {
-    prop::sample::select(vec![
-        Codec::Off,
-        Codec::Raw,
-        Codec::VarintDelta,
-        Codec::Bitmap,
-        Codec::Adaptive,
-    ])
+    prop::sample::select(Codec::ALL.to_vec())
 }
 
 proptest! {
@@ -60,11 +55,9 @@ proptest! {
         (base, len, pairs) in payload(),
         codec in codec_strategy(),
     ) {
-        if codec != Codec::Off {
-            let buf = encode_pairs(&pairs, base..base + len, codec);
-            prop_assert_eq!(buf.logical_bytes, 16 * pairs.len() as u64);
-            prop_assert_eq!(decode_pairs(buf.bytes()), pairs);
-        }
+        let buf = encode_pairs(&pairs, base..base + len, codec);
+        prop_assert_eq!(buf.logical_bytes, 16 * pairs.len() as u64);
+        prop_assert_eq!(decode_pairs(buf.bytes()), pairs);
     }
 
     #[test]
@@ -72,12 +65,10 @@ proptest! {
         (base, len, pairs) in payload(),
         codec in codec_strategy(),
     ) {
-        if codec != Codec::Off {
-            let set: Vec<u64> = pairs.iter().map(|&(t, _)| t).collect();
-            let buf = encode_set(&set, base..base + len, codec);
-            prop_assert_eq!(buf.logical_bytes, 8 * set.len() as u64);
-            prop_assert_eq!(decode_set(buf.bytes()), set);
-        }
+        let set: Vec<u64> = pairs.iter().map(|&(t, _)| t).collect();
+        let buf = encode_set(&set, base..base + len, codec);
+        prop_assert_eq!(buf.logical_bytes, 8 * set.len() as u64);
+        prop_assert_eq!(decode_set(buf.bytes()), set);
     }
 
     #[test]
@@ -98,10 +89,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let source = seed % g.num_vertices();
-        let baseline =
-            bfs1d_run(&g, source, &Bfs1dConfig::flat(p).with_codec(Codec::Off)).output;
+        let raw = Bfs1dConfig::flat(p).with_codec(Codec::Raw).with_sieve(false);
+        let baseline = bfs1d_run(&g, source, &raw).output;
         validate_bfs(&g, source, &baseline.parents, &baseline.levels).unwrap();
-        for codec in [Codec::Raw, Codec::VarintDelta, Codec::Bitmap, Codec::Adaptive] {
+        for codec in Codec::ALL {
             for sieve in [false, true] {
                 let cfg = Bfs1dConfig::flat(p).with_codec(codec).with_sieve(sieve);
                 let run = bfs1d_run(&g, source, &cfg);
@@ -119,10 +110,10 @@ proptest! {
     ) {
         let grid = Grid2D::new(dims.0, dims.1);
         let source = seed % g.num_vertices();
-        let baseline =
-            bfs2d_run(&g, source, &Bfs2dConfig::flat(grid).with_codec(Codec::Off)).output;
+        let raw = Bfs2dConfig::flat(grid).with_codec(Codec::Raw).with_sieve(false);
+        let baseline = bfs2d_run(&g, source, &raw).output;
         validate_bfs(&g, source, &baseline.parents, &baseline.levels).unwrap();
-        for codec in [Codec::Raw, Codec::VarintDelta, Codec::Bitmap, Codec::Adaptive] {
+        for codec in Codec::ALL {
             for sieve in [false, true] {
                 let cfg = Bfs2dConfig::flat(grid).with_codec(codec).with_sieve(sieve);
                 let run = bfs2d_run(&g, source, &cfg);

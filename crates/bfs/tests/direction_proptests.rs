@@ -41,13 +41,7 @@ fn graph(n: u64, max_m: usize) -> impl Strategy<Value = CsrGraph> {
 }
 
 fn codec_strategy() -> impl Strategy<Value = Codec> {
-    prop::sample::select(vec![
-        Codec::Off,
-        Codec::Raw,
-        Codec::VarintDelta,
-        Codec::Bitmap,
-        Codec::Adaptive,
-    ])
+    prop::sample::select(Codec::ALL.to_vec())
 }
 
 proptest! {
@@ -152,7 +146,7 @@ fn faults_in_the_bitmap_broadcast_are_typed_and_name_the_rank() {
 fn pinned_top_down_is_the_hybrid_loop_with_the_switch_at_rest() {
     for (name, el) in [("path", path(40)), ("grid", grid2d(7, 9))] {
         let g = CsrGraph::from_edge_list(&el);
-        for codec in [Codec::Off, Codec::Adaptive] {
+        for codec in [Codec::Raw, Codec::Adaptive] {
             let cfg = |direction| {
                 Bfs1dConfig::flat(3)
                     .with_codec(codec)

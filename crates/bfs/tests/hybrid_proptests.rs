@@ -28,13 +28,7 @@ fn graph(n: u64, max_m: usize) -> impl Strategy<Value = CsrGraph> {
 }
 
 fn codec_strategy() -> impl Strategy<Value = Codec> {
-    prop::sample::select(vec![
-        Codec::Off,
-        Codec::Raw,
-        Codec::VarintDelta,
-        Codec::Bitmap,
-        Codec::Adaptive,
-    ])
+    prop::sample::select(Codec::ALL.to_vec())
 }
 
 proptest! {

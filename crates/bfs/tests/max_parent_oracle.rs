@@ -37,7 +37,7 @@ fn max_parent_oracle(g: &CsrGraph, source: VertexId) -> Vec<i64> {
 
 /// The codec × sieve grid every configuration runs under.
 fn codec_sieve() -> impl Iterator<Item = (Codec, bool)> {
-    [Codec::Off, Codec::Raw, Codec::Adaptive]
+    [Codec::Raw, Codec::Adaptive]
         .into_iter()
         .flat_map(|c| [(c, false), (c, true)])
 }

@@ -209,7 +209,7 @@ USAGE:
   dmbfs stats FILE
   dmbfs bfs FILE [--algorithm serial|shared|direction|1d|2d] [--ranks P]
                  [--threads T] [--source V] [--validate true]
-                 [--codec off|raw|varint|bitmap|adaptive] [--sieve true|false]
+                 [--codec raw|varint|bitmap|adaptive] [--sieve true|false]
                  [--direction topdown|bottomup|hybrid (1d only)]
                  [--verify true|false] [--fault SPEC[;SPEC]]
                  [--trace FILE] [--trace-format chrome|jsonl]
@@ -1403,7 +1403,7 @@ mod tests {
             "generate", "--model", "rmat", "--scale", "8", "--out", file_s,
         ]))
         .unwrap();
-        for codec in ["off", "raw", "varint", "bitmap", "adaptive"] {
+        for codec in ["raw", "varint", "bitmap", "adaptive"] {
             for alg in ["1d", "2d"] {
                 let msg = run(&args(&[
                     "bfs",
@@ -1421,8 +1421,11 @@ mod tests {
                 assert!(msg.contains("validated"), "{alg} {codec}: {msg}");
             }
         }
-        let bad = run(&args(&["bfs", file_s, "--codec", "zstd"]));
-        assert!(bad.is_err());
+        for codec in ["zstd", "off"] {
+            let bad = run(&args(&["bfs", file_s, "--codec", codec]));
+            let msg = bad.expect_err(codec).to_string();
+            assert!(msg.contains("raw|varint|bitmap|adaptive"), "{codec}: {msg}");
+        }
         let bad = run(&args(&["bfs", file_s, "--sieve", "maybe"]));
         assert!(bad.is_err());
         let _ = std::fs::remove_dir_all(&dir);

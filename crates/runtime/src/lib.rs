@@ -49,11 +49,9 @@ pub use dmbfs_comm::{
 /// choice uniformly across every driver.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Codec {
-    /// No codec layer at all: the legacy typed collectives move `u64`
-    /// payloads directly (wire bytes == logical bytes).
-    Off,
-    /// Little-endian `u64`s behind the codec framing; the identity
-    /// encoding, useful to isolate framing overhead.
+    /// Little-endian `u64`s behind the codec framing: the identity
+    /// encoding, and the baseline the compressing codecs are measured
+    /// against.
     Raw,
     /// Sorted targets, varint-encoded deltas.
     VarintDelta,
@@ -66,8 +64,7 @@ pub enum Codec {
 
 impl Codec {
     /// All codec choices, for ablation sweeps.
-    pub const ALL: [Codec; 5] = [
-        Codec::Off,
+    pub const ALL: [Codec; 4] = [
         Codec::Raw,
         Codec::VarintDelta,
         Codec::Bitmap,
@@ -77,7 +74,6 @@ impl Codec {
     /// Stable lowercase name (CLI flag values, JSON output).
     pub fn name(&self) -> &'static str {
         match self {
-            Codec::Off => "off",
             Codec::Raw => "raw",
             Codec::VarintDelta => "varint",
             Codec::Bitmap => "bitmap",
@@ -91,13 +87,12 @@ impl FromStr for Codec {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "off" => Ok(Codec::Off),
             "raw" => Ok(Codec::Raw),
             "varint" => Ok(Codec::VarintDelta),
             "bitmap" => Ok(Codec::Bitmap),
             "adaptive" => Ok(Codec::Adaptive),
             other => Err(format!(
-                "unknown codec `{other}` (expected off|raw|varint|bitmap|adaptive)"
+                "unknown codec `{other}` (expected raw|varint|bitmap|adaptive)"
             )),
         }
     }
@@ -169,12 +164,10 @@ pub struct RunConfig {
     /// Threads per rank: 1 = "Flat MPI", >1 = "Hybrid" (§6 uses 4 on
     /// Franklin, 6 on Hopper).
     pub threads_per_rank: usize,
-    /// Wire encoding of frontier exchanges, for the algorithms that
-    /// support the codec layer. Drivers that move payloads the codec does
-    /// not cover (dense floats, baseline reimplementations) ignore it.
+    /// Wire encoding of frontier exchanges. The baseline
+    /// reimplementations, which move typed payloads, ignore it.
     pub codec: Codec,
-    /// Sender-side filtering of already-sent vertices. Only meaningful
-    /// with a codec; ignored under [`Codec::Off`].
+    /// Sender-side filtering of already-sent vertices.
     pub sieve: bool,
     /// Record per-rank span traces (see `dmbfs-trace`). Strictly an
     /// observer: the computed result is bit-identical either way.
@@ -790,6 +783,7 @@ mod tests {
             assert_eq!(parsed, codec);
         }
         assert!("zstd".parse::<Codec>().is_err());
+        assert!("off".parse::<Codec>().is_err());
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub enum SpanKind {
     Level,
     /// 1D: bucket the current frontier's neighbors by owner rank.
     Pack,
-    /// 1D: the frontier exchange — codec work plus the alltoallv itself.
+    /// A typed (un-encoded) frontier exchange. No driver emits it; the
+    /// variant stays because the benchmark harness names it.
     Exchange,
     /// Codec encode half (sort/dedup/sieve/compress) before the wire call.
     Encode,

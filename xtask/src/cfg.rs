@@ -452,7 +452,7 @@ fn parse_params(toks: &[Tok]) -> Vec<String> {
 }
 
 /// Pattern-bound names: lowercase-initial identifiers that are not path
-/// segments, keywords, or literals. `Some(k)` binds `k`; `Codec::Off`
+/// segments, keywords, or literals. `Some(k)` binds `k`; `Codec::Raw`
 /// binds nothing.
 fn pattern_bound(toks: &[Tok], lo: usize, hi: usize) -> Vec<String> {
     let mut bound = Vec::new();
