@@ -79,15 +79,12 @@ pub struct Bfs2dConfig {
     /// Record per-rank span traces (see `dmbfs-trace`). Strictly an
     /// observer: the computed parent tree is bit-identical either way.
     pub trace: bool,
-    /// Attach the collective-matching verifier (see `docs/verification.md`).
-    /// Strictly an observer: the computed parent tree is bit-identical
-    /// either way.
-    pub verify: bool,
     /// Deterministic fault-injection schedule (see `docs/fault-injection.md`).
     /// Empty by default.
     pub faults: FaultPlan,
-    /// Overrides the verifier's watchdog timeout (`None` = env default).
-    pub verify_timeout: Option<Duration>,
+    /// Overrides the rendezvous watchdog limit (`None` = the
+    /// `DMBFS_COMM_TIMEOUT_SECS` default).
+    pub watchdog: Option<Duration>,
     /// Record the ordered collective-fingerprint sequence each rank
     /// issues (see [`dmbfs_runtime::RunConfig::schedule_capture`]).
     /// Strictly an observer.
@@ -105,9 +102,8 @@ impl Bfs2dConfig {
             codec: Codec::Adaptive,
             sieve: true,
             trace: false,
-            verify: false,
             faults: FaultPlan::none(),
-            verify_timeout: None,
+            watchdog: None,
             schedule_capture: false,
         }
     }
@@ -139,21 +135,15 @@ impl Bfs2dConfig {
         self
     }
 
-    /// Enables or disables the collective-matching verifier.
-    pub fn with_verify(mut self, verify: bool) -> Self {
-        self.verify = verify;
-        self
-    }
-
     /// Replaces the fault-injection schedule.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
     }
 
-    /// Overrides the verifier's watchdog timeout.
-    pub fn with_verify_timeout(mut self, timeout: Duration) -> Self {
-        self.verify_timeout = Some(timeout);
+    /// Overrides the rendezvous watchdog limit.
+    pub fn with_watchdog(mut self, limit: Duration) -> Self {
+        self.watchdog = Some(limit);
         self
     }
 
@@ -179,9 +169,8 @@ impl Bfs2dConfig {
             codec: self.codec,
             sieve: self.sieve,
             trace: self.trace,
-            verify: self.verify,
             faults: self.faults,
-            verify_timeout: self.verify_timeout,
+            watchdog: self.watchdog,
             // The 2D SpMSV driver has no bottom-up step; its runtime view
             // is always top-down.
             direction: dmbfs_runtime::DirectionMode::TopDown,

@@ -104,7 +104,7 @@ fn rmat_graph(scale: u32, seed: u64) -> CsrGraph {
 /// A fault pinned to the bitmap broadcast (`allgatherv_wire` — the only
 /// collective the bottom-up path adds) is detected with a typed report
 /// naming the injected rank, for both an injected panic and wire
-/// corruption caught by the verifier's end-to-end checksums.
+/// corruption caught by the end-to-end checksums of the armed rank.
 #[test]
 fn faults_in_the_bitmap_broadcast_are_typed_and_name_the_rank() {
     let g = rmat_graph(9, 4);
@@ -119,8 +119,7 @@ fn faults_in_the_bitmap_broadcast_are_typed_and_name_the_rank() {
         });
         let cfg = Bfs1dConfig::flat(ranks)
             .with_direction(DirectionMode::BottomUp)
-            .with_verify(true)
-            .with_verify_timeout(Duration::from_millis(800))
+            .with_watchdog(Duration::from_millis(800))
             .with_faults(plan);
         let payload = catch_unwind(AssertUnwindSafe(|| bfs1d_run(&g, 3, &cfg).output))
             .expect_err("a fault in the bitmap broadcast must fail the run");

@@ -1,16 +1,18 @@
 //! Fault injection end-to-end: every scheduled fault must surface as a
 //! *typed* report naming the injected rank within the watchdog deadline —
 //! no hangs, no silent wrong answers — and an idle fault layer must be a
-//! strict observer. Three guarantees, mirroring `verify_tests.rs`:
+//! strict observer. Three guarantees:
 //!
 //! 1. **Detection**: property-tested over (algorithm × rank × level ×
 //!    fault kind), an injected panic unwinds as [`InjectedFault`], and
-//!    fail-stop / delay / wire corruption are caught by the collective
-//!    verifier as a [`VerifyFailure`] whose laggard list or corruption
-//!    source names the injected rank.
+//!    fail-stop / delay / wire corruption are caught by the rendezvous
+//!    board as a [`VerifyFailure`] whose laggard list or corruption source
+//!    names the injected rank.
 //! 2. **No feedback**: an empty [`FaultPlan`] — and an armed plan whose
-//!    trigger site is never reached — leave parent trees and level arrays
-//!    bit-identical to the baseline run.
+//!    trigger site is never reached, which still turns on the end-to-end
+//!    wire checksums — leave parent trees and level arrays bit-identical
+//!    to the baseline run, across both drivers, flat and hybrid, every
+//!    codec × sieve combination and several 2D grid shapes.
 //! 3. **No cost when off**: the disabled per-collective hook is one
 //!    `Option` check; its modeled total stays under 5% of a real search.
 
@@ -18,7 +20,9 @@ use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
 use dmbfs_comm::{FailureKind, VerifyFailure};
 use dmbfs_graph::{CsrGraph, EdgeList, Grid2D};
-use dmbfs_runtime::{fault_disabled_hook_cost, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+use dmbfs_runtime::{
+    fault_disabled_hook_cost, Codec, FaultKind, FaultPlan, FaultSpec, FaultTrigger,
+};
 use dmbfs_runtime::{FailStopExit, InjectedFault};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,7 +44,11 @@ fn graph(n: u64, max_m: usize) -> impl Strategy<Value = CsrGraph> {
     })
 }
 
-/// The four injectable kinds. The delay outlives the verify watchdog so a
+fn codec_strategy() -> impl Strategy<Value = Codec> {
+    prop::sample::select(Codec::ALL.to_vec())
+}
+
+/// The four injectable kinds. The delay outlives the watchdog limit so a
 /// delayed rank is *reported*, not merely slow.
 fn kind_strategy() -> impl Strategy<Value = FaultKind> {
     prop::sample::select(vec![
@@ -65,14 +73,12 @@ fn faulted_payload(
     let result = catch_unwind(AssertUnwindSafe(|| {
         if two_d {
             let cfg = Bfs2dConfig::flat(Grid2D::closest_square(ranks))
-                .with_verify(true)
-                .with_verify_timeout(timeout)
+                .with_watchdog(timeout)
                 .with_faults(plan);
             bfs2d_run(g, source, &cfg).output
         } else {
             let cfg = Bfs1dConfig::flat(ranks)
-                .with_verify(true)
-                .with_verify_timeout(timeout)
+                .with_watchdog(timeout)
                 .with_faults(plan);
             bfs1d_run(g, source, &cfg).output
         }
@@ -104,7 +110,7 @@ fn assert_typed_and_named(payload: &(dyn std::any::Any + Send), injected: usize,
                 let laggards = f.laggards();
                 assert!(
                     laggards.contains(&injected),
-                    "verify report must name rank {injected} among laggards {laggards:?}"
+                    "watchdog report must name rank {injected} among laggards {laggards:?}"
                 );
             }
         }
@@ -148,25 +154,38 @@ proptest! {
     }
 
     /// Strict observer: an empty plan and an armed-but-never-triggered
-    /// plan both leave the output bit-identical to the baseline.
+    /// plan (hooks and checksums on every collective) both leave the
+    /// output bit-identical to the baseline.
     #[test]
     fn idle_fault_plans_leave_the_search_bit_identical(
         g in graph(80, 400),
         p in 1usize..5,
+        dims in prop::sample::select(vec![(1usize, 1usize), (2, 2), (2, 3), (3, 3)]),
         two_d in any::<bool>(),
+        hybrid in any::<bool>(),
+        codec in codec_strategy(),
+        sieve in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let source = seed % g.num_vertices();
         // A fault parked at a BFS level no search will ever reach: the
         // hooks run on every collective but the trigger never matches.
-        let never = FaultPlan::none().with_fault(FaultSpec {
-            rank: p - 1,
+        let never = |rank: usize| FaultPlan::none().with_fault(FaultSpec {
+            rank,
             trigger: FaultTrigger::AtLevel(1_000_000),
             collective: None,
             kind: FaultKind::Panic,
         });
         if two_d {
-            let base = Bfs2dConfig::flat(Grid2D::closest_square(p));
+            let grid = Grid2D::new(dims.0, dims.1);
+            let never = never(grid.size() - 1);
+            let base = if hybrid {
+                Bfs2dConfig::hybrid(grid, 3)
+            } else {
+                Bfs2dConfig::flat(grid)
+            }
+            .with_codec(codec)
+            .with_sieve(sieve);
             let off = bfs2d_run(&g, source, &base);
             let empty = bfs2d_run(&g, source, &base.with_faults(FaultPlan::none()));
             let armed = bfs2d_run(&g, source, &base.with_faults(never));
@@ -174,7 +193,14 @@ proptest! {
             prop_assert_eq!(&armed.output.parents, &off.output.parents);
             prop_assert_eq!(&armed.output.levels, &off.output.levels);
         } else {
-            let base = Bfs1dConfig::flat(p);
+            let never = never(p - 1);
+            let base = if hybrid {
+                Bfs1dConfig::hybrid(p, 3)
+            } else {
+                Bfs1dConfig::flat(p)
+            }
+            .with_codec(codec)
+            .with_sieve(sieve);
             let off = bfs1d_run(&g, source, &base);
             let empty = bfs1d_run(&g, source, &base.with_faults(FaultPlan::none()));
             let armed = bfs1d_run(&g, source, &base.with_faults(never));
@@ -186,7 +212,7 @@ proptest! {
 }
 
 /// Disabled-mode overhead stays under 5% of an unfaulted search — the same
-/// methodology as the verify and trace overhead bounds: measure the
+/// methodology as the trace overhead bound: measure the
 /// disabled hook (one `Option` check per collective), charge a real
 /// search's collective count with it, compare against that search's
 /// internal seconds.

@@ -11,7 +11,7 @@
 //!   TEPS.
 //! * `convert` — binary ↔ Matrix Market.
 //! * `chaos` — sweep the deterministic fault grid (algorithm × fault kind
-//!   × rank × level × direction) under the collective verifier
+//!   × rank × level × direction) with a short rendezvous watchdog
 //!   and ledger whether each injected fault was detected with a typed
 //!   root-cause report — see `docs/fault-injection.md`.
 //!
@@ -193,7 +193,6 @@ const SEARCH_FLAGS: &[&str] = &[
     "codec",
     "sieve",
     "direction",
-    "verify",
     "fault",
     "trace",
     "trace-format",
@@ -211,11 +210,11 @@ USAGE:
                  [--threads T] [--source V] [--validate true]
                  [--codec raw|varint|bitmap|adaptive] [--sieve true|false]
                  [--direction topdown|bottomup|hybrid (1d only)]
-                 [--verify true|false] [--fault SPEC[;SPEC]]
+                 [--fault SPEC[;SPEC]]
                  [--trace FILE] [--trace-format chrome|jsonl]
   dmbfs teps FILE [--algorithm ...] [--ranks P] [--threads T] [--sources N]
                   [--codec ...] [--sieve ...] [--direction ...]
-                  [--verify true|false] [--fault SPEC[;SPEC]]
+                  [--fault SPEC[;SPEC]]
                   [--trace FILE] [--trace-format chrome|jsonl]
   dmbfs convert FILE --to bin|mm --out FILE
   dmbfs chaos [--scale S] [--edge-factor E] [--ranks P] [--seed X]
@@ -368,28 +367,15 @@ impl WireOpts {
 
 /// `--fault SPEC[;SPEC...]`, falling back to the `DMBFS_FAULTS` environment
 /// variable: the deterministic fault-injection schedule armed on the world
-/// communicator of a distributed run. Fail-stop and wire-corruption faults
-/// are only *detectable* through the collective verifier (the fail-stopped
-/// rank is named by the verify watchdog; corruption by the end-to-end wire
-/// checksums that exist only under verification), so those kinds insist on
-/// `--verify true` instead of silently hanging to the 300 s barrier
-/// watchdog or flipping bits nothing checks. See docs/fault-injection.md.
-fn fault_plan_from_args(args: &Args, verify: bool) -> Result<FaultPlan, CliError> {
-    let plan = match args.options.get("fault") {
-        Some(spec) => spec.parse::<FaultPlan>().map_err(err)?,
-        None => FaultPlan::from_env().map_err(err)?,
-    };
-    let needs_verify = plan
-        .specs()
-        .any(|s| matches!(s.kind, FaultKind::FailStop | FaultKind::CorruptWire { .. }));
-    if needs_verify && !verify {
-        return Err(err(
-            "failstop/corrupt faults require --verify true: fail-stop detection and \
-             end-to-end wire checksums live in the collective verifier \
-             (see docs/fault-injection.md)",
-        ));
+/// communicator of a distributed run. Every kind is detected without
+/// further flags: a fail-stopped or delayed rank is named by the rendezvous
+/// watchdog (`DMBFS_COMM_TIMEOUT_SECS`), and corruption by the end-to-end
+/// wire checksums an armed plan turns on. See docs/fault-injection.md.
+fn fault_plan_from_args(args: &Args) -> Result<FaultPlan, CliError> {
+    match args.options.get("fault") {
+        Some(spec) => spec.parse::<FaultPlan>().map_err(err),
+        None => FaultPlan::from_env().map_err(err),
     }
-    Ok(plan)
 }
 
 /// Renders a distributed run's panic payload for the user: the typed
@@ -418,7 +404,7 @@ fn describe_payload(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs a distributed invocation that has live faults armed. The injected
-/// rank's death (or the verifier diagnostic it provokes) unwinds out of
+/// rank's death (or the board diagnostic it provokes) unwinds out of
 /// `World::run` as a panic; here it is caught and reported as a readable
 /// CLI error carrying the typed root cause, with the default per-thread
 /// panic banner silenced for the duration. An empty plan runs the closure
@@ -513,9 +499,8 @@ struct SearchOpts {
     ranks: usize,
     threads: usize,
     wire: WireOpts,
-    /// Span tracing; neither it nor `verify` changes the computed result.
+    /// Span tracing; it never changes the computed result.
     trace: Option<TraceOpts>,
-    verify: bool,
     faults: FaultPlan,
 }
 
@@ -532,12 +517,10 @@ impl SearchOpts {
         }
         let wire = WireOpts::from_args(args)?;
         let trace = TraceOpts::from_args(args)?;
-        let verify = args.opt_bool("verify", false)?;
-        let faults = fault_plan_from_args(args, verify)?;
+        let faults = fault_plan_from_args(args)?;
         let distributed = matches!(algorithm.as_str(), "1d" | "2d");
         for (flag, set) in [
             ("--trace", trace.is_some()),
-            ("--verify", verify),
             ("--fault", !faults.is_empty()),
         ] {
             if set && !distributed {
@@ -562,7 +545,6 @@ impl SearchOpts {
             algorithm,
             wire,
             trace,
-            verify,
             faults,
         })
     }
@@ -638,7 +620,6 @@ impl SearchOpts {
                 .with_sieve(wire.sieve)
                 .with_direction(wire.direction)
                 .with_trace(self.trace.is_some())
-                .with_verify(self.verify)
                 .with_faults(self.faults);
                 let run = bfs1d_run(g, source, &cfg);
                 (
@@ -658,7 +639,6 @@ impl SearchOpts {
                 .with_codec(wire.codec)
                 .with_sieve(wire.sieve)
                 .with_trace(self.trace.is_some())
-                .with_verify(self.verify)
                 .with_faults(self.faults);
                 let run = bfs2d_run(g, source, &cfg);
                 (
@@ -853,9 +833,9 @@ fn first_line(s: &str) -> String {
 
 /// Classifies the panic payload a chaos cell died with. Mirrors the
 /// priority order of the runtime's own root-cause selection: an injected
-/// payload is the ground truth, a structured verifier diagnostic is a
-/// detection, and a bare barrier-watchdog string is an escape (the fault
-/// was only noticed by the last-resort timeout).
+/// payload is the ground truth, a structured board diagnostic is a
+/// detection, and a bare watchdog string is an escape (the fault was
+/// noticed, but not typed).
 fn classify_payload(payload: &(dyn std::any::Any + Send), injected: usize) -> CellOutcome {
     if let Some(f) = payload.downcast_ref::<InjectedFault>() {
         return CellOutcome {
@@ -930,8 +910,8 @@ fn classify_payload(payload: &(dyn std::any::Any + Send), injected: usize) -> Ce
 
 /// `dmbfs chaos`: sweep the deterministic fault grid — algorithm × fault
 /// kind × injected rank × BFS level × traversal direction — over one
-/// internally generated R-MAT instance, always under the collective
-/// verifier with a short watchdog, and ledger how every cell was detected.
+/// internally generated R-MAT instance, always with a short rendezvous
+/// watchdog, and ledger how every cell was detected.
 /// See docs/fault-injection.md.
 fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     let scale = args.opt_scale(12)?;
@@ -947,7 +927,7 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     if timeout_secs == 0 {
         return Err(err("--timeout-secs must be positive"));
     }
-    // Long enough that every delay fault outlives the verify watchdog, so
+    // Long enough that every delay fault outlives the watchdog, so
     // the delayed rank is reported as the laggard instead of just slowing
     // the run down.
     let delay_ms = args.opt_u64("delay-ms", timeout_secs * 1000 + 500)?;
@@ -1051,7 +1031,7 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
     writeln!(
         report,
         "grid: {} algorithm(s) x {} kind(s) x {} rank(s) x {} level(s) \
-         x {} direction(s) = {total} cells, verify watchdog {timeout_secs} s",
+         x {} direction(s) = {total} cells, watchdog {timeout_secs} s",
         algorithms.len(),
         kinds.len(),
         inject_ranks.len(),
@@ -1092,14 +1072,12 @@ fn cmd_chaos(args: &Args) -> Result<String, CliError> {
                             if alg == "1d" {
                                 let cfg = Bfs1dConfig::flat(ranks)
                                     .with_direction(dir)
-                                    .with_verify(true)
-                                    .with_verify_timeout(timeout)
+                                    .with_watchdog(timeout)
                                     .with_faults(plan);
                                 bfs1d_run(&g, source, &cfg).output
                             } else {
                                 let cfg = Bfs2dConfig::flat(Grid2D::closest_square(ranks))
-                                    .with_verify(true)
-                                    .with_verify_timeout(timeout)
+                                    .with_watchdog(timeout)
                                     .with_faults(plan);
                                 bfs2d_run(&g, source, &cfg).output
                             }
@@ -1432,43 +1410,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_verify_flag_runs_and_rejects_bad_values() {
-        let dir = tmpdir();
-        let file = dir.join("verify.bin");
-        let file_s = file.to_str().unwrap();
-        run(&args(&[
-            "generate", "--model", "rmat", "--scale", "8", "--out", file_s,
-        ]))
-        .unwrap();
-        for alg in ["1d", "2d"] {
-            let msg = run(&args(&[
-                "bfs",
-                file_s,
-                "--algorithm",
-                alg,
-                "--ranks",
-                "4",
-                "--verify",
-                "true",
-            ]))
-            .unwrap();
-            assert!(msg.contains("validated"), "{alg}: {msg}");
-        }
-        let bad = run(&args(&["bfs", file_s, "--verify", "maybe"]));
-        assert!(bad.is_err());
-        let bad = run(&args(&[
-            "bfs",
-            file_s,
-            "--algorithm",
-            "serial",
-            "--verify",
-            "true",
-        ]));
-        assert!(bad.is_err(), "--verify needs a distributed algorithm");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn bfs_trace_flags_write_both_formats() {
         let dir = tmpdir();
         let file = dir.join("tr.bin");
@@ -1624,7 +1565,8 @@ mod tests {
         assert!(e.contains("fault detected"), "{e}");
         assert!(e.contains("injected panic at rank 2"), "{e}");
 
-        // Corrupt/failstop need the verifier's checksums and watchdog.
+        // Corruption needs no extra flag: the armed plan checksums every
+        // wire payload, and the receivers convict the sender.
         let e = run(&args(&[
             "bfs",
             file_s,
@@ -1635,20 +1577,10 @@ mod tests {
         ]))
         .unwrap_err()
         .0;
-        assert!(e.contains("--verify"), "{e}");
-        let e = run(&args(&[
-            "bfs",
-            file_s,
-            "--algorithm",
-            "2d",
-            "--fault",
-            "failstop@r1:op4",
-        ]))
-        .unwrap_err()
-        .0;
-        assert!(e.contains("--verify"), "{e}");
+        assert!(e.contains("fault detected: wire corruption"), "{e}");
+        assert!(e.contains("payload from rank 1"), "{e}");
 
-        // Faults are gated to distributed algorithms, like --verify.
+        // Faults are gated to distributed algorithms, like --trace.
         let e = run(&args(&[
             "bfs",
             file_s,
@@ -1756,8 +1688,6 @@ mod tests {
             "4",
             "--direction",
             "hybrid",
-            "--verify",
-            "true",
             "--trace",
             traced.to_str().unwrap(),
             "--trace-format",
@@ -1935,10 +1865,6 @@ mod tests {
                 "--trace requires",
             ),
             (
-                &["--algorithm", "serial", "--verify", "true"],
-                "--verify requires",
-            ),
-            (
                 &["--algorithm", "shared", "--fault", "panic@r0:op1"],
                 "--fault requires",
             ),
@@ -2010,10 +1936,13 @@ mod tests {
             e.contains("unknown option --bogus, --rank for `bfs`"),
             "{e}"
         );
-        // The retired pipeline flags, and flags of a sibling subcommand.
+        // The retired pipeline and verifier flags, and flags of a sibling
+        // subcommand.
         for argv in [
             &["bfs", &file, "--overlap", "2"][..],
             &["teps", &file, "--overlap", "2"],
+            &["bfs", &file, "--verify", "true"],
+            &["teps", &file, "--verify", "true"],
             &["bfs", &file, "--sources", "2"],
             &["teps", &file, "--source", "0"],
             &["chaos", "--overlaps", "0,2"],

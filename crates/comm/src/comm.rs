@@ -3,7 +3,7 @@
 use crate::exchange::{ExchangeBoard, Poison};
 use crate::fault::{corrupt_site, fnv1a64, FaultInjector, FaultPlan};
 use crate::stats::{CommEvent, CommStats, LevelTiming, Pattern};
-use crate::verify::{CollectiveKind, Fingerprint, VerifyBoard};
+use crate::verify::{CollectiveKind, FailureKind, Fingerprint};
 use dmbfs_trace::{CollectiveTag, RankTrace, SpanKind, TraceSink};
 use parking_lot::Mutex;
 use std::any::{type_name, TypeId};
@@ -68,36 +68,12 @@ impl WireBuf {
 
 /// What one rank deposits for one wire all-to-all: its outbound buffer per
 /// destination (own bucket taken out), plus per-destination pre-corruption
-/// checksums when the verifier is on.
+/// checksums when a fault plan is armed.
 type ExchangePayload = (Vec<WireBuf>, Option<Vec<u64>>);
 
 /// Clones every rank's contribution out of its shared `Arc`.
 fn cloned<T: Clone>(all: &[Arc<T>]) -> Vec<T> {
     all.iter().map(|v| T::clone(v)).collect()
-}
-
-/// Shared state of one communicator: the one rendezvous board every
-/// collective deposits on and collects from (see the `exchange` module).
-pub(crate) struct Shared {
-    pub(crate) board: ExchangeBoard,
-    pub(crate) poison: Arc<Poison>,
-    /// Collective-matching verifier board; `None` when verification is off
-    /// (the default), so the per-collective cost is one `Option` check.
-    pub(crate) verify: Option<Arc<VerifyBoard>>,
-}
-
-impl Shared {
-    pub(crate) fn new(
-        size: usize,
-        poison: Arc<Poison>,
-        verify: Option<Arc<VerifyBoard>>,
-    ) -> Arc<Self> {
-        Arc::new(Self {
-            board: ExchangeBoard::new(size, poison.clone()),
-            poison,
-            verify,
-        })
-    }
 }
 
 /// One rank's handle to a communicator — the analogue of an
@@ -126,7 +102,9 @@ impl Shared {
 ///   the rendezvous board assume one caller per rank, and a second thread
 ///   entering a collective would corrupt the rendezvous.
 pub struct Comm {
-    shared: Arc<Shared>,
+    /// The communicator's one rendezvous board (see the `exchange` module),
+    /// shared by every rank of the communicator.
+    board: Arc<ExchangeBoard>,
     rank: usize,
     stats: RefCell<CommStats>,
     /// Optional span recorder shared with sub-communicators split off this
@@ -148,10 +126,10 @@ pub struct Comm {
     sched_log: RefCell<Option<Arc<Mutex<Vec<&'static str>>>>>,
     /// Thread that created the handle; collectives must run on it.
     owner: ThreadId,
-    /// Per-handle collective counter feeding verifier fingerprints: the
-    /// epoch of the next collective this rank will issue on this
-    /// communicator. Unused (stays 0) when verification is off.
-    verify_epoch: Cell<u64>,
+    /// Fingerprint of the collective in progress, recorded by
+    /// [`Comm::enter`] at the public call site and stamped with the epoch
+    /// by [`Comm::publish`], which deposits it beside the payload.
+    site: Cell<Option<Fingerprint>>,
     /// True between [`Comm::ialltoallv_wire`] and the matching
     /// [`PendingExchange::wait`]. While set, no other collective may run
     /// on this handle: the depth-2 ring's proof assumes one operation in
@@ -181,25 +159,19 @@ fn collective_tag(pattern: Pattern) -> CollectiveTag {
 }
 
 impl Comm {
-    pub(crate) fn new(shared: Arc<Shared>, rank: usize) -> Self {
+    pub(crate) fn new(board: Arc<ExchangeBoard>, rank: usize) -> Self {
         Self {
-            shared,
+            board,
             rank,
             stats: RefCell::new(CommStats::default()),
             tracer: RefCell::new(None),
             fault: RefCell::new(None),
             sched_log: RefCell::new(None),
             owner: std::thread::current().id(),
-            verify_epoch: Cell::new(0),
+            site: Cell::new(None),
             pending_exchange: Cell::new(false),
             epoch: Cell::new(0),
         }
-    }
-
-    /// Whether the collective-matching verifier is attached to this
-    /// communicator (see [`crate::World::run_verified`]).
-    pub fn verify_enabled(&self) -> bool {
-        self.shared.verify.is_some()
     }
 
     /// Arms a deterministic fault plan on this rank: subsequent
@@ -260,27 +232,23 @@ impl Comm {
             .and_then(|inj| inj.corrupt_seed(kind, has_payload))
     }
 
-    /// Checksum of one outbound wire payload — taken only when the
-    /// verifier is on (the option is shared state, so every rank agrees),
-    /// and always *before* any corrupt fault flips a byte: the receiver's
-    /// end-to-end check exists to catch exactly that flip.
+    /// Checksum of one outbound wire payload, travelling in the payload —
+    /// taken iff a fault plan is armed (the injector is the only source of
+    /// corruption: a shared [`WireBuf`] is immutable), and *before* any
+    /// corrupt fault flips a byte, which the receiver's check must catch.
     fn wire_checksum(&self, bytes: &[u8]) -> Option<u64> {
-        self.shared.verify.as_ref().map(|_| fnv1a64(bytes))
+        self.faults_armed().then(|| fnv1a64(bytes))
     }
 
     /// Receiver-side end-to-end check of one wire payload read from local
-    /// rank `source`. Raises a structured [`crate::VerifyFailure`] (kind
-    /// `Corruption`, naming the source's world rank) when the bytes do not
-    /// match the sender's pre-corruption checksum.
+    /// rank `source` in the collective just published. Raises a structured
+    /// [`crate::VerifyFailure`] (kind `Corruption`, naming the source's
+    /// world rank) when the bytes do not match the sender's checksum.
     fn check_wire(&self, bytes: &[u8], sum: Option<u64>, source: usize) {
-        let Some(sum) = sum else { return };
-        if fnv1a64(bytes) != sum {
-            let board = self
-                .shared
-                .verify
-                .as_ref()
-                .expect("wire checksums are only taken when the verifier is on");
-            board.raise_corruption(self.rank, self.verify_epoch.get().saturating_sub(1), source);
+        if sum.is_some_and(|sum| fnv1a64(bytes) != sum) {
+            let epoch = self.epoch.get() - 1;
+            self.board
+                .fail(FailureKind::Corruption, epoch, self.rank, Some(source));
         }
     }
 
@@ -311,7 +279,8 @@ impl Comm {
     /// A standalone single-rank communicator: lets distributed code run
     /// unmodified in a serial context (tests, examples).
     pub fn single() -> Self {
-        Self::new(Shared::new(1, Arc::new(Poison::default()), None), 0)
+        let board = ExchangeBoard::new(1, Arc::new(Poison::default()), None);
+        Self::new(Arc::new(board), 0)
     }
 
     /// This rank's id in `0..size()`.
@@ -321,7 +290,7 @@ impl Comm {
 
     /// Number of ranks in this communicator.
     pub fn size(&self) -> usize {
-        self.shared.board.size()
+        self.board.size()
     }
 
     /// Snapshot of the statistics recorded so far.
@@ -454,38 +423,30 @@ impl Comm {
         self.record_wire(pattern, bytes, bytes, 0, start);
     }
 
-    /// Top of every collective: the fault hook, then the verifier
-    /// fingerprint (both against the caller's `#[track_caller]` location),
-    /// then the clock the recorded [`CommEvent`] is timed from. Each
-    /// disabled observer costs one `Option` check.
+    /// Top of every collective: the fault hook, schedule capture and the
+    /// call-site fingerprint (all against the caller's `#[track_caller]`
+    /// location), then the clock the recorded [`CommEvent`] is timed from.
     #[track_caller]
     fn enter(&self, kind: CollectiveKind, type_id: TypeId, type_name: &'static str) -> Instant {
         let location = Location::caller();
-        // Faults fire **before** the verifier rendezvous — so a delayed or
-        // fail-stopped rank is late *to* the rendezvous and the verify
-        // watchdog names it, matching how real MPI tools observe stragglers
-        // and dead processes.
+        // Faults fire **before** the deposit — so a delayed or fail-stopped
+        // rank is late *to* the rendezvous and its peers' watchdog names
+        // it, matching how real MPI tools observe stragglers and dead
+        // processes.
         let inj = self.fault.borrow().as_ref().cloned();
         if let Some(inj) = inj {
             inj.on_collective(kind, location);
         }
-        // Schedule capture sits before the verify gate: the harvest works
-        // (and the conformance test runs) with or without the verifier.
         if let Some(log) = self.sched_log.borrow().as_ref() {
             log.lock().push(kind.name());
         }
-        if let Some(board) = self.shared.verify.as_ref() {
-            let epoch = self.verify_epoch.get();
-            self.verify_epoch.set(epoch + 1);
-            let fingerprint = Fingerprint {
-                kind,
-                type_id,
-                type_name,
-                epoch,
-                location,
-            };
-            board.enter(self.rank, fingerprint);
-        }
+        self.site.set(Some(Fingerprint {
+            kind,
+            type_id,
+            type_name,
+            epoch: 0,
+            location,
+        }));
         Instant::now()
     }
 
@@ -502,45 +463,34 @@ impl Comm {
     }
 
     /// Deposit half of the rendezvous: publishes `mine` as this rank's
-    /// contribution to the communicator's next epoch and returns that
-    /// epoch. Every collective reaches the board through here, which makes
-    /// it the choke point where the owner-thread and one-in-flight
-    /// invariants are enforced. A single-rank group has no peer to collect
-    /// the deposit, so it skips the board.
-    fn publish<T: Send + Sync + 'static>(&self, kind: CollectiveKind, mine: Arc<T>) -> u64 {
+    /// contribution to the communicator's next epoch, beside the call-site
+    /// fingerprint [`Comm::enter`] recorded, and returns that fingerprint
+    /// stamped with the epoch. Every collective reaches the board through
+    /// here, which makes it the choke point where the owner-thread and
+    /// one-in-flight invariants are enforced. A single-rank group has no
+    /// peer to collect the deposit, so it skips the board.
+    fn publish<T: Send + Sync + 'static>(&self, mine: Arc<T>) -> Fingerprint {
         self.assert_owner();
         self.assert_no_inflight();
         let epoch = self.epoch.get();
         self.epoch.set(epoch + 1);
+        let site = self.site.take().expect("every collective enters first");
+        let fp = Fingerprint { epoch, ..site };
         if self.size() > 1 {
-            self.shared
-                .board
-                .deposit(self.rank, epoch, mine, type_name::<T>(), kind.name());
+            self.board.deposit(self.rank, mine, fp);
         }
-        epoch
+        fp
     }
 
-    /// Collect half of the rendezvous: peer `from`'s contribution to
-    /// `epoch`, blocking until that rank has published it. Ranks that
-    /// called different collectives still meet here — one board, one epoch
-    /// counter — so the mismatch shows at once as a failed downcast.
-    fn collect<T: Send + Sync + 'static>(
-        &self,
-        kind: CollectiveKind,
-        from: usize,
-        epoch: u64,
-    ) -> Arc<T> {
-        let (payload, theirs) = self.shared.board.collect(from, epoch, kind.name());
-        payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "rendezvous type mismatch at op #{epoch}: rank {} in {} expected `{}` but \
-                 rank {from} published `{theirs}` — ranks called different collectives \
-                 (run under World::run_verified to pinpoint it)",
-                self.rank,
-                kind.name(),
-                type_name::<T>(),
-            )
-        })
+    /// Collect half of the rendezvous: peer `from`'s contribution to the
+    /// collective `mine` fingerprints, blocking until that rank has
+    /// published it. Ranks that called different collectives meet here —
+    /// one board, one epoch counter — and the board's fingerprint check
+    /// fails them at once, so a collect that returns carries the payload
+    /// type this collective deposits.
+    fn collect<T: Send + Sync + 'static>(&self, from: usize, mine: &Fingerprint) -> Arc<T> {
+        let payload = self.board.collect(self.rank, from, mine).downcast();
+        payload.expect("matching fingerprints deposit the same payload type")
     }
 
     /// The one rendezvous every blocking collective is written on:
@@ -549,15 +499,15 @@ impl Comm {
     /// never touches the board). What a collective computes is a fold over
     /// the result; [`Comm::ialltoallv_wire`] / [`PendingExchange::wait`]
     /// are the same publish and collects with the caller's work between.
-    fn rendezvous<T: Send + Sync + 'static>(&self, kind: CollectiveKind, mine: T) -> Vec<Arc<T>> {
+    fn rendezvous<T: Send + Sync + 'static>(&self, mine: T) -> Vec<Arc<T>> {
         let mine = Arc::new(mine);
-        let epoch = self.publish(kind, mine.clone());
+        let fp = self.publish(mine.clone());
         (0..self.size())
             .map(|j| {
                 if j == self.rank {
                     mine.clone()
                 } else {
-                    self.collect(kind, j, epoch)
+                    self.collect(j, &fp)
                 }
             })
             .collect()
@@ -574,7 +524,7 @@ impl Comm {
     #[track_caller]
     pub fn barrier(&self) {
         let start = self.enter_typed::<()>(CollectiveKind::Barrier);
-        self.rendezvous(CollectiveKind::Barrier, ());
+        self.rendezvous(());
         self.record(Pattern::Barrier, 0, 0, start);
     }
 
@@ -608,7 +558,7 @@ impl Comm {
             .filter(|&(j, _)| j != self.rank)
             .map(|(_, b)| b.len() as u64 * elem)
             .sum();
-        let all = self.rendezvous(CollectiveKind::Alltoallv, bufs);
+        let all = self.rendezvous(bufs);
         let bytes_in = self.peer_sum(&all, |theirs| theirs[self.rank].len() as u64 * elem);
         let recv = all.iter().map(|theirs| theirs[self.rank].clone()).collect();
         self.record(Pattern::Alltoallv, bytes_out, bytes_in, start);
@@ -623,7 +573,7 @@ impl Comm {
         let start = self.enter_typed::<T>(CollectiveKind::Allgatherv);
         let elem = size_of::<T>() as u64;
         let bytes_out = mine.len() as u64 * elem * (self.size() as u64 - 1);
-        let all = self.rendezvous(CollectiveKind::Allgatherv, mine);
+        let all = self.rendezvous(mine);
         let bytes_in = self.peer_sum(&all, |theirs| theirs.len() as u64 * elem);
         let gathered = cloned(&all);
         self.record(Pattern::Allgatherv, bytes_out, bytes_in, start);
@@ -651,7 +601,7 @@ impl Comm {
     ) -> T {
         let start = self.enter_typed::<T>(CollectiveKind::Allreduce);
         let elem = size_of::<T>() as u64;
-        let all = self.rendezvous(CollectiveKind::Allreduce, mine);
+        let all = self.rendezvous(mine);
         let folded = all.iter().map(|v| T::clone(v)).reduce(op);
         self.record(
             Pattern::Allreduce,
@@ -674,7 +624,7 @@ impl Comm {
         );
         let start = self.enter_typed::<T>(CollectiveKind::Broadcast);
         let elem = size_of::<T>() as u64;
-        let all = self.rendezvous(CollectiveKind::Broadcast, mine);
+        let all = self.rendezvous(mine);
         let value = Option::clone(&all[root]).expect("root deposited Some");
         let (out, inn) = if self.rank == root {
             (elem * (self.size() as u64 - 1), 0)
@@ -692,7 +642,7 @@ impl Comm {
         assert!(root < self.size());
         let start = self.enter_typed::<T>(CollectiveKind::Gather);
         let elem = size_of::<T>() as u64;
-        let all = self.rendezvous(CollectiveKind::Gather, mine);
+        let all = self.rendezvous(mine);
         let result = (self.rank == root).then(|| cloned(&all));
         let (out, inn) = if self.rank == root {
             (0, elem * (self.size() as u64 - 1))
@@ -715,7 +665,7 @@ impl Comm {
         let start = self.enter_typed::<T>(CollectiveKind::Gatherv);
         let elem = size_of::<T>() as u64;
         let sent = mine.len() as u64 * elem;
-        let all = self.rendezvous(CollectiveKind::Gatherv, mine);
+        let all = self.rendezvous(mine);
         let (result, out, inn) = if self.rank == root {
             let inn = self.peer_sum(&all, |theirs| theirs.len() as u64 * elem);
             (Some(cloned(&all)), 0, inn)
@@ -747,7 +697,7 @@ impl Comm {
             size_of::<T>() as u64
         };
         let bytes_out = data.len() as u64 * elem;
-        let all = self.rendezvous(CollectiveKind::Sendrecv, (partner, data));
+        let all = self.rendezvous((partner, data));
         let (back, received) = &*all[partner];
         self.assert_partner_points_back(partner, *back);
         let received = received.clone();
@@ -789,10 +739,10 @@ impl Comm {
     ///
     /// Observer coverage:
     ///
-    /// * **verifier** — the pair fingerprints as two matched collectives,
-    ///   `ialltoallv_wire` at the start site and `ialltoallv_wire_wait` at
-    ///   the wait site, so a rank that dies in between shows up in the
-    ///   watchdog dump as stuck short of `wait()`;
+    /// * **matching** — the start deposits its `ialltoallv_wire`
+    ///   fingerprint and the wait matches every peer's start against it;
+    ///   fault plans and captured schedules still see the wait as its own
+    ///   `ialltoallv_wire_wait` site;
     /// * **faults** — injected faults fire here at the start site (where
     ///   the buffers leave the rank); checksum corruption planted here
     ///   trips at the receivers' `wait()`;
@@ -819,13 +769,11 @@ impl Comm {
                 wire_out += b.wire_bytes();
             }
         }
-        // End-to-end checksums (verifier on only), taken before any armed
-        // corrupt fault flips a byte — receivers check them in `wait()`.
+        // End-to-end checksums (fault plan armed only), taken before any
+        // armed corrupt fault flips a byte — receivers check them in `wait()`.
         let sums: Option<Vec<u64>> = self
-            .shared
-            .verify
-            .as_ref()
-            .map(|_| bufs.iter().map(|b| fnv1a64(b.bytes())).collect());
+            .faults_armed()
+            .then(|| bufs.iter().map(|b| fnv1a64(b.bytes())).collect());
         let eligible = |j: usize, b: &WireBuf| j != self.rank && !b.bytes().is_empty();
         let has_payload = bufs.iter().enumerate().any(|(j, b)| eligible(j, b));
         if let Some(seed) = self.corruption_seed(CollectiveKind::IalltoallvWire, has_payload) {
@@ -843,7 +791,7 @@ impl Comm {
         // and every receiver takes a refcount on them, never a copy.
         let own = std::mem::take(&mut bufs[self.rank]);
         let payload: ExchangePayload = (bufs, sums);
-        let epoch = self.publish(CollectiveKind::IalltoallvWire, Arc::new(payload));
+        let site = self.publish(Arc::new(payload));
         self.pending_exchange.set(true);
         if let Some(t) = self.tracer.borrow().as_ref() {
             t.lock().exchange(
@@ -858,7 +806,7 @@ impl Comm {
         }
         PendingExchange {
             comm: self,
-            epoch,
+            site,
             start_call: start.elapsed(),
             bytes_out,
             wire_out,
@@ -883,7 +831,7 @@ impl Comm {
         }
         // Deposit after checksum + corruption: every receiver's clone
         // (this rank's own included) is a refcount bump.
-        let all = self.rendezvous(CollectiveKind::AllgathervWire, (mine, sum));
+        let all = self.rendezvous((mine, sum));
         for (j, (buf, sum)) in all.iter().map(|theirs| &**theirs).enumerate() {
             if j != self.rank {
                 self.check_wire(buf.bytes(), *sum, j);
@@ -922,7 +870,7 @@ impl Comm {
         }
         // Deposit after checksum + corruption: the partner's clone is a
         // refcount bump (and so is the diagonal self-exchange's).
-        let all = self.rendezvous(CollectiveKind::SendrecvWire, (partner, data, sum));
+        let all = self.rendezvous((partner, data, sum));
         let (back, received, sum) = &*all[partner];
         self.assert_partner_points_back(partner, *back);
         let received = received.clone();
@@ -953,6 +901,9 @@ impl Comm {
     #[track_caller]
     pub fn split(&self, color: u64, key: u64) -> Comm {
         self.enter_typed::<()>(CollectiveKind::Split);
+        // The inner allgather replaces the recorded site; round 2 restores
+        // it, so that deposit fingerprints as the split itself.
+        let site = self.site.get();
         // Round 1: learn everyone's (color, key).
         let infos = self.allgather((color, key));
         let mut members: Vec<usize> = (0..self.size()).filter(|&r| infos[r].0 == color).collect();
@@ -963,22 +914,18 @@ impl Comm {
             .expect("self must be in own color group");
         let leader = members[0];
 
-        // Round 2: each group leader creates the shared state; members pick
-        // it out of the leader's contribution.
+        // Round 2: each group leader derives the child board (fresh group
+        // id, world-rank labels, the same poison flag and watchdog limit);
+        // members pick it out of the leader's contribution.
         let start = Instant::now();
-        let created: Option<Arc<Shared>> = (self.rank == leader).then(|| {
-            // The child inherits verification: the leader derives a fresh
-            // board (new group id, same timeout) and every member receives
-            // it with the shared state, so sub-communicator collectives are
-            // cross-checked exactly like world ones.
-            let child_verify = self.shared.verify.as_ref().map(|b| b.child(&members));
-            Shared::new(members.len(), self.shared.poison.clone(), child_verify)
-        });
-        let all = self.rendezvous(CollectiveKind::Split, created);
-        let group_shared = Option::clone(&all[leader]).expect("leader deposited the group state");
+        let created: Option<Arc<ExchangeBoard>> =
+            (self.rank == leader).then(|| Arc::new(self.board.child(&members)));
+        self.site.set(site);
+        let all = self.rendezvous(created);
+        let board = Option::clone(&all[leader]).expect("leader deposited the group board");
         self.record(Pattern::Broadcast, 0, 0, start);
 
-        let child = Comm::new(group_shared, my_group_rank);
+        let child = Comm::new(board, my_group_rank);
         // Sub-communicator collectives record into the parent's trace and
         // consult the parent's fault injector (which keeps counting ops and
         // reporting the world rank).
@@ -998,8 +945,9 @@ impl Comm {
 #[must_use = "a started exchange must be completed: call .wait() to collect the received buffers"]
 pub struct PendingExchange<'a> {
     comm: &'a Comm,
-    /// The communicator epoch this exchange was deposited at.
-    epoch: u64,
+    /// The start's fingerprint, stamped with the epoch it was deposited
+    /// at: every collect of the wait matches the peers' starts against it.
+    site: Fingerprint,
     /// Wall time spent inside the start call — the exposed half of start,
     /// charged to the recorded event's `wall` together with the wait call.
     start_call: Duration,
@@ -1015,15 +963,15 @@ impl PendingExchange<'_> {
     /// addressed to this rank, blocking only until each peer has
     /// **started** the matching exchange (deposited its buffers) — never
     /// on the peers' own waits — and checks end-to-end wire checksums
-    /// (verifier on). Records one [`CommEvent`] whose `wall` is the
+    /// (fault plan armed). Records one [`CommEvent`] whose `wall` is the
     /// exposed time (inside the start call plus inside this call), and
     /// emits the `ExchangeWait` span.
     #[track_caller]
     pub fn wait(self) -> Vec<WireBuf> {
         let comm = self.comm;
         comm.assert_owner();
-        // Timed from before the hooks: an injected delay or the verifier's
-        // rendezvous here is exposed wait.
+        // Timed from before the hooks: an injected delay here is exposed
+        // wait.
         let entered = Instant::now();
         comm.enter_wire(CollectiveKind::IalltoallvWireWait);
         let mut recv: Vec<WireBuf> = Vec::with_capacity(comm.size());
@@ -1034,8 +982,7 @@ impl PendingExchange<'_> {
                 recv.push(own.take().expect("own bucket moved once"));
                 continue;
             }
-            let theirs: Arc<ExchangePayload> =
-                comm.collect(CollectiveKind::IalltoallvWireWait, j, self.epoch);
+            let theirs: Arc<ExchangePayload> = comm.collect(j, &self.site);
             let mine = theirs.0[comm.rank].clone();
             comm.check_wire(mine.bytes(), theirs.1.as_ref().map(|s| s[comm.rank]), j);
             bytes_in += mine.logical_bytes;

@@ -12,13 +12,14 @@
 //! The plan rides on `dmbfs_runtime::RunConfig` (builder API) or the
 //! `DMBFS_FAULTS` environment variable / `--fault` CLI flag (grammar below)
 //! and is armed per rank by `Comm::arm_faults`. An armed communicator calls
-//! into the shared injector at the top of every collective —
-//! *before* the verifier rendezvous, so the detection story matches real
+//! into the shared injector at the top of every collective — *before* its
+//! deposit on the rendezvous board, so the detection story matches real
 //! MPI: a fail-stopped or delayed rank is the one that never arrives, and
-//! the collective-matching verifier's watchdog names it. Like tracing and
-//! verification, the layer is a strict observer when unused: an empty plan
-//! is never armed, and the disabled hook is one `Option` check per
-//! collective (priced by [`fault_disabled_hook_cost`]).
+//! the board's watchdog names it. Arming a plan is also what turns on the
+//! end-to-end wire checksums that convict a corrupting rank. Like tracing,
+//! the layer is a strict observer when unused: an empty plan is never
+//! armed, and the disabled hook is one `Option` check per collective
+//! (priced by [`fault_disabled_hook_cost`]).
 //!
 //! # Grammar
 //!
@@ -38,8 +39,8 @@
 //! fires at the first eligible collective with current level ≥ L. Corrupt
 //! faults only fire at wire collectives (`ialltoallv_wire`,
 //! `allgatherv_wire`, `sendrecv_wire`) carrying a non-empty outbound
-//! payload, and stay armed until one passes; detection requires the
-//! collective-matching verifier, which checksums wire payloads end to end.
+//! payload, and stay armed until one passes; the receivers' end-to-end
+//! checksum, taken on every wire payload of an armed rank, detects them.
 //! The wire all-to-all is always a start/wait pair (`alltoallv_wire` is
 //! the two back to back, so it is named `ialltoallv_wire` here too): the
 //! fault fires at the *start* site (where the buffers are deposited); the
@@ -67,21 +68,20 @@ pub enum FaultKind {
     Panic,
     /// Exit the rank silently, *without* poisoning the world — the MPI
     /// "fail-stop process" class, where peers learn of the death only by
-    /// timing out. Under the verifier the watchdog names the dead rank;
-    /// without it, peers stall until the comm watchdog
-    /// (`DMBFS_COMM_TIMEOUT_SECS`) fires with an untyped message.
+    /// timing out: the rendezvous watchdog (`DMBFS_COMM_TIMEOUT_SECS`, or
+    /// `World::run_with_watchdog`) names the dead rank in a typed report.
     FailStop,
     /// Sleep for the given milliseconds before entering the collective —
-    /// the "straggler" class. A delay longer than the verify watchdog
-    /// timeout turns into a watchdog report naming the laggard.
+    /// the "straggler" class. A delay longer than the rendezvous watchdog
+    /// limit turns into a watchdog report naming the laggard.
     Delay {
         /// Sleep duration in milliseconds.
         millis: u64,
     },
     /// Flip one seeded byte of the first non-empty outbound [`crate::WireBuf`]
     /// at a wire collective — the "corrupting network/rank" class. The
-    /// verifier's end-to-end wire checksums catch it at the receiver and
-    /// name the corrupting source rank.
+    /// end-to-end wire checksums an armed rank attaches catch it at the
+    /// receiver and name the corrupting source rank.
     CorruptWire {
         /// Seed choosing which byte and bit to flip (deterministic).
         seed: u64,
@@ -376,7 +376,7 @@ impl fmt::Display for InjectedFault {
 /// Panic payload of a [`FaultKind::FailStop`]: the rank unwinds with this
 /// *without* poisoning the world, so peers observe only its absence —
 /// exactly a fail-stopped MPI process. `World::run` treats it as the
-/// weakest root-cause candidate (a watchdog or verifier report explains the
+/// weakest root-cause candidate (the peers' watchdog report explains the
 /// run better).
 #[derive(Clone, Debug)]
 pub struct FailStopExit(
@@ -452,8 +452,8 @@ impl FaultInjector {
         }
     }
 
-    /// Called at the top of every collective (before the verifier
-    /// rendezvous). Counts the op; fires any matching panic, fail-stop, or
+    /// Called at the top of every collective (before its deposit on the
+    /// rendezvous board). Counts the op; fires any matching panic, fail-stop, or
     /// delay fault.
     pub(crate) fn on_collective(&self, kind: CollectiveKind, location: &'static Location<'static>) {
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
@@ -512,9 +512,9 @@ impl FaultInjector {
     }
 }
 
-/// FNV-1a over a byte slice — the end-to-end checksum the verifier attaches
-/// to wire payloads so receiver-side corruption checks are deterministic
-/// and dependency-free.
+/// FNV-1a over a byte slice — the end-to-end checksum an armed rank
+/// attaches to its wire payloads so receiver-side corruption checks are
+/// deterministic and dependency-free.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -538,8 +538,8 @@ pub(crate) fn corrupt_site(seed: u64, len: usize) -> (usize, u8) {
 /// Measures the per-collective cost of the *disabled* fault hook — the
 /// branch every collective takes when no plan is armed — over `iters`
 /// iterations. The strict-observer overhead test in `dmbfs-bfs` prices a
-/// real search's collective count with this, mirroring the tracing and
-/// verification overhead methodology.
+/// real search's collective count with this, mirroring the tracing
+/// overhead methodology.
 pub fn fault_disabled_hook_cost(iters: u64) -> Duration {
     let injector: Option<Arc<FaultInjector>> = None;
     let t0 = std::time::Instant::now();

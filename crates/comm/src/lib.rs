@@ -37,12 +37,13 @@
 //! * Rank panics poison the world: every blocked collective unblocks and
 //!   panics, and [`World::run`] propagates the original payload, so a bug
 //!   in one rank fails tests instead of deadlocking them.
-//! * [`World::run_verified`] attaches a MUST-style collective-matching
-//!   verifier: every collective records a call-site fingerprint (kind,
-//!   element `TypeId`, epoch, `#[track_caller]` location) that is
-//!   cross-checked across ranks at rendezvous, and mismatches or stuck
-//!   rendezvous raise one structured [`VerifyFailure`] naming every rank's
-//!   pending operation — see `docs/verification.md`.
+//! * The rendezvous checks itself, MUST-style and always on: every deposit
+//!   carries a call-site fingerprint (kind, element `TypeId`, epoch,
+//!   `#[track_caller]` location) that every collector compares with its
+//!   own, and a mismatch or a rendezvous stuck past the watchdog limit
+//!   (`DMBFS_COMM_TIMEOUT_SECS`, or [`World::run_with_watchdog`]) raises
+//!   one structured [`VerifyFailure`] naming every rank's pending
+//!   operation — see `docs/verification.md`.
 //! * [`Comm::arm_faults`] arms a deterministic [`FaultPlan`]: a seeded
 //!   schedule that makes a chosen rank panic, exit silently (fail-stop),
 //!   delay a collective, or corrupt an outbound wire buffer at a chosen
@@ -55,8 +56,8 @@
 //!   buffers and returns a [`PendingExchange`]; the caller may do local
 //!   work before collecting the results in [`PendingExchange::wait`]. The
 //!   start/wait pair stays a first-class citizen of every observer above:
-//!   the verifier fingerprints it as two matched collectives (so the
-//!   watchdog names ranks stuck in `wait()`), faults fire at the start
+//!   the wait matches every peer's start against its own (so the watchdog
+//!   names ranks that never started), faults fire at the start
 //!   site with checksums tripping at the wait, stats record the exposed
 //!   wall time (the two calls, not the window between), and the trace emits
 //!   `ExchangeStart`/`ExchangeWait` spans. [`Comm::alltoallv_wire`] is that
@@ -88,8 +89,5 @@ pub use fault::{
     InjectedFault,
 };
 pub use stats::{CommEvent, CommStats, LevelDirection, LevelTiming, Pattern};
-pub use verify::{
-    disabled_hook_cost as verify_disabled_hook_cost, CollectiveKind, FailureKind, PendingOp,
-    VerifyConfig, VerifyFailure,
-};
+pub use verify::{CollectiveKind, FailureKind, PendingOp, VerifyFailure};
 pub use world::World;

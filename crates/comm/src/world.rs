@@ -1,11 +1,12 @@
 //! World launcher: one thread per rank, panic propagation.
 
-use crate::comm::{Comm, Shared};
-use crate::exchange::Poison;
+use crate::comm::Comm;
+use crate::exchange::{watchdog_timeout, ExchangeBoard, Poison};
 use crate::fault::{FailStopExit, InjectedFault};
-use crate::verify::{FailureKind, VerifyBoard, VerifyConfig, VerifyFailure, VerifyWorld};
+use crate::verify::{FailureKind, VerifyFailure};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Entry point of the runtime: runs a closure on `p` simulated ranks.
 ///
@@ -30,70 +31,67 @@ impl World {
     ///
     /// # Panics
     /// If any rank panics, the world is poisoned (unblocking every
-    /// collective) and the first panic payload is re-raised here after all
+    /// collective) and the root-cause payload is re-raised here after all
     /// threads have been joined — a failed rank can never deadlock the
-    /// caller.
+    /// caller. Every collective matches call-site fingerprints across ranks
+    /// at the rendezvous, so a mismatched collective or element type, or a
+    /// rank sitting out a collective past the watchdog limit
+    /// (`DMBFS_COMM_TIMEOUT_SECS`, default 300 s), raises a structured
+    /// [`VerifyFailure`] naming every rank's pending operation and source
+    /// location instead of a deadlock or a garbled exchange.
     pub fn run<R, F>(p: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&Comm) -> R + Send + Sync,
     {
-        Self::run_inner(p, None, f)
+        Self::run_inner(p, watchdog_timeout(), f)
     }
 
-    /// Like [`World::run`], with the collective-matching verifier attached
-    /// to the world communicator (and, transitively, to every
-    /// sub-communicator created by [`Comm::split`]).
-    ///
-    /// Every collective cross-checks call-site fingerprints across ranks
-    /// at rendezvous; a mismatched collective, a mismatched element type,
-    /// or a rank sitting out a collective raises a structured
-    /// [`VerifyFailure`] naming every rank's pending operation and source
-    /// location — re-raised here as the run's root cause — instead of a
-    /// deadlock or a garbled exchange. Verification is a strict observer:
-    /// results are bit-identical to an unverified run.
+    /// Like [`World::run`], with the rendezvous watchdog limit set to
+    /// `limit` for this world and every communicator split off it,
+    /// overriding `DMBFS_COMM_TIMEOUT_SECS` — so a fault experiment names a
+    /// silent rank in a fraction of a second instead of minutes.
     ///
     /// # Examples
     /// ```
-    /// use dmbfs_comm::{VerifyConfig, World};
+    /// use dmbfs_comm::World;
+    /// use std::time::Duration;
     ///
-    /// let sums = World::run_verified(4, VerifyConfig::default(), |comm| {
+    /// let sums = World::run_with_watchdog(4, Duration::from_secs(5), |comm| {
     ///     comm.allreduce(comm.rank() as u64, |a, b| a + b)
     /// });
     /// assert_eq!(sums, vec![6, 6, 6, 6]);
     /// ```
-    pub fn run_verified<R, F>(p: usize, config: VerifyConfig, f: F) -> Vec<R>
+    pub fn run_with_watchdog<R, F>(p: usize, limit: Duration, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&Comm) -> R + Send + Sync,
     {
-        Self::run_inner(p, Some(config), f)
+        Self::run_inner(p, Some(limit), f)
     }
 
-    fn run_inner<R, F>(p: usize, verify: Option<VerifyConfig>, f: F) -> Vec<R>
+    fn run_inner<R, F>(p: usize, limit: Option<Duration>, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&Comm) -> R + Send + Sync,
     {
         assert!(p > 0, "need at least one rank");
         let poison = Arc::new(Poison::default());
-        let board =
-            verify.map(|config| VerifyBoard::new(p, 0, config, VerifyWorld::new(), poison.clone()));
-        let shared = Shared::new(p, poison.clone(), board);
+        let board = Arc::new(ExchangeBoard::new(p, poison.clone(), limit));
         let f = &f;
 
         let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..p)
                 .map(|rank| {
-                    let shared = shared.clone();
+                    let board = board.clone();
                     let poison = poison.clone();
                     scope.spawn(move || {
-                        let comm = Comm::new(shared, rank);
+                        let comm = Comm::new(board, rank);
                         let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
                         // An injected fail-stop is a *silent* death: the
                         // rank vanishes without poisoning the world, so
-                        // peers learn of it only by timing out (the verify
-                        // watchdog, or the board's own watchdog) — exactly a
+                        // peers learn of it only by timing out — the
+                        // board's watchdog names it, exactly as for a
                         // fail-stopped MPI process.
                         if result.as_ref().is_err_and(|e| !e.is::<FailStopExit>()) {
                             poison.set();
@@ -398,27 +396,6 @@ mod tests {
             })
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn verified_world_matches_unverified() {
-        let plain = World::run(4, |comm| {
-            let row = comm.split((comm.rank() / 2) as u64, comm.rank() as u64);
-            let bufs: Vec<Vec<u64>> = (0..4).map(|j| vec![(comm.rank() * j) as u64]).collect();
-            let recv = comm.alltoallv(bufs);
-            let row_sum = row.allreduce(comm.rank() as u64, |a, b| a + b);
-            (recv, row_sum)
-        });
-        let verified = World::run_verified(4, VerifyConfig::default(), |comm| {
-            assert!(comm.verify_enabled());
-            let row = comm.split((comm.rank() / 2) as u64, comm.rank() as u64);
-            assert!(row.verify_enabled(), "split children inherit verification");
-            let bufs: Vec<Vec<u64>> = (0..4).map(|j| vec![(comm.rank() * j) as u64]).collect();
-            let recv = comm.alltoallv(bufs);
-            let row_sum = row.allreduce(comm.rank() as u64, |a, b| a + b);
-            (recv, row_sum)
-        });
-        assert_eq!(plain, verified, "verification is a strict observer");
     }
 
     #[test]

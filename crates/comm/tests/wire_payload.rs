@@ -3,18 +3,19 @@
 //! rule left is *mutate before the deposit* (see `docs/zero-copy.md`).
 //!
 //! 1. **Any size round-trips**: an empty and a 1-byte payload cross
-//!    `ialltoallv_wire`, `allgatherv_wire` and `sendrecv_wire` intact, with
-//!    and without the verifier's checksums.
+//!    `ialltoallv_wire`, `allgatherv_wire` and `sendrecv_wire` intact, bare
+//!    and under an idle armed fault plan, which adds end-to-end checksums.
 //! 2. **Refcount is the seal**: `bytes_mut` works on a uniquely owned
 //!    buffer and panics while any clone is alive.
 //! 3. **Corruption precedes the deposit**: an armed `corrupt=` fault flips
-//!    a byte in the sender's still-private buffer, so receivers see the
-//!    flip — and the checksum taken before it convicts the sender.
+//!    a byte in the sender's still-private buffer, so the flip is in the
+//!    allocation every receiver reads — and the checksum taken before it
+//!    convicts the sender.
 
 use dmbfs_comm::fault::FaultPlan;
-use dmbfs_comm::{Comm, FailureKind, VerifyConfig, VerifyFailure, WireBuf, World};
+use dmbfs_comm::{Comm, FailureKind, VerifyFailure, WireBuf, World};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::sync::Mutex;
 
 const P: usize = 3;
 
@@ -50,7 +51,13 @@ fn round_trip(comm: &Comm) {
 #[test]
 fn empty_and_one_byte_payloads_round_trip_through_every_wire_collective() {
     World::run(P, round_trip);
-    World::run_verified(P, VerifyConfig::default(), round_trip);
+    // A plan parked at a level no exchange reaches: never fires, but every
+    // wire payload now carries a checksum the receivers verify.
+    let idle: FaultPlan = "panic@r0:level1000000".parse().unwrap();
+    World::run(P, |comm| {
+        comm.arm_faults(idle);
+        round_trip(comm)
+    });
 }
 
 fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
@@ -94,7 +101,7 @@ fn bytes_mut_needs_unique_ownership() {
 }
 
 /// Rank 1's first wire payload is corrupted by an armed fault; returns what
-/// rank 0 received from it.
+/// this rank received from it.
 fn gather_with_corrupting_rank(comm: &Comm) -> Vec<u8> {
     if comm.rank() == 1 {
         comm.arm_faults("corrupt=5@r1:op0".parse::<FaultPlan>().unwrap());
@@ -105,30 +112,27 @@ fn gather_with_corrupting_rank(comm: &Comm) -> Vec<u8> {
 
 #[test]
 fn corruption_flips_before_the_deposit_and_the_checksum_convicts_the_sender() {
-    // Verifier off: the flip reaches every receiver, the sender's own
-    // gathered copy included — it happened in the buffer all of them share,
-    // before it was shared.
-    let seen = World::run(P, gather_with_corrupting_rank);
-    assert!(seen.iter().all(|b| b == &seen[0]), "{seen:?}");
-    assert_eq!(seen[0].len(), 1);
-    assert_ne!(
-        seen[0][0], 0xA1,
-        "the armed fault must have flipped the byte"
-    );
-
-    // Verifier on: the checksum was taken before the flip, so the receivers
-    // raise a structured corruption report naming rank 1.
+    // Two ranks: rank 0 deposits before it reads (and fails on) rank 1's
+    // payload, so rank 1 always completes and reports its own gathered copy
+    // — the allocation rank 0 read.
+    let own_copy = Mutex::new(None);
     let err = catch_unwind(AssertUnwindSafe(|| {
-        World::run_verified(
-            P,
-            VerifyConfig::with_timeout(Duration::from_secs(5)),
-            gather_with_corrupting_rank,
-        )
+        World::run(2, |comm| {
+            let seen = gather_with_corrupting_rank(comm);
+            if comm.rank() == 1 {
+                *own_copy.lock().unwrap() = Some(seen);
+            }
+        })
     }))
     .expect_err("a corrupted payload must fail its end-to-end checksum");
     let failure = err
         .downcast::<VerifyFailure>()
         .expect("panic payload must be the structured VerifyFailure");
     assert_eq!(failure.kind, FailureKind::Corruption);
-    assert_eq!(failure.corrupt_source, Some(1));
+    assert_eq!(failure.corrupt_source, Some(1), "{failure}");
+    assert_eq!(failure.detected_by, 0, "{failure}");
+    // The flip happened in the shared buffer, before it was shared.
+    let own = own_copy.into_inner().unwrap().expect("rank 1 completed");
+    assert_eq!(own.len(), 1);
+    assert_ne!(own[0], 0xA1, "the armed fault must have flipped the byte");
 }

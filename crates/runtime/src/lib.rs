@@ -8,7 +8,7 @@
 //! so the algorithm crates only provide their per-rank closure:
 //!
 //! * [`RunConfig`] — the unified execution configuration (ranks, threads
-//!   per rank, wire codec, sieve, tracing, collective verification, fault
+//!   per rank, wire codec, sieve, tracing, watchdog limit, fault
 //!   injection) every driver accepts.
 //! * [`run_ranks`] — the generic harness: rank spawn via the in-process
 //!   world, tracer attach, pool construction, and the stats/trace/seconds
@@ -28,7 +28,7 @@
 
 #![warn(missing_docs)]
 
-use dmbfs_comm::{Comm, CommStats, VerifyConfig, World};
+use dmbfs_comm::{Comm, CommStats, World};
 use dmbfs_trace::{RankTrace, SpanKind, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -172,22 +172,16 @@ pub struct RunConfig {
     /// Record per-rank span traces (see `dmbfs-trace`). Strictly an
     /// observer: the computed result is bit-identical either way.
     pub trace: bool,
-    /// Attach the collective-matching verifier (see
-    /// [`dmbfs_comm::World::run_verified`] and `docs/verification.md`):
-    /// every collective cross-checks call-site fingerprints across ranks,
-    /// and a mismatched or stuck collective raises a structured per-rank
-    /// diagnostic instead of deadlocking. Strictly an observer: the
-    /// computed result is bit-identical either way.
-    pub verify: bool,
     /// Deterministic fault-injection schedule (see [`FaultPlan`] and
     /// `docs/fault-injection.md`). Empty by default; an empty plan is never
     /// armed, so the per-collective cost stays one `Option` check.
     pub faults: FaultPlan,
-    /// Overrides the verifier's watchdog timeout (`None` = the
-    /// `DMBFS_VERIFY_TIMEOUT_SECS` default). Only meaningful with
-    /// [`RunConfig::verify`]; the chaos harness uses short timeouts so a
-    /// fail-stopped rank is reported in seconds, not minutes.
-    pub verify_timeout: Option<Duration>,
+    /// Overrides the rendezvous watchdog limit for this run (`None` = the
+    /// `DMBFS_COMM_TIMEOUT_SECS` default; see
+    /// [`dmbfs_comm::World::run_with_watchdog`]). The chaos harness and the
+    /// fault tests use short limits so a fail-stopped rank is reported in
+    /// seconds, not minutes.
+    pub watchdog: Option<Duration>,
     /// Per-level traversal direction policy (see [`DirectionMode`]). Only
     /// the BFS drivers with a bottom-up step honor it; other drivers
     /// require the [`DirectionMode::TopDown`] default.
@@ -209,9 +203,8 @@ impl RunConfig {
             codec: Codec::Adaptive,
             sieve: true,
             trace: false,
-            verify: false,
             faults: FaultPlan::none(),
-            verify_timeout: None,
+            watchdog: None,
             direction: DirectionMode::TopDown,
             schedule_capture: false,
         }
@@ -251,12 +244,6 @@ impl RunConfig {
         self
     }
 
-    /// Enables or disables the collective-matching verifier.
-    pub fn with_verify(mut self, verify: bool) -> Self {
-        self.verify = verify;
-        self
-    }
-
     /// Replaces the fault-injection schedule.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -270,10 +257,10 @@ impl RunConfig {
         self
     }
 
-    /// Overrides the verifier's watchdog timeout (see
-    /// [`RunConfig::verify_timeout`]).
-    pub fn with_verify_timeout(mut self, timeout: Duration) -> Self {
-        self.verify_timeout = Some(timeout);
+    /// Overrides the rendezvous watchdog limit (see
+    /// [`RunConfig::watchdog`]).
+    pub fn with_watchdog(mut self, limit: Duration) -> Self {
+        self.watchdog = Some(limit);
         self
     }
 
@@ -498,14 +485,9 @@ where
             schedule: comm.take_schedule(),
         }
     };
-    let harvests: Vec<Harvest<T>> = if cfg.verify {
-        let vcfg = match cfg.verify_timeout {
-            Some(t) => VerifyConfig::with_timeout(t),
-            None => VerifyConfig::default(),
-        };
-        World::run_verified(cfg.ranks, vcfg, rank_body)
-    } else {
-        World::run(cfg.ranks, rank_body)
+    let harvests: Vec<Harvest<T>> = match cfg.watchdog {
+        Some(limit) => World::run_with_watchdog(cfg.ranks, limit, rank_body),
+        None => World::run(cfg.ranks, rank_body),
     };
 
     let mut per_rank = Vec::with_capacity(cfg.ranks);
@@ -681,9 +663,8 @@ mod tests {
                 codec: Codec::Bitmap,
                 sieve: false,
                 trace: true,
-                verify: false,
                 faults: FaultPlan::none(),
-                verify_timeout: None,
+                watchdog: None,
                 direction: DirectionMode::TopDown,
                 schedule_capture: false,
             }
@@ -701,29 +682,11 @@ mod tests {
                 .with_trace(true),
             cfg
         );
-        assert!(RunConfig::flat(2).with_verify(true).verify);
-    }
-
-    #[test]
-    fn verified_runs_harvest_identically() {
-        let body = |ctx: &RankCtx<'_>| {
-            ctx.timed(0, || {
-                let bufs: Vec<Vec<u64>> = (0..ctx.size())
-                    .map(|j| vec![(ctx.rank() * 10 + j) as u64])
-                    .collect();
-                ctx.comm().alltoallv(bufs)
-            })
-        };
-        let plain = run_ranks(&RunConfig::flat(3), body);
-        let verified = run_ranks(&RunConfig::flat(3).with_verify(true), body);
         assert_eq!(
-            plain.per_rank, verified.per_rank,
-            "verification is a strict observer"
-        );
-        assert_eq!(
-            plain.per_rank_stats.len(),
-            verified.per_rank_stats.len(),
-            "stats harvest is unaffected"
+            RunConfig::flat(2)
+                .with_watchdog(Duration::from_millis(5))
+                .watchdog,
+            Some(Duration::from_millis(5))
         );
     }
 
@@ -750,8 +713,7 @@ mod tests {
     fn fail_stop_under_verify_is_reported_by_the_watchdog() {
         let cfg = RunConfig::flat(3)
             .with_fault("failstop@r1:op2".parse().unwrap())
-            .with_verify(true)
-            .with_verify_timeout(Duration::from_millis(300));
+            .with_watchdog(Duration::from_millis(300));
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_ranks(&cfg, |ctx| {
                 for _ in 0..4 {
@@ -762,7 +724,7 @@ mod tests {
         .expect_err("peers must time out on the dead rank");
         let failure = err
             .downcast::<dmbfs_comm::VerifyFailure>()
-            .expect("the verify watchdog report explains a fail-stop");
+            .expect("the watchdog report explains a fail-stop");
         assert_eq!(failure.laggards(), vec![1], "the dead rank is named");
     }
 

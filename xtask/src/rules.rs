@@ -29,7 +29,7 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Rule: `World::run` / `World::run_verified` call sites may live only in
+/// Rule: `World::run` / `World::run_with_watchdog` call sites may live only in
 /// `crates/runtime` and `crates/comm`; everything else goes through the
 /// shared driver.
 pub const WORLD_RUN_BOUNDARY: &str = "world-run-boundary";
@@ -542,8 +542,8 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, WORLD_RUN_BOUNDARY);
         assert_eq!(f[0].line, 1);
-        // …and run_verified too, but not inside the comm crate.
-        let src2 = "let r = World::run_verified(4, cfg, f);";
+        // …and run_with_watchdog too, but not inside the comm crate.
+        let src2 = "let r = World::run_with_watchdog(4, limit, f);";
         assert_eq!(run("src/main.rs", src2).len(), 1);
         assert!(run("crates/comm/src/world.rs", src2).is_empty());
         assert!(run("crates/runtime/src/lib.rs", src2).is_empty());

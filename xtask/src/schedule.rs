@@ -22,8 +22,8 @@
 //! driver entry point — every `run_ranks` rank closure, named by a
 //! `// schedule: entry(name)` directive or the enclosing function. The
 //! entry schedules feed the dynamic conformance test in `crates/bfs`,
-//! which diffs them against the `VerifyBoard` fingerprint sequence a real
-//! run produces (see `docs/static-analysis.md`).
+//! which diffs them against the fingerprint sequence a real run captures
+//! (`Comm::capture_schedule`; see `docs/static-analysis.md`).
 //!
 //! `crates/comm` is summarized but exempt from findings: it *implements*
 //! the collectives, so its internals legitimately branch on rank.
