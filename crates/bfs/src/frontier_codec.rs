@@ -25,9 +25,10 @@
 //! BFS parent trees are bit-identical whichever codec runs (tested in
 //! `tests/properties.rs`).
 //!
-//! [`Sieve`] implements the sender-side filter: a per-rank bitmap of
-//! every vertex already sent to its owner, so re-discovered vertices —
-//! which the owner would discard anyway — never reach the wire.
+//! [`Sieve`] implements the 2D fold's sender-side filter: a per-rank
+//! bitmap of every row already sent to its owner, so re-discovered
+//! vertices — which the owner would discard anyway — never reach the
+//! wire. The 1D driver sieves inside its SelectMax accumulator instead.
 
 use dmbfs_comm::WireBuf;
 use dmbfs_graph::VertexId;
@@ -288,18 +289,15 @@ fn decode_targets(
 }
 
 /// Sender-side duplicate filter: one bit per key this rank has already
-/// emitted — a global vertex in 1D (its owner is fixed, so the vertex
-/// names the destination too), a local matrix row in the 2D fold. A BFS
-/// vertex is discovered exactly once, so anything the bit already covers
-/// is a cross-level duplicate the owner would discard — sieving drops it
-/// before it costs wire bytes. The 1D gather tests each distinct target
-/// once per level.
+/// emitted — a local matrix row in the 2D fold. A BFS vertex is
+/// discovered exactly once, so anything the bit already covers is a
+/// cross-level duplicate the owner would discard — sieving drops it
+/// before it costs wire bytes. (The 1D driver needs no bitmap: a sent
+/// target's SelectMax accumulator slot stays at a `SENT` sentinel.)
 ///
-/// The bit array is atomic so the per-destination gather can sieve from
-/// pool threads through a shared `&Sieve` (each destination's targets
-/// fall in a disjoint owner range, so concurrent callers never contend on
-/// the same *vertex*, only — harmlessly — on neighbouring bits of a
-/// shared word).
+/// The bit array is atomic so callers can mark through a shared `&Sieve`
+/// from several threads: callers with disjoint keys never contend on the
+/// same bit, only — harmlessly — on neighbouring bits of a shared word.
 #[derive(Debug)]
 pub struct Sieve {
     bits: Vec<AtomicU64>,
@@ -354,7 +352,11 @@ pub struct LevelCodecStats {
     pub logical_bytes: u64,
     /// Encoded bytes that actually crossed the wire.
     pub wire_bytes: u64,
-    /// Duplicates dropped by the sender-side sieve.
+    /// Duplicates dropped by the sender-side sieve. In 1D: frontier
+    /// out-edges whose target this rank already sent at an earlier level,
+    /// dropped at the scatter (one per edge, so a target offered by k
+    /// frontier vertices counts k). In 2D: SpMSV output rows the fold
+    /// already sent at an earlier level (one per row).
     pub sieve_hits: u64,
     /// Destinations encoded raw.
     pub chose_raw: u64,

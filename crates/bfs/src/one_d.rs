@@ -22,7 +22,7 @@ use crate::direction::{DirectionConfig, DirectionSwitch};
 use crate::distribute::{extract_1d, Local1d};
 use crate::exchange::{exchange_pairs, PairBuckets};
 use crate::frontier_codec::{
-    decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats, Sieve,
+    decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
 };
 use crate::{BfsOutput, UNREACHED};
 use dmbfs_comm::{Comm, CommStats, LevelDirection, LevelTiming};
@@ -125,6 +125,10 @@ pub fn bfs1d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs1dConfig) -> Dist1dRun
     }
 }
 
+/// The sieve (Lv et al., arXiv:1208.5542): the `best` slot of a sent target,
+/// above every parent slot, so re-offers fail the scatter's plain load.
+const SENT: u32 = u32::MAX;
+
 /// One rank's share of a 1D search: its handles, the shared run
 /// configuration, and the state the level steps read and update.
 struct RankSearch<'a> {
@@ -134,13 +138,9 @@ struct RankSearch<'a> {
     cfg: &'a Bfs1dConfig,
     levels: Vec<AtomicI64>,
     parents: Vec<AtomicI64>,
-    /// One bit per global vertex, set once the vertex was sent to its
-    /// owner. Only allocated when sieving.
-    sieve: Option<Sieve>,
-    /// The top-down SelectMax accumulator, one slot per global vertex: the
-    /// max parent's local index + 1, or 0. All 0 between levels. `Relaxed`
-    /// throughout: it and `touched` publish no other data, and the end of
-    /// the scatter's pool batch orders it before the gather.
+    /// The top-down SelectMax accumulator, one slot per global vertex: the max
+    /// parent's local index + 1, 0, or [`SENT`]. `Relaxed` throughout: it and
+    /// `touched` publish no other data, and the scatter's batch ends first.
     best: Vec<AtomicU32>,
     /// One bit per global vertex: the slots of `best` this level touched.
     touched: Vec<AtomicU64>,
@@ -156,7 +156,7 @@ impl<'a> RankSearch<'a> {
     ) -> Self {
         let unreached = || (0..local.count()).map(|_| AtomicI64::new(UNREACHED));
         let domain = local.block.domain() as usize;
-        assert!(local.count() < u32::MAX as usize, "a parent slot is a u32");
+        assert!(local.count() < SENT as usize, "slots must stay < SENT");
         Self {
             comm,
             local,
@@ -164,7 +164,6 @@ impl<'a> RankSearch<'a> {
             cfg,
             levels: unreached().collect(),
             parents: unreached().collect(),
-            sieve: cfg.sieve.then(|| Sieve::new(domain)),
             best: (0..domain).map(|_| AtomicU32::new(0)).collect(),
             touched: (0..domain.div_ceil(64))
                 .map(|_| AtomicU64::new(0))
@@ -280,34 +279,32 @@ impl<'a> RankSearch<'a> {
         )
     }
 
-    /// One top-down level (lines 13–28): scatter the frontier's
-    /// adjacencies into the SelectMax accumulator, keeping each target's
-    /// max parent (the tie-break of [`unpack_serial`]); gather it per
-    /// destination in ascending id order, as [`encode_pairs`] wants, with
-    /// one [`Sieve::test_and_set`] per distinct target; exchange; claim.
-    /// Flat and pooled ranks run the same two closures. Returns the local
-    /// slice of the next frontier.
+    /// One top-down level (lines 13–28): scatter the frontier's adjacencies
+    /// into the SelectMax accumulator, keeping each target's max parent (the
+    /// tie-break of [`unpack_serial`]); gather it per destination in ascending
+    /// id order, as [`encode_pairs`] wants, with a plain load and store per
+    /// slot (each range is one task's; edge words of `touched` are masked),
+    /// leaving it [`SENT`] when sieving; exchange; claim. Flat and pooled
+    /// ranks run the same two closures. Returns the next local frontier.
     fn top_down_level(&mut self, frontier: &[VertexId], level: i64) -> Vec<VertexId> {
-        let (comm, local) = (self.comm, self.local);
-        let codec = self.cfg.codec;
-        let (best, touched, sieve) = (&self.best[..], &self.touched[..], self.sieve.as_ref());
-        let hits_before = sieve.map_or(0, Sieve::hits);
+        let (comm, local, best, touched) = (self.comm, self.local, &self.best, &self.touched);
+        let (codec, sent) = (self.cfg.codec, if self.cfg.sieve { SENT } else { 0 });
         let pack_t = comm.trace_start();
-        // Parents are this rank's own vertices and a block is contiguous,
-        // so the max local index is the max global id. Only the caller
-        // whose `fetch_max` lifted the slot from 0 marks it touched.
-        let scatter = |&u: &VertexId| {
+        // Parents are this rank's own contiguous block, so the max local
+        // index is the max global id. Only the caller whose `fetch_max`
+        // lifted the slot from 0 marks it touched. Returns the sieve hits.
+        let scatter = |&u: &VertexId| -> u64 {
             let slot = local.to_local(u) as u32 + 1;
-            for &v in local.neighbors(u) {
-                let v = v as usize;
-                if best[v].load(Ordering::Relaxed) < slot
-                    && best[v].fetch_max(slot, Ordering::Relaxed) == 0
-                {
+            let mut hits = 0;
+            for v in local.neighbors(u).iter().map(|&v| v as usize) {
+                let seen = best[v].load(Ordering::Relaxed);
+                hits += u64::from(seen == SENT);
+                if seen < slot && best[v].fetch_max(slot, Ordering::Relaxed) == 0 {
                     touched[v / 64].fetch_or(1 << (v % 64), Ordering::Relaxed);
                 }
             }
+            hits
         };
-        // Takes and clears destination `j`'s slots; edge words are masked.
         let gather = |j: usize| -> Vec<(u64, u64)> {
             let range = local.block.range(j);
             let (lo, hi) = (range.start as usize, range.end as usize);
@@ -324,39 +321,42 @@ impl<'a> RankSearch<'a> {
                 while bits != 0 {
                     let v = base + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let slot = best[v].swap(0, Ordering::Relaxed);
-                    if !sieve.is_some_and(|s| s.test_and_set(v)) {
-                        pairs.push((v as u64, local.to_global(slot as usize - 1)));
-                    }
+                    let slot = best[v].load(Ordering::Relaxed);
+                    best[v].store(sent, Ordering::Relaxed);
+                    pairs.push((v as u64, local.to_global(slot as usize - 1)));
                 }
             }
             pairs
         };
-        // The frontier is `unpack`'s output, ascending runs, so walking it
-        // from the back offers the largest parent first and most later
-        // arrivals stop at the plain load.
-        let buckets: PairBuckets = match self.pool {
+        // The frontier is `unpack`'s output, ascending runs: walking it backwards
+        // offers the largest parent first, so most later offers stop at the load.
+        // Pool tasks take up to 64 parts, each summing its hits into its slot.
+        let (sieve_hits, buckets): (u64, PairBuckets) = match self.pool {
             Some(pool) => {
                 let batch_t = comm.trace_start();
+                let (mut hits, len) = ([0u64; 64], frontier.len().div_ceil(64).max(64));
                 let buckets = pool.install(|| {
-                    let rev = frontier.iter().rev().into_par_iter();
-                    rev.with_min_len(64).for_each(scatter);
+                    let parts = hits.iter_mut().zip(frontier.rchunks(len)).into_par_iter();
+                    parts.for_each(|(h, part)| *h = part.iter().rev().map(scatter).sum());
                     (0..comm.size()).into_par_iter().map(gather).collect()
                 });
                 comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
-                buckets
+                (hits.iter().sum(), buckets)
             }
             None => {
-                frontier.iter().rev().for_each(scatter);
-                (0..comm.size()).map(gather).collect()
+                let hits = frontier.iter().rev().map(scatter).sum();
+                (hits, (0..comm.size()).map(gather).collect())
             }
         };
         debug_assert!(touched.iter().all(|w| w.load(Ordering::Relaxed) == 0));
+        debug_assert!(best
+            .iter()
+            .all(|b| [0, sent].contains(&b.load(Ordering::Relaxed))));
         comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
 
         let mut stats = LevelCodecStats {
             level: level as usize,
-            sieve_hits: sieve.map_or(0, Sieve::hits) - hits_before,
+            sieve_hits,
             ..Default::default()
         };
         let recv = exchange_pairs(comm, self.pool, &mut stats, buckets, |j, pairs| {

@@ -123,6 +123,15 @@ fn owner_ranges_straddling_a_word() {
     for source in [0, 63, 64, 127, 199] {
         check_1d(&g, source, &configs);
     }
+    // n = 64k ± 1: the last word is one bit short of full, or one bit into
+    // the next. The masked boundary words are what keep two ranges' gather
+    // tasks apart; inside its range a task stores slots plainly.
+    for n in [127, 129, 191, 193, 255, 257] {
+        let g = canonical(erdos_renyi(n, 4 * n, n));
+        for source in [0, n / 2, n - 1] {
+            check_1d(&g, source, &configs);
+        }
+    }
 }
 
 #[test]
