@@ -25,10 +25,10 @@
 //! BFS parent trees are bit-identical whichever codec runs (tested in
 //! `tests/properties.rs`).
 //!
-//! [`Sieve`] implements the 2D fold's sender-side filter: a per-rank
-//! bitmap of every row already sent to its owner, so re-discovered
-//! vertices — which the owner would discard anyway — never reach the
-//! wire. The 1D driver sieves inside its SelectMax accumulator instead.
+//! Neither distributed BFS sieves with [`Sieve`]: both drop re-discovered
+//! targets inside their SelectMax accumulator, whose slot of a sent target
+//! stays at a `SENT` sentinel. The standalone bitmap filter is kept for
+//! the codec benchmarks' sieve rate.
 
 use dmbfs_comm::WireBuf;
 use dmbfs_graph::VertexId;
@@ -289,11 +289,12 @@ fn decode_targets(
 }
 
 /// Sender-side duplicate filter: one bit per key this rank has already
-/// emitted — a local matrix row in the 2D fold. A BFS vertex is
-/// discovered exactly once, so anything the bit already covers is a
-/// cross-level duplicate the owner would discard — sieving drops it
-/// before it costs wire bytes. (The 1D driver needs no bitmap: a sent
-/// target's SelectMax accumulator slot stays at a `SENT` sentinel.)
+/// emitted. A BFS vertex is discovered exactly once, so anything the bit
+/// already covers is a cross-level duplicate the owner would discard —
+/// sieving drops it before it costs wire bytes. No BFS uses it (their
+/// SelectMax accumulators sieve in place, a sent target's slot staying at
+/// a `SENT` sentinel); it is kept as the standalone filter the codec
+/// benchmarks time.
 ///
 /// The bit array is atomic so callers can mark through a shared `&Sieve`
 /// from several threads: callers with disjoint keys never contend on the
@@ -352,11 +353,11 @@ pub struct LevelCodecStats {
     pub logical_bytes: u64,
     /// Encoded bytes that actually crossed the wire.
     pub wire_bytes: u64,
-    /// Duplicates dropped by the sender-side sieve. In 1D: frontier
-    /// out-edges whose target this rank already sent at an earlier level,
-    /// dropped at the scatter (one per edge, so a target offered by k
-    /// frontier vertices counts k). In 2D: SpMSV output rows the fold
-    /// already sent at an earlier level (one per row).
+    /// Duplicates dropped by the sender-side sieve: offers whose target
+    /// this rank already sent at an earlier level, dropped at the scatter —
+    /// one per edge, so a target offered by k frontier vertices counts k.
+    /// In 1D an offer is a frontier out-edge, in 2D a nonzero of a frontier
+    /// column of the local matrix.
     pub sieve_hits: u64,
     /// Destinations encoded raw.
     pub chose_raw: u64,

@@ -20,7 +20,7 @@
 
 use crate::direction::{DirectionConfig, DirectionSwitch};
 use crate::distribute::{extract_1d, Local1d};
-use crate::exchange::{exchange_pairs, PairBuckets};
+use crate::exchange::{exchange_pairs, Accumulator};
 use crate::frontier_codec::{
     decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
 };
@@ -30,7 +30,7 @@ use dmbfs_graph::{CsrGraph, VertexId};
 use dmbfs_runtime::{run_ranks, scatter_block};
 use dmbfs_trace::{RankTrace, SpanKind};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 
 /// Configuration of a 1D run — since the runtime refactor this *is* the
@@ -125,10 +125,6 @@ pub fn bfs1d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs1dConfig) -> Dist1dRun
     }
 }
 
-/// The sieve (Lv et al., arXiv:1208.5542): the `best` slot of a sent target,
-/// above every parent slot, so re-offers fail the scatter's plain load.
-const SENT: u32 = u32::MAX;
-
 /// One rank's share of a 1D search: its handles, the shared run
 /// configuration, and the state the level steps read and update.
 struct RankSearch<'a> {
@@ -138,12 +134,9 @@ struct RankSearch<'a> {
     cfg: &'a Bfs1dConfig,
     levels: Vec<AtomicI64>,
     parents: Vec<AtomicI64>,
-    /// The top-down SelectMax accumulator, one slot per global vertex: the max
-    /// parent's local index + 1, 0, or [`SENT`]. `Relaxed` throughout: it and
-    /// `touched` publish no other data, and the scatter's batch ends first.
-    best: Vec<AtomicU32>,
-    /// One bit per global vertex: the slots of `best` this level touched.
-    touched: Vec<AtomicU64>,
+    /// The top-down SelectMax accumulator, one slot per global vertex,
+    /// keyed by the parent's local index.
+    acc: Accumulator,
     codec_levels: Vec<LevelCodecStats>,
 }
 
@@ -156,7 +149,6 @@ impl<'a> RankSearch<'a> {
     ) -> Self {
         let unreached = || (0..local.count()).map(|_| AtomicI64::new(UNREACHED));
         let domain = local.block.domain() as usize;
-        assert!(local.count() < SENT as usize, "slots must stay < SENT");
         Self {
             comm,
             local,
@@ -164,10 +156,7 @@ impl<'a> RankSearch<'a> {
             cfg,
             levels: unreached().collect(),
             parents: unreached().collect(),
-            best: (0..domain).map(|_| AtomicU32::new(0)).collect(),
-            touched: (0..domain.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            acc: Accumulator::new(domain, local.count(), cfg.sieve),
             codec_levels: Vec::new(),
         }
     }
@@ -282,76 +271,28 @@ impl<'a> RankSearch<'a> {
     /// One top-down level (lines 13–28): scatter the frontier's adjacencies
     /// into the SelectMax accumulator, keeping each target's max parent (the
     /// tie-break of [`unpack_serial`]); gather it per destination in ascending
-    /// id order, as [`encode_pairs`] wants, with a plain load and store per
-    /// slot (each range is one task's; edge words of `touched` are masked),
-    /// leaving it [`SENT`] when sieving; exchange; claim. Flat and pooled
-    /// ranks run the same two closures. Returns the next local frontier.
+    /// id order, as [`encode_pairs`] wants, leaving sent targets sieved;
+    /// exchange; claim. Flat and pooled ranks run the same two closures.
+    /// Returns the next local frontier.
     fn top_down_level(&mut self, frontier: &[VertexId], level: i64) -> Vec<VertexId> {
-        let (comm, local, best, touched) = (self.comm, self.local, &self.best, &self.touched);
-        let (codec, sent) = (self.cfg.codec, if self.cfg.sieve { SENT } else { 0 });
+        let (comm, local, acc, codec) = (self.comm, self.local, &self.acc, self.cfg.codec);
         let pack_t = comm.trace_start();
         // Parents are this rank's own contiguous block, so the max local
-        // index is the max global id. Only the caller whose `fetch_max`
-        // lifted the slot from 0 marks it touched. Returns the sieve hits.
+        // index is the max global id.
         let scatter = |&u: &VertexId| -> u64 {
             let slot = local.to_local(u) as u32 + 1;
-            let mut hits = 0;
-            for v in local.neighbors(u).iter().map(|&v| v as usize) {
-                let seen = best[v].load(Ordering::Relaxed);
-                hits += u64::from(seen == SENT);
-                if seen < slot && best[v].fetch_max(slot, Ordering::Relaxed) == 0 {
-                    touched[v / 64].fetch_or(1 << (v % 64), Ordering::Relaxed);
-                }
-            }
-            hits
+            let hit = |&v: &VertexId| u64::from(acc.offer(v as usize, slot));
+            local.neighbors(u).iter().map(hit).sum()
         };
-        let gather = |j: usize| -> Vec<(u64, u64)> {
+        let gather = |j: usize| {
             let range = local.block.range(j);
-            let (lo, hi) = (range.start as usize, range.end as usize);
-            let mut pairs = Vec::new();
-            let words = &touched[lo / 64..hi.div_ceil(64)];
-            for (w, word) in (lo / 64..).zip(words) {
-                let base = w * 64;
-                let mask =
-                    (!0u64 << lo.saturating_sub(base)) & (!0u64 >> (base + 64).saturating_sub(hi));
-                if word.load(Ordering::Relaxed) & mask == 0 {
-                    continue;
-                }
-                let mut bits = word.fetch_and(!mask, Ordering::Relaxed) & mask;
-                while bits != 0 {
-                    let v = base + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let slot = best[v].load(Ordering::Relaxed);
-                    best[v].store(sent, Ordering::Relaxed);
-                    pairs.push((v as u64, local.to_global(slot as usize - 1)));
-                }
-            }
-            pairs
+            acc.drain(range.start as usize..range.end as usize, |v, slot| {
+                (v as u64, local.to_global(slot as usize - 1))
+            })
         };
-        // The frontier is `unpack`'s output, ascending runs: walking it backwards
-        // offers the largest parent first, so most later offers stop at the load.
-        // Pool tasks take up to 64 parts, each summing its hits into its slot.
-        let (sieve_hits, buckets): (u64, PairBuckets) = match self.pool {
-            Some(pool) => {
-                let batch_t = comm.trace_start();
-                let (mut hits, len) = ([0u64; 64], frontier.len().div_ceil(64).max(64));
-                let buckets = pool.install(|| {
-                    let parts = hits.iter_mut().zip(frontier.rchunks(len)).into_par_iter();
-                    parts.for_each(|(h, part)| *h = part.iter().rev().map(scatter).sum());
-                    (0..comm.size()).into_par_iter().map(gather).collect()
-                });
-                comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
-                (hits.iter().sum(), buckets)
-            }
-            None => {
-                let hits = frontier.iter().rev().map(scatter).sum();
-                (hits, (0..comm.size()).map(gather).collect())
-            }
-        };
-        debug_assert!(touched.iter().all(|w| w.load(Ordering::Relaxed) == 0));
-        debug_assert!(best
-            .iter()
-            .all(|b| [0, sent].contains(&b.load(Ordering::Relaxed))));
+        // The frontier is `unpack`'s output, ascending runs.
+        let (sieve_hits, buckets) =
+            acc.scatter_gather(comm, self.pool, frontier, comm.size(), scatter, gather);
         comm.trace_span(SpanKind::Pack, pack_t, frontier.len() as u64);
 
         let mut stats = LevelCodecStats {

@@ -11,8 +11,9 @@
 //! 2. **Expand** — `Allgatherv` along each processor *column* (`pr`
 //!    participants): every processor obtains the full frontier piece `f_j`.
 //! 3. **Local SpMSV** — `t_i ← A_ij ⊗ f_j` over the (select, max)
-//!    semiring; the hybrid variant splits the local matrix row-wise across
-//!    threads (§4.1, Fig. 2).
+//!    semiring, scattered into a sort-free per-rank SelectMax accumulator
+//!    and gathered per vector owner in ascending id order; the hybrid
+//!    variant splits the frontier's columns across threads.
 //! 4. **Fold** — `Alltoallv` along each processor *row* (`pc`
 //!    participants) delivers each candidate parent to the vector owner.
 //! 5. **Mask & update** — `t_ij ← t_ij ⊙ π̄_ij; π_ij ← π_ij + t_ij;
@@ -28,17 +29,16 @@
 //! §4.3 / Fig. 4 demonstrates.
 
 use crate::distribute::{extract_2d, Local2d};
-use crate::exchange::exchange_pairs;
+use crate::exchange::{exchange_pairs, Accumulator};
 use crate::frontier_codec::{
-    decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats, Sieve,
+    decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
 };
 use crate::{BfsOutput, UNREACHED};
 use dmbfs_comm::{Comm, CommStats, LevelTiming};
 use dmbfs_graph::{CsrGraph, Grid2D, VertexId};
-use dmbfs_matrix::{spmsv, Dcsc, MergeKernel, RowSplitDcsc, SelectMax, SpaWorkspace, SparseVector};
+use dmbfs_matrix::Dcsc;
 use dmbfs_runtime::{run_ranks, scatter_block, FaultPlan, RunConfig};
 use dmbfs_trace::{RankTrace, SpanKind};
-use rayon::prelude::*;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -67,8 +67,6 @@ pub struct Bfs2dConfig {
     pub threads_per_rank: usize,
     /// Vector distribution (§4.3 ablation).
     pub distribution: VectorDistribution,
-    /// SpMSV merge kernel (§4.2; `Auto` is the paper's polyalgorithm).
-    pub kernel: MergeKernel,
     /// Wire encoding of the transpose/expand/fold payloads (see
     /// [`crate::frontier_codec`]). The rectangular-grid transpose keeps
     /// its typed collective.
@@ -98,7 +96,6 @@ impl Bfs2dConfig {
             grid,
             threads_per_rank: 1,
             distribution: VectorDistribution::TwoD,
-            kernel: MergeKernel::Auto,
             codec: Codec::Adaptive,
             sieve: true,
             trace: false,
@@ -161,7 +158,7 @@ impl Bfs2dConfig {
 
     /// The runtime-layer view of this configuration: everything the
     /// execution harness needs, minus the 2D-specific algorithm knobs
-    /// (grid shape, distribution, kernel, expand schedule).
+    /// (grid shape, distribution).
     pub fn run_config(&self) -> RunConfig {
         RunConfig {
             ranks: self.grid.size(),
@@ -183,7 +180,8 @@ impl Bfs2dConfig {
 /// spread across the grid exposes the §4.3 load imbalance (Fig. 4).
 #[derive(Clone, Copy, Debug, Default, serde::Serialize)]
 pub struct RankWork {
-    /// SpMSV output entries produced across all levels.
+    /// SpMSV output rows gathered for the fold across all levels, after
+    /// the sieve.
     pub spmsv_output: u64,
     /// Fold entries received and merged (the work that piles onto diagonal
     /// processors under the diagonal vector distribution).
@@ -316,10 +314,11 @@ struct RankState {
     cfg: Bfs2dConfig,
     coords: (usize, usize),
     block: Local2d,
-    /// Flat-variant matrix (unsplit DCSC).
-    matrix: Option<Dcsc>,
-    /// Hybrid-variant matrix (row-split across threads).
-    split: Option<RowSplitDcsc>,
+    /// The local submatrix `A_ij`, shared by flat and pooled ranks.
+    matrix: Dcsc,
+    /// The SpMSV's SelectMax accumulator, one slot per local row, keyed by
+    /// the frontier's block-local column.
+    acc: Accumulator,
     /// Vector range owned under the configured distribution.
     vrange: Range<u64>,
 }
@@ -331,32 +330,14 @@ impl RankState {
             VectorDistribution::TwoD => block.map.vector_range(i, j),
             VectorDistribution::Diagonal => block.map.diagonal_range(i, j),
         };
-        let (matrix, split) = if cfg.is_hybrid() {
-            (
-                None,
-                Some(RowSplitDcsc::from_triples(
-                    block.nrows(),
-                    block.ncols(),
-                    &block.triples,
-                    cfg.threads_per_rank,
-                )),
-            )
-        } else {
-            (
-                Some(Dcsc::from_triples(
-                    block.nrows(),
-                    block.ncols(),
-                    &block.triples,
-                )),
-                None,
-            )
-        };
+        let matrix = Dcsc::from_triples(block.nrows(), block.ncols(), &block.triples);
+        let acc = Accumulator::new(block.nrows() as usize, block.ncols() as usize, cfg.sieve);
         Self {
             cfg: *cfg,
             coords: (i, j),
             block,
             matrix,
-            split,
+            acc,
             vrange,
         }
     }
@@ -382,16 +363,28 @@ impl RankState {
         let nloc = (self.vrange.end - self.vrange.start) as usize;
         let mut levels = vec![UNREACHED; nloc];
         let mut parents = vec![UNREACHED; nloc];
+        // One bit per owned vertex: the vertices this level claimed.
+        let mut claimed = vec![0u64; nloc.div_ceil(64)];
         let mut work = RankWork::default();
-        let mut ws: SpaWorkspace<u64> = SpaWorkspace::new(self.block.nrows());
-        let codec = self.cfg.codec;
-        // One bit per local matrix row: a row folded once was claimed by
-        // its vector owner at that level, so later re-emissions are
-        // duplicates the owner's mask would discard anyway.
-        let fold_sieve = self
-            .cfg
-            .sieve
-            .then(|| Sieve::new(self.block.nrows() as usize));
+        let (codec, acc, matrix) = (self.cfg.codec, &self.acc, &self.matrix);
+        let (row0, col0) = (self.block.row_range.start, self.block.col_range.start);
+        // Column `c` offers parent slot `c + 1` to every row it holds;
+        // returns its sieve hits.
+        let scatter = |&c: &u64| -> u64 {
+            let slot = c as u32 + 1;
+            let hit = |&r: &u64| u64::from(acc.offer(r as usize, slot));
+            matrix.column(c).iter().map(hit).sum()
+        };
+        // The owners' vector ranges split this processor row's matrix rows
+        // in ascending order, so every touched row is gathered for exactly
+        // one fold destination — the sieve sees every row this rank sends.
+        let gather = |oj: usize| {
+            let range = self.owner_vrange(i, oj);
+            let rows = (range.start - row0) as usize..(range.end - row0) as usize;
+            acc.drain(rows, |r, slot| {
+                (row0 + r as u64, col0 + u64::from(slot) - 1)
+            })
+        };
         let mut codec_levels: Vec<LevelCodecStats> = Vec::new();
 
         // Line 2: f(s) ← s at the vector owner of the source.
@@ -433,66 +426,49 @@ impl RankState {
                 .iter()
                 .map(|b| decode_set(b.bytes()))
                 .collect();
-            let fvec = self.assemble_frontier(gathered);
-            comm.trace_span(SpanKind::ExpandPhase, expand_t, fvec.nnz() as u64);
-            work.expand_received += fvec.nnz() as u64;
-            // Line 7: local SpMSV on the (select, max) semiring.
+            let fcols = self.assemble_frontier(gathered);
+            comm.trace_span(SpanKind::ExpandPhase, expand_t, fcols.len() as u64);
+            work.expand_received += fcols.len() as u64;
+            // Line 7: local SpMSV on the (select, max) semiring, gathered
+            // per vector owner in ascending row order (§4.2's SPA with no
+            // sort). Sent rows stay sieved.
             let spmsv_t = comm.trace_start();
-            let t = match (pool, &self.split, &self.matrix) {
-                (Some(pool), Some(split), _) => {
-                    let batch_t = comm.trace_start();
-                    let t = pool.install(|| split.par_spmsv::<SelectMax>(&fvec, self.cfg.kernel));
-                    comm.trace_span(SpanKind::TaskBatch, batch_t, fvec.nnz() as u64);
-                    t
-                }
-                (_, _, Some(m)) => spmsv::<SelectMax>(m, &fvec, self.cfg.kernel, &mut ws),
-                _ => unreachable!("one matrix representation always exists"),
-            };
-            comm.trace_span(SpanKind::SpMSV, spmsv_t, t.nnz() as u64);
-            work.spmsv_output += t.nnz() as u64;
+            let (sieve_hits, buckets) =
+                acc.scatter_gather(comm, pool, &fcols, self.cfg.grid.cols(), scatter, gather);
+            let produced: u64 = buckets.iter().map(|b| b.len() as u64).sum();
+            comm.trace_span(SpanKind::SpMSV, spmsv_t, produced);
+            work.spmsv_output += produced;
+            lvl.sieve_hits = sieve_hits;
             // Line 8: fold along the processor row to the vector owners.
             let fold_t = comm.trace_start();
-            let entries = t.entries();
-            // The SpMSV output lists each local row at most once per level,
-            // so the sieve's `test_and_set` drops exactly the rows folded at
-            // an earlier level.
-            let sieve = fold_sieve.as_ref();
-            let hits_before = sieve.map_or(0, Sieve::hits);
-            let folded = exchange_pairs(
-                row_comm,
-                pool,
-                &mut lvl,
-                self.bucket_by_owner(entries, sieve),
-                |oj, pairs| encode_pairs(pairs, self.owner_vrange(i, oj), codec),
-            );
-            lvl.sieve_hits = sieve.map_or(0, Sieve::hits) - hits_before;
+            let folded = exchange_pairs(row_comm, pool, &mut lvl, buckets, |oj, pairs| {
+                encode_pairs(pairs, self.owner_vrange(i, oj), codec)
+            });
             codec_levels.push(lvl);
-            // Lines 9–11: mask by π̄, update π, form the next frontier.
-            let mut next: Vec<VertexId> = Vec::new();
-            let mut merged: Vec<(u64, u64)> = folded.into_iter().flatten().collect();
-            comm.trace_span(SpanKind::FoldPhase, fold_t, merged.len() as u64);
+            let received: u64 = folded.iter().map(|b| b.len() as u64).sum();
+            comm.trace_span(SpanKind::FoldPhase, fold_t, received);
+            work.fold_received += received;
+            // Lines 9–11: mask by π̄, update π, form the next frontier. Each
+            // sender kept its max candidate; the owner keeps the max across
+            // senders within the level (SelectMax's add).
             let mask_t = comm.trace_start();
-            work.fold_received += merged.len() as u64;
-            match pool {
-                Some(pool) => pool.install(|| merged.par_sort_unstable()),
-                None => merged.sort_unstable(),
-            }
-            // Keep the max parent per vertex: after the sort, the last
-            // entry of each group (SelectMax's add).
-            let mut k = 0;
-            while k < merged.len() {
-                let g = merged[k].0;
-                let mut best = merged[k].1;
-                while k + 1 < merged.len() && merged[k + 1].0 == g {
-                    k += 1;
-                    best = best.max(merged[k].1);
-                }
-                k += 1;
+            for &(g, parent) in folded.iter().flatten() {
                 let idx = (g - self.vrange.start) as usize;
-                if parents[idx] == UNREACHED {
-                    parents[idx] = best as i64;
+                if levels[idx] == UNREACHED {
                     levels[idx] = level;
-                    next.push(g);
+                    parents[idx] = parent as i64;
+                    claimed[idx / 64] |= 1 << (idx % 64);
+                } else if levels[idx] == level {
+                    parents[idx] = parents[idx].max(parent as i64);
+                }
+            }
+            // The claim bitmap lists the next frontier in ascending order.
+            let mut next: Vec<VertexId> = Vec::new();
+            for (w, word) in claimed.iter_mut().enumerate() {
+                while *word != 0 {
+                    let idx = w * 64 + word.trailing_zeros() as usize;
+                    *word &= *word - 1;
+                    next.push(self.vrange.start + idx as u64);
                 }
             }
             comm.trace_span(SpanKind::Mask, mask_t, next.len() as u64);
@@ -525,30 +501,6 @@ impl RankState {
             VectorDistribution::TwoD => self.block.map.vector_range(i, oj),
             VectorDistribution::Diagonal => self.block.map.diagonal_range(i, oj),
         }
-    }
-
-    /// Buckets SpMSV output entries `(local row, parent)` by the grid
-    /// column of the row's vector owner, as global `(vertex, parent)`
-    /// pairs, skipping (and marking) rows `sieve` saw at an earlier level.
-    fn bucket_by_owner(
-        &self,
-        entries: &[(u64, u64)],
-        sieve: Option<&Sieve>,
-    ) -> Vec<Vec<(u64, u64)>> {
-        let mut fold_bufs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.cfg.grid.cols()];
-        for &(r, parent) in entries {
-            if sieve.is_some_and(|s| s.test_and_set(r as usize)) {
-                continue;
-            }
-            let g = self.block.row_range.start + r;
-            let (oi, oj) = self.vector_owner(g);
-            debug_assert_eq!(
-                oi, self.coords.0,
-                "fold target must stay in the processor row"
-            );
-            fold_bufs[oj].push((g, parent));
-        }
-        fold_bufs
     }
 
     /// Line 5: sends each owned frontier entry toward the processor column
@@ -586,23 +538,22 @@ impl RankState {
         }
     }
 
-    /// Line 6 epilogue: assembles the allgathered pieces into the sorted
-    /// sparse frontier vector `f_j`, rebased to block-local columns. Values
-    /// carry the (global) vertex id — the candidate parent under the
-    /// (select, max) semiring.
-    fn assemble_frontier(&self, gathered: Vec<Vec<VertexId>>) -> SparseVector<u64> {
+    /// Line 6 epilogue: the allgathered pieces as the sorted block-local
+    /// columns of the frontier `f_j`. Under the (select, max) semiring a
+    /// column's global id is its candidate parent.
+    fn assemble_frontier(&self, gathered: Vec<Vec<VertexId>>) -> Vec<u64> {
         let base = self.block.col_range.start;
-        let mut entries: Vec<(u64, u64)> = gathered
+        let mut cols: Vec<u64> = gathered
             .into_iter()
             .flatten()
             .map(|g| {
                 debug_assert!(self.block.col_range.contains(&g));
-                (g - base, g)
+                g - base
             })
             .collect();
-        entries.sort_unstable_by_key(|&(c, _)| c);
-        entries.dedup_by_key(|e| e.0);
-        SparseVector::from_sorted(self.block.ncols(), entries)
+        cols.sort_unstable();
+        cols.dedup();
+        cols
     }
 }
 
@@ -672,15 +623,15 @@ mod tests {
 
     #[test]
     fn all_kernels_agree() {
+        // Flat ranks scatter serially, pooled ranks in parallel parts: the
+        // trees must not differ.
         let g = rmat_graph(7, 19);
         let expected = serial_bfs(&g, 0);
-        for kernel in [MergeKernel::Spa, MergeKernel::Heap, MergeKernel::Auto] {
-            let cfg = Bfs2dConfig {
-                kernel,
-                ..Bfs2dConfig::flat(Grid2D::new(2, 2))
-            };
-            let out = bfs2d(&g, 0, &cfg);
-            assert_eq!(out.levels, expected.levels, "kernel {kernel:?}");
+        let flat = bfs2d(&g, 0, &Bfs2dConfig::flat(Grid2D::new(2, 2)));
+        assert_eq!(flat.levels, expected.levels);
+        for t in [2, 3] {
+            let out = bfs2d(&g, 0, &Bfs2dConfig::hybrid(Grid2D::new(2, 2), t));
+            assert_eq!(out, flat, "threads {t}");
         }
     }
 

@@ -5,14 +5,14 @@
 //! of the BFS levels: `parent[v] = max{u ∈ N(v) : level[u] = level[v] − 1}`.
 //! The oracle below derives that from the serial levels and the CSR
 //! alone — no pack, accumulator, codec or exchange code — and every 1D and
-//! 2D configuration must match it exactly, edge cases of the 1D gather
-//! (owner ranges straddling a 64-bit word, empty ranges, self-loops,
+//! 2D configuration must match it exactly, edge cases of the accumulator's
+//! gather (owner ranges straddling a 64-bit word, empty ranges, self-loops,
 //! duplicate edges, tiny frontiers on the pool) included.
 
 use dmbfs_bfs::frontier_codec::Codec;
 use dmbfs_bfs::one_d::{bfs1d, Bfs1dConfig};
 use dmbfs_bfs::serial::serial_bfs;
-use dmbfs_bfs::two_d::{bfs2d, Bfs2dConfig};
+use dmbfs_bfs::two_d::{bfs2d, Bfs2dConfig, VectorDistribution};
 use dmbfs_bfs::{BfsOutput, UNREACHED};
 use dmbfs_graph::gen::{erdos_renyi, grid2d, path, rmat, RmatConfig};
 use dmbfs_graph::{CsrGraph, EdgeList, Grid2D, VertexId};
@@ -62,17 +62,31 @@ fn check_1d(g: &CsrGraph, source: VertexId, configs: &[Bfs1dConfig]) {
     }
 }
 
-fn check_2d(g: &CsrGraph, source: VertexId) {
+/// Every listed 2D configuration against the oracle.
+fn check_2d(g: &CsrGraph, source: VertexId, configs: &[Bfs2dConfig]) {
     let expected = max_parent_oracle(g, source);
-    for (pr, pc) in [(1, 1), (1, 2), (2, 2), (3, 2)] {
+    for &base in configs {
         for (codec, sieve) in codec_sieve() {
-            let cfg = Bfs2dConfig::flat(Grid2D::new(pr, pc))
-                .with_codec(codec)
-                .with_sieve(sieve);
-            let what = format!("2D {pr}x{pc} {codec:?} sieve {sieve} source {source}");
+            let cfg = base.with_codec(codec).with_sieve(sieve);
+            let what = format!(
+                "2D {}x{} {:?} threads {} {codec:?} sieve {sieve} source {source}",
+                cfg.grid.rows(),
+                cfg.grid.cols(),
+                cfg.distribution,
+                cfg.threads_per_rank
+            );
             assert_matches(g, source, &bfs2d(g, source, &cfg), &expected, &what);
         }
     }
+}
+
+/// The flat and hybrid 2D configurations of the main matrix.
+fn all_2d() -> Vec<Bfs2dConfig> {
+    let flat =
+        [(1, 1), (1, 2), (2, 2), (3, 2)].map(|(pr, pc)| Bfs2dConfig::flat(Grid2D::new(pr, pc)));
+    let hybrid = [(1, 2, 2), (2, 2, 2), (3, 2, 3)]
+        .map(|(pr, pc, t)| Bfs2dConfig::hybrid(Grid2D::new(pr, pc), t));
+    flat.into_iter().chain(hybrid).collect()
 }
 
 /// The flat and hybrid 1D configurations of the main matrix.
@@ -99,7 +113,7 @@ fn rmat_matches_oracle_in_1d_and_2d() {
         let g = canonical(rmat(&RmatConfig::graph500(scale, seed)));
         for source in [0, g.num_vertices() / 3] {
             check_1d(&g, source, &all_1d());
-            check_2d(&g, source);
+            check_2d(&g, source, &all_2d());
         }
     }
 }
@@ -109,7 +123,7 @@ fn grid_matches_oracle_in_1d_and_2d() {
     let g = CsrGraph::from_edge_list(&grid2d(7, 9));
     for source in [0, 31, 62] {
         check_1d(&g, source, &all_1d());
-        check_2d(&g, source);
+        check_2d(&g, source, &all_2d());
     }
 }
 
@@ -125,11 +139,23 @@ fn owner_ranges_straddling_a_word() {
     }
     // n = 64k ± 1: the last word is one bit short of full, or one bit into
     // the next. The masked boundary words are what keep two ranges' gather
-    // tasks apart; inside its range a task stores slots plainly.
+    // tasks apart; inside its range a task stores slots plainly. In 2D the
+    // ranges are the fold owners' slices of a processor row's matrix rows;
+    // under the diagonal distribution all but one of them are empty.
+    let configs_2d = [
+        Bfs2dConfig::flat(Grid2D::new(1, 3)),
+        Bfs2dConfig::flat(Grid2D::new(2, 3)),
+        Bfs2dConfig {
+            distribution: VectorDistribution::Diagonal,
+            ..Bfs2dConfig::flat(Grid2D::new(3, 3))
+        },
+        Bfs2dConfig::hybrid(Grid2D::new(1, 3), 2),
+    ];
     for n in [127, 129, 191, 193, 255, 257] {
         let g = canonical(erdos_renyi(n, 4 * n, n));
         for source in [0, n / 2, n - 1] {
             check_1d(&g, source, &configs);
+            check_2d(&g, source, &configs_2d);
         }
     }
 }
@@ -143,6 +169,18 @@ fn more_ranks_than_vertices_leaves_empty_ranges() {
             source,
             &[Bfs1dConfig::flat(6), Bfs1dConfig::hybrid(6, 2)],
         );
+    }
+    // 2D with p > n: empty matrix blocks, empty vector ranges and empty
+    // fold destinations.
+    let grids = [(2, 2), (3, 3), (1, 4), (4, 1)].map(|(pr, pc)| Grid2D::new(pr, pc));
+    let configs: Vec<_> = grids
+        .iter()
+        .flat_map(|&grid| [Bfs2dConfig::flat(grid), Bfs2dConfig::hybrid(grid, 2)])
+        .collect();
+    let single = CsrGraph::from_edge_list(&EdgeList::new(1, Vec::new()));
+    check_2d(&single, 0, &configs);
+    for source in 0..3 {
+        check_2d(&g, source, &configs);
     }
 }
 

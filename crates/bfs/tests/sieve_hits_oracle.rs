@@ -1,49 +1,87 @@
-//! An independent reference for the 1D sieve counter.
+//! An independent reference for the sieve counter of both distributed BFS
+//! algorithms.
 //!
-//! In 1D the sieve is the accumulator itself: a target a rank sent at an
-//! earlier level keeps its `best` slot at `SENT`, so every later offer of
-//! it stops at the scatter's first load and counts as one sieve hit. A
-//! rank sends every target it touches, so in a pure top-down search
-//! rank r's hits at level L are
+//! The sieve is the SelectMax accumulator itself: a target a rank sent at
+//! an earlier level keeps its `best` slot at `SENT`, so every later offer
+//! of it stops at the scatter's first load and counts as one sieve hit. A
+//! rank sends every target it touches, so in a pure top-down search a rank
+//! holding the edges out of the sources `S` into the targets `T` counts at
+//! level L
 //!
-//! #{(u, v) : u owned by r, level[u] = L−1, v ∈ N(u),
-//!            some u′ owned by r with level[u′] < L−1 has v ∈ N(u′)}
+//! #{(u, v) : u ∈ S, v ∈ T, level[u] = L−1, v ∈ N(u),
+//!            some u′ ∈ S with level[u′] < L−1 has v ∈ N(u′)}
 //!
 //! — one per adjacency entry, derived below from the serial levels, the
-//! CSR and the block ownership alone. The run reports the hits merged
-//! across ranks, so the oracle sums the right-hand side over r.
+//! CSR and the partition alone. In 1D rank r holds S = its own block and
+//! T = every vertex; in 2D `P(i, j)` holds S = column block j and
+//! T = row block i. The run reports the hits merged across ranks, so the
+//! oracle sums the right-hand side over them.
 
+use dmbfs_bfs::frontier_codec::LevelCodecStats;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::serial::serial_bfs;
-use dmbfs_bfs::UNREACHED;
+use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
+use dmbfs_bfs::{BfsOutput, UNREACHED};
 use dmbfs_graph::gen::{grid2d, rmat, RmatConfig};
-use dmbfs_graph::{Block1D, CsrGraph, VertexId};
+use dmbfs_graph::{Block1D, CsrGraph, Grid2D, OwnerMap2D, VertexId};
+use std::ops::Range;
 
-/// Expected sieve hits per top-down level (index `L - 1` holds level `L`).
-fn sieve_hits_oracle(g: &CsrGraph, source: VertexId, p: usize) -> Vec<u64> {
-    let levels = serial_bfs(g, source).levels;
-    let block = Block1D::new(g.num_vertices(), p);
-    let depth = levels.iter().copied().max().unwrap_or(0);
-    let mut hits = vec![0u64; depth as usize + 1];
-    for r in 0..p {
-        // The first level at which one of r's vertices offers `v`.
-        let mut first_offer = vec![i64::MAX; g.num_vertices() as usize];
-        for u in block.range(r) {
-            if levels[u as usize] == UNREACHED {
-                continue;
-            }
-            for &v in g.neighbors(u) {
-                let first = &mut first_offer[v as usize];
-                *first = (*first).min(levels[u as usize]);
-            }
+/// Adds one rank's hits to `hits` (index `L - 1` holds level `L`): the rank
+/// scatters the edges out of `sources` into `targets`.
+fn add_rank_hits(
+    g: &CsrGraph,
+    levels: &[i64],
+    sources: Range<u64>,
+    targets: Range<u64>,
+    hits: &mut [u64],
+) {
+    let offers = |u: VertexId| g.neighbors(u).iter().filter(|v| targets.contains(v));
+    // The first level at which one of the rank's sources offers `v`.
+    let mut first_offer = vec![i64::MAX; g.num_vertices() as usize];
+    for u in sources.clone() {
+        if levels[u as usize] == UNREACHED {
+            continue;
         }
-        for u in block.range(r) {
-            let lu = levels[u as usize];
-            if lu == UNREACHED {
-                continue;
-            }
-            let sent_before = |&&v: &&VertexId| first_offer[v as usize] < lu;
-            hits[lu as usize] += g.neighbors(u).iter().filter(sent_before).count() as u64;
+        for &v in offers(u) {
+            let first = &mut first_offer[v as usize];
+            *first = (*first).min(levels[u as usize]);
+        }
+    }
+    for u in sources {
+        let lu = levels[u as usize];
+        if lu == UNREACHED {
+            continue;
+        }
+        let sent_before = |&&v: &&VertexId| first_offer[v as usize] < lu;
+        hits[lu as usize] += offers(u).filter(sent_before).count() as u64;
+    }
+}
+
+/// The levels of `g` from `source` and a zeroed per-level hit vector.
+fn levels_and_hits(g: &CsrGraph, source: VertexId) -> (Vec<i64>, Vec<u64>) {
+    let levels = serial_bfs(g, source).levels;
+    let depth = levels.iter().copied().max().unwrap_or(0);
+    (levels, vec![0; depth as usize + 1])
+}
+
+/// Expected 1D sieve hits per top-down level on `p` ranks.
+fn oracle_1d(g: &CsrGraph, source: VertexId, p: usize) -> Vec<u64> {
+    let (levels, mut hits) = levels_and_hits(g, source);
+    let block = Block1D::new(g.num_vertices(), p);
+    for r in 0..p {
+        add_rank_hits(g, &levels, block.range(r), 0..g.num_vertices(), &mut hits);
+    }
+    hits
+}
+
+/// Expected 2D sieve hits per level on `grid`.
+fn oracle_2d(g: &CsrGraph, source: VertexId, grid: Grid2D) -> Vec<u64> {
+    let (levels, mut hits) = levels_and_hits(g, source);
+    let map = OwnerMap2D::new(g.num_vertices(), grid);
+    for i in 0..grid.rows() {
+        for j in 0..grid.cols() {
+            let (cols, rows) = (map.matrix_col_range(j), map.matrix_row_range(i));
+            add_rank_hits(g, &levels, cols, rows, &mut hits);
         }
     }
     hits
@@ -55,24 +93,59 @@ fn rmat_graph(scale: u32, seed: u64) -> CsrGraph {
     CsrGraph::from_edge_list(&el)
 }
 
-/// Every flat(p) and hybrid(p, 2) run, p ∈ {1, 2, 3}, against the oracle,
-/// and every sieve-off run against zero.
+/// The per-level hits a run reports.
+fn reported(codec_levels: &[LevelCodecStats]) -> Vec<u64> {
+    codec_levels.iter().map(|l| l.sieve_hits).collect()
+}
+
+/// A sieving run against `expected`, and its sieve-off twin against zero
+/// hits and the same tree. Each run is `(output, per-level stats)`.
+fn check_run(
+    run: impl Fn(bool) -> (BfsOutput, Vec<LevelCodecStats>),
+    expected: &[u64],
+    what: &str,
+) {
+    let (on, on_levels) = run(true);
+    let got = reported(&on_levels);
+    assert_eq!(got, expected, "{what}");
+    assert!(got.iter().sum::<u64>() > 0, "the sieve fires: {what}");
+    let (off, off_levels) = run(false);
+    assert!(
+        reported(&off_levels).iter().all(|&h| h == 0),
+        "sieve off: {what}"
+    );
+    assert_eq!(off.parents, on.parents, "{what}");
+}
+
+/// Every flat(p) and hybrid(p, 2) 1D run, p ∈ {1, 2, 3}, and every flat and
+/// hybrid 2D run on 1×2, 2×2 and 2×3.
 fn check(g: &CsrGraph, source: VertexId) {
     for p in 1..=3 {
-        let expected = sieve_hits_oracle(g, source, p);
+        let expected = oracle_1d(g, source, p);
         for cfg in [Bfs1dConfig::flat(p), Bfs1dConfig::hybrid(p, 2)] {
-            let what = format!("ranks {p} threads {} source {source}", cfg.threads_per_rank);
-            let run = bfs1d_run(g, source, &cfg);
-            let got: Vec<u64> = run.codec_levels.iter().map(|l| l.sieve_hits).collect();
-            assert_eq!(got, expected, "{what}");
-            assert!(got.iter().sum::<u64>() > 0, "the sieve fires: {what}");
-
-            let off = bfs1d_run(g, source, &cfg.with_sieve(false));
-            assert!(
-                off.codec_levels.iter().all(|l| l.sieve_hits == 0),
-                "sieve off: {what}"
+            let what = format!(
+                "1D ranks {p} threads {} source {source}",
+                cfg.threads_per_rank
             );
-            assert_eq!(off.output.parents, run.output.parents, "{what}");
+            let run = |sieve| {
+                let run = bfs1d_run(g, source, &cfg.with_sieve(sieve));
+                (run.output, run.codec_levels)
+            };
+            check_run(run, &expected, &what);
+        }
+    }
+    for grid in [(1, 2), (2, 2), (2, 3)].map(|(pr, pc)| Grid2D::new(pr, pc)) {
+        let expected = oracle_2d(g, source, grid);
+        for cfg in [Bfs2dConfig::flat(grid), Bfs2dConfig::hybrid(grid, 2)] {
+            let what = format!(
+                "2D {grid:?} threads {} source {source}",
+                cfg.threads_per_rank
+            );
+            let run = |sieve| {
+                let run = bfs2d_run(g, source, &cfg.with_sieve(sieve));
+                (run.output, run.codec_levels)
+            };
+            check_run(run, &expected, &what);
         }
     }
 }

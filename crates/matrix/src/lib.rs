@@ -14,9 +14,8 @@
 //! * [`semiring`] — the algebra: [`semiring::SelectMax`] for BFS parents and
 //!   [`semiring::MinPlus`] for tests.
 //! * [`mod@spmsv`] — the two merge kernels of §4.2: the sparse accumulator (SPA)
-//!   and the priority-queue (heap) multiway merge, plus the concurrency-based
-//!   polyalgorithm the paper settles on, and a row-split parallel driver for
-//!   the hybrid algorithm's intra-node threading.
+//!   and the priority-queue (heap) multiway merge, the model series of the
+//!   paper's Fig. 3 polyalgorithm.
 
 #![warn(missing_docs)]
 
@@ -30,7 +29,7 @@ pub use csc::Csc;
 pub use dcsc::Dcsc;
 pub use semiring::{MinPlus, SelectMax, Semiring};
 pub use sparse_vector::SparseVector;
-pub use spmsv::{spmsv, spmsv_heap, spmsv_spa, MergeKernel, RowSplitDcsc, SpaWorkspace};
+pub use spmsv::{spmsv_heap, spmsv_spa, SpaWorkspace};
 
 /// Row/column index type (matches `dmbfs_graph::VertexId`).
 pub type Index = u64;

@@ -6,7 +6,8 @@
 //! nonzeros in the sparse vector. Computationally, we form the union
 //! ⋃ A_ij(:,k) for all k where f_i(k) exists."
 //!
-//! The paper explores two merge strategies and settles on a polyalgorithm:
+//! The paper explores two merge strategies and settles on a polyalgorithm
+//! (Fig. 3):
 //!
 //! * **SPA** (sparse accumulator, Gilbert–Moler–Schreiber): "a dense vector
 //!   of values, a bit mask representing the 'occupied' flags, and a list
@@ -16,28 +17,14 @@
 //!   multiway merging" — an extra log factor, but `O(nnz)` memory and a
 //!   sorted output for free; wins beyond ≈10 000 cores (Fig. 3).
 //!
-//! [`spmsv`] with [`MergeKernel::Auto`] implements the polyalgorithm;
-//! [`RowSplitDcsc`] provides the row-wise split used by the hybrid 2D
-//! algorithm's intra-node threads (§4.1, Fig. 2).
+//! Both kernels are kept as the model series of Fig. 3 (`fig3_spa_vs_heap`
+//! times them); the 2D BFS runs neither. It scatters into a sort-free
+//! SelectMax accumulator that keeps the SPA's dense slots, drops its sort,
+//! and doubles as the fold's sieve (see DESIGN.md).
 
 use crate::{Dcsc, Index, Semiring, SparseVector};
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Which merge kernel to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MergeKernel {
-    /// Sparse accumulator: dense scatter + sort of touched indices.
-    Spa,
-    /// Priority-queue multiway merge.
-    Heap,
-    /// The paper's polyalgorithm: SPA while the dense accumulator is small
-    /// relative to the work, heap once the submatrix is hypersparse enough
-    /// that the dense pass would dominate (the >10K-core regime of Fig. 3).
-    #[default]
-    Auto,
-}
 
 /// Reusable sparse-accumulator state. §4.2 notes the SPA's downside is "the
 /// temporary dense vectors"; reusing one workspace across the ~O(diameter)
@@ -168,148 +155,6 @@ pub fn spmsv_flops<T: Copy>(a: &Dcsc, x: &SparseVector<T>) -> usize {
     x.iter().map(|(col, _)| a.column(col).len()).sum()
 }
 
-/// Polyalgorithm dispatch. With [`MergeKernel::Auto`], uses the SPA while
-/// the dense accumulator is justified by the work (`nrows ≤ 8·flops`,
-/// i.e. the scatter pass touches a constant fraction of the dense vector)
-/// and the heap in the hypersparse regime — the library-level analogue of
-/// the paper's ≈10 000-core crossover.
-/// # Examples
-/// ```
-/// use dmbfs_matrix::{spmsv, Dcsc, MergeKernel, SelectMax, SpaWorkspace, SparseVector};
-///
-/// // 3x3 pattern: column 0 reaches rows 1 and 2.
-/// let a = Dcsc::from_triples(3, 3, &[(1, 0), (2, 0)]);
-/// let x = SparseVector::from_sorted(3, vec![(0, 7u64)]); // frontier {0}
-/// let mut ws = SpaWorkspace::new(3);
-/// let y = spmsv::<SelectMax>(&a, &x, MergeKernel::Auto, &mut ws);
-/// assert_eq!(y.entries(), &[(1, 7), (2, 7)]); // candidate parents
-/// ```
-pub fn spmsv<S: Semiring>(
-    a: &Dcsc,
-    x: &SparseVector<S::T>,
-    kernel: MergeKernel,
-    ws: &mut SpaWorkspace<S::T>,
-) -> SparseVector<S::T>
-where
-    S::T: Default,
-{
-    match kernel {
-        MergeKernel::Spa => spmsv_spa::<S>(a, x, ws),
-        MergeKernel::Heap => spmsv_heap::<S>(a, x),
-        MergeKernel::Auto => {
-            let flops = spmsv_flops(a, x);
-            if (a.nrows() as usize) <= flops.saturating_mul(8) {
-                spmsv_spa::<S>(a, x, ws)
-            } else {
-                spmsv_heap::<S>(a, x)
-            }
-        }
-    }
-}
-
-/// A DCSC matrix split row-wise into `t` bands for intra-node threading.
-///
-/// §4.1 / Fig. 2: "For the hybrid 2D algorithm, we split the node local
-/// matrix rowwise to t pieces [...] Each thread local n/(pr·t) × n/pc sparse
-/// matrix is stored in DCSC format." Bands have disjoint output row ranges,
-/// so threads need no synchronization; results concatenate in row order.
-#[derive(Clone, Debug)]
-pub struct RowSplitDcsc {
-    nrows: u64,
-    ncols: u64,
-    /// Band `k` covers global rows `band_starts[k]..band_starts[k+1]`.
-    band_starts: Vec<u64>,
-    /// Per-band DCSC with band-local row ids.
-    bands: Vec<Dcsc>,
-}
-
-impl RowSplitDcsc {
-    /// Splits the triples into `t` equal-height row bands.
-    pub fn from_triples(nrows: u64, ncols: u64, triples: &[(Index, Index)], t: usize) -> Self {
-        assert!(t > 0);
-        let t = t.min(nrows.max(1) as usize);
-        let band_height = (nrows / t as u64).max(1);
-        let mut band_starts: Vec<u64> = (0..t as u64)
-            .map(|k| (k * band_height).min(nrows))
-            .collect();
-        band_starts.push(nrows);
-        let mut per_band: Vec<Vec<(Index, Index)>> = vec![Vec::new(); t];
-        for &(r, c) in triples {
-            let k = ((r / band_height) as usize).min(t - 1);
-            per_band[k].push((r - band_starts[k], c));
-        }
-        let bands: Vec<Dcsc> = per_band
-            .into_par_iter()
-            .enumerate()
-            .map(|(k, tr)| Dcsc::from_triples(band_starts[k + 1] - band_starts[k], ncols, &tr))
-            .collect();
-        Self {
-            nrows,
-            ncols,
-            band_starts,
-            bands,
-        }
-    }
-
-    /// Number of rows of the whole matrix.
-    pub fn nrows(&self) -> u64 {
-        self.nrows
-    }
-
-    /// Number of columns of the whole matrix.
-    pub fn ncols(&self) -> u64 {
-        self.ncols
-    }
-
-    /// Number of bands `t`.
-    pub fn num_bands(&self) -> usize {
-        self.bands.len()
-    }
-
-    /// Total stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.bands.iter().map(|b| b.nnz()).sum()
-    }
-
-    /// The band matrices (used by per-thread workspaces).
-    pub fn bands(&self) -> &[Dcsc] {
-        &self.bands
-    }
-
-    /// Thread-parallel SpMSV: each band multiplies independently on the
-    /// rayon pool, outputs are rebased to global rows and concatenated
-    /// (already sorted, since bands partition the row space in order).
-    pub fn par_spmsv<S: Semiring>(
-        &self,
-        x: &SparseVector<S::T>,
-        kernel: MergeKernel,
-    ) -> SparseVector<S::T>
-    where
-        S::T: Default + Send + Sync,
-    {
-        assert_eq!(x.dim(), self.ncols, "vector/matrix dimension mismatch");
-        let parts: Vec<Vec<(Index, S::T)>> = self
-            .bands
-            .par_iter()
-            .enumerate()
-            .map(|(k, band)| {
-                let mut ws = SpaWorkspace::new(band.nrows());
-                let y = spmsv::<S>(band, x, kernel, &mut ws);
-                let offset = self.band_starts[k];
-                y.into_entries()
-                    .into_iter()
-                    .map(|(r, v)| (r + offset, v))
-                    .collect()
-            })
-            .collect();
-        let mut entries = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-        for p in parts {
-            entries.extend(p);
-        }
-        SparseVector::from_sorted(self.nrows, entries)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,20 +248,10 @@ mod tests {
         let a = sample_matrix();
         let x = SparseVector::from_sorted(6, vec![(0, 0u64), (2, 7)]);
         let mut ws = SpaWorkspace::new(6);
-        let y = spmsv::<MinPlus>(&a, &x, MergeKernel::Spa, &mut ws);
+        let y = spmsv_spa::<MinPlus>(&a, &x, &mut ws);
         assert_eq!(y.entries(), reference::<MinPlus>(&a, &x).as_slice());
         // Row 2 reachable from col 0 (dist 0+1): value 1.
         assert_eq!(y.get(2), Some(1));
-    }
-
-    #[test]
-    fn auto_dispatch_matches_fixed_kernels() {
-        let a = sample_matrix();
-        let x = SparseVector::from_sorted(6, vec![(1, 1u64), (3, 3)]);
-        let mut ws = SpaWorkspace::new(6);
-        let auto = spmsv::<SelectMax>(&a, &x, MergeKernel::Auto, &mut ws);
-        let heap = spmsv_heap::<SelectMax>(&a, &x);
-        assert_eq!(auto, heap);
     }
 
     #[test]
@@ -424,37 +259,5 @@ mod tests {
         let a = sample_matrix();
         let x = SparseVector::from_sorted(6, vec![(0, 0u64), (5, 5)]);
         assert_eq!(spmsv_flops(&a, &x), 4); // col 0 has 2, col 5 has 2
-    }
-
-    #[test]
-    fn row_split_par_spmsv_matches_serial() {
-        let triples = [
-            (1, 0),
-            (2, 0),
-            (3, 1),
-            (3, 2),
-            (4, 2),
-            (5, 3),
-            (0, 4),
-            (2, 5),
-            (4, 5),
-        ];
-        let a = Dcsc::from_triples(6, 6, &triples);
-        for t in [1, 2, 3, 4, 6, 8] {
-            let split = RowSplitDcsc::from_triples(6, 6, &triples, t);
-            assert_eq!(split.nnz(), a.nnz());
-            let x = SparseVector::from_sorted(6, vec![(0, 0u64), (2, 2), (5, 5)]);
-            let y = split.par_spmsv::<SelectMax>(&x, MergeKernel::Auto);
-            assert_eq!(y.entries(), reference::<SelectMax>(&a, &x).as_slice());
-        }
-    }
-
-    #[test]
-    fn row_split_handles_more_bands_than_rows() {
-        let split = RowSplitDcsc::from_triples(2, 2, &[(0, 1), (1, 0)], 16);
-        assert!(split.num_bands() <= 2);
-        let x = SparseVector::from_sorted(2, vec![(0, 0u64), (1, 1)]);
-        let y = split.par_spmsv::<SelectMax>(&x, MergeKernel::Auto);
-        assert_eq!(y.entries(), &[(0, 1), (1, 0)]);
     }
 }

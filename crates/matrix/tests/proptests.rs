@@ -3,8 +3,8 @@
 //! naive reference on arbitrary inputs.
 
 use dmbfs_matrix::{
-    spmsv, spmsv_heap, spmsv_spa, Csc, Dcsc, Index, MergeKernel, MinPlus, RowSplitDcsc, SelectMax,
-    Semiring, SpaWorkspace, SparseVector,
+    spmsv_heap, spmsv_spa, Csc, Dcsc, Index, MinPlus, SelectMax, Semiring, SpaWorkspace,
+    SparseVector,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -56,7 +56,7 @@ proptest! {
     }
 
     #[test]
-    fn spa_heap_and_auto_agree_with_reference(
+    fn spa_and_heap_agree_with_reference(
         t in triples(50, 50, 300),
         x in sparse_vec(50, 40),
     ) {
@@ -67,8 +67,6 @@ proptest! {
         prop_assert_eq!(spa.entries(), expected.as_slice());
         let heap = spmsv_heap::<SelectMax>(&a, &x);
         prop_assert_eq!(heap.entries(), expected.as_slice());
-        let auto = spmsv::<SelectMax>(&a, &x, MergeKernel::Auto, &mut ws);
-        prop_assert_eq!(auto.entries(), expected.as_slice());
     }
 
     #[test]
@@ -83,20 +81,6 @@ proptest! {
         prop_assert_eq!(spa.entries(), expected.as_slice());
         let heap = spmsv_heap::<MinPlus>(&a, &x);
         prop_assert_eq!(heap.entries(), expected.as_slice());
-    }
-
-    #[test]
-    fn row_split_matches_unsplit_for_any_band_count(
-        t in triples(48, 48, 250),
-        x in sparse_vec(48, 30),
-        bands in 1usize..9,
-    ) {
-        let a = Dcsc::from_triples(48, 48, &t);
-        let split = RowSplitDcsc::from_triples(48, 48, &t, bands);
-        prop_assert_eq!(split.nnz(), a.nnz());
-        let y = split.par_spmsv::<SelectMax>(&x, MergeKernel::Auto);
-        let expected = reference::<SelectMax>(&a, &x);
-        prop_assert_eq!(y.entries(), expected.as_slice());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use dmbfs::bfs::baseline::{pbgl_like_bfs, reference_mpi_bfs};
 use dmbfs::bfs::shared::{shared_bfs_with, DiscoveryMode, SharedBfsConfig};
 use dmbfs::graph::gen;
-use dmbfs::matrix::MergeKernel;
 use dmbfs::prelude::*;
 
 /// The instance zoo: name, prepared graph.
@@ -116,13 +115,8 @@ fn two_d_kernels_and_distributions_match_serial() {
     for (name, g) in zoo() {
         let source = sample_sources(&g, 1, 5)[0];
         let expected = serial_bfs(&g, source);
-        for kernel in [MergeKernel::Spa, MergeKernel::Heap, MergeKernel::Auto] {
-            let cfg = Bfs2dConfig {
-                kernel,
-                ..Bfs2dConfig::flat(Grid2D::new(3, 3))
-            };
-            check(name, &g, source, &bfs2d(&g, source, &cfg), &expected);
-        }
+        let flat = Bfs2dConfig::flat(Grid2D::new(3, 3));
+        check(name, &g, source, &bfs2d(&g, source, &flat), &expected);
         let diag = Bfs2dConfig {
             distribution: VectorDistribution::Diagonal,
             ..Bfs2dConfig::flat(Grid2D::new(3, 3))
@@ -162,9 +156,8 @@ fn baselines_match_serial_everywhere() {
 #[test]
 fn exotic_2d_configuration_combinations_match_serial() {
     // Combinations not covered elsewhere: hybrid × diagonal distribution,
-    // hybrid on square and rectangular grids, heap kernel with diagonal
-    // distribution, SPA kernel with hybrid.
-    use dmbfs::matrix::MergeKernel;
+    // hybrid on square and rectangular grids, diagonal distribution on a
+    // 4×4 grid, three threads on a tall grid.
     let (_, g) = zoo().remove(0);
     let source = sample_sources(&g, 1, 13)[0];
     let expected = serial_bfs(&g, source);
@@ -178,13 +171,9 @@ fn exotic_2d_configuration_combinations_match_serial() {
         Bfs2dConfig::hybrid(Grid2D::new(2, 4), 2),
         Bfs2dConfig {
             distribution: VectorDistribution::Diagonal,
-            kernel: MergeKernel::Heap,
             ..Bfs2dConfig::flat(Grid2D::new(4, 4))
         },
-        Bfs2dConfig {
-            kernel: MergeKernel::Spa,
-            ..Bfs2dConfig::hybrid(Grid2D::new(4, 2), 3)
-        },
+        Bfs2dConfig::hybrid(Grid2D::new(4, 2), 3),
     ];
     for (k, cfg) in combos.iter().enumerate() {
         let out = bfs2d(&g, source, cfg);
