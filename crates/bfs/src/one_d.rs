@@ -129,7 +129,7 @@ pub fn bfs1d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs1dConfig) -> Dist1dRun
 /// configuration, and the state the level steps read and update.
 struct RankSearch<'a> {
     comm: &'a Comm,
-    local: &'a Local1d,
+    local: &'a Local1d<'a>,
     pool: Option<&'a rayon::ThreadPool>,
     cfg: &'a Bfs1dConfig,
     levels: Vec<AtomicI64>,
@@ -143,7 +143,7 @@ struct RankSearch<'a> {
 impl<'a> RankSearch<'a> {
     fn new(
         comm: &'a Comm,
-        local: &'a Local1d,
+        local: &'a Local1d<'a>,
         pool: Option<&'a rayon::ThreadPool>,
         cfg: &'a Bfs1dConfig,
     ) -> Self {

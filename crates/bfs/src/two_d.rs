@@ -28,14 +28,14 @@
 //! distribution" and the diagonal-only layout whose severe load imbalance
 //! §4.3 / Fig. 4 demonstrates.
 
-use crate::distribute::{extract_2d, Local2d};
+use crate::distribute::block_dcsc;
 use crate::exchange::{exchange_pairs, Accumulator};
 use crate::frontier_codec::{
     decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
 };
 use crate::{BfsOutput, UNREACHED};
 use dmbfs_comm::{Comm, CommStats, LevelTiming};
-use dmbfs_graph::{CsrGraph, Grid2D, VertexId};
+use dmbfs_graph::{CsrGraph, Grid2D, OwnerMap2D, VertexId};
 use dmbfs_matrix::Dcsc;
 use dmbfs_runtime::{run_ranks, scatter_block, FaultPlan, RunConfig};
 use dmbfs_trace::{RankTrace, SpanKind};
@@ -257,8 +257,7 @@ pub fn bfs2d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs2dConfig) -> Dist2dRun
     let run = run_ranks(&cfg.run_config(), |ctx| {
         let comm = ctx.comm();
         let (i, j) = grid.coords_of(ctx.rank());
-        let block = extract_2d(g, grid, i, j);
-        let state = RankState::new(comm, cfg, block);
+        let state = RankState::new(g, cfg, i, j);
 
         // Row communicator P(i, :) for the fold, column communicator
         // P(:, j) for the expand. Sub-rank = grid position by construction.
@@ -313,7 +312,12 @@ pub fn bfs2d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs2dConfig) -> Dist2dRun
 struct RankState {
     cfg: Bfs2dConfig,
     coords: (usize, usize),
-    block: Local2d,
+    /// The global ownership map.
+    map: OwnerMap2D,
+    /// Global matrix-row range of `A_ij` (destination vertices).
+    row_range: Range<u64>,
+    /// Global matrix-column range of `A_ij` (source vertices).
+    col_range: Range<u64>,
     /// The local submatrix `A_ij`, shared by flat and pooled ranks.
     matrix: Dcsc,
     /// The SpMSV's SelectMax accumulator, one slot per local row, keyed by
@@ -324,18 +328,21 @@ struct RankState {
 }
 
 impl RankState {
-    fn new(_comm: &Comm, cfg: &Bfs2dConfig, block: Local2d) -> Self {
-        let (i, j) = block.coords;
+    fn new(g: &CsrGraph, cfg: &Bfs2dConfig, i: usize, j: usize) -> Self {
+        let map = OwnerMap2D::new(g.num_vertices(), cfg.grid);
         let vrange = match cfg.distribution {
-            VectorDistribution::TwoD => block.map.vector_range(i, j),
-            VectorDistribution::Diagonal => block.map.diagonal_range(i, j),
+            VectorDistribution::TwoD => map.vector_range(i, j),
+            VectorDistribution::Diagonal => map.diagonal_range(i, j),
         };
-        let matrix = Dcsc::from_triples(block.nrows(), block.ncols(), &block.triples);
-        let acc = Accumulator::new(block.nrows() as usize, block.ncols() as usize, cfg.sieve);
+        let (row_range, col_range) = (map.matrix_row_range(i), map.matrix_col_range(j));
+        let matrix = block_dcsc(g, row_range.clone(), col_range.clone());
+        let acc = Accumulator::new(matrix.nrows() as usize, matrix.ncols() as usize, cfg.sieve);
         Self {
             cfg: *cfg,
             coords: (i, j),
-            block,
+            map,
+            row_range,
+            col_range,
             matrix,
             acc,
             vrange,
@@ -345,8 +352,8 @@ impl RankState {
     /// Vector owner (grid coords) of global vertex `g`.
     fn vector_owner(&self, g: VertexId) -> (usize, usize) {
         match self.cfg.distribution {
-            VectorDistribution::TwoD => self.block.map.vector_owner(g),
-            VectorDistribution::Diagonal => self.block.map.diagonal_owner(g),
+            VectorDistribution::TwoD => self.map.vector_owner(g),
+            VectorDistribution::Diagonal => self.map.diagonal_owner(g),
         }
     }
 
@@ -367,7 +374,7 @@ impl RankState {
         let mut claimed = vec![0u64; nloc.div_ceil(64)];
         let mut work = RankWork::default();
         let (codec, acc, matrix) = (self.cfg.codec, &self.acc, &self.matrix);
-        let (row0, col0) = (self.block.row_range.start, self.block.col_range.start);
+        let (row0, col0) = (self.row_range.start, self.col_range.start);
         // Column `c` offers parent slot `c + 1` to every row it holds;
         // returns its sieve hits.
         let scatter = |&c: &u64| -> u64 {
@@ -419,7 +426,7 @@ impl RankState {
             comm.trace_span(SpanKind::Transpose, transpose_t, transposed.len() as u64);
             // Line 6: expand along the processor column.
             let expand_t = comm.trace_start();
-            let buf = encode_set(&transposed, self.block.col_range.clone(), codec);
+            let buf = encode_set(&transposed, self.col_range.clone(), codec);
             lvl.note(&buf);
             let gathered = col_comm
                 .allgatherv_wire(buf)
@@ -498,8 +505,8 @@ impl RankState {
     /// the codec range of a fold buffer headed there.
     fn owner_vrange(&self, i: usize, oj: usize) -> Range<u64> {
         match self.cfg.distribution {
-            VectorDistribution::TwoD => self.block.map.vector_range(i, oj),
-            VectorDistribution::Diagonal => self.block.map.diagonal_range(i, oj),
+            VectorDistribution::TwoD => self.map.vector_range(i, oj),
+            VectorDistribution::Diagonal => self.map.diagonal_range(i, oj),
         }
     }
 
@@ -520,7 +527,7 @@ impl RankState {
         let (i, j) = self.coords;
         if grid.is_square() {
             // All owned entries live in row chunk i = column chunk i.
-            debug_assert!(frontier.iter().all(|&g| self.block.map.col_owner(g) == i));
+            debug_assert!(frontier.iter().all(|&g| self.map.col_owner(g) == i));
             let partner = grid.rank_of(j, i);
             let buf = encode_set(frontier, self.vrange.clone(), self.cfg.codec);
             if partner != comm.rank() {
@@ -530,7 +537,7 @@ impl RankState {
         } else {
             let mut bufs: Vec<Vec<VertexId>> = vec![Vec::new(); comm.size()];
             for &g in frontier {
-                let jstar = self.block.map.col_owner(g);
+                let jstar = self.map.col_owner(g);
                 let x = j % grid.rows();
                 bufs[grid.rank_of(x, jstar)].push(g);
             }
@@ -542,12 +549,12 @@ impl RankState {
     /// columns of the frontier `f_j`. Under the (select, max) semiring a
     /// column's global id is its candidate parent.
     fn assemble_frontier(&self, gathered: Vec<Vec<VertexId>>) -> Vec<u64> {
-        let base = self.block.col_range.start;
+        let base = self.col_range.start;
         let mut cols: Vec<u64> = gathered
             .into_iter()
             .flatten()
             .map(|g| {
-                debug_assert!(self.block.col_range.contains(&g));
+                debug_assert!(self.col_range.contains(&g));
                 g - base
             })
             .collect();

@@ -34,29 +34,68 @@ pub struct Dcsc {
 
 impl Dcsc {
     /// Builds from `(row, col)` nonzero coordinates; duplicates are merged.
+    /// Sorts the coordinates into column-major order, then hands the
+    /// columns to [`Dcsc::from_sorted_columns`].
     pub fn from_triples(nrows: u64, ncols: u64, triples: &[(Index, Index)]) -> Self {
         let mut sorted: Vec<(Index, Index)> = triples.iter().map(|&(r, c)| (c, r)).collect();
         sorted.sort_unstable();
-        sorted.dedup();
+        let columns = sorted
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|col| (col[0].0, col.iter().map(|&(_, r)| r)));
+        Self::from_sorted_columns(nrows, ncols, columns)
+    }
 
-        let nnz = sorted.len();
-        let mut jc: Vec<Index> = Vec::new();
-        let mut cp: Vec<usize> = vec![0];
-        let mut ir: Vec<Index> = Vec::with_capacity(nnz);
-        for &(c, r) in &sorted {
-            debug_assert!(c < ncols && r < nrows);
-            if jc.last() != Some(&c) {
+    /// Builds from columns given in strictly ascending id order, each with
+    /// its row ids sorted ascending (a CSR adjacency block is one such
+    /// column). Adjacent duplicate rows are merged and columns with no rows
+    /// are skipped. Nothing is sorted: `columns` is walked once to size the
+    /// arrays from the column lengths and once to fill them, and `ir` is
+    /// trimmed to its exact size only if duplicates were merged.
+    pub fn from_sorted_columns<I, R>(nrows: u64, ncols: u64, columns: I) -> Self
+    where
+        I: Iterator<Item = (Index, R)> + Clone,
+        R: IntoIterator<Item = Index>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        let (mut nzc, mut len) = (0usize, 0usize);
+        for (_, rows) in columns.clone() {
+            let k = rows.into_iter().len();
+            nzc += usize::from(k > 0);
+            len += k;
+        }
+        let mut jc: Vec<Index> = Vec::with_capacity(nzc);
+        let mut cp: Vec<usize> = Vec::with_capacity(nzc + 1);
+        let mut ir: Vec<Index> = Vec::with_capacity(len);
+        cp.push(0);
+        for (c, rows) in columns {
+            debug_assert!(c < ncols && jc.last().is_none_or(|&last| last < c));
+            let start = ir.len();
+            ir.extend(rows);
+            let col = &mut ir[start..];
+            debug_assert!(col.is_sorted() && col.last().is_none_or(|&r| r < nrows));
+            if col.windows(2).any(|w| w[0] == w[1]) {
+                // Merge duplicate rows in place; sorted, they are adjacent.
+                let mut kept = 1;
+                for k in 1..col.len() {
+                    if col[k] != col[kept - 1] {
+                        col[kept] = col[k];
+                        kept += 1;
+                    }
+                }
+                ir.truncate(start + kept);
+            }
+            if ir.len() > start {
                 jc.push(c);
                 cp.push(ir.len());
             }
-            ir.push(r);
-            *cp.last_mut().unwrap() = ir.len();
         }
+        debug_assert_eq!(jc.len(), nzc);
+        ir.shrink_to_fit();
 
         // AUX: aim for ~1 JC entry per bucket. bucket_width =
         // 2^bucket_shift ≈ ncols / nzc, so a lookup scans O(1) expected
         // entries.
-        let nzc = jc.len().max(1);
+        let nzc = nzc.max(1);
         let ideal_width = (ncols / nzc as u64).max(1);
         let bucket_shift = 63 - ideal_width.leading_zeros().min(63);
         let nbuckets = (ncols >> bucket_shift) as usize + 1;

@@ -1,6 +1,6 @@
 //! Property-based tests for the sparse-matrix substrate: DCSC must be
-//! indistinguishable from CSC, and every SpMSV kernel must agree with a
-//! naive reference on arbitrary inputs.
+//! indistinguishable from CSC whichever constructor built it, and every
+//! SpMSV kernel must agree with a naive reference on arbitrary inputs.
 
 use dmbfs_matrix::{
     spmsv_heap, spmsv_spa, Csc, Dcsc, Index, MinPlus, SelectMax, Semiring, SpaWorkspace,
@@ -12,6 +12,20 @@ use std::collections::BTreeMap;
 /// Strategy: a random triple list within an `nrows × ncols` matrix.
 fn triples(nrows: u64, ncols: u64, max_nnz: usize) -> impl Strategy<Value = Vec<(Index, Index)>> {
     prop::collection::vec((0..nrows, 0..ncols), 0..max_nnz)
+}
+
+/// Strategy: strictly ascending column ids below `ncols`, each with a
+/// sorted list of rows below 16 that may repeat rows or be empty.
+fn sorted_columns(ncols: u64, max_cols: usize) -> impl Strategy<Value = Vec<(Index, Vec<Index>)>> {
+    prop::collection::btree_map(0..ncols, prop::collection::vec(0u64..16, 0..8), 0..max_cols)
+        .prop_map(|m| {
+            m.into_iter()
+                .map(|(c, mut rows)| {
+                    rows.sort_unstable();
+                    (c, rows)
+                })
+                .collect()
+        })
 }
 
 /// Strategy: a random sorted sparse vector of dimension `dim`.
@@ -53,6 +67,33 @@ proptest! {
         let back: Vec<_> = d.triples().collect();
         let d2 = Dcsc::from_triples(30, 30, &back);
         prop_assert_eq!(d, d2);
+    }
+
+    #[test]
+    fn sorted_columns_build_equals_from_triples(
+        dense in sorted_columns(32, 40),
+        hypersparse in sorted_columns(1 << 20, 40),
+    ) {
+        for (ncols, cols) in [(32, dense), (1 << 20, hypersparse)] {
+            let columns = cols.iter().map(|(c, rows)| (*c, rows.iter().copied()));
+            let built = Dcsc::from_sorted_columns(16, ncols, columns);
+            let triples: Vec<(Index, Index)> = cols
+                .iter()
+                .flat_map(|(c, rows)| rows.iter().map(move |&r| (r, *c)))
+                .collect();
+            let reference = Dcsc::from_triples(16, ncols, &triples);
+            built.check_invariants().unwrap();
+            reference.check_invariants().unwrap();
+            prop_assert_eq!(&built, &reference);
+            // Independent of `from_triples`: each column is its rows
+            // with duplicates merged, and empty columns are not stored.
+            for (c, rows) in &cols {
+                let mut distinct = rows.clone();
+                distinct.dedup();
+                prop_assert_eq!(built.column(*c), distinct.as_slice(), "column {}", c);
+            }
+            prop_assert_eq!(built.nzc(), cols.iter().filter(|(_, r)| !r.is_empty()).count());
+        }
     }
 
     #[test]
