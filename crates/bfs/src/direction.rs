@@ -14,16 +14,20 @@
 //! bottom-up when the frontier's out-edge count exceeds `1/alpha` of the
 //! unexplored edges, and back when the frontier shrinks below `n/beta`.
 //! The rules live once, in [`DirectionSwitch`]: the serial traversal here
-//! feeds it exact counts, the 1D driver (`crate::one_d`) feeds it the same
-//! counts allreduced, so both take the same per-level decisions.
+//! feeds it exact counts, and the one distributed level loop beside it
+//! (`level_loop`, run by both `crate::one_d` and `crate::two_d`) feeds it
+//! the same counts allreduced, so all take the same per-level decisions.
 //! [`DirectionOptOutput::edges_examined`] exposes the examined-edge counts
 //! so the saving is measurable deterministically (the tests below assert
 //! it on R-MAT and on community chains) — on a single-core host,
 //! wall-clock alone would be noise.
 
 use crate::{BfsOutput, UNREACHED};
+use dmbfs_comm::{Comm, LevelTiming};
 use dmbfs_graph::{CsrGraph, VertexId};
 use dmbfs_runtime::DirectionMode;
+use dmbfs_trace::SpanKind;
+use std::time::{Duration, Instant};
 
 /// Traversal direction of one level — the tag the distributed drivers
 /// record in their level timings.
@@ -171,6 +175,70 @@ impl DirectionSwitch {
             self.direction = Direction::TopDown;
         }
     }
+}
+
+/// The level loop of both distributed drivers (Algorithms 2 and 3, with
+/// direction per level as in Buluç–Beamer–Madduri, arXiv:1705.04590).
+/// Per level, `step(direction, frontier, level)` expands this rank's
+/// frontier and returns the next one and the edges it examined; then one
+/// `[u64; 3]` allreduce on `comms[0]` (next frontier size and out-edges,
+/// edges examined) is both the termination test and the switch's input.
+/// A seed allreduce of the same shape carries the edge total and the
+/// source frontier. All inputs are global counts, so every rank takes the
+/// serial [`direction_optimizing_bfs`]'s decision with no broadcast; a
+/// switch pinned top-down reads none of them, so its driver may pass
+/// zero edge counts. A level's time splits into compute and the
+/// collective time of `comms`.
+/// Returns the number of levels run.
+pub(crate) fn level_loop(
+    comms: &[&Comm],
+    mode: DirectionMode,
+    n: u64,
+    local_edges: u64,
+    mut frontier: Vec<VertexId>,
+    out_edges: impl Fn(&[VertexId]) -> u64,
+    mut step: impl FnMut(Direction, &mut Vec<VertexId>, i64) -> (Vec<VertexId>, u64),
+) -> u32 {
+    let comm = comms[0];
+    let comm_wall = || comms.iter().map(|c| c.comm_wall()).sum::<Duration>();
+    let add3 = |a: [u64; 3], b: [u64; 3]| [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
+    let seed = [local_edges, frontier.len() as u64, out_edges(&frontier)];
+    let [total_edges, mut gfrontier, mut gfrontier_edges] = comm.allreduce(seed, add3);
+    let mut switch = DirectionSwitch::new(mode, DirectionConfig::default(), n, total_edges);
+    switch.observe(gfrontier, gfrontier_edges, 0);
+    let mut level: i64 = 1;
+    loop {
+        comm.trace_enter_level(level - 1);
+        let level_t = comm.trace_start();
+        let level_start = Instant::now();
+        let comm_before = comm_wall();
+        let direction = switch.decide(gfrontier, gfrontier_edges);
+        let dir_t = comm.trace_start();
+        comm.trace_span(SpanKind::Direction, dir_t, direction.tag());
+
+        let (next, examined) = step(direction, &mut frontier, level);
+
+        let mine = [next.len() as u64, out_edges(&next), examined];
+        let [gnext, gnext_edges, gexamined] = comm.allreduce(mine, add3);
+        switch.observe(gnext, gnext_edges, gexamined);
+        let comm_spent = comm_wall().saturating_sub(comm_before);
+        comm.push_level_timing(LevelTiming {
+            level: (level - 1) as u32,
+            compute: level_start.elapsed().saturating_sub(comm_spent),
+            comm: comm_spent,
+            direction,
+        });
+        comm.trace_span(SpanKind::Level, level_t, frontier.len() as u64);
+        if gnext == 0 {
+            comm.trace_enter_level(dmbfs_trace::NO_LEVEL);
+            break;
+        }
+        gfrontier = gnext;
+        gfrontier_edges = gnext_edges;
+        frontier = next;
+        level += 1;
+    }
+    level as u32
 }
 
 /// Runs direction-optimizing BFS with default heuristics.

@@ -12,26 +12,27 @@
 //! a per-rank SelectMax accumulator (§4.2) keeping each target's max
 //! parent, and the buffers are gathered from it, one pair per target.
 //!
-//! There is one level loop (`RankSearch::search`): per level a step — the
-//! top-down exchange above, or a bottom-up bitmap allgather plus owner-side
-//! scan — then one `[u64; 3]` allreduce that is both the termination test
-//! and the input of the αβ [`DirectionSwitch`] shared with the serial
-//! `crate::direction` code. A pure top-down run is that switch pinned.
+//! The level loop is the one both distributed drivers run
+//! (`crate::direction::level_loop`): per level a step — here the top-down
+//! exchange above, or a bottom-up bitmap allgather plus owner-side scan —
+//! then one `[u64; 3]` allreduce that is both the termination test and the
+//! input of the αβ [`crate::direction::DirectionSwitch`] shared with the
+//! serial code. A pure top-down run is that switch pinned.
 
-use crate::direction::{DirectionConfig, DirectionSwitch};
+use crate::direction::level_loop;
 use crate::distribute::{extract_1d, Local1d};
 use crate::exchange::{exchange_pairs, Accumulator};
 use crate::frontier_codec::{
     decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
 };
 use crate::{BfsOutput, UNREACHED};
-use dmbfs_comm::{Comm, CommStats, LevelDirection, LevelTiming};
+use dmbfs_comm::{Comm, CommStats, LevelDirection};
 use dmbfs_graph::{CsrGraph, VertexId};
 use dmbfs_runtime::{run_ranks, scatter_block};
 use dmbfs_trace::{RankTrace, SpanKind};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::time::Instant;
 
 /// Configuration of a 1D run — since the runtime refactor this *is* the
 /// shared [`dmbfs_runtime::RunConfig`]; the historical name stays as an
@@ -161,33 +162,23 @@ impl<'a> RankSearch<'a> {
         }
     }
 
-    /// The per-rank level loop of Algorithm 2, with direction as a
-    /// per-level step (Buluç–Beamer–Madduri, arXiv:1705.04590 §4 adapted to
-    /// the 1D partition): each level runs either the top-down exchange of
-    /// Algorithm 2 or a distributed bottom-up step, as
-    /// [`DirectionSwitch`] decides.
-    ///
-    /// Every input of the switch (frontier size, frontier out-edges, edges
-    /// examined) is a *global* count carried by the one `[u64; 3]`
-    /// allreduce that also is the level's termination test, so all ranks
-    /// compute the identical decision and the collective schedule stays
-    /// symmetric with no extra broadcast — and identical to what the serial
-    /// [`crate::direction::direction_optimizing_bfs`] decides from exact
-    /// counts. `DirectionMode::TopDown` / `DirectionMode::BottomUp` pin the
-    /// switch; the loop and its schedule do not change. Level arrays
-    /// match the serial oracle; bottom-up parents are the first hit in CSR
-    /// adjacency order, deterministic across rank counts.
+    /// Algorithm 2 as the step of the shared [`level_loop`]: each level
+    /// runs either the top-down exchange or a distributed bottom-up step,
+    /// as the αβ switch decides from allreduced global counts.
+    /// `DirectionMode::TopDown` / `DirectionMode::BottomUp` pin the switch;
+    /// the loop and its schedule do not change. Level arrays match the
+    /// serial oracle; bottom-up parents are the first hit in CSR adjacency
+    /// order, deterministic across rank counts.
     fn search(mut self, source: VertexId) -> (Vec<i64>, Vec<i64>, u32, Vec<LevelCodecStats>) {
         let (comm, local) = (self.comm, self.local);
         // Lines 4–7: the owner seeds the frontier.
         let mut frontier: Vec<VertexId> = Vec::new();
-        if local.block.owner(source) == comm.rank() {
+        if local.range.contains(&source) {
             let s = local.to_local(source);
             self.levels[s].store(0, Ordering::Relaxed);
             self.parents[s].store(source as i64, Ordering::Relaxed);
             frontier.push(source);
         }
-
         // The graph's global vertex count is identical on every rank even
         // though each rank holds a different block of it.
         // schedule: replicated
@@ -195,85 +186,39 @@ impl<'a> RankSearch<'a> {
         // The direction mode is shared config, not rank state.
         // schedule: replicated
         let mode = self.cfg.direction;
-        let add3 = |a: [u64; 3], b: [u64; 3]| [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
         let out_edges =
             |f: &[VertexId]| -> u64 { f.iter().map(|&u| local.neighbors(u).len() as u64).sum() };
-
-        // Seed the switch: one allreduce folds the edge total and the
-        // source frontier's size/out-edges together.
-        let [total_edges, mut gfrontier, mut gfrontier_edges] = comm.allreduce(
-            [
-                local.num_local_edges() as u64,
-                frontier.len() as u64,
-                out_edges(&frontier),
-            ],
-            add3,
-        );
-        let mut switch =
-            DirectionSwitch::new(mode, DirectionConfig::default(), n_global, total_edges);
-        switch.observe(gfrontier, gfrontier_edges, 0);
-        let mut level: i64 = 1;
-        loop {
-            comm.trace_enter_level(level - 1);
-            let level_t = comm.trace_start();
-            let level_start = Instant::now();
-            let comm_before = comm.comm_wall();
-            let direction = switch.decide(gfrontier, gfrontier_edges);
-            let dir_t = comm.trace_start();
-            comm.trace_span(SpanKind::Direction, dir_t, direction.tag());
-
-            let (next, examined) = if direction == LevelDirection::BottomUp {
-                self.bottom_up_level(&mut frontier, level)
-            } else {
+        let num_levels = level_loop(
+            &[comm],
+            mode,
+            n_global,
+            local.num_local_edges() as u64,
+            frontier,
+            out_edges,
+            |direction, frontier, level| match direction {
+                LevelDirection::BottomUp => self.bottom_up_level(frontier, level),
                 // A top-down level examines every out-edge of the frontier
                 // — exactly this rank's packed adjacencies.
-                let examined = out_edges(&frontier);
-                (self.top_down_level(&frontier, level), examined)
-            };
-
-            // Termination test + switch refresh in one collective: the next
-            // frontier's global size and out-edges, and the level's
-            // globally examined edges (for the adaptive backoff).
-            let [gnext, gnext_edges, gexamined] =
-                comm.allreduce([next.len() as u64, out_edges(&next), examined], add3);
-            switch.observe(gnext, gnext_edges, gexamined);
-            // Attribute the level's wall time: everything outside
-            // collectives is local compute (pack, codec work, unpack, scan).
-            let comm_spent = comm.comm_wall() - comm_before;
-            comm.push_level_timing(LevelTiming {
-                level: (level - 1) as u32,
-                compute: level_start.elapsed().saturating_sub(comm_spent),
-                comm: comm_spent,
-                direction,
-            });
-            comm.trace_span(SpanKind::Level, level_t, frontier.len() as u64);
-            if gnext == 0 {
-                comm.trace_enter_level(dmbfs_trace::NO_LEVEL);
-                break;
-            }
-            gfrontier = gnext;
-            gfrontier_edges = gnext_edges;
-            frontier = next;
-            level += 1;
-        }
-
+                LevelDirection::TopDown => {
+                    (self.top_down_level(frontier, level), out_edges(frontier))
+                }
+            },
+        );
+        let into_vec = |v: Vec<AtomicI64>| v.into_iter().map(AtomicI64::into_inner).collect();
         (
-            self.levels.into_iter().map(AtomicI64::into_inner).collect(),
-            self.parents
-                .into_iter()
-                .map(AtomicI64::into_inner)
-                .collect(),
-            level as u32,
+            into_vec(self.levels),
+            into_vec(self.parents),
+            num_levels,
             self.codec_levels,
         )
     }
 
     /// One top-down level (lines 13–28): scatter the frontier's adjacencies
     /// into the SelectMax accumulator, keeping each target's max parent (the
-    /// tie-break of [`unpack_serial`]); gather it per destination in ascending
-    /// id order, as [`encode_pairs`] wants, leaving sent targets sieved;
-    /// exchange; claim. Flat and pooled ranks run the same two closures.
-    /// Returns the next local frontier.
+    /// tie-break of [`RankSearch::unpack`]); gather it per destination in
+    /// ascending id order, as [`encode_pairs`] wants, leaving sent targets
+    /// sieved; exchange; claim. Flat and pooled ranks run the same two
+    /// closures. Returns the next local frontier.
     fn top_down_level(&mut self, frontier: &[VertexId], level: i64) -> Vec<VertexId> {
         let (comm, local, acc, codec) = (self.comm, self.local, &self.acc, self.cfg.codec);
         let pack_t = comm.trace_start();
@@ -400,93 +345,67 @@ impl<'a> RankSearch<'a> {
         (next, examined)
     }
 
-    /// Lines 23–28: owners claim the newly visited vertices among `recv`,
-    /// on the rank pool when there is one. Returns the vertices claimed.
-    fn unpack(&self, recv: &[Vec<(u64, u64)>], level: i64) -> Vec<VertexId> {
+    /// Lines 23–28: owners claim the newly visited vertices among `recv`.
+    ///
+    /// Every received bucket ascends by target, so two `partition_point`s
+    /// find an owned range's sub-slice of it, and each target is claimed
+    /// by the one task of its range with plain loads and stores. The
+    /// tie-break between same-level claims is canonical: the numerically
+    /// largest parent wins — the same `SelectMax` each sender's accumulator
+    /// already applied to its own candidates. That makes the final parent
+    /// of a vertex the max over *all* same-level candidates, independent of
+    /// arrival order and of sender-side sieving, which is what keeps the
+    /// parent trees bit-identical across every codec × sieve configuration.
+    /// Returns the vertices claimed in ascending runs — the order the next
+    /// level's scatter walks backwards.
+    fn unpack<'b>(&self, recv: &'b [Vec<(u64, u64)>], level: i64) -> Vec<VertexId> {
         let (comm, local) = (self.comm, self.local);
         let (levels, parents) = (&self.levels[..], &self.parents[..]);
         let unpack_t = comm.trace_start();
+        debug_assert!(recv.iter().all(|b| b.is_sorted_by_key(|&(v, _)| v)));
+        let claim = |owned: Range<u64>| {
+            let part = |buf: &'b [(u64, u64)]| {
+                let lo = buf.partition_point(|&(v, _)| v < owned.start);
+                &buf[lo..lo + buf[lo..].partition_point(|&(v, _)| v < owned.end)]
+            };
+            // A range claims each of its targets at most once.
+            let bound = recv.iter().map(|b| part(b).len() as u64).sum::<u64>();
+            let mut next = Vec::with_capacity(bound.min(owned.end - owned.start) as usize);
+            for buf in recv {
+                for &(v, parent) in part(buf) {
+                    let (i, parent) = (local.to_local(v), parent as i64);
+                    let seen = levels[i].load(Ordering::Relaxed);
+                    if seen == UNREACHED {
+                        levels[i].store(level, Ordering::Relaxed);
+                        parents[i].store(parent, Ordering::Relaxed);
+                        next.push(v);
+                    } else if seen == level && parents[i].load(Ordering::Relaxed) < parent {
+                        parents[i].store(parent, Ordering::Relaxed);
+                    }
+                }
+            }
+            next
+        };
+        // One range on a flat rank, four per pool thread on a pooled one.
         let next = match self.pool {
             Some(pool) => {
-                let received: u64 = recv.iter().map(|b| b.len() as u64).sum();
+                let received = recv.iter().map(|b| b.len() as u64).sum();
                 let batch_t = comm.trace_start();
-                let next = pool.install(|| unpack_parallel(local, recv, levels, parents, level));
+                let parts = 4 * pool.current_num_threads() as u64;
+                let len = (local.count() as u64).div_ceil(parts).max(1);
+                let (start, end) = (local.range.start, local.range.end);
+                let claim_part =
+                    |k: u64| claim((start + k * len).min(end)..(start + (k + 1) * len).min(end));
+                let claimed: Vec<Vec<VertexId>> =
+                    pool.install(|| (0..parts).into_par_iter().map(claim_part).collect());
                 comm.trace_span(SpanKind::TaskBatch, batch_t, received);
-                next
+                claimed.concat()
             }
-            None => unpack_serial(local, recv, levels, parents, level),
+            None => claim(local.range.clone()),
         };
         comm.trace_span(SpanKind::Unpack, unpack_t, next.len() as u64);
         next
     }
-}
-
-/// Serial unpack: distance check and claim (lines 23–26).
-///
-/// The tie-break between same-level claims is canonical: the numerically
-/// largest parent wins — the same `SelectMax` each sender's accumulator
-/// already applied to its own candidates. That makes the final parent of
-/// a vertex the max over *all* same-level candidates, independent of
-/// arrival order and of sender-side sieving, which is what keeps the
-/// parent trees bit-identical across every codec × sieve configuration.
-/// The output is the received buckets concatenated in source-rank order,
-/// each ascending — the order the next level's scatter walks backwards.
-fn unpack_serial(
-    local: &Local1d,
-    recv: &[Vec<(u64, u64)>],
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-    level: i64,
-) -> Vec<VertexId> {
-    let mut next = Vec::new();
-    for buf in recv {
-        for &(v, parent) in buf {
-            let i = local.to_local(v);
-            let seen = levels[i].load(Ordering::Relaxed);
-            if seen == UNREACHED {
-                levels[i].store(level, Ordering::Relaxed);
-                parents[i].store(parent as i64, Ordering::Relaxed);
-                next.push(v);
-            } else if seen == level {
-                parents[i].fetch_max(parent as i64, Ordering::Relaxed);
-            }
-        }
-    }
-    next
-}
-
-/// Thread-parallel unpack with thread-local next stacks; CAS-claimed so a
-/// vertex enters the next frontier exactly once. Applies the same
-/// max-parent tie-break as [`unpack_serial`]: `fetch_max` is safe right
-/// after a claim because any parent id is ≥ 0 > [`UNREACHED`].
-fn unpack_parallel(
-    local: &Local1d,
-    recv: &[Vec<(u64, u64)>],
-    levels: &[AtomicI64],
-    parents: &[AtomicI64],
-    level: i64,
-) -> Vec<VertexId> {
-    recv.par_iter()
-        .flat_map_iter(|buf| buf.iter().copied())
-        .fold(Vec::new, |mut next: Vec<VertexId>, (v, parent)| {
-            let i = local.to_local(v);
-            let seen = levels[i].load(Ordering::Relaxed);
-            if seen == UNREACHED
-                && levels[i]
-                    .compare_exchange(UNREACHED, level, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-            {
-                parents[i].fetch_max(parent as i64, Ordering::Relaxed);
-                next.push(v);
-            } else if levels[i].load(Ordering::Relaxed) == level {
-                parents[i].fetch_max(parent as i64, Ordering::Relaxed);
-            }
-            next
-        })
-        .reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        })
 }
 
 #[cfg(test)]

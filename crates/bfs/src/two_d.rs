@@ -24,23 +24,27 @@
 //! communication overhead at high process concurrencies by a factor of
 //! 3.5").
 //!
+//! Steps 1–5 are the level step of the loop the 1D driver runs too
+//! (`crate::direction::level_loop`), its direction switch pinned top-down.
+//!
 //! [`VectorDistribution`] selects between the paper's balanced "2D vector
 //! distribution" and the diagonal-only layout whose severe load imbalance
 //! §4.3 / Fig. 4 demonstrates.
 
+use crate::direction::level_loop;
 use crate::distribute::block_dcsc;
 use crate::exchange::{exchange_pairs, Accumulator};
 use crate::frontier_codec::{
     decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
 };
 use crate::{BfsOutput, UNREACHED};
-use dmbfs_comm::{Comm, CommStats, LevelTiming};
+use dmbfs_comm::{Comm, CommStats};
 use dmbfs_graph::{CsrGraph, Grid2D, OwnerMap2D, VertexId};
 use dmbfs_matrix::Dcsc;
-use dmbfs_runtime::{run_ranks, scatter_block, FaultPlan, RunConfig};
+use dmbfs_runtime::{run_ranks, scatter_block, DirectionMode, FaultPlan, RunConfig};
 use dmbfs_trace::{RankTrace, SpanKind};
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How frontier/parent vector entries are assigned to processors (§4.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -170,7 +174,7 @@ impl Bfs2dConfig {
             watchdog: self.watchdog,
             // The 2D SpMSV driver has no bottom-up step; its runtime view
             // is always top-down.
-            direction: dmbfs_runtime::DirectionMode::TopDown,
+            direction: DirectionMode::TopDown,
             schedule_capture: self.schedule_capture,
         }
     }
@@ -349,15 +353,8 @@ impl RankState {
         }
     }
 
-    /// Vector owner (grid coords) of global vertex `g`.
-    fn vector_owner(&self, g: VertexId) -> (usize, usize) {
-        match self.cfg.distribution {
-            VectorDistribution::TwoD => self.map.vector_owner(g),
-            VectorDistribution::Diagonal => self.map.diagonal_owner(g),
-        }
-    }
-
-    /// The level-synchronous loop of Algorithm 3.
+    /// Algorithm 3 as the level step of [`level_loop`]. The switch is
+    /// pinned top-down and reads no counts, so it is fed zeros.
     fn run(
         &self,
         comm: &Comm,
@@ -366,8 +363,9 @@ impl RankState {
         source: VertexId,
         pool: Option<&rayon::ThreadPool>,
     ) -> (Vec<i64>, Vec<i64>, u32, RankWork, Vec<LevelCodecStats>) {
-        let (i, j) = self.coords;
-        let nloc = (self.vrange.end - self.vrange.start) as usize;
+        let i = self.coords.0;
+        let v0 = self.vrange.start;
+        let nloc = (self.vrange.end - v0) as usize;
         let mut levels = vec![UNREACHED; nloc];
         let mut parents = vec![UNREACHED; nloc];
         // One bit per owned vertex: the vertices this level claimed.
@@ -396,109 +394,93 @@ impl RankState {
 
         // Line 2: f(s) ← s at the vector owner of the source.
         let mut frontier: Vec<VertexId> = Vec::new();
-        if self.vector_owner(source) == (i, j) {
-            let s = (source - self.vrange.start) as usize;
+        if self.vrange.contains(&source) {
+            let s = (source - v0) as usize;
             levels[s] = 0;
             parents[s] = source as i64;
             frontier.push(source);
         }
 
-        let mut level: i64 = 1;
-        loop {
-            comm.trace_enter_level(level - 1);
-            let level_t = comm.trace_start();
-            let level_start = Instant::now();
-            // A 2D level communicates on three communicators: world
-            // (transpose, allreduce), column (expand), row (fold). Sum
-            // their wall-time deltas to attribute the level's time.
-            let comm_before = comm.comm_wall() + row_comm.comm_wall() + col_comm.comm_wall();
-            let mut lvl = LevelCodecStats {
-                level: level as usize,
-                ..Default::default()
-            };
-            // Line 5: TransposeVector.
-            let transpose_t = comm.trace_start();
-            let mut transposed = self.transpose(comm, &frontier, &mut lvl);
-            // The rectangular transpose concatenates pieces from several
-            // senders; sort so every downstream path sees canonical order.
-            transposed.sort_unstable();
-            transposed.dedup();
-            comm.trace_span(SpanKind::Transpose, transpose_t, transposed.len() as u64);
-            // Line 6: expand along the processor column.
-            let expand_t = comm.trace_start();
-            let buf = encode_set(&transposed, self.col_range.clone(), codec);
-            lvl.note(&buf);
-            let gathered = col_comm
-                .allgatherv_wire(buf)
-                .iter()
-                .map(|b| decode_set(b.bytes()))
-                .collect();
-            let fcols = self.assemble_frontier(gathered);
-            comm.trace_span(SpanKind::ExpandPhase, expand_t, fcols.len() as u64);
-            work.expand_received += fcols.len() as u64;
-            // Line 7: local SpMSV on the (select, max) semiring, gathered
-            // per vector owner in ascending row order (§4.2's SPA with no
-            // sort). Sent rows stay sieved.
-            let spmsv_t = comm.trace_start();
-            let (sieve_hits, buckets) =
-                acc.scatter_gather(comm, pool, &fcols, self.cfg.grid.cols(), scatter, gather);
-            let produced: u64 = buckets.iter().map(|b| b.len() as u64).sum();
-            comm.trace_span(SpanKind::SpMSV, spmsv_t, produced);
-            work.spmsv_output += produced;
-            lvl.sieve_hits = sieve_hits;
-            // Line 8: fold along the processor row to the vector owners.
-            let fold_t = comm.trace_start();
-            let folded = exchange_pairs(row_comm, pool, &mut lvl, buckets, |oj, pairs| {
-                encode_pairs(pairs, self.owner_vrange(i, oj), codec)
-            });
-            codec_levels.push(lvl);
-            let received: u64 = folded.iter().map(|b| b.len() as u64).sum();
-            comm.trace_span(SpanKind::FoldPhase, fold_t, received);
-            work.fold_received += received;
-            // Lines 9–11: mask by π̄, update π, form the next frontier. Each
-            // sender kept its max candidate; the owner keeps the max across
-            // senders within the level (SelectMax's add).
-            let mask_t = comm.trace_start();
-            for &(g, parent) in folded.iter().flatten() {
-                let idx = (g - self.vrange.start) as usize;
-                if levels[idx] == UNREACHED {
-                    levels[idx] = level;
-                    parents[idx] = parent as i64;
-                    claimed[idx / 64] |= 1 << (idx % 64);
-                } else if levels[idx] == level {
-                    parents[idx] = parents[idx].max(parent as i64);
+        let num_levels = level_loop(
+            &[comm, row_comm, col_comm],
+            DirectionMode::TopDown,
+            self.map.domain(),
+            0,
+            frontier,
+            |_| 0,
+            |_, frontier, level| {
+                let mut lvl = LevelCodecStats {
+                    level: level as usize,
+                    ..Default::default()
+                };
+                // Line 5: TransposeVector.
+                let transpose_t = comm.trace_start();
+                let mut transposed = self.transpose(comm, frontier, &mut lvl);
+                // The rectangular transpose concatenates pieces from several
+                // senders; sort so every downstream path sees canonical order.
+                transposed.sort_unstable();
+                transposed.dedup();
+                comm.trace_span(SpanKind::Transpose, transpose_t, transposed.len() as u64);
+                // Line 6: expand along the processor column.
+                let expand_t = comm.trace_start();
+                let buf = encode_set(&transposed, self.col_range.clone(), codec);
+                lvl.note(&buf);
+                let gathered = col_comm
+                    .allgatherv_wire(buf)
+                    .iter()
+                    .map(|b| decode_set(b.bytes()))
+                    .collect();
+                let fcols = self.assemble_frontier(gathered);
+                comm.trace_span(SpanKind::ExpandPhase, expand_t, fcols.len() as u64);
+                work.expand_received += fcols.len() as u64;
+                // Line 7: local SpMSV on the (select, max) semiring, gathered
+                // per vector owner in ascending row order (§4.2's SPA with no
+                // sort). Sent rows stay sieved.
+                let spmsv_t = comm.trace_start();
+                let (sieve_hits, buckets) =
+                    acc.scatter_gather(comm, pool, &fcols, self.cfg.grid.cols(), scatter, gather);
+                let produced: u64 = buckets.iter().map(|b| b.len() as u64).sum();
+                comm.trace_span(SpanKind::SpMSV, spmsv_t, produced);
+                work.spmsv_output += produced;
+                lvl.sieve_hits = sieve_hits;
+                // Line 8: fold along the processor row to the vector owners.
+                let fold_t = comm.trace_start();
+                let folded = exchange_pairs(row_comm, pool, &mut lvl, buckets, |oj, pairs| {
+                    encode_pairs(pairs, self.owner_vrange(i, oj), codec)
+                });
+                codec_levels.push(lvl);
+                let received: u64 = folded.iter().map(|b| b.len() as u64).sum();
+                comm.trace_span(SpanKind::FoldPhase, fold_t, received);
+                work.fold_received += received;
+                // Lines 9–11: mask by π̄, update π, form the next frontier. Each
+                // sender kept its max candidate; the owner keeps the max across
+                // senders within the level (SelectMax's add).
+                let mask_t = comm.trace_start();
+                for &(g, parent) in folded.iter().flatten() {
+                    let idx = (g - v0) as usize;
+                    if levels[idx] == UNREACHED {
+                        levels[idx] = level;
+                        parents[idx] = parent as i64;
+                        claimed[idx / 64] |= 1 << (idx % 64);
+                    } else if levels[idx] == level {
+                        parents[idx] = parents[idx].max(parent as i64);
+                    }
                 }
-            }
-            // The claim bitmap lists the next frontier in ascending order.
-            let mut next: Vec<VertexId> = Vec::new();
-            for (w, word) in claimed.iter_mut().enumerate() {
-                while *word != 0 {
-                    let idx = w * 64 + word.trailing_zeros() as usize;
-                    *word &= *word - 1;
-                    next.push(self.vrange.start + idx as u64);
+                // The claim bitmap lists the next frontier in ascending order,
+                // as the transpose's set encoder wants.
+                let mut next: Vec<VertexId> = Vec::new();
+                for (w, word) in claimed.iter_mut().enumerate() {
+                    while *word != 0 {
+                        let idx = w * 64 + word.trailing_zeros() as usize;
+                        *word &= *word - 1;
+                        next.push(v0 + idx as u64);
+                    }
                 }
-            }
-            comm.trace_span(SpanKind::Mask, mask_t, next.len() as u64);
-            // Termination: is the global frontier empty?
-            let total = comm.allreduce(next.len() as u64, |a, b| a + b);
-            let comm_spent = (comm.comm_wall() + row_comm.comm_wall() + col_comm.comm_wall())
-                .saturating_sub(comm_before);
-            comm.push_level_timing(LevelTiming {
-                level: (level - 1) as u32,
-                compute: level_start.elapsed().saturating_sub(comm_spent),
-                comm: comm_spent,
-                direction: Default::default(),
-            });
-            comm.trace_span(SpanKind::Level, level_t, frontier.len() as u64);
-            if total == 0 {
-                comm.trace_enter_level(dmbfs_trace::NO_LEVEL);
-                break;
-            }
-            frontier = next;
-            level += 1;
-        }
-
-        (levels, parents, level as u32, work, codec_levels)
+                comm.trace_span(SpanKind::Mask, mask_t, next.len() as u64);
+                (next, 0)
+            },
+        );
+        (levels, parents, num_levels, work, codec_levels)
     }
 
     /// Vector range owned by `P(i, oj)` under the configured distribution —
@@ -569,7 +551,7 @@ mod tests {
     use super::*;
     use crate::serial::serial_bfs;
     use crate::validate::validate_bfs;
-    use dmbfs_comm::Pattern;
+    use dmbfs_comm::{LevelDirection, Pattern};
     use dmbfs_graph::gen::{grid2d, path, rmat, RmatConfig};
     use dmbfs_graph::{CsrGraph, EdgeList};
 
@@ -737,6 +719,17 @@ mod tests {
             assert_eq!(count(SpanKind::SpMSV), run.num_levels);
             assert_eq!(count(SpanKind::FoldPhase), run.num_levels);
             assert_eq!(count(SpanKind::Mask), run.num_levels);
+            // The shared level loop records its switch's decision: one
+            // Direction span per level, pinned top-down.
+            let directions: Vec<_> = t
+                .spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Direction)
+                .collect();
+            assert_eq!(directions.len() as u32, run.num_levels);
+            for s in &directions {
+                assert_eq!(LevelDirection::from_tag(s.detail), LevelDirection::TopDown);
+            }
             // Row/column collectives land in this rank's trace with the
             // sub-communicator's group size (√p = 2), tagged by level.
             let expand_collectives: Vec<_> = t
@@ -751,10 +744,19 @@ mod tests {
                 assert_eq!(s.detail, 2, "expand runs on the column communicator");
                 assert!(s.level >= 0, "collectives are tagged with their level");
             }
-            // The setup collectives (splits, warm-up barrier) were cleared.
+            // The setup collectives (splits, warm-up barrier) were cleared:
+            // outside the levels there are only the timed region's barriers
+            // and the search's one seed allreduce.
+            let unlevelled = |tag| {
+                t.spans
+                    .iter()
+                    .filter(|s| s.kind == SpanKind::Collective && s.level < 0 && s.pattern == tag)
+                    .count()
+            };
+            assert_eq!(unlevelled(CollectiveTag::Allreduce), 1, "the seed");
             assert!(t.spans.iter().all(|s| s.kind != SpanKind::Collective
                 || s.level >= 0
-                || s.pattern == CollectiveTag::Barrier));
+                || matches!(s.pattern, CollectiveTag::Barrier | CollectiveTag::Allreduce)));
         }
         // Untraced runs return placeholder traces with no spans.
         let run = bfs2d_run(&g, 0, &Bfs2dConfig::flat(Grid2D::new(2, 2)));

@@ -87,6 +87,14 @@ fn two_d_stats_expose_the_expand_fold_structure() {
     let grid = Grid2D::new(2, 3);
     let run = bfs2d_run(&g, s, &Bfs2dConfig::flat(grid));
     for stats in &run.per_rank_stats {
+        // Algorithm 3 runs on the 1D loop: one world Allreduce per level
+        // plus the search's seed Allreduce, as in the 1D test above.
+        let ar = stats
+            .events
+            .iter()
+            .filter(|e| e.pattern == Pattern::Allreduce)
+            .count();
+        assert_eq!(ar as u32, run.num_levels + 1);
         for e in &stats.events {
             match e.pattern {
                 // Expand runs on the column communicator (pr = 2 ranks).

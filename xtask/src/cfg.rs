@@ -407,7 +407,8 @@ fn parse_fn(toks: &[Tok], i: usize, qual: Option<&str>, out: &mut Vec<FnDef>) ->
 
 /// Parameter names from the token span inside a `fn`'s parens: per
 /// top-level comma, the first identifier of the pattern (before `:`),
-/// with `&`/`mut`/lifetimes stripped; `self` kept as-is.
+/// with `&`/`mut`/lifetimes stripped; `self` kept as-is. The `>` of a
+/// closure type's `->` closes no bracket.
 fn parse_params(toks: &[Tok]) -> Vec<String> {
     let mut params = Vec::new();
     let mut depth = 0i64;
@@ -434,6 +435,7 @@ fn parse_params(toks: &[Tok]) -> Vec<String> {
             | TokKind::Punct('[')
             | TokKind::Punct('{')
             | TokKind::Punct('<') => depth += 1,
+            TokKind::Punct('>') if k > 0 && is_punct(toks.get(k - 1), '-') => {}
             TokKind::Punct(')')
             | TokKind::Punct(']')
             | TokKind::Punct('}')
@@ -1344,6 +1346,16 @@ fn scan_call_args(
         facts.push(expr_facts(toks, lo, hi));
     };
     while k < hi {
+        // A closure literal's parameter list separates no arguments.
+        let at_arg = k == arg_lo || (k == arg_lo + 1 && ident(toks.get(arg_lo)) == Some("move"));
+        if at_arg && is_punct(toks.get(k), '|') && !is_punct(toks.get(k + 1), '|') {
+            k += 1;
+            while k < hi && !is_punct(toks.get(k), '|') {
+                k += 1;
+            }
+            k += 1;
+            continue;
+        }
         match toks[k].kind {
             TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
             TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => depth -= 1,
@@ -1538,6 +1550,30 @@ mod tests {
             .body
             .iter()
             .any(|s| matches!(s, Stmt::Call { name, .. } if name == "rank_bfs")));
+    }
+
+    #[test]
+    fn closure_parameter_commas_and_arrow_types_keep_positions() {
+        let src = r#"
+            fn drive(f: impl Fn(&[u64]) -> u64, mut step: impl FnMut(u64, u64) -> (u64, u64)) {
+                run(f, |a, b| match a {
+                    A => comm.barrier(),
+                    B => b,
+                });
+            }
+        "#;
+        let defs = parse(src);
+        assert_eq!(defs[0].params, ["f", "step"]);
+        let Some(Stmt::Call { closures, .. }) = defs[0]
+            .body
+            .iter()
+            .find(|s| matches!(s, Stmt::Call { name, .. } if name == "run"))
+        else {
+            panic!("expected run call");
+        };
+        assert_eq!(closures.len(), 1);
+        assert_eq!(closures[0].0, 1, "closure is the second argument");
+        assert_eq!(closures[0].1.params, ["a", "b"]);
     }
 
     #[test]

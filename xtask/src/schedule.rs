@@ -33,6 +33,7 @@ use crate::lexer::{lex, Lexed};
 use crate::rules::Finding;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
+use std::rc::Rc;
 
 /// Rule: every rank must issue the same collective sequence — a branch
 /// with schedule-different arms must be decided by replicated data.
@@ -61,8 +62,10 @@ const BREAK: &str = "@break";
 ///
 /// A small may-lattice: `div` means possibly rank-divergent, `deps` is
 /// the set of enclosing-function parameters the value derives from
-/// (resolved through call sites), `unknown` marks roots the dataflow
-/// could not see (module constants, statics) — resolved as replicated,
+/// (resolved through call sites) and of closure parameters (resolved
+/// where the closure is called, see [`Lambda`]), `unknown` marks roots
+/// the dataflow could not see (module constants, statics) — resolved as
+/// replicated,
 /// because per-rank data can only enter a function through its
 /// parameters, `.rank()` calls, or rank-named bindings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -135,12 +138,25 @@ pub enum Node {
         qual: Option<String>,
         has_recv: bool,
         args: Vec<Class>,
-        closures: Vec<(usize, Node)>,
+        closures: Vec<(usize, Lambda)>,
         line: u32,
     },
     /// Call through a function parameter (higher-order): substituted with
-    /// the closure the caller passed in that position.
-    ParamCall(usize, u32),
+    /// the closure the caller passed in that position, its parameters
+    /// bound to the classes of these arguments.
+    ParamCall(usize, Vec<Class>, u32),
+}
+
+/// A closure literal's summary. Its parameters are the dependency bits
+/// `base..base + arity` of the enclosing function's classes (past that
+/// function's own parameters and those of any enclosing closure), so a
+/// call through the parameter it is passed to can bind them to that
+/// call's argument classes.
+#[derive(Clone, Debug)]
+pub struct Lambda {
+    base: usize,
+    arity: usize,
+    body: Node,
 }
 
 impl Node {
@@ -329,6 +345,8 @@ struct Summarizer<'a> {
     env: HashMap<String, Class>,
     /// Named local closures, inlined at their call sites.
     local_closures: HashMap<String, Node>,
+    /// The first dependency bit free for a closure literal's parameters.
+    closure_base: usize,
     /// Entries discovered in this function.
     entries: Vec<(String, u32, Node)>,
 }
@@ -343,6 +361,7 @@ fn summarize_fn(a: &Analysis, fn_idx: usize) -> (Node, Vec<(String, u32, Node)>)
         qual: info.def.qual.clone(),
         env: HashMap::new(),
         local_closures: HashMap::new(),
+        closure_base: info.def.params.len(),
         entries: Vec::new(),
     };
     for (i, p) in info.def.params.iter().enumerate() {
@@ -411,7 +430,7 @@ impl Summarizer<'_> {
                 // spawn surface).
                 if name == "run_ranks" {
                     if let Some((_, c)) = closures.first() {
-                        let node = self.closure(c);
+                        let node = self.closure(c).body;
                         let ename = self
                             .lexed
                             .schedule_arg(*line, "entry")
@@ -433,7 +452,8 @@ impl Summarizer<'_> {
                         .iter()
                         .position(|p| p == name)
                     {
-                        out.push(Node::ParamCall(i, *line));
+                        let args = args.iter().map(|f| self.class_of(f)).collect();
+                        out.push(Node::ParamCall(i, args, *line));
                         return;
                     }
                 }
@@ -444,7 +464,7 @@ impl Summarizer<'_> {
                 for f in args {
                     arg_classes.push(self.class_of(f));
                 }
-                let closures: Vec<(usize, Node)> = closures
+                let closures: Vec<(usize, Lambda)> = closures
                     .iter()
                     .map(|(i, c)| (*i, self.closure(c)))
                     .collect();
@@ -535,7 +555,7 @@ impl Summarizer<'_> {
                 // A `return` inside the closure exits the closure, not
                 // the enclosing function; `break`/`continue` stay
                 // correctly scoped by their own `Loop` nodes.
-                let node = strip_returns(self.closure(closure));
+                let node = strip_returns(self.closure(closure).body);
                 if !name.is_empty() {
                     self.local_closures.insert(name.clone(), node);
                 }
@@ -558,20 +578,25 @@ impl Summarizer<'_> {
         }
     }
 
-    /// Summarizes a closure body in the enclosing scope. Closure
-    /// parameters are bound as replicated: per-rank data reaching a
-    /// closure flows through captures (tracked) or collective results;
-    /// the conformance test backstops the approximation.
-    fn closure(&mut self, c: &Closure) -> Node {
+    /// Summarizes a closure body in the enclosing scope, its parameters
+    /// bound to fresh dependency bits. A call through a higher-order
+    /// parameter binds them to its argument classes; anywhere else (a
+    /// named local closure, an unresolved callee such as `pool.install`
+    /// or an iterator adapter, a rank closure) they stay unbound and
+    /// resolve replicated, and the conformance test backstops that.
+    fn closure(&mut self, c: &Closure) -> Lambda {
         let saved: Vec<(String, Option<Class>)> = c
             .params
             .iter()
             .map(|p| (p.clone(), self.env.get(p).copied()))
             .collect();
-        for p in &c.params {
-            self.env.insert(p.clone(), Class::REPL);
+        let base = self.closure_base;
+        self.closure_base += c.params.len();
+        for (j, p) in c.params.iter().enumerate() {
+            self.env.insert(p.clone(), Class::dep(base + j));
         }
-        let node = self.block(&c.body, Class::REPL);
+        let body = self.block(&c.body, Class::REPL);
+        self.closure_base = base;
         for (p, old) in saved {
             match old {
                 Some(v) => {
@@ -582,7 +607,11 @@ impl Summarizer<'_> {
                 }
             }
         }
-        node
+        Lambda {
+            base,
+            arity: c.params.len(),
+            body,
+        }
     }
 }
 
@@ -610,10 +639,21 @@ fn stmt_line(stmt: &Stmt) -> u32 {
 /// closures substituted for higher-order parameters.
 #[derive(Clone)]
 struct Ctx {
-    /// Resolved class per parameter (true = divergent).
+    /// Resolved class per dependency bit (true = divergent): the
+    /// function's parameters, then those of the closures being expanded.
     param_div: Vec<bool>,
-    /// Expanded closure bodies per parameter index.
-    subst: HashMap<usize, Node>,
+    /// Closures per higher-order parameter index.
+    subst: HashMap<usize, Subst>,
+}
+
+/// A closure passed for a higher-order parameter, expanded where the
+/// callee calls that parameter: in the caller's context, with its
+/// parameters resolved from the call's arguments.
+#[derive(Clone)]
+struct Subst {
+    lambda: Lambda,
+    ctx: Rc<Ctx>,
+    file: String,
 }
 
 struct Expander<'a> {
@@ -790,7 +830,20 @@ impl Expander<'_> {
                     .collect();
                 flatten(out)
             }
-            Node::ParamCall(i, _) => ctx.subst.get(i).cloned().unwrap_or_else(Node::empty),
+            Node::ParamCall(i, args, _) => {
+                let Some(s) = ctx.subst.get(i) else {
+                    return Node::empty();
+                };
+                let mut closure_ctx = (*s.ctx).clone();
+                for (j, c) in args.iter().enumerate().take(s.lambda.arity) {
+                    let bit = (s.lambda.base + j).min(63);
+                    if closure_ctx.param_div.len() <= bit {
+                        closure_ctx.param_div.resize(bit + 1, false);
+                    }
+                    closure_ctx.param_div[bit] |= self.resolve_ctx(*c, ctx);
+                }
+                strip_returns(self.expand(&s.lambda.body, &closure_ctx, &s.file))
+            }
             Node::Call {
                 name,
                 qual,
@@ -800,26 +853,23 @@ impl Expander<'_> {
                 line,
             } => {
                 let target = self.resolve(name, qual.as_deref(), args.len(), file);
-                // Expand closure arguments in the *caller's* context.
-                let expanded_closures: Vec<(usize, Node)> = closures
-                    .iter()
-                    .map(|(i, n)| (*i, self.expand(n, ctx, file)))
-                    .collect();
-                let Some(target) = target else {
+                let Some(target) = target.filter(|t| !self.stack.contains(t)) else {
                     // Unknown callee: assume it invokes each closure
                     // argument once, in order (`pool.install`, iterator
-                    // adapters; raw spawns are lint-banned).
-                    return flatten(
-                        expanded_closures
-                            .into_iter()
-                            .map(|(_, n)| strip_returns(n))
-                            .filter(|n| !n.is_empty())
-                            .collect(),
-                    );
+                    // adapters; raw spawns are lint-banned), with its
+                    // parameters unbound. A recursive call is cut, its
+                    // closures still checked.
+                    let bodies: Vec<Node> = closures
+                        .iter()
+                        .map(|(_, l)| strip_returns(self.expand(&l.body, ctx, file)))
+                        .filter(|n| !n.is_empty())
+                        .collect();
+                    return if target.is_some() {
+                        Node::empty()
+                    } else {
+                        flatten(bodies)
+                    };
                 };
-                if self.stack.contains(&target) {
-                    return Node::empty();
-                }
                 // Parameter classes at this site.
                 let has_self = self.a.fns[target]
                     .def
@@ -845,9 +895,17 @@ impl Expander<'_> {
                     }
                 }
                 let mut subst = HashMap::new();
-                for (arg_pos, n) in expanded_closures {
+                let caller_ctx = Rc::new(ctx.clone());
+                for (arg_pos, lambda) in closures {
                     let p = arg_pos + if has_self && *has_recv { 1 } else { offset };
-                    subst.insert(p, strip_returns(n));
+                    if calls_param(&self.a.summaries[target], p) {
+                        let (ctx, file) = (caller_ctx.clone(), file.to_string());
+                        let lambda = lambda.clone();
+                        subst.insert(p, Subst { lambda, ctx, file });
+                    } else {
+                        // Never called through the parameter: checked here.
+                        self.expand(&lambda.body, ctx, file);
+                    }
                 }
                 let callee_ctx = Ctx { param_div, subst };
                 self.stack.push(target);
@@ -1184,11 +1242,23 @@ fn collect_sites(
             if resolve_in(a, name, qual.as_deref(), args.len(), caller_file) == Some(target) {
                 out.push((caller, args.clone(), *has_recv));
             }
-            for (_, n) in closures {
-                collect_sites(n, caller, target, a, out);
+            for (_, l) in closures {
+                collect_sites(&l.body, caller, target, a, out);
             }
         }
         Node::Op(..) | Node::ParamCall(..) => {}
+    }
+}
+
+/// Whether a summary calls its higher-order parameter `p`, directly or
+/// from a closure it passes on.
+fn calls_param(node: &Node, p: usize) -> bool {
+    match node {
+        Node::ParamCall(i, ..) => *i == p,
+        Node::Op(..) => false,
+        Node::Seq(v) | Node::Alt { arms: v, .. } => v.iter().any(|n| calls_param(n, p)),
+        Node::Loop { body, .. } => calls_param(body, p),
+        Node::Call { closures, .. } => closures.iter().any(|(_, l)| calls_param(&l.body, p)),
     }
 }
 
@@ -1255,7 +1325,7 @@ fn op_names(node: &Node) -> Vec<&'static str> {
             Node::Seq(v) => v.iter().for_each(|n| walk(n, out)),
             Node::Alt { arms, .. } => arms.iter().for_each(|n| walk(n, out)),
             Node::Loop { body, .. } => walk(body, out),
-            Node::Call { closures, .. } => closures.iter().for_each(|(_, n)| walk(n, out)),
+            Node::Call { closures, .. } => closures.iter().for_each(|(_, l)| walk(&l.body, out)),
             Node::ParamCall(..) => {}
         }
     }
@@ -1330,7 +1400,7 @@ fn equivalent(a: &Node, b: &Node) -> bool {
             }
             (Node::Loop { body: x, .. }, Node::Loop { body: y, .. }) => eq(x, y),
             (Node::Call { name: x, .. }, Node::Call { name: y, .. }) => x == y,
-            (Node::ParamCall(x, _), Node::ParamCall(y, _)) => x == y,
+            (Node::ParamCall(x, ..), Node::ParamCall(y, ..)) => x == y,
             _ => false,
         }
     }
@@ -1415,7 +1485,7 @@ pub fn render(node: &Node, indent: usize, out: &mut String) {
             out.push_str(&pad);
             out.push_str(&format!("call {name} (unresolved)\n"));
         }
-        Node::ParamCall(i, _) => {
+        Node::ParamCall(i, ..) => {
             out.push_str(&pad);
             out.push_str(&format!("call param#{i}\n"));
         }
@@ -1561,6 +1631,36 @@ mod tests {
             "#,
         );
         assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
+    }
+
+    #[test]
+    fn closure_parameters_take_the_classes_of_the_higher_order_call() {
+        // `level_loop` calls its `step` with a value derived from `mode`
+        // (or from the rank); the closure's arms issue different
+        // collectives, so the step's match is as divergent as that value.
+        let src = |mode: &str, arg: &str| {
+            format!(
+                r#"
+            fn level_loop(comm: &Comm, mode: u64, mut step: impl FnMut(u64)) {{
+                let total = comm.allreduce(1u64, |a, b| a + b);
+                let d = decide(mode, total);
+                step({arg});
+            }}
+            fn drive(comm: &Comm) {{
+                level_loop(comm, {mode}, |d| match d {{
+                    0 => comm.barrier(),
+                    _ => {{}}
+                }});
+            }}
+            "#
+            )
+        };
+        let a = analyze(&src("7", "d"));
+        assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
+        let a = analyze(&src("comm.rank() as u64", "d"));
+        assert_eq!(rules_at(&a), vec![(SCHEDULE_ASYMMETRY, 8)]);
+        let a = analyze(&src("7", "comm.rank() as u64"));
+        assert_eq!(rules_at(&a), vec![(SCHEDULE_ASYMMETRY, 8)]);
     }
 
     #[test]
