@@ -15,7 +15,7 @@ use dmbfs_bench::sweep::{bfs1d_point, bfs2d_point, SweepPoint};
 use dmbfs_bfs::two_d::Bfs2dConfig;
 use dmbfs_graph::components::sample_sources;
 use dmbfs_graph::Grid2D;
-use dmbfs_runtime::{Codec, DirectionMode, RunConfig};
+use dmbfs_runtime::{DirectionMode, RunConfig};
 use serde::Serialize;
 
 /// Trials per point; each row keeps its fastest trial.
@@ -40,17 +40,10 @@ fn main() {
 
     let mut points: Vec<SweepPoint> = Vec::new();
 
-    // bfs-1d axes: codec × sieve × direction × flat/hybrid,
-    // one move away from the default per point (not the full product).
+    // bfs-1d axes: direction × flat/hybrid, one move away from the
+    // default per point.
     let base = RunConfig::flat(4).with_trace(true);
     points.push(bfs1d_point(&g, source, &base, TRIALS));
-    points.push(bfs1d_point(
-        &g,
-        source,
-        &base.with_codec(Codec::Raw),
-        TRIALS,
-    ));
-    points.push(bfs1d_point(&g, source, &base.with_sieve(false), TRIALS));
     points.push(bfs1d_point(
         &g,
         source,
@@ -72,9 +65,8 @@ fn main() {
         TRIALS,
     ));
 
-    // Every 1D top-down point must agree bit-for-bit: codec, sieve and
-    // the thread pool are all transport/scheduling axes
-    // with no license to change the parent tree. (Direction-optimizing
+    // Every 1D top-down point must agree bit-for-bit: the thread pool is
+    // a scheduling axis with no license to change the parent tree. (Direction-optimizing
     // and 2D points legitimately pick different — equally valid —
     // parents, so they are excluded; levels equality for those is
     // proptest territory, not the sweep's.)
@@ -93,8 +85,6 @@ fn main() {
             vec![
                 p.algorithm.clone(),
                 format!("{}x{}", p.ranks, p.threads_per_rank),
-                p.codec.clone(),
-                if p.sieve { "on" } else { "off" }.to_string(),
                 p.direction.clone(),
                 format!("{:.1}", p.seconds * 1e3),
                 p.wire_out.to_string(),
@@ -108,8 +98,6 @@ fn main() {
         &[
             "algorithm",
             "p x t",
-            "codec",
-            "sieve",
             "direction",
             "wall ms",
             "wire B",

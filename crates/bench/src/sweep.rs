@@ -28,10 +28,6 @@ pub struct SweepPoint {
     pub ranks: usize,
     /// Threads per rank (1 = flat, >1 = hybrid).
     pub threads_per_rank: usize,
-    /// Frontier codec name (`"adaptive"`, `"raw"`, …).
-    pub codec: String,
-    /// Sender-side sieve on/off.
-    pub sieve: bool,
     /// Direction policy (`"topdown"` / `"bottomup"` / `"hybrid"`).
     pub direction: String,
     /// Trials run; the row keeps the minimum-wall trial.
@@ -95,7 +91,7 @@ struct Trial {
 /// asserts every trial produced the same output fingerprint.
 fn best_of(
     algorithm: &str,
-    cfg_row: (usize, usize, String, bool, String),
+    cfg_row: (usize, usize, String),
     trials: usize,
     mut trial: impl FnMut() -> Trial,
 ) -> SweepPoint {
@@ -111,13 +107,11 @@ fn best_of(
         .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
         .unwrap();
     let (bytes_out, wire_out, loaned_bytes, copied_bytes) = wire_ledger(&best.stats);
-    let (ranks, threads_per_rank, codec, sieve, direction) = cfg_row;
+    let (ranks, threads_per_rank, direction) = cfg_row;
     SweepPoint {
         algorithm: algorithm.to_string(),
         ranks,
         threads_per_rank,
-        codec,
-        sieve,
         direction,
         trials,
         seconds: best.seconds,
@@ -130,12 +124,10 @@ fn best_of(
     }
 }
 
-fn run_axes(cfg: &RunConfig) -> (usize, usize, String, bool, String) {
+fn run_axes(cfg: &RunConfig) -> (usize, usize, String) {
     (
         cfg.ranks,
         cfg.threads_per_rank,
-        cfg.codec.name().to_string(),
-        cfg.sieve,
         cfg.direction.name().to_string(),
     )
 }
@@ -161,13 +153,7 @@ pub fn bfs1d_point(g: &CsrGraph, source: VertexId, cfg: &Bfs1dConfig, trials: us
 
 /// BFS, 2D grid driver.
 pub fn bfs2d_point(g: &CsrGraph, source: VertexId, cfg: &Bfs2dConfig, trials: usize) -> SweepPoint {
-    let axes = (
-        cfg.grid.size(),
-        cfg.threads_per_rank,
-        cfg.codec.name().to_string(),
-        cfg.sieve,
-        "topdown".to_string(),
-    );
+    let axes = (cfg.grid.size(), cfg.threads_per_rank, "topdown".to_string());
     best_of("bfs-2d", axes, trials, || {
         let run = bfs2d_run(g, source, cfg);
         Trial {

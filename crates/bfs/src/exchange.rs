@@ -32,21 +32,18 @@ pub(crate) const SENT: u32 = u32::MAX;
 pub(crate) struct Accumulator {
     best: Vec<AtomicU32>,
     touched: Vec<AtomicU64>,
-    /// What a gathered slot is left at: [`SENT`] when sieving, else 0.
-    sent: u32,
 }
 
 impl Accumulator {
     /// An empty accumulator over `targets` slots, for parent indices below
-    /// `parents`, sieving sent targets when `sieve` is set.
-    pub(crate) fn new(targets: usize, parents: usize, sieve: bool) -> Self {
+    /// `parents`.
+    pub(crate) fn new(targets: usize, parents: usize) -> Self {
         assert!(parents < SENT as usize, "parent slots must stay < SENT");
         Self {
             best: (0..targets).map(|_| AtomicU32::new(0)).collect(),
             touched: (0..targets.div_ceil(64))
                 .map(|_| AtomicU64::new(0))
                 .collect(),
-            sent: if sieve { SENT } else { 0 },
         }
     }
 
@@ -87,7 +84,7 @@ impl Accumulator {
                 let v = base + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let slot = self.best[v].load(Ordering::Relaxed);
-                self.best[v].store(self.sent, Ordering::Relaxed);
+                self.best[v].store(SENT, Ordering::Relaxed);
                 pairs.push(pair(v, slot));
             }
         }
@@ -131,7 +128,7 @@ impl Accumulator {
         debug_assert!(self
             .best
             .iter()
-            .all(|b| [0, self.sent].contains(&b.load(Ordering::Relaxed))));
+            .all(|b| [0, SENT].contains(&b.load(Ordering::Relaxed))));
         out
     }
 }

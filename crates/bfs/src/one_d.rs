@@ -157,7 +157,7 @@ impl<'a> RankSearch<'a> {
             cfg,
             levels: unreached().collect(),
             parents: unreached().collect(),
-            acc: Accumulator::new(domain, local.count(), cfg.sieve),
+            acc: Accumulator::new(domain, local.count()),
             codec_levels: Vec::new(),
         }
     }
@@ -220,7 +220,7 @@ impl<'a> RankSearch<'a> {
     /// sieved; exchange; claim. Flat and pooled ranks run the same two
     /// closures. Returns the next local frontier.
     fn top_down_level(&mut self, frontier: &[VertexId], level: i64) -> Vec<VertexId> {
-        let (comm, local, acc, codec) = (self.comm, self.local, &self.acc, self.cfg.codec);
+        let (comm, local, acc) = (self.comm, self.local, &self.acc);
         let pack_t = comm.trace_start();
         // Parents are this rank's own contiguous block, so the max local
         // index is the max global id.
@@ -246,7 +246,7 @@ impl<'a> RankSearch<'a> {
             ..Default::default()
         };
         let recv = exchange_pairs(comm, self.pool, &mut stats, buckets, |j, pairs| {
-            encode_pairs(pairs, local.block.range(j), codec)
+            encode_pairs(pairs, local.block.range(j), Codec::Adaptive)
         });
         self.codec_levels.push(stats);
         self.unpack(&recv, level)
@@ -354,8 +354,8 @@ impl<'a> RankSearch<'a> {
     /// largest parent wins — the same `SelectMax` each sender's accumulator
     /// already applied to its own candidates. That makes the final parent
     /// of a vertex the max over *all* same-level candidates, independent of
-    /// arrival order and of sender-side sieving, which is what keeps the
-    /// parent trees bit-identical across every codec × sieve configuration.
+    /// arrival order and of the sender-side sieve, which is what keeps the
+    /// parent trees bit-identical across rank counts and threading.
     /// Returns the vertices claimed in ascending runs — the order the next
     /// level's scatter walks backwards.
     fn unpack<'b>(&self, recv: &'b [Vec<(u64, u64)>], level: i64) -> Vec<VertexId> {
@@ -642,26 +642,6 @@ mod tests {
             let count = |k| t.spans.iter().filter(|s| s.kind == k).count();
             assert_eq!(count(SpanKind::BitmapBroadcast), bu_levels);
             assert_eq!(count(SpanKind::BottomUpScan), bu_levels);
-        }
-    }
-
-    #[test]
-    fn hybrid_composes_with_codec_and_sieve() {
-        let g = rmat_graph(9, 11);
-        let expected = serial_bfs(&g, 2);
-        for codec in [Codec::Raw, Codec::Adaptive] {
-            for sieve in [false, true] {
-                let cfg = Bfs1dConfig::flat(4)
-                    .with_direction(DirectionMode::Hybrid)
-                    .with_codec(codec)
-                    .with_sieve(sieve);
-                let run = bfs1d_run(&g, 2, &cfg);
-                assert_eq!(
-                    run.output.levels, expected.levels,
-                    "codec {codec:?}, sieve {sieve}"
-                );
-                validate_bfs(&g, 2, &run.output.parents, &run.output.levels).unwrap();
-            }
         }
     }
 

@@ -71,13 +71,6 @@ pub struct Bfs2dConfig {
     pub threads_per_rank: usize,
     /// Vector distribution (§4.3 ablation).
     pub distribution: VectorDistribution,
-    /// Wire encoding of the transpose/expand/fold payloads (see
-    /// [`crate::frontier_codec`]). The rectangular-grid transpose keeps
-    /// its typed collective.
-    pub codec: Codec,
-    /// Sender-side filtering of fold rows already emitted at an earlier
-    /// level.
-    pub sieve: bool,
     /// Record per-rank span traces (see `dmbfs-trace`). Strictly an
     /// observer: the computed parent tree is bit-identical either way.
     pub trace: bool,
@@ -100,8 +93,6 @@ impl Bfs2dConfig {
             grid,
             threads_per_rank: 1,
             distribution: VectorDistribution::TwoD,
-            codec: Codec::Adaptive,
-            sieve: true,
             trace: false,
             faults: FaultPlan::none(),
             watchdog: None,
@@ -116,18 +107,6 @@ impl Bfs2dConfig {
             threads_per_rank,
             ..Self::flat(grid)
         }
-    }
-
-    /// Replaces the frontier codec.
-    pub fn with_codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
-        self
-    }
-
-    /// Enables or disables the sender-side fold sieve.
-    pub fn with_sieve(mut self, sieve: bool) -> Self {
-        self.sieve = sieve;
-        self
     }
 
     /// Enables or disables span tracing.
@@ -167,8 +146,6 @@ impl Bfs2dConfig {
         RunConfig {
             ranks: self.grid.size(),
             threads_per_rank: self.threads_per_rank,
-            codec: self.codec,
-            sieve: self.sieve,
             trace: self.trace,
             faults: self.faults,
             watchdog: self.watchdog,
@@ -340,7 +317,7 @@ impl RankState {
         };
         let (row_range, col_range) = (map.matrix_row_range(i), map.matrix_col_range(j));
         let matrix = block_dcsc(g, row_range.clone(), col_range.clone());
-        let acc = Accumulator::new(matrix.nrows() as usize, matrix.ncols() as usize, cfg.sieve);
+        let acc = Accumulator::new(matrix.nrows() as usize, matrix.ncols() as usize);
         Self {
             cfg: *cfg,
             coords: (i, j),
@@ -371,7 +348,7 @@ impl RankState {
         // One bit per owned vertex: the vertices this level claimed.
         let mut claimed = vec![0u64; nloc.div_ceil(64)];
         let mut work = RankWork::default();
-        let (codec, acc, matrix) = (self.cfg.codec, &self.acc, &self.matrix);
+        let (acc, matrix) = (&self.acc, &self.matrix);
         let (row0, col0) = (self.row_range.start, self.col_range.start);
         // Column `c` offers parent slot `c + 1` to every row it holds;
         // returns its sieve hits.
@@ -423,7 +400,7 @@ impl RankState {
                 comm.trace_span(SpanKind::Transpose, transpose_t, transposed.len() as u64);
                 // Line 6: expand along the processor column.
                 let expand_t = comm.trace_start();
-                let buf = encode_set(&transposed, self.col_range.clone(), codec);
+                let buf = encode_set(&transposed, self.col_range.clone(), Codec::Adaptive);
                 lvl.note(&buf);
                 let gathered = col_comm
                     .allgatherv_wire(buf)
@@ -446,7 +423,7 @@ impl RankState {
                 // Line 8: fold along the processor row to the vector owners.
                 let fold_t = comm.trace_start();
                 let folded = exchange_pairs(row_comm, pool, &mut lvl, buckets, |oj, pairs| {
-                    encode_pairs(pairs, self.owner_vrange(i, oj), codec)
+                    encode_pairs(pairs, self.owner_vrange(i, oj), Codec::Adaptive)
                 });
                 codec_levels.push(lvl);
                 let received: u64 = folded.iter().map(|b| b.len() as u64).sum();
@@ -495,7 +472,7 @@ impl RankState {
     /// Line 5: sends each owned frontier entry toward the processor column
     /// that owns its matrix-column chunk. On square grids every entry of
     /// P(i,j) targets P(j,i) — the paper's pairwise exchange, encoded
-    /// under the run's codec and noted in `lvl` unless the partner is
+    /// adaptively and noted in `lvl` unless the partner is
     /// this rank; on general grids this becomes a (sparse) typed
     /// all-to-all.
     fn transpose(
@@ -511,7 +488,7 @@ impl RankState {
             // All owned entries live in row chunk i = column chunk i.
             debug_assert!(frontier.iter().all(|&g| self.map.col_owner(g) == i));
             let partner = grid.rank_of(j, i);
-            let buf = encode_set(frontier, self.vrange.clone(), self.cfg.codec);
+            let buf = encode_set(frontier, self.vrange.clone(), Codec::Adaptive);
             if partner != comm.rank() {
                 lvl.note(&buf);
             }

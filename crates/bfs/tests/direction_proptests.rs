@@ -3,7 +3,7 @@
 //!
 //! 1. **Oracle equivalence**: under `--direction hybrid` the 1D driver's
 //!    parent tree validates and its level array is bit-identical to the
-//!    serial BFS, across codec × sieve × flat/hybrid threading.
+//!    serial BFS, across flat/hybrid threading.
 //!    Property-tested over random graphs, layouts, and sources.
 //! 2. **Determinism**: forced bottom-up claims each vertex's parent as
 //!    the first frontier hit in CSR adjacency order — a rank-count
@@ -17,7 +17,6 @@
 //!    `topdown` are indistinguishable from outside (collective schedule,
 //!    call and byte counts, outputs).
 
-use dmbfs_bfs::frontier_codec::Codec;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::serial::serial_bfs;
 use dmbfs_bfs::validate::validate_bfs;
@@ -40,10 +39,6 @@ fn graph(n: u64, max_m: usize) -> impl Strategy<Value = CsrGraph> {
     })
 }
 
-fn codec_strategy() -> impl Strategy<Value = Codec> {
-    prop::sample::select(Codec::ALL.to_vec())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -52,8 +47,6 @@ proptest! {
         g in graph(80, 400),
         p in 1usize..5,
         hybrid_threads in any::<bool>(),
-        codec in codec_strategy(),
-        sieve in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let source = seed % g.num_vertices();
@@ -63,8 +56,6 @@ proptest! {
         } else {
             Bfs1dConfig::flat(p)
         }
-        .with_codec(codec)
-        .with_sieve(sieve)
         .with_direction(DirectionMode::Hybrid);
         let run = bfs1d_run(&g, source, &cfg);
         validate_bfs(&g, source, &run.output.parents, &run.output.levels).unwrap();
@@ -74,19 +65,14 @@ proptest! {
     #[test]
     fn forced_bottom_up_parent_trees_are_rank_count_independent(
         g in graph(64, 320),
-        codec in codec_strategy(),
         seed in any::<u64>(),
     ) {
         let source = seed % g.num_vertices();
-        let base_cfg = Bfs1dConfig::flat(1)
-            .with_codec(codec)
-            .with_direction(DirectionMode::BottomUp);
+        let base_cfg = Bfs1dConfig::flat(1).with_direction(DirectionMode::BottomUp);
         let base = bfs1d_run(&g, source, &base_cfg);
         validate_bfs(&g, source, &base.output.parents, &base.output.levels).unwrap();
         for p in [2usize, 3, 5] {
-            let cfg = Bfs1dConfig::flat(p)
-                .with_codec(codec)
-                .with_direction(DirectionMode::BottomUp);
+            let cfg = Bfs1dConfig::flat(p).with_direction(DirectionMode::BottomUp);
             let run = bfs1d_run(&g, source, &cfg);
             prop_assert_eq!(&run.output.parents, &base.output.parents);
             prop_assert_eq!(&run.output.levels, &base.output.levels);
@@ -145,31 +131,28 @@ fn faults_in_the_bitmap_broadcast_are_typed_and_name_the_rank() {
 fn pinned_top_down_is_the_hybrid_loop_with_the_switch_at_rest() {
     for (name, el) in [("path", path(40)), ("grid", grid2d(7, 9))] {
         let g = CsrGraph::from_edge_list(&el);
-        for codec in [Codec::Raw, Codec::Adaptive] {
-            let cfg = |direction| {
-                Bfs1dConfig::flat(3)
-                    .with_codec(codec)
-                    .with_direction(direction)
-                    .with_schedule_capture(true)
-            };
-            let hybrid = bfs1d_run(&g, 0, &cfg(DirectionMode::Hybrid));
-            let dirs = hybrid.level_directions();
-            assert!(
-                dirs.iter().all(|&d| d == LevelDirection::TopDown),
-                "{name}: the switch must stay at rest, got {dirs:?}"
-            );
-            let pinned = bfs1d_run(&g, 0, &cfg(DirectionMode::TopDown));
-            assert_eq!(pinned.level_directions(), dirs, "{name}");
-            assert!(!pinned.per_rank_schedule[0].is_empty(), "{name}");
-            assert_eq!(pinned.per_rank_schedule, hybrid.per_rank_schedule, "{name}");
-            for (a, b) in pinned.per_rank_stats.iter().zip(&hybrid.per_rank_stats) {
-                assert_eq!(a.num_calls(), b.num_calls(), "{name} {codec:?}");
-                assert_eq!(a.bytes_out(), b.bytes_out(), "{name} {codec:?}");
-                assert_eq!(a.wire_out(), b.wire_out(), "{name} {codec:?}");
-            }
-            assert_eq!(pinned.output.levels, hybrid.output.levels, "{name}");
-            assert_eq!(pinned.output.parents, hybrid.output.parents, "{name}");
-            assert_eq!(pinned.num_levels, hybrid.num_levels, "{name}");
+        let cfg = |direction| {
+            Bfs1dConfig::flat(3)
+                .with_direction(direction)
+                .with_schedule_capture(true)
+        };
+        let hybrid = bfs1d_run(&g, 0, &cfg(DirectionMode::Hybrid));
+        let dirs = hybrid.level_directions();
+        assert!(
+            dirs.iter().all(|&d| d == LevelDirection::TopDown),
+            "{name}: the switch must stay at rest, got {dirs:?}"
+        );
+        let pinned = bfs1d_run(&g, 0, &cfg(DirectionMode::TopDown));
+        assert_eq!(pinned.level_directions(), dirs, "{name}");
+        assert!(!pinned.per_rank_schedule[0].is_empty(), "{name}");
+        assert_eq!(pinned.per_rank_schedule, hybrid.per_rank_schedule, "{name}");
+        for (a, b) in pinned.per_rank_stats.iter().zip(&hybrid.per_rank_stats) {
+            assert_eq!(a.num_calls(), b.num_calls(), "{name}");
+            assert_eq!(a.bytes_out(), b.bytes_out(), "{name}");
+            assert_eq!(a.wire_out(), b.wire_out(), "{name}");
         }
+        assert_eq!(pinned.output.levels, hybrid.output.levels, "{name}");
+        assert_eq!(pinned.output.parents, hybrid.output.parents, "{name}");
+        assert_eq!(pinned.num_levels, hybrid.num_levels, "{name}");
     }
 }

@@ -11,8 +11,8 @@
 //! 2. **No feedback**: an empty [`FaultPlan`] — and an armed plan whose
 //!    trigger site is never reached, which still turns on the end-to-end
 //!    wire checksums — leave parent trees and level arrays bit-identical
-//!    to the baseline run, across both drivers, flat and hybrid, every
-//!    codec × sieve combination and several 2D grid shapes.
+//!    to the baseline run, across both drivers, flat and hybrid, and
+//!    several 2D grid shapes.
 //! 3. **No cost when off**: the disabled per-collective hook is one
 //!    `Option` check; its modeled total stays under 5% of a real search.
 
@@ -20,9 +20,7 @@ use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
 use dmbfs_comm::{FailureKind, VerifyFailure};
 use dmbfs_graph::{CsrGraph, EdgeList, Grid2D};
-use dmbfs_runtime::{
-    fault_disabled_hook_cost, Codec, FaultKind, FaultPlan, FaultSpec, FaultTrigger,
-};
+use dmbfs_runtime::{fault_disabled_hook_cost, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 use dmbfs_runtime::{FailStopExit, InjectedFault};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,10 +40,6 @@ fn graph(n: u64, max_m: usize) -> impl Strategy<Value = CsrGraph> {
         el.canonicalize_undirected();
         CsrGraph::from_edge_list(&el)
     })
-}
-
-fn codec_strategy() -> impl Strategy<Value = Codec> {
-    prop::sample::select(Codec::ALL.to_vec())
 }
 
 /// The four injectable kinds. The delay outlives the watchdog limit so a
@@ -163,8 +157,6 @@ proptest! {
         dims in prop::sample::select(vec![(1usize, 1usize), (2, 2), (2, 3), (3, 3)]),
         two_d in any::<bool>(),
         hybrid in any::<bool>(),
-        codec in codec_strategy(),
-        sieve in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let source = seed % g.num_vertices();
@@ -183,9 +175,7 @@ proptest! {
                 Bfs2dConfig::hybrid(grid, 3)
             } else {
                 Bfs2dConfig::flat(grid)
-            }
-            .with_codec(codec)
-            .with_sieve(sieve);
+            };
             let off = bfs2d_run(&g, source, &base);
             let empty = bfs2d_run(&g, source, &base.with_faults(FaultPlan::none()));
             let armed = bfs2d_run(&g, source, &base.with_faults(never));
@@ -198,9 +188,7 @@ proptest! {
                 Bfs1dConfig::hybrid(p, 3)
             } else {
                 Bfs1dConfig::flat(p)
-            }
-            .with_codec(codec)
-            .with_sieve(sieve);
+            };
             let off = bfs1d_run(&g, source, &base);
             let empty = bfs1d_run(&g, source, &base.with_faults(FaultPlan::none()));
             let armed = bfs1d_run(&g, source, &base.with_faults(never));

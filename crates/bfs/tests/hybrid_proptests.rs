@@ -1,17 +1,15 @@
 //! Property-based tests for the hybrid (MPI + threads) variants: with a
 //! real work-stealing pool behind the rayon facade, thread scheduling is
 //! nondeterministic — these tests pin down that the *answers* are not.
-//! For both distributed algorithms, across every codec × sieve
-//! configuration, the hybrid run must produce levels and parents
-//! bit-identical to the flat run (the max-parent tie-break makes the
-//! reduction order-independent), and the parent tree must validate.
+//! For both distributed algorithms the hybrid run must produce levels and
+//! parents bit-identical to the flat run (the max-parent tie-break makes
+//! the reduction order-independent), and the parent tree must validate.
 //!
 //! Run single-threaded (`RUST_TEST_THREADS=1`) these still exercise
 //! multi-threaded rank pools — the pool size is the config's
 //! `threads_per_rank`, not the test harness's thread count. CI invokes
 //! this file both ways (see `.github/workflows/ci.yml`).
 
-use dmbfs_bfs::frontier_codec::Codec;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
 use dmbfs_bfs::validate::validate_bfs;
@@ -27,74 +25,40 @@ fn graph(n: u64, max_m: usize) -> impl Strategy<Value = CsrGraph> {
     })
 }
 
-fn codec_strategy() -> impl Strategy<Value = Codec> {
-    prop::sample::select(Codec::ALL.to_vec())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn hybrid_1d_matches_flat_under_every_codec_and_sieve(
+    fn hybrid_1d_matches_flat(
         g in graph(80, 400),
         p in 1usize..5,
         threads in 2usize..5,
-        codec in codec_strategy(),
         seed in any::<u64>(),
     ) {
         let source = seed % g.num_vertices();
-        for sieve in [false, true] {
-            let flat = bfs1d_run(
-                &g,
-                source,
-                &Bfs1dConfig::flat(p).with_codec(codec).with_sieve(sieve),
-            )
-            .output;
-            validate_bfs(&g, source, &flat.parents, &flat.levels).unwrap();
-            let hybrid = bfs1d_run(
-                &g,
-                source,
-                &Bfs1dConfig::hybrid(p, threads)
-                    .with_codec(codec)
-                    .with_sieve(sieve),
-            )
-            .output;
-            validate_bfs(&g, source, &hybrid.parents, &hybrid.levels).unwrap();
-            prop_assert_eq!(&hybrid.parents, &flat.parents, "sieve {}", sieve);
-            prop_assert_eq!(&hybrid.levels, &flat.levels, "sieve {}", sieve);
-        }
+        let flat = bfs1d_run(&g, source, &Bfs1dConfig::flat(p)).output;
+        validate_bfs(&g, source, &flat.parents, &flat.levels).unwrap();
+        let hybrid = bfs1d_run(&g, source, &Bfs1dConfig::hybrid(p, threads)).output;
+        validate_bfs(&g, source, &hybrid.parents, &hybrid.levels).unwrap();
+        prop_assert_eq!(&hybrid.parents, &flat.parents);
+        prop_assert_eq!(&hybrid.levels, &flat.levels);
     }
 
     #[test]
-    fn hybrid_2d_matches_flat_under_every_codec_and_sieve(
+    fn hybrid_2d_matches_flat(
         g in graph(64, 320),
         dims in prop::sample::select(vec![(1usize, 1usize), (2, 2), (2, 3), (3, 3)]),
         threads in 2usize..5,
-        codec in codec_strategy(),
         seed in any::<u64>(),
     ) {
         let grid = Grid2D::new(dims.0, dims.1);
         let source = seed % g.num_vertices();
-        for sieve in [false, true] {
-            let flat = bfs2d_run(
-                &g,
-                source,
-                &Bfs2dConfig::flat(grid).with_codec(codec).with_sieve(sieve),
-            )
-            .output;
-            validate_bfs(&g, source, &flat.parents, &flat.levels).unwrap();
-            let hybrid = bfs2d_run(
-                &g,
-                source,
-                &Bfs2dConfig::hybrid(grid, threads)
-                    .with_codec(codec)
-                    .with_sieve(sieve),
-            )
-            .output;
-            validate_bfs(&g, source, &hybrid.parents, &hybrid.levels).unwrap();
-            prop_assert_eq!(&hybrid.parents, &flat.parents, "sieve {}", sieve);
-            prop_assert_eq!(&hybrid.levels, &flat.levels, "sieve {}", sieve);
-        }
+        let flat = bfs2d_run(&g, source, &Bfs2dConfig::flat(grid)).output;
+        validate_bfs(&g, source, &flat.parents, &flat.levels).unwrap();
+        let hybrid = bfs2d_run(&g, source, &Bfs2dConfig::hybrid(grid, threads)).output;
+        validate_bfs(&g, source, &hybrid.parents, &hybrid.levels).unwrap();
+        prop_assert_eq!(&hybrid.parents, &flat.parents);
+        prop_assert_eq!(&hybrid.levels, &flat.levels);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! gather (owner ranges straddling a 64-bit word, empty ranges, self-loops,
 //! duplicate edges, tiny frontiers on the pool) included.
 
-use dmbfs_bfs::frontier_codec::Codec;
 use dmbfs_bfs::one_d::{bfs1d, Bfs1dConfig};
 use dmbfs_bfs::serial::serial_bfs;
 use dmbfs_bfs::two_d::{bfs2d, Bfs2dConfig, VectorDistribution};
@@ -35,13 +34,6 @@ fn max_parent_oracle(g: &CsrGraph, source: VertexId) -> Vec<i64> {
         .collect()
 }
 
-/// The codec × sieve grid every configuration runs under.
-fn codec_sieve() -> impl Iterator<Item = (Codec, bool)> {
-    [Codec::Raw, Codec::Adaptive]
-        .into_iter()
-        .flat_map(|c| [(c, false), (c, true)])
-}
-
 fn assert_matches(g: &CsrGraph, source: VertexId, out: &BfsOutput, expected: &[i64], what: &str) {
     assert_eq!(out.levels, serial_bfs(g, source).levels, "levels: {what}");
     assert_eq!(out.parents, expected, "parents: {what}");
@@ -50,33 +42,27 @@ fn assert_matches(g: &CsrGraph, source: VertexId, out: &BfsOutput, expected: &[i
 /// Every listed 1D configuration against the oracle.
 fn check_1d(g: &CsrGraph, source: VertexId, configs: &[Bfs1dConfig]) {
     let expected = max_parent_oracle(g, source);
-    for &base in configs {
-        for (codec, sieve) in codec_sieve() {
-            let cfg = base.with_codec(codec).with_sieve(sieve);
-            let what = format!(
-                "1D ranks {} threads {} {codec:?} sieve {sieve} source {source}",
-                cfg.ranks, cfg.threads_per_rank
-            );
-            assert_matches(g, source, &bfs1d(g, source, &cfg), &expected, &what);
-        }
+    for cfg in configs {
+        let what = format!(
+            "1D ranks {} threads {} source {source}",
+            cfg.ranks, cfg.threads_per_rank
+        );
+        assert_matches(g, source, &bfs1d(g, source, cfg), &expected, &what);
     }
 }
 
 /// Every listed 2D configuration against the oracle.
 fn check_2d(g: &CsrGraph, source: VertexId, configs: &[Bfs2dConfig]) {
     let expected = max_parent_oracle(g, source);
-    for &base in configs {
-        for (codec, sieve) in codec_sieve() {
-            let cfg = base.with_codec(codec).with_sieve(sieve);
-            let what = format!(
-                "2D {}x{} {:?} threads {} {codec:?} sieve {sieve} source {source}",
-                cfg.grid.rows(),
-                cfg.grid.cols(),
-                cfg.distribution,
-                cfg.threads_per_rank
-            );
-            assert_matches(g, source, &bfs2d(g, source, &cfg), &expected, &what);
-        }
+    for cfg in configs {
+        let what = format!(
+            "2D {}x{} {:?} threads {} source {source}",
+            cfg.grid.rows(),
+            cfg.grid.cols(),
+            cfg.distribution,
+            cfg.threads_per_rank
+        );
+        assert_matches(g, source, &bfs2d(g, source, cfg), &expected, &what);
     }
 }
 
@@ -206,6 +192,7 @@ fn self_loops_and_duplicate_edges() {
     let g = raw_undirected(6, &edges);
     for source in 0..6 {
         check_1d(&g, source, &all_1d());
+        check_2d(&g, source, &all_2d());
     }
 }
 
@@ -213,9 +200,11 @@ fn self_loops_and_duplicate_edges() {
 fn single_vertex_and_isolated_source() {
     let single = CsrGraph::from_edge_list(&EdgeList::new(1, Vec::new()));
     check_1d(&single, 0, &[Bfs1dConfig::flat(1), Bfs1dConfig::flat(3)]);
+    check_2d(&single, 0, &all_2d());
     // Vertex 0 has no edges; the rest is a connected path.
     let isolated = raw_undirected(10, &(1..9).map(|v| (v, v + 1)).collect::<Vec<_>>());
     check_1d(&isolated, 0, &all_1d());
+    check_2d(&isolated, 0, &all_2d());
 }
 
 #[test]

@@ -8,10 +8,9 @@
 //! observed sequence is a word of that language — so the static checker's
 //! abstractions (inline boundaries, loop folding, neutralized comm
 //! internals) are pinned to what the runtime does, not just to each
-//! other. Every check runs under every codec × sieve setting, on flat
-//! and pooled ranks, and on square and rectangular 2D grids.
+//! other. The checks run on flat and pooled ranks, and on square and
+//! rectangular 2D grids.
 
-use dmbfs_bfs::frontier_codec::Codec;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
 use dmbfs_graph::gen::grid2d;
@@ -55,36 +54,20 @@ fn assert_conforms(analysis: &Analysis, entry: &str, per_rank: &[Vec<&'static st
     }
 }
 
-/// Checks the schedules `run` captures under every codec × sieve setting
-/// against the static schedule of `entry`.
-fn check(entry: &str, what: &str, run: impl Fn(Codec, bool) -> Vec<Vec<&'static str>>) {
-    let analysis = analysis();
-    for codec in Codec::ALL {
-        for sieve in [false, true] {
-            let what = format!("{what} {codec:?} sieve {sieve}");
-            assert_conforms(&analysis, entry, &run(codec, sieve), &what);
-        }
-    }
-}
-
 fn check_1d(base: Bfs1dConfig) {
     let what = format!(
         "1D ranks {} threads {} {:?}",
         base.ranks, base.threads_per_rank, base.direction
     );
-    check("bfs1d_run", &what, |codec, sieve| {
-        let cfg = base.with_codec(codec).with_sieve(sieve);
-        bfs1d_run(&graph(), 0, &cfg.with_schedule_capture(true)).per_rank_schedule
-    });
+    let run = bfs1d_run(&graph(), 0, &base.with_schedule_capture(true));
+    assert_conforms(&analysis(), "bfs1d_run", &run.per_rank_schedule, &what);
 }
 
 fn check_2d(base: Bfs2dConfig) {
     let (grid, threads) = (base.grid, base.threads_per_rank);
     let what = format!("2D {}x{} threads {threads}", grid.rows(), grid.cols());
-    check("bfs2d_run", &what, |codec, sieve| {
-        let cfg = base.with_codec(codec).with_sieve(sieve);
-        bfs2d_run(&graph(), 0, &cfg.with_schedule_capture(true)).per_rank_schedule
-    });
+    let run = bfs2d_run(&graph(), 0, &base.with_schedule_capture(true));
+    assert_conforms(&analysis(), "bfs2d_run", &run.per_rank_schedule, &what);
 }
 
 #[test]

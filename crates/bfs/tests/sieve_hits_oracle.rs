@@ -21,7 +21,7 @@ use dmbfs_bfs::frontier_codec::LevelCodecStats;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::serial::serial_bfs;
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
-use dmbfs_bfs::{BfsOutput, UNREACHED};
+use dmbfs_bfs::UNREACHED;
 use dmbfs_graph::gen::{grid2d, rmat, RmatConfig};
 use dmbfs_graph::{Block1D, CsrGraph, Grid2D, OwnerMap2D, VertexId};
 use std::ops::Range;
@@ -98,23 +98,11 @@ fn reported(codec_levels: &[LevelCodecStats]) -> Vec<u64> {
     codec_levels.iter().map(|l| l.sieve_hits).collect()
 }
 
-/// A sieving run against `expected`, and its sieve-off twin against zero
-/// hits and the same tree. Each run is `(output, per-level stats)`.
-fn check_run(
-    run: impl Fn(bool) -> (BfsOutput, Vec<LevelCodecStats>),
-    expected: &[u64],
-    what: &str,
-) {
-    let (on, on_levels) = run(true);
-    let got = reported(&on_levels);
+/// A run's per-level stats against `expected`.
+fn check_run(codec_levels: &[LevelCodecStats], expected: &[u64], what: &str) {
+    let got = reported(codec_levels);
     assert_eq!(got, expected, "{what}");
     assert!(got.iter().sum::<u64>() > 0, "the sieve fires: {what}");
-    let (off, off_levels) = run(false);
-    assert!(
-        reported(&off_levels).iter().all(|&h| h == 0),
-        "sieve off: {what}"
-    );
-    assert_eq!(off.parents, on.parents, "{what}");
 }
 
 /// Every flat(p) and hybrid(p, 2) 1D run, p ∈ {1, 2, 3}, and every flat and
@@ -127,11 +115,7 @@ fn check(g: &CsrGraph, source: VertexId) {
                 "1D ranks {p} threads {} source {source}",
                 cfg.threads_per_rank
             );
-            let run = |sieve| {
-                let run = bfs1d_run(g, source, &cfg.with_sieve(sieve));
-                (run.output, run.codec_levels)
-            };
-            check_run(run, &expected, &what);
+            check_run(&bfs1d_run(g, source, &cfg).codec_levels, &expected, &what);
         }
     }
     for grid in [(1, 2), (2, 2), (2, 3)].map(|(pr, pc)| Grid2D::new(pr, pc)) {
@@ -141,11 +125,7 @@ fn check(g: &CsrGraph, source: VertexId) {
                 "2D {grid:?} threads {} source {source}",
                 cfg.threads_per_rank
             );
-            let run = |sieve| {
-                let run = bfs2d_run(g, source, &cfg.with_sieve(sieve));
-                (run.output, run.codec_levels)
-            };
-            check_run(run, &expected, &what);
+            check_run(&bfs2d_run(g, source, &cfg).codec_levels, &expected, &what);
         }
     }
 }

@@ -19,7 +19,6 @@
 //! subcommand); an option the subcommand does not accept is an error.
 //! Everything is also available as a library call for tests.
 
-use dmbfs_bfs::frontier_codec::Codec;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::serial::serial_bfs;
 use dmbfs_bfs::shared::shared_bfs;
@@ -132,15 +131,6 @@ impl Args {
             .ok_or_else(|| err("missing input file argument"))
     }
 
-    fn opt_bool(&self, key: &str, default: bool) -> Result<bool, CliError> {
-        match self.options.get(key).map(String::as_str) {
-            None => Ok(default),
-            Some("true") => Ok(true),
-            Some("false") => Ok(false),
-            Some(other) => Err(err(format!("--{key} expects true|false, got '{other}'"))),
-        }
-    }
-
     /// `--ranks`, `--threads` or `--sources`, rejecting zero at parse
     /// time: a run over no ranks, threads or sources has nothing to
     /// measure, and the library would only meet it with an `assert!`.
@@ -190,8 +180,6 @@ const SEARCH_FLAGS: &[&str] = &[
     "algorithm",
     "ranks",
     "threads",
-    "codec",
-    "sieve",
     "direction",
     "fault",
     "trace",
@@ -208,12 +196,11 @@ USAGE:
   dmbfs stats FILE
   dmbfs bfs FILE [--algorithm serial|shared|direction|1d|2d] [--ranks P]
                  [--threads T] [--source V] [--validate true]
-                 [--codec raw|varint|bitmap|adaptive] [--sieve true|false]
                  [--direction topdown|bottomup|hybrid (1d only)]
                  [--fault SPEC[;SPEC]]
                  [--trace FILE] [--trace-format chrome|jsonl]
   dmbfs teps FILE [--algorithm ...] [--ranks P] [--threads T] [--sources N]
-                  [--codec ...] [--sieve ...] [--direction ...]
+                  [--direction ...]
                   [--fault SPEC[;SPEC]]
                   [--trace FILE] [--trace-format chrome|jsonl]
   dmbfs convert FILE --to bin|mm --out FILE
@@ -333,36 +320,6 @@ fn cmd_stats(args: &Args) -> Result<String, CliError> {
     writeln!(out, "giant component     {giant}").unwrap();
     writeln!(out, "approx diameter     {diameter}").unwrap();
     Ok(out)
-}
-
-/// Exchange-layer options shared by the distributed algorithms.
-#[derive(Clone, Copy, Debug)]
-struct WireOpts {
-    codec: Codec,
-    sieve: bool,
-    /// `--direction topdown|bottomup|hybrid`: the traversal-direction
-    /// policy of the 1D driver (the only distributed driver with a
-    /// bottom-up step). See docs/direction-optimizing.md.
-    direction: DirectionMode,
-}
-
-impl WireOpts {
-    fn from_args(args: &Args) -> Result<Self, CliError> {
-        let codec = args
-            .opt_str("codec", "adaptive")
-            .parse::<Codec>()
-            .map_err(err)?;
-        let direction = args
-            .opt_str("direction", "topdown")
-            .parse::<DirectionMode>()
-            .map_err(err)?;
-        let sieve = args.opt_bool("sieve", true)?;
-        Ok(Self {
-            codec,
-            sieve,
-            direction,
-        })
-    }
 }
 
 /// `--fault SPEC[;SPEC...]`, falling back to the `DMBFS_FAULTS` environment
@@ -498,7 +455,10 @@ struct SearchOpts {
     algorithm: String,
     ranks: usize,
     threads: usize,
-    wire: WireOpts,
+    /// `--direction topdown|bottomup|hybrid`: the traversal-direction
+    /// policy of the 1D driver (the only distributed driver with a
+    /// bottom-up step). See docs/direction-optimizing.md.
+    direction: DirectionMode,
     /// Span tracing; it never changes the computed result.
     trace: Option<TraceOpts>,
     faults: FaultPlan,
@@ -515,7 +475,10 @@ impl SearchOpts {
                 "unknown algorithm '{algorithm}' (expected serial|shared|direction|1d|2d)"
             )));
         }
-        let wire = WireOpts::from_args(args)?;
+        let direction = args
+            .opt_str("direction", "topdown")
+            .parse::<DirectionMode>()
+            .map_err(err)?;
         let trace = TraceOpts::from_args(args)?;
         let faults = fault_plan_from_args(args)?;
         let distributed = matches!(algorithm.as_str(), "1d" | "2d");
@@ -532,18 +495,18 @@ impl SearchOpts {
         // Only the 1D driver has a distributed bottom-up step; the serial
         // `direction` algorithm has its own heuristic and the 2D SpMSV driver
         // is top-down by construction.
-        if wire.direction != DirectionMode::TopDown && algorithm != "1d" {
+        if direction != DirectionMode::TopDown && algorithm != "1d" {
             return Err(err(format!(
                 "--direction {} requires the 1d algorithm (only the 1D driver has a \
                  distributed bottom-up step), got '{algorithm}'",
-                wire.direction.name()
+                direction.name()
             )));
         }
         Ok(Self {
             ranks: args.opt_count("ranks", 4)?,
             threads: args.opt_count("threads", 1)?,
             algorithm,
-            wire,
+            direction,
             trace,
             faults,
         })
@@ -578,7 +541,7 @@ impl SearchOpts {
     /// other algorithms stay byte-identical to their pre-direction output.
     fn direction_note(&self) -> String {
         if self.algorithm == "1d" {
-            format!(" direction {}", self.wire.direction.name())
+            format!(" direction {}", self.direction.name())
         } else {
             String::new()
         }
@@ -600,7 +563,7 @@ impl SearchOpts {
         Vec<RankTrace>,
         Vec<CommStats>,
     ) {
-        let (ranks, threads, wire) = (self.ranks, self.threads, self.wire);
+        let (ranks, threads) = (self.ranks, self.threads);
         match self.algorithm.as_str() {
             "serial" => (serial_bfs(g, source), None, Vec::new(), Vec::new()),
             "shared" => (shared_bfs(g, source), None, Vec::new(), Vec::new()),
@@ -616,9 +579,7 @@ impl SearchOpts {
                 } else {
                     Bfs1dConfig::flat(ranks)
                 }
-                .with_codec(wire.codec)
-                .with_sieve(wire.sieve)
-                .with_direction(wire.direction)
+                .with_direction(self.direction)
                 .with_trace(self.trace.is_some())
                 .with_faults(self.faults);
                 let run = bfs1d_run(g, source, &cfg);
@@ -636,8 +597,6 @@ impl SearchOpts {
                 } else {
                     Bfs2dConfig::flat(grid)
                 }
-                .with_codec(wire.codec)
-                .with_sieve(wire.sieve)
                 .with_trace(self.trace.is_some())
                 .with_faults(self.faults);
                 let run = bfs2d_run(g, source, &cfg);
@@ -1374,38 +1333,16 @@ mod tests {
 
     #[test]
     fn bfs_codec_and_sieve_flags() {
-        let dir = tmpdir();
-        let file = dir.join("codec.bin");
-        let file_s = file.to_str().unwrap();
-        run(&args(&[
-            "generate", "--model", "rmat", "--scale", "8", "--out", file_s,
-        ]))
-        .unwrap();
-        for codec in ["raw", "varint", "bitmap", "adaptive"] {
-            for alg in ["1d", "2d"] {
-                let msg = run(&args(&[
-                    "bfs",
-                    file_s,
-                    "--algorithm",
-                    alg,
-                    "--ranks",
-                    "4",
-                    "--codec",
-                    codec,
-                    "--sieve",
-                    "false",
-                ]))
-                .unwrap();
-                assert!(msg.contains("validated"), "{alg} {codec}: {msg}");
-            }
+        // Adaptive encoding with the sieve is the only wire policy; the
+        // flags that chose another fail like any unknown option (exit 2).
+        let (dir, file) = small_graph();
+        for (flag, value) in [("--codec", "raw"), ("--sieve", "false")] {
+            let e = run(&args(&["bfs", &file, flag, value])).unwrap_err().0;
+            assert!(
+                e.contains(&format!("unknown option {flag} for `bfs`")),
+                "{flag}: {e}"
+            );
         }
-        for codec in ["zstd", "off"] {
-            let bad = run(&args(&["bfs", file_s, "--codec", codec]));
-            let msg = bad.expect_err(codec).to_string();
-            assert!(msg.contains("raw|varint|bitmap|adaptive"), "{codec}: {msg}");
-        }
-        let bad = run(&args(&["bfs", file_s, "--sieve", "maybe"]));
-        assert!(bad.is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,8 +8,8 @@
 //! so the algorithm crates only provide their per-rank closure:
 //!
 //! * [`RunConfig`] — the unified execution configuration (ranks, threads
-//!   per rank, wire codec, sieve, tracing, watchdog limit, fault
-//!   injection) every driver accepts.
+//!   per rank, direction policy, tracing, watchdog limit, fault injection)
+//!   every driver accepts.
 //! * [`run_ranks`] — the generic harness: rank spawn via the in-process
 //!   world, tracer attach, pool construction, and the stats/trace/seconds
 //!   harvest, returning a [`DistRun`].
@@ -41,62 +41,6 @@ pub use dmbfs_comm::{
     fault_disabled_hook_cost, FailStopExit, FaultKind, FaultPlan, FaultSpec, FaultTrigger,
     InjectedFault,
 };
-
-/// Which wire encoding a frontier exchange uses.
-///
-/// The codec layer itself lives with the algorithms (`dmbfs-bfs`'s
-/// `frontier_codec`); the enum lives here so [`RunConfig`] can carry the
-/// choice uniformly across every driver.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Codec {
-    /// Little-endian `u64`s behind the codec framing: the identity
-    /// encoding, and the baseline the compressing codecs are measured
-    /// against.
-    Raw,
-    /// Sorted targets, varint-encoded deltas.
-    VarintDelta,
-    /// One bit per vertex of the destination range.
-    Bitmap,
-    /// Per-destination, per-level choice of the cheapest of the above.
-    #[default]
-    Adaptive,
-}
-
-impl Codec {
-    /// All codec choices, for ablation sweeps.
-    pub const ALL: [Codec; 4] = [
-        Codec::Raw,
-        Codec::VarintDelta,
-        Codec::Bitmap,
-        Codec::Adaptive,
-    ];
-
-    /// Stable lowercase name (CLI flag values, JSON output).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Codec::Raw => "raw",
-            Codec::VarintDelta => "varint",
-            Codec::Bitmap => "bitmap",
-            Codec::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl FromStr for Codec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "raw" => Ok(Codec::Raw),
-            "varint" => Ok(Codec::VarintDelta),
-            "bitmap" => Ok(Codec::Bitmap),
-            "adaptive" => Ok(Codec::Adaptive),
-            other => Err(format!(
-                "unknown codec `{other}` (expected raw|varint|bitmap|adaptive)"
-            )),
-        }
-    }
-}
 
 /// Which per-level traversal direction policy a BFS driver uses.
 ///
@@ -164,11 +108,6 @@ pub struct RunConfig {
     /// Threads per rank: 1 = "Flat MPI", >1 = "Hybrid" (§6 uses 4 on
     /// Franklin, 6 on Hopper).
     pub threads_per_rank: usize,
-    /// Wire encoding of frontier exchanges. The baseline
-    /// reimplementations, which move typed payloads, ignore it.
-    pub codec: Codec,
-    /// Sender-side filtering of already-sent vertices.
-    pub sieve: bool,
     /// Record per-rank span traces (see `dmbfs-trace`). Strictly an
     /// observer: the computed result is bit-identical either way.
     pub trace: bool,
@@ -200,8 +139,6 @@ impl RunConfig {
         Self {
             ranks,
             threads_per_rank: 1,
-            codec: Codec::Adaptive,
-            sieve: true,
             trace: false,
             faults: FaultPlan::none(),
             watchdog: None,
@@ -223,18 +160,6 @@ impl RunConfig {
     pub fn with_threads(mut self, threads_per_rank: usize) -> Self {
         assert!(threads_per_rank >= 1);
         self.threads_per_rank = threads_per_rank;
-        self
-    }
-
-    /// Replaces the frontier codec.
-    pub fn with_codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
-        self
-    }
-
-    /// Enables or disables the sender-side sieve.
-    pub fn with_sieve(mut self, sieve: bool) -> Self {
-        self.sieve = sieve;
         self
     }
 
@@ -650,18 +575,12 @@ mod tests {
 
     #[test]
     fn config_builders_compose() {
-        let cfg = RunConfig::flat(8)
-            .with_threads(4)
-            .with_codec(Codec::Bitmap)
-            .with_sieve(false)
-            .with_trace(true);
+        let cfg = RunConfig::flat(8).with_threads(4).with_trace(true);
         assert_eq!(
             cfg,
             RunConfig {
                 ranks: 8,
                 threads_per_rank: 4,
-                codec: Codec::Bitmap,
-                sieve: false,
                 trace: true,
                 faults: FaultPlan::none(),
                 watchdog: None,
@@ -675,13 +594,7 @@ mod tests {
                 .direction,
             DirectionMode::Hybrid
         );
-        assert_eq!(
-            RunConfig::hybrid(8, 4)
-                .with_codec(Codec::Bitmap)
-                .with_sieve(false)
-                .with_trace(true),
-            cfg
-        );
+        assert_eq!(RunConfig::hybrid(8, 4).with_trace(true), cfg);
         assert_eq!(
             RunConfig::flat(2)
                 .with_watchdog(Duration::from_millis(5))
@@ -733,19 +646,6 @@ mod tests {
         assert!(RunConfig::flat(2).faults.is_empty());
         let run = run_ranks(&RunConfig::flat(2), |ctx| ctx.comm().faults_armed());
         assert_eq!(run.per_rank, vec![false, false]);
-    }
-
-    #[test]
-    fn codec_names_parse_back() {
-        for codec in Codec::ALL {
-            let parsed = codec
-                .name()
-                .parse::<Codec>()
-                .expect("every canonical codec name must parse back");
-            assert_eq!(parsed, codec);
-        }
-        assert!("zstd".parse::<Codec>().is_err());
-        assert!("off".parse::<Codec>().is_err());
     }
 
     #[test]

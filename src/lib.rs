@@ -9,8 +9,8 @@
 //!   ranks, typed collectives (`alltoallv`, `allgatherv`, `allreduce`, …),
 //!   communicator splitting, and exact per-rank communication accounting.
 //! * [`runtime`] — the distributed-execution harness every algorithm runs
-//!   on: a unified [`runtime::RunConfig`] (ranks × threads × codec × sieve
-//!   × trace) and the [`runtime::run_ranks`] driver that spawns ranks,
+//!   on: a unified [`runtime::RunConfig`] (ranks × threads × direction ×
+//!   trace) and the [`runtime::run_ranks`] driver that spawns ranks,
 //!   installs per-rank thread pools, attaches tracers, times
 //!   barrier-to-barrier, and harvests per-rank stats and traces.
 //! * [`graph`] — CSR graphs, the Graph 500 R-MAT generator, random vertex
@@ -70,5 +70,5 @@ pub mod prelude {
     pub use dmbfs_graph::{Block1D, CsrGraph, EdgeList, Grid2D, OwnerMap2D, RandomPermutation};
     pub use dmbfs_matrix::{Dcsc, SpaWorkspace, SparseVector};
     pub use dmbfs_model::{MachineProfile, ScalePredictor};
-    pub use dmbfs_runtime::{run_ranks, Codec, DistRun, RankCtx, RunConfig};
+    pub use dmbfs_runtime::{run_ranks, DistRun, RankCtx, RunConfig};
 }
