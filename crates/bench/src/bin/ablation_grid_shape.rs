@@ -5,7 +5,7 @@
 
 use dmbfs_bench::harness::{functional_scale, num_sources, print_table, rmat_graph, write_result};
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
-use dmbfs_comm::Pattern;
+use dmbfs_comm::CollectiveTag;
 use dmbfs_graph::components::sample_sources;
 use dmbfs_graph::Grid2D;
 use serde::Serialize;
@@ -36,12 +36,12 @@ fn main() {
             expand += run
                 .per_rank_stats
                 .iter()
-                .map(|st| st.bytes_out_for(Pattern::Allgatherv))
+                .map(|st| st.bytes_out_for(CollectiveTag::Allgatherv))
                 .sum::<u64>();
             fold += run
                 .per_rank_stats
                 .iter()
-                .map(|st| st.bytes_out_for(Pattern::Alltoallv))
+                .map(|st| st.bytes_out_for(CollectiveTag::Alltoallv))
                 .sum::<u64>();
         }
         let n = sources.len() as u64;

@@ -11,7 +11,7 @@ use dmbfs_bench::harness::{
     calibrated_predictor, fmt_secs, num_sources, print_table, rmat_graph, write_result,
 };
 use dmbfs_bench::scaling::run_functional;
-use dmbfs_comm::Pattern;
+use dmbfs_comm::CollectiveTag;
 use dmbfs_graph::components::sample_sources;
 use dmbfs_model::{replay_rank_time, Algorithm, GraphShape, MachineProfile};
 use serde::Serialize;
@@ -93,7 +93,7 @@ fn main() {
             .iter()
             .map(|ev| {
                 ev.iter()
-                    .filter(|e| e.pattern == Pattern::Allgatherv)
+                    .filter(|e| e.pattern == CollectiveTag::Allgatherv)
                     .map(|e| e.bytes_in)
                     .sum::<u64>()
             })
@@ -104,7 +104,7 @@ fn main() {
             .iter()
             .map(|ev| {
                 ev.iter()
-                    .filter(|e| e.pattern == Pattern::Alltoallv)
+                    .filter(|e| e.pattern == CollectiveTag::Alltoallv)
                     .map(|e| e.bytes_in)
                     .sum::<u64>()
             })
@@ -116,7 +116,7 @@ fn main() {
             .map(|ev| replay_rank_time(&profile, ev, 1))
             .fold(0.0f64, f64::max)
             .max(1e-12);
-        let filtered = |pattern: Pattern| -> f64 {
+        let filtered = |pattern: CollectiveTag| -> f64 {
             pt.events
                 .iter()
                 .map(|ev| {
@@ -134,8 +134,8 @@ fn main() {
             scale,
             edge_factor: ef,
             bfs_seconds: slowest,
-            allgatherv_pct: 100.0 * filtered(Pattern::Allgatherv) / slowest,
-            alltoallv_pct: 100.0 * filtered(Pattern::Alltoallv) / slowest,
+            allgatherv_pct: 100.0 * filtered(CollectiveTag::Allgatherv) / slowest,
+            alltoallv_pct: 100.0 * filtered(CollectiveTag::Alltoallv) / slowest,
         };
         table.push(vec![
             row.cores.to_string(),

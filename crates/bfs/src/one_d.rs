@@ -413,7 +413,7 @@ mod tests {
     use super::*;
     use crate::serial::serial_bfs;
     use crate::validate::validate_bfs;
-    use dmbfs_comm::Pattern;
+    use dmbfs_comm::CollectiveTag;
     use dmbfs_graph::gen::{grid2d, path, rmat, RmatConfig};
     use dmbfs_graph::{CsrGraph, EdgeList};
     use dmbfs_runtime::DirectionMode;
@@ -491,7 +491,7 @@ mod tests {
             let a2a = stats
                 .events
                 .iter()
-                .filter(|e| e.pattern == Pattern::Alltoallv)
+                .filter(|e| e.pattern == CollectiveTag::Alltoallv)
                 .count();
             assert_eq!(a2a as u32, run.num_levels);
         }
@@ -664,7 +664,7 @@ mod tests {
             let a2a = stats
                 .events
                 .iter()
-                .filter(|e| e.pattern == Pattern::Alltoallv)
+                .filter(|e| e.pattern == CollectiveTag::Alltoallv)
                 .count() as u32;
             assert_eq!(a2a, run.num_levels);
         }

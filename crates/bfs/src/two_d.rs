@@ -393,6 +393,9 @@ impl RankState {
                 // Line 5: TransposeVector.
                 let transpose_t = comm.trace_start();
                 let mut transposed = self.transpose(comm, frontier, &mut lvl);
+                // A square grid under the 2D distribution receives its
+                // partner's frontier already in order (ROADMAP J.3).
+                debug_assert!(!self.square_2d() || transposed.is_sorted_by(|a, b| a < b));
                 // The rectangular transpose concatenates pieces from several
                 // senders; sort so every downstream path sees canonical order.
                 transposed.sort_unstable();
@@ -460,6 +463,11 @@ impl RankState {
         (levels, parents, num_levels, work, codec_levels)
     }
 
+    /// Whether the grid is square and the vector 2D-distributed.
+    fn square_2d(&self) -> bool {
+        self.cfg.grid.is_square() && self.cfg.distribution == VectorDistribution::TwoD
+    }
+
     /// Vector range owned by `P(i, oj)` under the configured distribution —
     /// the codec range of a fold buffer headed there.
     fn owner_vrange(&self, i: usize, oj: usize) -> Range<u64> {
@@ -508,6 +516,9 @@ impl RankState {
     /// columns of the frontier `f_j`. Under the (select, max) semiring a
     /// column's global id is its candidate parent.
     fn assemble_frontier(&self, gathered: Vec<Vec<VertexId>>) -> Vec<u64> {
+        // On a square grid under the 2D distribution the pieces are
+        // disjoint and ascend by sub-rank (ROADMAP J.3).
+        debug_assert!(!self.square_2d() || gathered.iter().flatten().is_sorted_by(|a, b| a < b));
         let base = self.col_range.start;
         let mut cols: Vec<u64> = gathered
             .into_iter()
@@ -528,7 +539,7 @@ mod tests {
     use super::*;
     use crate::serial::serial_bfs;
     use crate::validate::validate_bfs;
-    use dmbfs_comm::{LevelDirection, Pattern};
+    use dmbfs_comm::{CollectiveTag, LevelDirection};
     use dmbfs_graph::gen::{grid2d, path, rmat, RmatConfig};
     use dmbfs_graph::{CsrGraph, EdgeList};
 
@@ -637,24 +648,27 @@ mod tests {
             let ag = stats
                 .events
                 .iter()
-                .filter(|e| e.pattern == Pattern::Allgatherv)
+                .filter(|e| e.pattern == CollectiveTag::Allgatherv)
                 .count() as u32;
             let a2a = stats
                 .events
                 .iter()
-                .filter(|e| e.pattern == Pattern::Alltoallv)
+                .filter(|e| e.pattern == CollectiveTag::Alltoallv)
                 .count() as u32;
             let p2p = stats
                 .events
                 .iter()
-                .filter(|e| e.pattern == Pattern::PointToPoint)
+                .filter(|e| e.pattern == CollectiveTag::PointToPoint)
                 .count() as u32;
             assert_eq!(ag, run.num_levels);
             assert_eq!(a2a, run.num_levels);
             assert_eq!(p2p, run.num_levels);
             // Expand/fold happen in √p-sized groups, not world-sized ones.
             for e in &stats.events {
-                if matches!(e.pattern, Pattern::Allgatherv | Pattern::Alltoallv) {
+                if matches!(
+                    e.pattern,
+                    CollectiveTag::Allgatherv | CollectiveTag::Alltoallv
+                ) {
                     assert_eq!(e.group_size, 2);
                 }
             }

@@ -117,6 +117,17 @@ impl Args {
             .unwrap_or_else(|| default.to_string())
     }
 
+    /// `--validate`, `--prepared`: exactly `true` or `false`, so a typo
+    /// cannot quietly switch a step off.
+    fn opt_bool(&self, key: &str, default: bool) -> Result<bool, CliError> {
+        match self.options.get(key).map(String::as_str) {
+            None => Ok(default),
+            Some("true") => Ok(true),
+            Some("false") => Ok(false),
+            Some(other) => Err(err(format!("--{key} expects true|false, got '{other}'"))),
+        }
+    }
+
     fn require(&self, key: &str) -> Result<String, CliError> {
         self.options
             .get(key)
@@ -260,6 +271,7 @@ fn cmd_generate(args: &Args) -> Result<String, CliError> {
     let ef = args.opt_u64("edge-factor", 16)?;
     let seed = args.opt_u64("seed", 1)?;
     let out = args.require("out")?;
+    let prepared = args.opt_bool("prepared", true)?;
     let mut el: EdgeList = match model.as_str() {
         "rmat" => rmat(&RmatConfig::graph500_ef(scale, ef, seed)),
         "er" => {
@@ -269,7 +281,6 @@ fn cmd_generate(args: &Args) -> Result<String, CliError> {
         "webcrawl" => webcrawl(&WebCrawlConfig::uk_union_like(1 << scale.min(20), seed)),
         other => return Err(err(format!("unknown model '{other}'"))),
     };
-    let prepared = args.opt_str("prepared", "true") == "true";
     if prepared {
         el.canonicalize_undirected();
         let perm = RandomPermutation::new(el.num_vertices, seed ^ 0xD5BF);
@@ -615,6 +626,7 @@ impl SearchOpts {
 fn cmd_bfs(args: &Args) -> Result<String, CliError> {
     let g = load(args)?;
     let opts = SearchOpts::from_args(args)?;
+    let validate = args.opt_bool("validate", true)?;
     let source = match args.options.get("source") {
         Some(v) => v.parse().map_err(|_| err("--source expects a vertex id"))?,
         None => sample_sources(&g, 1, 7)
@@ -632,14 +644,14 @@ fn cmd_bfs(args: &Args) -> Result<String, CliError> {
     let (out, _, traces, stats) =
         run_reporting_faults(&opts.faults, || Ok(opts.search(&g, source)))?;
     let secs = t0.elapsed().as_secs_f64();
-    if args.opt_str("validate", "true") == "true" {
+    if validate {
         validate_bfs(&g, source, &out.parents, out.levels())
             .map_err(|e| err(format!("validation failed: {e}")))?;
     }
     let edges = teps_edges(&g, &out);
     let mut report = format!(
         "{}\nalgorithm {}{} source {source}: reached {} of {} vertices, depth {}, \
-         {} edges, {:.1} ms, {:.2} MTEPS (validated)",
+         {} edges, {:.1} ms, {:.2} MTEPS ({})",
         opts.mode_line(),
         opts.algorithm,
         opts.direction_note(),
@@ -649,6 +661,11 @@ fn cmd_bfs(args: &Args) -> Result<String, CliError> {
         edges,
         secs * 1e3,
         edges as f64 / secs / 1e6,
+        if validate {
+            "validated"
+        } else {
+            "not validated"
+        },
     );
     if !stats.is_empty() {
         let loaned: u64 = stats.iter().map(|s| s.loaned_bytes()).sum();
@@ -1817,6 +1834,66 @@ mod tests {
                 let e = run(&args(&argv)).unwrap_err().0;
                 assert!(e.contains(needle), "{cmd} {flags:?}: {e}");
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn boolean_flags_take_only_true_or_false() {
+        let (dir, file) = small_graph();
+        let out = dir.join("p.bin");
+        let out = out.to_str().unwrap();
+        for value in ["maybe", "nope"] {
+            let e = run(&args(&["bfs", &file, "--validate", value]))
+                .unwrap_err()
+                .0;
+            assert!(e.contains("--validate") && e.contains(value), "{e}");
+            let generate = [
+                "generate",
+                "--scale",
+                "5",
+                "--prepared",
+                value,
+                "--out",
+                out,
+            ];
+            let e = run(&args(&generate)).unwrap_err().0;
+            assert!(e.contains("--prepared") && e.contains(value), "{e}");
+            assert!(!std::path::Path::new(out).exists(), "nothing written");
+        }
+        let msg = run(&args(&["bfs", &file, "--validate", "false"])).unwrap();
+        assert!(msg.contains("(not validated)"), "{msg}");
+        assert!(run(&args(&["bfs", &file])).unwrap().contains("(validated)"));
+        let generate = [
+            "generate",
+            "--scale",
+            "5",
+            "--prepared",
+            "false",
+            "--out",
+            out,
+        ];
+        assert!(run(&args(&generate)).unwrap().contains("prepared = false"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_collectives_are_no_fault_sites() {
+        let (dir, file) = small_graph();
+        for name in ["broadcast", "gather", "gatherv", "sendrecv"] {
+            let spec = format!("panic@r0:op1:coll={name}");
+            let argv = [
+                "bfs",
+                &file,
+                "--algorithm",
+                "1d",
+                "--ranks",
+                "2",
+                "--fault",
+                &spec,
+            ];
+            let e = run(&args(&argv)).unwrap_err().0;
+            assert!(e.contains(&format!("unknown collective `{name}`")), "{e}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,7 +2,7 @@
 
 use crate::exchange::{ExchangeBoard, Poison};
 use crate::fault::{corrupt_site, fnv1a64, FaultInjector, FaultPlan};
-use crate::stats::{CommEvent, CommStats, LevelTiming, Pattern};
+use crate::stats::{CommEvent, CommStats, LevelTiming};
 use crate::verify::{CollectiveKind, FailureKind, Fingerprint};
 use dmbfs_trace::{CollectiveTag, RankTrace, SpanKind, TraceSink};
 use parking_lot::Mutex;
@@ -71,11 +71,6 @@ impl WireBuf {
 /// checksums when a fault plan is armed.
 type ExchangePayload = (Vec<WireBuf>, Option<Vec<u64>>);
 
-/// Clones every rank's contribution out of its shared `Arc`.
-fn cloned<T: Clone>(all: &[Arc<T>]) -> Vec<T> {
-    all.iter().map(|v| T::clone(v)).collect()
-}
-
 /// One rank's handle to a communicator — the analogue of an
 /// `(MPI_Comm, rank)` pair. Handles are created by [`crate::World::run`]
 /// (the world communicator) and [`Comm::split`] (sub-communicators); each
@@ -142,20 +137,6 @@ pub struct Comm {
     /// collectives share it, and it advances identically on every rank
     /// because every operation on a communicator is collective.
     epoch: Cell<u64>,
-}
-
-/// The trace-side name of a collective pattern. `dmbfs-trace` is a leaf
-/// crate, so the mapping lives here rather than there.
-fn collective_tag(pattern: Pattern) -> CollectiveTag {
-    match pattern {
-        Pattern::Alltoallv => CollectiveTag::Alltoallv,
-        Pattern::Allgatherv => CollectiveTag::Allgatherv,
-        Pattern::Allreduce => CollectiveTag::Allreduce,
-        Pattern::Broadcast => CollectiveTag::Broadcast,
-        Pattern::Gather => CollectiveTag::Gather,
-        Pattern::PointToPoint => CollectiveTag::PointToPoint,
-        Pattern::Barrier => CollectiveTag::Barrier,
-    }
 }
 
 impl Comm {
@@ -323,11 +304,6 @@ impl Comm {
         *self.tracer.borrow_mut() = Some(Arc::new(Mutex::new(sink)));
     }
 
-    /// Whether a tracer is attached (spans are being recorded).
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.borrow().is_some()
-    }
-
     /// Timestamp (ns since the trace epoch) opening a span, or 0 when no
     /// tracer is attached. The disabled path is one borrow and one branch —
     /// cheap enough for the BFS hot loop (asserted by the overhead test in
@@ -377,7 +353,7 @@ impl Comm {
     /// and 0 for the plain ones; nothing is ledgered as copied.
     fn push_event(
         &self,
-        pattern: Pattern,
+        pattern: CollectiveTag,
         [bytes_out, bytes_in]: [u64; 2],
         [wire_out, wire_in]: [u64; 2],
         loaned_out: u64,
@@ -401,7 +377,7 @@ impl Comm {
     /// logical, wire and loaned bytes on the send side).
     fn record_wire(
         &self,
-        pattern: Pattern,
+        pattern: CollectiveTag,
         bytes: [u64; 2],
         wire: [u64; 2],
         loaned_out: u64,
@@ -409,16 +385,16 @@ impl Comm {
     ) {
         self.push_event(pattern, bytes, wire, loaned_out, start.elapsed());
         if let Some(t) = self.tracer.borrow().as_ref() {
-            let (tag, p) = (collective_tag(pattern), self.size() as u64);
+            let p = self.size() as u64;
             t.lock()
-                .collective(tag, start, p, bytes[0], wire[0], loaned_out);
+                .collective(pattern, start, p, bytes[0], wire[0], loaned_out);
         }
     }
 
     /// [`Comm::record_wire`] for the plain collectives, which put their
     /// logical payload on the wire verbatim (cloned out of the board, so
     /// nothing is ledgered as loaned).
-    fn record(&self, pattern: Pattern, bytes_out: u64, bytes_in: u64, start: Instant) {
+    fn record(&self, pattern: CollectiveTag, bytes_out: u64, bytes_in: u64, start: Instant) {
         let bytes = [bytes_out, bytes_in];
         self.record_wire(pattern, bytes, bytes, 0, start);
     }
@@ -525,15 +501,15 @@ impl Comm {
     pub fn barrier(&self) {
         let start = self.enter_typed::<()>(CollectiveKind::Barrier);
         self.rendezvous(());
-        self.record(Pattern::Barrier, 0, 0, start);
+        self.record(CollectiveTag::Barrier, 0, 0, start);
     }
 
     /// Variable all-to-all: `bufs[j]` is this rank's payload for rank `j`
     /// (`bufs.len()` must equal `size()`); returns `recv` with `recv[j]` =
     /// what rank `j` sent to this rank.
     ///
-    /// This is the workhorse of both algorithms: the 1D frontier exchange
-    /// (Algorithm 2 line 21) and the 2D fold phase (Algorithm 3 line 8).
+    /// The typed form carries the rectangular-grid 2D transpose and the
+    /// MPI baselines; the drivers' exchanges use [`Comm::alltoallv_wire`].
     ///
     /// # Examples
     /// ```
@@ -561,33 +537,24 @@ impl Comm {
         let all = self.rendezvous(bufs);
         let bytes_in = self.peer_sum(&all, |theirs| theirs[self.rank].len() as u64 * elem);
         let recv = all.iter().map(|theirs| theirs[self.rank].clone()).collect();
-        self.record(Pattern::Alltoallv, bytes_out, bytes_in, start);
+        self.record(CollectiveTag::Alltoallv, bytes_out, bytes_in, start);
         recv
     }
 
-    /// Variable all-gather: every rank contributes `mine`; returns the
-    /// contributions of all ranks indexed by rank. The 2D expand phase
-    /// (Algorithm 3 line 6) runs this on the processor-column communicator.
-    #[track_caller]
-    pub fn allgatherv<T: Clone + Send + Sync + 'static>(&self, mine: Vec<T>) -> Vec<Vec<T>> {
-        let start = self.enter_typed::<T>(CollectiveKind::Allgatherv);
-        let elem = size_of::<T>() as u64;
-        let bytes_out = mine.len() as u64 * elem * (self.size() as u64 - 1);
-        let all = self.rendezvous(mine);
-        let bytes_in = self.peer_sum(&all, |theirs| theirs.len() as u64 * elem);
-        let gathered = cloned(&all);
-        self.record(Pattern::Allgatherv, bytes_out, bytes_in, start);
-        gathered
-    }
-
-    /// All-gather of one value per rank. Fingerprints as an `allgatherv`
-    /// (it delegates), with the caller's location preserved.
+    /// All-gather: every rank contributes `mine`; returns the contributions
+    /// of all ranks indexed by rank. [`Comm::split`] learns every rank's
+    /// `(color, key)` through it. It fingerprints and records as an
+    /// `Allgatherv`, counting `size_of::<T>()` bytes per contribution:
+    /// variable-length frontiers travel through [`Comm::allgatherv_wire`],
+    /// which accounts their logical and encoded sizes.
     #[track_caller]
     pub fn allgather<T: Clone + Send + Sync + 'static>(&self, mine: T) -> Vec<T> {
-        self.allgatherv(vec![mine])
-            .into_iter()
-            .map(|mut v| v.pop().expect("one element per rank"))
-            .collect()
+        let start = self.enter_typed::<T>(CollectiveKind::Allgatherv);
+        let bytes = size_of::<T>() as u64 * (self.size() as u64 - 1);
+        let all = self.rendezvous(mine);
+        let gathered = all.iter().map(|v| T::clone(v)).collect();
+        self.record(CollectiveTag::Allgatherv, bytes, bytes, start);
+        gathered
     }
 
     /// All-reduce with a caller-supplied associative, commutative `op`.
@@ -604,114 +571,12 @@ impl Comm {
         let all = self.rendezvous(mine);
         let folded = all.iter().map(|v| T::clone(v)).reduce(op);
         self.record(
-            Pattern::Allreduce,
+            CollectiveTag::Allreduce,
             elem,
             elem * (self.size() as u64 - 1),
             start,
         );
         folded.expect("communicator has at least one rank")
-    }
-
-    /// Broadcast from `root`: `root` passes `Some(value)`, everyone else
-    /// `None`; all ranks return the root's value.
-    #[track_caller]
-    pub fn broadcast<T: Clone + Send + Sync + 'static>(&self, root: usize, mine: Option<T>) -> T {
-        assert!(root < self.size());
-        assert_eq!(
-            mine.is_some(),
-            self.rank == root,
-            "exactly the root must supply the broadcast value"
-        );
-        let start = self.enter_typed::<T>(CollectiveKind::Broadcast);
-        let elem = size_of::<T>() as u64;
-        let all = self.rendezvous(mine);
-        let value = Option::clone(&all[root]).expect("root deposited Some");
-        let (out, inn) = if self.rank == root {
-            (elem * (self.size() as u64 - 1), 0)
-        } else {
-            (0, elem)
-        };
-        self.record(Pattern::Broadcast, out, inn, start);
-        value
-    }
-
-    /// Gather to `root`: returns `Some(all values indexed by rank)` on the
-    /// root, `None` elsewhere.
-    #[track_caller]
-    pub fn gather<T: Clone + Send + Sync + 'static>(&self, root: usize, mine: T) -> Option<Vec<T>> {
-        assert!(root < self.size());
-        let start = self.enter_typed::<T>(CollectiveKind::Gather);
-        let elem = size_of::<T>() as u64;
-        let all = self.rendezvous(mine);
-        let result = (self.rank == root).then(|| cloned(&all));
-        let (out, inn) = if self.rank == root {
-            (0, elem * (self.size() as u64 - 1))
-        } else {
-            (elem, 0)
-        };
-        self.record(Pattern::Gather, out, inn, start);
-        result
-    }
-
-    /// Variable gather to `root`: returns `Some(contributions indexed by
-    /// rank)` on the root, `None` elsewhere.
-    #[track_caller]
-    pub fn gatherv<T: Clone + Send + Sync + 'static>(
-        &self,
-        root: usize,
-        mine: Vec<T>,
-    ) -> Option<Vec<Vec<T>>> {
-        assert!(root < self.size());
-        let start = self.enter_typed::<T>(CollectiveKind::Gatherv);
-        let elem = size_of::<T>() as u64;
-        let sent = mine.len() as u64 * elem;
-        let all = self.rendezvous(mine);
-        let (result, out, inn) = if self.rank == root {
-            let inn = self.peer_sum(&all, |theirs| theirs.len() as u64 * elem);
-            (Some(cloned(&all)), 0, inn)
-        } else {
-            (None, sent, 0)
-        };
-        self.record(Pattern::Gather, out, inn, start);
-        result
-    }
-
-    /// Pairwise exchange: sends `data` to `partner` and returns what
-    /// `partner` sent here. The partner assignment must be a symmetric
-    /// permutation across all ranks (`partner(partner(r)) == r`), and every
-    /// rank must participate — this is the square-grid `TransposeVector`
-    /// of §3.2, "simply a pairwise exchange between P(i,j) and P(j,i)".
-    /// A rank may partner itself (the diagonal), which is a local copy.
-    #[track_caller]
-    pub fn sendrecv<T: Clone + Send + Sync + 'static>(
-        &self,
-        partner: usize,
-        data: Vec<T>,
-    ) -> Vec<T> {
-        assert!(partner < self.size());
-        let start = self.enter_typed::<T>(CollectiveKind::Sendrecv);
-        // The diagonal's self-exchange moves no bytes.
-        let elem = if partner == self.rank {
-            0
-        } else {
-            size_of::<T>() as u64
-        };
-        let bytes_out = data.len() as u64 * elem;
-        let all = self.rendezvous((partner, data));
-        let (back, received) = &*all[partner];
-        self.assert_partner_points_back(partner, *back);
-        let received = received.clone();
-        let bytes_in = received.len() as u64 * elem;
-        self.record(Pattern::PointToPoint, bytes_out, bytes_in, start);
-        received
-    }
-
-    fn assert_partner_points_back(&self, partner: usize, back: usize) {
-        assert_eq!(
-            back, self.rank,
-            "sendrecv partner mismatch: rank {} expected partner {} to point back",
-            self.rank, partner
-        );
     }
 
     /// Wire-aware variable all-to-all: like [`Comm::alltoallv`], but each
@@ -814,8 +679,11 @@ impl Comm {
         }
     }
 
-    /// Wire-aware variable all-gather: like [`Comm::allgatherv`] with an
-    /// encoded payload. See [`Comm::alltoallv_wire`] for the accounting.
+    /// Wire-aware variable all-gather: every rank contributes one encoded
+    /// [`WireBuf`] and receives every rank's, indexed by rank. The 2D expand
+    /// phase (Algorithm 3 line 6) runs this on the processor-column
+    /// communicator, and the 1D bottom-up step gathers its frontier bitmap
+    /// with it. See [`Comm::alltoallv_wire`] for the accounting.
     #[track_caller]
     pub fn allgatherv_wire(&self, mine: WireBuf) -> Vec<WireBuf> {
         let start = self.enter_wire(CollectiveKind::AllgathervWire);
@@ -841,7 +709,7 @@ impl Comm {
         let wire_in = self.peer_sum(&all, |theirs| theirs.0.wire_bytes());
         let gathered = all.iter().map(|theirs| theirs.0.clone()).collect();
         self.record_wire(
-            Pattern::Allgatherv,
+            CollectiveTag::Allgatherv,
             [bytes_out, bytes_in],
             [wire_out, wire_in],
             wire_out,
@@ -850,8 +718,13 @@ impl Comm {
         gathered
     }
 
-    /// Wire-aware pairwise exchange: like [`Comm::sendrecv`] with an
-    /// encoded payload. See [`Comm::alltoallv_wire`] for the accounting.
+    /// Pairwise exchange: sends `data` to `partner` and returns what
+    /// `partner` sent here. The partner assignment must be a symmetric
+    /// permutation across all ranks (`partner(partner(r)) == r`), and every
+    /// rank must participate — this is the square-grid `TransposeVector`
+    /// of §3.2, "simply a pairwise exchange between P(i,j) and P(j,i)".
+    /// A rank may partner itself (the diagonal), which moves no bytes. See
+    /// [`Comm::alltoallv_wire`] for the accounting.
     #[track_caller]
     pub fn sendrecv_wire(&self, partner: usize, data: WireBuf) -> WireBuf {
         assert!(partner < self.size());
@@ -872,7 +745,11 @@ impl Comm {
         // refcount bump (and so is the diagonal self-exchange's).
         let all = self.rendezvous((partner, data, sum));
         let (back, received, sum) = &*all[partner];
-        self.assert_partner_points_back(partner, *back);
+        assert_eq!(
+            *back, self.rank,
+            "sendrecv partner mismatch: rank {} expected partner {} to point back",
+            self.rank, partner
+        );
         let received = received.clone();
         self.check_wire(received.bytes(), *sum, partner);
         let (bytes_in, wire_in) = if partner == self.rank {
@@ -881,7 +758,7 @@ impl Comm {
             (received.logical_bytes, received.wire_bytes())
         };
         self.record_wire(
-            Pattern::PointToPoint,
+            CollectiveTag::PointToPoint,
             [bytes_out, bytes_in],
             [wire_out, wire_in],
             wire_out,
@@ -923,7 +800,7 @@ impl Comm {
         self.site.set(site);
         let all = self.rendezvous(created);
         let board = Option::clone(&all[leader]).expect("leader deposited the group board");
-        self.record(Pattern::Broadcast, 0, 0, start);
+        self.record(CollectiveTag::Broadcast, 0, 0, start);
 
         let child = Comm::new(board, my_group_rank);
         // Sub-communicator collectives record into the parent's trace and
@@ -991,7 +868,7 @@ impl PendingExchange<'_> {
         }
         comm.pending_exchange.set(false);
         comm.push_event(
-            Pattern::Alltoallv,
+            CollectiveTag::Alltoallv,
             [self.bytes_out, bytes_in],
             [self.wire_out, wire_in],
             self.wire_out,
@@ -1064,7 +941,6 @@ mod tests {
     #[test]
     fn untraced_comm_records_no_spans() {
         let out = World::run(2, |comm| {
-            assert!(!comm.trace_enabled());
             assert_eq!(comm.trace_start(), 0);
             comm.trace_span(SpanKind::Level, 0, 0);
             comm.barrier();
@@ -1085,8 +961,8 @@ mod tests {
             let stats = comm.take_stats();
             assert_eq!(stats.num_calls(), 2, "one event per exchange");
             let (a, b) = (&stats.events[0], &stats.events[1]);
-            assert_eq!(a.pattern, Pattern::Alltoallv);
-            assert_eq!(b.pattern, Pattern::Alltoallv);
+            assert_eq!(a.pattern, CollectiveTag::Alltoallv);
+            assert_eq!(b.pattern, CollectiveTag::Alltoallv);
             assert_eq!(a.bytes_out, b.bytes_out);
             assert_eq!(a.bytes_in, b.bytes_in);
             assert_eq!(a.wire_out, b.wire_out);

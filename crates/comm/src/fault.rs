@@ -590,12 +590,24 @@ mod tests {
         ] {
             assert!(s.parse::<FaultPlan>().is_err(), "`{s}` must be rejected");
         }
-        // A name that is no `Comm` collective is the named parse error,
-        // not a filter that never fires.
-        let e = "panic@r0:op1:coll=reduce_scatter"
-            .parse::<FaultPlan>()
-            .unwrap_err();
-        assert!(e.contains("unknown collective `reduce_scatter`"), "{e}");
+        // A name that is no `Comm` collective — retired ones included — is
+        // the named parse error listing every accepted name, not a filter
+        // that never fires.
+        for name in [
+            "reduce_scatter",
+            "broadcast",
+            "gather",
+            "gatherv",
+            "sendrecv",
+        ] {
+            let e = format!("panic@r0:op1:coll={name}")
+                .parse::<FaultPlan>()
+                .unwrap_err();
+            assert!(e.contains(&format!("unknown collective `{name}`")), "{e}");
+            for kind in CollectiveKind::ALL {
+                assert!(e.contains(kind.name()), "{e} omits {}", kind.name());
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!
 //! * Every rank runs on its own OS thread with *strictly private* state —
 //!   the rank closure receives only its [`Comm`] handle, and all inter-rank
-//!   data movement goes through explicit typed collectives.
+//!   data movement goes through ten collectives: `barrier`, `allreduce`,
+//!   `allgather`, `alltoallv`, `split`, and the wire forms `alltoallv_wire`,
+//!   `ialltoallv_wire` + [`PendingExchange::wait`], `allgatherv_wire` and
+//!   `sendrecv_wire` (the square-grid transpose).
 //! * Every collective is one protocol shape on one rendezvous board: the
 //!   rank deposits its contribution at the communicator's next epoch, then
 //!   collects every peer's — a depth-2 ring per rank, no barriers, safely
@@ -21,7 +24,7 @@
 //!   behind an `Arc` from construction, so receivers take a refcount and
 //!   decode straight from the sender's allocation instead of cloning it
 //!   off the board, whatever the payload size. See `docs/zero-copy.md`.
-//! * Every collective records a [`CommEvent`] — pattern, group size, bytes
+//! * Every collective records a [`CommEvent`] — pattern ([`CollectiveTag`]), group size, bytes
 //!   in/out, wall time spent inside the call (including waiting for peers
 //!   to arrive, i.e. load imbalance, which is how the paper accounts MPI time in
 //!   Fig. 4: "The waiting time for this blocking collective is accounted
@@ -84,10 +87,12 @@ mod verify;
 mod world;
 
 pub use comm::{Comm, PendingExchange, WireBuf};
+/// The pattern every [`CommEvent`] and collective trace span carries.
+pub use dmbfs_trace::CollectiveTag;
 pub use fault::{
     fault_disabled_hook_cost, FailStopExit, FaultKind, FaultPlan, FaultSpec, FaultTrigger,
     InjectedFault,
 };
-pub use stats::{CommEvent, CommStats, LevelDirection, LevelTiming, Pattern};
+pub use stats::{CommEvent, CommStats, LevelDirection, LevelTiming};
 pub use verify::{CollectiveKind, FailureKind, PendingOp, VerifyFailure};
 pub use world::World;

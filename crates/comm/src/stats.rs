@@ -11,44 +11,9 @@
 //!    cost model of §5 to produce modeled communication times for machine
 //!    profiles (Franklin/Hopper) and core counts we cannot run directly.
 
+use dmbfs_trace::CollectiveTag;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
-
-/// Communication pattern of a collective, used to select the pattern-
-/// specific sustained bandwidth term β_{N,pattern} of §5.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Pattern {
-    /// `MPI_Alltoallv` — the 1D algorithm's frontier exchange and the 2D
-    /// algorithm's fold phase.
-    Alltoallv,
-    /// `MPI_Allgatherv` — the 2D algorithm's expand phase.
-    Allgatherv,
-    /// `MPI_Allreduce` — frontier-emptiness and result reductions.
-    Allreduce,
-    /// One-to-all broadcast.
-    Broadcast,
-    /// All-to-one gather.
-    Gather,
-    /// Pairwise exchange (the square-grid `TransposeVector` of §3.2).
-    PointToPoint,
-    /// Pure synchronization.
-    Barrier,
-}
-
-impl Pattern {
-    /// Stable lowercase name (JSON output, table rows).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Pattern::Alltoallv => "alltoallv",
-            Pattern::Allgatherv => "allgatherv",
-            Pattern::Allreduce => "allreduce",
-            Pattern::Broadcast => "broadcast",
-            Pattern::Gather => "gather",
-            Pattern::PointToPoint => "p2p",
-            Pattern::Barrier => "barrier",
-        }
-    }
-}
 
 /// Which traversal direction a BFS level ran in — the per-level output of
 /// the Beamer αβ heuristic, recorded alongside the level's timing so
@@ -116,8 +81,10 @@ pub struct LevelTiming {
 /// One collective call as seen by one rank.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CommEvent {
-    /// Which collective.
-    pub pattern: Pattern,
+    /// Which collective pattern, selecting the pattern-specific sustained
+    /// bandwidth term β_{N,pattern} of §5 — the same tag the collective's
+    /// trace span carries. Never [`CollectiveTag::None`].
+    pub pattern: CollectiveTag,
     /// Number of ranks in the participating communicator — the paper's
     /// key observation is that 2D limits this to `pr` or `pc` ≈ √p.
     pub group_size: usize,
@@ -179,17 +146,8 @@ impl CommStats {
         self.events.iter().map(|e| e.wall).sum()
     }
 
-    /// Wall time inside collectives matching `pattern`.
-    pub fn wall_for(&self, pattern: Pattern) -> Duration {
-        self.events
-            .iter()
-            .filter(|e| e.pattern == pattern)
-            .map(|e| e.wall)
-            .sum()
-    }
-
     /// Bytes sent under `pattern`.
-    pub fn bytes_out_for(&self, pattern: Pattern) -> u64 {
+    pub fn bytes_out_for(&self, pattern: CollectiveTag) -> u64 {
         self.events
             .iter()
             .filter(|e| e.pattern == pattern)
@@ -207,15 +165,6 @@ impl CommStats {
         self.events.iter().map(|e| e.wire_in).sum()
     }
 
-    /// Wire bytes sent under `pattern`.
-    pub fn wire_out_for(&self, pattern: Pattern) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.pattern == pattern)
-            .map(|e| e.wire_out)
-            .sum()
-    }
-
     /// Total wire bytes this rank sent as zero-copy loans (see
     /// [`CommEvent::loaned_out`]).
     pub fn loaned_bytes(&self) -> u64 {
@@ -227,13 +176,6 @@ impl CommStats {
     /// [`CommEvent::copied_out`]).
     pub fn copied_bytes(&self) -> u64 {
         self.events.iter().map(|e| e.copied_out).sum()
-    }
-
-    /// Ratio of wire bytes to logical bytes sent (1.0 when nothing was
-    /// compressed; `None` when no logical bytes were sent at all).
-    pub fn compression_ratio(&self) -> Option<f64> {
-        let logical = self.bytes_out();
-        (logical > 0).then(|| self.wire_out() as f64 / logical as f64)
     }
 
     /// Total compute time across all recorded level timings.
@@ -260,7 +202,7 @@ impl CommStats {
 mod tests {
     use super::*;
 
-    fn ev(pattern: Pattern, out: u64, inn: u64, micros: u64) -> CommEvent {
+    fn ev(pattern: CollectiveTag, out: u64, inn: u64, micros: u64) -> CommEvent {
         CommEvent {
             pattern,
             group_size: 4,
@@ -278,9 +220,9 @@ mod tests {
     fn aggregates_sum_correctly() {
         let stats = CommStats {
             events: vec![
-                ev(Pattern::Alltoallv, 100, 80, 5),
-                ev(Pattern::Allgatherv, 40, 200, 7),
-                ev(Pattern::Alltoallv, 10, 10, 3),
+                ev(CollectiveTag::Alltoallv, 100, 80, 5),
+                ev(CollectiveTag::Allgatherv, 40, 200, 7),
+                ev(CollectiveTag::Alltoallv, 10, 10, 3),
             ],
             ..Default::default()
         };
@@ -288,28 +230,21 @@ mod tests {
         assert_eq!(stats.bytes_out(), 150);
         assert_eq!(stats.bytes_in(), 290);
         assert_eq!(stats.wall(), Duration::from_micros(15));
-        assert_eq!(stats.wall_for(Pattern::Alltoallv), Duration::from_micros(8));
-        assert_eq!(stats.bytes_out_for(Pattern::Allgatherv), 40);
+        assert_eq!(stats.bytes_out_for(CollectiveTag::Allgatherv), 40);
     }
 
     #[test]
     fn merge_concatenates() {
         let mut a = CommStats {
-            events: vec![ev(Pattern::Barrier, 0, 0, 1)],
+            events: vec![ev(CollectiveTag::Barrier, 0, 0, 1)],
             ..Default::default()
         };
         let b = CommStats {
-            events: vec![ev(Pattern::Gather, 8, 0, 2)],
+            events: vec![ev(CollectiveTag::Allreduce, 8, 0, 2)],
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.num_calls(), 2);
-    }
-
-    #[test]
-    fn pattern_names_are_stable() {
-        assert_eq!(Pattern::Alltoallv.name(), "alltoallv");
-        assert_eq!(Pattern::PointToPoint.name(), "p2p");
     }
 
     #[test]
@@ -347,30 +282,24 @@ mod tests {
 
     #[test]
     fn wire_bytes_track_separately_from_logical() {
-        let mut compressed = ev(Pattern::Alltoallv, 1000, 800, 5);
+        let mut compressed = ev(CollectiveTag::Alltoallv, 1000, 800, 5);
         compressed.wire_out = 250;
         compressed.wire_in = 200;
         let stats = CommStats {
-            events: vec![compressed, ev(Pattern::Allreduce, 8, 24, 1)],
+            events: vec![compressed, ev(CollectiveTag::Allreduce, 8, 24, 1)],
             ..Default::default()
         };
         assert_eq!(stats.bytes_out(), 1008);
         assert_eq!(stats.wire_out(), 258);
         assert_eq!(stats.wire_in(), 224);
-        assert_eq!(stats.wire_out_for(Pattern::Alltoallv), 250);
-        let ratio = stats
-            .compression_ratio()
-            .expect("stats with recorded wire traffic must report a compression ratio");
-        assert!((ratio - 258.0 / 1008.0).abs() < 1e-12);
-        assert_eq!(CommStats::default().compression_ratio(), None);
     }
 
     #[test]
     fn loaned_and_copied_bytes_sum_independently() {
-        let mut a = ev(Pattern::Alltoallv, 1000, 1000, 5);
+        let mut a = ev(CollectiveTag::Alltoallv, 1000, 1000, 5);
         a.loaned_out = 700;
         a.copied_out = 300;
-        let mut b = ev(Pattern::Allgatherv, 64, 64, 2);
+        let mut b = ev(CollectiveTag::Allgatherv, 64, 64, 2);
         b.copied_out = 64;
         let stats = CommStats {
             events: vec![a, b],

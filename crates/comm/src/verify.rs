@@ -22,9 +22,11 @@ use std::any::TypeId;
 use std::fmt;
 use std::panic::Location;
 
-/// Which collective entry point a rank invoked — the first component of a
-/// collective fingerprint. One variant per public entry point on
-/// [`crate::Comm`], so a mismatch diagnostic can name the exact call.
+/// Which collective a rank invoked — the first component of a collective
+/// fingerprint, so a mismatch diagnostic can name the exact call. One
+/// variant per public collective of [`crate::Comm`] and
+/// [`crate::PendingExchange`] but `alltoallv_wire`, which records as its
+/// start and its wait.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CollectiveKind {
     /// [`crate::Comm::barrier`]
@@ -40,20 +42,13 @@ pub enum CollectiveKind {
     /// against its own), so it appears in fault plans (`coll=`) and
     /// captured schedules, never in a failure dump.
     IalltoallvWireWait,
-    /// [`crate::Comm::allgatherv`] (also reached via `allgather`)
+    /// [`crate::Comm::allgather`]. Named `allgatherv` so captured
+    /// schedules and `coll=allgatherv` fault plans keep their spelling.
     Allgatherv,
     /// [`crate::Comm::allgatherv_wire`]
     AllgathervWire,
     /// [`crate::Comm::allreduce`]
     Allreduce,
-    /// [`crate::Comm::broadcast`]
-    Broadcast,
-    /// [`crate::Comm::gather`]
-    Gather,
-    /// [`crate::Comm::gatherv`]
-    Gatherv,
-    /// [`crate::Comm::sendrecv`]
-    Sendrecv,
     /// [`crate::Comm::sendrecv_wire`]
     SendrecvWire,
     /// [`crate::Comm::split`]
@@ -66,28 +61,31 @@ impl std::str::FromStr for CollectiveKind {
     /// Inverse of [`CollectiveKind::name`] — used by the fault-plan grammar
     /// (`coll=<name>`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        const ALL: [CollectiveKind; 13] = [
-            CollectiveKind::Barrier,
-            CollectiveKind::Alltoallv,
-            CollectiveKind::IalltoallvWire,
-            CollectiveKind::IalltoallvWireWait,
-            CollectiveKind::Allgatherv,
-            CollectiveKind::AllgathervWire,
-            CollectiveKind::Allreduce,
-            CollectiveKind::Broadcast,
-            CollectiveKind::Gather,
-            CollectiveKind::Gatherv,
-            CollectiveKind::Sendrecv,
-            CollectiveKind::SendrecvWire,
-            CollectiveKind::Split,
-        ];
-        ALL.into_iter().find(|k| k.name() == s).ok_or_else(|| {
-            format!("unknown collective `{s}` (expected e.g. barrier, allreduce, ialltoallv_wire)")
+        let all = CollectiveKind::ALL;
+        all.into_iter().find(|k| k.name() == s).ok_or_else(|| {
+            let names: Vec<&str> = all.iter().map(CollectiveKind::name).collect();
+            format!(
+                "unknown collective `{s}` (expected one of {})",
+                names.join(", ")
+            )
         })
     }
 }
 
 impl CollectiveKind {
+    /// Every kind, in the order diagnostics list them.
+    pub const ALL: [CollectiveKind; 9] = [
+        CollectiveKind::Barrier,
+        CollectiveKind::Alltoallv,
+        CollectiveKind::IalltoallvWire,
+        CollectiveKind::IalltoallvWireWait,
+        CollectiveKind::Allgatherv,
+        CollectiveKind::AllgathervWire,
+        CollectiveKind::Allreduce,
+        CollectiveKind::SendrecvWire,
+        CollectiveKind::Split,
+    ];
+
     /// Stable lowercase name used in diagnostics.
     pub fn name(&self) -> &'static str {
         match self {
@@ -98,10 +96,6 @@ impl CollectiveKind {
             CollectiveKind::Allgatherv => "allgatherv",
             CollectiveKind::AllgathervWire => "allgatherv_wire",
             CollectiveKind::Allreduce => "allreduce",
-            CollectiveKind::Broadcast => "broadcast",
-            CollectiveKind::Gather => "gather",
-            CollectiveKind::Gatherv => "gatherv",
-            CollectiveKind::Sendrecv => "sendrecv",
             CollectiveKind::SendrecvWire => "sendrecv_wire",
             CollectiveKind::Split => "split",
         }

@@ -190,7 +190,7 @@ fn pick_root_cause(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Pattern;
+    use crate::{CollectiveTag, WireBuf};
 
     #[test]
     fn ranks_see_their_ids() {
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn allgatherv_collects_in_rank_order() {
         let out = World::run(3, |comm| {
-            comm.allgatherv(vec![comm.rank() as u32; comm.rank() + 1])
+            comm.allgather(vec![comm.rank() as u32; comm.rank() + 1])
         });
         for recv in out {
             assert_eq!(recv, vec![vec![0], vec![1, 1], vec![2, 2, 2]]);
@@ -275,53 +275,13 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_distributes_root_value() {
-        let out = World::run(4, |comm| {
-            let value = if comm.rank() == 2 {
-                Some("hello".to_string())
-            } else {
-                None
-            };
-            comm.broadcast(2, value)
-        });
-        assert_eq!(out, vec!["hello"; 4]);
-    }
-
-    #[test]
-    fn gather_collects_only_at_root() {
-        let out = World::run(3, |comm| comm.gather(1, comm.rank() as u8));
-        assert_eq!(out[0], None);
-        assert_eq!(out[1], Some(vec![0, 1, 2]));
-        assert_eq!(out[2], None);
-    }
-
-    #[test]
-    fn gatherv_collects_uneven_buffers_at_root() {
-        let out = World::run(4, |comm| {
-            comm.gatherv(2, vec![comm.rank() as u8; comm.rank()])
-        });
-        for (r, res) in out.iter().enumerate() {
-            if r == 2 {
-                let got = res
-                    .as_ref()
-                    .expect("rank 2 is the gatherv root and must receive every buffer");
-                #[allow(clippy::needless_range_loop)]
-                for src in 0..4 {
-                    assert_eq!(got[src], vec![src as u8; src]);
-                }
-            } else {
-                assert!(res.is_none());
-            }
-        }
-    }
-
-    #[test]
     fn sendrecv_transposes_pairs() {
         // 2x2 grid transpose: ranks 1 and 2 swap, 0 and 3 self-exchange.
         let out = World::run(4, |comm| {
             let (i, j) = (comm.rank() / 2, comm.rank() % 2);
             let partner = j * 2 + i;
-            comm.sendrecv(partner, vec![comm.rank() as u64])
+            let sent = WireBuf::new(vec![comm.rank() as u8], 8);
+            comm.sendrecv_wire(partner, sent).bytes().to_vec()
         });
         assert_eq!(out, vec![vec![0], vec![2], vec![1], vec![3]]);
     }
@@ -379,8 +339,8 @@ mod tests {
         let s0 = &stats[0];
         assert_eq!(s0.num_calls(), 2);
         // Rank 0 sent vec![3u64] to rank 1: 8 bytes out (self-part excluded).
-        assert_eq!(s0.bytes_out_for(Pattern::Alltoallv), 8);
-        assert_eq!(s0.events[1].pattern, Pattern::Barrier);
+        assert_eq!(s0.bytes_out_for(CollectiveTag::Alltoallv), 8);
+        assert_eq!(s0.events[1].pattern, CollectiveTag::Barrier);
     }
 
     #[test]

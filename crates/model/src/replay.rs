@@ -11,7 +11,7 @@
 //! Table 1.
 
 use crate::profile::MachineProfile;
-use dmbfs_comm::{CommEvent, Pattern};
+use dmbfs_comm::{CollectiveTag, CommEvent};
 
 /// Modeled wall time of one collective call on `profile`, with `ppn`
 /// processes per node.
@@ -29,17 +29,17 @@ pub fn event_time(profile: &MachineProfile, ev: &CommEvent, ppn: usize) -> f64 {
     // latency term is unaffected — compression saves bandwidth, not α).
     let bytes = ev.wire_out.max(ev.wire_in) as f64;
     match ev.pattern {
-        Pattern::Alltoallv => {
+        CollectiveTag::Alltoallv => {
             p * profile.alpha_net + bytes * profile.inv_bw_alltoall(ev.group_size, ppn)
         }
-        Pattern::Allgatherv => {
+        CollectiveTag::Allgatherv => {
             p * profile.alpha_net + bytes * profile.inv_bw_allgather(ev.group_size, ppn)
         }
-        Pattern::Allreduce | Pattern::Broadcast | Pattern::Gather => {
+        CollectiveTag::Allreduce | CollectiveTag::Broadcast => {
             p.log2().max(1.0) * profile.alpha_net + bytes * profile.inv_bw_p2p(ppn)
         }
-        Pattern::PointToPoint => profile.alpha_net + bytes * profile.inv_bw_p2p(ppn),
-        Pattern::Barrier => p.log2().max(1.0) * profile.alpha_net,
+        CollectiveTag::PointToPoint => profile.alpha_net + bytes * profile.inv_bw_p2p(ppn),
+        CollectiveTag::Barrier | CollectiveTag::None => p.log2().max(1.0) * profile.alpha_net,
     }
 }
 
@@ -69,8 +69,8 @@ pub fn replay_by_pattern(
     profile: &MachineProfile,
     events: &[CommEvent],
     ppn: usize,
-) -> Vec<(Pattern, f64)> {
-    let mut acc: Vec<(Pattern, f64)> = Vec::new();
+) -> Vec<(CollectiveTag, f64)> {
+    let mut acc: Vec<(CollectiveTag, f64)> = Vec::new();
     for ev in events {
         let t = event_time(profile, ev, ppn);
         match acc.iter_mut().find(|(p, _)| *p == ev.pattern) {
@@ -86,7 +86,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn ev(pattern: Pattern, group: usize, bytes: u64) -> CommEvent {
+    fn ev(pattern: CollectiveTag, group: usize, bytes: u64) -> CommEvent {
         CommEvent {
             pattern,
             group_size: group,
@@ -103,23 +103,23 @@ mod tests {
     #[test]
     fn bigger_payloads_cost_more() {
         let f = MachineProfile::franklin();
-        let small = event_time(&f, &ev(Pattern::Alltoallv, 64, 1 << 10), 4);
-        let large = event_time(&f, &ev(Pattern::Alltoallv, 64, 1 << 24), 4);
+        let small = event_time(&f, &ev(CollectiveTag::Alltoallv, 64, 1 << 10), 4);
+        let large = event_time(&f, &ev(CollectiveTag::Alltoallv, 64, 1 << 24), 4);
         assert!(large > small * 50.0);
     }
 
     #[test]
     fn more_participants_cost_more_latency() {
         let f = MachineProfile::franklin();
-        let few = event_time(&f, &ev(Pattern::Alltoallv, 16, 0), 4);
-        let many = event_time(&f, &ev(Pattern::Alltoallv, 4096, 0), 4);
+        let few = event_time(&f, &ev(CollectiveTag::Alltoallv, 16, 0), 4);
+        let many = event_time(&f, &ev(CollectiveTag::Alltoallv, 4096, 0), 4);
         assert!((many / few - 256.0).abs() < 1.0);
     }
 
     #[test]
     fn barrier_is_latency_only() {
         let f = MachineProfile::franklin();
-        let t = event_time(&f, &ev(Pattern::Barrier, 1024, 0), 4);
+        let t = event_time(&f, &ev(CollectiveTag::Barrier, 1024, 0), 4);
         assert!(t < 1024.0 * f.alpha_net);
         assert!(t > 0.0);
     }
@@ -127,8 +127,8 @@ mod tests {
     #[test]
     fn critical_path_is_max_over_ranks() {
         let f = MachineProfile::franklin();
-        let fast = vec![ev(Pattern::Alltoallv, 4, 100)];
-        let slow = vec![ev(Pattern::Alltoallv, 4, 1 << 26)];
+        let fast = vec![ev(CollectiveTag::Alltoallv, 4, 100)];
+        let slow = vec![ev(CollectiveTag::Alltoallv, 4, 1 << 26)];
         let total = replay_comm_time(&f, &[fast.clone(), slow.clone()], 4);
         assert_eq!(total, replay_rank_time(&f, &slow, 4));
         assert!(total > replay_rank_time(&f, &fast, 4));
@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn compressed_events_cost_less_bandwidth_but_same_latency() {
         let f = MachineProfile::franklin();
-        let plain = ev(Pattern::Alltoallv, 64, 1 << 24);
+        let plain = ev(CollectiveTag::Alltoallv, 64, 1 << 24);
         let mut compressed = plain;
         compressed.wire_out = 1 << 21;
         compressed.wire_in = 1 << 21;
@@ -149,7 +149,7 @@ mod tests {
         let mut latency_only = plain;
         latency_only.wire_out = 0;
         latency_only.wire_in = 0;
-        let empty = ev(Pattern::Alltoallv, 64, 0);
+        let empty = ev(CollectiveTag::Alltoallv, 64, 0);
         assert_eq!(event_time(&f, &latency_only, 4), event_time(&f, &empty, 4));
     }
 
@@ -157,10 +157,10 @@ mod tests {
     fn pattern_split_sums_to_total() {
         let f = MachineProfile::franklin();
         let events = vec![
-            ev(Pattern::Alltoallv, 64, 1 << 20),
-            ev(Pattern::Allgatherv, 8, 1 << 22),
-            ev(Pattern::Allreduce, 64, 8),
-            ev(Pattern::Alltoallv, 64, 1 << 18),
+            ev(CollectiveTag::Alltoallv, 64, 1 << 20),
+            ev(CollectiveTag::Allgatherv, 8, 1 << 22),
+            ev(CollectiveTag::Allreduce, 64, 8),
+            ev(CollectiveTag::Alltoallv, 64, 1 << 18),
         ];
         let split = replay_by_pattern(&f, &events, 4);
         let total: f64 = split.iter().map(|(_, t)| t).sum();

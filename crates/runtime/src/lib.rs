@@ -462,7 +462,7 @@ pub fn assemble_blocks<V: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmbfs_comm::Pattern;
+    use dmbfs_comm::CollectiveTag;
 
     #[test]
     fn harvests_values_in_rank_order() {
@@ -486,7 +486,7 @@ mod tests {
             let barriers = stats
                 .events
                 .iter()
-                .filter(|e| e.pattern == Pattern::Barrier)
+                .filter(|e| e.pattern == CollectiveTag::Barrier)
                 .count();
             assert_eq!(barriers, 2);
         }
@@ -527,7 +527,7 @@ mod tests {
             let allreduces = stats
                 .events
                 .iter()
-                .filter(|e| e.pattern == Pattern::Allreduce)
+                .filter(|e| e.pattern == CollectiveTag::Allreduce)
                 .count();
             assert_eq!(allreduces, 1, "setup allreduce was discarded");
         }
@@ -554,7 +554,7 @@ mod tests {
             let allreduces = stats
                 .events
                 .iter()
-                .filter(|e| e.pattern == Pattern::Allreduce)
+                .filter(|e| e.pattern == CollectiveTag::Allreduce)
                 .count();
             assert_eq!(allreduces, 1, "sub-communicator event harvested");
         }

@@ -123,9 +123,10 @@ impl SpanKind {
     }
 }
 
-/// Which collective a [`SpanKind::Collective`] span wraps. Mirrors
-/// `dmbfs_comm::Pattern` without depending on it — `dmbfs-trace` is a leaf
-/// crate so every layer (comm included) can depend on it.
+/// Which collective a span wraps — also the pattern of every
+/// `dmbfs_comm::CommEvent`, which picks the α–β model's bandwidth term.
+/// `dmbfs-trace` is a leaf crate so every layer (comm included) can use it.
+/// `Broadcast` is the second round of a communicator split.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CollectiveTag {
     /// Not a collective span.
@@ -134,7 +135,6 @@ pub enum CollectiveTag {
     Allgatherv,
     Allreduce,
     Broadcast,
-    Gather,
     PointToPoint,
     Barrier,
 }
@@ -148,7 +148,6 @@ impl CollectiveTag {
             CollectiveTag::Allgatherv => "allgatherv",
             CollectiveTag::Allreduce => "allreduce",
             CollectiveTag::Broadcast => "broadcast",
-            CollectiveTag::Gather => "gather",
             CollectiveTag::PointToPoint => "point_to_point",
             CollectiveTag::Barrier => "barrier",
         }

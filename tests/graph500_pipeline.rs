@@ -5,7 +5,7 @@
 use dmbfs::bfs::one_d::bfs1d_run;
 use dmbfs::bfs::teps::{benchmark_bfs, teps_edges};
 use dmbfs::bfs::two_d::bfs2d_run;
-use dmbfs::comm::Pattern;
+use dmbfs::comm::CollectiveTag;
 use dmbfs::graph::components::connected_components;
 use dmbfs::graph::gen::{rmat, RmatConfig};
 use dmbfs::model::{replay_comm_time, MachineProfile};
@@ -65,12 +65,12 @@ fn one_d_stats_expose_the_alltoall_structure() {
         let a2a = stats
             .events
             .iter()
-            .filter(|e| e.pattern == Pattern::Alltoallv)
+            .filter(|e| e.pattern == CollectiveTag::Alltoallv)
             .count();
         let ar = stats
             .events
             .iter()
-            .filter(|e| e.pattern == Pattern::Allreduce)
+            .filter(|e| e.pattern == CollectiveTag::Allreduce)
             .count();
         assert_eq!(a2a as u32, run.num_levels);
         assert_eq!(ar as u32, run.num_levels + 1);
@@ -92,15 +92,15 @@ fn two_d_stats_expose_the_expand_fold_structure() {
         let ar = stats
             .events
             .iter()
-            .filter(|e| e.pattern == Pattern::Allreduce)
+            .filter(|e| e.pattern == CollectiveTag::Allreduce)
             .count();
         assert_eq!(ar as u32, run.num_levels + 1);
         for e in &stats.events {
             match e.pattern {
                 // Expand runs on the column communicator (pr = 2 ranks).
-                Pattern::Allgatherv => assert_eq!(e.group_size, 2),
+                CollectiveTag::Allgatherv => assert_eq!(e.group_size, 2),
                 // Fold runs on the row communicator (pc = 3 ranks).
-                Pattern::Alltoallv => {
+                CollectiveTag::Alltoallv => {
                     // Rectangular grids route the transpose through a world
                     // alltoallv; fold uses the row communicator.
                     assert!(e.group_size == 3 || e.group_size == 6);

@@ -1,7 +1,7 @@
 //! Failure-injection and stress tests for the message-passing runtime —
 //! the substrate every distributed result in this repository rests on.
 
-use dmbfs::comm::{Comm, World};
+use dmbfs::comm::{Comm, WireBuf, World};
 use std::panic::catch_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -105,8 +105,10 @@ fn mixed_collectives_in_lockstep_are_consistent() {
             // Row i holds {3i, 3i+1, 3i+2}; column j holds {j, j+3, j+6}.
             assert_eq!(row_sum, (9 * i + 3) as u64);
             assert_eq!(col_sum, (3 * j + 9) as u64);
-            let t = comm.sendrecv(j * grid + i, vec![comm.rank() as u32]);
-            assert_eq!(t, vec![(j * grid + i) as u32]);
+            // The transpose partner; the diagonal partners itself.
+            let sent = WireBuf::new(vec![comm.rank() as u8], 4);
+            let t = comm.sendrecv_wire(j * grid + i, sent);
+            assert_eq!(t.bytes(), [(j * grid + i) as u8]);
             counter.fetch_add(1, Ordering::Relaxed);
         }
     });
@@ -116,14 +118,22 @@ fn mixed_collectives_in_lockstep_are_consistent() {
 #[test]
 fn single_rank_comm_supports_whole_api() {
     let comm = Comm::single();
+    let buf = WireBuf::new(vec![1, 2], 16);
     comm.barrier();
-    assert_eq!(comm.allreduce(5u64, |a, b| a + b), 5);
+    assert_eq!(comm.alltoallv(vec![vec![3u32]]), vec![vec![3]]);
+    assert_eq!(comm.alltoallv_wire(vec![buf.clone()]), vec![buf.clone()]);
+    assert_eq!(
+        comm.ialltoallv_wire(vec![buf.clone()]).wait(),
+        vec![buf.clone()]
+    );
+    assert_eq!(comm.allgatherv_wire(buf.clone()), vec![buf.clone()]);
+    assert_eq!(comm.sendrecv_wire(0, buf.clone()), buf);
     assert_eq!(comm.allgather(7u8), vec![7]);
-    assert_eq!(comm.broadcast(0, Some(9i32)), 9);
-    assert_eq!(comm.gather(0, 4u16), Some(vec![4]));
-    assert_eq!(comm.sendrecv(0, vec![1u64, 2]), vec![1, 2]);
+    assert_eq!(comm.allreduce(5u64, |a, b| a + b), 5);
     let sub = comm.split(0, 0);
     assert_eq!(sub.size(), 1);
+    // One event per collective; the split records its two rounds.
+    assert_eq!(comm.stats().num_calls(), 10);
 }
 
 #[test]

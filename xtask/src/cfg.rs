@@ -19,6 +19,7 @@
 //! `docs/static-analysis.md` for the accepted imprecision.
 
 use crate::lexer::{Lexed, Tok, TokKind};
+use crate::rules::is_collective_call;
 
 /// One parsed function (or method) definition.
 #[derive(Debug)]
@@ -54,8 +55,8 @@ pub struct ExprFacts {
     /// Mentions a rank source: a `.rank()` call or a rank-named root.
     pub rank: bool,
     /// The whole expression is a call to a replicated-result collective
-    /// (`allreduce`, `allgather(v)`, `broadcast`): its value is identical
-    /// on every rank regardless of the inputs.
+    /// (`allreduce`, `allgather`): its value is identical on every rank
+    /// regardless of the inputs.
     pub repl_root: bool,
 }
 
@@ -136,31 +137,10 @@ pub enum Stmt {
     },
 }
 
-/// Method names treated as collective primitives, with the receiver
-/// heuristics of the lint rules: `wait` only on a pending/exchange-like
-/// receiver, `split`/`gather` only on a comm-like receiver.
-const PRIMITIVES: &[&str] = &[
-    "barrier",
-    "alltoallv",
-    "alltoallv_wire",
-    "ialltoallv_wire",
-    "wait",
-    "allgatherv",
-    "allgatherv_wire",
-    "allgather",
-    "allreduce",
-    "broadcast",
-    "gather",
-    "gatherv",
-    "sendrecv",
-    "sendrecv_wire",
-    "split",
-];
-
 /// Collectives whose result is replicated: every rank computes the same
 /// value from them, so data derived from their results is rank-invariant
 /// (the `[u64;3]`-allreduce pattern of the direction-optimizing hybrid).
-pub const REPLICATED_RESULT: &[&str] = &["allreduce", "allgather", "allgatherv", "broadcast"];
+pub const REPLICATED_RESULT: &[&str] = &["allreduce", "allgather"];
 
 const KEYWORDS: &[&str] = &[
     "if", "else", "match", "while", "for", "loop", "return", "break", "continue", "let", "in",
@@ -230,29 +210,6 @@ fn skip_generics(toks: &[Tok], i: usize) -> usize {
 fn rank_named(name: &str) -> bool {
     let l = name.to_ascii_lowercase();
     l == "rank" || l.ends_with("_rank") || l.starts_with("rank_")
-}
-
-/// Receiver plausibility for the ambiguous primitive names, mirroring
-/// the lint rules: `wait` needs a pending/exchange-like receiver,
-/// `split`/`gather` a comm-like one (or a call-result receiver).
-fn primitive_receiver_ok(toks: &[Tok], dot: usize, name: &str) -> bool {
-    let recv = dot.checked_sub(1).map(|k| &toks[k].kind);
-    match name {
-        "wait" => match recv {
-            Some(TokKind::Ident(s)) => {
-                let l = s.to_ascii_lowercase();
-                l.contains("pending") || l.contains("exchange")
-            }
-            Some(TokKind::Punct(')')) => true,
-            _ => false,
-        },
-        "split" | "gather" => match recv {
-            Some(TokKind::Ident(s)) => s.to_ascii_lowercase().contains("comm"),
-            Some(TokKind::Punct(')')) => true,
-            _ => false,
-        },
-        _ => true,
-    }
 }
 
 /// Parses every function definition in a lexed file, including methods
@@ -1244,10 +1201,7 @@ fn parse_expr_events(
             if is_punct(toks.get(after), '(') {
                 let close = matching(toks, after);
                 let line = toks[i].line;
-                if is_method
-                    && PRIMITIVES.contains(&name)
-                    && primitive_receiver_ok(toks, i - 1, name)
-                {
+                if is_method && is_collective_call(toks, i - 1, name) {
                     // Argument events first (evaluation order), then the op.
                     // Closure arguments of a primitive are reduce operators:
                     // their bodies must not communicate, so they are scanned

@@ -547,10 +547,10 @@ a();
 // lint: allow(collective-symmetry)
 if comm.rank() == 0 {
     comm.barrier();
-    comm.broadcast(
-        0, y);
+    comm.allreduce(
+        y, add);
 }
-comm.gatherv(&[x], 0);
+comm.allgather(x);
 ";
         let l = lex(src);
         for covered in 3..=7 {

@@ -50,39 +50,60 @@ pub const COLLECTIVE_SYMMETRY: &str = "collective-symmetry";
 /// at review time (see `docs/zero-copy.md`).
 pub const NO_POST_DEPOSIT_MUTATION: &str = "no-post-deposit-mutation";
 
-/// The names of every `Comm` collective entry point; a `.name(` call on a
-/// comm-like receiver inside a rank-guarded block is asymmetric.
-const COLLECTIVES: &[&str] = &[
-    "barrier",
-    "alltoallv",
-    "alltoallv_wire",
-    "ialltoallv_wire",
-    "wait",
-    "allgatherv",
-    "allgatherv_wire",
-    "allgather",
-    "allreduce",
-    "broadcast",
-    "gather",
-    "gatherv",
-    "sendrecv",
-    "sendrecv_wire",
-    "split",
+/// The one collective catalogue: every public collective of `Comm` and
+/// `PendingExchange` by method name, with the fingerprint names (the
+/// runtime's `CollectiveKind::name`) one call records, in order. `split`
+/// records itself and then its `allgather` of every rank's `(color, key)`;
+/// `alltoallv_wire` is a start immediately followed by its wait. The
+/// collective-symmetry rule and the schedule checker both read it, and
+/// `xtask/tests/lint_tests.rs` holds it to `crates/comm/src/comm.rs`.
+pub const COLLECTIVES: &[(&str, &[&str])] = &[
+    ("barrier", &["barrier"]),
+    ("alltoallv", &["alltoallv"]),
+    (
+        "alltoallv_wire",
+        &["ialltoallv_wire", "ialltoallv_wire_wait"],
+    ),
+    ("ialltoallv_wire", &["ialltoallv_wire"]),
+    ("wait", &["ialltoallv_wire_wait"]),
+    ("allgather", &["allgatherv"]),
+    ("allgatherv_wire", &["allgatherv_wire"]),
+    ("allreduce", &["allreduce"]),
+    ("sendrecv_wire", &["sendrecv_wire"]),
+    ("split", &["split", "allgatherv"]),
 ];
 
-/// Collective names that are also everyday method names (`str::split`,
-/// `Iterator`-adjacent `gather` helpers). For these, the receiver directly
-/// before the `.` must itself look comm-like (`comm`, `row_comm`, …) or be
-/// a call result (`)`), otherwise the match is skipped.
-const AMBIGUOUS_COLLECTIVES: &[&str] = &["split", "gather"];
+/// The fingerprint names a call of method `name` records; empty for a
+/// method that is not in [`COLLECTIVES`].
+pub fn fingerprints(name: &str) -> &'static [&'static str] {
+    COLLECTIVES
+        .iter()
+        .find(|(method, _)| *method == name)
+        .map_or(&[], |&(_, kinds)| kinds)
+}
 
-/// `wait` completes a nonblocking exchange (`PendingExchange::wait`) and is
-/// collective — but it is also how barriers, condvars, and child processes
-/// park, none of which rendezvous on the board. It only counts when the
-/// receiver looks like a pending exchange: an identifier mentioning
-/// `pending` or `exchange`, or a call result (`)`), which catches the
-/// chained `comm.ialltoallv_wire(bufs).wait()` form.
-const EXCHANGE_WAIT: &str = "wait";
+/// True when the `.name(` call whose `.` is at `dot` is a collective. Two
+/// catalogue names are everyday method names too, so they count only on a
+/// plausible receiver — the identifier before the `.`, or a call result
+/// `)` (`comm.ialltoallv_wire(bufs).wait()`): `wait` on one mentioning
+/// `pending` or `exchange` (barriers, condvars and child processes park
+/// with `wait`, none on the board), `split` on one mentioning `comm`
+/// (never `line.split(',')`).
+pub fn is_collective_call(toks: &[Tok], dot: usize, name: &str) -> bool {
+    let hints: &[&str] = match name {
+        "wait" => &["pending", "exchange"],
+        "split" => &["comm"],
+        _ => return !fingerprints(name).is_empty(),
+    };
+    match dot.checked_sub(1).map(|k| &toks[k].kind) {
+        Some(TokKind::Ident(s)) => {
+            let s = s.to_ascii_lowercase();
+            hints.iter().any(|hint| s.contains(hint))
+        }
+        Some(TokKind::Punct(')')) => true,
+        _ => false,
+    }
+}
 
 /// True when `rule` applies to the file at workspace-relative `path`
 /// (forward-slash separators).
@@ -340,10 +361,7 @@ fn collective_symmetry(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
             TokKind::Punct('.') => {
                 if stack.iter().any(|f| f.guarded) {
                     if let Some(name) = ident(toks.get(i + 1)) {
-                        if COLLECTIVES.contains(&name)
-                            && is_punct(toks.get(i + 2), '(')
-                            && receiver_plausible(toks, i, name)
-                        {
+                        if is_punct(toks.get(i + 2), '(') && is_collective_call(toks, i, name) {
                             out.push(Finding {
                                 file: path.to_string(),
                                 line: toks[i + 1].line,
@@ -362,36 +380,6 @@ fn collective_symmetry(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
             }
             _ => i += 1,
         }
-    }
-}
-
-/// For ambiguous names (`split`, `gather`) the receiver before the `.`
-/// must look comm-like — an identifier mentioning `comm` or a call result
-/// `)` — so `line.split(',')` never fires.
-fn receiver_plausible(toks: &[Tok], dot: usize, name: &str) -> bool {
-    if name == EXCHANGE_WAIT {
-        if dot == 0 {
-            return false;
-        }
-        return match &toks[dot - 1].kind {
-            TokKind::Ident(s) => {
-                let l = s.to_ascii_lowercase();
-                l.contains("pending") || l.contains("exchange")
-            }
-            TokKind::Punct(')') => true,
-            _ => false,
-        };
-    }
-    if !AMBIGUOUS_COLLECTIVES.contains(&name) {
-        return true;
-    }
-    if dot == 0 {
-        return false;
-    }
-    match &toks[dot - 1].kind {
-        TokKind::Ident(s) => s.to_ascii_lowercase().contains("comm"),
-        TokKind::Punct(')') => true,
-        _ => false,
     }
 }
 
@@ -580,7 +568,7 @@ fn f(comm: &Comm) {
     } else if comm.rank() == 1 {
         comm.allreduce(&x, ops::sum);
     } else {
-        comm.broadcast(0, &mut y);
+        comm.allgather(y);
     }
 }";
         let f = run("crates/bfs/src/lib.rs", src);
@@ -599,7 +587,7 @@ fn f(comm: &Comm) {
     fn match_on_rank_guards_its_arms() {
         let src = "\
 match comm.rank() {
-    0 => { comm.gatherv(&v, 0); }
+    0 => { comm.allgather(v); }
     _ => {}
 }";
         let f = run("crates/bfs/src/lib.rs", src);
@@ -629,6 +617,8 @@ fn f(comm: &Comm) {
     fn ambiguous_names_need_a_comm_receiver() {
         let guarded = |body: &str| format!("fn f() {{ if my_rank == 0 {{ {body} }} }}");
         assert!(run("src/lib.rs", &guarded("let p = line.split(',');")).is_empty());
+        // `gather` is no collective, whatever the receiver.
+        assert!(run("src/lib.rs", &guarded("let g = comm.gather(n);")).is_empty());
         assert_eq!(
             run("src/lib.rs", &guarded("let sub = comm.split(c, k);")).len(),
             1
@@ -684,7 +674,7 @@ fn f(comm: &Comm) {
         // lint: allow(collective-symmetry)
         comm.barrier();
         comm.allreduce(&x, ops::sum); // lint: allow(collective-symmetry)
-        comm.broadcast(0, &mut y);
+        comm.allgather(y);
     }
 }";
         let f = run("crates/bfs/src/lib.rs", src);

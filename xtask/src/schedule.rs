@@ -9,7 +9,7 @@
 //! replicated data*. The safe-branch rule is the `[u64; 3]`-allreduce
 //! pattern of the direction-optimizing hybrid: a branch condition is safe
 //! iff it derives from a prior collective's replicated result
-//! (`allreduce` / `allgather(v)` / `broadcast`) or from rank-invariant
+//! (`allreduce` / `allgather`) or from rank-invariant
 //! configuration; anything rooted in `.rank()` or rank-named data makes
 //! the branch divergent, and divergent arms with different schedules are
 //! exactly the silent-deadlock shape the MPI-style matching discipline of
@@ -30,7 +30,7 @@
 
 use crate::cfg::{self, Closure, ExprFacts, FnDef, Stmt};
 use crate::lexer::{lex, Lexed};
-use crate::rules::Finding;
+use crate::rules::{fingerprints, Finding};
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::rc::Rc;
@@ -302,32 +302,6 @@ impl Analysis {
 
     fn file_of(&self, fn_idx: usize) -> &FileInfo {
         &self.files[self.fns[fn_idx].file_idx]
-    }
-}
-
-/// Maps a source-level primitive method name to the dynamic fingerprint
-/// sequence it produces. `split` fingerprints itself and then delegates
-/// to an `allgather` (one `allgatherv` fingerprint); `allgather`
-/// delegates to `allgatherv`; `wait` is the exchange completion, and
-/// `alltoallv_wire` is a start immediately followed by its wait.
-fn fingerprints(method: &str) -> &'static [&'static str] {
-    match method {
-        "barrier" => &["barrier"],
-        "alltoallv" => &["alltoallv"],
-        "alltoallv_wire" => &["ialltoallv_wire", "ialltoallv_wire_wait"],
-        "ialltoallv_wire" => &["ialltoallv_wire"],
-        "wait" => &["ialltoallv_wire_wait"],
-        "allgatherv" => &["allgatherv"],
-        "allgatherv_wire" => &["allgatherv_wire"],
-        "allgather" => &["allgatherv"],
-        "allreduce" => &["allreduce"],
-        "broadcast" => &["broadcast"],
-        "gather" => &["gather"],
-        "gatherv" => &["gatherv"],
-        "sendrecv" => &["sendrecv"],
-        "sendrecv_wire" => &["sendrecv_wire"],
-        "split" => &["split", "allgatherv"],
-        _ => &[],
     }
 }
 
@@ -1808,7 +1782,7 @@ mod tests {
             r#"
             fn ring(comm: &Comm, data: Vec<u64>) {
                 if comm.rank() == 0 {
-                    comm.sendrecv(1, data);
+                    comm.sendrecv_wire(1, data);
                 }
             }
             "#

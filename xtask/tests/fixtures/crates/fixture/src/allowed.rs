@@ -5,6 +5,6 @@ pub fn intentional(comm: &Comm, y: &mut u64) {
     if comm.rank() == 0 {
         // lint: allow(collective-symmetry)
         comm.barrier();
-        comm.broadcast(0, y); // lint: allow(collective-symmetry)
+        comm.allgather(*y); // lint: allow(collective-symmetry)
     }
 }

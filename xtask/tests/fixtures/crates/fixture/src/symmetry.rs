@@ -9,7 +9,7 @@ pub fn lopsided(comm: &Comm, x: u64) {
     match comm.rank() {
         0 => {}
         _ => {
-            comm.gatherv(&[x], 0);
+            comm.allgather(x);
         }
     }
 }

@@ -7,6 +7,6 @@ pub fn data_dependent(comm: &Comm, local: &Local1d) {
     if mine > 4 {
         comm.alltoallv_wire(encode(mine));
     } else {
-        comm.allgatherv(vec![mine]);
+        comm.allgather(mine);
     }
 }
