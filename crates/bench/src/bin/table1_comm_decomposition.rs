@@ -13,6 +13,7 @@ use dmbfs_bench::harness::{
 use dmbfs_bench::scaling::run_functional;
 use dmbfs_comm::CollectiveTag;
 use dmbfs_graph::components::sample_sources;
+use dmbfs_model::replay::replay_by_pattern;
 use dmbfs_model::{replay_rank_time, Algorithm, GraphShape, MachineProfile};
 use serde::Serialize;
 
@@ -116,17 +117,19 @@ fn main() {
             .map(|ev| replay_rank_time(&profile, ev, 1))
             .fold(0.0f64, f64::max)
             .max(1e-12);
-        let filtered = |pattern: CollectiveTag| -> f64 {
-            pt.events
+        // Each rank's modeled time split by pattern; a phase's time is its
+        // slowest rank's.
+        let split: Vec<_> = pt
+            .events
+            .iter()
+            .map(|ev| replay_by_pattern(&profile, ev, 1))
+            .collect();
+        let phase = |pattern: CollectiveTag| -> f64 {
+            split
                 .iter()
-                .map(|ev| {
-                    let sel: Vec<_> = ev
-                        .iter()
-                        .copied()
-                        .filter(|e| e.pattern == pattern)
-                        .collect();
-                    replay_rank_time(&profile, &sel, 1)
-                })
+                .flatten()
+                .filter(|(p, _)| *p == pattern)
+                .map(|&(_, t)| t)
                 .fold(0.0f64, f64::max)
         };
         let row = Row {
@@ -134,8 +137,8 @@ fn main() {
             scale,
             edge_factor: ef,
             bfs_seconds: slowest,
-            allgatherv_pct: 100.0 * filtered(CollectiveTag::Allgatherv) / slowest,
-            alltoallv_pct: 100.0 * filtered(CollectiveTag::Alltoallv) / slowest,
+            allgatherv_pct: 100.0 * phase(CollectiveTag::Allgatherv) / slowest,
+            alltoallv_pct: 100.0 * phase(CollectiveTag::Alltoallv) / slowest,
         };
         table.push(vec![
             row.cores.to_string(),

@@ -1,16 +1,15 @@
 //! Graph partitioning for the distributed algorithms.
 //!
 //! Real deployments distribute the graph during generation/ingest; here the
-//! full graph lives in the calling process and each simulated rank derives
-//! its partition from the shared [`CsrGraph`] on startup, without copying
+//! full graph lives in the calling process and each simulated rank reads
+//! its partition straight out of the shared [`CsrGraph`], without copying
 //! or sorting it: a 1D rank borrows its block of the CSR ([`extract_1d`]),
-//! and a 2D rank builds its DCSC block in one pass over the CSR's sorted
-//! adjacency ([`block_dcsc`]). Both are read-only and happen before the
-//! timed BFS region, mirroring the untimed "graph construction" phase of
-//! the Graph 500 protocol.
+//! and a 2D rank views its submatrix `A_ij` as each column's sorted
+//! adjacency cut to the block's rows (`Block2d`). Both are read-only and
+//! cost nothing per call: no graph state is rebuilt between the untimed
+//! "graph construction" phase of the Graph 500 protocol and the searches.
 
 use dmbfs_graph::{Block1D, CsrGraph, Grid2D, OwnerMap2D, VertexId};
-use dmbfs_matrix::Dcsc;
 use std::ops::Range;
 
 /// Rank-local piece of a 1D vertex partition (§3.1): a contiguous vertex
@@ -72,26 +71,37 @@ pub fn extract_1d(g: &CsrGraph, p: usize, rank: usize) -> Local1d<'_> {
     }
 }
 
-/// `P(i, j)`'s submatrix `A_ij` of a 2D checkerboard partition (§3.2) as
-/// DCSC: matrix rows `rows` (destination vertices) × columns `cols`
-/// (source vertices), where entry `(v, u)` represents edge `u → v` (the
-/// matrix is stored pre-transposed, as §3.2 assumes, so SpMSV pushes the
-/// frontier along out-edges). Indices are block-local.
-///
-/// Column `u` is the part of `u`'s sorted CSR adjacency that falls in
-/// `rows`, found with two binary searches and rebased by `rows.start`, so
-/// the block is built in one pass with no intermediate triples and no
-/// sort; duplicate edges collapse to one nonzero. Aggregate work over one
-/// processor row is `O(m)`.
-pub fn block_dcsc(g: &CsrGraph, rows: Range<u64>, cols: Range<u64>) -> Dcsc {
-    let (row0, col0) = (rows.start, cols.start);
-    let columns = cols.clone().map(|u| {
-        let nbrs = g.neighbors(u);
-        let lo = nbrs.partition_point(|&v| v < rows.start);
-        let hi = lo + nbrs[lo..].partition_point(|&v| v < rows.end);
-        (u - col0, nbrs[lo..hi].iter().map(move |&v| v - row0))
-    });
-    Dcsc::from_sorted_columns(rows.end - row0, cols.end - col0, columns)
+/// `P(i, j)`'s submatrix `A_ij` of a 2D checkerboard partition (§3.2) as a
+/// view of the shared CSR: rows `rows` (destinations) × columns `cols`
+/// (sources), entry `(v, u)` for edge `u → v`. Ids stay global, and
+/// duplicate edges stay: one entry per stored adjacency.
+#[derive(Clone, Debug)]
+pub(crate) struct Block2d<'g> {
+    /// Global matrix-row range.
+    pub rows: Range<u64>,
+    /// Global matrix-column range.
+    pub cols: Range<u64>,
+    /// The shared graph the columns are cut from.
+    pub graph: &'g CsrGraph,
+}
+
+impl<'g> Block2d<'g> {
+    /// Column `u`: `u`'s sorted adjacency cut to `rows`. An end already in
+    /// `rows` needs no binary search, so a slice inside `rows` — every slice
+    /// on a one-row grid — comes back whole.
+    #[inline]
+    pub fn column(&self, u: VertexId) -> &'g [VertexId] {
+        let (nbrs, Range { start, end }) = (self.graph.neighbors(u), self.rows.clone());
+        let lo = match nbrs.first() {
+            Some(&first) if first < start => nbrs.partition_point(|&v| v < start),
+            _ => 0,
+        };
+        let hi = match nbrs.last() {
+            Some(&last) if last >= end => lo + nbrs[lo..].partition_point(|&v| v < end),
+            _ => nbrs.len(),
+        };
+        &nbrs[lo..hi]
+    }
 }
 
 /// Rank-local piece of a 2D checkerboard partition (§3.2) as coordinate
@@ -100,10 +110,6 @@ pub fn block_dcsc(g: &CsrGraph, rows: Range<u64>, cols: Range<u64>) -> Dcsc {
 /// edge `u → v`.
 #[derive(Clone, Debug)]
 pub struct Local2d {
-    /// Grid coordinates of this rank.
-    pub coords: (usize, usize),
-    /// The global ownership map.
-    pub map: OwnerMap2D,
     /// Global matrix-row range of this block (output/destination vertices).
     pub row_range: Range<u64>,
     /// Global matrix-column range of this block (input/source vertices).
@@ -127,9 +133,9 @@ impl Local2d {
 /// `P(i, j)`'s submatrix as one `(row, col)` triple per stored adjacency
 /// (duplicates kept), scanning only the sources in `col_range(j)`.
 ///
-/// No search runs this: 2D ranks build their block with [`block_dcsc`].
+/// No search runs this: 2D ranks read their block through `Block2d`.
 /// It is the reference path — `Dcsc::from_triples` over these triples is
-/// what the tests hold [`block_dcsc`] equal to, and what the benchmark's
+/// what the tests hold `Block2d` equal to, and what the benchmark's
 /// layer phase times as the triples-then-sort construction.
 pub fn extract_2d(g: &CsrGraph, grid: Grid2D, i: usize, j: usize) -> Local2d {
     let map = OwnerMap2D::new(g.num_vertices(), grid);
@@ -144,8 +150,6 @@ pub fn extract_2d(g: &CsrGraph, grid: Grid2D, i: usize, j: usize) -> Local2d {
         }
     }
     Local2d {
-        coords: (i, j),
-        map,
         row_range,
         col_range,
         triples,
@@ -157,6 +161,7 @@ mod tests {
     use super::*;
     use dmbfs_graph::gen::{rmat, RmatConfig};
     use dmbfs_graph::{CsrGraph, EdgeList};
+    use dmbfs_matrix::Dcsc;
 
     fn sample() -> CsrGraph {
         let mut el = rmat(&RmatConfig::graph500(7, 77));
@@ -230,9 +235,10 @@ mod tests {
         }
     }
 
-    /// Every stored adjacency lands in exactly one block's triples, and
-    /// every block's CSR-built DCSC equals the sorted triples' DCSC — on a
-    /// raw graph, so duplicate edges and self-loops are exercised.
+    /// Every stored adjacency lands in exactly one block's view, inside the
+    /// block's rows, and every column of the view, deduped and rebased,
+    /// equals the sorted triples' DCSC column — on a raw graph, so
+    /// duplicate edges and self-loops are exercised.
     #[test]
     fn two_d_blocks_cover_all_edges_exactly_once() {
         let g = raw_sample();
@@ -241,14 +247,51 @@ mod tests {
             let mut total = 0;
             for (i, j) in (0..pr).flat_map(|i| (0..pc).map(move |j| (i, j))) {
                 let b = extract_2d(&g, grid, i, j);
-                total += b.triples.len();
-                let built = block_dcsc(&g, b.row_range.clone(), b.col_range.clone());
-                built.check_invariants().unwrap();
                 let reference = Dcsc::from_triples(b.nrows(), b.ncols(), &b.triples);
-                assert_eq!(built, reference, "grid {pr}x{pc}, block ({i}, {j})");
+                let (rows, cols) = (b.row_range, b.col_range);
+                let view = Block2d {
+                    rows: rows.clone(),
+                    cols: cols.clone(),
+                    graph: &g,
+                };
+                for u in cols.clone() {
+                    let what = format!("grid {pr}x{pc}, block ({i}, {j}), column {u}");
+                    let column = view.column(u);
+                    assert!(column.iter().all(|v| rows.contains(v)), "{what}");
+                    total += column.len();
+                    let mut local: Vec<u64> = column.iter().map(|&v| v - rows.start).collect();
+                    local.dedup();
+                    assert_eq!(local, reference.column(u - cols.start), "{what}");
+                }
             }
             assert_eq!(total as u64, g.num_edges(), "grid {pr}x{pc}");
         }
+    }
+
+    /// A column inside the rows comes back whole and borrowed; one that
+    /// straddles a row boundary, or ends exactly on one, is cut on that
+    /// side; an empty column comes back empty.
+    #[test]
+    fn two_d_column_cuts_at_row_boundaries() {
+        let el = EdgeList::new(8, vec![(0, 1), (0, 2), (1, 2), (1, 5), (3, 4)]);
+        let g = CsrGraph::from_edge_list(&el);
+        let top = Block2d {
+            rows: 0..4,
+            cols: 0..8,
+            graph: &g,
+        };
+        assert_eq!(top.column(0).as_ptr_range(), g.neighbors(0).as_ptr_range());
+        assert_eq!(top.column(1), [2]);
+        assert!(top.column(2).is_empty());
+        assert!(top.column(3).is_empty());
+        let bottom = Block2d { rows: 4..8, ..top };
+        assert!(bottom.column(0).is_empty());
+        assert_eq!(bottom.column(1), [5]);
+        assert!(bottom.column(2).is_empty());
+        assert_eq!(
+            bottom.column(3).as_ptr_range(),
+            g.neighbors(3).as_ptr_range()
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! 3. **Local SpMSV** — `t_i ← A_ij ⊗ f_j` over the (select, max)
 //!    semiring, scattered into a sort-free per-rank SelectMax accumulator
 //!    and gathered per vector owner in ascending id order; the hybrid
-//!    variant splits the frontier's columns across threads.
+//!    variant splits the frontier's columns across threads. `A_ij` is a
+//!    `distribute::Block2d` view of the shared CSR: no rank copies its block.
 //! 4. **Fold** — `Alltoallv` along each processor *row* (`pc`
 //!    participants) delivers each candidate parent to the vector owner.
 //! 5. **Mask & update** — `t_ij ← t_ij ⊙ π̄_ij; π_ij ← π_ij + t_ij;
@@ -32,7 +33,7 @@
 //! §4.3 / Fig. 4 demonstrates.
 
 use crate::direction::level_loop;
-use crate::distribute::block_dcsc;
+use crate::distribute::Block2d;
 use crate::exchange::{exchange_pairs, Accumulator};
 use crate::frontier_codec::{
     decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
@@ -40,7 +41,6 @@ use crate::frontier_codec::{
 use crate::{BfsOutput, UNREACHED};
 use dmbfs_comm::{Comm, CommStats};
 use dmbfs_graph::{CsrGraph, Grid2D, OwnerMap2D, VertexId};
-use dmbfs_matrix::Dcsc;
 use dmbfs_runtime::{run_ranks, scatter_block, DirectionMode, FaultPlan, RunConfig};
 use dmbfs_trace::{RankTrace, SpanKind};
 use std::ops::Range;
@@ -290,17 +290,13 @@ pub fn bfs2d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs2dConfig) -> Dist2dRun
 }
 
 /// Per-rank algorithm state.
-struct RankState {
+struct RankState<'g> {
     cfg: Bfs2dConfig,
     coords: (usize, usize),
     /// The global ownership map.
     map: OwnerMap2D,
-    /// Global matrix-row range of `A_ij` (destination vertices).
-    row_range: Range<u64>,
-    /// Global matrix-column range of `A_ij` (source vertices).
-    col_range: Range<u64>,
-    /// The local submatrix `A_ij`, shared by flat and pooled ranks.
-    matrix: Dcsc,
+    /// The local submatrix `A_ij`, a view of the shared CSR.
+    block: Block2d<'g>,
     /// The SpMSV's SelectMax accumulator, one slot per local row, keyed by
     /// the frontier's block-local column.
     acc: Accumulator,
@@ -308,23 +304,26 @@ struct RankState {
     vrange: Range<u64>,
 }
 
-impl RankState {
-    fn new(g: &CsrGraph, cfg: &Bfs2dConfig, i: usize, j: usize) -> Self {
+impl<'g> RankState<'g> {
+    fn new(g: &'g CsrGraph, cfg: &Bfs2dConfig, i: usize, j: usize) -> Self {
         let map = OwnerMap2D::new(g.num_vertices(), cfg.grid);
         let vrange = match cfg.distribution {
             VectorDistribution::TwoD => map.vector_range(i, j),
             VectorDistribution::Diagonal => map.diagonal_range(i, j),
         };
-        let (row_range, col_range) = (map.matrix_row_range(i), map.matrix_col_range(j));
-        let matrix = block_dcsc(g, row_range.clone(), col_range.clone());
-        let acc = Accumulator::new(matrix.nrows() as usize, matrix.ncols() as usize);
+        let (rows, cols) = (map.matrix_row_range(i), map.matrix_col_range(j));
+        let (nrows, ncols) = (rows.end - rows.start, cols.end - cols.start);
+        let acc = Accumulator::new(nrows as usize, ncols as usize);
+        let block = Block2d {
+            rows,
+            cols,
+            graph: g,
+        };
         Self {
             cfg: *cfg,
             coords: (i, j),
             map,
-            row_range,
-            col_range,
-            matrix,
+            block,
             acc,
             vrange,
         }
@@ -348,14 +347,14 @@ impl RankState {
         // One bit per owned vertex: the vertices this level claimed.
         let mut claimed = vec![0u64; nloc.div_ceil(64)];
         let mut work = RankWork::default();
-        let (acc, matrix) = (&self.acc, &self.matrix);
-        let (row0, col0) = (self.row_range.start, self.col_range.start);
-        // Column `c` offers parent slot `c + 1` to every row it holds;
-        // returns its sieve hits.
-        let scatter = |&c: &u64| -> u64 {
-            let slot = c as u32 + 1;
-            let hit = |&r: &u64| u64::from(acc.offer(r as usize, slot));
-            matrix.column(c).iter().map(hit).sum()
+        let (acc, block) = (&self.acc, &self.block);
+        let (row0, col0) = (block.rows.start, block.cols.start);
+        // Column `u` offers parent slot `u - col0 + 1` to every row it
+        // holds, once per stored adjacency; returns its sieve hits.
+        let scatter = |&u: &u64| -> u64 {
+            let slot = (u - col0) as u32 + 1;
+            let hit = |&r: &u64| u64::from(acc.offer((r - row0) as usize, slot));
+            block.column(u).iter().map(hit).sum()
         };
         // The owners' vector ranges split this processor row's matrix rows
         // in ascending order, so every touched row is gathered for exactly
@@ -403,7 +402,7 @@ impl RankState {
                 comm.trace_span(SpanKind::Transpose, transpose_t, transposed.len() as u64);
                 // Line 6: expand along the processor column.
                 let expand_t = comm.trace_start();
-                let buf = encode_set(&transposed, self.col_range.clone(), Codec::Adaptive);
+                let buf = encode_set(&transposed, self.block.cols.clone(), Codec::Adaptive);
                 lvl.note(&buf);
                 let gathered = col_comm
                     .allgatherv_wire(buf)
@@ -512,22 +511,15 @@ impl RankState {
         }
     }
 
-    /// Line 6 epilogue: the allgathered pieces as the sorted block-local
-    /// columns of the frontier `f_j`. Under the (select, max) semiring a
+    /// Line 6 epilogue: the allgathered pieces as the sorted frontier `f_j`,
+    /// global ids of the block's columns. Under the (select, max) semiring a
     /// column's global id is its candidate parent.
     fn assemble_frontier(&self, gathered: Vec<Vec<VertexId>>) -> Vec<u64> {
         // On a square grid under the 2D distribution the pieces are
         // disjoint and ascend by sub-rank (ROADMAP J.3).
         debug_assert!(!self.square_2d() || gathered.iter().flatten().is_sorted_by(|a, b| a < b));
-        let base = self.col_range.start;
-        let mut cols: Vec<u64> = gathered
-            .into_iter()
-            .flatten()
-            .map(|g| {
-                debug_assert!(self.col_range.contains(&g));
-                g - base
-            })
-            .collect();
+        let mut cols: Vec<u64> = gathered.into_iter().flatten().collect();
+        debug_assert!(cols.iter().all(|g| self.block.cols.contains(g)));
         cols.sort_unstable();
         cols.dedup();
         cols

@@ -140,6 +140,26 @@ fn rmat_sieve_hits_match_oracle() {
     }
 }
 
+/// R-MAT symmetrized but not canonicalized: self-loops and duplicate edges
+/// stay, and every stored adjacency is one offer — in 2D as in 1D — so the
+/// oracle counts a re-offered duplicate once per copy.
+#[test]
+fn multigraph_sieve_hits_count_every_stored_adjacency() {
+    let mut el = rmat(&RmatConfig::graph500(8, 5));
+    el.symmetrize();
+    let g = CsrGraph::from_edge_list(&el);
+    let n = g.num_vertices();
+    let self_loop = (0..n).any(|u| g.neighbors(u).contains(&u));
+    let duplicate = (0..n).any(|u| g.neighbors(u).windows(2).any(|w| w[0] == w[1]));
+    assert!(
+        self_loop && duplicate,
+        "fixture lost its self-loops or duplicates"
+    );
+    for source in [0, n / 3] {
+        check(&g, source);
+    }
+}
+
 #[test]
 fn grid_sieve_hits_match_oracle() {
     let g = CsrGraph::from_edge_list(&grid2d(7, 9));
