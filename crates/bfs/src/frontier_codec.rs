@@ -29,6 +29,12 @@
 //! tested in `crates/bfs/tests/codec_proptests.rs`, parent trees against
 //! the serial oracle in `crates/bfs/tests/max_parent_oracle.rs`).
 //!
+//! Set payloads decode two ways: [`decode_set`] returns the sorted
+//! vertices (the 2D expand and transpose), and [`decode_set_into`] ORs
+//! them into a global `u64` word bitmap (the 1D bottom-up step, which
+//! probes the frontier by bit). The second copies a bitmap payload eight
+//! bytes at a time, shifted to its range base, instead of enumerating it.
+//!
 //! Neither distributed BFS sieves with [`Sieve`]: both drop re-discovered
 //! targets inside their SelectMax accumulator, whose slot of a sent target
 //! stays at a `SENT` sentinel. The standalone bitmap filter is kept for
@@ -192,12 +198,7 @@ pub fn decode_pairs(bytes: &[u8]) -> Vec<(VertexId, VertexId)> {
         return Vec::new();
     }
     let mut pos = 0usize;
-    let tag = bytes[pos];
-    pos += 1;
-    let count = read_varint(bytes, &mut pos) as usize;
-    let base = read_varint(bytes, &mut pos);
-    let range_len = read_varint(bytes, &mut pos);
-    let targets = decode_targets(bytes, &mut pos, tag, count, base, range_len);
+    let targets = decode_targets(bytes, &mut pos);
     targets
         .into_iter()
         .map(|t| (t, read_varint(bytes, &mut pos)))
@@ -249,58 +250,121 @@ pub fn decode_set(bytes: &[u8]) -> Vec<VertexId> {
     if bytes.is_empty() {
         return Vec::new();
     }
-    let mut pos = 0usize;
-    let tag = bytes[pos];
-    pos += 1;
-    let count = read_varint(bytes, &mut pos) as usize;
-    let base = read_varint(bytes, &mut pos);
-    let range_len = read_varint(bytes, &mut pos);
-    decode_targets(bytes, &mut pos, tag, count, base, range_len)
+    decode_targets(bytes, &mut 0)
 }
 
-/// Shared target decoder for the three concrete encodings.
-fn decode_targets(
-    bytes: &[u8],
-    pos: &mut usize,
+/// ORs an [`encode_set`] payload into a global word bitmap — vertex `v` is
+/// bit `v % 64` of `words[v / 64]` — and returns how many vertices it
+/// carried. Bits already set (other ranges' payloads) are kept.
+///
+/// A bitmap payload is copied eight bytes at a time: each little-endian
+/// chunk is one word of the range, shifted up to the range base, and a
+/// chunk that straddles a word boundary carries its high bits into the
+/// next word. Raw and varint payloads set their bits one by one. `words`
+/// must cover the payload's range.
+pub fn decode_set_into(bytes: &[u8], words: &mut [u64]) -> u64 {
+    if bytes.is_empty() {
+        return 0;
+    }
+    let mut pos = 0usize;
+    let header = read_header(bytes, &mut pos);
+    if header.tag != TAG_BITMAP {
+        for_each_target(bytes, &mut pos, header, |v| {
+            words[(v / 64) as usize] |= 1 << (v % 64);
+        });
+        return header.count;
+    }
+    let bits = &bytes[pos..pos + header.range_len.div_ceil(8) as usize];
+    let (w0, shift) = ((header.base / 64) as usize, header.base % 64);
+    let mut count = 0u64;
+    for (k, chunk) in bits.chunks(8).enumerate() {
+        let mut le = [0u8; 8];
+        le[..chunk.len()].copy_from_slice(chunk);
+        let word = u64::from_le_bytes(le);
+        count += u64::from(word.count_ones());
+        words[w0 + k] |= word << shift;
+        // Bits past the range are zero, so a non-zero carry lands inside it.
+        let carry = word.checked_shr(64 - shift as u32).unwrap_or(0);
+        if carry != 0 {
+            words[w0 + k + 1] |= carry;
+        }
+    }
+    debug_assert_eq!(count, header.count);
+    count
+}
+
+/// The header every payload starts with (see `push_header`).
+#[derive(Clone, Copy)]
+struct Header {
     tag: u8,
-    count: usize,
+    count: u64,
     base: u64,
     range_len: u64,
-) -> Vec<VertexId> {
-    let mut targets = Vec::with_capacity(count);
+}
+
+/// Reads the shared header at `*pos`, advancing it.
+fn read_header(bytes: &[u8], pos: &mut usize) -> Header {
+    let tag = bytes[*pos];
+    *pos += 1;
+    Header {
+        tag,
+        count: read_varint(bytes, pos),
+        base: read_varint(bytes, pos),
+        range_len: read_varint(bytes, pos),
+    }
+}
+
+/// Reads a payload's header and targets at `*pos`, advancing it.
+fn decode_targets(bytes: &[u8], pos: &mut usize) -> Vec<VertexId> {
+    let header = read_header(bytes, pos);
+    let mut targets = Vec::with_capacity(header.count as usize);
+    for_each_target(bytes, pos, header, |t| targets.push(t));
+    targets
+}
+
+/// Shared target decoder for the three concrete encodings: calls `f` on
+/// each target in ascending order, advancing `*pos` past them.
+fn for_each_target(bytes: &[u8], pos: &mut usize, header: Header, mut f: impl FnMut(VertexId)) {
+    let Header {
+        tag,
+        count,
+        base,
+        range_len,
+    } = header;
     match tag {
         TAG_RAW => {
             for _ in 0..count {
                 let mut le = [0u8; 8];
                 le.copy_from_slice(&bytes[*pos..*pos + 8]);
                 *pos += 8;
-                targets.push(u64::from_le_bytes(le));
+                f(u64::from_le_bytes(le));
             }
         }
         TAG_VARINT => {
             let mut prev = base;
             for _ in 0..count {
                 prev += read_varint(bytes, pos);
-                targets.push(prev);
+                f(prev);
             }
         }
         TAG_BITMAP => {
             let nbytes = range_len.div_ceil(8) as usize;
             let bits = &bytes[*pos..*pos + nbytes];
             *pos += nbytes;
+            let mut found = 0u64;
             for (i, &byte) in bits.iter().enumerate() {
                 let mut b = byte;
                 while b != 0 {
                     let bit = b.trailing_zeros() as u64;
-                    targets.push(base + 8 * i as u64 + bit);
+                    f(base + 8 * i as u64 + bit);
+                    found += 1;
                     b &= b - 1;
                 }
             }
-            debug_assert_eq!(targets.len(), count);
+            debug_assert_eq!(found, count);
         }
         other => panic!("corrupt frontier payload: unknown wire tag {other}"),
     }
-    targets
 }
 
 /// Sender-side duplicate filter: one bit per key this rank has already

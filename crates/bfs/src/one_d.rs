@@ -23,7 +23,7 @@ use crate::direction::level_loop;
 use crate::distribute::{extract_1d, Local1d};
 use crate::exchange::{exchange_pairs, Accumulator};
 use crate::frontier_codec::{
-    decode_set, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
+    decode_set_into, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
 };
 use crate::{BfsOutput, UNREACHED};
 use dmbfs_comm::{Comm, CommStats, LevelDirection};
@@ -139,6 +139,18 @@ struct RankSearch<'a> {
     /// keyed by the parent's local index.
     acc: Accumulator,
     codec_levels: Vec<LevelCodecStats>,
+    /// The bottom-up step's global frontier bitmap, bit `v % 64` of word
+    /// `v / 64` for every vertex of the domain. Sized on the first
+    /// bottom-up level and cleared on each one.
+    frontier_words: Vec<u64>,
+    /// One bit per owned vertex (by local index) not yet reached that has
+    /// an adjacency to probe — an isolated vertex is never claimed, so it
+    /// is never walked. Sized on the first bottom-up level; rebuilt from
+    /// `levels` on a bottom-up level that follows a top-down one, whose
+    /// claims do not clear it.
+    unvisited: Vec<u64>,
+    /// The last bottom-up level, through which `unvisited` is current.
+    unvisited_through: Option<i64>,
 }
 
 impl<'a> RankSearch<'a> {
@@ -159,6 +171,9 @@ impl<'a> RankSearch<'a> {
             parents: unreached().collect(),
             acc: Accumulator::new(domain, local.count()),
             codec_levels: Vec::new(),
+            frontier_words: Vec::new(),
+            unvisited: Vec::new(),
+            unvisited_through: None,
         }
     }
 
@@ -254,17 +269,17 @@ impl<'a> RankSearch<'a> {
 
     /// One distributed bottom-up level. The rank's frontier slice (owned
     /// vertices at distance `level - 1`) travels as a [`Codec::Bitmap`]
-    /// `encode_set` payload through one `allgatherv_wire`; the decoded
-    /// slices form the global frontier bitmap, and the owner-side scan
-    /// claims every locally-owned unvisited vertex whose adjacency hits the
-    /// bitmap — first hit in CSR order, so parents are deterministic for
-    /// any rank count. Returns the next local frontier and the number of
-    /// edges examined.
+    /// `encode_set` payload through one `allgatherv_wire`; every slice is
+    /// ORed into the global frontier words, and the owner-side scan claims
+    /// every locally-owned unvisited vertex whose adjacency hits them —
+    /// first hit in CSR order, so parents are deterministic for any rank
+    /// count. Returns the next local frontier and the number of edges
+    /// examined.
     fn bottom_up_level(&mut self, frontier: &mut [VertexId], level: i64) -> (Vec<VertexId>, u64) {
         let (comm, local) = (self.comm, self.local);
-        let (levels, parents) = (&self.levels[..], &self.parents[..]);
-        // The set encoder wants sorted-unique vertices; claims arrive once
-        // per vertex, so sorting suffices.
+        // The set encoder wants sorted-unique vertices. A bottom-up level
+        // claims in ascending order, but after a top-down level on p ≥ 2
+        // `unpack` returns one ascending run per received bucket.
         frontier.sort_unstable();
         let broadcast_t = comm.trace_start();
         let mine = encode_set(frontier, local.range.clone(), Codec::Bitmap);
@@ -275,71 +290,78 @@ impl<'a> RankSearch<'a> {
         stats.note(&mine);
         self.codec_levels.push(stats);
         let slices = comm.allgatherv_wire(mine);
-        // Assemble the global frontier bitmap (one bit per vertex of the
-        // domain) from the decoded per-rank slices.
-        let domain = local.block.domain() as usize;
-        let mut bits = vec![0u64; domain.div_ceil(64)];
-        let mut global_frontier = 0u64;
-        for buf in &slices {
-            for v in decode_set(buf.bytes()) {
-                bits[(v / 64) as usize] |= 1 << (v % 64);
-                global_frontier += 1;
-            }
-        }
+        let words = &mut self.frontier_words;
+        words.resize(local.block.domain().div_ceil(64) as usize, 0);
+        words.fill(0);
+        let global_frontier: u64 = slices
+            .iter()
+            .map(|buf| decode_set_into(buf.bytes(), words))
+            .sum();
         comm.trace_span(SpanKind::BitmapBroadcast, broadcast_t, global_frontier);
 
-        // Owner-side scan: each unvisited owned vertex probes its adjacency
-        // against the bitmap, exiting at the first hit. Rows are
-        // independent (each claims only its own vertex), so the hybrid pool
-        // splits the owned range with no synchronization beyond the atomic
-        // stores.
+        // Owner-side scan: walk the unvisited words by trailing zeros; each
+        // unvisited vertex probes its adjacency against the frontier words,
+        // exiting at the first hit, and a claim clears its bit. Words are
+        // independent (each claims only its own vertices), so the hybrid
+        // pool splits `unvisited` by whole words with no synchronization
+        // beyond the atomic stores.
         let scan_t = comm.trace_start();
-        let in_frontier = |u: VertexId| bits[(u / 64) as usize] >> (u % 64) & 1 == 1;
-        let scan_one = |i: usize, next: &mut Vec<VertexId>, examined: &mut u64| {
-            if levels[i].load(Ordering::Relaxed) != UNREACHED {
-                return;
-            }
-            let v = local.to_global(i);
-            for &u in local.neighbors(v) {
-                *examined += 1;
-                if in_frontier(u) {
-                    levels[i].store(level, Ordering::Relaxed);
-                    parents[i].store(u as i64, Ordering::Relaxed);
-                    next.push(v);
-                    break;
+        let rebuild = self.unvisited_through != Some(level - 1);
+        self.unvisited_through = Some(level);
+        self.unvisited.resize(local.count().div_ceil(64), 0);
+        let (levels, parents) = (&self.levels[..], &self.parents[..]);
+        let words = &self.frontier_words[..];
+        let in_frontier = |u: VertexId| words[(u / 64) as usize] >> (u % 64) & 1 == 1;
+        // Scans the words of `chunk`, the first of which is word `w0`.
+        let scan = |w0: usize, chunk: &mut [u64]| {
+            let (mut next, mut examined) = (Vec::new(), 0u64);
+            for (w, word) in (w0..).zip(chunk) {
+                let owned = &levels[64 * w..levels.len().min(64 * w + 64)];
+                if rebuild {
+                    let degrees = local.offsets[64 * w..].windows(2).map(|o| o[1] != o[0]);
+                    *word = owned
+                        .iter()
+                        .zip(degrees)
+                        .enumerate()
+                        .fold(0, |acc, (j, (l, d))| {
+                            acc | u64::from((l.load(Ordering::Relaxed) == UNREACHED) & d) << j
+                        });
+                }
+                let mut rest = *word;
+                while rest != 0 {
+                    let j = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let i = 64 * w + j;
+                    let v = local.to_global(i);
+                    for &u in local.neighbors(v) {
+                        examined += 1;
+                        if in_frontier(u) {
+                            owned[j].store(level, Ordering::Relaxed);
+                            parents[i].store(u as i64, Ordering::Relaxed);
+                            *word &= !(1 << j);
+                            next.push(v);
+                            break;
+                        }
+                    }
                 }
             }
+            (next, examined)
         };
         let (next, examined) = match self.pool {
             Some(pool) => {
                 let batch_t = comm.trace_start();
-                let out = pool.install(|| {
-                    (0..local.count())
-                        .into_par_iter()
-                        .with_min_len(64)
-                        .fold(
-                            || (Vec::new(), 0u64),
-                            |(mut next, mut examined), i| {
-                                scan_one(i, &mut next, &mut examined);
-                                (next, examined)
-                            },
-                        )
-                        .reduce(
-                            || (Vec::new(), 0u64),
-                            |(mut a, ae), (mut b, be)| {
-                                a.append(&mut b);
-                                (a, ae + be)
-                            },
-                        )
+                let parts = 4 * pool.current_num_threads();
+                let len = self.unvisited.len().div_ceil(parts).max(1);
+                let chunks = self.unvisited.chunks_mut(len).enumerate();
+                let scanned: Vec<(Vec<VertexId>, u64)> = pool.install(|| {
+                    let scan_part = |(k, chunk)| scan(k * len, chunk);
+                    chunks.into_par_iter().map(scan_part).collect()
                 });
                 comm.trace_span(SpanKind::TaskBatch, batch_t, local.count() as u64);
-                out
+                let examined = scanned.iter().map(|&(_, e)| e).sum();
+                (scanned.into_iter().flat_map(|(n, _)| n).collect(), examined)
             }
-            None => {
-                let (mut next, mut examined) = (Vec::new(), 0u64);
-                (0..local.count()).for_each(|i| scan_one(i, &mut next, &mut examined));
-                (next, examined)
-            }
+            None => scan(0, &mut self.unvisited),
         };
         comm.trace_span(SpanKind::BottomUpScan, scan_t, examined);
         (next, examined)

@@ -1,10 +1,13 @@
 //! Property-based tests for the frontier wire codecs: every encoding
-//! round-trips exactly, and the adaptive choice is never larger than any
+//! round-trips exactly, decoding a set into words sets exactly its bits,
+//! and the adaptive choice is never larger than any
 //! fixed encoding it picks from. Compression is a transport concern; the
 //! parent trees the drivers build on it are checked against an
 //! independent oracle in `max_parent_oracle.rs`.
 
-use dmbfs_bfs::frontier_codec::{decode_pairs, decode_set, encode_pairs, encode_set, Codec};
+use dmbfs_bfs::frontier_codec::{
+    decode_pairs, decode_set, decode_set_into, encode_pairs, encode_set, Codec,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -60,6 +63,41 @@ proptest! {
         let buf = encode_set(&set, base..base + len, codec);
         prop_assert_eq!(buf.logical_bytes, 8 * set.len() as u64);
         prop_assert_eq!(decode_set(buf.bytes()), set);
+    }
+
+    #[test]
+    fn decode_set_into_ors_exactly_the_decoded_bits(
+        (old_base, len, pairs) in payload(),
+        codec in codec_strategy(),
+        word in 0u64..3,
+        offset in prop::sample::select(vec![0u64, 1, 7, 63]),
+        fill in any::<u64>(),
+    ) {
+        // The same set, rebased so the range starts `offset` bits into a
+        // word: a bitmap chunk then straddles word boundaries.
+        let base = 64 * word + offset;
+        let set: Vec<u64> = pairs.iter().map(|&(t, _)| t - old_base + base).collect();
+        let buf = encode_set(&set, base..base + len, codec);
+        // Other ranges' bits everywhere outside this range, including the
+        // words it shares with its neighbours and one word past its end.
+        let range = base..base + len;
+        let mut state = fill | 1;
+        let mut words: Vec<u64> = (0..(base + len).div_ceil(64) + 1)
+            .map(|w| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (0..64).filter(|b| !range.contains(&(64 * w + b))).fold(0, |acc, b| {
+                    acc | (state & 1 << b)
+                })
+            })
+            .collect();
+        let mut expected = words.clone();
+        for v in decode_set(buf.bytes()) {
+            expected[(v / 64) as usize] |= 1 << (v % 64);
+        }
+        prop_assert_eq!(decode_set_into(buf.bytes(), &mut words), set.len() as u64);
+        prop_assert_eq!(words, expected);
     }
 
     #[test]

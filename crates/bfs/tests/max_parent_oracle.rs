@@ -1,4 +1,4 @@
-//! An independent reference for the distributed top-down parent trees.
+//! An independent reference for the distributed parent trees.
 //!
 //! Every top-down driver resolves same-level claims by keeping the
 //! numerically largest parent, so the tree it returns is a pure function
@@ -8,28 +8,51 @@
 //! 2D configuration must match it exactly, edge cases of the accumulator's
 //! gather (owner ranges straddling a 64-bit word, empty ranges, self-loops,
 //! duplicate edges, tiny frontiers on the pool) included.
+//!
+//! A bottom-up level claims instead the *first* neighbour one level up in
+//! CSR order (the min on sorted adjacency). The direction-aware oracle
+//! takes each level's direction from the run's schedule and applies the
+//! matching rule, so the 1D direction-optimizing runs are pinned too.
 
-use dmbfs_bfs::one_d::{bfs1d, Bfs1dConfig};
+use dmbfs_bfs::one_d::{bfs1d, bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::serial::serial_bfs;
 use dmbfs_bfs::two_d::{bfs2d, Bfs2dConfig, VectorDistribution};
 use dmbfs_bfs::{BfsOutput, UNREACHED};
+use dmbfs_comm::LevelDirection;
 use dmbfs_graph::gen::{erdos_renyi, grid2d, path, rmat, RmatConfig};
 use dmbfs_graph::{CsrGraph, EdgeList, Grid2D, VertexId};
+use dmbfs_runtime::DirectionMode;
 
 /// The max-parent tree, from serial levels and adjacency only.
 fn max_parent_oracle(g: &CsrGraph, source: VertexId) -> Vec<i64> {
+    direction_aware_oracle(g, source, &[])
+}
+
+/// The parent tree of a run whose step `L − 1` (producing level `L`) ran
+/// in `directions[L − 1]`: the max neighbour one level up on a top-down
+/// level, the first in CSR order on a bottom-up one. Levels past the end
+/// of `directions` count as top-down.
+fn direction_aware_oracle(
+    g: &CsrGraph,
+    source: VertexId,
+    directions: &[LevelDirection],
+) -> Vec<i64> {
     let levels = serial_bfs(g, source).levels;
     (0..g.num_vertices())
         .map(|v| match levels[v as usize] {
             UNREACHED => UNREACHED,
             0 => source as i64,
-            lv => g
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| levels[u as usize] == lv - 1)
-                .max()
-                .map(|&u| u as i64)
-                .expect("a reached vertex has a neighbour one level up"),
+            lv => {
+                let mut up = g
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&u| levels[u as usize] == lv - 1);
+                let parent = match directions.get(lv as usize - 1) {
+                    Some(LevelDirection::BottomUp) => up.next(),
+                    _ => up.max(),
+                };
+                *parent.expect("a reached vertex has a neighbour one level up") as i64
+            }
         })
         .collect()
 }
@@ -48,6 +71,23 @@ fn check_1d(g: &CsrGraph, source: VertexId, configs: &[Bfs1dConfig]) {
             cfg.ranks, cfg.threads_per_rank
         );
         assert_matches(g, source, &bfs1d(g, source, cfg), &expected, &what);
+    }
+}
+
+/// Every listed 1D configuration, run direction-optimizing and pinned
+/// bottom-up, against the direction-aware oracle of its own schedule.
+fn check_1d_directions(g: &CsrGraph, source: VertexId, configs: &[Bfs1dConfig]) {
+    for mode in [DirectionMode::Hybrid, DirectionMode::BottomUp] {
+        for &cfg in configs {
+            let run = bfs1d_run(g, source, &cfg.with_direction(mode));
+            let directions = run.level_directions();
+            let expected = direction_aware_oracle(g, source, &directions);
+            let what = format!(
+                "1D {mode:?} ranks {} threads {} source {source} schedule {directions:?}",
+                cfg.ranks, cfg.threads_per_rank
+            );
+            assert_matches(g, source, &run.output, &expected, &what);
+        }
     }
 }
 
@@ -149,12 +189,11 @@ fn owner_ranges_straddling_a_word() {
 #[test]
 fn more_ranks_than_vertices_leaves_empty_ranges() {
     let g = CsrGraph::from_edge_list(&path(3));
+    let configs = [Bfs1dConfig::flat(6), Bfs1dConfig::hybrid(6, 2)];
     for source in 0..3 {
-        check_1d(
-            &g,
-            source,
-            &[Bfs1dConfig::flat(6), Bfs1dConfig::hybrid(6, 2)],
-        );
+        check_1d(&g, source, &configs);
+        // Bottom-up ranks with no owned vertex have no `unvisited` word.
+        check_1d_directions(&g, source, &configs);
     }
     // 2D with p > n: empty matrix blocks, empty vector ranges and empty
     // fold destinations.
@@ -192,6 +231,7 @@ fn self_loops_and_duplicate_edges() {
     let g = raw_undirected(6, &edges);
     for source in 0..6 {
         check_1d(&g, source, &all_1d());
+        check_1d_directions(&g, source, &all_1d());
         check_2d(&g, source, &all_2d());
     }
 }
@@ -222,4 +262,71 @@ fn pool_frontiers_below_and_above_the_chunk_length() {
     for source in [0, 150, 320] {
         check_1d(&g, source, &configs);
     }
+}
+
+#[test]
+fn direction_optimizing_1d_matches_the_direction_aware_oracle() {
+    let flat = [1, 2, 3, 5].map(Bfs1dConfig::flat);
+    let hybrid = [(2, 2), (3, 2)].map(|(p, t)| Bfs1dConfig::hybrid(p, t));
+    let configs: Vec<_> = flat.into_iter().chain(hybrid).collect();
+    for (scale, seed) in [(10, 7), (12, 3)] {
+        let g = canonical(rmat(&RmatConfig::graph500(scale, seed)));
+        let n = g.num_vertices();
+        let sources = [0, n / 3, n - 1].map(|s| (s..n).find(|&v| g.degree(v) > 0).unwrap_or(s));
+        for source in sources {
+            check_1d_directions(&g, source, &configs);
+        }
+    }
+    // Owner ranges that start inside a 64-bit word and end on a partial
+    // tail word: the frontier payloads land at unaligned bases, and the
+    // last `unvisited` word of a rank is short.
+    let g = canonical(erdos_renyi(200, 900, 5));
+    for source in [0, 63, 64, 127, 199] {
+        check_1d_directions(&g, source, &configs);
+    }
+}
+
+#[test]
+fn bottom_up_after_a_top_down_stretch() {
+    // Two dense clusters (hub → 50 leaves → all of 50 further vertices)
+    // joined by a path, padded with isolated vertices. The first cluster's
+    // bottom-up level examines more than its estimate and falls back to
+    // top-down for the path; the second cluster re-enters bottom-up, whose
+    // scan must see the vertices the top-down levels claimed as visited.
+    let k = 50;
+    let mut edges = Vec::new();
+    let mut cluster = |hub: u64, leaves: u64| {
+        for l in leaves..leaves + k {
+            edges.push((hub, l));
+            edges.extend((leaves + k..leaves + 2 * k).map(|m| (l, m)));
+        }
+    };
+    cluster(0, 1);
+    cluster(106, 107);
+    edges.extend(
+        [51, 101, 102, 103, 104, 105, 106]
+            .windows(2)
+            .map(|w| (w[0], w[1])),
+    );
+    let g = raw_undirected(1800, &edges);
+    let cfg = Bfs1dConfig::flat(2).with_direction(DirectionMode::Hybrid);
+    let directions = bfs1d_run(&g, 0, &cfg).level_directions();
+    let bottom_up = |d: &LevelDirection| *d == LevelDirection::BottomUp;
+    let first = directions
+        .iter()
+        .position(bottom_up)
+        .expect("a bottom-up level");
+    let back = first
+        + directions[first..]
+            .iter()
+            .position(|d| !bottom_up(d))
+            .unwrap();
+    assert!(
+        directions[back..].iter().any(bottom_up),
+        "bottom-up, top-down, bottom-up again: {directions:?}"
+    );
+    let flat = [1, 2, 3, 5].map(Bfs1dConfig::flat);
+    let hybrid = [(2, 2), (3, 2)].map(|(p, t)| Bfs1dConfig::hybrid(p, t));
+    let configs: Vec<_> = flat.into_iter().chain(hybrid).collect();
+    check_1d_directions(&g, 0, &configs);
 }

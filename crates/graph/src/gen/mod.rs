@@ -8,8 +8,6 @@
 //!   "uniform degree distribution" analyses (§5.1).
 //! * [`regular`] — paths, rings, complete binary trees, 2D/3D grids and tori;
 //!   deterministic high-diameter instances for correctness tests.
-//! * [`social`] — Barabási–Albert preferential attachment and
-//!   Watts–Strogatz small-world models (§1's social/communication data).
 //! * [`mod@webcrawl`] — synthetic stand-in for the `uk-union` web crawl: a chain
 //!   of skewed-degree communities with diameter ≈ 140 (Fig. 11's regime of
 //!   many level-synchronous iterations with small frontiers).
@@ -17,13 +15,11 @@
 pub mod erdos_renyi;
 pub mod regular;
 pub mod rmat;
-pub mod social;
 pub mod webcrawl;
 
 pub use erdos_renyi::erdos_renyi;
 pub use regular::{binary_tree, grid2d, grid3d, path, ring, torus2d};
 pub use rmat::{rmat, RmatConfig};
-pub use social::{preferential_attachment, small_world};
 pub use webcrawl::{webcrawl, WebCrawlConfig};
 
 use rand::SeedableRng;

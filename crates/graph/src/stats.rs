@@ -225,9 +225,32 @@ mod tests {
         assert_eq!(clustering_coefficient(&g), 0.0);
     }
 
+    /// Watts–Strogatz: a ring lattice joining each vertex to its `k / 2`
+    /// nearest neighbours on each side, each edge rewired to a uniform
+    /// non-self endpoint with probability `p`.
+    fn small_world(n: u64, k: u64, p: f64, seed: u64) -> crate::EdgeList {
+        use rand::Rng;
+        let mut rng = crate::gen::stream_rng(seed, 1);
+        let mut edges = Vec::new();
+        for v in 0..n {
+            for d in 1..=k / 2 {
+                let mut w = (v + d) % n;
+                if rng.gen_bool(p) {
+                    w = loop {
+                        let c = rng.gen_range(0..n);
+                        if c != v {
+                            break c;
+                        }
+                    };
+                }
+                edges.extend([(v, w), (w, v)]);
+            }
+        }
+        crate::EdgeList::new(n, edges)
+    }
+
     #[test]
     fn small_world_keeps_clustering_while_rewiring_cuts_diameter() {
-        use crate::gen::small_world;
         let coeff = |p: f64| {
             let mut el = small_world(300, 6, p, 5);
             el.canonicalize_undirected();

@@ -9,8 +9,6 @@
 //! * [`Dcsc`] — doubly compressed sparse columns (Buluç & Gilbert, IPDPS'08)
 //!   for the hypersparse submatrices that arise after 2D partitioning, where
 //!   plain CSR/CSC would waste `O(n√p)` on pointer arrays (§4.1).
-//! * [`Csc`] — plain compressed sparse columns, used as the reference
-//!   implementation DCSC is tested against and for small dense-ish blocks.
 //! * [`semiring`] — the algebra: [`semiring::SelectMax`] for BFS parents and
 //!   [`semiring::MinPlus`] for tests.
 //! * [`mod@spmsv`] — the two merge kernels of §4.2: the sparse accumulator (SPA)
@@ -19,13 +17,11 @@
 
 #![warn(missing_docs)]
 
-pub mod csc;
 pub mod dcsc;
 pub mod semiring;
 pub mod sparse_vector;
 pub mod spmsv;
 
-pub use csc::Csc;
 pub use dcsc::Dcsc;
 pub use semiring::{MinPlus, SelectMax, Semiring};
 pub use sparse_vector::SparseVector;
