@@ -22,9 +22,22 @@ use std::time::{Duration, Instant};
 /// decode straight from the sender's allocation, which is released when
 /// the last reference drops — possibly *after* the board's ring retires
 /// the slot; the refcount keeps the epoch-scoped retirement safe. A shared
-/// buffer is immutable — [`WireBuf::bytes_mut`] panics on it — so checksums
+/// buffer is immutable — `WireBuf::bytes_mut` panics on it — so checksums
 /// and fault corruption always mutate *before* the deposit. See
 /// `docs/zero-copy.md`.
+///
+/// Outside this crate a `WireBuf` is read-only, so no caller can write to a
+/// payload it received:
+///
+/// ```compile_fail
+/// let mut buf = dmbfs_comm::WireBuf::new(vec![1], 8);
+/// buf.bytes_mut()[0] = 2;
+/// ```
+///
+/// ```
+/// let buf = dmbfs_comm::WireBuf::new(vec![1], 8);
+/// assert_eq!(buf.bytes(), [1]);
+/// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WireBuf {
     /// The encoded bytes as produced by a frontier codec.
@@ -51,8 +64,9 @@ impl WireBuf {
     /// shared (a clone is alive, e.g. the copy deposited on the board):
     /// other ranks may be decoding from the same allocation, so mutating
     /// it would race them — the refcount is the runtime enforcement of
-    /// "senders must not mutate after deposit".
-    pub fn bytes_mut(&mut self) -> &mut Vec<u8> {
+    /// "senders must not mutate after deposit". Crate-private: only the
+    /// fault injector's pre-deposit flips write to a payload.
+    pub(crate) fn bytes_mut(&mut self) -> &mut Vec<u8> {
         Arc::get_mut(&mut self.bytes).expect(
             "WireBuf is shared: the payload was deposited on the rendezvous board \
              (or cloned) and may be referenced by other ranks; mutate before the \
@@ -819,6 +833,26 @@ impl Comm {
 /// the peers sent. Dropping the handle without waiting leaves the
 /// communicator unusable (the next collective asserts), mirroring a
 /// leaked `MPI_Request`.
+///
+/// The handle is `#[must_use]`, so a start that is never waited on does
+/// not build under `deny(unused_must_use)` (CI's clippy denies warnings):
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// use dmbfs_comm::{WireBuf, World};
+/// World::run(2, |comm| {
+///     comm.ialltoallv_wire(vec![WireBuf::default(); 2]);
+/// });
+/// ```
+///
+/// ```
+/// #![deny(unused_must_use)]
+/// use dmbfs_comm::{WireBuf, World};
+/// World::run(2, |comm| {
+///     let recv = comm.ialltoallv_wire(vec![WireBuf::default(); 2]).wait();
+///     assert_eq!(recv.len(), 2);
+/// });
+/// ```
 #[must_use = "a started exchange must be completed: call .wait() to collect the received buffers"]
 pub struct PendingExchange<'a> {
     comm: &'a Comm,
@@ -1037,6 +1071,13 @@ mod tests {
         }
     }
 
+    fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+        err.downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
     #[test]
     fn collectives_assert_while_an_exchange_is_in_flight() {
         World::run(2, |comm| {
@@ -1046,15 +1087,44 @@ mod tests {
                 comm.allreduce(1u64, |a, b| a + b)
             }))
             .expect_err("a collective during an in-flight exchange must assert");
-            let msg = err
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| err.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
+            let msg = panic_message(err);
             assert!(msg.contains("in flight"), "unexpected panic message: {msg}");
             pending.wait();
             // After wait() the handle is usable again.
             assert_eq!(comm.allreduce(1u64, |a, b| a + b), 2);
         });
+    }
+
+    #[test]
+    fn bytes_mut_needs_unique_ownership() {
+        let mut fresh = WireBuf::new(vec![1, 2, 3], 24);
+        fresh.bytes_mut()[0] = 9;
+        fresh.bytes_mut().push(4);
+        assert_eq!(fresh.bytes(), [9, 2, 3, 4]);
+        assert_eq!(fresh.wire_bytes(), 4);
+
+        // A live clone is what a deposit leaves behind: neither half may write.
+        let mut a = fresh;
+        let mut b = a.clone();
+        for half in [&mut a, &mut b] {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                half.bytes_mut()[0] = 0xFF;
+            }))
+            .expect_err("mutating a shared payload must panic");
+            let msg = panic_message(err);
+            assert!(
+                msg.contains("mutate before the deposit"),
+                "the panic must name the rule, got: {msg}"
+            );
+        }
+        assert_eq!(
+            a.bytes(),
+            [9, 2, 3, 4],
+            "the refused writes changed nothing"
+        );
+        // Once every other holder is gone the buffer is private again.
+        drop(b);
+        a.bytes_mut()[0] = 7;
+        assert_eq!(a.bytes()[0], 7);
     }
 }

@@ -45,7 +45,7 @@ fn stalled_and_mismatched_collectives_end_in_typed_failures() {
     let (f, _) = failure(|| {
         World::run(2, |comm| {
             if comm.rank() == 0 {
-                comm.alltoallv_wire(bufs()); // lint: allow(collective-symmetry)
+                comm.alltoallv_wire(bufs());
             }
         });
     });
@@ -60,7 +60,7 @@ fn stalled_and_mismatched_collectives_end_in_typed_failures() {
         World::run(2, |comm| {
             comm.allreduce(1u64, |a, b| a + b);
             if comm.rank() == 1 {
-                comm.barrier(); // lint: allow(collective-symmetry)
+                comm.barrier();
             }
         });
     });
@@ -75,7 +75,7 @@ fn stalled_and_mismatched_collectives_end_in_typed_failures() {
         World::run(4, |comm| {
             let row = comm.split((comm.rank() / 2) as u64, comm.rank() as u64);
             if comm.rank() != 1 {
-                row.allreduce(1u64, |a, b| a + b); // lint: allow(collective-symmetry)
+                row.allreduce(1u64, |a, b| a + b);
             }
         });
     });
@@ -91,9 +91,9 @@ fn stalled_and_mismatched_collectives_end_in_typed_failures() {
     let (f, took) = failure(|| {
         World::run(2, |comm| {
             if comm.rank() == 0 {
-                comm.alltoallv_wire(bufs()); // lint: allow(collective-symmetry)
+                comm.alltoallv_wire(bufs());
             } else {
-                comm.allreduce(1u64, |a, b| a + b); // lint: allow(collective-symmetry)
+                comm.allreduce(1u64, |a, b| a + b);
             }
         });
     });

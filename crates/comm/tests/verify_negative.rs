@@ -41,9 +41,9 @@ fn mismatched_collectives_name_both_ranks_and_locations() {
     let failure = expect_failure(|| {
         World::run_with_watchdog(2, FAST, |comm| {
             if comm.rank() == 0 {
-                comm.barrier(); // lint: allow(collective-symmetry)
+                comm.barrier();
             } else {
-                comm.allreduce(1u64, |a, b| a + b); // lint: allow(collective-symmetry)
+                comm.allreduce(1u64, |a, b| a + b);
             }
         });
     });
@@ -80,9 +80,9 @@ fn wire_alltoall_against_a_slot_board_collective_is_a_typed_mismatch() {
         World::run_with_watchdog(2, FAST, |comm| {
             if comm.rank() == 0 {
                 let bufs = vec![WireBuf::default(), WireBuf::new(vec![7], 8)];
-                comm.alltoallv_wire(bufs); // lint: allow(collective-symmetry)
+                comm.alltoallv_wire(bufs);
             } else {
-                comm.allreduce(1u64, |a, b| a + b); // lint: allow(collective-symmetry)
+                comm.allreduce(1u64, |a, b| a + b);
             }
         });
     });
@@ -104,9 +104,9 @@ fn mismatched_element_type_on_alltoallv_is_caught() {
     let failure = expect_failure(|| {
         World::run_with_watchdog(2, FAST, |comm| {
             if comm.rank() == 0 {
-                comm.alltoallv(vec![vec![1u64], vec![2u64]]); // lint: allow(collective-symmetry)
+                comm.alltoallv(vec![vec![1u64], vec![2u64]]);
             } else {
-                comm.alltoallv(vec![vec![1u32], vec![2u32]]); // lint: allow(collective-symmetry)
+                comm.alltoallv(vec![vec![1u32], vec![2u32]]);
             }
         });
     });
@@ -130,7 +130,7 @@ fn absent_rank_triggers_the_watchdog_dump() {
     let failure = expect_failure(|| {
         World::run_with_watchdog(2, FAST, |comm| {
             if comm.rank() == 0 {
-                comm.barrier(); // lint: allow(collective-symmetry)
+                comm.barrier();
             }
             // Rank 1 sits the collective out entirely and returns.
         });
@@ -160,7 +160,7 @@ fn lagging_rank_watchdog_reports_the_stale_epoch() {
         World::run_with_watchdog(2, FAST, |comm| {
             comm.barrier();
             if comm.rank() == 0 {
-                comm.barrier(); // lint: allow(collective-symmetry)
+                comm.barrier();
             }
         });
     });
@@ -179,9 +179,9 @@ fn verified_sub_communicators_catch_mismatches_too() {
         World::run_with_watchdog(4, FAST, |comm| {
             let row = comm.split((comm.rank() / 2) as u64, comm.rank() as u64);
             if comm.rank() % 2 == 0 {
-                row.barrier(); // lint: allow(collective-symmetry)
+                row.barrier();
             } else {
-                row.allgather(comm.rank() as u64); // lint: allow(collective-symmetry)
+                row.allgather(comm.rank() as u64);
             }
         });
     });
@@ -200,7 +200,7 @@ fn split_children_inherit_the_world_watchdog_limit() {
         World::run_with_watchdog(4, FAST, |comm| {
             let row = comm.split((comm.rank() / 2) as u64, comm.rank() as u64);
             if comm.rank() != 1 {
-                row.allreduce(1u64, |a, b| a + b); // lint: allow(collective-symmetry)
+                row.allreduce(1u64, |a, b| a + b);
             }
         });
     });

@@ -5,9 +5,7 @@
 //! 1. **Any size round-trips**: an empty and a 1-byte payload cross
 //!    `ialltoallv_wire`, `allgatherv_wire` and `sendrecv_wire` intact, bare
 //!    and under an idle armed fault plan, which adds end-to-end checksums.
-//! 2. **Refcount is the seal**: `bytes_mut` works on a uniquely owned
-//!    buffer and panics while any clone is alive.
-//! 3. **Corruption precedes the deposit**: an armed `corrupt=` fault flips
+//! 2. **Corruption precedes the deposit**: an armed `corrupt=` fault flips
 //!    a byte in the sender's still-private buffer, so the flip is in the
 //!    allocation every receiver reads — and the checksum taken before it
 //!    convicts the sender.
@@ -58,46 +56,6 @@ fn empty_and_one_byte_payloads_round_trip_through_every_wire_collective() {
         comm.arm_faults(idle);
         round_trip(comm)
     });
-}
-
-fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
-    err.downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default()
-}
-
-#[test]
-fn bytes_mut_needs_unique_ownership() {
-    let mut fresh = WireBuf::new(vec![1, 2, 3], 24);
-    fresh.bytes_mut()[0] = 9;
-    fresh.bytes_mut().push(4);
-    assert_eq!(fresh.bytes(), [9, 2, 3, 4]);
-    assert_eq!(fresh.wire_bytes(), 4);
-
-    // A live clone is what a deposit leaves behind: neither half may write.
-    let mut a = fresh;
-    let mut b = a.clone();
-    for half in [&mut a, &mut b] {
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            half.bytes_mut()[0] = 0xFF;
-        }))
-        .expect_err("mutating a shared payload must panic");
-        let msg = panic_message(err);
-        assert!(
-            msg.contains("mutate before the deposit"),
-            "the panic must name the rule, got: {msg}"
-        );
-    }
-    assert_eq!(
-        a.bytes(),
-        [9, 2, 3, 4],
-        "the refused writes changed nothing"
-    );
-    // Once every other holder is gone the buffer is private again.
-    drop(b);
-    a.bytes_mut()[0] = 7;
-    assert_eq!(a.bytes()[0], 7);
 }
 
 /// Rank 1's first wire payload is corrupted by an armed fault; returns what

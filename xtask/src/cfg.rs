@@ -18,8 +18,8 @@
 //! failure mode for a checker whose findings gate CI: see
 //! `docs/static-analysis.md` for the accepted imprecision.
 
-use crate::lexer::{Lexed, Tok, TokKind};
-use crate::rules::is_collective_call;
+use crate::lexer::{ident, is_punct, Lexed, Tok, TokKind};
+use crate::schedule::is_collective_call;
 
 /// One parsed function (or method) definition.
 #[derive(Debug)]
@@ -149,17 +149,6 @@ const KEYWORDS: &[&str] = &[
     "box", "true", "false",
 ];
 
-fn ident(tok: Option<&Tok>) -> Option<&str> {
-    match tok.map(|t| &t.kind) {
-        Some(TokKind::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn is_punct(tok: Option<&Tok>, c: char) -> bool {
-    matches!(tok.map(|t| &t.kind), Some(TokKind::Punct(p)) if *p == c)
-}
-
 /// Index just past the close bracket matching the open bracket at
 /// `open` (which must be `(`, `[`, or `{`). Counts all three kinds so
 /// nested mixed brackets stay balanced.
@@ -232,22 +221,13 @@ fn parse_items(toks: &[Tok], lo: usize, hi: usize, qual: Option<&str>, out: &mut
         match &toks[i].kind {
             // Attribute: skip `#[ .. ]` / `#![ .. ]`.
             TokKind::Punct('#') => {
-                let mut j = i + 1;
-                if is_punct(toks.get(j), '!') {
-                    j += 1;
-                }
-                if is_punct(toks.get(j), '[') {
-                    let end = matching(toks, j);
-                    cfg_test |= toks[j..end.min(toks.len())]
-                        .windows(2)
-                        .any(|w| ident(Some(&w[0])) == Some("cfg") && is_punct(Some(&w[1]), '('))
-                        && toks[j..end.min(toks.len())]
-                            .iter()
-                            .any(|t| ident(Some(t)) == Some("test"));
-                    i = end;
-                } else {
-                    i += 1;
-                }
+                let end = attribute_end(toks, i);
+                let attr = &toks[i..end];
+                cfg_test |= attr
+                    .windows(2)
+                    .any(|w| ident(Some(&w[0])) == Some("cfg") && is_punct(Some(&w[1]), '('))
+                    && attr.iter().any(|t| ident(Some(t)) == Some("test"));
+                i = end;
             }
             TokKind::Ident(s) if s == "fn" => {
                 i = parse_fn(toks, i, qual, out);
@@ -320,6 +300,21 @@ fn parse_items(toks: &[Tok], lo: usize, hi: usize, qual: Option<&str>, out: &mut
         if !is_attr {
             cfg_test = false;
         }
+    }
+}
+
+/// Index past the `#[ .. ]` / `#![ .. ]` attribute whose `#` is at `i`
+/// (just past a `#` that opens none).
+fn attribute_end(toks: &[Tok], i: usize) -> usize {
+    let j = if is_punct(toks.get(i + 1), '!') {
+        i + 2
+    } else {
+        i + 1
+    };
+    if is_punct(toks.get(j), '[') {
+        matching(toks, j)
+    } else {
+        i + 1
     }
 }
 
@@ -555,15 +550,7 @@ fn parse_stmts(
     while i < hi {
         match &toks[i].kind {
             TokKind::Punct('#') => {
-                let mut j = i + 1;
-                if is_punct(toks.get(j), '!') {
-                    j += 1;
-                }
-                i = if is_punct(toks.get(j), '[') {
-                    matching(toks, j)
-                } else {
-                    i + 1
-                };
+                i = attribute_end(toks, i);
             }
             TokKind::Ident(s) if s == "fn" => {
                 i = parse_fn(toks, i, qual, defs);
@@ -571,30 +558,13 @@ fn parse_stmts(
             TokKind::Ident(s) if s == "let" => {
                 i = parse_let(toks, i, hi, qual, defs, body);
             }
-            TokKind::Ident(s) if s == "if" || s == "match" => {
-                i = parse_branch(toks, i, hi, qual, defs, body);
-            }
-            TokKind::Ident(s) if s == "while" || s == "for" || s == "loop" => {
-                i = parse_loop(toks, i, hi, qual, defs, body);
-            }
-            TokKind::Ident(s) if s == "break" => {
-                body.push(Stmt::Break { line: toks[i].line });
-                i += 1;
-            }
-            TokKind::Ident(s) if s == "continue" => {
-                body.push(Stmt::Continue { line: toks[i].line });
-                i += 1;
-            }
-            TokKind::Ident(s) if s == "return" => {
-                body.push(Stmt::Return { line: toks[i].line });
-                i += 1;
-            }
             // Free-standing block.
             TokKind::Punct('{') => {
                 let end = matching(toks, i);
                 parse_stmts(toks, i + 1, end - 1, qual, defs, body);
                 i = end;
             }
+            // Control flow and expression statements.
             _ => {
                 i = parse_expr_events(toks, i, hi, qual, defs, body, true);
             }
@@ -658,12 +628,7 @@ fn parse_let(
         }
     }
     let names = pattern_bound(toks, i + 1, pat_hi);
-    let end = statement_end(toks, eq + 1, hi);
-    let rhs_hi = if end > eq + 1 && is_punct(toks.get(end - 1), ';') {
-        end - 1
-    } else {
-        end
-    };
+    let (end, rhs_hi) = rhs_span(toks, eq + 1, hi);
 
     // `let name = |..| ..;` — a named closure.
     let mut c = eq + 1;
@@ -716,6 +681,18 @@ fn statement_end(toks: &[Tok], i: usize, hi: usize) -> usize {
     hi
 }
 
+/// [`statement_end`] from `lo`, paired with the end of the expression
+/// (the terminating `;` excluded).
+fn rhs_span(toks: &[Tok], lo: usize, hi: usize) -> (usize, usize) {
+    let end = statement_end(toks, lo, hi);
+    let expr_hi = if end > lo && is_punct(toks.get(end - 1), ';') {
+        end - 1
+    } else {
+        end
+    };
+    (end, expr_hi)
+}
+
 /// Parses an `if`/`if let`/`match` construct at `i`, folding any `else`
 /// chain into one [`Stmt::Branch`]. Returns the index past the construct.
 fn parse_branch(
@@ -737,31 +714,8 @@ fn parse_branch(
         // cursor points at `if` or `match` (first round) or `if` of an
         // `else if` continuation.
         let kw_is_match = ident(toks.get(cursor)) == Some("match");
-        let mut head_lo = cursor + 1;
-        let mut bound = Vec::new();
-        if !kw_is_match && ident(toks.get(head_lo)) == Some("let") {
-            // `if let PAT = expr` — bind the pattern, classify the expr.
-            let mut depth = 0i64;
-            let mut eq = None;
-            let mut k = head_lo + 1;
-            while k < hi {
-                match toks[k].kind {
-                    TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-                    TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                    TokKind::Punct('=') if depth == 0 && !is_punct(toks.get(k + 1), '=') => {
-                        eq = Some(k);
-                        break;
-                    }
-                    TokKind::Punct('{') if depth == 0 => break,
-                    _ => {}
-                }
-                k += 1;
-            }
-            if let Some(eq) = eq {
-                bound = pattern_bound(toks, head_lo + 1, eq);
-                head_lo = eq + 1;
-            }
-        }
+        // `if let PAT = expr` — bind the pattern, classify the expr.
+        let (bound, head_lo) = let_head(toks, cursor + 1, hi);
         let Some(open) = find_block_open(toks, head_lo, hi) else {
             return cursor + 1;
         };
@@ -901,6 +855,28 @@ fn parse_match_arms(
     }
 }
 
+/// For a condition head at `lo` that reads `let PAT = expr` (`if let`,
+/// `while let`): the names `PAT` binds and the start of `expr`. Any other
+/// head binds nothing and starts at `lo`.
+fn let_head(toks: &[Tok], lo: usize, hi: usize) -> (Vec<String>, usize) {
+    if ident(toks.get(lo)) != Some("let") {
+        return (Vec::new(), lo);
+    }
+    let mut depth = 0i64;
+    for k in lo + 1..hi {
+        match toks[k].kind {
+            TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
+            TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
+            TokKind::Punct('=') if depth == 0 && !is_punct(toks.get(k + 1), '=') => {
+                return (pattern_bound(toks, lo + 1, k), k + 1);
+            }
+            TokKind::Punct('{') if depth == 0 => break,
+            _ => {}
+        }
+    }
+    (Vec::new(), lo)
+}
+
 /// Parses `while` / `while let` / `for` / `loop` at `i`.
 fn parse_loop(
     toks: &[Tok],
@@ -912,26 +888,8 @@ fn parse_loop(
 ) -> usize {
     let line = toks[i].line;
     let kw = ident(toks.get(i)).unwrap_or_default().to_string();
-    let mut head_lo = i + 1;
-    let mut bound = Vec::new();
-    if kw == "while" && ident(toks.get(head_lo)) == Some("let") {
-        let mut k = head_lo + 1;
-        let mut depth = 0i64;
-        while k < hi {
-            match toks[k].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                TokKind::Punct('=') if depth == 0 && !is_punct(toks.get(k + 1), '=') => {
-                    bound = pattern_bound(toks, head_lo + 1, k);
-                    head_lo = k + 1;
-                    break;
-                }
-                TokKind::Punct('{') if depth == 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-    } else if kw == "for" {
+    let (mut bound, mut head_lo) = let_head(toks, i + 1, hi);
+    if kw == "for" {
         // `for PAT in expr {`
         let mut k = head_lo;
         while k < hi && ident(toks.get(k)) != Some("in") {
@@ -1101,12 +1059,7 @@ fn parse_expr_events(
                     k += 1;
                 }
                 if is_punct(toks.get(k), '=') && !is_punct(toks.get(k + 1), '=') {
-                    let end = statement_end(toks, k + 1, hi);
-                    let rhs_hi = if end > k + 1 && is_punct(toks.get(end - 1), ';') {
-                        end - 1
-                    } else {
-                        end
-                    };
+                    let (end, rhs_hi) = rhs_span(toks, k + 1, hi);
                     let mut j = k + 1;
                     while j < rhs_hi {
                         j = parse_expr_events(toks, j, rhs_hi, qual, defs, body, false);
@@ -1283,12 +1236,11 @@ fn scan_call_args(
             let mut sink = Vec::new();
             if let Some((cl, _)) = parse_closure(toks, c, hi, qual, &mut sink) {
                 defs.append(&mut sink);
+                // A primitive-call operator closure (no `closures`) is
+                // value-only.
                 if let Some(cs) = closures.as_deref_mut() {
                     cs.push((idx, cl));
-                    facts.push(ExprFacts::default());
-                    return;
                 }
-                // Primitive-call operator closure: value-only.
                 facts.push(ExprFacts::default());
                 return;
             }

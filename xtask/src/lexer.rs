@@ -44,13 +44,24 @@ pub enum TokKind {
     Lifetime,
 }
 
+/// The identifier `tok` holds, if it is one.
+pub fn ident(tok: Option<&Tok>) -> Option<&str> {
+    match tok.map(|t| &t.kind) {
+        Some(TokKind::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// True when `tok` is the punctuation character `c`.
+pub fn is_punct(tok: Option<&Tok>, c: char) -> bool {
+    matches!(tok.map(|t| &t.kind), Some(TokKind::Punct(p)) if *p == c)
+}
+
 /// Lexer output: the token stream plus the allow-directives by line.
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// Tokens in source order.
     pub toks: Vec<Tok>,
-    /// `line -> rules` allowed via `// lint: allow(rule)` comments.
-    pub allows: HashMap<u32, HashSet<String>>,
     /// Lines that carry at least one code token — an allow-directive on a
     /// code line is a trailing comment and covers only that line.
     pub code_lines: HashSet<u32>,
@@ -79,53 +90,31 @@ impl Lexed {
     /// the line itself (trailing) or standing alone directly above,
     /// skipping over further comment-only lines.
     pub fn schedule_directive(&self, line: u32, directive: &str) -> bool {
-        if self
-            .schedules
-            .get(&line)
-            .is_some_and(|ds| ds.iter().any(|d| d == directive))
-        {
-            return true;
-        }
-        // Walk up over comment-only lines (doc comments, stacked
-        // directives) to find a standalone directive above.
-        let mut l = line;
-        while l > 1 && !self.code_lines.contains(&(l - 1)) {
-            l -= 1;
-            if self
-                .schedules
+        self.directive_lines(line).any(|l| {
+            self.schedules
                 .get(&l)
                 .is_some_and(|ds| ds.iter().any(|d| d == directive))
-            {
-                return true;
-            }
-        }
-        false
+        })
     }
 
     /// The argument of a `schedule: <name>(<arg>)` directive covering
     /// `line` (same resolution as [`Lexed::schedule_directive`]).
     pub fn schedule_arg(&self, line: u32, name: &str) -> Option<String> {
-        let pick = |l: u32| {
-            self.schedules.get(&l).and_then(|ds| {
-                ds.iter().find_map(|d| {
-                    d.strip_prefix(name)
-                        .and_then(|r| r.trim().strip_prefix('('))
-                        .and_then(|r| r.trim_end().strip_suffix(')'))
-                        .map(|r| r.trim().to_string())
-                })
+        self.directive_lines(line).find_map(|l| {
+            self.schedules.get(&l)?.iter().find_map(|d| {
+                d.strip_prefix(name)
+                    .and_then(|r| r.trim().strip_prefix('('))
+                    .and_then(|r| r.trim_end().strip_suffix(')'))
+                    .map(|r| r.trim().to_string())
             })
-        };
-        if let Some(a) = pick(line) {
-            return Some(a);
-        }
-        let mut l = line;
-        while l > 1 && !self.code_lines.contains(&(l - 1)) {
-            l -= 1;
-            if let Some(a) = pick(l) {
-                return Some(a);
-            }
-        }
-        None
+        })
+    }
+
+    /// `line`, then the comment-only lines directly above it (doc
+    /// comments, stacked directives) — where a directive covering `line`
+    /// may sit.
+    fn directive_lines(&self, line: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::once(line).chain((1..line).rev().take_while(|l| !self.code_lines.contains(l)))
     }
 }
 
@@ -405,7 +394,6 @@ pub fn lex(src: &str) -> Lexed {
     let allow_extents = resolve_allow_extents(&toks, &allows, &code_lines);
     Lexed {
         toks,
-        allows,
         code_lines,
         allow_extents,
         schedules,
@@ -527,12 +515,12 @@ mod tests {
 
     #[test]
     fn allow_directives_attach_to_their_line() {
-        let src = "x();\n// lint: allow(collective-symmetry)\ny(); // lint: allow(no-raw-spawn, world-run-boundary)\n";
+        let src = "x();\n// lint: allow(schedule-asymmetry)\ny(); // lint: allow(no-raw-spawn, world-run-boundary)\n";
         let l = lex(src);
-        assert!(l.allowed(3, "collective-symmetry"), "line below the allow");
+        assert!(l.allowed(3, "schedule-asymmetry"), "line below the allow");
         assert!(l.allowed(3, "no-raw-spawn"), "trailing comment");
         assert!(l.allowed(3, "world-run-boundary"));
-        assert!(!l.allowed(1, "collective-symmetry"));
+        assert!(!l.allowed(1, "schedule-asymmetry"));
         assert!(!l.allowed(3, "timed-regions-only"));
         assert!(
             !l.allowed(4, "no-raw-spawn"),
@@ -544,7 +532,7 @@ mod tests {
     fn standalone_allow_covers_the_following_block_and_no_further() {
         let src = "\
 a();
-// lint: allow(collective-symmetry)
+// lint: allow(schedule-asymmetry)
 if comm.rank() == 0 {
     comm.barrier();
     comm.allreduce(
@@ -555,30 +543,30 @@ comm.allgather(x);
         let l = lex(src);
         for covered in 3..=7 {
             assert!(
-                l.allowed(covered, "collective-symmetry"),
+                l.allowed(covered, "schedule-asymmetry"),
                 "line {covered} is inside the annotated block"
             );
         }
         assert!(
-            !l.allowed(8, "collective-symmetry"),
+            !l.allowed(8, "schedule-asymmetry"),
             "the allow must not leak past its block"
         );
-        assert!(!l.allowed(1, "collective-symmetry"));
+        assert!(!l.allowed(1, "schedule-asymmetry"));
     }
 
     #[test]
     fn standalone_allow_covers_a_multiline_statement_to_its_semicolon() {
         let src = "\
-// lint: allow(no-post-deposit-mutation)
+// lint: allow(timed-regions-only)
 recv[0]
     .bytes_mut()[0] = 0xFF;
 recv[1].bytes_mut()[0] = 0xFF;
 ";
         let l = lex(src);
-        assert!(l.allowed(2, "no-post-deposit-mutation"));
-        assert!(l.allowed(3, "no-post-deposit-mutation"));
+        assert!(l.allowed(2, "timed-regions-only"));
+        assert!(l.allowed(3, "timed-regions-only"));
         assert!(
-            !l.allowed(4, "no-post-deposit-mutation"),
+            !l.allowed(4, "timed-regions-only"),
             "the next statement is outside the extent"
         );
     }

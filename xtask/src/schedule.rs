@@ -3,10 +3,10 @@
 //!
 //! Built on the control-flow IR of [`crate::cfg`], this pass computes an
 //! interprocedural *collective-schedule summary* per function: the
-//! ordered symbolic sequence of collectives (kind × wire-ness ×
-//! start/wait pairing) each rank can emit, with every branch either
-//! proven schedule-equivalent across its arms or proven *decided by
-//! replicated data*. The safe-branch rule is the `[u64; 3]`-allreduce
+//! ordered symbolic sequence of collectives (kind × wire-ness, a
+//! nonblocking start and its wait as two ops) each rank can emit, with
+//! every branch either proven schedule-equivalent across its arms or
+//! proven *decided by replicated data*. The safe-branch rule is the `[u64; 3]`-allreduce
 //! pattern of the direction-optimizing hybrid: a branch condition is safe
 //! iff it derives from a prior collective's replicated result
 //! (`allreduce` / `allgather`) or from rank-invariant
@@ -15,22 +15,22 @@
 //! exactly the silent-deadlock shape the MPI-style matching discipline of
 //! Buluç–Madduri (arXiv:1104.4518) forbids.
 //!
-//! Three reports come out (rule names in [`SCHEDULE_ASYMMETRY`],
-//! [`SCHEDULE_UNPAIRED_EXCHANGE`], [`SCHEDULE_RESET_PLACEMENT`]):
-//! asymmetric schedules, unpaired `ialltoallv_wire` start/wait pairs
-//! (loop-carried rotation included), and a machine-readable schedule per
-//! driver entry point — every `run_ranks` rank closure, named by a
-//! `// schedule: entry(name)` directive or the enclosing function. The
+//! Two rules report findings ([`SCHEDULE_ASYMMETRY`],
+//! [`SCHEDULE_RESET_PLACEMENT`]), and a machine-readable schedule comes
+//! out per driver entry point — every `run_ranks` rank closure, named by
+//! a `// schedule: entry(name)` directive or the enclosing function. The
 //! entry schedules feed the dynamic conformance test in `crates/bfs`,
 //! which diffs them against the fingerprint sequence a real run captures
 //! (`Comm::capture_schedule`; see `docs/static-analysis.md`).
 //!
-//! `crates/comm` is summarized but exempt from findings: it *implements*
-//! the collectives, so its internals legitimately branch on rank.
+//! The pass covers the source of every workspace crate, `crates/comm`
+//! included: a collective's implementation is held to the same rule as
+//! its callers. Unpaired nonblocking exchanges need no rule here —
+//! `PendingExchange` is `#[must_use]` and its `wait` consumes it.
 
 use crate::cfg::{self, Closure, ExprFacts, FnDef, Stmt};
-use crate::lexer::{lex, Lexed};
-use crate::rules::{fingerprints, Finding};
+use crate::lexer::{lex, Lexed, Tok, TokKind};
+use crate::rules::Finding;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::rc::Rc;
@@ -38,9 +38,6 @@ use std::rc::Rc;
 /// Rule: every rank must issue the same collective sequence — a branch
 /// with schedule-different arms must be decided by replicated data.
 pub const SCHEDULE_ASYMMETRY: &str = "schedule-asymmetry";
-/// Rule: every `ialltoallv_wire` start must pair with exactly one wait,
-/// on every path, including across loop iterations.
-pub const SCHEDULE_UNPAIRED_EXCHANGE: &str = "schedule-unpaired-exchange";
 /// Rule: a `// schedule: reset` point must sit in straight-line code of
 /// its entry (not under a branch or loop) so the static capture window
 /// is well defined.
@@ -57,6 +54,60 @@ const RETURN: &str = "@return";
 /// Marker op: `break` / `continue` — exits the innermost enclosing loop,
 /// so it is schedule-relevant only when that loop carries collectives.
 const BREAK: &str = "@break";
+
+/// The one collective catalogue: every public collective of `Comm` and
+/// `PendingExchange` by method name, with the fingerprint names (the
+/// runtime's `CollectiveKind::name`) one call records, in order. `split`
+/// records itself and then its `allgather` of every rank's `(color, key)`;
+/// `alltoallv_wire` is a start immediately followed by its wait.
+/// `xtask/tests/schedule_tests.rs` holds it to `crates/comm/src/comm.rs`.
+pub const COLLECTIVES: &[(&str, &[&str])] = &[
+    ("barrier", &["barrier"]),
+    ("alltoallv", &["alltoallv"]),
+    (
+        "alltoallv_wire",
+        &["ialltoallv_wire", "ialltoallv_wire_wait"],
+    ),
+    ("ialltoallv_wire", &["ialltoallv_wire"]),
+    ("wait", &["ialltoallv_wire_wait"]),
+    ("allgather", &["allgatherv"]),
+    ("allgatherv_wire", &["allgatherv_wire"]),
+    ("allreduce", &["allreduce"]),
+    ("sendrecv_wire", &["sendrecv_wire"]),
+    ("split", &["split", "allgatherv"]),
+];
+
+/// The fingerprint names a call of method `name` records; empty for a
+/// method that is not in [`COLLECTIVES`].
+fn fingerprints(name: &str) -> &'static [&'static str] {
+    COLLECTIVES
+        .iter()
+        .find(|(method, _)| *method == name)
+        .map_or(&[], |&(_, kinds)| kinds)
+}
+
+/// True when the `.name(` call whose `.` is at `dot` is a collective. Two
+/// catalogue names are everyday method names too, so they count only on a
+/// plausible receiver — the identifier before the `.`, or a call result
+/// `)` (`comm.ialltoallv_wire(bufs).wait()`): `wait` on one mentioning
+/// `pending` or `exchange` (barriers, condvars and child processes park
+/// with `wait`, none on the board), `split` on one mentioning `comm`
+/// (never `line.split(',')`).
+pub fn is_collective_call(toks: &[Tok], dot: usize, name: &str) -> bool {
+    let hints: &[&str] = match name {
+        "wait" => &["pending", "exchange"],
+        "split" => &["comm"],
+        _ => return !fingerprints(name).is_empty(),
+    };
+    match dot.checked_sub(1).map(|k| &toks[k].kind) {
+        Some(TokKind::Ident(s)) => {
+            let s = s.to_ascii_lowercase();
+            hints.iter().any(|hint| s.contains(hint))
+        }
+        Some(TokKind::Punct(')')) => true,
+        _ => false,
+    }
+}
 
 /// Rank-invariance classification of a value or branch condition.
 ///
@@ -189,8 +240,6 @@ struct FnInfo {
 struct FileInfo {
     path: String,
     lexed: Lexed,
-    /// Findings are suppressed and comm-exempted per file.
-    exempt: bool,
 }
 
 /// The result of analyzing a workspace or source set.
@@ -208,46 +257,16 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
 }
 
-/// The crates the schedule pass covers; only `src/` trees — tests
-/// intentionally provoke asymmetric schedules.
-const SCHEDULE_ROOTS: &[&str] = &[
-    "crates/bfs/src",
-    "crates/comm/src",
-    "crates/runtime/src",
-    "crates/graph/src",
-    "crates/matrix/src",
-];
-
-/// Analyzes the workspace rooted at `root` (see `SCHEDULE_ROOTS` for
-/// the scan scope).
+/// Analyzes the workspace rooted at `root`: every `crates/*/src` tree
+/// and the root `src`. Test trees stay out — they provoke asymmetric
+/// schedules on purpose.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
-    let mut sources = Vec::new();
-    for sub in SCHEDULE_ROOTS {
-        let dir = root.join(sub);
-        if dir.is_dir() {
-            collect(&dir, root, &mut sources)?;
-        }
-    }
-    sources.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(analyze_sources(sources))
-}
-
-fn collect(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.is_dir() {
-            collect(&path, root, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            out.push((rel, std::fs::read_to_string(&path)?));
-        }
-    }
-    Ok(())
+    let product = |path: &str| path.starts_with("src/") || path.split('/').nth(2) == Some("src");
+    Ok(analyze_sources(crate::read_sources(
+        root,
+        &["crates", "src"],
+        product,
+    )?))
 }
 
 /// Analyzes a set of `(workspace-relative path, source)` pairs. Exposed
@@ -267,12 +286,7 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
         let lexed = lex(&src);
         let defs = cfg::parse_file(&lexed);
         let file_idx = a.files.len();
-        let exempt = path.starts_with("crates/comm/");
-        a.files.push(FileInfo {
-            path,
-            lexed,
-            exempt,
-        });
+        a.files.push(FileInfo { path, lexed });
         for def in defs {
             let idx = a.fns.len();
             a.by_name.entry(def.name.clone()).or_default().push(idx);
@@ -647,22 +661,16 @@ fn run_checks(a: &mut Analysis) {
         param_memo: HashMap::new(),
         param_stack: Vec::new(),
     };
-    // Per-function root checks: every function outside crates/comm gets
-    // its summary expanded (parameters resolved by joining every call
-    // site in the workspace) and checked for divergent-branch asymmetry
-    // and unpaired exchanges.
+    // Per-function root checks: every function gets its summary expanded
+    // (parameters resolved by joining every call site in the workspace)
+    // and checked for divergent-branch asymmetry.
     for idx in 0..ex.a.fns.len() {
-        if ex.a.file_of(idx).exempt {
-            continue;
-        }
         let ctx = Ctx {
             param_div: ex.demand_params(idx),
             subst: HashMap::new(),
         };
         let file = ex.a.file_of(idx).path.clone();
         let expanded = ex.expand(&ex.a.summaries[idx].clone(), &ctx, &file);
-        let fn_line = ex.a.fns[idx].def.line;
-        ex.check_pairing(&expanded, &file, fn_line);
         ex.check_exits(&expanded, &file, false, false);
     }
     // Entries: expand each rank closure and apply the reset window.
@@ -674,7 +682,6 @@ fn run_checks(a: &mut Analysis) {
         };
         let file = ex.a.file_of(fn_idx).path.clone();
         let expanded = ex.expand(&node, &ctx, &file);
-        ex.check_pairing(&expanded, &file, line);
         ex.check_exits(&expanded, &file, false, false);
         let schedule = ex.apply_reset(expanded, &file);
         entries.push(Entry {
@@ -747,50 +754,16 @@ impl Expander<'_> {
         for (fidx, _, _, node) in &self.a.raw_entries {
             collect_sites(node, *fidx, fn_idx, self.a, &mut sites);
         }
+        let a = self.a;
         for (caller, args, has_recv) in sites {
             let caller_div = self.demand_params(caller);
-            // Align: callee `self` param consumes the receiver slot.
-            let has_self = self.a.fns[fn_idx]
-                .def
-                .params
-                .first()
-                .is_some_and(|p| p == "self");
-            let offset = match (has_self, has_recv) {
-                (true, true) | (false, false) => 0usize,
-                // Method without receiver slot or receiver without self:
-                // shift by one (Type::method(a) / free fn via method pos).
-                (true, false) => 1,
-                (false, true) => {
-                    // Receiver present but callee has no self: drop it.
-                    for (i, c) in args.iter().skip(1).enumerate() {
-                        if i < nparams && resolve_class(*c, &caller_div) {
-                            div[i] = true;
-                        }
-                    }
-                    continue;
-                }
-            };
-            for (i, c) in args.iter().enumerate() {
-                let p = i + offset;
-                if p < nparams && resolve_class(*c, &caller_div) {
-                    div[p] = true;
-                }
+            for (p, c) in bind_args(&a.fns[fn_idx].def, has_recv, &args) {
+                div[p] |= resolve_class(c, &caller_div);
             }
         }
         self.param_stack.pop();
         self.param_memo.insert(fn_idx, div.clone());
         div
-    }
-
-    /// See [`resolve_in`].
-    fn resolve(
-        &self,
-        name: &str,
-        qual: Option<&str>,
-        argc: usize,
-        caller_file: &str,
-    ) -> Option<usize> {
-        resolve_in(self.a, name, qual, argc, caller_file)
     }
 
     fn expand(&mut self, node: &Node, ctx: &Ctx, file: &str) -> Node {
@@ -814,7 +787,7 @@ impl Expander<'_> {
                     if closure_ctx.param_div.len() <= bit {
                         closure_ctx.param_div.resize(bit + 1, false);
                     }
-                    closure_ctx.param_div[bit] |= self.resolve_ctx(*c, ctx);
+                    closure_ctx.param_div[bit] |= resolve_class(*c, &ctx.param_div);
                 }
                 strip_returns(self.expand(&s.lambda.body, &closure_ctx, &s.file))
             }
@@ -824,9 +797,9 @@ impl Expander<'_> {
                 has_recv,
                 args,
                 closures,
-                line,
+                ..
             } => {
-                let target = self.resolve(name, qual.as_deref(), args.len(), file);
+                let target = resolve_in(self.a, name, qual.as_deref(), args.len(), file);
                 let Some(target) = target.filter(|t| !self.stack.contains(t)) else {
                     // Unknown callee: assume it invokes each closure
                     // argument once, in order (`pool.install`, iterator
@@ -845,33 +818,16 @@ impl Expander<'_> {
                     };
                 };
                 // Parameter classes at this site.
-                let has_self = self.a.fns[target]
-                    .def
-                    .params
-                    .first()
-                    .is_some_and(|p| p == "self");
-                let nparams = self.a.fns[target].def.params.len();
-                let offset = match (has_self, *has_recv) {
-                    (true, true) | (false, false) => 0usize,
-                    (true, false) => 1,
-                    (false, true) => 0, // receiver dropped below
-                };
-                let args_aligned: Vec<Class> = if !has_self && *has_recv {
-                    args.iter().skip(1).copied().collect()
-                } else {
-                    args.to_vec()
-                };
-                let mut param_div = vec![false; nparams];
-                for (i, c) in args_aligned.iter().enumerate() {
-                    let p = i + offset;
-                    if p < nparams {
-                        param_div[p] = self.resolve_ctx(*c, ctx);
-                    }
+                let callee = &self.a.fns[target].def;
+                let mut param_div = vec![false; callee.params.len()];
+                for (p, c) in bind_args(callee, *has_recv, args) {
+                    param_div[p] = resolve_class(c, &ctx.param_div);
                 }
+                let self_slot = usize::from(has_self(callee));
                 let mut subst = HashMap::new();
                 let caller_ctx = Rc::new(ctx.clone());
                 for (arg_pos, lambda) in closures {
-                    let p = arg_pos + if has_self && *has_recv { 1 } else { offset };
+                    let p = arg_pos + self_slot;
                     if calls_param(&self.a.summaries[target], p) {
                         let (ctx, file) = (caller_ctx.clone(), file.to_string());
                         let lambda = lambda.clone();
@@ -886,25 +842,16 @@ impl Expander<'_> {
                 let callee_file = self.a.file_of(target).path.clone();
                 let out = self.expand(&self.a.summaries[target].clone(), &callee_ctx, &callee_file);
                 self.stack.pop();
-                let _ = line;
-                // Collectives implemented inside `crates/comm` are
-                // internally symmetric by contract (backed by its own
-                // tests); neutralize their branch conditions so callers
-                // are not charged for comm's rank-dependent internals.
-                if self.a.file_of(target).exempt {
-                    neutralize(out)
-                } else {
-                    strip_returns(out)
-                }
+                strip_returns(out)
             }
             Node::Alt { arms, cond, line } => {
-                let div = self.resolve_ctx(*cond, ctx);
+                let div = resolve_class(*cond, &ctx.param_div);
                 let arms: Vec<Node> = arms.iter().map(|n| self.expand(n, ctx, file)).collect();
                 // Equivalent arms collapse; the branch is schedule-neutral.
                 if arms.iter().all(|n| equivalent(n, &arms[0])) {
                     return arms.into_iter().next().unwrap_or_else(Node::empty);
                 }
-                if div && !self.a.files.iter().any(|f| f.path == *file && f.exempt) {
+                if div {
                     // Only arms that differ in *collectives* are reported
                     // here; divergent early exits are handled by
                     // check_exits with following-op context.
@@ -935,10 +882,7 @@ impl Expander<'_> {
                     return Node::empty();
                 }
                 if let Some(h) = head {
-                    if self.resolve_ctx(*h, ctx)
-                        && !op_names(&body).is_empty()
-                        && !self.a.files.iter().any(|f| f.path == *file && f.exempt)
-                    {
+                    if resolve_class(*h, &ctx.param_div) && !op_names(&body).is_empty() {
                         self.report(
                             file,
                             *line,
@@ -953,7 +897,7 @@ impl Expander<'_> {
                 Node::Loop {
                     body: Box::new(body),
                     head: head.map(|h| {
-                        if self.resolve_ctx(h, ctx) {
+                        if resolve_class(h, &ctx.param_div) {
                             Class::DIV
                         } else {
                             Class::REPL
@@ -963,22 +907,6 @@ impl Expander<'_> {
                 }
             }
         }
-    }
-
-    /// Resolves a class to divergent / replicated under the expansion
-    /// context (parameter deps looked up, unknown roots replicated).
-    fn resolve_ctx(&mut self, c: Class, ctx: &Ctx) -> bool {
-        if c.div {
-            return true;
-        }
-        if c.deps != 0 {
-            for i in 0..64 {
-                if c.deps & (1 << i) != 0 && ctx.param_div.get(i).copied().unwrap_or(false) {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Divergent early exits: a `return` under a divergent condition is
@@ -1028,81 +956,6 @@ impl Expander<'_> {
             Node::Loop { body, .. } => {
                 let body_ops = !op_names(body).is_empty();
                 self.check_exits(body, file, ops_after || body_ops, body_ops);
-            }
-        }
-    }
-
-    /// Start/wait pairing over the expanded tree: total balance zero,
-    /// zero per loop iteration, equal across branch arms, and never
-    /// negative (a wait with nothing in flight).
-    fn check_pairing(&mut self, node: &Node, file: &str, fn_line: u32) {
-        let (net, min) = self.pairing(node, file);
-        if net != 0 {
-            self.report(
-                file,
-                fn_line,
-                SCHEDULE_UNPAIRED_EXCHANGE,
-                format!(
-                    "{} ialltoallv_wire start{} left without a matching wait on this path",
-                    net.abs(),
-                    if net.abs() == 1 { "" } else { "s" }
-                ),
-            );
-        } else if min < 0 {
-            self.report(
-                file,
-                fn_line,
-                SCHEDULE_UNPAIRED_EXCHANGE,
-                "a wait can run with no exchange in flight on this path".to_string(),
-            );
-        }
-    }
-
-    /// Returns `(net, min_prefix)` of start(+1)/wait(−1) over the node.
-    fn pairing(&mut self, node: &Node, file: &str) -> (i64, i64) {
-        match node {
-            Node::Op("ialltoallv_wire", _) => (1, 1),
-            Node::Op("ialltoallv_wire_wait", _) => (-1, -1),
-            Node::Op(..) | Node::ParamCall(..) | Node::Call { .. } => (0, 0),
-            Node::Seq(v) => {
-                let mut net = 0i64;
-                let mut min = 0i64;
-                for n in v {
-                    let (cn, cm) = self.pairing(n, file);
-                    min = min.min(net + cm);
-                    net += cn;
-                }
-                (net, min)
-            }
-            Node::Alt { arms, line, .. } => {
-                let parts: Vec<(i64, i64)> = arms.iter().map(|n| self.pairing(n, file)).collect();
-                if parts.iter().any(|(n, _)| *n != parts[0].0) {
-                    self.report(
-                        file,
-                        *line,
-                        SCHEDULE_UNPAIRED_EXCHANGE,
-                        "branch arms leave different numbers of exchanges in flight".to_string(),
-                    );
-                }
-                let net = parts.first().map(|(n, _)| *n).unwrap_or(0);
-                let min = parts.iter().map(|(_, m)| *m).min().unwrap_or(0);
-                (net, min)
-            }
-            Node::Loop { body, line, .. } => {
-                let (bn, bm) = self.pairing(body, file);
-                if bn != 0 {
-                    self.report(
-                        file,
-                        *line,
-                        SCHEDULE_UNPAIRED_EXCHANGE,
-                        format!(
-                            "each loop iteration changes the in-flight exchange count \
-                             by {bn}; iterations must start and wait equally (the \
-                             double-buffer rotation waits for the previous start)"
-                        ),
-                    );
-                }
-                (0, bm.min(0))
             }
         }
     }
@@ -1236,28 +1089,34 @@ fn calls_param(node: &Node, p: usize) -> bool {
     }
 }
 
-/// Marks every branch/loop condition in the subtree replicated and drops
-/// exit markers — applied to expanded `crates/comm` internals, whose
-/// rank-dependent control flow is the *implementation* of a symmetric
-/// collective, not a schedule hazard for the caller.
-fn neutralize(node: Node) -> Node {
-    match node {
-        Node::Op(RETURN, _) | Node::Op(BREAK, _) => Node::empty(),
-        Node::Op(..) | Node::Call { .. } | Node::ParamCall(..) => node,
-        Node::Seq(v) => Node::Seq(v.into_iter().map(neutralize).collect()),
-        Node::Alt { arms, line, .. } => Node::Alt {
-            arms: arms.into_iter().map(neutralize).collect(),
-            cond: Class::REPL,
-            line,
-        },
-        Node::Loop { body, line, .. } => Node::Loop {
-            body: Box::new(neutralize(*body)),
-            head: Some(Class::REPL),
-            line,
-        },
-    }
+fn has_self(f: &FnDef) -> bool {
+    f.params.first().is_some_and(|p| p == "self")
 }
 
+/// Pairs the argument classes of a call site with the callee parameters
+/// they bind, as `(parameter index, class)`. A method's `self` takes the
+/// receiver slot; without a receiver (`Type::method(..)`) the arguments
+/// shift past `self`, and a receiver on a callee without `self` is
+/// dropped.
+fn bind_args<'a>(
+    callee: &'a FnDef,
+    has_recv: bool,
+    args: &'a [Class],
+) -> impl Iterator<Item = (usize, Class)> + 'a {
+    let (skip, offset) = match (has_self(callee), has_recv) {
+        (true, false) => (0, 1),
+        (false, true) => (1, 0),
+        _ => (0, 0),
+    };
+    args.iter()
+        .skip(skip)
+        .enumerate()
+        .map(move |(i, c)| (i + offset, *c))
+        .filter(|&(p, _)| p < callee.params.len())
+}
+
+/// Resolves a class to divergent (true) or replicated, given which
+/// dependency bits are divergent; unknown roots resolve replicated.
 fn resolve_class(c: Class, caller_div: &[bool]) -> bool {
     if c.div {
         return true;
@@ -1655,23 +1514,90 @@ mod tests {
     }
 
     #[test]
-    fn unpaired_start_and_loop_imbalance_are_flagged() {
+    fn guarded_collectives_fire_with_else_chains() {
         let a = analyze(
             r#"
-            fn leak(comm: &Comm, bufs: Vec<WireBuf>) {
-                let pending = comm.ialltoallv_wire(bufs);
-            }
-            fn rotate_ok(comm: &Comm, k: usize) {
-                let mut pending = comm.ialltoallv_wire(encode(0));
-                for c in 1..k {
-                    let wire = pending.wait();
-                    pending = comm.ialltoallv_wire(encode(c));
+            fn f(comm: &Comm) {
+                if comm.rank() == 0 {
+                    comm.barrier();
+                } else if comm.rank() == 1 {
+                    comm.allreduce(&x, ops::sum);
+                } else {
+                    comm.allgather(y);
                 }
-                let wire = pending.wait();
             }
             "#,
         );
-        assert_eq!(rules_at(&a), vec![(SCHEDULE_UNPAIRED_EXCHANGE, 2)]);
+        assert_eq!(rules_at(&a), vec![(SCHEDULE_ASYMMETRY, 3)]);
+    }
+
+    #[test]
+    fn match_on_rank_guards_its_arms() {
+        let a = analyze(
+            r#"
+            fn f(comm: &Comm) {
+                match comm.rank() {
+                    0 => { comm.allgather(v); }
+                    _ => {}
+                }
+            }
+            "#,
+        );
+        assert_eq!(rules_at(&a), vec![(SCHEDULE_ASYMMETRY, 3)]);
+    }
+
+    #[test]
+    fn unguarded_and_non_rank_branches_are_clean() {
+        let a = analyze(
+            r#"
+            fn f(comm: &Comm) {
+                comm.barrier();
+                if depth == 0 {
+                    comm.allreduce(&x, ops::sum);
+                }
+                if comm.rank() == 0 {
+                    println!("root");
+                }
+                for part in line.split(',') {
+                    use_part(part);
+                }
+            }
+            "#,
+        );
+        assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
+    }
+
+    /// Findings of `body` placed under a rank guard.
+    fn guarded(body: &str) -> Vec<(&'static str, u32)> {
+        let a = analyze(&format!(
+            "fn f(comm: &Comm) {{ if comm.rank() == 0 {{ {body} }} }}"
+        ));
+        a.findings.iter().map(|f| (f.rule, f.line)).collect()
+    }
+
+    #[test]
+    fn ambiguous_names_need_a_comm_receiver() {
+        assert!(guarded("let p = line.split(',');").is_empty());
+        // `gather` is no collective, whatever the receiver.
+        assert!(guarded("let g = comm.gather(n);").is_empty());
+        let flagged = vec![(SCHEDULE_ASYMMETRY, 1)];
+        assert_eq!(guarded("let sub = comm.split(c, k);"), flagged);
+        assert_eq!(guarded("let sub = ctx.comm().split(c, k);"), flagged);
+    }
+
+    #[test]
+    fn split_exchange_pair_is_guarded_like_any_collective() {
+        let flagged = vec![(SCHEDULE_ASYMMETRY, 1)];
+        assert_eq!(guarded("pending.wait();"), flagged);
+        assert_eq!(guarded("let exchange = start(); exchange.wait();"), flagged);
+        assert_eq!(
+            guarded("let bufs = comm.ialltoallv_wire(out).wait();"),
+            flagged
+        );
+        // Non-exchange waits never fire: barriers, condvars, children.
+        assert!(guarded("barrier.wait();").is_empty());
+        assert!(guarded("self.cvar.wait(g);").is_empty());
+        assert!(guarded("child.wait();").is_empty());
     }
 
     #[test]
@@ -1776,7 +1702,7 @@ mod tests {
     }
 
     #[test]
-    fn comm_internals_are_exempt_from_findings() {
+    fn comm_internals_are_checked_like_any_crate() {
         let a = analyze_sources(vec![(
             "crates/comm/src/algorithms.rs".to_string(),
             r#"
@@ -1788,7 +1714,7 @@ mod tests {
             "#
             .to_string(),
         )]);
-        assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
+        assert_eq!(rules_at(&a), vec![(SCHEDULE_ASYMMETRY, 3)]);
     }
 
     #[test]
@@ -1800,10 +1726,18 @@ mod tests {
                 if comm.rank() == 0 {
                     comm.barrier();
                 }
+                if comm.rank() == 1 { comm.allreduce(&x, ops::sum); } // lint: allow(schedule-asymmetry)
+                if comm.rank() == 2 {
+                    comm.allgather(y);
+                }
             }
             "#,
         );
-        assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
+        assert_eq!(
+            rules_at(&a),
+            vec![(SCHEDULE_ASYMMETRY, 8)],
+            "only the unannotated branch survives"
+        );
     }
 
     #[test]

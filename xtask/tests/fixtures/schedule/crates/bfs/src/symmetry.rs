@@ -1,4 +1,4 @@
-// Fixture: seeded `collective-symmetry` violations (lines 5, 7, 12, 20, 23, 30).
+// Fixture: seeded `schedule-asymmetry` findings, one per rank-guarded branch (lines 4, 9, 19, 22, 29).
 
 pub fn lopsided(comm: &Comm, x: u64) {
     if comm.rank() == 0 {
@@ -33,7 +33,7 @@ pub fn lopsided_bitmap_broadcast(comm: &Comm, frontier_bits: WireBuf) {
 
 // Negative case: a *data*-dependent guard is symmetric when the condition
 // is a pure function of allreduced global counts — exactly how the hybrid
-// driver picks its per-level direction. The lint must not fire here.
+// driver picks its per-level direction. Nothing may fire here.
 pub fn direction_switched_broadcast(comm: &Comm, bottom_up: bool, frontier_bits: WireBuf) {
     if bottom_up {
         let _ = comm.allgatherv_wire(frontier_bits);

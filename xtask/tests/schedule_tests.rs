@@ -4,9 +4,11 @@
 //! come back clean — the same invocation CI runs via
 //! `cargo run -p xtask -- schedule`.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use xtask::schedule::{SCHEDULE_ASYMMETRY, SCHEDULE_UNPAIRED_EXCHANGE};
+use xtask::lexer::{ident, is_punct, lex, Tok, TokKind};
+use xtask::schedule::{COLLECTIVES, SCHEDULE_ASYMMETRY};
 use xtask::{analyze_workspace, workspace_root};
 
 fn fixtures_root() -> PathBuf {
@@ -37,17 +39,32 @@ fn seeded_schedule_defects_are_reported_with_rule_and_location() {
             5,
             SCHEDULE_ASYMMETRY,
         ),
-        // A start with no wait on any path: reported at the function.
+        // Every rank-guarded branch whose arms differ, `if` and `match`
+        // alike; the allreduce-decided direction switch stays silent.
         (
-            "crates/bfs/src/unpaired.rs".to_string(),
+            "crates/bfs/src/symmetry.rs".to_string(),
             4,
-            SCHEDULE_UNPAIRED_EXCHANGE,
+            SCHEDULE_ASYMMETRY,
         ),
-        // Each iteration nets +1 in-flight: reported at the loop.
         (
-            "crates/bfs/src/unpaired.rs".to_string(),
+            "crates/bfs/src/symmetry.rs".to_string(),
             9,
-            SCHEDULE_UNPAIRED_EXCHANGE,
+            SCHEDULE_ASYMMETRY,
+        ),
+        (
+            "crates/bfs/src/symmetry.rs".to_string(),
+            19,
+            SCHEDULE_ASYMMETRY,
+        ),
+        (
+            "crates/bfs/src/symmetry.rs".to_string(),
+            22,
+            SCHEDULE_ASYMMETRY,
+        ),
+        (
+            "crates/bfs/src/symmetry.rs".to_string(),
+            29,
+            SCHEDULE_ASYMMETRY,
         ),
         // Rank-local data decides the branch; no replication proof.
         (
@@ -60,8 +77,8 @@ fn seeded_schedule_defects_are_reported_with_rule_and_location() {
 }
 
 /// The real workspace carries no schedule findings: every config-decided
-/// branch is annotated with its replication proof, and the exchange
-/// rotations balance. This is the clean-run gate CI enforces.
+/// branch is annotated with its replication proof. This is the clean-run
+/// gate CI enforces.
 #[test]
 fn real_workspace_is_schedule_clean() {
     let analysis = analyze_workspace(&workspace_root()).expect("workspace must be readable");
@@ -107,5 +124,102 @@ fn real_workspace_extracts_the_driver_entry_points() {
             "driver {name} must live in crates/bfs, got {}",
             e.file
         );
+    }
+}
+
+/// Index of the `}` matching the `{` at `open`.
+fn close_brace(toks: &[Tok], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        match t.kind {
+            TokKind::Punct('{') => depth += 1,
+            TokKind::Punct('}') => {
+                depth -= 1;
+                if depth == 0 {
+                    return k;
+                }
+            }
+            _ => {}
+        }
+    }
+    panic!("unbalanced braces");
+}
+
+/// The public collectives of `Comm` and `PendingExchange`, read from their
+/// `impl` blocks: every `pub fn` whose body enters a collective (`enter`,
+/// `enter_typed`, `enter_wire`) or calls a public one that does.
+fn comm_collectives(src: &str) -> BTreeSet<String> {
+    let toks = lex(src).toks;
+    let ident = |k: usize| ident(toks.get(k));
+    let punct = |k: usize, c: char| is_punct(toks.get(k), c);
+    // (name, is `pub`, names the body calls)
+    let mut fns: Vec<(String, bool, Vec<String>)> = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        if ident(i) != Some("impl") || !matches!(ident(i + 1), Some("Comm" | "PendingExchange")) {
+            i += 1;
+            continue;
+        }
+        let open = (i..).find(|&k| punct(k, '{')).expect("impl block");
+        let end = close_brace(&toks, open);
+        let mut k = open + 1;
+        while k < end {
+            if ident(k) != Some("fn") {
+                k += 1;
+                continue;
+            }
+            let body = (k..).find(|&b| punct(b, '{')).expect("fn body");
+            let body_end = close_brace(&toks, body);
+            let calls = (body..body_end)
+                .filter(|&b| punct(b + 1, '(') || (punct(b + 1, ':') && punct(b + 2, ':')))
+                .filter_map(ident)
+                .map(str::to_string)
+                .collect();
+            let name = ident(k + 1).expect("fn name").to_string();
+            fns.push((name, ident(k - 1) == Some("pub"), calls));
+            k = body_end;
+        }
+        i = end;
+    }
+    let mut found: BTreeSet<String> = ["enter", "enter_typed", "enter_wire"]
+        .map(String::from)
+        .into();
+    loop {
+        let before = found.len();
+        for (name, _, calls) in &fns {
+            if calls.iter().any(|c| found.contains(c)) {
+                found.insert(name.clone());
+            }
+        }
+        if found.len() == before {
+            break;
+        }
+    }
+    fns.into_iter()
+        .filter(|(name, public, _)| *public && found.contains(name))
+        .map(|(name, ..)| name)
+        .collect()
+}
+
+/// The schedule checker's collective table names exactly the public
+/// collectives `crates/comm` defines, and every fingerprint it predicts is
+/// a `CollectiveKind` name: adding or removing a collective without
+/// updating the table fails here, instead of the new call quietly escaping
+/// the check.
+#[test]
+fn collective_table_matches_the_comm_crate() {
+    let comm = workspace_root().join("crates/comm/src");
+    let src = std::fs::read_to_string(comm.join("comm.rs")).expect("comm.rs");
+    let table: BTreeSet<String> = COLLECTIVES.iter().map(|(m, _)| m.to_string()).collect();
+    assert_eq!(comm_collectives(&src), table);
+    assert_eq!(table.len(), 10);
+    let kinds = std::fs::read_to_string(comm.join("verify.rs")).expect("verify.rs");
+    for (method, fingerprints) in COLLECTIVES {
+        for f in *fingerprints {
+            assert!(
+                kinds.contains(&format!("=> \"{f}\",")),
+                "`{method}` predicts `{f}`, which is no CollectiveKind name"
+            );
+        }
     }
 }
