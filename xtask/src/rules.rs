@@ -215,4 +215,21 @@ mod tests {
         let rules: Vec<(u32, &str)> = f.iter().map(|x| (x.line, x.rule)).collect();
         assert_eq!(rules, vec![(1, NO_RAW_SPAWN), (2, WORLD_RUN_BOUNDARY)]);
     }
+
+    #[test]
+    fn allow_comment_suppresses_a_finding() {
+        let src = "\
+fn f() {
+    // lint: allow(no-raw-spawn)
+    thread::spawn(a);
+    thread::spawn(b); // lint: allow(no-raw-spawn)
+    thread::spawn(c);
+    World::run(2, g); // lint: allow(no-raw-spawn)
+}";
+        let f = run("crates/bfs/src/lib.rs", src);
+        let rules: Vec<(u32, &str)> = f.iter().map(|x| (x.line, x.rule)).collect();
+        // Only the unannotated spawn survives, and an allow names one rule:
+        // it does not hide a different rule's finding on its line.
+        assert_eq!(rules, vec![(5, NO_RAW_SPAWN), (6, WORLD_RUN_BOUNDARY)]);
+    }
 }
