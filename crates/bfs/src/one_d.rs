@@ -57,8 +57,8 @@ pub struct Dist1dRun {
     /// Per-rank span traces (index = rank); empty spans unless
     /// [`Bfs1dConfig::trace`] was set.
     pub per_rank_trace: Vec<RankTrace>,
-    /// Per-rank collective-fingerprint sequences (index = rank); empty
-    /// unless [`Bfs1dConfig::schedule_capture`] was set.
+    /// Per-rank collective-fingerprint sequences of the whole run (index
+    /// = rank).
     pub per_rank_schedule: Vec<Vec<&'static str>>,
 }
 

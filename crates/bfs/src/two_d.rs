@@ -80,10 +80,6 @@ pub struct Bfs2dConfig {
     /// Overrides the rendezvous watchdog limit (`None` = the
     /// `DMBFS_COMM_TIMEOUT_SECS` default).
     pub watchdog: Option<Duration>,
-    /// Record the ordered collective-fingerprint sequence each rank
-    /// issues (see [`dmbfs_runtime::RunConfig::schedule_capture`]).
-    /// Strictly an observer.
-    pub schedule_capture: bool,
 }
 
 impl Bfs2dConfig {
@@ -96,7 +92,6 @@ impl Bfs2dConfig {
             trace: false,
             faults: FaultPlan::none(),
             watchdog: None,
-            schedule_capture: false,
         }
     }
 
@@ -127,13 +122,6 @@ impl Bfs2dConfig {
         self
     }
 
-    /// Enables or disables collective-schedule capture (see
-    /// [`Bfs2dConfig::schedule_capture`]).
-    pub fn with_schedule_capture(mut self, capture: bool) -> Self {
-        self.schedule_capture = capture;
-        self
-    }
-
     /// True when this is the hybrid variant.
     pub fn is_hybrid(&self) -> bool {
         self.threads_per_rank > 1
@@ -152,7 +140,6 @@ impl Bfs2dConfig {
             // The 2D SpMSV driver has no bottom-up step; its runtime view
             // is always top-down.
             direction: DirectionMode::TopDown,
-            schedule_capture: self.schedule_capture,
         }
     }
 }
@@ -198,8 +185,8 @@ pub struct Dist2dRun {
     /// unless [`Bfs2dConfig::trace`] was set. Row/column-communicator
     /// collectives appear in the owning rank's trace.
     pub per_rank_trace: Vec<RankTrace>,
-    /// Per-world-rank collective-fingerprint sequences; empty unless
-    /// [`Bfs2dConfig::schedule_capture`] was set.
+    /// Per-world-rank collective-fingerprint sequences of the whole run:
+    /// the two splits and the setup barrier, then the search.
     pub per_rank_schedule: Vec<Vec<&'static str>>,
 }
 

@@ -131,11 +131,7 @@ fn faults_in_the_bitmap_broadcast_are_typed_and_name_the_rank() {
 fn pinned_top_down_is_the_hybrid_loop_with_the_switch_at_rest() {
     for (name, el) in [("path", path(40)), ("grid", grid2d(7, 9))] {
         let g = CsrGraph::from_edge_list(&el);
-        let cfg = |direction| {
-            Bfs1dConfig::flat(3)
-                .with_direction(direction)
-                .with_schedule_capture(true)
-        };
+        let cfg = |direction| Bfs1dConfig::flat(3).with_direction(direction);
         let hybrid = bfs1d_run(&g, 0, &cfg(DirectionMode::Hybrid));
         let dirs = hybrid.level_directions();
         assert!(

@@ -1,7 +1,7 @@
 //! Cross-validation of the static collective-schedule checker against
-//! reality: run each driver at small scale with
-//! [`RunConfig::schedule_capture`], harvest the ordered fingerprint
-//! sequence every rank actually issued, and diff it against the schedule
+//! reality: run each driver at small scale, take the ordered fingerprint
+//! sequence every rank actually issued (every run records each rank's
+//! whole collective log), and diff it against the schedule
 //! `cargo run -p xtask -- schedule` predicts for that driver's entry
 //! point. A static schedule is a regex-shaped tree (alternation per
 //! branch, zero-or-more per loop); conformance means every rank's
@@ -47,10 +47,7 @@ fn assert_conforms(analysis: &Analysis, entry: &str, per_rank: &[Vec<&'static st
             e.file,
             e.line
         );
-        assert!(
-            !seq.is_empty(),
-            "{what}: rank {rank} captured nothing — capture must be armed"
-        );
+        assert!(!seq.is_empty(), "{what}: rank {rank} recorded nothing");
     }
 }
 
@@ -59,15 +56,24 @@ fn check_1d(base: Bfs1dConfig) {
         "1D ranks {} threads {} {:?}",
         base.ranks, base.threads_per_rank, base.direction
     );
-    let run = bfs1d_run(&graph(), 0, &base.with_schedule_capture(true));
+    let run = bfs1d_run(&graph(), 0, &base);
     assert_conforms(&analysis(), "bfs1d_run", &run.per_rank_schedule, &what);
 }
 
 fn check_2d(base: Bfs2dConfig) {
     let (grid, threads) = (base.grid, base.threads_per_rank);
     let what = format!("2D {}x{} threads {threads}", grid.rows(), grid.cols());
-    let run = bfs2d_run(&graph(), 0, &base.with_schedule_capture(true));
+    let run = bfs2d_run(&graph(), 0, &base);
     assert_conforms(&analysis(), "bfs2d_run", &run.per_rank_schedule, &what);
+    // The log spans the whole run: the row and column splits (each with
+    // its inner allgather) and the setup barrier come before the search.
+    for (rank, seq) in run.per_rank_schedule.iter().enumerate() {
+        assert_eq!(
+            seq[..5],
+            ["split", "allgatherv", "split", "allgatherv", "barrier"],
+            "{what}: rank {rank}'s log must start with the setup collectives"
+        );
+    }
 }
 
 #[test]

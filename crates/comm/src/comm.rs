@@ -127,12 +127,12 @@ pub struct Comm {
     /// and one branch per collective — unless [`Comm::arm_faults`] armed a
     /// non-empty plan.
     fault: RefCell<Option<Arc<FaultInjector>>>,
-    /// Optional collective-schedule recorder shared with sub-communicators
-    /// split off this handle: the ordered fingerprint names this rank's
-    /// collectives produce, harvested by the static-checker conformance
-    /// test (same sharing rationale as `tracer`). `None` — one borrow per
-    /// collective — unless [`Comm::capture_schedule`] armed it.
-    sched_log: RefCell<Option<Arc<Mutex<Vec<&'static str>>>>>,
+    /// Collective-schedule log shared with sub-communicators split off
+    /// this handle: the ordered fingerprint names of every collective this
+    /// rank issues, drained by [`Comm::take_schedule`] and checked against
+    /// the static schedule by the conformance test (same sharing rationale
+    /// as `tracer`).
+    sched_log: Arc<Mutex<Vec<&'static str>>>,
     /// Thread that created the handle; collectives must run on it.
     owner: ThreadId,
     /// Fingerprint of the collective in progress, recorded by
@@ -161,7 +161,7 @@ impl Comm {
             stats: RefCell::new(CommStats::default()),
             tracer: RefCell::new(None),
             fault: RefCell::new(None),
-            sched_log: RefCell::new(None),
+            sched_log: Arc::default(),
             owner: std::thread::current().id(),
             site: Cell::new(None),
             pending_exchange: Cell::new(false),
@@ -188,32 +188,13 @@ impl Comm {
         self.fault.borrow().is_some()
     }
 
-    /// Arms collective-schedule capture on this handle: every subsequent
-    /// collective — including on sub-communicators split off it — appends
-    /// its fingerprint name (see [`CollectiveKind::name`]) to an ordered
-    /// per-rank log. The static checker's conformance test diffs this
-    /// against the predicted schedule. A strict observer, like tracing:
-    /// payloads and results are untouched.
-    pub fn capture_schedule(&self) {
-        *self.sched_log.borrow_mut() = Some(Arc::new(Mutex::new(Vec::new())));
-    }
-
-    /// Discards everything captured so far (keeps capturing). Mirrors the
-    /// static checker's `// schedule: reset` window marker.
-    pub fn schedule_clear(&self) {
-        if let Some(log) = self.sched_log.borrow().as_ref() {
-            log.lock().clear();
-        }
-    }
-
-    /// The captured fingerprint-name sequence, empty when capture was
-    /// never armed.
+    /// Drains this rank's collective log: the fingerprint name (see
+    /// [`CollectiveKind::name`]) of every collective issued since the
+    /// handle was created or last drained, on it and on every
+    /// sub-communicator split off it, in order. A strict observer, like
+    /// tracing: payloads and results are untouched.
     pub fn take_schedule(&self) -> Vec<&'static str> {
-        self.sched_log
-            .borrow()
-            .as_ref()
-            .map(|log| std::mem::take(&mut *log.lock()))
-            .unwrap_or_default()
+        std::mem::take(&mut *self.sched_log.lock())
     }
 
     /// The corruption half of the fault hook: called by the wire
@@ -413,7 +394,7 @@ impl Comm {
         self.record_wire(pattern, bytes, bytes, 0, start);
     }
 
-    /// Top of every collective: the fault hook, schedule capture and the
+    /// Top of every collective: the fault hook, the schedule log and the
     /// call-site fingerprint (all against the caller's `#[track_caller]`
     /// location), then the clock the recorded [`CommEvent`] is timed from.
     #[track_caller]
@@ -427,9 +408,7 @@ impl Comm {
         if let Some(inj) = inj {
             inj.on_collective(kind, location);
         }
-        if let Some(log) = self.sched_log.borrow().as_ref() {
-            log.lock().push(kind.name());
-        }
+        self.sched_log.lock().push(kind.name());
         self.site.set(Some(Fingerprint {
             kind,
             type_id,
@@ -816,13 +795,13 @@ impl Comm {
         let board = Option::clone(&all[leader]).expect("leader deposited the group board");
         self.record(CollectiveTag::Broadcast, 0, 0, start);
 
-        let child = Comm::new(board, my_group_rank);
+        let mut child = Comm::new(board, my_group_rank);
         // Sub-communicator collectives record into the parent's trace and
-        // consult the parent's fault injector (which keeps counting ops and
-        // reporting the world rank).
+        // schedule log and consult the parent's fault injector (which keeps
+        // counting ops and reporting the world rank).
         *child.tracer.borrow_mut() = self.tracer.borrow().clone();
         *child.fault.borrow_mut() = self.fault.borrow().clone();
-        *child.sched_log.borrow_mut() = self.sched_log.borrow().clone();
+        child.sched_log = Arc::clone(&self.sched_log);
         child
     }
 }

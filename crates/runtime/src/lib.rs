@@ -11,15 +11,16 @@
 //!   per rank, direction policy, tracing, watchdog limit, fault injection)
 //!   every driver accepts.
 //! * [`run_ranks`] — the generic harness: rank spawn via the in-process
-//!   world, tracer attach, pool construction, and the stats/trace/seconds
-//!   harvest, returning a [`DistRun`].
+//!   world, tracer attach, pool construction, and the
+//!   stats/trace/seconds/collective-schedule harvest, returning a
+//!   [`DistRun`].
 //! * [`RankCtx`] — what a per-rank closure sees: its communicator, its
 //!   pool, [`RankCtx::timed`] for the canonical barrier-to-barrier timed
 //!   region, [`RankCtx::reset_accounting`] to exclude setup collectives,
 //!   and [`RankCtx::merge_stats`] to fold sub-communicator statistics into
 //!   the harvest.
-//! * [`scatter_block`] / [`assemble_blocks`] — output assembly for the
-//!   common case of contiguous per-rank vector blocks.
+//! * [`scatter_block`] — output assembly for the common case of
+//!   contiguous per-rank vector blocks.
 //!
 //! Adding a distributed algorithm is now: build a `RunConfig`, call
 //! `run_ranks`, and write the loop — threading, wire-byte accounting, and
@@ -125,12 +126,6 @@ pub struct RunConfig {
     /// the BFS drivers with a bottom-up step honor it; other drivers
     /// require the [`DirectionMode::TopDown`] default.
     pub direction: DirectionMode,
-    /// Record the ordered collective-fingerprint sequence each rank
-    /// issues (see [`dmbfs_comm::Comm::capture_schedule`]), harvested
-    /// into [`DistRun::per_rank_schedule`]. The static schedule checker's
-    /// conformance test diffs it against the predicted schedule. Strictly
-    /// an observer: the computed result is bit-identical either way.
-    pub schedule_capture: bool,
 }
 
 impl RunConfig {
@@ -143,7 +138,6 @@ impl RunConfig {
             faults: FaultPlan::none(),
             watchdog: None,
             direction: DirectionMode::TopDown,
-            schedule_capture: false,
         }
     }
 
@@ -154,13 +148,6 @@ impl RunConfig {
             threads_per_rank,
             ..Self::flat(ranks)
         }
-    }
-
-    /// Replaces the threads-per-rank count.
-    pub fn with_threads(mut self, threads_per_rank: usize) -> Self {
-        assert!(threads_per_rank >= 1);
-        self.threads_per_rank = threads_per_rank;
-        self
     }
 
     /// Enables or disables span tracing.
@@ -195,13 +182,6 @@ impl RunConfig {
         self
     }
 
-    /// Enables or disables collective-schedule capture (see
-    /// [`RunConfig::schedule_capture`]).
-    pub fn with_schedule_capture(mut self, capture: bool) -> Self {
-        self.schedule_capture = capture;
-        self
-    }
-
     /// True when this is the hybrid variant.
     pub fn is_hybrid(&self) -> bool {
         self.threads_per_rank > 1
@@ -213,7 +193,6 @@ impl RunConfig {
 /// keep timing and accounting uniform across drivers.
 pub struct RankCtx<'a> {
     comm: &'a Comm,
-    cfg: RunConfig,
     pool: Option<rayon::ThreadPool>,
     seconds: Cell<f64>,
     extra_stats: RefCell<Vec<CommStats>>,
@@ -235,26 +214,11 @@ impl<'a> RankCtx<'a> {
         self.comm.size()
     }
 
-    /// The run's configuration.
-    pub fn config(&self) -> &RunConfig {
-        &self.cfg
-    }
-
     /// The rank's private thread pool (`None` under flat execution). Each
     /// rank builds its own pool: a shared global pool would serialize the
     /// simulated ranks against each other.
     pub fn pool(&self) -> Option<&rayon::ThreadPool> {
         self.pool.as_ref()
-    }
-
-    /// Runs `f` inside the rank pool when one exists, inline otherwise.
-    /// Collectives must stay on the rank's main thread (the `Comm`
-    /// MPI_THREAD_FUNNELED invariant) — only hand compute phases to this.
-    pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        match &self.pool {
-            Some(pool) => pool.install(f),
-            None => f(),
-        }
     }
 
     /// The canonical timed region: barrier, start the clock, run `f`
@@ -274,29 +238,22 @@ impl<'a> RankCtx<'a> {
         out
     }
 
-    /// Excludes everything so far from the harvest: barrier (so no rank is
-    /// still inside a setup collective), then discard recorded events and
-    /// clear the trace. The 2D drivers use this so communicator splits and
-    /// graph distribution don't pollute the search accounting.
+    /// Excludes everything so far from the stats and trace harvest:
+    /// barrier (so no rank is still inside a setup collective), then
+    /// discard recorded events and clear the trace. The 2D drivers use
+    /// this so communicator splits and graph distribution don't pollute
+    /// the search accounting. The collective-schedule log keeps the whole
+    /// run, setup and this barrier included.
     pub fn reset_accounting(&self) {
         self.comm.barrier();
         let _ = self.comm.take_stats();
         self.comm.trace_clear();
-        // The static checker's capture window opens here too — after the
-        // barrier above, which the dynamic log discards with the rest.
-        // schedule: reset
-        self.comm.schedule_clear();
     }
 
     /// Folds statistics from a sub-communicator (a row/column split) into
     /// this rank's harvested stream.
     pub fn merge_stats(&self, stats: CommStats) {
         self.extra_stats.borrow_mut().push(stats);
-    }
-
-    /// Wall seconds accumulated by [`RankCtx::timed`] so far.
-    pub fn seconds(&self) -> f64 {
-        self.seconds.get()
     }
 }
 
@@ -315,8 +272,11 @@ pub struct DistRun<T> {
     /// Wall seconds of the timed region (max over ranks); `0.0` when the
     /// closure never called [`RankCtx::timed`].
     pub seconds: f64,
-    /// Per-rank ordered collective-fingerprint sequences (index = rank);
-    /// empty vectors unless [`RunConfig::schedule_capture`] was set.
+    /// Per-rank ordered collective-fingerprint sequences (index = rank):
+    /// every collective each rank issued in the run, on the world
+    /// communicator and on every sub-communicator split off it (see
+    /// [`dmbfs_comm::Comm::take_schedule`]). The static schedule checker's
+    /// conformance test diffs it against the predicted schedule.
     pub per_rank_schedule: Vec<Vec<&'static str>>,
 }
 
@@ -370,11 +330,6 @@ where
         if cfg.trace {
             comm.set_tracer(TraceSink::new(comm.rank(), epoch));
         }
-        // Before any split, like the tracer, so sub-communicator
-        // collectives land in the same per-rank sequence.
-        if cfg.schedule_capture {
-            comm.capture_schedule();
-        }
         let pool = (cfg.threads_per_rank > 1).then(|| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(cfg.threads_per_rank)
@@ -389,7 +344,6 @@ where
         });
         let ctx = RankCtx {
             comm,
-            cfg,
             pool,
             seconds: Cell::new(0.0),
             extra_stats: RefCell::new(Vec::new()),
@@ -442,21 +396,6 @@ where
 pub fn scatter_block<V: Clone>(dst: &mut [V], start: u64, block: &[V]) {
     let s = start as usize;
     dst[s..s + block.len()].clone_from_slice(block);
-}
-
-/// Assembles contiguous per-rank blocks into one `n`-element vector,
-/// filling gaps (vertices no rank owns under uneven partitions) with
-/// `fill`.
-pub fn assemble_blocks<V: Clone>(
-    n: usize,
-    fill: V,
-    parts: impl IntoIterator<Item = (u64, Vec<V>)>,
-) -> Vec<V> {
-    let mut out = vec![fill; n];
-    for (start, block) in parts {
-        scatter_block(&mut out, start, &block);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -539,6 +478,13 @@ mod tests {
                 .count();
             assert_eq!(collectives, 1, "setup span was cleared");
         }
+        for schedule in &run.per_rank_schedule {
+            assert_eq!(
+                schedule,
+                &["allreduce", "barrier", "allreduce"],
+                "the collective log keeps the whole run"
+            );
+        }
     }
 
     #[test]
@@ -563,10 +509,10 @@ mod tests {
     #[test]
     fn hybrid_config_builds_a_rank_pool() {
         let run = run_ranks(&RunConfig::hybrid(2, 2), |ctx| {
-            assert!(ctx.pool().is_some());
-            assert!(ctx.config().is_hybrid());
+            let pool = ctx.pool().expect("a hybrid rank builds a pool");
+            assert_eq!(pool.current_num_threads(), 2);
             let rank = ctx.rank();
-            ctx.install(move || rank + 1)
+            pool.install(move || rank + 1)
         });
         assert_eq!(run.per_rank, vec![1, 2]);
         let flat = run_ranks(&RunConfig::flat(2), |ctx| ctx.pool().is_none());
@@ -575,7 +521,7 @@ mod tests {
 
     #[test]
     fn config_builders_compose() {
-        let cfg = RunConfig::flat(8).with_threads(4).with_trace(true);
+        let cfg = RunConfig::hybrid(8, 4).with_trace(true);
         assert_eq!(
             cfg,
             RunConfig {
@@ -585,7 +531,6 @@ mod tests {
                 faults: FaultPlan::none(),
                 watchdog: None,
                 direction: DirectionMode::TopDown,
-                schedule_capture: false,
             }
         );
         assert_eq!(
@@ -594,7 +539,6 @@ mod tests {
                 .direction,
             DirectionMode::Hybrid
         );
-        assert_eq!(RunConfig::hybrid(8, 4).with_trace(true), cfg);
         assert_eq!(
             RunConfig::flat(2)
                 .with_watchdog(Duration::from_millis(5))
@@ -663,8 +607,6 @@ mod tests {
 
     #[test]
     fn blocks_assemble_and_scatter() {
-        let out = assemble_blocks(7, -1i64, vec![(0u64, vec![9, 8]), (4, vec![7, 6, 5])]);
-        assert_eq!(out, vec![9, 8, -1, -1, 7, 6, 5]);
         let mut dst = vec![0u64; 4];
         scatter_block(&mut dst, 1, &[3, 4]);
         assert_eq!(dst, vec![0, 3, 4, 0]);

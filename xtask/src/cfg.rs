@@ -126,10 +126,9 @@ pub enum Stmt {
         value: ExprFacts,
         line: u32,
     },
+    /// `break` or `continue`: leaves the innermost enclosing loop's
+    /// current iteration.
     Break {
-        line: u32,
-    },
-    Continue {
         line: u32,
     },
     Return {
@@ -1032,12 +1031,8 @@ fn parse_expr_events(
         TokKind::Ident(s) if s == "while" || s == "for" || s == "loop" => {
             return parse_loop(toks, i, hi, qual, defs, body);
         }
-        TokKind::Ident(s) if s == "break" => {
+        TokKind::Ident(s) if s == "break" || s == "continue" => {
             body.push(Stmt::Break { line: toks[i].line });
-            return i + 1;
-        }
-        TokKind::Ident(s) if s == "continue" => {
-            body.push(Stmt::Continue { line: toks[i].line });
             return i + 1;
         }
         TokKind::Ident(s) if s == "return" => {

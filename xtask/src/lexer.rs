@@ -9,11 +9,9 @@
 //! matching close brace — and nothing beyond it (see
 //! `docs/verification.md`).
 //!
-//! `// schedule: …` directives for the collective-schedule checker ride
-//! the same channel (see `docs/static-analysis.md`): `entry(name)` marks
-//! a driver entry point, `replicated` asserts a binding or branch
-//! condition is rank-invariant, `reset` marks the point where dynamic
-//! schedule capture restarts.
+//! The collective-schedule checker's one directive rides the same
+//! channel (see `docs/static-analysis.md`): `// schedule: replicated`
+//! asserts a binding, branch or loop condition is rank-invariant.
 
 use std::collections::{HashMap, HashSet};
 
@@ -69,9 +67,8 @@ pub struct Lexed {
     /// lines it suppresses (inclusive). Trailing allows cover their own
     /// line; standalone allows cover the following statement/block.
     pub allow_extents: Vec<(u32, u32, HashSet<String>)>,
-    /// `line -> directive body` for `// schedule: …` comments, e.g.
-    /// `entry(bfs1d)`, `replicated`, `reset`.
-    pub schedules: HashMap<u32, Vec<String>>,
+    /// Lines carrying a `// schedule: replicated` comment.
+    pub replicated: HashSet<u32>,
 }
 
 impl Lexed {
@@ -86,35 +83,14 @@ impl Lexed {
         })
     }
 
-    /// True when a `// schedule: <directive>` comment covers `line` — on
+    /// True when a `// schedule: replicated` comment covers `line` — on
     /// the line itself (trailing) or standing alone directly above,
-    /// skipping over further comment-only lines.
-    pub fn schedule_directive(&self, line: u32, directive: &str) -> bool {
-        self.directive_lines(line).any(|l| {
-            self.schedules
-                .get(&l)
-                .is_some_and(|ds| ds.iter().any(|d| d == directive))
-        })
-    }
-
-    /// The argument of a `schedule: <name>(<arg>)` directive covering
-    /// `line` (same resolution as [`Lexed::schedule_directive`]).
-    pub fn schedule_arg(&self, line: u32, name: &str) -> Option<String> {
-        self.directive_lines(line).find_map(|l| {
-            self.schedules.get(&l)?.iter().find_map(|d| {
-                d.strip_prefix(name)
-                    .and_then(|r| r.trim().strip_prefix('('))
-                    .and_then(|r| r.trim_end().strip_suffix(')'))
-                    .map(|r| r.trim().to_string())
-            })
-        })
-    }
-
-    /// `line`, then the comment-only lines directly above it (doc
-    /// comments, stacked directives) — where a directive covering `line`
-    /// may sit.
-    fn directive_lines(&self, line: u32) -> impl Iterator<Item = u32> + '_ {
-        std::iter::once(line).chain((1..line).rev().take_while(|l| !self.code_lines.contains(l)))
+    /// skipping over further comment-only lines (doc comments, stacked
+    /// directives).
+    pub fn is_replicated(&self, line: u32) -> bool {
+        std::iter::once(line)
+            .chain((1..line).rev().take_while(|l| !self.code_lines.contains(l)))
+            .any(|l| self.replicated.contains(&l))
     }
 }
 
@@ -183,19 +159,18 @@ fn resolve_allow_extents(
     extents
 }
 
-/// Parses a line comment body for `lint: allow(rule-a, rule-b)` or a
-/// `schedule: <directive>` for the collective-schedule checker.
+/// Parses a line comment body for `lint: allow(rule-a, rule-b)` or the
+/// collective-schedule checker's `schedule: replicated`.
 fn parse_allow_directive(
     body: &str,
     line: u32,
     allows: &mut HashMap<u32, HashSet<String>>,
-    schedules: &mut HashMap<u32, Vec<String>>,
+    replicated: &mut HashSet<u32>,
 ) {
     let body = body.trim();
     if let Some(rest) = body.strip_prefix("schedule:") {
-        let rest = rest.trim();
-        if !rest.is_empty() {
-            schedules.entry(line).or_default().push(rest.to_string());
+        if rest.trim() == "replicated" {
+            replicated.insert(line);
         }
         return;
     }
@@ -223,7 +198,7 @@ pub fn lex(src: &str) -> Lexed {
     let chars: Vec<char> = src.chars().collect();
     let mut toks = Vec::new();
     let mut allows = HashMap::new();
-    let mut schedules = HashMap::new();
+    let mut replicated = HashSet::new();
     let mut i = 0usize;
     let mut line = 1u32;
 
@@ -241,7 +216,7 @@ pub fn lex(src: &str) -> Lexed {
                 j += 1;
             }
             let body: String = chars[start..j].iter().collect();
-            parse_allow_directive(&body, line, &mut allows, &mut schedules);
+            parse_allow_directive(&body, line, &mut allows, &mut replicated);
             i = j;
             continue;
         }
@@ -396,7 +371,7 @@ pub fn lex(src: &str) -> Lexed {
         toks,
         code_lines,
         allow_extents,
-        schedules,
+        replicated,
     }
 }
 
@@ -585,9 +560,9 @@ recv[1].bytes_mut()[0] = 0xFF;
     }
 
     #[test]
-    fn schedule_directives_are_harvested_with_arguments() {
+    fn replicated_directives_cover_their_line_or_the_next_code_line() {
         let src = "\
-// schedule: entry(bfs1d)
+// schedule: reset
 let r = run_ranks(cfg, f);
 let n = x.len(); // schedule: replicated
 // schedule: replicated
@@ -595,13 +570,11 @@ let n = x.len(); // schedule: replicated
 let flag = decide();
 ";
         let l = lex(src);
-        assert_eq!(l.schedule_arg(2, "entry").as_deref(), Some("bfs1d"));
-        assert_eq!(l.schedule_arg(3, "entry"), None);
-        assert!(l.schedule_directive(3, "replicated"), "trailing form");
+        assert!(l.is_replicated(3), "trailing form");
         assert!(
-            l.schedule_directive(6, "replicated"),
+            l.is_replicated(6),
             "standalone form skips comment-only lines"
         );
-        assert!(!l.schedule_directive(2, "replicated"));
+        assert!(!l.is_replicated(2), "no other directive counts");
     }
 }

@@ -13,9 +13,8 @@
 //! | `timed-regions-only`  | `Instant::now` in rank closures only via `ctx.timed` |
 //!
 //! The schedule pass ([`schedule`], `cargo run -p xtask -- schedule`)
-//! adds two: `schedule-asymmetry` (every rank issues the same collectives
-//! in the same order) and `schedule-reset-placement` (a capture reset sits
-//! in straight-line code).
+//! adds one: `schedule-asymmetry` (every rank issues the same collectives
+//! in the same order).
 
 pub mod cfg;
 pub mod lexer;

@@ -15,13 +15,17 @@
 //! exactly the silent-deadlock shape the MPI-style matching discipline of
 //! Buluç–Madduri (arXiv:1104.4518) forbids.
 //!
-//! Two rules report findings ([`SCHEDULE_ASYMMETRY`],
-//! [`SCHEDULE_RESET_PLACEMENT`]), and a machine-readable schedule comes
-//! out per driver entry point — every `run_ranks` rank closure, named by
-//! a `// schedule: entry(name)` directive or the enclosing function. The
-//! entry schedules feed the dynamic conformance test in `crates/bfs`,
-//! which diffs them against the fingerprint sequence a real run captures
-//! (`Comm::capture_schedule`; see `docs/static-analysis.md`).
+//! One rule reports findings ([`SCHEDULE_ASYMMETRY`]), and a
+//! machine-readable schedule comes out per driver entry point — every
+//! `run_ranks` rank closure, named by its enclosing function. The entry
+//! schedules feed the dynamic conformance test in `crates/bfs`, which
+//! diffs them against the whole collective sequence every rank of a real
+//! run records (`Comm::take_schedule`; see `docs/static-analysis.md`).
+//!
+//! Calls resolve by inlining: every function is checked with its
+//! parameters replicated, and each check inlines every callee it can
+//! resolve with that call site's argument classes, so a rank-divergent
+//! argument is reported at the callee's branch from the caller's check.
 //!
 //! The pass covers the source of every workspace crate, `crates/comm`
 //! included: a collective's implementation is held to the same rule as
@@ -38,15 +42,7 @@ use std::rc::Rc;
 /// Rule: every rank must issue the same collective sequence — a branch
 /// with schedule-different arms must be decided by replicated data.
 pub const SCHEDULE_ASYMMETRY: &str = "schedule-asymmetry";
-/// Rule: a `// schedule: reset` point must sit in straight-line code of
-/// its entry (not under a branch or loop) so the static capture window
-/// is well defined.
-pub const SCHEDULE_RESET_PLACEMENT: &str = "schedule-reset-placement";
 
-/// Marker op: the accounting-reset point (`RankCtx::reset_accounting`);
-/// an entry's schedule starts after its last top-level occurrence,
-/// mirroring the dynamic capture's `schedule_clear`.
-const RESET: &str = "@reset";
 /// Marker op: `return` — exits the enclosing function (or rank closure).
 /// Stripped at inline boundaries: a callee's `return` resolves inside the
 /// callee, whose own per-function check covers internal divergence.
@@ -113,41 +109,25 @@ pub fn is_collective_call(toks: &[Tok], dot: usize, name: &str) -> bool {
 ///
 /// A small may-lattice: `div` means possibly rank-divergent, `deps` is
 /// the set of enclosing-function parameters the value derives from
-/// (resolved through call sites) and of closure parameters (resolved
-/// where the closure is called, see [`Lambda`]), `unknown` marks roots
-/// the dataflow could not see (module constants, statics) — resolved as
-/// replicated,
-/// because per-rank data can only enter a function through its
-/// parameters, `.rank()` calls, or rank-named bindings.
+/// (resolved where the function is inlined) and of closure parameters
+/// (resolved where the closure is called, see [`Lambda`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Class {
     div: bool,
     deps: u64,
-    unknown: bool,
 }
 
 impl Class {
     const REPL: Class = Class {
         div: false,
         deps: 0,
-        unknown: false,
     };
-    const DIV: Class = Class {
-        div: true,
-        deps: 0,
-        unknown: false,
-    };
-    const UNKNOWN: Class = Class {
-        div: false,
-        deps: 0,
-        unknown: true,
-    };
+    const DIV: Class = Class { div: true, deps: 0 };
 
     fn dep(i: usize) -> Class {
         Class {
             div: false,
             deps: 1u64 << i.min(63),
-            unknown: false,
         }
     }
 
@@ -155,7 +135,6 @@ impl Class {
         Class {
             div: self.div || other.div,
             deps: self.deps | other.deps,
-            unknown: self.unknown || other.unknown,
         }
     }
 }
@@ -165,7 +144,7 @@ impl Class {
 #[derive(Clone, Debug)]
 pub enum Node {
     /// One collective, named by its dynamic fingerprint kind (plus the
-    /// `@reset` / `@exit` markers).
+    /// `@return` / `@break` markers).
     Op(&'static str, u32),
     Seq(Vec<Node>),
     /// Branch alternatives. `cond` is the joined class of every condition
@@ -184,10 +163,13 @@ pub enum Node {
     },
     /// Unresolved call, expanded interprocedurally. `args` are the
     /// argument classes at the site (receiver prepended for methods).
+    /// `path` marks a `Type::name(..)` call, whose first argument is a
+    /// method's `self`; `qual` also resolves `self.name(..)`.
     Call {
         name: String,
         qual: Option<String>,
         has_recv: bool,
+        path: bool,
         args: Vec<Class>,
         closures: Vec<(usize, Lambda)>,
         line: u32,
@@ -221,11 +203,10 @@ impl Node {
 }
 
 /// A driver entry point: a `run_ranks` rank closure, with its expanded
-/// schedule (markers stripped, reset applied).
+/// schedule (markers stripped).
 #[derive(Debug)]
 pub struct Entry {
-    /// `// schedule: entry(name)` argument, or the enclosing function's
-    /// name when the directive is absent.
+    /// The enclosing function's name.
     pub name: String,
     pub file: String,
     pub line: u32,
@@ -372,14 +353,12 @@ impl Summarizer<'_> {
         c
     }
 
+    /// A name the dataflow does not bind (a type or const path, a
+    /// module constant, a static) resolves replicated: per-rank data can
+    /// only enter a function through its parameters, `.rank()` calls, or
+    /// rank-named bindings.
     fn class_of_name(&self, name: &str) -> Class {
-        if let Some(c) = self.env.get(name) {
-            return *c;
-        }
-        if name.chars().next().is_some_and(|ch| ch.is_uppercase()) {
-            return Class::REPL; // type/const path
-        }
-        Class::UNKNOWN
+        self.env.get(name).copied().unwrap_or(Class::REPL)
     }
 
     /// Summarizes a statement list under branch/loop context `ctx` (the
@@ -388,9 +367,6 @@ impl Summarizer<'_> {
     fn block(&mut self, stmts: &[Stmt], ctx: Class) -> Node {
         let mut out = Vec::new();
         for stmt in stmts {
-            if self.lexed.schedule_directive(stmt_line(stmt), "reset") {
-                out.push(Node::Op(RESET, stmt_line(stmt)));
-            }
             self.stmt(stmt, ctx, &mut out);
         }
         Node::Seq(out)
@@ -419,10 +395,7 @@ impl Summarizer<'_> {
                 if name == "run_ranks" {
                     if let Some((_, c)) = closures.first() {
                         let node = self.closure(c).body;
-                        let ename = self
-                            .lexed
-                            .schedule_arg(*line, "entry")
-                            .unwrap_or_else(|| self.a.fns[self.fn_idx].def.name.clone());
+                        let ename = self.a.fns[self.fn_idx].def.name.clone();
                         self.entries.push((ename, *line, node));
                     }
                     return;
@@ -456,15 +429,15 @@ impl Summarizer<'_> {
                     .iter()
                     .map(|(i, c)| (*i, self.closure(c)))
                     .collect();
-                // `self.method()` resolves within the enclosing impl.
-                let qual = qual.clone().or_else(|| {
-                    (recv.as_deref() == Some("self"))
-                        .then(|| self.qual.clone())
-                        .flatten()
-                });
                 out.push(Node::Call {
                     name: name.clone(),
-                    qual,
+                    path: qual.is_some(),
+                    // `self.method()` resolves within the enclosing impl.
+                    qual: qual.clone().or_else(|| {
+                        (recv.as_deref() == Some("self"))
+                            .then(|| self.qual.clone())
+                            .flatten()
+                    }),
                     has_recv: recv.is_some(),
                     args: arg_classes,
                     closures,
@@ -472,7 +445,7 @@ impl Summarizer<'_> {
                 });
             }
             Stmt::Branch { cond, arms, line } => {
-                let cond_class = if self.lexed.schedule_directive(*line, "replicated") {
+                let cond_class = if self.lexed.is_replicated(*line) {
                     Class::REPL
                 } else {
                     self.class_of(cond)
@@ -508,7 +481,7 @@ impl Summarizer<'_> {
                 body,
                 line,
             } => {
-                let head_class = if self.lexed.schedule_directive(*line, "replicated") {
+                let head_class = if self.lexed.is_replicated(*line) {
                     Some(Class::REPL)
                 } else {
                     head.as_ref().map(|h| self.class_of(h))
@@ -530,7 +503,7 @@ impl Summarizer<'_> {
                 }
             }
             Stmt::Let { names, value, line } => {
-                let c = if self.lexed.schedule_directive(*line, "replicated") {
+                let c = if self.lexed.is_replicated(*line) {
                     Class::REPL
                 } else {
                     self.class_of(value).join(ctx)
@@ -549,7 +522,7 @@ impl Summarizer<'_> {
                 }
             }
             Stmt::Assign { name, value, line } => {
-                let c = if self.lexed.schedule_directive(*line, "replicated") {
+                let c = if self.lexed.is_replicated(*line) {
                     Class::REPL
                 } else {
                     let old = self.class_of_name(name);
@@ -557,7 +530,7 @@ impl Summarizer<'_> {
                 };
                 self.env.insert(name.clone(), c);
             }
-            Stmt::Break { line } | Stmt::Continue { line } => {
+            Stmt::Break { line } => {
                 out.push(Node::Op(BREAK, *line));
             }
             Stmt::Return { line } => {
@@ -603,29 +576,15 @@ impl Summarizer<'_> {
     }
 }
 
-fn stmt_line(stmt: &Stmt) -> u32 {
-    match stmt {
-        Stmt::Op { line, .. }
-        | Stmt::Call { line, .. }
-        | Stmt::Branch { line, .. }
-        | Stmt::Loop { line, .. }
-        | Stmt::Let { line, .. }
-        | Stmt::LetClosure { line, .. }
-        | Stmt::Assign { line, .. }
-        | Stmt::Break { line }
-        | Stmt::Continue { line }
-        | Stmt::Return { line } => *line,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Phase 2: interprocedural expansion + checks.
 // ---------------------------------------------------------------------------
 
 /// Expansion context: the function whose summary is being expanded, with
 /// its parameter classes already resolved to replicated/divergent and the
-/// closures substituted for higher-order parameters.
-#[derive(Clone)]
+/// closures substituted for higher-order parameters. The default context
+/// — every parameter replicated, none substituted — roots a check.
+#[derive(Clone, Default)]
 struct Ctx {
     /// Resolved class per dependency bit (true = divergent): the
     /// function's parameters, then those of the closures being expanded.
@@ -647,10 +606,9 @@ struct Subst {
 struct Expander<'a> {
     a: &'a Analysis,
     stack: Vec<usize>,
-    findings: BTreeSet<(String, u32, &'static str, String)>,
-    /// Memo for demand-driven param resolution: fn -> per-param divergent.
-    param_memo: HashMap<usize, Vec<bool>>,
-    param_stack: Vec<usize>,
+    /// `(file, line, message)` of each [`SCHEDULE_ASYMMETRY`] finding,
+    /// kept sorted and unique by the set.
+    findings: BTreeSet<(String, u32, String)>,
 }
 
 fn run_checks(a: &mut Analysis) {
@@ -658,112 +616,53 @@ fn run_checks(a: &mut Analysis) {
         a,
         stack: Vec::new(),
         findings: BTreeSet::new(),
-        param_memo: HashMap::new(),
-        param_stack: Vec::new(),
     };
     // Per-function root checks: every function gets its summary expanded
-    // (parameters resolved by joining every call site in the workspace)
-    // and checked for divergent-branch asymmetry.
+    // with its parameters replicated and checked for divergent-branch
+    // asymmetry. A divergent argument is caught where a caller's own
+    // check inlines the function with that call site's argument classes.
     for idx in 0..ex.a.fns.len() {
-        let ctx = Ctx {
-            param_div: ex.demand_params(idx),
-            subst: HashMap::new(),
-        };
         let file = ex.a.file_of(idx).path.clone();
-        let expanded = ex.expand(&ex.a.summaries[idx].clone(), &ctx, &file);
+        let expanded = ex.expand(&ex.a.summaries[idx].clone(), &Ctx::default(), &file);
         ex.check_exits(&expanded, &file, false, false);
     }
-    // Entries: expand each rank closure and apply the reset window.
+    // Entries: expand each rank closure; its schedule is the whole run.
     let mut entries = Vec::new();
     for (fn_idx, name, line, node) in ex.a.raw_entries.clone() {
-        let ctx = Ctx {
-            param_div: ex.demand_params(fn_idx),
-            subst: HashMap::new(),
-        };
         let file = ex.a.file_of(fn_idx).path.clone();
-        let expanded = ex.expand(&node, &ctx, &file);
+        let expanded = ex.expand(&node, &Ctx::default(), &file);
         ex.check_exits(&expanded, &file, false, false);
-        let schedule = ex.apply_reset(expanded, &file);
         entries.push(Entry {
             name,
             file,
             line,
-            schedule: strip_markers(schedule),
+            schedule: strip_markers(expanded),
         });
     }
-    let findings = ex.findings.clone();
-    drop(ex);
+    let findings = std::mem::take(&mut ex.findings);
     a.entries = entries;
-    // Resolve suppressions per file, then sort.
-    let mut out = Vec::new();
-    for (file, line, rule, message) in findings {
-        let allowed = a
-            .files
-            .iter()
-            .find(|f| f.path == file)
-            .is_some_and(|f| f.lexed.allowed(line, rule));
-        if !allowed {
-            out.push(Finding {
-                file,
-                line,
-                rule,
-                message,
-            });
-        }
-    }
-    out.sort_by(|x, y| (&x.file, x.line, x.rule).cmp(&(&y.file, y.line, y.rule)));
-    out.dedup();
-    a.findings = out;
+    // Drop the findings an allow-directive suppresses.
+    a.findings = findings
+        .into_iter()
+        .filter(|(file, line, _)| {
+            !a.files
+                .iter()
+                .find(|f| f.path == *file)
+                .is_some_and(|f| f.lexed.allowed(*line, SCHEDULE_ASYMMETRY))
+        })
+        .map(|(file, line, message)| Finding {
+            file,
+            line,
+            rule: SCHEDULE_ASYMMETRY,
+            message,
+        })
+        .collect();
 }
 
 impl Expander<'_> {
-    fn report(&mut self, file: &str, line: u32, rule: &'static str, msg: String) {
-        self.findings.insert((file.to_string(), line, rule, msg));
-    }
-
-    /// Demand-driven parameter resolution: a parameter is divergent iff
-    /// some call site anywhere in the workspace passes it rank-divergent
-    /// data (transitively through the caller's own parameters). With no
-    /// visible call site the parameter resolves replicated — out-of-scope
-    /// callers (CLI, tests) pass configuration, and the conformance test
-    /// backstops the assumption.
-    fn demand_params(&mut self, fn_idx: usize) -> Vec<bool> {
-        if let Some(v) = self.param_memo.get(&fn_idx) {
-            return v.clone();
-        }
-        if self.param_stack.contains(&fn_idx) {
-            return vec![false; self.a.fns[fn_idx].def.params.len()];
-        }
-        self.param_stack.push(fn_idx);
-        let nparams = self.a.fns[fn_idx].def.params.len();
-        let mut div = vec![false; nparams];
-        // Walk every summary (and entry closure) looking for call sites
-        // that resolve to `fn_idx`.
-        let mut sites: Vec<(usize, Vec<Class>, bool)> = Vec::new();
-        for caller in 0..self.a.fns.len() {
-            collect_sites(
-                &self.a.summaries[caller],
-                caller,
-                fn_idx,
-                self.a,
-                &mut sites,
-            );
-        }
-        // Entry closures live in their enclosing fn's scope, so call
-        // sites inside them resolve through that fn's parameters.
-        for (fidx, _, _, node) in &self.a.raw_entries {
-            collect_sites(node, *fidx, fn_idx, self.a, &mut sites);
-        }
-        let a = self.a;
-        for (caller, args, has_recv) in sites {
-            let caller_div = self.demand_params(caller);
-            for (p, c) in bind_args(&a.fns[fn_idx].def, has_recv, &args) {
-                div[p] |= resolve_class(c, &caller_div);
-            }
-        }
-        self.param_stack.pop();
-        self.param_memo.insert(fn_idx, div.clone());
-        div
+    fn report(&mut self, file: &str, line: u32, msg: &str) {
+        self.findings
+            .insert((file.to_string(), line, msg.to_string()));
     }
 
     fn expand(&mut self, node: &Node, ctx: &Ctx, file: &str) -> Node {
@@ -795,6 +694,7 @@ impl Expander<'_> {
                 name,
                 qual,
                 has_recv,
+                path,
                 args,
                 closures,
                 ..
@@ -820,7 +720,7 @@ impl Expander<'_> {
                 // Parameter classes at this site.
                 let callee = &self.a.fns[target].def;
                 let mut param_div = vec![false; callee.params.len()];
-                for (p, c) in bind_args(callee, *has_recv, args) {
+                for (p, c) in bind_args(callee, *has_recv, *path, args) {
                     param_div[p] = resolve_class(c, &ctx.param_div);
                 }
                 let self_slot = usize::from(has_self(callee));
@@ -860,13 +760,11 @@ impl Expander<'_> {
                         self.report(
                             file,
                             *line,
-                            SCHEDULE_ASYMMETRY,
                             "branch condition derives from rank-divergent data but its arms \
                              emit different collective schedules; decide the branch with a \
                              replicated value (a prior allreduce/allgather result or \
                              rank-invariant config), or annotate the proof with \
-                             `// schedule: replicated`"
-                                .to_string(),
+                             `// schedule: replicated`",
                         );
                     }
                 }
@@ -886,11 +784,9 @@ impl Expander<'_> {
                         self.report(
                             file,
                             *line,
-                            SCHEDULE_ASYMMETRY,
                             "loop condition derives from rank-divergent data but the body \
                              emits collectives: ranks would run different iteration counts \
-                             and the collective schedules diverge"
-                                .to_string(),
+                             and the collective schedules diverge",
                         );
                     }
                 }
@@ -945,10 +841,8 @@ impl Expander<'_> {
                         self.report(
                             file,
                             *line,
-                            SCHEDULE_ASYMMETRY,
                             "rank-divergent branch exits early on some arms while \
-                             collectives follow: exiting ranks abandon the rendezvous"
-                                .to_string(),
+                             collectives follow: exiting ranks abandon the rendezvous",
                         );
                     }
                 }
@@ -957,38 +851,6 @@ impl Expander<'_> {
                 let body_ops = !op_names(body).is_empty();
                 self.check_exits(body, file, ops_after || body_ops, body_ops);
             }
-        }
-    }
-
-    /// Applies the `@reset` capture window: the schedule starts after the
-    /// last top-level reset, mirroring the dynamic `schedule_clear`. A
-    /// reset under a branch or loop has no well-defined window and is
-    /// reported.
-    fn apply_reset(&mut self, node: Node, file: &str) -> Node {
-        let seq = match node {
-            Node::Seq(v) => v,
-            other => vec![other],
-        };
-        let last = seq.iter().rposition(|n| matches!(n, Node::Op(RESET, _)));
-        // Any reset *below* the top level is a placement error.
-        for n in &seq {
-            if !matches!(n, Node::Op(RESET, _)) {
-                if let Some(line) = find_nested_reset(n) {
-                    self.report(
-                        file,
-                        line,
-                        SCHEDULE_RESET_PLACEMENT,
-                        "accounting reset under a branch or loop: the captured schedule \
-                         window is ambiguous; hoist the reset to straight-line code of \
-                         the rank closure"
-                            .to_string(),
-                    );
-                }
-            }
-        }
-        match last {
-            Some(i) => Node::Seq(seq.into_iter().skip(i + 1).collect()),
-            None => Node::Seq(seq),
         }
     }
 }
@@ -1038,45 +900,6 @@ fn resolve_in(
     None
 }
 
-fn collect_sites(
-    node: &Node,
-    caller: usize,
-    target: usize,
-    a: &Analysis,
-    out: &mut Vec<(usize, Vec<Class>, bool)>,
-) {
-    match node {
-        Node::Seq(v) => {
-            for n in v {
-                collect_sites(n, caller, target, a, out);
-            }
-        }
-        Node::Alt { arms, .. } => {
-            for n in arms {
-                collect_sites(n, caller, target, a, out);
-            }
-        }
-        Node::Loop { body, .. } => collect_sites(body, caller, target, a, out),
-        Node::Call {
-            name,
-            qual,
-            has_recv,
-            args,
-            closures,
-            ..
-        } => {
-            let caller_file = &a.files[a.fns[caller].file_idx].path;
-            if resolve_in(a, name, qual.as_deref(), args.len(), caller_file) == Some(target) {
-                out.push((caller, args.clone(), *has_recv));
-            }
-            for (_, l) in closures {
-                collect_sites(&l.body, caller, target, a, out);
-            }
-        }
-        Node::Op(..) | Node::ParamCall(..) => {}
-    }
-}
-
 /// Whether a summary calls its higher-order parameter `p`, directly or
 /// from a closure it passes on.
 fn calls_param(node: &Node, p: usize) -> bool {
@@ -1095,16 +918,18 @@ fn has_self(f: &FnDef) -> bool {
 
 /// Pairs the argument classes of a call site with the callee parameters
 /// they bind, as `(parameter index, class)`. A method's `self` takes the
-/// receiver slot; without a receiver (`Type::method(..)`) the arguments
-/// shift past `self`, and a receiver on a callee without `self` is
-/// dropped.
+/// receiver slot, or the first argument of a path call
+/// (`Type::method(obj, ..)`); on a chained call with no named receiver
+/// (`f().method(..)`) the arguments shift past `self`, and a receiver on
+/// a callee without `self` is dropped.
 fn bind_args<'a>(
     callee: &'a FnDef,
     has_recv: bool,
+    path: bool,
     args: &'a [Class],
 ) -> impl Iterator<Item = (usize, Class)> + 'a {
     let (skip, offset) = match (has_self(callee), has_recv) {
-        (true, false) => (0, 1),
+        (true, false) if !path => (0, 1),
         (false, true) => (1, 0),
         _ => (0, 0),
     };
@@ -1116,7 +941,7 @@ fn bind_args<'a>(
 }
 
 /// Resolves a class to divergent (true) or replicated, given which
-/// dependency bits are divergent; unknown roots resolve replicated.
+/// dependency bits are divergent.
 fn resolve_class(c: Class, caller_div: &[bool]) -> bool {
     if c.div {
         return true;
@@ -1208,16 +1033,6 @@ fn strip_returns(node: Node) -> Node {
     }
 }
 
-fn find_nested_reset(node: &Node) -> Option<u32> {
-    match node {
-        Node::Op(RESET, line) => Some(*line),
-        Node::Op(..) | Node::ParamCall(..) | Node::Call { .. } => None,
-        Node::Seq(v) => v.iter().find_map(find_nested_reset),
-        Node::Alt { arms, .. } => arms.iter().find_map(find_nested_reset),
-        Node::Loop { body, .. } => find_nested_reset(body),
-    }
-}
-
 /// Structural schedule equivalence, ignoring source lines. Markers are
 /// significant: an arm that exits early is *not* equivalent to one that
 /// falls through (check_exits decides whether that matters).
@@ -1240,7 +1055,7 @@ fn equivalent(a: &Node, b: &Node) -> bool {
     eq(a, b)
 }
 
-/// Removes `@reset`/`@exit` markers and normalizes the tree: sequences
+/// Removes `@return`/`@break` markers and normalizes the tree: sequences
 /// flatten, empties drop, single-child sequences unwrap.
 pub fn strip_markers(node: Node) -> Node {
     fn walk(n: Node) -> Option<Node> {
@@ -1513,6 +1328,39 @@ mod tests {
         assert_eq!(rules_at(&a), vec![(SCHEDULE_ASYMMETRY, 3)]);
     }
 
+    /// A receiver call, a path call passing the receiver as its first
+    /// argument, and an associated function: each binds the rank test to
+    /// `flag`, so each is reported at the callee's branch.
+    #[test]
+    fn method_arguments_bind_in_every_call_form() {
+        for (call, line) in [
+            ("l.step(comm.rank() == 0, comm)", 4),
+            ("Lvl::step(l, comm.rank() == 0, comm)", 4),
+            ("Lvl::make(comm.rank() == 0, comm)", 9),
+        ] {
+            let a = analyze(&format!(
+                r#"
+            impl Lvl {{
+                fn step(&self, flag: bool, comm: &Comm) {{
+                    if flag {{
+                        comm.barrier();
+                    }}
+                }}
+                fn make(flag: bool, comm: &Comm) {{
+                    if flag {{
+                        comm.barrier();
+                    }}
+                }}
+            }}
+            fn drive(comm: &Comm, l: &Lvl) {{
+                {call};
+            }}
+            "#
+            ));
+            assert_eq!(rules_at(&a), vec![(SCHEDULE_ASYMMETRY, line)], "{call}");
+        }
+    }
+
     #[test]
     fn guarded_collectives_fire_with_else_chains() {
         let a = analyze(
@@ -1622,7 +1470,6 @@ mod tests {
         let a = analyze(
             r#"
             pub fn drive(cfg: &RunConfig) {
-                // schedule: entry(demo)
                 let run = run_ranks(cfg, |ctx| {
                     let comm = ctx.comm();
                     loop {
@@ -1637,39 +1484,13 @@ mod tests {
             "#,
         );
         assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
-        let e = a.entry("demo").expect("entry extracted");
+        let e = a.entry("drive").expect("entry named by its function");
         assert!(matches(
             &e.schedule,
             &["alltoallv", "allreduce", "alltoallv", "allreduce"]
         ));
         assert!(matches(&e.schedule, &[]));
         assert!(!matches(&e.schedule, &["alltoallv"]), "allreduce missing");
-    }
-
-    #[test]
-    fn reset_truncates_the_captured_window() {
-        let a = analyze(
-            r#"
-            fn drive(cfg: &RunConfig) {
-                let run = run_ranks(cfg, |ctx| {
-                    let comm = ctx.comm();
-                    let sub = comm.split(0, 1);
-                    // schedule: reset
-                    comm.barrier();
-                    comm.alltoallv(vec![]);
-                });
-            }
-            "#,
-        );
-        let e = a.entry("drive").expect("implicit entry name");
-        assert!(matches(&e.schedule, &["barrier", "alltoallv"]));
-        assert!(
-            !matches(
-                &e.schedule,
-                &["split", "allgatherv", "barrier", "alltoallv"]
-            ),
-            "pre-reset collectives must be excluded"
-        );
     }
 
     #[test]

@@ -127,6 +127,38 @@ fn real_workspace_extracts_the_driver_entry_points() {
     }
 }
 
+/// Each driver's schedule, pinned as JSON without file or line, so a
+/// change to what any driver issues shows up here and an unrelated edit
+/// to its file does not. The 2D driver's schedule opens with its two
+/// communicator splits (each followed by the split's inner allgather) and
+/// the setup barrier: the schedule covers the whole run, as the per-rank
+/// collective log does.
+#[test]
+fn real_workspace_driver_schedules_are_pinned() {
+    let analysis = analyze_workspace(&workspace_root()).expect("workspace must be readable");
+    let baseline = r#"["barrier",{"loop":[{"loop":"allreduce"},"allreduce"]},"barrier"]"#;
+    let expected = [
+        ("reference_mpi_bfs_with", baseline),
+        ("pbgl_like_bfs_with", baseline),
+        (
+            "bfs1d_run",
+            r#"["barrier","allreduce",{"loop":[{"alt":["allgatherv_wire",["ialltoallv_wire","ialltoallv_wire_wait"]]},"allreduce"]},"barrier"]"#,
+        ),
+        (
+            "bfs2d_run",
+            r#"["split","allgatherv","split","allgatherv","barrier","barrier","allreduce",{"loop":[{"alt":["sendrecv_wire","alltoallv"]},"allgatherv_wire","ialltoallv_wire","ialltoallv_wire_wait","allreduce"]},"barrier"]"#,
+        ),
+    ];
+    for (name, json) in expected {
+        let e = analysis
+            .entry(name)
+            .unwrap_or_else(|| panic!("entry {name} extracted"));
+        let mut got = String::new();
+        xtask::schedule::to_json(&e.schedule, &mut got);
+        assert_eq!(got, json, "schedule of {name}");
+    }
+}
+
 /// Index of the `}` matching the `{` at `open`.
 fn close_brace(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0usize;
