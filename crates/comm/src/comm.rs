@@ -153,15 +153,28 @@ pub struct Comm {
     epoch: Cell<u64>,
 }
 
+/// Entries a rank's collective log holds before it first grows: the few
+/// hundred collectives of a high-diameter search, so the log does not
+/// reallocate inside one.
+const SCHEDULE_LOG_CAPACITY: usize = 512;
+
 impl Comm {
-    pub(crate) fn new(board: Arc<ExchangeBoard>, rank: usize) -> Self {
+    /// A handle on `board`. `sched_log` is the parent's log for a
+    /// sub-communicator; a world handle (`None`) starts its own.
+    pub(crate) fn new(
+        board: Arc<ExchangeBoard>,
+        rank: usize,
+        sched_log: Option<Arc<Mutex<Vec<&'static str>>>>,
+    ) -> Self {
+        let sched_log = sched_log
+            .unwrap_or_else(|| Arc::new(Mutex::new(Vec::with_capacity(SCHEDULE_LOG_CAPACITY))));
         Self {
             board,
             rank,
             stats: RefCell::new(CommStats::default()),
             tracer: RefCell::new(None),
             fault: RefCell::new(None),
-            sched_log: Arc::default(),
+            sched_log,
             owner: std::thread::current().id(),
             site: Cell::new(None),
             pending_exchange: Cell::new(false),
@@ -256,7 +269,7 @@ impl Comm {
     /// unmodified in a serial context (tests, examples).
     pub fn single() -> Self {
         let board = ExchangeBoard::new(1, Arc::new(Poison::default()), None);
-        Self::new(Arc::new(board), 0)
+        Self::new(Arc::new(board), 0, None)
     }
 
     /// This rank's id in `0..size()`.
@@ -795,13 +808,12 @@ impl Comm {
         let board = Option::clone(&all[leader]).expect("leader deposited the group board");
         self.record(CollectiveTag::Broadcast, 0, 0, start);
 
-        let mut child = Comm::new(board, my_group_rank);
+        let child = Comm::new(board, my_group_rank, Some(Arc::clone(&self.sched_log)));
         // Sub-communicator collectives record into the parent's trace and
         // schedule log and consult the parent's fault injector (which keeps
         // counting ops and reporting the world rank).
         *child.tracer.borrow_mut() = self.tracer.borrow().clone();
         *child.fault.borrow_mut() = self.fault.borrow().clone();
-        child.sched_log = Arc::clone(&self.sched_log);
         child
     }
 }

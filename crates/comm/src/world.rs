@@ -86,7 +86,7 @@ impl World {
                     let board = board.clone();
                     let poison = poison.clone();
                     scope.spawn(move || {
-                        let comm = Comm::new(board, rank);
+                        let comm = Comm::new(board, rank, None);
                         let result = catch_unwind(AssertUnwindSafe(|| f(&comm)));
                         // An injected fail-stop is a *silent* death: the
                         // rank vanishes without poisoning the world, so

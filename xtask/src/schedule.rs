@@ -26,6 +26,7 @@
 //! parameters replicated, and each check inlines every callee it can
 //! resolve with that call site's argument classes, so a rank-divergent
 //! argument is reported at the callee's branch from the caller's check.
+//! The callee's early exits are checked at the same inline site.
 //!
 //! The pass covers the source of every workspace crate, `crates/comm`
 //! included: a collective's implementation is held to the same rule as
@@ -44,8 +45,9 @@ use std::rc::Rc;
 pub const SCHEDULE_ASYMMETRY: &str = "schedule-asymmetry";
 
 /// Marker op: `return` — exits the enclosing function (or rank closure).
-/// Stripped at inline boundaries: a callee's `return` resolves inside the
-/// callee, whose own per-function check covers internal divergence.
+/// A callee's or closure's exits resolve inside it: each inline site
+/// checks them with its own argument classes, in the body's own file,
+/// and then strips them, so the caller's check never sees them.
 const RETURN: &str = "@return";
 /// Marker op: `break` / `continue` — exits the innermost enclosing loop,
 /// so it is schedule-relevant only when that loop carries collectives.
@@ -688,7 +690,9 @@ impl Expander<'_> {
                     }
                     closure_ctx.param_div[bit] |= resolve_class(*c, &ctx.param_div);
                 }
-                strip_returns(self.expand(&s.lambda.body, &closure_ctx, &s.file))
+                let body = self.expand(&s.lambda.body, &closure_ctx, &s.file);
+                self.check_exits(&body, &s.file, false, false);
+                strip_markers(body)
             }
             Node::Call {
                 name,
@@ -742,7 +746,10 @@ impl Expander<'_> {
                 let callee_file = self.a.file_of(target).path.clone();
                 let out = self.expand(&self.a.summaries[target].clone(), &callee_ctx, &callee_file);
                 self.stack.pop();
-                strip_returns(out)
+                // The callee's early exits, checked with this site's
+                // parameter classes before the inline boundary hides them.
+                self.check_exits(&out, &callee_file, false, false);
+                strip_markers(out)
             }
             Node::Alt { arms, cond, line } => {
                 let div = resolve_class(*cond, &ctx.param_div);
@@ -1013,8 +1020,8 @@ fn contains_unscoped_break(node: &Node) -> bool {
     }
 }
 
-/// Removes `@return` markers — applied when a callee or closure body is
-/// inlined: its returns resolve inside it and never escape the boundary.
+/// Removes `@return` markers — applied to a closure body, whose returns
+/// resolve inside it and never escape the closure.
 fn strip_returns(node: Node) -> Node {
     match node {
         Node::Op(RETURN, _) => Node::empty(),
@@ -1037,22 +1044,16 @@ fn strip_returns(node: Node) -> Node {
 /// significant: an arm that exits early is *not* equivalent to one that
 /// falls through (check_exits decides whether that matters).
 fn equivalent(a: &Node, b: &Node) -> bool {
-    fn eq(a: &Node, b: &Node) -> bool {
-        match (a, b) {
-            (Node::Op(x, _), Node::Op(y, _)) => x == y,
-            (Node::Seq(x), Node::Seq(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(a, b)| eq(a, b))
-            }
-            (Node::Alt { arms: x, .. }, Node::Alt { arms: y, .. }) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(a, b)| eq(a, b))
-            }
-            (Node::Loop { body: x, .. }, Node::Loop { body: y, .. }) => eq(x, y),
-            (Node::Call { name: x, .. }, Node::Call { name: y, .. }) => x == y,
-            (Node::ParamCall(x, ..), Node::ParamCall(y, ..)) => x == y,
-            _ => false,
+    match (a, b) {
+        (Node::Op(x, _), Node::Op(y, _)) => x == y,
+        (Node::Seq(x), Node::Seq(y)) | (Node::Alt { arms: x, .. }, Node::Alt { arms: y, .. }) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| equivalent(a, b))
         }
+        (Node::Loop { body: x, .. }, Node::Loop { body: y, .. }) => equivalent(x, y),
+        (Node::Call { name: x, .. }, Node::Call { name: y, .. }) => x == y,
+        (Node::ParamCall(x, ..), Node::ParamCall(y, ..)) => x == y,
+        _ => false,
     }
-    eq(a, b)
 }
 
 /// Removes `@return`/`@break` markers and normalizes the tree: sequences
@@ -1144,31 +1145,27 @@ pub fn render(node: &Node, indent: usize, out: &mut String) {
 /// zero-dependency). Ops are strings; `{"alt": [..]}` and
 /// `{"loop": [..]}` wrap alternatives and repetition.
 pub fn to_json(node: &Node, out: &mut String) {
+    let list = |v: &[Node], out: &mut String| {
+        out.push('[');
+        for (i, n) in v.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            to_json(n, out);
+        }
+        out.push(']');
+    };
     match node {
         Node::Op(name, _) => {
             out.push('"');
             out.push_str(name);
             out.push('"');
         }
-        Node::Seq(v) => {
-            out.push('[');
-            for (i, n) in v.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                to_json(n, out);
-            }
-            out.push(']');
-        }
+        Node::Seq(v) => list(v, out),
         Node::Alt { arms, .. } => {
-            out.push_str("{\"alt\":[");
-            for (i, a) in arms.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                to_json(a, out);
-            }
-            out.push_str("]}");
+            out.push_str("{\"alt\":");
+            list(arms, out);
+            out.push('}');
         }
         Node::Loop { body, .. } => {
             out.push_str("{\"loop\":");
@@ -1326,6 +1323,32 @@ mod tests {
             "#,
         );
         assert_eq!(rules_at(&a), vec![(SCHEDULE_ASYMMETRY, 3)]);
+    }
+
+    /// An early exit a divergent argument decides is reported once, in
+    /// the file of the body that holds it: a callee's `return` or `break`
+    /// from the call site that inlines it, a closure's where it is called.
+    #[test]
+    fn divergent_early_exits_are_reported_in_their_own_file() {
+        let ret = "fn step(flag: bool, comm: &Comm) {\n    if flag {\n        return;\n    }\n    comm.barrier();\n}\n";
+        let brk = "fn step(flag: bool, comm: &Comm) {\n    for _ in 0..3 {\n        if flag {\n            break;\n        }\n        comm.barrier();\n    }\n}\n";
+        let drive = "fn drive(comm: &Comm) {\n    step(comm.rank() == 0, comm);\n}\n";
+        let each = "fn each(comm: &Comm, f: impl Fn(bool)) {\n    f(comm.rank() == 0);\n}\n";
+        let pass = "fn drive(comm: &Comm) {\n    each(comm, |flag| {\n        for _ in 0..3 {\n            if flag {\n                break;\n            }\n            comm.barrier();\n        }\n    });\n}\n";
+        for (callee, caller, at) in [
+            (ret, drive, ("callee.rs", 2)),
+            (brk, drive, ("callee.rs", 3)),
+            (each, pass, ("caller.rs", 4)),
+        ] {
+            let files = [("callee.rs", callee), ("caller.rs", caller)];
+            let a = analyze_sources(files.map(|(p, s)| (p.to_string(), s.to_string())).to_vec());
+            let found: Vec<(&str, u32)> = a
+                .findings
+                .iter()
+                .map(|f| (f.file.as_str(), f.line))
+                .collect();
+            assert_eq!(found, vec![at], "{callee}{caller}");
+        }
     }
 
     /// A receiver call, a path call passing the receiver as its first
