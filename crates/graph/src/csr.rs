@@ -5,6 +5,11 @@
 //! sorted and compactly stored in a contiguous chunk of memory, with
 //! adjacencies of vertex i+1 next to the adjacencies of i. [...] An array of
 //! size n+1 stores the start of each contiguous vertex adjacency block."
+//!
+//! The build is a counting sort by source, shared with
+//! [`EdgeList::canonicalize_undirected`] and [`EdgeList::dedup`]: one count
+//! pass, a scatter split over the pool lanes by row ranges, and a row sort
+//! in tasks of about 2^16 targets.
 
 use crate::{Edge, EdgeList, VertexId};
 use rayon::prelude::*;
@@ -27,7 +32,8 @@ impl CsrGraph {
     ///
     /// Duplicate edges are kept (callers wanting simple graphs should
     /// [`EdgeList::dedup`] first); adjacency blocks are sorted ascending.
-    /// Runs the sort phase in parallel for large inputs.
+    /// The scatter and the block sort run on the current pool; this is the
+    /// same counting sort [`EdgeList::canonicalize_undirected`] runs.
     pub fn from_edge_list(el: &EdgeList) -> Self {
         Self::from_edges(el.num_vertices, &el.edges)
     }
@@ -44,30 +50,11 @@ impl CsrGraph {
     /// assert!(g.has_edge(1, 2));
     /// ```
     pub fn from_edges(n: u64, edges: &[Edge]) -> Self {
-        let nu = usize::try_from(n).expect("vertex count exceeds usize");
-        let mut counts = vec![0usize; nu + 1];
-        for &(u, _) in edges {
-            debug_assert!(u < n, "source {} out of range (n = {})", u, n);
-            counts[u as usize + 1] += 1;
-        }
-        // Exclusive prefix sum -> offsets.
-        for i in 0..nu {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts;
-        let mut cursor = offsets.clone();
-        let mut adjacency = vec![0 as VertexId; edges.len()];
-        for &(u, v) in edges {
-            debug_assert!(v < n, "target {} out of range (n = {})", v, n);
-            let c = &mut cursor[u as usize];
-            adjacency[*c] = v;
-            *c += 1;
-        }
-        // Sort each adjacency block; parallel over vertices.
-        {
-            let blocks: Vec<&mut [VertexId]> = split_by_offsets(&mut adjacency, &offsets);
-            blocks.into_par_iter().for_each(|b| b.sort_unstable());
-        }
+        debug_assert!(
+            edges.iter().all(|&(u, v)| u < n && v < n),
+            "edge endpoint out of range (n = {n})"
+        );
+        let (offsets, adjacency) = sorted_rows(n, edges, false);
         Self {
             n,
             offsets,
@@ -165,8 +152,97 @@ impl CsrGraph {
     }
 }
 
+/// Targets per row-sort task of [`sorted_rows`] (and per emit task of the
+/// edge-list kernel built on it).
+pub(crate) const TASK_TARGETS: usize = 1 << 16;
+
+/// Counting sort of `edges` by source over the vertices `0..n`: returns
+/// `offsets` (length `n + 1`) and `targets`, where
+/// `targets[offsets[u]..offsets[u + 1]]` are the targets of `u`, ascending,
+/// duplicates kept. With `undirected`, self loops are dropped and every
+/// other edge is placed in both directions.
+///
+/// The count is one pass. The scatter runs one task per pool lane, each
+/// owning a run of rows with about an equal share of the targets: every
+/// task scans the whole list and places the endpoints that fall in its
+/// rows, so no two tasks write the same memory. The rows are then sorted,
+/// one task per run of about [`TASK_TARGETS`] targets.
+pub(crate) fn sorted_rows(n: u64, edges: &[Edge], undirected: bool) -> (Vec<usize>, Vec<VertexId>) {
+    let n = usize::try_from(n).expect("vertex count exceeds usize");
+    let kept = |&&(u, v): &&Edge| !undirected || u != v;
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, v) in edges.iter().filter(kept) {
+        offsets[u as usize + 1] += 1;
+        if undirected {
+            offsets[v as usize + 1] += 1;
+        }
+    }
+    for u in 0..n {
+        offsets[u + 1] += offsets[u];
+    }
+    let total = offsets[n];
+
+    let mut targets = vec![0 as VertexId; total];
+    let mut cursor = offsets[..n].to_vec();
+    let lanes = row_bounds(&offsets, total.div_ceil(rayon::current_num_threads()));
+    split_by_offsets(&mut targets, &at(&offsets, &lanes))
+        .into_iter()
+        .zip(split_by_offsets(&mut cursor, &lanes))
+        .zip(lanes.windows(2))
+        .into_par_iter()
+        .for_each(|((rows, cursor), w)| {
+            let (lo, base) = (w[0], offsets[w[0]]);
+            let mut place = |u: VertexId, v: VertexId| {
+                // Only the rows lo..lo + cursor.len() are this task's.
+                if let Some(c) = (u as usize).checked_sub(lo).and_then(|i| cursor.get_mut(i)) {
+                    rows[*c - base] = v;
+                    *c += 1;
+                }
+            };
+            for &(u, v) in edges.iter().filter(kept) {
+                place(u, v);
+                if undirected {
+                    place(v, u);
+                }
+            }
+        });
+    drop(cursor);
+
+    let bounds = row_bounds(&offsets, TASK_TARGETS);
+    split_by_offsets(&mut targets, &at(&offsets, &bounds))
+        .into_iter()
+        .zip(bounds.windows(2))
+        .into_par_iter()
+        .for_each(|(rows, w)| {
+            let base = offsets[w[0]];
+            for u in w[0]..w[1] {
+                rows[offsets[u] - base..offsets[u + 1] - base].sort_unstable();
+            }
+        });
+    (offsets, targets)
+}
+
+/// Cuts the rows of `offsets` (length `n + 1`) into runs of whole rows: a
+/// run ends before the first row that starts at or past the next multiple
+/// of `per_task` targets. Returns the run boundaries, from 0 to `n` when
+/// there is any target and `[n]` when there is none.
+pub(crate) fn row_bounds(offsets: &[usize], per_task: usize) -> Vec<usize> {
+    let n = offsets.len() - 1;
+    let mut bounds: Vec<usize> = (0..offsets[n].div_ceil(per_task.max(1)))
+        .map(|k| offsets[..n].partition_point(|&o| o < k * per_task))
+        .collect();
+    bounds.push(n);
+    bounds.dedup();
+    bounds
+}
+
+/// `offsets` at each of the row boundaries `rows`.
+fn at(offsets: &[usize], rows: &[usize]) -> Vec<usize> {
+    rows.iter().map(|&u| offsets[u]).collect()
+}
+
 /// Splits `data` into mutable chunks delimited by `offsets` (length k+1).
-fn split_by_offsets<'a, T>(data: &'a mut [T], offsets: &[usize]) -> Vec<&'a mut [T]> {
+pub(crate) fn split_by_offsets<'a, T>(data: &'a mut [T], offsets: &[usize]) -> Vec<&'a mut [T]> {
     let mut blocks = Vec::with_capacity(offsets.len().saturating_sub(1));
     let mut rest = data;
     let mut consumed = 0usize;

@@ -4,7 +4,18 @@
 //! The Graph 500 pipeline the paper follows is: generate directed edge tuples
 //! → symmetrize ("we first symmetrize the input to model undirected graphs",
 //! §6) → randomly relabel vertices (§4.4) → partition and convert to CSR.
+//!
+//! [`EdgeList::canonicalize_undirected`] and [`EdgeList::dedup`] share one
+//! kernel, the counting sort by source that also builds
+//! [`crate::CsrGraph`]: count each kept edge per source (both directions of
+//! every non-loop edge when symmetrizing), scatter the targets into rows and
+//! sort each row; then emit the distinct targets of the rows in order, one
+//! pool task per run of rows holding about 2^16 targets. No symmetrized
+//! copy of the list is built, and the input is freed before the output is
+//! allocated. The result is the sorted, duplicate-free list a global tuple
+//! sort would give.
 
+use crate::csr::{row_bounds, sorted_rows, split_by_offsets, TASK_TARGETS};
 use crate::{Edge, VertexId};
 use rayon::prelude::*;
 
@@ -26,16 +37,14 @@ impl EdgeList {
     /// # Panics
     /// Panics if any endpoint is `>= num_vertices`.
     pub fn new(num_vertices: u64, edges: Vec<Edge>) -> Self {
-        debug_assert!(
-            edges
-                .iter()
-                .all(|&(u, v)| u < num_vertices && v < num_vertices),
-            "edge endpoint out of range"
-        );
-        Self {
+        let el = Self {
             num_vertices,
             edges,
+        };
+        if let Err(e) = el.validate() {
+            panic!("{e}");
         }
+        el
     }
 
     /// Number of edges currently stored (directed count).
@@ -70,17 +79,54 @@ impl EdgeList {
 
     /// Sorts the edges and removes exact duplicates.
     pub fn dedup(&mut self) {
-        self.edges.par_sort_unstable();
-        self.edges.dedup();
+        self.sort_by_source(false);
     }
 
-    /// Convenience pipeline: remove self loops, symmetrize, dedup.
-    /// This is the standard Graph 500 preparation for an undirected BFS
-    /// benchmark instance.
+    /// Convenience pipeline: remove self loops, symmetrize, dedup — the
+    /// standard Graph 500 preparation for an undirected BFS benchmark
+    /// instance, in one counting sort (no intermediate symmetrized list).
     pub fn canonicalize_undirected(&mut self) {
-        self.remove_self_loops();
-        self.symmetrize();
-        self.dedup();
+        self.sort_by_source(true);
+    }
+
+    /// The counting kernel behind [`EdgeList::dedup`] (`undirected` false:
+    /// every edge, one direction) and [`EdgeList::canonicalize_undirected`]
+    /// (`undirected` true: both directions of every non-loop edge): the
+    /// CSR's counting sort by source, then the distinct targets of each
+    /// row emitted in order. Leaves the edges sorted and duplicate-free.
+    fn sort_by_source(&mut self, undirected: bool) {
+        let edges = std::mem::take(&mut self.edges);
+        let (offsets, targets) = sorted_rows(self.num_vertices, &edges, undirected);
+        drop(edges);
+        let distinct = |u: usize| {
+            let row = &targets[offsets[u]..offsets[u + 1]];
+            row.chunk_by(|a, b| a == b)
+                .map(move |run| (u as VertexId, run[0]))
+        };
+
+        // Count each task's distinct edges, then let every task emit its
+        // rows into its own slice of the output.
+        let bounds = row_bounds(&offsets, TASK_TARGETS);
+        let counts: Vec<usize> = bounds
+            .windows(2)
+            .into_par_iter()
+            .map(|w| (w[0]..w[1]).map(|u| distinct(u).count()).sum())
+            .collect();
+        let mut out_offsets = vec![0usize; counts.len() + 1];
+        for (k, &c) in counts.iter().enumerate() {
+            out_offsets[k + 1] = out_offsets[k] + c;
+        }
+        let mut out: Vec<Edge> = vec![(0, 0); out_offsets[counts.len()]];
+        split_by_offsets(&mut out, &out_offsets)
+            .into_iter()
+            .zip(bounds.windows(2))
+            .into_par_iter()
+            .for_each(|(out, w)| {
+                for (slot, e) in out.iter_mut().zip((w[0]..w[1]).flat_map(distinct)) {
+                    *slot = e;
+                }
+            });
+        self.edges = out;
     }
 
     /// Returns the maximum endpoint id plus one, or zero for an empty list.
@@ -186,6 +232,24 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted, el.edges);
+    }
+
+    #[test]
+    fn empty_and_one_vertex_lists_canonicalize_and_dedup() {
+        let mut empty = EdgeList::new(0, vec![]);
+        empty.canonicalize_undirected();
+        assert!(empty.is_empty());
+        let mut loops = EdgeList::new(1, vec![(0, 0), (0, 0)]);
+        loops.dedup();
+        assert_eq!(loops.edges, vec![(0, 0)]);
+        loops.canonicalize_undirected();
+        assert!(loops.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "edge (0, 3) has an endpoint >= num_vertices = 2")]
+    fn new_rejects_an_out_of_range_endpoint() {
+        EdgeList::new(2, vec![(0, 1), (0, 3)]);
     }
 
     #[test]

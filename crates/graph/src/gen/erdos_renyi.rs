@@ -5,31 +5,20 @@
 //! drawn uniformly and independently, so duplicates and self loops can occur
 //! exactly as in the raw R-MAT stream and are cleaned the same way.
 
-use super::stream_rng;
-use crate::{Edge, EdgeList};
+use super::fill_chunks;
+use crate::EdgeList;
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Generates `num_edges` directed edges with endpoints uniform on
 /// `0..num_vertices`. Deterministic in `seed`, independent of thread count.
 pub fn erdos_renyi(num_vertices: u64, num_edges: u64, seed: u64) -> EdgeList {
     assert!(num_vertices > 0 || num_edges == 0, "edges need vertices");
-    const CHUNK: u64 = 1 << 16;
-    let chunks = num_edges.div_ceil(CHUNK);
-    let edges: Vec<Edge> = (0..chunks)
-        .into_par_iter()
-        .flat_map_iter(|chunk| {
-            let lo = chunk * CHUNK;
-            let hi = (lo + CHUNK).min(num_edges);
-            let mut rng = stream_rng(seed, chunk);
-            (lo..hi).map(move |_| {
-                (
-                    rng.gen_range(0..num_vertices),
-                    rng.gen_range(0..num_vertices),
-                )
-            })
-        })
-        .collect();
+    let edges = fill_chunks(num_edges, seed, |rng| {
+        (
+            rng.gen_range(0..num_vertices),
+            rng.gen_range(0..num_vertices),
+        )
+    });
     EdgeList::new(num_vertices, edges)
 }
 

@@ -11,6 +11,11 @@
 //! * [`mod@webcrawl`] — synthetic stand-in for the `uk-union` web crawl: a chain
 //!   of skewed-degree communities with diameter ≈ 140 (Fig. 11's regime of
 //!   many level-synchronous iterations with small frontiers).
+//!
+//! The fixed-count generators ([`rmat()`], [`erdos_renyi()`]) share one
+//! chunk fill: the output is allocated once and cut into 2^16-edge chunks,
+//! each one pool task drawing from its own `stream_rng` stream, so the
+//! list depends on the seed only, never on the pool size.
 
 pub mod erdos_renyi;
 pub mod regular;
@@ -22,8 +27,33 @@ pub use regular::{binary_tree, grid2d, grid3d, path, ring, torus2d};
 pub use rmat::{rmat, RmatConfig};
 pub use webcrawl::{webcrawl, WebCrawlConfig};
 
+use crate::Edge;
 use rand::SeedableRng;
 use rand_xoshiro::Xoshiro256PlusPlus;
+use rayon::prelude::*;
+
+/// Edges per chunk of [`fill_chunks`]: one pool task and one RNG stream.
+const CHUNK: usize = 1 << 16;
+
+/// Draws `len` edges into a preallocated list, one pool task per
+/// [`CHUNK`]-edge chunk; chunk `k` draws its edges in order from
+/// `stream_rng(seed, k)`, so the list is the same for every pool size.
+pub(crate) fn fill_chunks<F>(len: u64, seed: u64, draw: F) -> Vec<Edge>
+where
+    F: Fn(&mut Xoshiro256PlusPlus) -> Edge + Sync,
+{
+    let len = usize::try_from(len).expect("edge count exceeds usize");
+    let mut edges = vec![(0, 0); len];
+    edges
+        .chunks_mut(CHUNK)
+        .enumerate()
+        .into_par_iter()
+        .for_each(|(chunk, out)| {
+            let mut rng = stream_rng(seed, chunk as u64);
+            out.fill_with(|| draw(&mut rng));
+        });
+    edges
+}
 
 /// Derives a per-stream RNG from a master seed and a stream index.
 ///

@@ -10,11 +10,17 @@
 //! quadrants with probabilities (a, b, c, d) at every level. Parameter
 //! noise ("smoothing") is applied per level as in the original R-MAT paper
 //! to avoid exact self-similarity artifacts.
+//!
+//! Each level picks its quadrant without a branch: the three threshold
+//! comparisons are summed into the quadrant index, whose two bits set the
+//! row and column bits (a branch on `r < a` would go the less likely way
+//! with probability 1 − a ≈ 0.43 at every level). Edges are written by the
+//! shared chunk fill of [`super`]: one pool task and one RNG stream per
+//! 2^16-edge chunk.
 
-use super::stream_rng;
+use super::fill_chunks;
 use crate::{Edge, EdgeList};
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Configuration for the R-MAT generator.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -100,30 +106,19 @@ pub fn rmat(cfg: &RmatConfig) -> EdgeList {
         (sum - 1.0).abs() < 1e-9,
         "R-MAT probabilities must sum to 1 (got {sum})"
     );
-    let m = cfg.num_edges();
-    const CHUNK: u64 = 1 << 16;
-    let chunks = m.div_ceil(CHUNK);
-    let edges: Vec<Edge> = (0..chunks)
-        .into_par_iter()
-        .flat_map_iter(|chunk| {
-            let lo = chunk * CHUNK;
-            let hi = (lo + CHUNK).min(m);
-            let mut rng = stream_rng(cfg.seed, chunk);
-            let cfg = *cfg;
-            (lo..hi).map(move |_| sample_edge(&cfg, &mut rng))
-        })
-        .collect();
+    let edges = fill_chunks(cfg.num_edges(), cfg.seed, |rng| sample_edge(cfg, rng));
     EdgeList::new(cfg.num_vertices(), edges)
 }
 
-/// Draws one edge by quadrant descent.
+/// Draws one edge by quadrant descent: five draws per level (four noise
+/// factors, then the quadrant pick).
 fn sample_edge<R: Rng>(cfg: &RmatConfig, rng: &mut R) -> Edge {
     let (mut u, mut v) = (0u64, 0u64);
     for level in 0..cfg.scale {
         let bit = 1u64 << (cfg.scale - 1 - level);
         // Per-level noise keeps the degree distribution skewed but not
         // perfectly self-similar.
-        let (a, b, c, d) = if cfg.noise > 0.0 {
+        let (a, b, c) = if cfg.noise > 0.0 {
             let mu = |r: &mut R| 1.0 + cfg.noise * (2.0 * r.gen::<f64>() - 1.0);
             let (na, nb, nc, nd) = (
                 cfg.a * mu(rng),
@@ -132,22 +127,17 @@ fn sample_edge<R: Rng>(cfg: &RmatConfig, rng: &mut R) -> Edge {
                 cfg.d * mu(rng),
             );
             let s = na + nb + nc + nd;
-            (na / s, nb / s, nc / s, nd / s)
+            (na / s, nb / s, nc / s)
         } else {
-            (cfg.a, cfg.b, cfg.c, cfg.d)
+            (cfg.a, cfg.b, cfg.c)
         };
-        let _ = d;
         let r: f64 = rng.gen();
-        if r < a {
-            // top-left: no bits set
-        } else if r < a + b {
-            v |= bit;
-        } else if r < a + b + c {
-            u |= bit;
-        } else {
-            u |= bit;
-            v |= bit;
-        }
+        // Quadrant q = 0..4 (top-left, top-right, bottom-left,
+        // bottom-right) without a branch: bit 0 of q sets the column bit,
+        // bit 1 the row bit.
+        let q = u64::from(r >= a) + u64::from(r >= a + b) + u64::from(r >= a + b + c);
+        v |= bit * (q & 1);
+        u |= bit * (q >> 1);
     }
     (u, v)
 }
@@ -181,7 +171,7 @@ mod tests {
 
     #[test]
     fn degree_distribution_is_skewed() {
-        // With a=0.59, low-numbered vertices accumulate far more edges than
+        // With a=0.57, low-numbered vertices accumulate far more edges than
         // a uniform graph would give them.
         let cfg = RmatConfig::graph500(10, 5);
         let mut el = rmat(&cfg);

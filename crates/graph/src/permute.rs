@@ -5,6 +5,10 @@
 //! each process getting roughly the same number of vertices and edges,
 //! regardless of the degree distribution. An identical strategy is also
 //! employed in the Graph 500 BFS benchmark."
+//!
+//! [`RandomPermutation::apply_edge_list`] writes the relabeled list into a
+//! preallocated vector, one pool task per 2^16-edge chunk, so no per-edge
+//! work item or intermediate collection is built.
 
 use crate::{EdgeList, VertexId};
 use rand::seq::SliceRandom;
@@ -84,19 +88,30 @@ impl RandomPermutation {
         self.inverse[v as usize]
     }
 
-    /// Relabels every endpoint of an edge list in parallel.
+    /// Relabels every endpoint of an edge list in parallel, one pool task
+    /// per 2^16-edge chunk, each writing its own chunk of the new list.
     pub fn apply_edge_list(&self, el: &EdgeList) -> EdgeList {
+        const CHUNK: usize = 1 << 16;
         assert_eq!(
             el.num_vertices,
             self.len(),
             "permutation/graph size mismatch"
         );
-        let edges = el
-            .edges
-            .par_iter()
-            .map(|&(u, v)| (self.apply(u), self.apply(v)))
-            .collect();
-        EdgeList::new(el.num_vertices, edges)
+        let mut edges = vec![(0, 0); el.edges.len()];
+        edges
+            .chunks_mut(CHUNK)
+            .zip(el.edges.chunks(CHUNK))
+            .into_par_iter()
+            .for_each(|(out, chunk)| {
+                for (o, &(u, v)) in out.iter_mut().zip(chunk) {
+                    *o = (self.apply(u), self.apply(v));
+                }
+            });
+        // A bijection on 0..n keeps every endpoint in range.
+        EdgeList {
+            num_vertices: el.num_vertices,
+            edges,
+        }
     }
 
     /// Checks the bijection invariant; used by property tests.

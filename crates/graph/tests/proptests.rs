@@ -54,6 +54,41 @@ proptest! {
     }
 
     #[test]
+    fn canonicalize_equals_loops_symmetrize_sort_dedup(
+        n in 0u64..12,
+        e in prop::collection::vec((0u64..1000, 0u64..1000), 0..200),
+    ) {
+        // Few vertices: loops and duplicates in most cases; n = 0 and 1 too.
+        let e: Vec<(u64, u64)> = if n == 0 {
+            Vec::new()
+        } else {
+            e.into_iter().map(|(u, v)| (u % n, v % n)).collect()
+        };
+        let mut expected = EdgeList::new(n, e.clone());
+        expected.remove_self_loops();
+        expected.symmetrize();
+        expected.edges.sort_unstable();
+        expected.edges.dedup();
+        let mut got = EdgeList::new(n, e);
+        got.canonicalize_undirected();
+        prop_assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn dedup_equals_sort_dedup(
+        n in 1u64..12,
+        e in prop::collection::vec((0u64..1000, 0u64..1000), 0..200),
+    ) {
+        let e: Vec<(u64, u64)> = e.into_iter().map(|(u, v)| (u % n, v % n)).collect();
+        let mut expected = e.clone();
+        expected.sort_unstable();
+        expected.dedup();
+        let mut got = EdgeList::new(n, e);
+        got.dedup();
+        prop_assert_eq!(got.edges, expected);
+    }
+
+    #[test]
     fn block1d_partitions_exactly(n in 0u64..10_000, p in 1usize..64) {
         let b = Block1D::new(n, p);
         let mut total = 0u64;

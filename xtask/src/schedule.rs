@@ -315,7 +315,7 @@ struct Summarizer<'a> {
     /// Local value classes (params seeded as `Dep(i)`).
     env: HashMap<String, Class>,
     /// Named local closures, inlined at their call sites.
-    local_closures: HashMap<String, Node>,
+    local_closures: HashMap<String, Lambda>,
     /// The first dependency bit free for a closure literal's parameters.
     closure_base: usize,
     /// Entries discovered in this function.
@@ -402,10 +402,21 @@ impl Summarizer<'_> {
                     }
                     return;
                 }
-                // Call through a named local closure: inline its summary.
+                // Call through a named local closure: inline it as a call
+                // with no name, which never resolves, so expansion runs it
+                // like any unknown callee's closure: its exits checked at
+                // this site, its returns confined to it.
                 if recv.is_none() && qual.is_none() {
-                    if let Some(n) = self.local_closures.get(name) {
-                        out.push(n.clone());
+                    if let Some(l) = self.local_closures.get(name) {
+                        out.push(Node::Call {
+                            name: String::new(),
+                            qual: None,
+                            has_recv: false,
+                            path: false,
+                            args: Vec::new(),
+                            closures: vec![(0, l.clone())],
+                            line: *line,
+                        });
                         return;
                     }
                     // Call through a function parameter (higher-order).
@@ -515,12 +526,9 @@ impl Summarizer<'_> {
                 }
             }
             Stmt::LetClosure { name, closure, .. } => {
-                // A `return` inside the closure exits the closure, not
-                // the enclosing function; `break`/`continue` stay
-                // correctly scoped by their own `Loop` nodes.
-                let node = strip_returns(self.closure(closure).body);
+                let lambda = self.closure(closure);
                 if !name.is_empty() {
-                    self.local_closures.insert(name.clone(), node);
+                    self.local_closures.insert(name.clone(), lambda);
                 }
             }
             Stmt::Assign { name, value, line } => {
@@ -709,10 +717,17 @@ impl Expander<'_> {
                     // argument once, in order (`pool.install`, iterator
                     // adapters; raw spawns are lint-banned), with its
                     // parameters unbound. A recursive call is cut, its
-                    // closures still checked.
+                    // closures still checked. A `return` exits only its
+                    // closure: the closure's early exits are checked
+                    // here, against the ops that follow inside it, before
+                    // the returns are stripped.
                     let bodies: Vec<Node> = closures
                         .iter()
-                        .map(|(_, l)| strip_returns(self.expand(&l.body, ctx, file)))
+                        .map(|(_, l)| {
+                            let body = self.expand(&l.body, ctx, file);
+                            self.check_exits(&body, file, false, false);
+                            strip_returns(body)
+                        })
                         .filter(|n| !n.is_empty())
                         .collect();
                     return if target.is_some() {

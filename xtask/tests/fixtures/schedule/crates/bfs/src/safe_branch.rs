@@ -1,6 +1,7 @@
 //! Negative fixture: the safe patterns. A branch decided by a prior
-//! allreduce (the `[u64; 3]` hybrid idiom), and the double-buffered
-//! start/wait rotation. Zero findings expected.
+//! allreduce (the `[u64; 3]` hybrid idiom), the double-buffered
+//! start/wait rotation, and a closure whose rank-divergent return comes
+//! after its collectives. Zero findings expected.
 
 pub fn allreduce_decided(comm: &Comm, mine: u64, bufs: Vec<WireBuf>) {
     let total = comm.allreduce(mine, |a, b| a + b);
@@ -18,4 +19,13 @@ pub fn rotation(comm: &Comm, k: usize) {
         pending = comm.ialltoallv_wire(encode(c));
     }
     let wire = pending.wait();
+}
+
+pub fn exit_after_the_collectives(comm: &Comm, pool: &ThreadPool) {
+    pool.install(|| {
+        comm.barrier();
+        if comm.rank() == 0 {
+            return;
+        }
+    });
 }

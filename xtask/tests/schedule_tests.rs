@@ -17,7 +17,8 @@ fn fixtures_root() -> PathBuf {
 
 /// Every seeded defect is reported with its rule name and exact
 /// file:line, and nothing else fires — in particular the safe-pattern
-/// file (allreduce-decided branch, balanced rotation) contributes zero.
+/// file (allreduce-decided branch, balanced rotation, a closure's
+/// divergent return after its collectives) contributes zero.
 #[test]
 fn seeded_schedule_defects_are_reported_with_rule_and_location() {
     let analysis = analyze_workspace(&fixtures_root()).expect("fixture tree must be readable");
@@ -27,6 +28,52 @@ fn seeded_schedule_defects_are_reported_with_rule_and_location() {
         .map(|f| (f.file.clone(), f.line, f.rule))
         .collect();
     let expected = vec![
+        // One fixture per finding class: loop head, early return in a
+        // function and through a call, `break`, closure argument and
+        // path-call binding, each at the branch or loop it concerns.
+        (
+            "crates/bfs/src/classes.rs".to_string(),
+            7,
+            SCHEDULE_ASYMMETRY,
+        ),
+        (
+            "crates/bfs/src/classes.rs".to_string(),
+            14,
+            SCHEDULE_ASYMMETRY,
+        ),
+        (
+            "crates/bfs/src/classes.rs".to_string(),
+            25,
+            SCHEDULE_ASYMMETRY,
+        ),
+        (
+            "crates/bfs/src/classes.rs".to_string(),
+            33,
+            SCHEDULE_ASYMMETRY,
+        ),
+        (
+            "crates/bfs/src/classes.rs".to_string(),
+            42,
+            SCHEDULE_ASYMMETRY,
+        ),
+        (
+            "crates/bfs/src/classes.rs".to_string(),
+            54,
+            SCHEDULE_ASYMMETRY,
+        ),
+        // A rank-divergent `return` inside a closure that skips a later
+        // collective of the same closure: handed to `pool.install`, and
+        // bound to a name and called.
+        (
+            "crates/bfs/src/closure_exit.rs".to_string(),
+            8,
+            SCHEDULE_ASYMMETRY,
+        ),
+        (
+            "crates/bfs/src/closure_exit.rs".to_string(),
+            17,
+            SCHEDULE_ASYMMETRY,
+        ),
         // The divergent condition enters through the call site; the
         // report lands on the branch inside the helper.
         (
