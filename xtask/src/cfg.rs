@@ -4,15 +4,23 @@
 //! The parser recovers just enough structure from the token stream to
 //! reason about *which collectives a function can emit, in what order*:
 //! per-function bodies as statement trees of collective ops, calls
-//! (with closure-literal arguments attached for higher-order
-//! substitution), branches, loops, and the `let`/assignment spine needed
-//! to classify branch conditions as rank-invariant or not. Everything
-//! else — arithmetic, types, generics — is deliberately summarized into
-//! [`ExprFacts`]: the identifier roots an expression's value derives
-//! from, plus whether it mentions a rank source or is rooted at a
-//! replicated-result collective.
+//! (with closure-literal arguments attached, so the checker can run each
+//! where its callee calls it), branches, loops, early exits, and the
+//! `let`/assignment spine needed to classify branch conditions as
+//! rank-invariant or not. Everything else — arithmetic, types, generics —
+//! is deliberately summarized into [`ExprFacts`]: the identifier roots an
+//! expression's value derives from, plus whether it mentions a rank source
+//! or is rooted at a replicated-result collective.
 //!
-//! It is not a Rust parser. Where the grammar is ambiguous at token
+//! Early exits are explicit: `return`, and `break` / `continue` with the
+//! number of loops they leave (a label names an outer one). `let PAT = e
+//! else { .. };` and `e?` become branches on `e` whose other arm is the
+//! `else` body or a `return`.
+//!
+//! One scanner, `Parser::find`, locates every top-level token the
+//! grammar needs (a statement's `;`, a block's `{`, a `let`'s `=`, a match
+//! arm's `=>`, the commas between arguments or parameters) by bracket
+//! depth. It is not a Rust parser. Where the grammar is ambiguous at token
 //! level the parser degrades conservatively (events keep their source
 //! order; unknown constructs contribute no events), which is the right
 //! failure mode for a checker whose findings gate CI: see
@@ -61,10 +69,16 @@ pub struct ExprFacts {
 }
 
 /// One arm of a branch: pattern-bound names plus the arm body.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Arm {
     pub bound: Vec<String>,
     pub body: Vec<Stmt>,
+}
+
+/// An arm that binds nothing.
+fn arm(body: Vec<Stmt>) -> Arm {
+    let bound = Vec::new();
+    Arm { bound, body }
 }
 
 /// IR statements. Expression-level events (collective ops, calls,
@@ -74,10 +88,7 @@ pub struct Arm {
 pub enum Stmt {
     /// A collective primitive call site (`comm.barrier()`,
     /// `pending.wait()`, …). `name` is the method name as written.
-    Op {
-        name: String,
-        line: u32,
-    },
+    Op { name: String, line: u32 },
     /// A call that may resolve to another function in the workspace.
     Call {
         name: String,
@@ -94,6 +105,7 @@ pub enum Stmt {
     },
     /// `if` / `if let` / `match` (with the full `else if` chain folded
     /// into `arms`, and an implicit empty arm when no `else` exists).
+    /// `let .. else` and `e?` are branches too (see the module docs).
     Branch {
         cond: ExprFacts,
         arms: Vec<Arm>,
@@ -126,14 +138,10 @@ pub enum Stmt {
         value: ExprFacts,
         line: u32,
     },
-    /// `break` or `continue`: leaves the innermost enclosing loop's
-    /// current iteration.
-    Break {
-        line: u32,
-    },
-    Return {
-        line: u32,
-    },
+    /// An early exit: `return` (`0`), or `break` / `continue` leaving
+    /// that many enclosing loops (`1` unless its label names an outer
+    /// loop).
+    Exit(usize),
 }
 
 /// Collectives whose result is replicated: every rank computes the same
@@ -148,51 +156,6 @@ const KEYWORDS: &[&str] = &[
     "box", "true", "false",
 ];
 
-/// Index just past the close bracket matching the open bracket at
-/// `open` (which must be `(`, `[`, or `{`). Counts all three kinds so
-/// nested mixed brackets stay balanced.
-fn matching(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i64;
-    let mut i = open;
-    while i < toks.len() {
-        match toks[i].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    toks.len()
-}
-
-/// Skips a `<..>` generics span starting at `i` (which points at `<`).
-/// Returns the index past the matching `>`; bails out at obvious
-/// non-generic boundaries so a stray comparison cannot swallow a file.
-fn skip_generics(toks: &[Tok], i: usize) -> usize {
-    let mut depth = 0i64;
-    let mut j = i;
-    while j < toks.len() {
-        match toks[j].kind {
-            TokKind::Punct('<') => depth += 1,
-            TokKind::Punct('>') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            TokKind::Punct('(') | TokKind::Punct('{') | TokKind::Punct(';') => return i,
-            _ => {}
-        }
-        j += 1;
-    }
-    i
-}
-
 /// True when `name` looks like a rank-derived identifier (`rank`,
 /// `my_rank`, `rank_id`) without catching `ranks` (a replicated count).
 fn rank_named(name: &str) -> bool {
@@ -203,1074 +166,790 @@ fn rank_named(name: &str) -> bool {
 /// Parses every function definition in a lexed file, including methods
 /// in `impl`/`trait` blocks, nested modules, and nested `fn` items.
 pub fn parse_file(lexed: &Lexed) -> Vec<FnDef> {
-    let mut out = Vec::new();
-    parse_items(&lexed.toks, 0, lexed.toks.len(), None, &mut out);
-    out
-}
-
-/// Walks items in `toks[lo..hi]` under the impl/trait type `qual`.
-fn parse_items(toks: &[Tok], lo: usize, hi: usize, qual: Option<&str>, out: &mut Vec<FnDef>) {
-    let mut i = lo;
-    // Set while the pending attributes include `#[cfg(test)]`; a module
-    // under it holds unit tests, not drivers — skip it wholesale so test
-    // helpers never surface as schedule entry points.
-    let mut cfg_test = false;
-    while i < hi {
-        let is_attr = matches!(&toks[i].kind, TokKind::Punct('#'));
-        match &toks[i].kind {
-            // Attribute: skip `#[ .. ]` / `#![ .. ]`.
-            TokKind::Punct('#') => {
-                let end = attribute_end(toks, i);
-                let attr = &toks[i..end];
-                cfg_test |= attr
-                    .windows(2)
-                    .any(|w| ident(Some(&w[0])) == Some("cfg") && is_punct(Some(&w[1]), '('))
-                    && attr.iter().any(|t| ident(Some(t)) == Some("test"));
-                i = end;
-            }
-            TokKind::Ident(s) if s == "fn" => {
-                i = parse_fn(toks, i, qual, out);
-            }
-            TokKind::Ident(s) if s == "impl" || s == "trait" => {
-                // Header up to `{`: the subject type is the first type
-                // ident after generics — or the ident after `for` in
-                // `impl Trait for Type`.
-                let mut j = i + 1;
-                if is_punct(toks.get(j), '<') {
-                    j = skip_generics(toks, j);
-                }
-                let mut subject: Option<String> = None;
-                let mut after_for = false;
-                while j < hi && !is_punct(toks.get(j), '{') {
-                    if is_punct(toks.get(j), ';') {
-                        break; // `impl Trait for Type;`-like degenerate
-                    }
-                    if let Some(name) = ident(toks.get(j)) {
-                        if name == "for" {
-                            after_for = true;
-                            subject = None;
-                        } else if subject.is_none()
-                            && (after_for || name.chars().next().is_some_and(|c| c.is_uppercase()))
-                        {
-                            subject = Some(name.to_string());
-                        }
-                    }
-                    j += 1;
-                }
-                if is_punct(toks.get(j), '{') {
-                    let end = matching(toks, j);
-                    parse_items(toks, j + 1, end - 1, subject.as_deref(), out);
-                    i = end;
-                } else {
-                    i = j + 1;
-                }
-            }
-            TokKind::Ident(s) if s == "mod" => {
-                // `mod name { items }` — recurse; `mod name;` — skip.
-                let mut j = i + 1;
-                while j < hi && !is_punct(toks.get(j), '{') && !is_punct(toks.get(j), ';') {
-                    j += 1;
-                }
-                if is_punct(toks.get(j), '{') {
-                    let end = matching(toks, j);
-                    if !cfg_test {
-                        parse_items(toks, j + 1, end - 1, None, out);
-                    }
-                    i = end;
-                } else {
-                    i = j + 1;
-                }
-            }
-            // Skip other braced items wholesale so their contents are
-            // not misread as functions.
-            TokKind::Ident(s) if s == "struct" || s == "enum" || s == "union" => {
-                let mut j = i + 1;
-                while j < hi && !is_punct(toks.get(j), '{') && !is_punct(toks.get(j), ';') {
-                    j += 1;
-                }
-                i = if is_punct(toks.get(j), '{') {
-                    matching(toks, j)
-                } else {
-                    j + 1
-                };
-            }
-            _ => i += 1,
-        }
-        if !is_attr {
-            cfg_test = false;
-        }
-    }
-}
-
-/// Index past the `#[ .. ]` / `#![ .. ]` attribute whose `#` is at `i`
-/// (just past a `#` that opens none).
-fn attribute_end(toks: &[Tok], i: usize) -> usize {
-    let j = if is_punct(toks.get(i + 1), '!') {
-        i + 2
-    } else {
-        i + 1
+    let mut p = Parser {
+        toks: &lexed.toks,
+        lexed,
+        qual: None,
+        defs: Vec::new(),
+        loops: Vec::new(),
     };
-    if is_punct(toks.get(j), '[') {
-        matching(toks, j)
-    } else {
-        i + 1
-    }
+    p.items(0, lexed.toks.len());
+    p.defs
 }
 
-/// Parses one `fn` starting at index `i` (the `fn` keyword). Appends the
-/// definition (and any nested `fn`s) to `out`; returns the index past
-/// the body.
-fn parse_fn(toks: &[Tok], i: usize, qual: Option<&str>, out: &mut Vec<FnDef>) -> usize {
-    let line = toks[i].line;
-    let Some(name) = ident(toks.get(i + 1)) else {
-        return i + 1;
-    };
-    let name = name.to_string();
-    let mut j = i + 2;
-    if is_punct(toks.get(j), '<') {
-        j = skip_generics(toks, j);
-    }
-    if !is_punct(toks.get(j), '(') {
-        return j;
-    }
-    let params_end = matching(toks, j);
-    let params = parse_params(&toks[j + 1..params_end - 1]);
-    // Signature tail (return type, where clause) up to the body.
-    let mut k = params_end;
-    while k < toks.len() && !is_punct(toks.get(k), '{') && !is_punct(toks.get(k), ';') {
-        k += 1;
-    }
-    if !is_punct(toks.get(k), '{') {
-        return k + 1; // trait method declaration without body
-    }
-    let end = matching(toks, k);
-    let mut body = Vec::new();
-    parse_stmts(toks, k + 1, end - 1, qual, out, &mut body);
-    out.push(FnDef {
-        name,
-        qual: qual.map(str::to_string),
-        params,
-        body,
-        line,
-    });
-    end
+/// A call's argument facts, and its closure-literal arguments by position.
+type Args = (Vec<ExprFacts>, Vec<(usize, Closure)>);
+
+/// The parse of one file.
+struct Parser<'a> {
+    toks: &'a [Tok],
+    lexed: &'a Lexed,
+    /// The `impl`/`trait` type of the items being parsed.
+    qual: Option<String>,
+    /// Every function parsed so far, nested ones included.
+    defs: Vec<FnDef>,
+    /// The labels of the loops around the current token in the body being
+    /// parsed, innermost last.
+    loops: Vec<Option<String>>,
 }
 
-/// Parameter names from the token span inside a `fn`'s parens: per
-/// top-level comma, the first identifier of the pattern (before `:`),
-/// with `&`/`mut`/lifetimes stripped; `self` kept as-is. The `>` of a
-/// closure type's `->` closes no bracket.
-fn parse_params(toks: &[Tok]) -> Vec<String> {
-    let mut params = Vec::new();
-    let mut depth = 0i64;
-    let mut start = 0usize;
-    let flush = |lo: usize, hi: usize, params: &mut Vec<String>| {
-        let mut seen_colon = false;
-        for t in &toks[lo..hi] {
-            match &t.kind {
-                TokKind::Punct(':') => seen_colon = true,
-                TokKind::Ident(s) if !seen_colon => {
-                    if s == "mut" || s == "ref" {
-                        continue;
-                    }
-                    params.push(s.clone());
-                    return;
-                }
-                _ => {}
-            }
-        }
-    };
-    for (k, t) in toks.iter().enumerate() {
-        match t.kind {
-            TokKind::Punct('(')
-            | TokKind::Punct('[')
-            | TokKind::Punct('{')
-            | TokKind::Punct('<') => depth += 1,
-            TokKind::Punct('>') if k > 0 && is_punct(toks.get(k - 1), '-') => {}
-            TokKind::Punct(')')
-            | TokKind::Punct(']')
-            | TokKind::Punct('}')
-            | TokKind::Punct('>') => depth -= 1,
-            TokKind::Punct(',') if depth == 0 => {
-                flush(start, k, &mut params);
-                start = k + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < toks.len() {
-        flush(start, toks.len(), &mut params);
-    }
-    params
-}
-
-/// Pattern-bound names: lowercase-initial identifiers that are not path
-/// segments, keywords, or literals. `Some(k)` binds `k`; `Codec::Raw`
-/// binds nothing.
-fn pattern_bound(toks: &[Tok], lo: usize, hi: usize) -> Vec<String> {
-    let mut bound = Vec::new();
-    for k in lo..hi {
-        if let TokKind::Ident(s) = &toks[k].kind {
-            if KEYWORDS.contains(&s.as_str()) || s == "_" {
-                continue;
-            }
-            if !s
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_lowercase() || c == '_')
-            {
-                continue;
-            }
-            // Path segment (`mod::name`) or struct-field shorthand key.
-            if k > lo && is_punct(toks.get(k - 1), ':') {
-                continue;
-            }
-            if is_punct(toks.get(k + 1), ':') && is_punct(toks.get(k + 2), ':') {
-                continue;
-            }
-            bound.push(s.clone());
-        }
-    }
-    bound
-}
-
-/// Classification facts for the expression span `toks[lo..hi]`.
-/// Closure-literal bodies inside the span are included in the scan (their
-/// parameters are locally bound, so they are excluded from the roots).
-fn expr_facts(toks: &[Tok], lo: usize, hi: usize) -> ExprFacts {
-    let mut f = ExprFacts::default();
-    // Whole-expression replicated-collective call:
-    // `recv.allreduce( .. )` spanning the full range.
-    if hi > lo + 3 {
-        for k in lo..hi.min(lo + 6) {
-            if is_punct(toks.get(k), '.')
-                && ident(toks.get(k + 1)).is_some_and(|n| REPLICATED_RESULT.contains(&n))
-                && is_punct(toks.get(k + 2), '(')
-                && matching(toks, k + 2) >= hi
-            {
-                f.repl_root = true;
-            }
-        }
-    }
-    // Closure parameters bound inside the span do not root data outside.
-    let mut shadowed: Vec<String> = Vec::new();
-    let mut k = lo;
-    while k < hi {
-        if let TokKind::Punct('|') = toks[k].kind {
-            // Possible closure head: `|a, b|` with a simple param list.
-            let mut m = k + 1;
-            let mut ok = true;
-            let mut names = Vec::new();
-            while m < hi && !is_punct(toks.get(m), '|') {
-                match &toks[m].kind {
-                    TokKind::Ident(s) => {
-                        if !KEYWORDS.contains(&s.as_str()) {
-                            names.push(s.clone());
-                        }
-                    }
-                    TokKind::Punct(',')
-                    | TokKind::Punct('&')
-                    | TokKind::Punct('(')
-                    | TokKind::Punct(')')
-                    | TokKind::Punct(':')
-                    | TokKind::Punct('[')
-                    | TokKind::Punct(']')
-                    | TokKind::Punct('<')
-                    | TokKind::Punct('>') => {}
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-                m += 1;
-            }
-            if ok && m < hi && is_punct(toks.get(m), '|') {
-                shadowed.extend(names);
-                k = m + 1;
-                continue;
-            }
-        }
-        k += 1;
-    }
-    for k in lo..hi {
-        let TokKind::Ident(s) = &toks[k].kind else {
-            continue;
-        };
-        if KEYWORDS.contains(&s.as_str()) {
-            if s == "self" && is_punct(toks.get(k + 1), '.') {
-                // `self.field` roots at self.
-                f.roots.push("self".to_string());
-            }
-            continue;
-        }
-        // Method/field name or macro name: not a data root.
-        if k > lo && is_punct(toks.get(k - 1), '.') {
-            if s == "rank" && is_punct(toks.get(k + 1), '(') {
-                f.rank = true;
-            }
-            continue;
-        }
-        if is_punct(toks.get(k + 1), '!') {
-            continue; // macro
-        }
-        // Path segments (`Type::CONST`, `mod::func`): replicated
-        // compile-time names, not data roots.
-        if (k > lo && is_punct(toks.get(k - 1), ':'))
-            || (is_punct(toks.get(k + 1), ':') && is_punct(toks.get(k + 2), ':'))
-        {
-            continue;
-        }
-        if shadowed.contains(s) {
-            continue;
-        }
-        if rank_named(s) {
-            f.rank = true;
-            continue;
-        }
-        f.roots.push(s.clone());
-    }
-    f.roots.sort();
-    f.roots.dedup();
-    f
-}
-
-/// Parses statements/events in `toks[lo..hi]` (a block body without its
-/// braces, or an expression span), appending to `body`. Nested `fn`
-/// items are appended to `defs`.
-fn parse_stmts(
-    toks: &[Tok],
-    lo: usize,
-    hi: usize,
-    qual: Option<&str>,
-    defs: &mut Vec<FnDef>,
-    body: &mut Vec<Stmt>,
-) {
-    let mut i = lo;
-    while i < hi {
-        match &toks[i].kind {
-            TokKind::Punct('#') => {
-                i = attribute_end(toks, i);
-            }
-            TokKind::Ident(s) if s == "fn" => {
-                i = parse_fn(toks, i, qual, defs);
-            }
-            TokKind::Ident(s) if s == "let" => {
-                i = parse_let(toks, i, hi, qual, defs, body);
-            }
-            // Free-standing block.
-            TokKind::Punct('{') => {
-                let end = matching(toks, i);
-                parse_stmts(toks, i + 1, end - 1, qual, defs, body);
-                i = end;
-            }
-            // Control flow and expression statements.
-            _ => {
-                i = parse_expr_events(toks, i, hi, qual, defs, body, true);
-            }
-        }
-    }
-}
-
-/// Parses a `let` statement at `i`: emits RHS events in evaluation
-/// order, then the binding record. Returns the index past the `;`.
-fn parse_let(
-    toks: &[Tok],
-    i: usize,
-    hi: usize,
-    qual: Option<&str>,
-    defs: &mut Vec<FnDef>,
-    body: &mut Vec<Stmt>,
-) -> usize {
-    let line = toks[i].line;
-    // Pattern: up to the `=` at depth 0 (ignoring `==`); `let PAT;` and
-    // `let PAT: T;` (no initializer) end at `;`.
-    let mut depth = 0i64;
-    let mut eq = None;
-    let mut j = i + 1;
-    while j < hi {
-        match toks[j].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => depth -= 1,
-            // Everything before the initializer's `=` is pattern/type
-            // position, where `<=`/`>=` cannot occur at depth 0 — but a
-            // generic ascription (`let x: Vec<Vec<u64>> = ..`) puts `>`
-            // right before it, so only `==` (and macro `!`) disqualify.
-            TokKind::Punct('=')
-                if depth == 0
-                    && !is_punct(toks.get(j + 1), '=')
-                    && !is_punct(toks.get(j.wrapping_sub(1)), '=')
-                    && !is_punct(toks.get(j.wrapping_sub(1)), '!') =>
-            {
-                eq = Some(j);
-                break;
-            }
-            TokKind::Punct(';') if depth == 0 => break,
-            _ => {}
-        }
-        j += 1;
-    }
-    let Some(eq) = eq else {
-        return statement_end(toks, i, hi);
-    };
-    // Pattern names: strip a `: Type` ascription if present.
-    let mut pat_hi = eq;
-    let mut d = 0i64;
-    for k in i + 1..eq {
-        match toks[k].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('<') => d += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('>') => d -= 1,
-            TokKind::Punct(':') if d == 0 && !is_punct(toks.get(k + 1), ':') => {
-                pat_hi = k;
-                break;
-            }
-            _ => {}
-        }
-    }
-    let names = pattern_bound(toks, i + 1, pat_hi);
-    let (end, rhs_hi) = rhs_span(toks, eq + 1, hi);
-
-    // `let name = |..| ..;` — a named closure.
-    let mut c = eq + 1;
-    if ident(toks.get(c)) == Some("move") {
-        c += 1;
-    }
-    if is_punct(toks.get(c), '|') && names.len() == 1 {
-        if let Some((closure, _)) = parse_closure(toks, c, rhs_hi, qual, defs) {
-            body.push(Stmt::LetClosure {
-                name: names[0].clone(),
-                closure,
-                line,
-            });
-            return end;
-        }
+impl<'a> Parser<'a> {
+    fn ident(&self, k: usize) -> Option<&'a str> {
+        ident(self.toks.get(k))
     }
 
-    // Events inside the initializer, in evaluation order.
-    let mut j = eq + 1;
-    while j < rhs_hi {
-        j = parse_expr_events(toks, j, rhs_hi, qual, defs, body, false);
+    fn punct(&self, k: usize, c: char) -> bool {
+        is_punct(self.toks.get(k), c)
     }
-    body.push(Stmt::Let {
-        names,
-        value: expr_facts(toks, eq + 1, rhs_hi),
-        line,
-    });
-    end
-}
 
-/// Index just past the `;` ending the statement starting at `i` (depth-
-/// aware), or past the closing brace of a trailing block expression.
-fn statement_end(toks: &[Tok], i: usize, hi: usize) -> usize {
-    let mut depth = 0i64;
-    let mut j = i;
-    while j < hi {
-        match toks[j].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => {
-                depth -= 1;
-                if depth < 0 {
-                    return j; // enclosing block closed first
-                }
-            }
-            TokKind::Punct(';') if depth == 0 => return j + 1,
-            _ => {}
-        }
-        j += 1;
+    /// True when the token at `k` is one of the punctuation marks `set`.
+    fn at(&self, k: usize, set: &str) -> bool {
+        matches!(self.toks.get(k).map(|t| &t.kind), Some(TokKind::Punct(c)) if set.contains(*c))
     }
-    hi
-}
 
-/// [`statement_end`] from `lo`, paired with the end of the expression
-/// (the terminating `;` excluded).
-fn rhs_span(toks: &[Tok], lo: usize, hi: usize) -> (usize, usize) {
-    let end = statement_end(toks, lo, hi);
-    let expr_hi = if end > lo && is_punct(toks.get(end - 1), ';') {
-        end - 1
-    } else {
-        end
-    };
-    (end, expr_hi)
-}
-
-/// Parses an `if`/`if let`/`match` construct at `i`, folding any `else`
-/// chain into one [`Stmt::Branch`]. Returns the index past the construct.
-fn parse_branch(
-    toks: &[Tok],
-    i: usize,
-    hi: usize,
-    qual: Option<&str>,
-    defs: &mut Vec<FnDef>,
-    body: &mut Vec<Stmt>,
-) -> usize {
-    let line = toks[i].line;
-    let is_match = ident(toks.get(i)) == Some("match");
-    let mut cond = ExprFacts::default();
-    let mut arms: Vec<Arm> = Vec::new();
-    let mut has_default = false;
-
-    let mut cursor = i;
-    loop {
-        // cursor points at `if` or `match` (first round) or `if` of an
-        // `else if` continuation.
-        let kw_is_match = ident(toks.get(cursor)) == Some("match");
-        // `if let PAT = expr` — bind the pattern, classify the expr.
-        let (bound, head_lo) = let_head(toks, cursor + 1, hi);
-        let Some(open) = find_block_open(toks, head_lo, hi) else {
-            return cursor + 1;
-        };
-        let head = expr_facts(toks, head_lo, open);
-        cond.roots.extend(head.roots);
-        cond.rank |= head.rank;
-        cond.repl_root |= head.repl_root;
-        let end = matching(toks, open);
-
-        if kw_is_match {
-            parse_match_arms(toks, open + 1, end - 1, qual, defs, &mut arms, &mut cond);
-            // A `match` is exhaustive by construction.
-            has_default = true;
-            cursor = end;
-            break;
-        }
-
-        let mut arm_body = Vec::new();
-        parse_stmts(toks, open + 1, end - 1, qual, defs, &mut arm_body);
-        arms.push(Arm {
-            bound,
-            body: arm_body,
-        });
-        // else / else if continuation.
-        if ident(toks.get(end)) == Some("else") {
-            if ident(toks.get(end + 1)) == Some("if") {
-                cursor = end + 1;
-                continue;
-            }
-            if is_punct(toks.get(end + 1), '{') {
-                let eend = matching(toks, end + 1);
-                let mut else_body = Vec::new();
-                parse_stmts(toks, end + 2, eend - 1, qual, defs, &mut else_body);
-                arms.push(Arm {
-                    bound: Vec::new(),
-                    body: else_body,
-                });
-                has_default = true;
-                cursor = eend;
-                break;
-            }
-        }
-        cursor = end;
-        break;
-    }
-    if !has_default && !is_match {
-        arms.push(Arm {
-            bound: Vec::new(),
-            body: Vec::new(),
-        });
-    }
-    cond.roots.sort();
-    cond.roots.dedup();
-    body.push(Stmt::Branch { cond, arms, line });
-    cursor
-}
-
-/// Splits match-arm bodies between `lo..hi` (the inside of the match
-/// braces). Guards (`PAT if g =>`) contribute their roots to `cond`.
-fn parse_match_arms(
-    toks: &[Tok],
-    lo: usize,
-    hi: usize,
-    qual: Option<&str>,
-    defs: &mut Vec<FnDef>,
-    arms: &mut Vec<Arm>,
-    cond: &mut ExprFacts,
-) {
-    let mut i = lo;
-    while i < hi {
-        // Pattern span up to `=>` at depth 0.
+    /// The first `k` in `lo..hi` at bracket depth 0 where `hit(k)` holds;
+    /// `None` when there is none, or when a bracket opened before `lo`
+    /// closes first. In a parameter list (`types`), `<` and `>` are
+    /// brackets too, except the `>` of `->`.
+    fn find(
+        &self,
+        lo: usize,
+        hi: usize,
+        types: bool,
+        hit: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
         let mut depth = 0i64;
-        let mut arrow = None;
-        let mut j = i;
-        while j < hi {
-            match toks[j].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => depth -= 1,
-                TokKind::Punct('=') if depth == 0 && is_punct(toks.get(j + 1), '>') => {
-                    arrow = Some(j);
-                    break;
-                }
+        for k in lo..hi {
+            if depth == 0 && hit(k) {
+                return Some(k);
+            }
+            match self.toks[k].kind {
+                TokKind::Punct('(' | '[' | '{') => depth += 1,
+                TokKind::Punct('<') if types => depth += 1,
+                TokKind::Punct('>') if types && !self.punct(k.wrapping_sub(1), '-') => depth -= 1,
+                TokKind::Punct(')' | ']' | '}') => depth -= 1,
                 _ => {}
             }
-            j += 1;
+            if depth < 0 {
+                return None;
+            }
         }
-        let Some(arrow) = arrow else {
-            break;
+        None
+    }
+
+    /// Index just past the close bracket matching the open bracket at
+    /// `open` (`(`, `[` or `{`; the three kinds nest alike).
+    fn matching(&self, open: usize) -> usize {
+        let len = self.toks.len();
+        let close = self.find(open + 1, len, false, |k| self.at(k, ")]}"));
+        close.map_or(len, |k| k + 1)
+    }
+
+    /// The spans between the top-level commas of `lo..hi`. A closure
+    /// literal's parameter list (`|a, b|`) separates nothing.
+    fn split(&self, lo: usize, hi: usize, types: bool) -> Vec<(usize, usize)> {
+        let mut spans = Vec::new();
+        let mut start = lo;
+        while start < hi {
+            let from = self.closure_head(start, hi).map_or(start, |(_, body)| body);
+            let end = self
+                .find(from, hi, types, |k| self.at(k, ","))
+                .unwrap_or(hi);
+            spans.push((start, end));
+            start = end + 1;
+        }
+        spans
+    }
+
+    /// Index just past the `;` ending the statement starting at `i`, or
+    /// the index of the bracket that closes the enclosing block first.
+    fn statement_end(&self, i: usize, hi: usize) -> usize {
+        match self.find(i, hi, false, |k| self.at(k, ";)]}")) {
+            Some(k) => k + usize::from(self.punct(k, ';')),
+            None => hi,
+        }
+    }
+
+    /// [`Self::statement_end`] from `lo`, paired with the end of the
+    /// expression (the terminating `;` excluded).
+    fn rhs_span(&self, lo: usize, hi: usize) -> (usize, usize) {
+        let end = self.statement_end(lo, hi);
+        (end, end - usize::from(end > lo && self.punct(end - 1, ';')))
+    }
+
+    /// The first top-level `{` from `from`, unless a `;` comes first.
+    fn block_open(&self, from: usize, hi: usize) -> Option<usize> {
+        let open = self.find(from, hi, false, |k| self.at(k, "{;"));
+        open.filter(|&k| self.punct(k, '{'))
+    }
+
+    /// Index past the `<..>` generics span at `i`, or `i` when none opens
+    /// there. Bails out at a top-level `{` or `;` so a stray comparison
+    /// cannot swallow a file.
+    fn generics(&self, i: usize) -> usize {
+        if !self.punct(i, '<') {
+            return i;
+        }
+        let close = |k: usize| self.punct(k, '>') && !self.punct(k - 1, '-');
+        let end = self.find(i + 1, self.toks.len(), true, |k| {
+            close(k) || self.at(k, "{;")
+        });
+        end.filter(|&k| close(k)).map_or(i, |k| k + 1)
+    }
+
+    /// Index past the `#[ .. ]` / `#![ .. ]` attribute whose `#` is at `i`
+    /// (just past a `#` that opens none).
+    fn attribute_end(&self, i: usize) -> usize {
+        let j = i + 1 + usize::from(self.punct(i + 1, '!'));
+        if self.punct(j, '[') {
+            self.matching(j)
+        } else {
+            i + 1
+        }
+    }
+
+    /// Pattern-bound names: lowercase-initial identifiers that are not path
+    /// segments, keywords, or literals. `Some(k)` binds `k`; `Codec::Raw`
+    /// binds nothing.
+    fn bound(&self, lo: usize, hi: usize) -> Vec<String> {
+        let binds = |k: usize, s: &str| {
+            !KEYWORDS.contains(&s)
+                && s != "_"
+                && s.starts_with(|c: char| c.is_lowercase() || c == '_')
+                // Path segment (`mod::name`) or struct-field shorthand key.
+                && !(k > lo && self.punct(k - 1, ':'))
+                && !(self.punct(k + 1, ':') && self.punct(k + 2, ':'))
         };
-        // Guard: `PAT if guard =>`.
-        let mut pat_hi = arrow;
-        for k in i..arrow {
-            if ident(toks.get(k)) == Some("if") {
-                let g = expr_facts(toks, k + 1, arrow);
+        (lo..hi)
+            .filter_map(|k| self.ident(k).filter(|s| binds(k, s)))
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// Classification facts for the expression span `lo..hi`.
+    /// Closure-literal bodies inside the span are included in the scan (their
+    /// parameters are locally bound, so they are excluded from the roots).
+    fn facts(&self, lo: usize, hi: usize) -> ExprFacts {
+        let mut f = ExprFacts::default();
+        // Whole-expression replicated-collective call:
+        // `recv.allreduce( .. )` spanning the full range.
+        if hi > lo + 3 {
+            f.repl_root = (lo..hi.min(lo + 6)).any(|k| {
+                self.punct(k, '.')
+                    && self
+                        .ident(k + 1)
+                        .is_some_and(|n| REPLICATED_RESULT.contains(&n))
+                    && self.punct(k + 2, '(')
+                    && self.matching(k + 2) >= hi
+            });
+        }
+        // Closure parameters bound inside the span do not root data
+        // outside: every name in a simple parameter list (`|a, b: &[T]|`).
+        let mut shadowed: Vec<&str> = Vec::new();
+        let mut k = lo;
+        while k < hi {
+            k = match self.closure_head(k, hi) {
+                Some(((a, b), body))
+                    if (a..b).all(|m| self.ident(m).is_some() || self.at(m, ",&():[]<>")) =>
+                {
+                    shadowed.extend(
+                        (a..b)
+                            .filter_map(|m| self.ident(m))
+                            .filter(|s| !KEYWORDS.contains(s)),
+                    );
+                    body
+                }
+                _ => k + 1,
+            };
+        }
+        for k in lo..hi {
+            let Some(s) = self.ident(k) else {
+                continue;
+            };
+            if KEYWORDS.contains(&s) {
+                if s == "self" && self.punct(k + 1, '.') {
+                    // `self.field` roots at self.
+                    f.roots.push("self".to_string());
+                }
+                continue;
+            }
+            // Method/field name or macro name: not a data root.
+            if k > lo && self.punct(k - 1, '.') {
+                f.rank |= s == "rank" && self.punct(k + 1, '(');
+                continue;
+            }
+            // Path segments (`Type::CONST`, `mod::func`) are replicated
+            // compile-time names, not data roots.
+            let path = (k > lo && self.punct(k - 1, ':'))
+                || (self.punct(k + 1, ':') && self.punct(k + 2, ':'));
+            if self.punct(k + 1, '!') || path || shadowed.contains(&s) {
+                continue;
+            }
+            if rank_named(s) {
+                f.rank = true;
+            } else {
+                f.roots.push(s.to_string());
+            }
+        }
+        f.roots.sort();
+        f.roots.dedup();
+        f
+    }
+
+    /// Walks items in `lo..hi` under the impl/trait type `self.qual`.
+    fn items(&mut self, lo: usize, hi: usize) {
+        let mut i = lo;
+        // Set while the pending attributes include `#[cfg(test)]`; a module
+        // under it holds unit tests, not drivers — skip it wholesale so test
+        // helpers never surface as schedule entry points.
+        let mut cfg_test = false;
+        while i < hi {
+            let is_attr = self.punct(i, '#');
+            match self.ident(i) {
+                // Attribute: skip `#[ .. ]` / `#![ .. ]`.
+                _ if is_attr => {
+                    let end = self.attribute_end(i);
+                    let attr = |k| (i..end).any(|j| self.ident(j) == Some(k));
+                    cfg_test |= attr("cfg") && attr("test");
+                    i = end;
+                }
+                Some("fn") => i = self.function(i),
+                // `impl`/`trait` blocks and `mod`s (unless under
+                // `#[cfg(test)]`) recurse; other braced items are skipped
+                // wholesale so their contents are not misread as functions.
+                Some(kw @ ("impl" | "trait" | "mod" | "struct" | "enum" | "union")) => {
+                    let j = self
+                        .find(i + 1, hi, false, |k| self.at(k, "{;"))
+                        .unwrap_or(hi);
+                    let end = if self.punct(j, '{') {
+                        self.matching(j)
+                    } else {
+                        j + 1
+                    };
+                    let nested = match kw {
+                        "impl" | "trait" => Some(self.subject(i + 1, j)),
+                        "mod" if !cfg_test => Some(None),
+                        _ => None,
+                    };
+                    if let Some(qual) = nested.filter(|_| end > j + 1) {
+                        let outer = std::mem::replace(&mut self.qual, qual);
+                        self.items(j + 1, end - 1);
+                        self.qual = outer;
+                    }
+                    i = end;
+                }
+                _ => i += 1,
+            }
+            if !is_attr {
+                cfg_test = false;
+            }
+        }
+    }
+
+    /// The subject type of the `impl`/`trait` header `lo..hi`: the first
+    /// type name after its generics, or the name after `for` in
+    /// `impl Trait for Type`.
+    fn subject(&self, lo: usize, hi: usize) -> Option<String> {
+        let lo = self.generics(lo);
+        let after_for = (lo..hi)
+            .rfind(|&k| self.ident(k) == Some("for"))
+            .map(|k| k + 1);
+        let mut names = (after_for.unwrap_or(lo)..hi).filter_map(|k| self.ident(k));
+        let typed = |n: &&str| after_for.is_some() || n.starts_with(char::is_uppercase);
+        names.find(typed).map(str::to_string)
+    }
+
+    /// Parses one `fn` starting at index `i` (the `fn` keyword). Appends the
+    /// definition (and any nested `fn`s) to `self.defs`; returns the index
+    /// past the body.
+    fn function(&mut self, i: usize) -> usize {
+        let line = self.toks[i].line;
+        let Some(name) = self.ident(i + 1) else {
+            return i + 1;
+        };
+        let j = self.generics(i + 2);
+        if !self.punct(j, '(') {
+            return j;
+        }
+        let params_end = self.matching(j);
+        let params = self.params(j + 1, params_end - 1);
+        // Signature tail (return type, where clause) up to the body.
+        let k = self.find(params_end, self.toks.len(), false, |k| self.at(k, "{;"));
+        let Some(k) = k.filter(|&k| self.punct(k, '{')) else {
+            return k.map_or(self.toks.len(), |k| k + 1); // trait method declaration without body
+        };
+        let end = self.matching(k);
+        let loops = std::mem::take(&mut self.loops);
+        let body = self.block(k + 1, end - 1);
+        self.loops = loops;
+        self.defs.push(FnDef {
+            name: name.to_string(),
+            qual: self.qual.clone(),
+            params,
+            body,
+            line,
+        });
+        end
+    }
+
+    /// Parameter names in the span of a parameter list: per top-level
+    /// comma, the first identifier of the pattern (before `:`), with
+    /// `&`/`mut`/lifetimes stripped; `self` kept as-is.
+    fn params(&self, lo: usize, hi: usize) -> Vec<String> {
+        self.split(lo, hi, true)
+            .into_iter()
+            .filter_map(|(a, b)| {
+                (a..b)
+                    .take_while(|&k| !self.punct(k, ':'))
+                    .find_map(|k| self.ident(k).filter(|s| *s != "mut" && *s != "ref"))
+                    .map(str::to_string)
+            })
+            .collect()
+    }
+
+    /// Parses the statements of `lo..hi` (a block body without its braces).
+    fn block(&mut self, lo: usize, hi: usize) -> Vec<Stmt> {
+        let mut body = Vec::new();
+        self.stmts(lo, hi, &mut body);
+        body
+    }
+
+    /// Parses statements/events in `lo..hi` (a block body without its
+    /// braces, or an expression span), appending to `body`. Nested `fn`
+    /// items are appended to `self.defs`.
+    fn stmts(&mut self, lo: usize, hi: usize, body: &mut Vec<Stmt>) {
+        let mut i = lo;
+        while i < hi {
+            i = match self.ident(i) {
+                _ if self.punct(i, '#') => self.attribute_end(i),
+                Some("fn") => self.function(i),
+                Some("let") => self.let_stmt(i, hi, body),
+                // Free-standing block.
+                _ if self.punct(i, '{') => {
+                    let end = self.matching(i);
+                    self.stmts(i + 1, end - 1, body);
+                    end
+                }
+                // Control flow and expression statements.
+                _ => self.expr(i, hi, body, true),
+            };
+        }
+    }
+
+    /// The events of the expression span `lo..hi`, in evaluation order.
+    fn events(&mut self, lo: usize, hi: usize, body: &mut Vec<Stmt>) {
+        let mut i = lo;
+        while i < hi {
+            i = self.expr(i, hi, body, false);
+        }
+    }
+
+    /// Parses a `let` statement at `i`: emits RHS events in evaluation
+    /// order, then the binding record. Returns the index past the `;`.
+    fn let_stmt(&mut self, i: usize, hi: usize, body: &mut Vec<Stmt>) -> usize {
+        let line = self.toks[i].line;
+        // Pattern: up to the `=` at depth 0; `let PAT;` and `let PAT: T;`
+        // (no initializer) end at `;`. Before the initializer, `<=`/`>=`
+        // cannot occur at depth 0 — but a generic ascription
+        // (`let x: Vec<Vec<u64>> = ..`) puts `>` right before it, so only
+        // `==` (and macro `!`) disqualify.
+        let at = |k: usize| {
+            let eq = self.punct(k, '=') && !self.punct(k + 1, '=');
+            self.punct(k, ';') || (eq && !self.at(k.wrapping_sub(1), "=!"))
+        };
+        let Some(eq) = self
+            .find(i + 1, hi, false, at)
+            .filter(|&k| self.punct(k, '='))
+        else {
+            return self.statement_end(i, hi);
+        };
+        // Pattern names: strip a `: Type` ascription if present.
+        let colon = |k: usize| self.punct(k, ':') && !self.punct(k + 1, ':');
+        let pat_hi = self.find(i + 1, eq, false, colon).unwrap_or(eq);
+        let names = self.bound(i + 1, pat_hi);
+        let (end, rhs_hi) = self.rhs_span(eq + 1, hi);
+        if names.len() == 1 {
+            if let Some((closure, _)) = self.closure(eq + 1, rhs_hi) {
+                let name = names[0].clone();
+                body.push(Stmt::LetClosure {
+                    name,
+                    closure,
+                    line,
+                });
+                return end;
+            }
+        }
+        // `let PAT = value else { .. };` — the `else` of an `if`
+        // initializer follows its `}` instead.
+        let diverge = |k: usize| {
+            self.ident(k) == Some("else") && self.punct(k + 1, '{') && !self.punct(k - 1, '}')
+        };
+        let value_hi = self.find(eq + 1, rhs_hi, false, diverge).unwrap_or(rhs_hi);
+        self.events(eq + 1, value_hi, body);
+        let value = self.facts(eq + 1, value_hi);
+        if value_hi < rhs_hi {
+            let otherwise = self.block(value_hi + 2, self.matching(value_hi + 1) - 1);
+            let (cond, arms) = (value.clone(), vec![arm(otherwise), arm(Vec::new())]);
+            body.push(Stmt::Branch { cond, arms, line });
+        }
+        body.push(Stmt::Let { names, value, line });
+        end
+    }
+
+    /// Parses an `if`/`if let`/`match` construct at `i`, folding any `else`
+    /// chain into one [`Stmt::Branch`]. Returns the index past the construct.
+    fn branch(&mut self, i: usize, hi: usize, out: &mut Vec<Stmt>) -> usize {
+        let line = self.toks[i].line;
+        let mut cond = ExprFacts::default();
+        let mut arms: Vec<Arm> = Vec::new();
+        let mut has_default = false;
+        // `cursor` points at `if` or `match` (first round) or at the `if`
+        // of an `else if` continuation.
+        let mut cursor = i;
+        loop {
+            // `if let PAT = expr` — bind the pattern, classify the expr.
+            let (bound, head_lo) = self.let_head(cursor + 1, hi);
+            let Some(open) = self.block_open(head_lo, hi) else {
+                return cursor + 1;
+            };
+            let head = self.facts(head_lo, open);
+            cond.roots.extend(head.roots);
+            cond.rank |= head.rank;
+            cond.repl_root |= head.repl_root;
+            let end = self.matching(open);
+            if self.ident(cursor) == Some("match") {
+                self.match_arms(open + 1, end - 1, &mut arms, &mut cond);
+                // A `match` is exhaustive by construction.
+                has_default = true;
+                cursor = end;
+                break;
+            }
+            let body = self.block(open + 1, end - 1);
+            arms.push(Arm { bound, body });
+            cursor = end;
+            // else / else if continuation.
+            if self.ident(end) == Some("else") {
+                if self.ident(end + 1) == Some("if") {
+                    cursor = end + 1;
+                    continue;
+                }
+                if self.punct(end + 1, '{') {
+                    cursor = self.matching(end + 1);
+                    arms.push(arm(self.block(end + 2, cursor - 1)));
+                    has_default = true;
+                }
+            }
+            break;
+        }
+        if !has_default {
+            arms.push(arm(Vec::new()));
+        }
+        cond.roots.sort();
+        cond.roots.dedup();
+        out.push(Stmt::Branch { cond, arms, line });
+        cursor
+    }
+
+    /// Splits match-arm bodies between `lo..hi` (the inside of the match
+    /// braces). Guards (`PAT if g =>`) contribute their roots to `cond`.
+    fn match_arms(&mut self, lo: usize, hi: usize, arms: &mut Vec<Arm>, cond: &mut ExprFacts) {
+        let mut i = lo;
+        while i < hi {
+            // Pattern span up to `=>` at depth 0.
+            let arrow = |k: usize| self.punct(k, '=') && self.punct(k + 1, '>');
+            let Some(arrow) = self.find(i, hi, false, arrow) else {
+                break;
+            };
+            // Guard: `PAT if guard =>`.
+            let pat_hi = (i..arrow)
+                .find(|&k| self.ident(k) == Some("if"))
+                .unwrap_or(arrow);
+            if pat_hi < arrow {
+                let g = self.facts(pat_hi + 1, arrow);
                 cond.roots.extend(g.roots);
                 cond.rank |= g.rank;
-                pat_hi = k;
-                break;
             }
-        }
-        let bound = pattern_bound(toks, i, pat_hi);
-        // Arm body: a block, or an expression up to `,` at depth 0.
-        let body_lo = arrow + 2;
-        let mut arm_body = Vec::new();
-        let next = if is_punct(toks.get(body_lo), '{') {
-            let end = matching(toks, body_lo);
-            parse_stmts(toks, body_lo + 1, end - 1, qual, defs, &mut arm_body);
-            // Skip an optional trailing comma.
-            if is_punct(toks.get(end), ',') {
-                end + 1
+            let bound = self.bound(i, pat_hi);
+            // Arm body: a block (with an optional trailing comma), or an
+            // expression up to `,` at depth 0.
+            let body_lo = arrow + 2;
+            let mut body = Vec::new();
+            i = if self.punct(body_lo, '{') {
+                let end = self.matching(body_lo);
+                self.stmts(body_lo + 1, end - 1, &mut body);
+                end + usize::from(self.punct(end, ','))
             } else {
-                end
+                let k = self
+                    .find(body_lo, hi, false, |k| self.at(k, ","))
+                    .unwrap_or(hi);
+                self.events(body_lo, k, &mut body);
+                k + 1
+            };
+            arms.push(Arm { bound, body });
+        }
+    }
+
+    /// For a condition head at `lo` that reads `let PAT = expr` (`if let`,
+    /// `while let`): the names `PAT` binds and the start of `expr`. Any other
+    /// head binds nothing and starts at `lo`.
+    fn let_head(&self, lo: usize, hi: usize) -> (Vec<String>, usize) {
+        if self.ident(lo) != Some("let") {
+            return (Vec::new(), lo);
+        }
+        let at = |k| self.punct(k, '{') || (self.punct(k, '=') && !self.punct(k + 1, '='));
+        match self.find(lo + 1, hi, false, at) {
+            Some(k) if self.punct(k, '=') => (self.bound(lo + 1, k), k + 1),
+            _ => (Vec::new(), lo),
+        }
+    }
+
+    /// Parses `while` / `while let` / `for` / `loop` at `i`, under its
+    /// label when one precedes it (`'outer: for ..`).
+    fn loop_stmt(&mut self, i: usize, hi: usize, body: &mut Vec<Stmt>) -> usize {
+        let line = self.toks[i].line;
+        let kw = self.ident(i);
+        let (mut bound, mut head_lo) = self.let_head(i + 1, hi);
+        if kw == Some("for") {
+            // `for PAT in expr {`
+            if let Some(k) = (head_lo..hi).find(|&k| self.ident(k) == Some("in")) {
+                bound = self.bound(head_lo, k);
+                head_lo = k + 1;
             }
+        }
+        let open = if kw == Some("loop") {
+            Some(i + 1).filter(|&k| self.punct(k, '{'))
         } else {
-            let mut depth = 0i64;
-            let mut k = body_lo;
-            while k < hi {
-                match toks[k].kind {
-                    TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-                    TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => depth -= 1,
-                    TokKind::Punct(',') if depth == 0 => break,
-                    _ => {}
-                }
-                k += 1;
-            }
-            let mut m = body_lo;
-            while m < k {
-                m = parse_expr_events(toks, m, k, qual, defs, &mut arm_body, false);
-            }
-            k + 1
+            self.block_open(head_lo, hi)
         };
-        arms.push(Arm {
+        let Some(open) = open else {
+            return i + 1;
+        };
+        let head = (kw != Some("loop")).then(|| self.facts(head_lo, open));
+        let end = self.matching(open);
+        let label = i.checked_sub(2).filter(|_| self.punct(i - 1, ':'));
+        self.loops
+            .push(label.and_then(|k| self.lexed.lifetimes.get(&k).cloned()));
+        let loop_body = self.block(open + 1, end - 1);
+        self.loops.pop();
+        body.push(Stmt::Loop {
+            head,
             bound,
-            body: arm_body,
+            body: loop_body,
+            line,
         });
-        i = next;
+        end
     }
-}
 
-/// For a condition head at `lo` that reads `let PAT = expr` (`if let`,
-/// `while let`): the names `PAT` binds and the start of `expr`. Any other
-/// head binds nothing and starts at `lo`.
-fn let_head(toks: &[Tok], lo: usize, hi: usize) -> (Vec<String>, usize) {
-    if ident(toks.get(lo)) != Some("let") {
-        return (Vec::new(), lo);
-    }
-    let mut depth = 0i64;
-    for k in lo + 1..hi {
-        match toks[k].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-            TokKind::Punct('=') if depth == 0 && !is_punct(toks.get(k + 1), '=') => {
-                return (pattern_bound(toks, lo + 1, k), k + 1);
-            }
-            TokKind::Punct('{') if depth == 0 => break,
-            _ => {}
-        }
-    }
-    (Vec::new(), lo)
-}
-
-/// Parses `while` / `while let` / `for` / `loop` at `i`.
-fn parse_loop(
-    toks: &[Tok],
-    i: usize,
-    hi: usize,
-    qual: Option<&str>,
-    defs: &mut Vec<FnDef>,
-    body: &mut Vec<Stmt>,
-) -> usize {
-    let line = toks[i].line;
-    let kw = ident(toks.get(i)).unwrap_or_default().to_string();
-    let (mut bound, mut head_lo) = let_head(toks, i + 1, hi);
-    if kw == "for" {
-        // `for PAT in expr {`
-        let mut k = head_lo;
-        while k < hi && ident(toks.get(k)) != Some("in") {
-            k += 1;
-        }
-        if k < hi {
-            bound = pattern_bound(toks, head_lo, k);
-            head_lo = k + 1;
-        }
-    }
-    let Some(open) = (if kw == "loop" {
-        if is_punct(toks.get(i + 1), '{') {
-            Some(i + 1)
-        } else {
-            None
-        }
-    } else {
-        find_block_open(toks, head_lo, hi)
-    }) else {
-        return i + 1;
-    };
-    let head = if kw == "loop" {
-        None
-    } else {
-        Some(expr_facts(toks, head_lo, open))
-    };
-    let end = matching(toks, open);
-    let mut loop_body = Vec::new();
-    parse_stmts(toks, open + 1, end - 1, qual, defs, &mut loop_body);
-    body.push(Stmt::Loop {
-        head,
-        bound,
-        body: loop_body,
-        line,
-    });
-    end
-}
-
-/// First `{` at depth 0 after `from` (skipping bracketed spans), or
-/// `None` when a `;` intervenes or the range ends.
-fn find_block_open(toks: &[Tok], from: usize, hi: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut j = from;
-    while j < hi {
-        match toks[j].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-            TokKind::Punct('{') if depth == 0 => return Some(j),
-            TokKind::Punct(';') if depth == 0 => return None,
-            _ => {}
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Parses a closure literal at `i` (pointing at the opening `|`).
-/// Returns the closure and the index past its body.
-fn parse_closure(
-    toks: &[Tok],
-    i: usize,
-    hi: usize,
-    qual: Option<&str>,
-    defs: &mut Vec<FnDef>,
-) -> Option<(Closure, usize)> {
-    let line = toks[i].line;
-    // `||` lexes as two `|` puncts.
-    let (params, body_lo) = if is_punct(toks.get(i + 1), '|') {
-        (Vec::new(), i + 2)
-    } else {
-        let mut j = i + 1;
-        let mut depth = 0i64;
-        while j < hi {
-            match toks[j].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('<') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('>') => depth -= 1,
-                TokKind::Punct('|') if depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        if j >= hi {
+    /// For a closure literal at `i` (`|..|`, `||`, or either after
+    /// `move`): its parameter span and the index its body starts at.
+    fn closure_head(&self, i: usize, hi: usize) -> Option<((usize, usize), usize)> {
+        let i = i + usize::from(self.ident(i) == Some("move"));
+        if !self.punct(i, '|') {
             return None;
         }
-        (parse_params(&toks[i + 1..j]), j + 1)
-    };
-    let mut body = Vec::new();
-    let next = if is_punct(toks.get(body_lo), '{') {
-        let end = matching(toks, body_lo);
-        parse_stmts(toks, body_lo + 1, end - 1, qual, defs, &mut body);
-        end
-    } else {
-        // Expression body: up to `,` / `)` / `;` at depth 0.
-        let mut depth = 0i64;
-        let mut k = body_lo;
-        while k < hi {
-            match toks[k].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => {
-                    if depth == 0 {
-                        break;
-                    }
-                    depth -= 1;
-                }
-                TokKind::Punct(',') | TokKind::Punct(';') if depth == 0 => break,
-                _ => {}
-            }
-            k += 1;
+        // `||` lexes as two `|` puncts.
+        if self.punct(i + 1, '|') {
+            return Some(((i + 1, i + 1), i + 2));
         }
-        let mut m = body_lo;
-        while m < k {
-            m = parse_expr_events(toks, m, k, qual, defs, &mut body, false);
+        let j = self.find(i + 1, hi, true, |k| self.punct(k, '|'))?;
+        Some(((i + 1, j), j + 1))
+    }
+
+    /// Parses a closure literal at `i` (see [`Self::closure_head`]).
+    /// Returns the closure and the index past its body.
+    fn closure(&mut self, i: usize, hi: usize) -> Option<(Closure, usize)> {
+        let ((params_lo, params_hi), body_lo) = self.closure_head(i, hi)?;
+        let line = self.toks[i].line;
+        let params = self.params(params_lo, params_hi);
+        // A `break` in the body cannot leave a loop around the closure.
+        let loops = std::mem::take(&mut self.loops);
+        let mut body = Vec::new();
+        let next = if self.punct(body_lo, '{') {
+            let end = self.matching(body_lo);
+            self.stmts(body_lo + 1, end - 1, &mut body);
+            end
+        } else {
+            // Expression body: up to `,` / `;` or the enclosing close.
+            let k = self.find(body_lo, hi, false, |k| self.at(k, ",;)]}"));
+            let k = k.unwrap_or(hi);
+            self.events(body_lo, k, &mut body);
+            k
+        };
+        self.loops = loops;
+        Some((Closure { params, body, line }, next))
+    }
+
+    /// The start of the postfix chain (`a.b(c)[i]`, `f::<T>(x)`) that
+    /// ends just before `end`: the operand of a `?` at `end`.
+    fn operand_start(&self, end: usize) -> usize {
+        let mut depth = 0usize;
+        let mut k = end;
+        while k > 0 {
+            match self.toks[k - 1].kind {
+                TokKind::Punct(')' | ']') => depth += 1,
+                TokKind::Punct('(' | '[') if depth > 0 => depth -= 1,
+                TokKind::Ident(_) | TokKind::Num | TokKind::Str => {}
+                _ if depth > 0 || self.at(k - 1, ".:?") => {}
+                _ => break,
+            }
+            k -= 1;
         }
         k
-    };
-    Some((Closure { params, body, line }, next))
-}
-
-/// Scans expression tokens from `i`, emitting events (ops, calls,
-/// nested control flow) in evaluation order. Returns the index to
-/// resume from. When `stmt_position` is set, a leading `recv.method(..)`
-/// chain is additionally recorded as a potential mutation of `recv`.
-#[allow(clippy::too_many_arguments)]
-fn parse_expr_events(
-    toks: &[Tok],
-    i: usize,
-    hi: usize,
-    qual: Option<&str>,
-    defs: &mut Vec<FnDef>,
-    body: &mut Vec<Stmt>,
-    stmt_position: bool,
-) -> usize {
-    if i >= hi {
-        return hi;
-    }
-    match &toks[i].kind {
-        TokKind::Ident(s) if s == "if" || s == "match" => {
-            return parse_branch(toks, i, hi, qual, defs, body);
-        }
-        TokKind::Ident(s) if s == "while" || s == "for" || s == "loop" => {
-            return parse_loop(toks, i, hi, qual, defs, body);
-        }
-        TokKind::Ident(s) if s == "break" || s == "continue" => {
-            body.push(Stmt::Break { line: toks[i].line });
-            return i + 1;
-        }
-        TokKind::Ident(s) if s == "return" => {
-            body.push(Stmt::Return { line: toks[i].line });
-            return i + 1;
-        }
-        _ => {}
     }
 
-    // Statement-position assignment: `name = expr ;` / `name += expr ;`.
-    if stmt_position {
-        if let Some(name) = ident(toks.get(i)) {
-            if !KEYWORDS.contains(&name) {
-                // Direct assignment.
-                let mut k = i + 1;
-                // Compound assignment `name op= expr`.
-                if matches!(toks.get(k).map(|t| &t.kind), Some(TokKind::Punct(c)) if "+-*/%&|^".contains(*c))
-                {
-                    k += 1;
-                }
-                if is_punct(toks.get(k), '=') && !is_punct(toks.get(k + 1), '=') {
-                    let (end, rhs_hi) = rhs_span(toks, k + 1, hi);
-                    let mut j = k + 1;
-                    while j < rhs_hi {
-                        j = parse_expr_events(toks, j, rhs_hi, qual, defs, body, false);
-                    }
-                    body.push(Stmt::Assign {
-                        name: name.to_string(),
-                        value: expr_facts(toks, k + 1, rhs_hi),
-                        line: toks[i].line,
-                    });
-                    return end;
-                }
-                // Statement-position method call on a local: record as a
-                // potential interior mutation (matters only under a
-                // divergent guard), then fall through to event scanning.
-                // Guard on a true statement boundary — the scan re-enters
-                // mid-expression (`bufs[grid.rank_of(..)].push(..)` lands
-                // here at `grid`), and a spurious record would let loop
-                // fixpoints poison an untouched binding.
-                let at_stmt_start = i == 0
-                    || is_punct(toks.get(i - 1), ';')
-                    || is_punct(toks.get(i - 1), '{')
-                    || is_punct(toks.get(i - 1), '}');
-                if at_stmt_start
-                    && is_punct(toks.get(i + 1), '.')
-                    && ident(toks.get(i + 2)).is_some()
-                {
-                    body.push(Stmt::Assign {
-                        name: name.to_string(),
-                        value: ExprFacts::default(),
-                        line: toks[i].line,
-                    });
-                }
+    /// Scans expression tokens from `i`, emitting events (ops, calls,
+    /// nested control flow) in evaluation order. Returns the index to
+    /// resume from. When `stmt_position` is set, a leading `recv.method(..)`
+    /// chain is additionally recorded as a potential mutation of `recv`.
+    fn expr(&mut self, i: usize, hi: usize, body: &mut Vec<Stmt>, stmt_position: bool) -> usize {
+        if i >= hi {
+            return hi;
+        }
+        let toks = self.toks;
+        let line = toks[i].line;
+        match self.ident(i) {
+            Some("if" | "match") => return self.branch(i, hi, body),
+            Some("while" | "for" | "loop") => return self.loop_stmt(i, hi, body),
+            Some("break" | "continue") => {
+                // A label names the loop left; no label, the innermost.
+                let label = self.lexed.lifetimes.get(&(i + 1));
+                let named = |l: &Option<String>| label.is_some() && l.as_ref() == label;
+                let up = self.loops.iter().rev().position(named);
+                body.push(Stmt::Exit(up.map_or(1, |up| up + 1)));
+                return i + 1;
+            }
+            Some("return") => {
+                body.push(Stmt::Exit(0));
+                return i + 1;
+            }
+            _ => {}
+        }
+        // `e?` returns early when `e` holds an error: a branch on `e`.
+        if self.punct(i, '?') {
+            let cond = self.facts(self.operand_start(i), i);
+            let arms = vec![arm(vec![Stmt::Exit(0)]), arm(Vec::new())];
+            body.push(Stmt::Branch { cond, arms, line });
+            return i + 1;
+        }
+
+        // Statement-position assignment: `name = expr ;` / `name += expr ;`.
+        if let Some(name) = self
+            .ident(i)
+            .filter(|n| stmt_position && !KEYWORDS.contains(n))
+        {
+            // Compound assignment `name op= expr`.
+            let k = i + 1 + usize::from(self.at(i + 1, "+-*/%&|^"));
+            if self.punct(k, '=') && !self.punct(k + 1, '=') {
+                let (end, rhs_hi) = self.rhs_span(k + 1, hi);
+                self.events(k + 1, rhs_hi, body);
+                let value = self.facts(k + 1, rhs_hi);
+                let name = name.to_string();
+                body.push(Stmt::Assign { name, value, line });
+                return end;
+            }
+            // Statement-position method call on a local: record as a
+            // potential interior mutation (matters only under a
+            // divergent guard), then fall through to event scanning.
+            // Guard on a true statement boundary — the scan re-enters
+            // mid-expression (`bufs[grid.rank_of(..)].push(..)` lands
+            // here at `grid`), and a spurious record would let loop
+            // fixpoints poison an untouched binding.
+            if (i == 0 || self.at(i - 1, ";{}"))
+                && self.punct(i + 1, '.')
+                && self.ident(i + 2).is_some()
+            {
+                let (name, value) = (name.to_string(), ExprFacts::default());
+                body.push(Stmt::Assign { name, value, line });
             }
         }
-    }
 
-    // Closure literal in expression position.
-    if is_punct(toks.get(i), '|')
-        || (ident(toks.get(i)) == Some("move") && is_punct(toks.get(i + 1), '|'))
-    {
-        let at = if is_punct(toks.get(i), '|') { i } else { i + 1 };
-        if let Some((closure, next)) = parse_closure(toks, at, hi, qual, defs) {
+        // Closure literal in expression position.
+        if let Some((closure, next)) = self.closure(i, hi) {
             // A bare closure not attached to a call: keep its body events
             // out of the schedule (it is a value, not an execution), but
             // record it as an anonymous local so nothing is lost silently.
-            let line = closure.line;
+            let (name, line) = (String::new(), closure.line);
             body.push(Stmt::LetClosure {
-                name: String::new(),
+                name,
                 closure,
                 line,
             });
             return next;
         }
+
+        // Macro invocation: skip its argument span entirely.
+        if self.ident(i).is_some() && self.punct(i + 1, '!') {
+            let j = i + 2;
+            return if self.at(j, "([{") {
+                self.matching(j)
+            } else {
+                j
+            };
+        }
+
+        // Call detection: `name (`, `name::<T> (`, `recv.name (`, `Type::name (`.
+        let Some(name) = self.ident(i).filter(|n| !KEYWORDS.contains(n)) else {
+            return i + 1;
+        };
+        let is_method = i > 0 && self.punct(i - 1, '.');
+        // Path qualifier directly before: `Qual::name(`.
+        let path = i >= 3 && self.punct(i - 1, ':') && self.punct(i - 2, ':');
+        let qual = path
+            .then(|| self.ident(i - 3))
+            .flatten()
+            .map(|q| match &self.qual {
+                Some(own) if q == "Self" => own.clone(),
+                _ => q.to_string(),
+            });
+        let mut after = i + 1;
+        if self.punct(after, ':') && self.punct(after + 1, ':') && self.punct(after + 2, '<') {
+            after = self.generics(after + 2);
+        }
+        if !self.punct(after, '(') {
+            return i + 1;
+        }
+        let close = self.matching(after);
+        if is_method && is_collective_call(toks, i - 1, name) {
+            // Argument events first (evaluation order), then the op.
+            // Closure arguments of a primitive are reduce operators: their
+            // bodies must not communicate, so they stay values.
+            self.args(after + 1, close - 1, body);
+            let name = name.to_string();
+            body.push(Stmt::Op { name, line });
+            return close;
+        }
+        let recv = is_method.then(|| self.ident(i.wrapping_sub(2))).flatten();
+        let recv = recv.map(str::to_string);
+        let (args, closures) = self.args(after + 1, close - 1, body);
+        body.push(Stmt::Call {
+            name: name.to_string(),
+            qual,
+            recv,
+            closures,
+            args,
+            line,
+        });
+        close
     }
 
-    // Macro invocation: skip its argument span entirely.
-    if ident(toks.get(i)).is_some() && is_punct(toks.get(i + 1), '!') {
-        let j = i + 2;
-        if matches!(
-            toks.get(j).map(|t| &t.kind),
-            Some(TokKind::Punct('(')) | Some(TokKind::Punct('[')) | Some(TokKind::Punct('{'))
-        ) {
-            return matching(toks, j);
-        }
-        return j;
-    }
-
-    // Call detection: `name (`, `name::<T> (`, `recv.name (`, `Type::name (`.
-    if let Some(name) = ident(toks.get(i)) {
-        if !KEYWORDS.contains(&name) {
-            let is_method = i > 0 && is_punct(toks.get(i - 1), '.');
-            // Path qualifier directly before: `Qual::name(`.
-            let path_qual =
-                if i >= 3 && is_punct(toks.get(i - 1), ':') && is_punct(toks.get(i - 2), ':') {
-                    ident(toks.get(i - 3)).map(|q| {
-                        if q == "Self" {
-                            qual.unwrap_or(q).to_string()
-                        } else {
-                            q.to_string()
-                        }
-                    })
-                } else {
-                    None
-                };
-            let mut after = i + 1;
-            if is_punct(toks.get(after), ':')
-                && is_punct(toks.get(after + 1), ':')
-                && is_punct(toks.get(after + 2), '<')
-            {
-                after = skip_generics(toks, after + 2);
-            }
-            if is_punct(toks.get(after), '(') {
-                let close = matching(toks, after);
-                let line = toks[i].line;
-                if is_method && is_collective_call(toks, i - 1, name) {
-                    // Argument events first (evaluation order), then the op.
-                    // Closure arguments of a primitive are reduce operators:
-                    // their bodies must not communicate, so they are scanned
-                    // like ordinary argument expressions.
-                    scan_call_args(toks, after + 1, close - 1, qual, defs, body, None);
-                    body.push(Stmt::Op {
-                        name: name.to_string(),
-                        line,
-                    });
-                    return close;
-                }
-                let recv = if is_method {
-                    i.checked_sub(2)
-                        .and_then(|k| ident(toks.get(k)).map(str::to_string))
-                } else {
-                    None
-                };
-                let mut closures = Vec::new();
-                let args = scan_call_args(
-                    toks,
-                    after + 1,
-                    close - 1,
-                    qual,
-                    defs,
-                    body,
-                    Some(&mut closures),
-                );
-                body.push(Stmt::Call {
-                    name: name.to_string(),
-                    qual: path_qual,
-                    recv,
-                    closures,
-                    args,
-                    line,
-                });
-                return close;
-            }
-        }
-    }
-
-    i + 1
-}
-
-/// Scans the argument span of a call: per top-level argument, emits
-/// nested events into `body` and collects [`ExprFacts`]. Closure-literal
-/// arguments are parsed and pushed into `closures` (when given) instead
-/// of being scanned as events.
-#[allow(clippy::too_many_arguments)]
-fn scan_call_args(
-    toks: &[Tok],
-    lo: usize,
-    hi: usize,
-    qual: Option<&str>,
-    defs: &mut Vec<FnDef>,
-    body: &mut Vec<Stmt>,
-    mut closures: Option<&mut Vec<(usize, Closure)>>,
-) -> Vec<ExprFacts> {
-    let mut facts = Vec::new();
-    let mut depth = 0i64;
-    let mut arg_lo = lo;
-    let mut arg_idx = 0usize;
-    let mut k = lo;
-    let flush = |lo: usize,
-                 hi: usize,
-                 idx: usize,
-                 defs: &mut Vec<FnDef>,
-                 body: &mut Vec<Stmt>,
-                 closures: &mut Option<&mut Vec<(usize, Closure)>>,
-                 facts: &mut Vec<ExprFacts>| {
-        if lo >= hi {
-            return;
-        }
-        // Closure-literal argument?
-        let mut c = lo;
-        if ident(toks.get(c)) == Some("move") {
-            c += 1;
-        }
-        if is_punct(toks.get(c), '|') {
-            let mut sink = Vec::new();
-            if let Some((cl, _)) = parse_closure(toks, c, hi, qual, &mut sink) {
-                defs.append(&mut sink);
-                // A primitive-call operator closure (no `closures`) is
-                // value-only.
-                if let Some(cs) = closures.as_deref_mut() {
-                    cs.push((idx, cl));
-                }
+    /// Scans the argument span of a call: per top-level argument, emits
+    /// nested events into `body` and collects [`ExprFacts`]. A closure-
+    /// literal argument is parsed and kept with its position instead of
+    /// being scanned as events.
+    fn args(&mut self, lo: usize, hi: usize, body: &mut Vec<Stmt>) -> Args {
+        let mut facts = Vec::new();
+        let mut closures = Vec::new();
+        for (idx, (a, b)) in self.split(lo, hi, false).into_iter().enumerate() {
+            if let Some((closure, _)) = self.closure(a, b) {
+                closures.push((idx, closure));
                 facts.push(ExprFacts::default());
-                return;
+            } else {
+                self.events(a, b, body);
+                facts.push(self.facts(a, b));
             }
         }
-        let mut m = lo;
-        while m < hi {
-            m = parse_expr_events(toks, m, hi, qual, defs, body, false);
-        }
-        facts.push(expr_facts(toks, lo, hi));
-    };
-    while k < hi {
-        // A closure literal's parameter list separates no arguments.
-        let at_arg = k == arg_lo || (k == arg_lo + 1 && ident(toks.get(arg_lo)) == Some("move"));
-        if at_arg && is_punct(toks.get(k), '|') && !is_punct(toks.get(k + 1), '|') {
-            k += 1;
-            while k < hi && !is_punct(toks.get(k), '|') {
-                k += 1;
-            }
-            k += 1;
-            continue;
-        }
-        match toks[k].kind {
-            TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-            TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => depth -= 1,
-            TokKind::Punct(',') if depth == 0 => {
-                flush(arg_lo, k, arg_idx, defs, body, &mut closures, &mut facts);
-                arg_idx += 1;
-                arg_lo = k + 1;
-            }
-            _ => {}
-        }
-        k += 1;
+        (facts, closures)
     }
-    flush(arg_lo, hi, arg_idx, defs, body, &mut closures, &mut facts);
-    facts
 }
 
 #[cfg(test)]
@@ -1543,5 +1222,73 @@ mod tests {
         let defs = parse(src);
         assert!(ops(&defs[0].body).is_empty());
         assert_eq!(ops(&defs[1].body), vec!["split", "wait"]);
+    }
+
+    #[test]
+    fn early_exits_carry_the_loops_they_leave() {
+        let src = r#"
+            fn exits(comm: &Comm) -> Result<(), E> {
+                'outer: for a in 0..4 {
+                    for b in 0..4 {
+                        break 'outer;
+                        continue;
+                    }
+                }
+                let Some(x) = pick(comm.rank()) else { return Ok(()); };
+                check(x)?;
+                Ok(())
+            }
+        "#;
+        let defs = parse(src);
+        let body = &defs[0].body;
+        let Stmt::Loop { body: outer, .. } = &body[0] else {
+            panic!("expected the outer loop, got {:?}", body[0]);
+        };
+        let Stmt::Loop { body: inner, .. } = &outer[0] else {
+            panic!("expected the inner loop");
+        };
+        assert!(matches!(inner[..], [Stmt::Exit(2), Stmt::Exit(1)]));
+        // `let .. else`: the initializer's call, the branch with the
+        // `else` body as one arm, then the binding.
+        let kinds: Vec<&str> = body[1..]
+            .iter()
+            .map(|s| match s {
+                Stmt::Call { name, .. } => name.as_str(),
+                Stmt::Branch { arms, .. } if matches!(arms[0].body[..], [Stmt::Exit(0), ..]) => {
+                    "exit-branch"
+                }
+                Stmt::Let { .. } => "let",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "rank",
+                "pick",
+                "exit-branch",
+                "let",
+                "check",
+                "exit-branch",
+                "Ok"
+            ]
+        );
+        let Stmt::Branch { cond, .. } = &body[6] else {
+            unreachable!()
+        };
+        assert_eq!(cond.roots, ["check", "x"], "`?` decides on its operand");
+    }
+
+    #[test]
+    fn generic_bounds_and_array_returns_keep_the_body() {
+        let src = r#"
+            fn step<F: Fn(u64) -> u64, const N: usize>(comm: &Comm, f: F) -> [u64; N] {
+                comm.barrier();
+            }
+        "#;
+        let defs = parse(src);
+        assert_eq!(defs.len(), 1);
+        assert_eq!(defs[0].params, ["comm", "f"]);
+        assert_eq!(ops(&defs[0].body), ["barrier"]);
     }
 }

@@ -69,6 +69,9 @@ pub struct Lexed {
     pub allow_extents: Vec<(u32, u32, HashSet<String>)>,
     /// Lines carrying a `// schedule: replicated` comment.
     pub replicated: HashSet<u32>,
+    /// The name of each [`TokKind::Lifetime`] token (a loop label among
+    /// them), by token index.
+    pub lifetimes: HashMap<usize, String>,
 }
 
 impl Lexed {
@@ -199,6 +202,7 @@ pub fn lex(src: &str) -> Lexed {
     let mut toks = Vec::new();
     let mut allows = HashMap::new();
     let mut replicated = HashSet::new();
+    let mut lifetimes = HashMap::new();
     let mut i = 0usize;
     let mut line = 1u32;
 
@@ -278,6 +282,7 @@ pub fn lex(src: &str) -> Lexed {
                 while j < chars.len() && (chars[j].is_alphanumeric() || chars[j] == '_') {
                     j += 1;
                 }
+                lifetimes.insert(toks.len(), chars[i + 1..j].iter().collect());
                 toks.push(Tok {
                     kind: TokKind::Lifetime,
                     line,
@@ -372,6 +377,7 @@ pub fn lex(src: &str) -> Lexed {
         code_lines,
         allow_extents,
         replicated,
+        lifetimes,
     }
 }
 

@@ -1,18 +1,18 @@
 //! The static collective-schedule checker (`cargo run -p xtask --
 //! schedule`).
 //!
-//! Built on the control-flow IR of [`crate::cfg`], this pass computes an
-//! interprocedural *collective-schedule summary* per function: the
-//! ordered symbolic sequence of collectives (kind × wire-ness, a
-//! nonblocking start and its wait as two ops) each rank can emit, with
-//! every branch either proven schedule-equivalent across its arms or
-//! proven *decided by replicated data*. The safe-branch rule is the `[u64; 3]`-allreduce
+//! One walk over the statement trees of [`crate::cfg`] builds the
+//! *collective schedule* of each body — the ordered sequence of
+//! collectives (kind × wire-ness, a nonblocking start and its wait as two
+//! ops) every rank can emit — and checks it as it goes: every branch is
+//! either proven schedule-equivalent across its arms or proven *decided
+//! by replicated data*. The safe-branch rule is the `[u64; 3]`-allreduce
 //! pattern of the direction-optimizing hybrid: a branch condition is safe
 //! iff it derives from a prior collective's replicated result
-//! (`allreduce` / `allgather`) or from rank-invariant
-//! configuration; anything rooted in `.rank()` or rank-named data makes
-//! the branch divergent, and divergent arms with different schedules are
-//! exactly the silent-deadlock shape the MPI-style matching discipline of
+//! (`allreduce` / `allgather`) or from rank-invariant configuration;
+//! anything rooted in `.rank()` or rank-named data makes the branch
+//! divergent, and divergent arms with different schedules are exactly the
+//! silent-deadlock shape the MPI-style matching discipline of
 //! Buluç–Madduri (arXiv:1104.4518) forbids.
 //!
 //! One rule reports findings ([`SCHEDULE_ASYMMETRY`]), and a
@@ -22,11 +22,15 @@
 //! diffs them against the whole collective sequence every rank of a real
 //! run records (`Comm::take_schedule`; see `docs/static-analysis.md`).
 //!
-//! Calls resolve by inlining: every function is checked with its
-//! parameters replicated, and each check inlines every callee it can
-//! resolve with that call site's argument classes, so a rank-divergent
-//! argument is reported at the callee's branch from the caller's check.
-//! The callee's early exits are checked at the same inline site.
+//! The walk binds each local to one bit: possibly rank-divergent, or not.
+//! Every function is checked on its own with its parameters replicated,
+//! and each call it can resolve is inlined: the callee's body is walked
+//! at the call with its parameters bound to the classes of the call's
+//! arguments, so a rank-divergent argument is reported at the callee's
+//! branch, and the callee's early exits are checked at the same site. A
+//! closure argument is bound to the parameter it fills and walked where
+//! the callee calls that parameter, its own parameters bound to that
+//! call's arguments.
 //!
 //! The pass covers the source of every workspace crate, `crates/comm`
 //! included: a collective's implementation is held to the same rule as
@@ -36,6 +40,7 @@
 use crate::cfg::{self, Closure, ExprFacts, FnDef, Stmt};
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 use crate::rules::Finding;
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::rc::Rc;
@@ -44,14 +49,24 @@ use std::rc::Rc;
 /// with schedule-different arms must be decided by replicated data.
 pub const SCHEDULE_ASYMMETRY: &str = "schedule-asymmetry";
 
-/// Marker op: `return` — exits the enclosing function (or rank closure).
-/// A callee's or closure's exits resolve inside it: each inline site
-/// checks them with its own argument classes, in the body's own file,
-/// and then strips them, so the caller's check never sees them.
-const RETURN: &str = "@return";
-/// Marker op: `break` / `continue` — exits the innermost enclosing loop,
-/// so it is schedule-relevant only when that loop carries collectives.
-const BREAK: &str = "@break";
+/// Why a branch is reported: its condition is rank-divergent and its arms
+/// issue different collectives.
+pub const ARMS_DIFFER: &str = "branch condition derives from rank-divergent data but its arms \
+    emit different collective schedules; decide the branch with a replicated value (a prior \
+    allreduce/allgather result or rank-invariant config), or annotate the proof with \
+    `// schedule: replicated`";
+
+/// Why a branch is reported: its condition is rank-divergent and some of
+/// its arms leave early (`return`, `break`, `continue`, `?`, `let .. else`)
+/// past collectives the others reach.
+pub const EARLY_EXIT: &str = "rank-divergent branch exits early on some arms while \
+    collectives follow: exiting ranks abandon the rendezvous";
+
+/// Why a loop is reported: its head is rank-divergent and its body issues
+/// collectives.
+pub const LOOP_HEAD: &str = "loop condition derives from rank-divergent data but the body \
+    emits collectives: ranks would run different iteration counts and the collective \
+    schedules diverge";
 
 /// The one collective catalogue: every public collective of `Comm` and
 /// `PendingExchange` by method name, with the fingerprint names (the
@@ -107,91 +122,26 @@ pub fn is_collective_call(toks: &[Tok], dot: usize, name: &str) -> bool {
     }
 }
 
-/// Rank-invariance classification of a value or branch condition.
-///
-/// A small may-lattice: `div` means possibly rank-divergent, `deps` is
-/// the set of enclosing-function parameters the value derives from
-/// (resolved where the function is inlined) and of closure parameters
-/// (resolved where the closure is called, see [`Lambda`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Class {
-    div: bool,
-    deps: u64,
-}
-
-impl Class {
-    const REPL: Class = Class {
-        div: false,
-        deps: 0,
-    };
-    const DIV: Class = Class { div: true, deps: 0 };
-
-    fn dep(i: usize) -> Class {
-        Class {
-            div: false,
-            deps: 1u64 << i.min(63),
-        }
-    }
-
-    fn join(self, other: Class) -> Class {
-        Class {
-            div: self.div || other.div,
-            deps: self.deps | other.deps,
-        }
-    }
-}
-
-/// A schedule-summary node. Lines are advisory (for reporting) and
-/// ignored by equivalence.
+/// A schedule node: a regular expression over collectives. Lines are
+/// advisory (for reporting) and ignored by equivalence.
 #[derive(Clone, Debug)]
 pub enum Node {
-    /// One collective, named by its dynamic fingerprint kind (plus the
-    /// `@return` / `@break` markers).
-    Op(&'static str, u32),
+    /// One collective, named by its dynamic fingerprint kind.
+    Op(&'static str),
     Seq(Vec<Node>),
-    /// Branch alternatives. `cond` is the joined class of every condition
-    /// along the `if`/`else if`/`match` chain.
+    /// Branch alternatives. `div` when the joined condition of the
+    /// `if`/`else if`/`match` chain is possibly rank-divergent.
     Alt {
         arms: Vec<Node>,
-        cond: Class,
+        div: bool,
         line: u32,
     },
-    /// Zero-or-more repetitions. `head` is the loop condition's class
-    /// (`None` for `loop`).
-    Loop {
-        body: Box<Node>,
-        head: Option<Class>,
-        line: u32,
-    },
-    /// Unresolved call, expanded interprocedurally. `args` are the
-    /// argument classes at the site (receiver prepended for methods).
-    /// `path` marks a `Type::name(..)` call, whose first argument is a
-    /// method's `self`; `qual` also resolves `self.name(..)`.
-    Call {
-        name: String,
-        qual: Option<String>,
-        has_recv: bool,
-        path: bool,
-        args: Vec<Class>,
-        closures: Vec<(usize, Lambda)>,
-        line: u32,
-    },
-    /// Call through a function parameter (higher-order): substituted with
-    /// the closure the caller passed in that position, its parameters
-    /// bound to the classes of these arguments.
-    ParamCall(usize, Vec<Class>, u32),
-}
-
-/// A closure literal's summary. Its parameters are the dependency bits
-/// `base..base + arity` of the enclosing function's classes (past that
-/// function's own parameters and those of any enclosing closure), so a
-/// call through the parameter it is passed to can bind them to that
-/// call's argument classes.
-#[derive(Clone, Debug)]
-pub struct Lambda {
-    base: usize,
-    arity: usize,
-    body: Node,
+    /// Zero-or-more repetitions of the body.
+    Loop(Box<Node>),
+    /// An early exit: `return` (`0`), or a `break` / `continue` leaving
+    /// that many loops. Exits are checked and removed where the body that
+    /// holds them ends, so no entry's schedule holds one.
+    Exit(usize),
 }
 
 impl Node {
@@ -204,8 +154,7 @@ impl Node {
     }
 }
 
-/// A driver entry point: a `run_ranks` rank closure, with its expanded
-/// schedule (markers stripped).
+/// A driver entry point: a `run_ranks` rank closure, with its schedule.
 #[derive(Debug)]
 pub struct Entry {
     /// The enclosing function's name.
@@ -226,16 +175,12 @@ struct FileInfo {
 }
 
 /// The result of analyzing a workspace or source set.
+#[derive(Default)]
 pub struct Analysis {
     files: Vec<FileInfo>,
     fns: Vec<FnInfo>,
     by_name: HashMap<String, Vec<usize>>,
     by_qual: HashMap<(String, String), usize>,
-    /// Raw (pre-entry) summaries, index-aligned with `fns`.
-    summaries: Vec<Node>,
-    /// Entry closures found during summarization: (fn index, name, line,
-    /// unexpanded closure summary).
-    raw_entries: Vec<(usize, String, u32, Node)>,
     pub entries: Vec<Entry>,
     pub findings: Vec<Finding>,
 }
@@ -255,16 +200,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Analysis> {
 /// Analyzes a set of `(workspace-relative path, source)` pairs. Exposed
 /// for the fixture tests.
 pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
-    let mut a = Analysis {
-        files: Vec::new(),
-        fns: Vec::new(),
-        by_name: HashMap::new(),
-        by_qual: HashMap::new(),
-        summaries: Vec::new(),
-        raw_entries: Vec::new(),
-        entries: Vec::new(),
-        findings: Vec::new(),
-    };
+    let mut a = Analysis::default();
     for (path, src) in sources {
         let lexed = lex(&src);
         let defs = cfg::parse_file(&lexed);
@@ -279,16 +215,33 @@ pub fn analyze_sources(sources: Vec<(String, String)>) -> Analysis {
             a.fns.push(FnInfo { file_idx, def });
         }
     }
-    // Phase 1: per-function summaries (local dataflow).
-    for idx in 0..a.fns.len() {
-        let (node, entries) = summarize_fn(&a, idx);
-        a.summaries.push(node);
-        for (name, line, node) in entries {
-            a.raw_entries.push((idx, name, line, node));
-        }
+    let mut w = Walker {
+        a: &a,
+        root: 0,
+        stack: Vec::new(),
+        silent: false,
+        findings: BTreeSet::new(),
+        entries: Vec::new(),
+    };
+    // Every function is checked on its own, with its parameters
+    // replicated; a divergent argument is caught where a caller's check
+    // inlines the function with that call's argument classes.
+    for (idx, f) in a.fns.iter().enumerate() {
+        w.root = idx;
+        let node = w.block(&f.def.body, &mut Scope::new(idx), false);
+        w.check_exits(&node, idx, false, &mut Vec::new());
     }
-    // Phase 2: checks + entry expansion.
-    run_checks(&mut a);
+    let (entries, findings) = (w.entries, w.findings);
+    a.entries = entries;
+    a.findings = findings
+        .into_iter()
+        .map(|(file, line, message)| Finding {
+            file,
+            line,
+            rule: SCHEDULE_ASYMMETRY,
+            message: message.to_string(),
+        })
+        .collect();
     a
 }
 
@@ -296,197 +249,138 @@ impl Analysis {
     pub fn entry(&self, name: &str) -> Option<&Entry> {
         self.entries.iter().find(|e| e.name == name)
     }
-
-    fn file_of(&self, fn_idx: usize) -> &FileInfo {
-        &self.files[self.fns[fn_idx].file_idx]
-    }
 }
 
-// ---------------------------------------------------------------------------
-// Phase 1: summarization with local rank-invariance dataflow.
-// ---------------------------------------------------------------------------
-
-struct Summarizer<'a> {
-    a: &'a Analysis,
+/// The bindings a body is walked under.
+#[derive(Clone)]
+struct Scope<'a> {
+    /// The function the body belongs to: its file, its impl type and the
+    /// parameters a call can go through.
     fn_idx: usize,
-    lexed: &'a Lexed,
-    /// Enclosing `impl` type, for `self.method()` resolution.
-    qual: Option<String>,
-    /// Local value classes (params seeded as `Dep(i)`).
-    env: HashMap<String, Class>,
-    /// Named local closures, inlined at their call sites.
-    local_closures: HashMap<String, Lambda>,
-    /// The first dependency bit free for a closure literal's parameters.
-    closure_base: usize,
-    /// Entries discovered in this function.
-    entries: Vec<(String, u32, Node)>,
+    /// The class of each local: true when possibly rank-divergent. A name
+    /// not bound here (a type or const path, a module constant, a static)
+    /// is replicated: per-rank data only enters a function through its
+    /// parameters, `.rank()` calls and rank-named bindings.
+    env: HashMap<&'a str, bool>,
+    /// The closures callable by name: named local closures, and closure
+    /// arguments bound to the callee parameters they fill.
+    funs: HashMap<&'a str, Rc<Fun<'a>>>,
 }
 
-fn summarize_fn(a: &Analysis, fn_idx: usize) -> (Node, Vec<(String, u32, Node)>) {
-    let info = &a.fns[fn_idx];
-    let lexed = &a.files[info.file_idx].lexed;
-    let mut s = Summarizer {
-        a,
-        fn_idx,
-        lexed,
-        qual: info.def.qual.clone(),
-        env: HashMap::new(),
-        local_closures: HashMap::new(),
-        closure_base: info.def.params.len(),
-        entries: Vec::new(),
-    };
-    for (i, p) in info.def.params.iter().enumerate() {
-        s.env.insert(p.clone(), Class::dep(i));
+impl Scope<'_> {
+    fn new(fn_idx: usize) -> Self {
+        let (env, funs) = (HashMap::new(), HashMap::new());
+        Scope { fn_idx, env, funs }
     }
-    let node = s.block(&info.def.body, Class::REPL);
-    (node, s.entries)
 }
 
-impl Summarizer<'_> {
-    /// Class of an expression from its facts under the current env.
-    fn class_of(&self, f: &ExprFacts) -> Class {
-        if f.repl_root {
-            return Class::REPL;
-        }
-        let mut c = if f.rank { Class::DIV } else { Class::REPL };
-        for root in &f.roots {
-            c = c.join(self.class_of_name(root));
-        }
-        c
+/// A closure callable by name, with the bindings where it was written.
+struct Fun<'a> {
+    closure: &'a Closure,
+    scope: Scope<'a>,
+    /// Set when a call runs it.
+    called: Cell<bool>,
+}
+
+impl<'a> Fun<'a> {
+    fn new(closure: &'a Closure, scope: Scope<'a>) -> Rc<Self> {
+        let called = Cell::new(false);
+        Rc::new(Fun {
+            closure,
+            scope,
+            called,
+        })
+    }
+}
+
+struct Walker<'a> {
+    a: &'a Analysis,
+    /// The function whose own check is running: only it records entries.
+    root: usize,
+    /// The callees being inlined, outermost first; a call back into one
+    /// of them is cut.
+    stack: Vec<usize>,
+    /// Set while a walk only settles bindings (a loop's first pass, a
+    /// closure literal's effect where it is written): calls are not
+    /// followed, and nothing is reported or recorded.
+    silent: bool,
+    /// `(file, line, message)` of each [`SCHEDULE_ASYMMETRY`] finding,
+    /// kept sorted and unique by the set.
+    findings: BTreeSet<(String, u32, &'static str)>,
+    entries: Vec<Entry>,
+}
+
+/// The class of an expression under `s`.
+fn class_of(f: &ExprFacts, s: &Scope) -> bool {
+    !f.repl_root && (f.rank || f.roots.iter().any(|r| s.env.get(r.as_str()) == Some(&true)))
+}
+
+impl<'a> Walker<'a> {
+    fn file(&self, fn_idx: usize) -> &'a FileInfo {
+        &self.a.files[self.a.fns[fn_idx].file_idx]
     }
 
-    /// A name the dataflow does not bind (a type or const path, a
-    /// module constant, a static) resolves replicated: per-rank data can
-    /// only enter a function through its parameters, `.rank()` calls, or
-    /// rank-named bindings.
-    fn class_of_name(&self, name: &str) -> Class {
-        self.env.get(name).copied().unwrap_or(Class::REPL)
+    /// Records a finding, unless an allow-directive suppresses it.
+    fn report(&mut self, fn_idx: usize, line: u32, why: &'static str) {
+        let file = self.file(fn_idx);
+        if !self.silent && !file.lexed.allowed(line, SCHEDULE_ASYMMETRY) {
+            self.findings.insert((file.path.clone(), line, why));
+        }
     }
 
-    /// Summarizes a statement list under branch/loop context `ctx` (the
-    /// joined class of every enclosing condition — assignments inherit
-    /// it, because *which* value gets assigned depends on the branch).
-    fn block(&mut self, stmts: &[Stmt], ctx: Class) -> Node {
+    /// The schedule of a statement list under branch/loop context `ctx`
+    /// (the joined class of every enclosing condition — assignments
+    /// inherit it, because *which* value gets assigned depends on the
+    /// branch).
+    fn block(&mut self, stmts: &'a [Stmt], s: &mut Scope<'a>, ctx: bool) -> Node {
         let mut out = Vec::new();
         for stmt in stmts {
-            self.stmt(stmt, ctx, &mut out);
+            self.stmt(stmt, s, ctx, &mut out);
         }
-        Node::Seq(out)
+        flatten(out)
     }
 
-    fn stmt(&mut self, stmt: &Stmt, ctx: Class, out: &mut Vec<Node>) {
+    fn stmt(&mut self, stmt: &'a Stmt, s: &mut Scope<'a>, ctx: bool, out: &mut Vec<Node>) {
+        let replicated = |line| self.file(s.fn_idx).lexed.is_replicated(line);
         match stmt {
-            Stmt::Op { name, line } => {
-                for &f in fingerprints(name) {
-                    out.push(Node::Op(f, *line));
+            Stmt::Op { name, .. } => out.extend(fingerprints(name).iter().map(|&f| Node::Op(f))),
+            Stmt::Call { closures, .. } => {
+                if !self.silent {
+                    self.call(stmt, s, out);
                 }
-            }
-            Stmt::Call {
-                name,
-                qual,
-                recv,
-                closures,
-                args,
-                line,
-            } => {
-                // A `run_ranks` call with a closure literal is a driver
-                // entry point: the closure is the per-rank schedule, and
-                // the spawn machinery itself is not modeled (the
-                // world-run-boundary lint guarantees this is the only
-                // spawn surface).
-                if name == "run_ranks" {
-                    if let Some((_, c)) = closures.first() {
-                        let node = self.closure(c).body;
-                        let ename = self.a.fns[self.fn_idx].def.name.clone();
-                        self.entries.push((ename, *line, node));
-                    }
-                    return;
+                for (_, c) in closures {
+                    self.effects(c, s);
                 }
-                // Call through a named local closure: inline it as a call
-                // with no name, which never resolves, so expansion runs it
-                // like any unknown callee's closure: its exits checked at
-                // this site, its returns confined to it.
-                if recv.is_none() && qual.is_none() {
-                    if let Some(l) = self.local_closures.get(name) {
-                        out.push(Node::Call {
-                            name: String::new(),
-                            qual: None,
-                            has_recv: false,
-                            path: false,
-                            args: Vec::new(),
-                            closures: vec![(0, l.clone())],
-                            line: *line,
-                        });
-                        return;
-                    }
-                    // Call through a function parameter (higher-order).
-                    if let Some(i) = self.a.fns[self.fn_idx]
-                        .def
-                        .params
-                        .iter()
-                        .position(|p| p == name)
-                    {
-                        let args = args.iter().map(|f| self.class_of(f)).collect();
-                        out.push(Node::ParamCall(i, args, *line));
-                        return;
-                    }
-                }
-                let mut arg_classes = Vec::new();
-                if let Some(r) = recv {
-                    arg_classes.push(self.class_of_name(r));
-                }
-                for f in args {
-                    arg_classes.push(self.class_of(f));
-                }
-                let closures: Vec<(usize, Lambda)> = closures
-                    .iter()
-                    .map(|(i, c)| (*i, self.closure(c)))
-                    .collect();
-                out.push(Node::Call {
-                    name: name.clone(),
-                    path: qual.is_some(),
-                    // `self.method()` resolves within the enclosing impl.
-                    qual: qual.clone().or_else(|| {
-                        (recv.as_deref() == Some("self"))
-                            .then(|| self.qual.clone())
-                            .flatten()
-                    }),
-                    has_recv: recv.is_some(),
-                    args: arg_classes,
-                    closures,
-                    line: *line,
-                });
             }
             Stmt::Branch { cond, arms, line } => {
-                let cond_class = if self.lexed.is_replicated(*line) {
-                    Class::REPL
-                } else {
-                    self.class_of(cond)
-                };
-                let scrutinee = self.class_of(cond);
-                let outer = self.env.clone();
-                let mut arm_nodes = Vec::new();
+                let scrutinee = class_of(cond, s);
+                let div = scrutinee && !replicated(*line);
+                let outer = s.env.clone();
                 let mut merged = outer.clone();
+                let mut nodes = Vec::new();
                 for arm in arms {
-                    self.env = outer.clone();
-                    for b in &arm.bound {
-                        self.env.insert(b.clone(), scrutinee);
-                    }
-                    arm_nodes.push(self.block(&arm.body, ctx.join(cond_class)));
-                    for (k, v) in &self.env {
-                        let m = merged.entry(k.clone()).or_insert(*v);
-                        *m = m.join(*v);
+                    s.env = outer.clone();
+                    s.env
+                        .extend(arm.bound.iter().map(|b| (b.as_str(), scrutinee)));
+                    nodes.push(self.block(&arm.body, s, ctx || div));
+                    for (&k, &v) in &s.env {
+                        *merged.entry(k).or_default() |= v;
                     }
                 }
-                self.env = merged;
-                if arm_nodes.iter().all(Node::is_empty) {
+                s.env = merged;
+                // Equivalent arms collapse: the branch is schedule-neutral.
+                if nodes.iter().all(|n| equivalent(n, &nodes[0])) {
+                    out.extend(nodes.into_iter().next());
                     return;
                 }
-                out.push(Node::Alt {
-                    arms: arm_nodes,
-                    cond: cond_class,
-                    line: *line,
-                });
+                // Only arms that differ in collectives are reported here;
+                // divergent early exits are `check_exits`' part, with the
+                // ops that follow in view.
+                if div && nodes.iter().any(|n| op_names(n) != op_names(&nodes[0])) {
+                    self.report(s.fn_idx, *line, ARMS_DIFFER);
+                }
+                let (arms, line) = (nodes, *line);
+                out.push(Node::Alt { arms, div, line });
             }
             Stmt::Loop {
                 head,
@@ -494,386 +388,243 @@ impl Summarizer<'_> {
                 body,
                 line,
             } => {
-                let head_class = if self.lexed.is_replicated(*line) {
-                    Some(Class::REPL)
-                } else {
-                    head.as_ref().map(|h| self.class_of(h))
-                };
-                let hc = head_class.unwrap_or(Class::REPL);
-                // Two passes for a loop-carried fixpoint on the env.
-                for pass in 0..2 {
-                    for b in bound {
-                        self.env.insert(b.clone(), hc);
-                    }
-                    let node = self.block(body, ctx.join(hc));
-                    if pass == 1 && !node.is_empty() {
-                        out.push(Node::Loop {
-                            body: Box::new(node),
-                            head: head_class,
-                            line: *line,
-                        });
-                    }
+                let div = !replicated(*line) && head.as_ref().is_some_and(|h| class_of(h, s));
+                // Two passes settle the loop-carried bindings; the second
+                // is the one that counts.
+                let silent = self.silent;
+                let mut node = Node::empty();
+                for settle in [true, false] {
+                    self.silent = silent || settle;
+                    s.env.extend(bound.iter().map(|b| (b.as_str(), div)));
+                    node = self.block(body, s, ctx || div);
                 }
+                if node.is_empty() {
+                    return;
+                }
+                if div && has_ops(&node) {
+                    self.report(s.fn_idx, *line, LOOP_HEAD);
+                }
+                out.push(Node::Loop(Box::new(node)));
             }
             Stmt::Let { names, value, line } => {
-                let c = if self.lexed.is_replicated(*line) {
-                    Class::REPL
-                } else {
-                    self.class_of(value).join(ctx)
-                };
-                for n in names {
-                    self.env.insert(n.clone(), c);
-                }
+                let c = !replicated(*line) && (ctx || class_of(value, s));
+                s.env.extend(names.iter().map(|n| (n.as_str(), c)));
             }
             Stmt::LetClosure { name, closure, .. } => {
-                let lambda = self.closure(closure);
+                let scope = s.clone();
+                self.effects(closure, s);
                 if !name.is_empty() {
-                    self.local_closures.insert(name.clone(), lambda);
+                    s.funs.insert(name, Fun::new(closure, scope));
                 }
             }
             Stmt::Assign { name, value, line } => {
-                let c = if self.lexed.is_replicated(*line) {
-                    Class::REPL
-                } else {
-                    let old = self.class_of_name(name);
-                    old.join(self.class_of(value)).join(ctx)
-                };
-                self.env.insert(name.clone(), c);
+                let old = s.env.get(name.as_str()) == Some(&true);
+                let c = !replicated(*line) && (old || ctx || class_of(value, s));
+                s.env.insert(name, c);
             }
-            Stmt::Break { line } => {
-                out.push(Node::Op(BREAK, *line));
-            }
-            Stmt::Return { line } => {
-                out.push(Node::Op(RETURN, *line));
-            }
+            Stmt::Exit(loops) => out.push(Node::Exit(*loops)),
         }
     }
 
-    /// Summarizes a closure body in the enclosing scope, its parameters
-    /// bound to fresh dependency bits. A call through a higher-order
-    /// parameter binds them to its argument classes; anywhere else (a
-    /// named local closure, an unresolved callee such as `pool.install`
-    /// or an iterator adapter, a rank closure) they stay unbound and
-    /// resolve replicated, and the conformance test backstops that.
-    fn closure(&mut self, c: &Closure) -> Lambda {
-        let saved: Vec<(String, Option<Class>)> = c
+    /// Walks a call: a rank closure, a closure called by name, an inlined
+    /// callee or an unknown one.
+    fn call(&mut self, call: &'a Stmt, s: &mut Scope<'a>, out: &mut Vec<Node>) {
+        let Stmt::Call {
+            name,
+            qual,
+            recv,
+            closures,
+            args,
+            line,
+        } = call
+        else {
+            return;
+        };
+        let a = self.a;
+        // A `run_ranks` call with a closure literal is a driver entry
+        // point: the closure is the per-rank schedule, and the spawn
+        // machinery itself is not modeled (the world-run-boundary lint
+        // guarantees this is the only spawn surface).
+        if name == "run_ranks" {
+            let own = s.fn_idx == self.root && !self.stack.contains(&self.root);
+            if let Some((_, c)) = closures.first().filter(|_| own) {
+                let schedule = self.closure(c, &mut s.clone(), &[]);
+                self.entries.push(Entry {
+                    name: a.fns[self.root].def.name.clone(),
+                    file: self.file(self.root).path.clone(),
+                    line: *line,
+                    schedule,
+                });
+            }
+            return;
+        }
+        let recv_class = recv.iter().map(|r| s.env.get(r.as_str()) == Some(&true));
+        let classes: Vec<bool> = recv_class
+            .chain(args.iter().map(|f| class_of(f, s)))
+            .collect();
+        if recv.is_none() && qual.is_none() {
+            // A named local closure, or a closure argument called through
+            // the parameter it fills: walked here, its parameters bound
+            // to this call's argument classes. A parameter bound to no
+            // closure runs nothing the walk can see.
+            if let Some(f) = s.funs.get(name.as_str()).cloned() {
+                f.called.set(true);
+                out.push(self.closure(f.closure, &mut f.scope.clone(), &classes));
+                return;
+            }
+            if a.fns[s.fn_idx].def.params.contains(name) {
+                return;
+            }
+        }
+        // `self.method()` resolves within the enclosing impl.
+        let own = a.fns[s.fn_idx].def.qual.as_ref();
+        let own = own.filter(|_| recv.as_deref() == Some("self"));
+        let qual_or_self = qual.as_ref().or(own).map(String::as_str);
+        let file = &self.file(s.fn_idx).path;
+        let target = resolve_in(a, name, qual_or_self, classes.len(), file);
+        let Some(t) = target.filter(|t| !self.stack.contains(t)) else {
+            // Unknown callee: assume it invokes each closure argument once,
+            // in order (`pool.install`, iterator adapters; raw spawns are
+            // lint-banned), with its parameters replicated. A recursive
+            // call is cut, its closures still checked.
+            for (_, c) in closures {
+                let node = self.closure(c, &mut s.clone(), &[]);
+                if target.is_none() {
+                    out.push(node);
+                }
+            }
+            return;
+        };
+        // Bind the arguments to the callee's parameters. A method's `self`
+        // takes the receiver, or the first argument of a path call
+        // (`Type::method(obj, ..)`); on a chained call with no named
+        // receiver (`f().method(..)`) the arguments shift past `self`, and
+        // a receiver on a callee without `self` is dropped.
+        let callee = &a.fns[t].def;
+        let has_self = callee.params.first().is_some_and(|p| p == "self");
+        let (skip, shift) = match (has_self, recv.is_some()) {
+            (true, false) if qual.is_none() => (0, 1),
+            (false, true) => (1, 0),
+            _ => (0, 0),
+        };
+        let param = |i: usize| {
+            i.checked_sub(skip)
+                .and_then(|i| callee.params.get(i + shift))
+        };
+        let mut inner = Scope::new(t);
+        for (i, &c) in classes.iter().enumerate() {
+            if let Some(p) = param(i) {
+                inner.env.insert(p, c);
+            }
+        }
+        let mut bound = Vec::new();
+        for (j, closure) in closures {
+            let f = Fun::new(closure, s.clone());
+            if let Some(p) = param(j + usize::from(recv.is_some())) {
+                inner.funs.insert(p, f.clone());
+            }
+            bound.push(f);
+        }
+        self.stack.push(t);
+        let node = self.block(&callee.body, &mut inner, false);
+        self.stack.pop();
+        // The callee's early exits, checked with this call's argument
+        // classes before the inline boundary hides them.
+        self.check_exits(&node, t, false, &mut Vec::new());
+        out.push(strip_exits(node));
+        // A closure the callee never calls through its parameter is still
+        // checked, here.
+        for f in bound.iter().filter(|f| !f.called.get()) {
+            self.closure(f.closure, &mut s.clone(), &[]);
+        }
+    }
+
+    /// Walks a closure's body on `s`, its parameters bound to `classes`
+    /// (replicated past their end). A `return` leaves only the closure:
+    /// its early exits are checked here, and none escapes.
+    fn closure(&mut self, c: &'a Closure, s: &mut Scope<'a>, classes: &[bool]) -> Node {
+        for (j, p) in c.params.iter().enumerate() {
+            s.env.insert(p, classes.get(j) == Some(&true));
+        }
+        let node = self.block(&c.body, s, false);
+        if !self.silent {
+            self.check_exits(&node, s.fn_idx, false, &mut Vec::new());
+        }
+        strip_exits(node)
+    }
+
+    /// Applies a closure literal's effect on the bindings around it (an
+    /// assignment to a captured local) where it is written: its body is
+    /// walked silently on `s`, its parameters replicated and restored
+    /// after.
+    fn effects(&mut self, c: &'a Closure, s: &mut Scope<'a>) {
+        let saved: Vec<_> = c
             .params
             .iter()
-            .map(|p| (p.clone(), self.env.get(p).copied()))
+            .map(|p| (p, s.env.remove(p.as_str())))
             .collect();
-        let base = self.closure_base;
-        self.closure_base += c.params.len();
-        for (j, p) in c.params.iter().enumerate() {
-            self.env.insert(p.clone(), Class::dep(base + j));
-        }
-        let body = self.block(&c.body, Class::REPL);
-        self.closure_base = base;
+        let silent = std::mem::replace(&mut self.silent, true);
+        self.closure(c, s, &[]);
+        self.silent = silent;
         for (p, old) in saved {
-            match old {
-                Some(v) => {
-                    self.env.insert(p, v);
-                }
-                None => {
-                    self.env.remove(&p);
-                }
-            }
-        }
-        Lambda {
-            base,
-            arity: c.params.len(),
-            body,
+            s.env.remove(p.as_str());
+            s.env.extend(old.map(|v| (p.as_str(), v)));
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Phase 2: interprocedural expansion + checks.
-// ---------------------------------------------------------------------------
-
-/// Expansion context: the function whose summary is being expanded, with
-/// its parameter classes already resolved to replicated/divergent and the
-/// closures substituted for higher-order parameters. The default context
-/// — every parameter replicated, none substituted — roots a check.
-#[derive(Clone, Default)]
-struct Ctx {
-    /// Resolved class per dependency bit (true = divergent): the
-    /// function's parameters, then those of the closures being expanded.
-    param_div: Vec<bool>,
-    /// Closures per higher-order parameter index.
-    subst: HashMap<usize, Subst>,
-}
-
-/// A closure passed for a higher-order parameter, expanded where the
-/// callee calls that parameter: in the caller's context, with its
-/// parameters resolved from the call's arguments.
-#[derive(Clone)]
-struct Subst {
-    lambda: Lambda,
-    ctx: Rc<Ctx>,
-    file: String,
-}
-
-struct Expander<'a> {
-    a: &'a Analysis,
-    stack: Vec<usize>,
-    /// `(file, line, message)` of each [`SCHEDULE_ASYMMETRY`] finding,
-    /// kept sorted and unique by the set.
-    findings: BTreeSet<(String, u32, String)>,
-}
-
-fn run_checks(a: &mut Analysis) {
-    let mut ex = Expander {
-        a,
-        stack: Vec::new(),
-        findings: BTreeSet::new(),
-    };
-    // Per-function root checks: every function gets its summary expanded
-    // with its parameters replicated and checked for divergent-branch
-    // asymmetry. A divergent argument is caught where a caller's own
-    // check inlines the function with that call site's argument classes.
-    for idx in 0..ex.a.fns.len() {
-        let file = ex.a.file_of(idx).path.clone();
-        let expanded = ex.expand(&ex.a.summaries[idx].clone(), &Ctx::default(), &file);
-        ex.check_exits(&expanded, &file, false, false);
-    }
-    // Entries: expand each rank closure; its schedule is the whole run.
-    let mut entries = Vec::new();
-    for (fn_idx, name, line, node) in ex.a.raw_entries.clone() {
-        let file = ex.a.file_of(fn_idx).path.clone();
-        let expanded = ex.expand(&node, &Ctx::default(), &file);
-        ex.check_exits(&expanded, &file, false, false);
-        entries.push(Entry {
-            name,
-            file,
-            line,
-            schedule: strip_markers(expanded),
-        });
-    }
-    let findings = std::mem::take(&mut ex.findings);
-    a.entries = entries;
-    // Drop the findings an allow-directive suppresses.
-    a.findings = findings
-        .into_iter()
-        .filter(|(file, line, _)| {
-            !a.files
-                .iter()
-                .find(|f| f.path == *file)
-                .is_some_and(|f| f.lexed.allowed(*line, SCHEDULE_ASYMMETRY))
-        })
-        .map(|(file, line, message)| Finding {
-            file,
-            line,
-            rule: SCHEDULE_ASYMMETRY,
-            message,
-        })
-        .collect();
-}
-
-impl Expander<'_> {
-    fn report(&mut self, file: &str, line: u32, msg: &str) {
-        self.findings
-            .insert((file.to_string(), line, msg.to_string()));
-    }
-
-    fn expand(&mut self, node: &Node, ctx: &Ctx, file: &str) -> Node {
+    /// Divergent early exits in one body's schedule (its exits still in
+    /// place): a rank-divergent branch is reported when its arms differ in
+    /// leaving early — a `return` while collectives follow anywhere later
+    /// in the body (remaining loop iterations included), or a `break` /
+    /// `continue` out of a loop that carries collectives. Some ranks would
+    /// leave while others rendezvous. `loops` holds whether each enclosing
+    /// loop carries collectives, innermost last.
+    fn check_exits(&mut self, node: &Node, fn_idx: usize, ops_after: bool, loops: &mut Vec<bool>) {
         match node {
-            Node::Op(n, l) => Node::Op(n, *l),
             Node::Seq(v) => {
-                let out: Vec<Node> = v
-                    .iter()
-                    .map(|n| self.expand(n, ctx, file))
-                    .filter(|n| !n.is_empty())
-                    .collect();
-                flatten(out)
-            }
-            Node::ParamCall(i, args, _) => {
-                let Some(s) = ctx.subst.get(i) else {
-                    return Node::empty();
-                };
-                let mut closure_ctx = (*s.ctx).clone();
-                for (j, c) in args.iter().enumerate().take(s.lambda.arity) {
-                    let bit = (s.lambda.base + j).min(63);
-                    if closure_ctx.param_div.len() <= bit {
-                        closure_ctx.param_div.resize(bit + 1, false);
-                    }
-                    closure_ctx.param_div[bit] |= resolve_class(*c, &ctx.param_div);
-                }
-                let body = self.expand(&s.lambda.body, &closure_ctx, &s.file);
-                self.check_exits(&body, &s.file, false, false);
-                strip_markers(body)
-            }
-            Node::Call {
-                name,
-                qual,
-                has_recv,
-                path,
-                args,
-                closures,
-                ..
-            } => {
-                let target = resolve_in(self.a, name, qual.as_deref(), args.len(), file);
-                let Some(target) = target.filter(|t| !self.stack.contains(t)) else {
-                    // Unknown callee: assume it invokes each closure
-                    // argument once, in order (`pool.install`, iterator
-                    // adapters; raw spawns are lint-banned), with its
-                    // parameters unbound. A recursive call is cut, its
-                    // closures still checked. A `return` exits only its
-                    // closure: the closure's early exits are checked
-                    // here, against the ops that follow inside it, before
-                    // the returns are stripped.
-                    let bodies: Vec<Node> = closures
-                        .iter()
-                        .map(|(_, l)| {
-                            let body = self.expand(&l.body, ctx, file);
-                            self.check_exits(&body, file, false, false);
-                            strip_returns(body)
-                        })
-                        .filter(|n| !n.is_empty())
-                        .collect();
-                    return if target.is_some() {
-                        Node::empty()
-                    } else {
-                        flatten(bodies)
-                    };
-                };
-                // Parameter classes at this site.
-                let callee = &self.a.fns[target].def;
-                let mut param_div = vec![false; callee.params.len()];
-                for (p, c) in bind_args(callee, *has_recv, *path, args) {
-                    param_div[p] = resolve_class(c, &ctx.param_div);
-                }
-                let self_slot = usize::from(has_self(callee));
-                let mut subst = HashMap::new();
-                let caller_ctx = Rc::new(ctx.clone());
-                for (arg_pos, lambda) in closures {
-                    let p = arg_pos + self_slot;
-                    if calls_param(&self.a.summaries[target], p) {
-                        let (ctx, file) = (caller_ctx.clone(), file.to_string());
-                        let lambda = lambda.clone();
-                        subst.insert(p, Subst { lambda, ctx, file });
-                    } else {
-                        // Never called through the parameter: checked here.
-                        self.expand(&lambda.body, ctx, file);
-                    }
-                }
-                let callee_ctx = Ctx { param_div, subst };
-                self.stack.push(target);
-                let callee_file = self.a.file_of(target).path.clone();
-                let out = self.expand(&self.a.summaries[target].clone(), &callee_ctx, &callee_file);
-                self.stack.pop();
-                // The callee's early exits, checked with this site's
-                // parameter classes before the inline boundary hides them.
-                self.check_exits(&out, &callee_file, false, false);
-                strip_markers(out)
-            }
-            Node::Alt { arms, cond, line } => {
-                let div = resolve_class(*cond, &ctx.param_div);
-                let arms: Vec<Node> = arms.iter().map(|n| self.expand(n, ctx, file)).collect();
-                // Equivalent arms collapse; the branch is schedule-neutral.
-                if arms.iter().all(|n| equivalent(n, &arms[0])) {
-                    return arms.into_iter().next().unwrap_or_else(Node::empty);
-                }
-                if div {
-                    // Only arms that differ in *collectives* are reported
-                    // here; divergent early exits are handled by
-                    // check_exits with following-op context.
-                    let shapes: Vec<Vec<&'static str>> = arms.iter().map(|n| op_names(n)).collect();
-                    if shapes.iter().any(|s| *s != shapes[0]) {
-                        self.report(
-                            file,
-                            *line,
-                            "branch condition derives from rank-divergent data but its arms \
-                             emit different collective schedules; decide the branch with a \
-                             replicated value (a prior allreduce/allgather result or \
-                             rank-invariant config), or annotate the proof with \
-                             `// schedule: replicated`",
-                        );
-                    }
-                }
-                Node::Alt {
-                    arms,
-                    cond: if div { Class::DIV } else { Class::REPL },
-                    line: *line,
-                }
-            }
-            Node::Loop { body, head, line } => {
-                let body = self.expand(body, ctx, file);
-                if body.is_empty() {
-                    return Node::empty();
-                }
-                if let Some(h) = head {
-                    if resolve_class(*h, &ctx.param_div) && !op_names(&body).is_empty() {
-                        self.report(
-                            file,
-                            *line,
-                            "loop condition derives from rank-divergent data but the body \
-                             emits collectives: ranks would run different iteration counts \
-                             and the collective schedules diverge",
-                        );
-                    }
-                }
-                Node::Loop {
-                    body: Box::new(body),
-                    head: head.map(|h| {
-                        if resolve_class(h, &ctx.param_div) {
-                            Class::DIV
-                        } else {
-                            Class::REPL
-                        }
-                    }),
-                    line: *line,
-                }
-            }
-        }
-    }
-
-    /// Divergent early exits: a `return` under a divergent condition is
-    /// asymmetric iff collectives follow anywhere later in the function
-    /// (including remaining loop iterations); a `break`/`continue` iff
-    /// the innermost enclosing loop carries collectives. Either way some
-    /// ranks would leave while others rendezvous.
-    fn check_exits(&mut self, node: &Node, file: &str, ops_after: bool, loop_ops: bool) {
-        match node {
-            Node::Op(..) | Node::ParamCall(..) | Node::Call { .. } => {}
-            Node::Seq(v) => {
-                // Right-to-left: does any real op follow position i?
-                let mut follow = vec![ops_after; v.len()];
-                let mut acc = ops_after;
-                for i in (0..v.len()).rev() {
-                    follow[i] = acc;
-                    acc = acc || !op_names(&v[i]).is_empty();
-                }
                 for (i, n) in v.iter().enumerate() {
-                    self.check_exits(n, file, follow[i], loop_ops);
+                    let after = ops_after || v[i + 1..].iter().any(has_ops);
+                    self.check_exits(n, fn_idx, after, loops);
                 }
             }
-            Node::Alt { arms, cond, line } => {
+            Node::Alt { arms, div, line } => {
                 for a in arms {
-                    self.check_exits(a, file, ops_after, loop_ops);
+                    self.check_exits(a, fn_idx, ops_after, loops);
                 }
-                if *cond == Class::DIV {
-                    let exits: Vec<bool> = arms
-                        .iter()
-                        .map(|a| {
-                            (contains_return(a) && (ops_after || loop_ops))
-                                || (contains_unscoped_break(a) && loop_ops)
-                        })
-                        .collect();
-                    if exits.iter().any(|e| *e != exits[0]) {
-                        self.report(
-                            file,
-                            *line,
-                            "rank-divergent branch exits early on some arms while \
-                             collectives follow: exiting ranks abandon the rendezvous",
-                        );
-                    }
+                let exits: Vec<bool> = arms
+                    .iter()
+                    .map(|a| leaves(a, ops_after, loops, 0))
+                    .collect();
+                if *div && exits.iter().any(|e| *e != exits[0]) {
+                    self.report(fn_idx, *line, EARLY_EXIT);
                 }
             }
-            Node::Loop { body, .. } => {
-                let body_ops = !op_names(body).is_empty();
-                self.check_exits(body, file, ops_after || body_ops, body_ops);
+            Node::Loop(body) => {
+                let body_ops = has_ops(body);
+                loops.push(body_ops);
+                self.check_exits(body, fn_idx, ops_after || body_ops, loops);
+                loops.pop();
             }
+            Node::Op(_) | Node::Exit(_) => {}
         }
+    }
+}
+
+/// Whether `node`, nested `inner` loops deep in the arm being checked,
+/// holds an exit that skips collectives: a `return` while `ops_after`, or
+/// a `break` / `continue` out of an enclosing loop (`loops`, innermost
+/// last) that carries collectives.
+fn leaves(node: &Node, ops_after: bool, loops: &[bool], inner: usize) -> bool {
+    match node {
+        Node::Exit(0) => ops_after,
+        Node::Exit(n) => (n - 1)
+            .checked_sub(inner)
+            .is_some_and(|up| loops.iter().rev().nth(up) == Some(&true)),
+        Node::Seq(v) | Node::Alt { arms: v, .. } => {
+            v.iter().any(|n| leaves(n, ops_after, loops, inner))
+        }
+        Node::Loop(body) => leaves(body, ops_after, loops, inner + 1),
+        Node::Op(_) => false,
     }
 }
 
@@ -887,223 +638,100 @@ fn resolve_in(
     name: &str,
     qual: Option<&str>,
     argc: usize,
-    caller_file: &str,
+    file: &str,
 ) -> Option<usize> {
-    if let Some(q) = qual {
-        if let Some(&idx) = a.by_qual.get(&(q.to_string(), name.to_string())) {
-            return Some(idx);
-        }
+    if let Some(&idx) = qual.and_then(|q| a.by_qual.get(&(q.to_string(), name.to_string()))) {
+        return Some(idx);
     }
     let candidates = a.by_name.get(name)?;
-    if candidates.len() == 1 {
-        return Some(candidates[0]);
-    }
-    let by_argc: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .filter(|&i| a.fns[i].def.params.len() == argc)
-        .collect();
-    if by_argc.len() == 1 {
-        return Some(by_argc[0]);
-    }
+    let keep = |pool: &[usize], f: &dyn Fn(&FnInfo) -> bool| -> Vec<usize> {
+        pool.iter().copied().filter(|&i| f(&a.fns[i])).collect()
+    };
+    let by_argc = keep(candidates, &|f| f.def.params.len() == argc);
     let pool = if by_argc.is_empty() {
-        candidates.as_slice()
+        candidates
     } else {
-        by_argc.as_slice()
+        &by_argc
     };
-    let local: Vec<usize> = pool
-        .iter()
-        .copied()
-        .filter(|&i| a.files[a.fns[i].file_idx].path == caller_file)
-        .collect();
-    if local.len() == 1 {
-        return Some(local[0]);
-    }
-    None
+    let local = keep(pool, &|f| a.files[f.file_idx].path == file);
+    let unique = [candidates, &by_argc, &local]
+        .into_iter()
+        .find(|c| c.len() == 1);
+    unique.map(|c| c[0])
 }
 
-/// Whether a summary calls its higher-order parameter `p`, directly or
-/// from a closure it passes on.
-fn calls_param(node: &Node, p: usize) -> bool {
-    match node {
-        Node::ParamCall(i, ..) => *i == p,
-        Node::Op(..) => false,
-        Node::Seq(v) | Node::Alt { arms: v, .. } => v.iter().any(|n| calls_param(n, p)),
-        Node::Loop { body, .. } => calls_param(body, p),
-        Node::Call { closures, .. } => closures.iter().any(|(_, l)| calls_param(&l.body, p)),
-    }
-}
-
-fn has_self(f: &FnDef) -> bool {
-    f.params.first().is_some_and(|p| p == "self")
-}
-
-/// Pairs the argument classes of a call site with the callee parameters
-/// they bind, as `(parameter index, class)`. A method's `self` takes the
-/// receiver slot, or the first argument of a path call
-/// (`Type::method(obj, ..)`); on a chained call with no named receiver
-/// (`f().method(..)`) the arguments shift past `self`, and a receiver on
-/// a callee without `self` is dropped.
-fn bind_args<'a>(
-    callee: &'a FnDef,
-    has_recv: bool,
-    path: bool,
-    args: &'a [Class],
-) -> impl Iterator<Item = (usize, Class)> + 'a {
-    let (skip, offset) = match (has_self(callee), has_recv) {
-        (true, false) if !path => (0, 1),
-        (false, true) => (1, 0),
-        _ => (0, 0),
-    };
-    args.iter()
-        .skip(skip)
-        .enumerate()
-        .map(move |(i, c)| (i + offset, *c))
-        .filter(|&(p, _)| p < callee.params.len())
-}
-
-/// Resolves a class to divergent (true) or replicated, given which
-/// dependency bits are divergent.
-fn resolve_class(c: Class, caller_div: &[bool]) -> bool {
-    if c.div {
-        return true;
-    }
-    for i in 0..64 {
-        if c.deps & (1u64 << i) != 0 && caller_div.get(i).copied().unwrap_or(false) {
-            return true;
-        }
-    }
-    false
-}
-
+/// A sequence of `v`: nested sequences (flat themselves) spliced in, so
+/// empty ones drop; a single node unwrapped.
 fn flatten(v: Vec<Node>) -> Node {
     let mut out = Vec::new();
     for n in v {
         match n {
-            Node::Seq(inner) => out.extend(match flatten(inner) {
-                Node::Seq(x) => x,
-                other => vec![other],
-            }),
+            Node::Seq(inner) => out.extend(inner),
             other => out.push(other),
         }
     }
     if out.len() == 1 {
-        out.into_iter().next().unwrap()
+        out.pop().unwrap()
     } else {
         Node::Seq(out)
     }
 }
 
-/// The real collective ops of a node, in order (markers excluded,
-/// branches flattened — used for quick "does this differ" shape checks).
+/// The collectives of a node, in order (exits excluded, branches
+/// flattened — used for quick "does this differ" shape checks).
 fn op_names(node: &Node) -> Vec<&'static str> {
-    let mut out = Vec::new();
-    fn walk(n: &Node, out: &mut Vec<&'static str>) {
-        match n {
-            Node::Op(name, _) if !name.starts_with('@') => out.push(*name),
-            Node::Op(..) => {}
-            Node::Seq(v) => v.iter().for_each(|n| walk(n, out)),
-            Node::Alt { arms, .. } => arms.iter().for_each(|n| walk(n, out)),
-            Node::Loop { body, .. } => walk(body, out),
-            Node::Call { closures, .. } => closures.iter().for_each(|(_, l)| walk(&l.body, out)),
-            Node::ParamCall(..) => {}
-        }
-    }
-    walk(node, &mut out);
-    out
-}
-
-fn contains_return(node: &Node) -> bool {
     match node {
-        Node::Op(RETURN, _) => true,
-        Node::Op(..) | Node::ParamCall(..) | Node::Call { .. } => false,
-        Node::Seq(v) => v.iter().any(contains_return),
-        Node::Alt { arms, .. } => arms.iter().any(contains_return),
-        Node::Loop { body, .. } => contains_return(body),
+        Node::Op(name) => vec![name],
+        Node::Seq(v) | Node::Alt { arms: v, .. } => v.iter().flat_map(op_names).collect(),
+        Node::Loop(body) => op_names(body),
+        Node::Exit(_) => Vec::new(),
     }
 }
 
-/// A `break`/`continue` not consumed by a `Loop` inside this subtree —
-/// i.e. one that exits a loop *enclosing* the subtree.
-fn contains_unscoped_break(node: &Node) -> bool {
+/// Whether a node issues any collective.
+fn has_ops(node: &Node) -> bool {
     match node {
-        Node::Op(BREAK, _) => true,
-        Node::Op(..) | Node::ParamCall(..) | Node::Call { .. } => false,
-        Node::Seq(v) => v.iter().any(contains_unscoped_break),
-        Node::Alt { arms, .. } => arms.iter().any(contains_unscoped_break),
-        Node::Loop { .. } => false,
+        Node::Op(_) => true,
+        Node::Seq(v) | Node::Alt { arms: v, .. } => v.iter().any(has_ops),
+        Node::Loop(body) => has_ops(body),
+        Node::Exit(_) => false,
     }
 }
 
-/// Removes `@return` markers — applied to a closure body, whose returns
-/// resolve inside it and never escape the closure.
-fn strip_returns(node: Node) -> Node {
-    match node {
-        Node::Op(RETURN, _) => Node::empty(),
-        Node::Op(..) | Node::Call { .. } | Node::ParamCall(..) => node,
-        Node::Seq(v) => Node::Seq(v.into_iter().map(strip_returns).collect()),
-        Node::Alt { arms, cond, line } => Node::Alt {
-            arms: arms.into_iter().map(strip_returns).collect(),
-            cond,
-            line,
-        },
-        Node::Loop { body, head, line } => Node::Loop {
-            body: Box::new(strip_returns(*body)),
-            head,
-            line,
-        },
-    }
-}
-
-/// Structural schedule equivalence, ignoring source lines. Markers are
-/// significant: an arm that exits early is *not* equivalent to one that
-/// falls through (check_exits decides whether that matters).
+/// Structural schedule equivalence, ignoring lines and classes. Exits
+/// are significant: an arm that exits early is *not* equivalent to one
+/// that falls through (`check_exits` decides whether that matters).
 fn equivalent(a: &Node, b: &Node) -> bool {
     match (a, b) {
-        (Node::Op(x, _), Node::Op(y, _)) => x == y,
+        (Node::Op(x), Node::Op(y)) => x == y,
+        (Node::Exit(x), Node::Exit(y)) => x == y,
         (Node::Seq(x), Node::Seq(y)) | (Node::Alt { arms: x, .. }, Node::Alt { arms: y, .. }) => {
             x.len() == y.len() && x.iter().zip(y).all(|(a, b)| equivalent(a, b))
         }
-        (Node::Loop { body: x, .. }, Node::Loop { body: y, .. }) => equivalent(x, y),
-        (Node::Call { name: x, .. }, Node::Call { name: y, .. }) => x == y,
-        (Node::ParamCall(x, ..), Node::ParamCall(y, ..)) => x == y,
+        (Node::Loop(x), Node::Loop(y)) => equivalent(x, y),
         _ => false,
     }
 }
 
-/// Removes `@return`/`@break` markers and normalizes the tree: sequences
-/// flatten, empties drop, single-child sequences unwrap.
-pub fn strip_markers(node: Node) -> Node {
+/// Removes the exits of a body where it ends, and normalizes the tree:
+/// sequences flatten, empties drop, single-child sequences unwrap.
+fn strip_exits(node: Node) -> Node {
     fn walk(n: Node) -> Option<Node> {
         match n {
-            Node::Op(name, _) if name.starts_with('@') => None,
-            Node::Op(..) => Some(n),
+            Node::Exit(_) => None,
+            Node::Op(_) => Some(n),
             Node::Seq(v) => {
-                let out: Vec<Node> = v.into_iter().filter_map(walk).collect();
-                match flatten(out) {
-                    n if n.is_empty() => None,
-                    n => Some(n),
-                }
+                Some(flatten(v.into_iter().filter_map(walk).collect())).filter(|n| !n.is_empty())
             }
-            Node::Alt { arms, cond, line } => {
+            Node::Alt { arms, div, line } => {
                 let arms: Vec<Node> = arms
                     .into_iter()
                     .map(|a| walk(a).unwrap_or_else(Node::empty))
                     .collect();
-                if arms.iter().all(Node::is_empty) {
-                    return None;
-                }
-                Some(Node::Alt { arms, cond, line })
+                let kept = arms.iter().any(|a| !a.is_empty());
+                kept.then_some(Node::Alt { arms, div, line })
             }
-            Node::Loop { body, head, line } => {
-                let body = walk(*body)?;
-                Some(Node::Loop {
-                    body: Box::new(body),
-                    head,
-                    line,
-                })
-            }
-            Node::Call { .. } | Node::ParamCall(..) => None,
+            Node::Loop(body) => walk(*body).map(|b| Node::Loop(Box::new(b))),
         }
     }
     walk(node).unwrap_or_else(Node::empty)
@@ -1117,77 +745,48 @@ pub fn strip_markers(node: Node) -> Node {
 pub fn render(node: &Node, indent: usize, out: &mut String) {
     let pad = "  ".repeat(indent);
     match node {
-        Node::Op(name, _) => {
-            out.push_str(&pad);
-            out.push_str(name);
-            out.push('\n');
-        }
-        Node::Seq(v) => {
-            if v.is_empty() {
-                out.push_str(&pad);
-                out.push_str("(empty)\n");
-            }
-            for n in v {
-                render(n, indent, out);
-            }
-        }
+        Node::Op(name) => out.push_str(&format!("{pad}{name}\n")),
+        Node::Seq(v) if v.is_empty() => out.push_str(&format!("{pad}(empty)\n")),
+        Node::Seq(v) => v.iter().for_each(|n| render(n, indent, out)),
         Node::Alt { arms, .. } => {
-            out.push_str(&pad);
-            out.push_str("alt:\n");
+            out.push_str(&format!("{pad}alt:\n"));
             for (i, a) in arms.iter().enumerate() {
-                out.push_str(&pad);
-                out.push_str(&format!("- arm {i}:\n"));
+                out.push_str(&format!("{pad}- arm {i}:\n"));
                 render(a, indent + 1, out);
             }
         }
-        Node::Loop { body, .. } => {
-            out.push_str(&pad);
-            out.push_str("loop:\n");
+        Node::Loop(body) => {
+            out.push_str(&format!("{pad}loop:\n"));
             render(body, indent + 1, out);
         }
-        Node::Call { name, .. } => {
-            out.push_str(&pad);
-            out.push_str(&format!("call {name} (unresolved)\n"));
-        }
-        Node::ParamCall(i, ..) => {
-            out.push_str(&pad);
-            out.push_str(&format!("call param#{i}\n"));
-        }
+        Node::Exit(_) => {}
     }
 }
 
 /// Renders a schedule as JSON (hand-rolled — xtask stays
 /// zero-dependency). Ops are strings; `{"alt": [..]}` and
-/// `{"loop": [..]}` wrap alternatives and repetition.
+/// `{"loop": [..]}` wrap alternatives and repetition. An exit issues no
+/// collective: `[]`.
 pub fn to_json(node: &Node, out: &mut String) {
-    let list = |v: &[Node], out: &mut String| {
-        out.push('[');
-        for (i, n) in v.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            to_json(n, out);
-        }
-        out.push(']');
-    };
     match node {
-        Node::Op(name, _) => {
-            out.push('"');
-            out.push_str(name);
-            out.push('"');
+        Node::Op(name) => out.push_str(&format!("\"{name}\"")),
+        Node::Seq(v) | Node::Alt { arms: v, .. } => {
+            let alt = matches!(node, Node::Alt { .. });
+            out.push_str(if alt { "{\"alt\":[" } else { "[" });
+            for (i, n) in v.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                to_json(n, out);
+            }
+            out.push_str(if alt { "]}" } else { "]" });
         }
-        Node::Seq(v) => list(v, out),
-        Node::Alt { arms, .. } => {
-            out.push_str("{\"alt\":");
-            list(arms, out);
-            out.push('}');
-        }
-        Node::Loop { body, .. } => {
+        Node::Loop(body) => {
             out.push_str("{\"loop\":");
             to_json(body, out);
             out.push('}');
         }
-        Node::Call { .. } | Node::ParamCall(..) => out.push_str("\"<unresolved>\""),
+        Node::Exit(_) => out.push_str("[]"),
     }
 }
 
@@ -1202,33 +801,14 @@ pub fn matches(node: &Node, observed: &[&str]) -> bool {
 
 fn advance(node: &Node, at: &BTreeSet<usize>, seq: &[&str]) -> BTreeSet<usize> {
     match node {
-        Node::Op(name, _) => {
-            if name.starts_with('@') {
-                return at.clone();
-            }
-            at.iter()
-                .filter(|&&p| p < seq.len() && seq[p] == *name)
-                .map(|&p| p + 1)
-                .collect()
-        }
-        Node::Seq(v) => {
-            let mut cur = at.clone();
-            for n in v {
-                if cur.is_empty() {
-                    break;
-                }
-                cur = advance(n, &cur, seq);
-            }
-            cur
-        }
-        Node::Alt { arms, .. } => {
-            let mut out = BTreeSet::new();
-            for a in arms {
-                out.extend(advance(a, at, seq));
-            }
-            out
-        }
-        Node::Loop { body, .. } => {
+        Node::Op(name) => at
+            .iter()
+            .filter(|&&p| p < seq.len() && seq[p] == *name)
+            .map(|&p| p + 1)
+            .collect(),
+        Node::Seq(v) => v.iter().fold(at.clone(), |cur, n| advance(n, &cur, seq)),
+        Node::Alt { arms, .. } => arms.iter().flat_map(|a| advance(a, at, seq)).collect(),
+        Node::Loop(body) => {
             let mut out = at.clone();
             let mut frontier = at.clone();
             loop {
@@ -1244,7 +824,7 @@ fn advance(node: &Node, at: &BTreeSet<usize>, seq: &[&str]) -> BTreeSet<usize> {
             }
             out
         }
-        Node::Call { .. } | Node::ParamCall(..) => at.clone(),
+        Node::Exit(_) => at.clone(),
     }
 }
 
@@ -1619,5 +1199,52 @@ mod tests {
         let mut s = String::new();
         to_json(&e.schedule, &mut s);
         assert_eq!(s, r#"["barrier",{"loop":"allreduce"}]"#);
+    }
+
+    /// `let .. else` and `?` are branches on their value: an `else` arm
+    /// that issues a collective and returns differs in both arm shape and
+    /// exit, and a replicated value decides either safely.
+    #[test]
+    fn let_else_and_try_branch_on_their_value() {
+        let why = |src: &str| -> Vec<(u32, &'static str)> {
+            let a = analyze(src);
+            let w = |m: &str| {
+                [ARMS_DIFFER, EARLY_EXIT, LOOP_HEAD]
+                    .into_iter()
+                    .find(|k| *k == m)
+            };
+            a.findings
+                .iter()
+                .map(|f| (f.line, w(&f.message).unwrap()))
+                .collect()
+        };
+        let diverging = "fn f(comm: &Comm) {\n    let Some(x) = pick(comm.rank()) else {\n        comm.barrier();\n        return;\n    };\n    comm.barrier();\n}\n";
+        assert_eq!(why(diverging), vec![(2, ARMS_DIFFER), (2, EARLY_EXIT)]);
+        let replicated = "fn f(comm: &Comm) {\n    let Some(x) = pick(comm.allreduce(1u64, |a, b| a + b)) else {\n        return;\n    };\n    comm.barrier();\n}\n";
+        assert!(why(replicated).is_empty());
+        let tried = "fn f(comm: &Comm, n: u64) -> Result<(), E> {\n    n.checked()?;\n    comm.rank().checked()?;\n    comm.barrier();\n    Ok(())\n}\n";
+        assert_eq!(why(tried), vec![(3, EARLY_EXIT)]);
+    }
+
+    /// A labelled `break` or `continue` is checked against the loop its
+    /// label names: reported when that loop issues collectives, silent
+    /// when it names the collective-free inner loop.
+    #[test]
+    fn labelled_exits_leave_the_loop_they_name() {
+        for (label, kw, found) in [
+            ("'outer", "break", true),
+            ("'outer", "continue", true),
+            ("'inner", "break", false),
+        ] {
+            let a = analyze(&format!(
+                "fn f(comm: &Comm, n: usize) {{\n    'outer: for _ in 0..n {{\n        'inner: for _ in 0..4 {{\n            if comm.rank() == 0 {{\n                {kw} {label};\n            }}\n        }}\n        comm.barrier();\n    }}\n}}\n"
+            ));
+            let want = if found {
+                vec![(SCHEDULE_ASYMMETRY, 4)]
+            } else {
+                vec![]
+            };
+            assert_eq!(rules_at(&a), want, "{kw} {label}");
+        }
     }
 }

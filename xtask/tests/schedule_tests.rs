@@ -8,117 +8,62 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use xtask::lexer::{ident, is_punct, lex, Tok, TokKind};
-use xtask::schedule::{COLLECTIVES, SCHEDULE_ASYMMETRY};
+use xtask::schedule::{ARMS_DIFFER, COLLECTIVES, EARLY_EXIT, LOOP_HEAD, SCHEDULE_ASYMMETRY};
 use xtask::{analyze_workspace, workspace_root};
 
 fn fixtures_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/schedule")
 }
 
-/// Every seeded defect is reported with its rule name and exact
-/// file:line, and nothing else fires — in particular the safe-pattern
+/// Every seeded defect is reported with its rule name, exact file:line
+/// and reason, and nothing else fires — in particular the safe-pattern
 /// file (allreduce-decided branch, balanced rotation, a closure's
 /// divergent return after its collectives) contributes zero.
 #[test]
 fn seeded_schedule_defects_are_reported_with_rule_and_location() {
     let analysis = analyze_workspace(&fixtures_root()).expect("fixture tree must be readable");
-    let got: Vec<(String, u32, &str)> = analysis
+    let got: Vec<(String, u32, &str, &str)> = analysis
         .findings
         .iter()
-        .map(|f| (f.file.clone(), f.line, f.rule))
+        .map(|f| (f.file.clone(), f.line, f.rule, f.message.as_str()))
         .collect();
+    let at = |file: &str, line, why| {
+        let file = format!("crates/bfs/src/{file}");
+        (file, line, SCHEDULE_ASYMMETRY, why)
+    };
     let expected = vec![
         // One fixture per finding class: loop head, early return in a
         // function and through a call, `break`, closure argument and
         // path-call binding, each at the branch or loop it concerns.
-        (
-            "crates/bfs/src/classes.rs".to_string(),
-            7,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/classes.rs".to_string(),
-            14,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/classes.rs".to_string(),
-            25,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/classes.rs".to_string(),
-            33,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/classes.rs".to_string(),
-            42,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/classes.rs".to_string(),
-            54,
-            SCHEDULE_ASYMMETRY,
-        ),
+        at("classes.rs", 7, LOOP_HEAD),
+        at("classes.rs", 14, EARLY_EXIT),
+        at("classes.rs", 25, EARLY_EXIT),
+        at("classes.rs", 33, EARLY_EXIT),
+        at("classes.rs", 42, ARMS_DIFFER),
+        at("classes.rs", 54, ARMS_DIFFER),
         // A rank-divergent `return` inside a closure that skips a later
         // collective of the same closure: handed to `pool.install`, and
         // bound to a name and called.
-        (
-            "crates/bfs/src/closure_exit.rs".to_string(),
-            8,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/closure_exit.rs".to_string(),
-            17,
-            SCHEDULE_ASYMMETRY,
-        ),
+        at("closure_exit.rs", 8, EARLY_EXIT),
+        at("closure_exit.rs", 17, EARLY_EXIT),
         // The divergent condition enters through the call site; the
         // report lands on the branch inside the helper.
-        (
-            "crates/bfs/src/crossfn.rs".to_string(),
-            5,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/diverge.rs".to_string(),
-            5,
-            SCHEDULE_ASYMMETRY,
-        ),
+        at("crossfn.rs", 5, ARMS_DIFFER),
+        at("diverge.rs", 5, ARMS_DIFFER),
+        // `let .. else` and `?` on a rank-derived value, and a labelled
+        // `break` out of a collective-carrying outer loop.
+        at("exits.rs", 6, EARLY_EXIT),
+        at("exits.rs", 13, EARLY_EXIT),
+        at("exits.rs", 23, EARLY_EXIT),
         // Every rank-guarded branch whose arms differ, `if` and `match`
         // alike; the allreduce-decided direction switch stays silent.
-        (
-            "crates/bfs/src/symmetry.rs".to_string(),
-            4,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/symmetry.rs".to_string(),
-            9,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/symmetry.rs".to_string(),
-            19,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/symmetry.rs".to_string(),
-            22,
-            SCHEDULE_ASYMMETRY,
-        ),
-        (
-            "crates/bfs/src/symmetry.rs".to_string(),
-            29,
-            SCHEDULE_ASYMMETRY,
-        ),
+        at("symmetry.rs", 4, ARMS_DIFFER),
+        at("symmetry.rs", 9, ARMS_DIFFER),
+        at("symmetry.rs", 19, ARMS_DIFFER),
+        at("symmetry.rs", 22, ARMS_DIFFER),
+        at("symmetry.rs", 29, ARMS_DIFFER),
         // Rank-local data decides the branch; no replication proof.
-        (
-            "crates/bfs/src/unsafe_branch.rs".to_string(),
-            7,
-            SCHEDULE_ASYMMETRY,
-        ),
+        at("unsafe_branch.rs", 7, ARMS_DIFFER),
     ];
     assert_eq!(got, expected, "full findings: {:#?}", analysis.findings);
 }
