@@ -1,5 +1,5 @@
 //! Harness-level (algorithm × `RunConfig`) sweep rows — the ledger format
-//! behind `bin/sweep.rs` (and the recorded `results/zerocopy_ablation.json`).
+//! behind `bin/sweep.rs`.
 //!
 //! Both distributed BFS drivers return a `*Run` harvest (output +
 //! per-rank stats + per-rank traces + seconds), so one row shape covers

@@ -14,6 +14,7 @@ use crate::frontier_codec::{decode_pairs, LevelCodecStats};
 use dmbfs_comm::{Comm, WireBuf};
 use dmbfs_trace::SpanKind;
 use rayon::prelude::*;
+use rayon::ThreadPool;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -95,55 +96,80 @@ impl Accumulator {
     /// candidates and returns its sieve hits; `gather(j)` drains destination
     /// `j`'s range. The frontier is walked back to front, so where it holds
     /// ascending runs the largest parent is offered first and most later
-    /// offers stop at the load. On a `pool`, up to 64 parts scatter in
-    /// parallel, each summing its hits into its own slot, then the `dests`
-    /// destinations gather in parallel. Returns the hits and the buckets.
+    /// offers stop at the load. The scatter runs in [`part_count`] parts of
+    /// at least 64 entries, then the `dests` destinations gather, each as
+    /// one [`run_parts`] batch. Returns the hits and the buckets.
     pub(crate) fn scatter_gather<T: Sync>(
         &self,
         comm: &Comm,
-        pool: Option<&rayon::ThreadPool>,
+        pool: &ThreadPool,
         frontier: &[T],
         dests: usize,
         scatter: impl Fn(&T) -> u64 + Sync,
         gather: impl Fn(usize) -> Vec<(u64, u64)> + Sync,
     ) -> (u64, PairBuckets) {
-        let out = match pool {
-            Some(pool) => {
-                let batch_t = comm.trace_start();
-                let (mut hits, len) = ([0u64; 64], frontier.len().div_ceil(64).max(64));
-                let buckets = pool.install(|| {
-                    let parts = hits.iter_mut().zip(frontier.rchunks(len)).into_par_iter();
-                    parts.for_each(|(h, part)| *h = part.iter().rev().map(&scatter).sum());
-                    (0..dests).into_par_iter().map(&gather).collect()
-                });
-                comm.trace_span(SpanKind::TaskBatch, batch_t, frontier.len() as u64);
-                (hits.iter().sum(), buckets)
-            }
-            None => {
-                let hits = frontier.iter().rev().map(&scatter).sum();
-                (hits, (0..dests).map(&gather).collect())
-            }
+        let hits = AtomicU64::new(0);
+        let len = frontier.len().div_ceil(part_count(pool)).max(64);
+        let scatter_part = |part: &[T]| {
+            let part_hits = part.iter().rev().map(&scatter).sum();
+            hits.fetch_add(part_hits, Ordering::Relaxed);
         };
+        let parts = frontier.rchunks(len);
+        let () = run_parts(comm, pool, frontier.len() as u64, parts, scatter_part);
+        let buckets = run_parts(comm, pool, dests as u64, 0..dests, gather);
         debug_assert!(self.touched.iter().all(|w| w.load(Ordering::Relaxed) == 0));
         debug_assert!(self
             .best
             .iter()
             .all(|b| [0, SENT].contains(&b.load(Ordering::Relaxed))));
-        out
+        (hits.into_inner(), buckets)
     }
+}
+
+/// How many parts a rank splits a kernel's work into: one on a one-lane
+/// pool (a flat rank), four per lane on a wider one, so that stealing can
+/// even out uneven parts.
+pub(crate) fn part_count(pool: &ThreadPool) -> usize {
+    let lanes = pool.current_num_threads();
+    if lanes == 1 {
+        1
+    } else {
+        4 * lanes
+    }
+}
+
+/// The one executor of rank-local parallel work: runs `part` on each of
+/// `parts` and collects the results in part order. A one-lane pool runs
+/// them inline, with no `install` and no span. A wider pool runs them as
+/// one `install`, recorded as one [`SpanKind::TaskBatch`] span whose
+/// detail is `detail`; it nests in the phase span of the caller.
+pub(crate) fn run_parts<P: Send, R: Send, C: FromIterator<R>>(
+    comm: &Comm,
+    pool: &ThreadPool,
+    detail: u64,
+    parts: impl IntoIterator<Item = P>,
+    part: impl Fn(P) -> R + Sync,
+) -> C {
+    if pool.current_num_threads() == 1 {
+        return parts.into_iter().map(part).collect();
+    }
+    let batch_t = comm.trace_start();
+    let out = pool.install(|| parts.into_par_iter().map(&part).collect());
+    comm.trace_span(SpanKind::TaskBatch, batch_t, detail);
+    out
 }
 
 /// Runs one level's pair exchange on `comm` and returns the received
 /// buckets, indexed by source rank.
 ///
 /// `encode(j, pairs)` turns destination `j`'s bucket into its wire buffer.
-/// Destinations are independent, so under a hybrid `pool` they fan out
-/// across its threads. Wire accounting for off-rank buffers accumulates
-/// into `stats`; the collective itself stays on the calling (rank main)
-/// thread — the [`Comm`] threading invariant.
+/// Destinations are independent, so they encode, and arrivals decode, as
+/// one [`run_parts`] batch each. Wire accounting for off-rank buffers
+/// accumulates into `stats`; the collective itself stays on the calling
+/// (rank main) thread — the [`Comm`] threading invariant.
 pub(crate) fn exchange_pairs(
     comm: &Comm,
-    pool: Option<&rayon::ThreadPool>,
+    pool: &ThreadPool,
     stats: &mut LevelCodecStats,
     mut buckets: PairBuckets,
     encode: impl Fn(usize, &[(u64, u64)]) -> WireBuf + Sync,
@@ -159,10 +185,8 @@ pub(crate) fn exchange_pairs(
             encode(j, pairs)
         }
     };
-    let bufs: Vec<WireBuf> = match pool {
-        Some(pool) => pool.install(|| buckets.par_iter().enumerate().map(encode_one).collect()),
-        None => buckets.iter().enumerate().map(encode_one).collect(),
-    };
+    let bufs: Vec<WireBuf> =
+        run_parts(comm, pool, produced, buckets.iter().enumerate(), encode_one);
     // The own slot is empty, so it adds nothing to the tallies.
     bufs.iter().for_each(|buf| stats.note(buf));
     comm.trace_span(SpanKind::Encode, encode_t, produced);
@@ -170,10 +194,9 @@ pub(crate) fn exchange_pairs(
     let wire = comm.alltoallv_wire(bufs);
 
     let decode_t = comm.trace_start();
-    let mut recv: PairBuckets = match pool {
-        Some(pool) => pool.install(|| wire.par_iter().map(|b| decode_pairs(b.bytes())).collect()),
-        None => wire.iter().map(|b| decode_pairs(b.bytes())).collect(),
-    };
+    let mut recv: PairBuckets = run_parts(comm, pool, wire.len() as u64, &wire, |b| {
+        decode_pairs(b.bytes())
+    });
     let decoded: u64 = recv.iter().map(|b| b.len() as u64).sum();
     comm.trace_span(SpanKind::Decode, decode_t, decoded);
     recv[me] = own;

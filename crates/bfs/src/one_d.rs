@@ -21,7 +21,7 @@
 
 use crate::direction::level_loop;
 use crate::distribute::{extract_1d, Local1d};
-use crate::exchange::{exchange_pairs, Accumulator};
+use crate::exchange::{exchange_pairs, part_count, run_parts, Accumulator};
 use crate::frontier_codec::{
     decode_set_into, encode_pairs, encode_set, merge_level_stats, Codec, LevelCodecStats,
 };
@@ -30,9 +30,9 @@ use dmbfs_comm::{Comm, CommStats, LevelDirection};
 use dmbfs_graph::{CsrGraph, VertexId};
 use dmbfs_runtime::{run_ranks, scatter_block};
 use dmbfs_trace::{RankTrace, SpanKind};
-use rayon::prelude::*;
+use rayon::ThreadPool;
 use std::ops::Range;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Configuration of a 1D run — since the runtime refactor this *is* the
 /// shared [`dmbfs_runtime::RunConfig`]; the historical name stays as an
@@ -131,7 +131,7 @@ pub fn bfs1d_run(g: &CsrGraph, source: VertexId, cfg: &Bfs1dConfig) -> Dist1dRun
 struct RankSearch<'a> {
     comm: &'a Comm,
     local: &'a Local1d<'a>,
-    pool: Option<&'a rayon::ThreadPool>,
+    pool: &'a ThreadPool,
     cfg: &'a Bfs1dConfig,
     levels: Vec<AtomicI64>,
     parents: Vec<AtomicI64>,
@@ -157,7 +157,7 @@ impl<'a> RankSearch<'a> {
     fn new(
         comm: &'a Comm,
         local: &'a Local1d<'a>,
-        pool: Option<&'a rayon::ThreadPool>,
+        pool: &'a ThreadPool,
         cfg: &'a Bfs1dConfig,
     ) -> Self {
         let unreached = || (0..local.count()).map(|_| AtomicI64::new(UNREACHED));
@@ -232,8 +232,7 @@ impl<'a> RankSearch<'a> {
     /// into the SelectMax accumulator, keeping each target's max parent (the
     /// tie-break of [`RankSearch::unpack`]); gather it per destination in
     /// ascending id order, as [`encode_pairs`] wants, leaving sent targets
-    /// sieved; exchange; claim. Flat and pooled ranks run the same two
-    /// closures. Returns the next local frontier.
+    /// sieved; exchange; claim. Returns the next local frontier.
     fn top_down_level(&mut self, frontier: &[VertexId], level: i64) -> Vec<VertexId> {
         let (comm, local, acc) = (self.comm, self.local, &self.acc);
         let pack_t = comm.trace_start();
@@ -302,9 +301,9 @@ impl<'a> RankSearch<'a> {
         // Owner-side scan: walk the unvisited words by trailing zeros; each
         // unvisited vertex probes its adjacency against the frontier words,
         // exiting at the first hit, and a claim clears its bit. Words are
-        // independent (each claims only its own vertices), so the hybrid
-        // pool splits `unvisited` by whole words with no synchronization
-        // beyond the atomic stores.
+        // independent (each claims only its own vertices), so the parts
+        // split `unvisited` by whole words with no synchronization beyond
+        // the atomic stores.
         let scan_t = comm.trace_start();
         let rebuild = self.unvisited_through != Some(level - 1);
         self.unvisited_through = Some(level);
@@ -312,10 +311,12 @@ impl<'a> RankSearch<'a> {
         let (levels, parents) = (&self.levels[..], &self.parents[..]);
         let words = &self.frontier_words[..];
         let in_frontier = |u: VertexId| words[(u / 64) as usize] >> (u % 64) & 1 == 1;
-        // Scans the words of `chunk`, the first of which is word `w0`.
-        let scan = |w0: usize, chunk: &mut [u64]| {
-            let (mut next, mut examined) = (Vec::new(), 0u64);
-            for (w, word) in (w0..).zip(chunk) {
+        let examined = AtomicU64::new(0);
+        let len = self.unvisited.len().div_ceil(part_count(self.pool)).max(1);
+        // Scans part `k` of the words, the first of which is word `k * len`.
+        let scan = |(k, chunk): (usize, &mut [u64])| {
+            let (mut next, mut probes) = (Vec::new(), 0u64);
+            for (w, word) in (k * len..).zip(chunk) {
                 let owned = &levels[64 * w..levels.len().min(64 * w + 64)];
                 if rebuild {
                     let degrees = local.offsets[64 * w..].windows(2).map(|o| o[1] != o[0]);
@@ -334,7 +335,7 @@ impl<'a> RankSearch<'a> {
                     let i = 64 * w + j;
                     let v = local.to_global(i);
                     for &u in local.neighbors(v) {
-                        examined += 1;
+                        probes += 1;
                         if in_frontier(u) {
                             owned[j].store(level, Ordering::Relaxed);
                             parents[i].store(u as i64, Ordering::Relaxed);
@@ -345,24 +346,12 @@ impl<'a> RankSearch<'a> {
                     }
                 }
             }
-            (next, examined)
+            examined.fetch_add(probes, Ordering::Relaxed);
+            next
         };
-        let (next, examined) = match self.pool {
-            Some(pool) => {
-                let batch_t = comm.trace_start();
-                let parts = 4 * pool.current_num_threads();
-                let len = self.unvisited.len().div_ceil(parts).max(1);
-                let chunks = self.unvisited.chunks_mut(len).enumerate();
-                let scanned: Vec<(Vec<VertexId>, u64)> = pool.install(|| {
-                    let scan_part = |(k, chunk)| scan(k * len, chunk);
-                    chunks.into_par_iter().map(scan_part).collect()
-                });
-                comm.trace_span(SpanKind::TaskBatch, batch_t, local.count() as u64);
-                let examined = scanned.iter().map(|&(_, e)| e).sum();
-                (scanned.into_iter().flat_map(|(n, _)| n).collect(), examined)
-            }
-            None => scan(0, &mut self.unvisited),
-        };
+        let parts = self.unvisited.chunks_mut(len).enumerate();
+        let Joined(next) = run_parts(comm, self.pool, local.count() as u64, parts, scan);
+        let examined = examined.into_inner();
         comm.trace_span(SpanKind::BottomUpScan, scan_t, examined);
         (next, examined)
     }
@@ -408,25 +397,31 @@ impl<'a> RankSearch<'a> {
             }
             next
         };
-        // One range on a flat rank, four per pool thread on a pooled one.
-        let next = match self.pool {
-            Some(pool) => {
-                let received = recv.iter().map(|b| b.len() as u64).sum();
-                let batch_t = comm.trace_start();
-                let parts = 4 * pool.current_num_threads() as u64;
-                let len = (local.count() as u64).div_ceil(parts).max(1);
-                let (start, end) = (local.range.start, local.range.end);
-                let claim_part =
-                    |k: u64| claim((start + k * len).min(end)..(start + (k + 1) * len).min(end));
-                let claimed: Vec<Vec<VertexId>> =
-                    pool.install(|| (0..parts).into_par_iter().map(claim_part).collect());
-                comm.trace_span(SpanKind::TaskBatch, batch_t, received);
-                claimed.concat()
-            }
-            None => claim(local.range.clone()),
-        };
+        let received = recv.iter().map(|b| b.len() as u64).sum();
+        let parts = part_count(self.pool) as u64;
+        let len = (local.count() as u64).div_ceil(parts).max(1);
+        let (start, end) = (local.range.start, local.range.end);
+        let claim_part =
+            |k: u64| claim((start + k * len).min(end)..(start + (k + 1) * len).min(end));
+        let Joined(next) = run_parts(comm, self.pool, received, 0..parts, claim_part);
         comm.trace_span(SpanKind::Unpack, unpack_t, next.len() as u64);
         next
+    }
+}
+
+/// The parts' vertices joined in part order. A lone part is moved, not
+/// copied, so a flat rank allocates nothing to join; more parts grow the
+/// first one once.
+struct Joined(Vec<VertexId>);
+
+impl FromIterator<Vec<VertexId>> for Joined {
+    fn from_iter<I: IntoIterator<Item = Vec<VertexId>>>(parts: I) -> Self {
+        let mut parts = parts.into_iter();
+        let mut all = parts.next().unwrap_or_default();
+        let rest: Vec<Vec<VertexId>> = parts.collect();
+        all.reserve(rest.iter().map(Vec::len).sum());
+        rest.into_iter().for_each(|part| all.extend(part));
+        Joined(all)
     }
 }
 

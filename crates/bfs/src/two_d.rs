@@ -122,11 +122,6 @@ impl Bfs2dConfig {
         self
     }
 
-    /// True when this is the hybrid variant.
-    pub fn is_hybrid(&self) -> bool {
-        self.threads_per_rank > 1
-    }
-
     /// The runtime-layer view of this configuration: everything the
     /// execution harness needs, minus the 2D-specific algorithm knobs
     /// (grid shape, distribution).
@@ -324,7 +319,7 @@ impl<'g> RankState<'g> {
         row_comm: &Comm,
         col_comm: &Comm,
         source: VertexId,
-        pool: Option<&rayon::ThreadPool>,
+        pool: &rayon::ThreadPool,
     ) -> (Vec<i64>, Vec<i64>, u32, RankWork, Vec<LevelCodecStats>) {
         let i = self.coords.0;
         let v0 = self.vrange.start;

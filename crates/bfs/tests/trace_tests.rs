@@ -11,8 +11,10 @@
 
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
+use dmbfs_comm::LevelDirection;
 use dmbfs_graph::{CsrGraph, EdgeList, Grid2D};
-use dmbfs_trace::{SpanKind, TraceSink};
+use dmbfs_runtime::DirectionMode;
+use dmbfs_trace::{RankTrace, SpanKind, TraceSink};
 use proptest::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
@@ -122,4 +124,74 @@ fn disabled_tracing_overhead_is_bounded() {
         modeled_overhead,
         untraced.seconds
     );
+}
+
+/// The phases that hand a rank-local kernel to the rank's pool.
+const KERNEL_PHASES: [SpanKind; 6] = [
+    SpanKind::Pack,
+    SpanKind::Encode,
+    SpanKind::Decode,
+    SpanKind::Unpack,
+    SpanKind::BottomUpScan,
+    SpanKind::SpMSV,
+];
+
+/// Every traced 1D and 2D configuration the executor tests run: 1D top-down,
+/// 1D direction-optimizing (it must reach a bottom-up level, so the scan
+/// runs) and 2D on a 1×2 grid, each with `threads` lanes per rank.
+fn traced_runs(threads: usize) -> Vec<(String, Vec<RankTrace>)> {
+    let g = rmat_graph(10, 3);
+    let one_d = Bfs1dConfig::hybrid(2, threads).with_trace(true);
+    let diropt = one_d.with_direction(DirectionMode::Hybrid);
+    let mut runs = Vec::new();
+    for cfg in [one_d, diropt] {
+        let run = bfs1d_run(&g, 1, &cfg);
+        if cfg.direction == DirectionMode::Hybrid {
+            assert!(run.level_directions().contains(&LevelDirection::BottomUp));
+        }
+        runs.push((format!("1D {:?}", cfg.direction), run.per_rank_trace));
+    }
+    let two_d = Bfs2dConfig::hybrid(Grid2D::new(1, 2), threads).with_trace(true);
+    runs.push(("2D 1x2".into(), bfs2d_run(&g, 1, &two_d).per_rank_trace));
+    for (name, traces) in &runs {
+        assert!(traces.iter().all(|t| !t.spans.is_empty()), "{name}");
+    }
+    runs
+}
+
+/// A flat rank's pool has one lane: the executor runs its parts inline and
+/// records no `TaskBatch` span.
+#[test]
+fn flat_ranks_record_no_task_batch() {
+    for (name, traces) in traced_runs(1) {
+        let batches = traces.iter().flat_map(|t| &t.spans);
+        let batches = batches.filter(|s| s.kind == SpanKind::TaskBatch).count();
+        assert_eq!(batches, 0, "{name}");
+    }
+}
+
+/// A pooled rank records its batches, each inside the kernel phase span of
+/// the same level that issued it.
+#[test]
+fn pooled_ranks_nest_every_task_batch_in_a_kernel_phase() {
+    for (name, traces) in traced_runs(2) {
+        let mut batches = 0;
+        for t in &traces {
+            for b in t.spans.iter().filter(|s| s.kind == SpanKind::TaskBatch) {
+                batches += 1;
+                let nests = t.spans.iter().any(|p| {
+                    KERNEL_PHASES.contains(&p.kind)
+                        && p.level == b.level
+                        && p.start_ns <= b.start_ns
+                        && b.end_ns <= p.end_ns
+                });
+                assert!(
+                    nests,
+                    "{name}: rank {} batch {b:?} nests in no phase",
+                    t.rank
+                );
+            }
+        }
+        assert!(batches > 0, "{name}: a pooled run records task batches");
+    }
 }

@@ -585,14 +585,10 @@ impl SearchOpts {
                 Vec::new(),
             ),
             "1d" => {
-                let cfg = if threads > 1 {
-                    Bfs1dConfig::hybrid(ranks, threads)
-                } else {
-                    Bfs1dConfig::flat(ranks)
-                }
-                .with_direction(self.direction)
-                .with_trace(self.trace.is_some())
-                .with_faults(self.faults);
+                let cfg = Bfs1dConfig::hybrid(ranks, threads)
+                    .with_direction(self.direction)
+                    .with_trace(self.trace.is_some())
+                    .with_faults(self.faults);
                 let run = bfs1d_run(g, source, &cfg);
                 (
                     run.output,
@@ -603,13 +599,9 @@ impl SearchOpts {
             }
             "2d" => {
                 let grid = Grid2D::closest_square(ranks);
-                let cfg = if threads > 1 {
-                    Bfs2dConfig::hybrid(grid, threads)
-                } else {
-                    Bfs2dConfig::flat(grid)
-                }
-                .with_trace(self.trace.is_some())
-                .with_faults(self.faults);
+                let cfg = Bfs2dConfig::hybrid(grid, threads)
+                    .with_trace(self.trace.is_some())
+                    .with_faults(self.faults);
                 let run = bfs2d_run(g, source, &cfg);
                 (
                     run.output,

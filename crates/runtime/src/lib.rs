@@ -1,11 +1,12 @@
 //! # dmbfs-runtime — the distributed-execution harness
 //!
 //! Every distributed algorithm in this workspace shares one skeleton: spawn
-//! `p` ranks, give each a communicator, optionally a private thread pool
-//! (the paper's "Hybrid" variants) and a trace sink, run a level-synchronous
-//! loop measured barrier-to-barrier, then harvest per-rank outputs,
-//! communication statistics, and span traces. This crate owns that skeleton
-//! so the algorithm crates only provide their per-rank closure:
+//! `p` ranks, give each a communicator, a private thread pool (one lane
+//! under "Flat MPI", `t` lanes under the paper's "Hybrid" variants) and a
+//! trace sink, run a level-synchronous loop measured barrier-to-barrier,
+//! then harvest per-rank outputs, communication statistics, and span
+//! traces. This crate owns that skeleton so the algorithm crates only
+//! provide their per-rank closure:
 //!
 //! * [`RunConfig`] — the unified execution configuration (ranks, threads
 //!   per rank, direction policy, tracing, watchdog limit, fault injection)
@@ -181,19 +182,14 @@ impl RunConfig {
         self.direction = direction;
         self
     }
-
-    /// True when this is the hybrid variant.
-    pub fn is_hybrid(&self) -> bool {
-        self.threads_per_rank > 1
-    }
 }
 
 /// What one rank's closure sees while it runs under [`run_ranks`]: its
-/// communicator, its (optional) private thread pool, and the hooks that
-/// keep timing and accounting uniform across drivers.
+/// communicator, its private thread pool, and the hooks that keep timing
+/// and accounting uniform across drivers.
 pub struct RankCtx<'a> {
     comm: &'a Comm,
-    pool: Option<rayon::ThreadPool>,
+    pool: rayon::ThreadPool,
     seconds: Cell<f64>,
     extra_stats: RefCell<Vec<CommStats>>,
 }
@@ -214,11 +210,12 @@ impl<'a> RankCtx<'a> {
         self.comm.size()
     }
 
-    /// The rank's private thread pool (`None` under flat execution). Each
-    /// rank builds its own pool: a shared global pool would serialize the
+    /// The rank's private thread pool, with [`RunConfig::threads_per_rank`]
+    /// lanes: one under flat execution, which spawns no thread. Each rank
+    /// builds its own pool: a shared global pool would serialize the
     /// simulated ranks against each other.
-    pub fn pool(&self) -> Option<&rayon::ThreadPool> {
-        self.pool.as_ref()
+    pub fn pool(&self) -> &rayon::ThreadPool {
+        &self.pool
     }
 
     /// The canonical timed region: barrier, start the clock, run `f`
@@ -286,9 +283,9 @@ pub struct DistRun<T> {
 /// trace epoch (so every rank's spans land on a single timeline), spawns
 /// `cfg.ranks` ranks, attaches a tracer when `cfg.trace` is set (before
 /// any communicator split, so sub-communicators inherit the sink), builds
-/// the per-rank thread pool for hybrid runs, and — after the closure
-/// returns — collects the communication statistics, the trace, and the
-/// barrier-to-barrier seconds recorded by [`RankCtx::timed`].
+/// the rank's thread pool, and — after the closure returns — collects the
+/// communication statistics, the trace, and the barrier-to-barrier seconds
+/// recorded by [`RankCtx::timed`].
 ///
 /// # Examples
 /// ```
@@ -330,18 +327,16 @@ where
         if cfg.trace {
             comm.set_tracer(TraceSink::new(comm.rank(), epoch));
         }
-        let pool = (cfg.threads_per_rank > 1).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(cfg.threads_per_rank)
-                .build()
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "rank {}: failed to build its {}-thread pool: {e:?}",
-                        comm.rank(),
-                        cfg.threads_per_rank
-                    )
-                })
-        });
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(cfg.threads_per_rank)
+            .build()
+            .unwrap_or_else(|e| {
+                panic!(
+                    "rank {}: failed to build its {}-thread pool: {e:?}",
+                    comm.rank(),
+                    cfg.threads_per_rank
+                )
+            });
         let ctx = RankCtx {
             comm,
             pool,
@@ -507,16 +502,16 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_config_builds_a_rank_pool() {
-        let run = run_ranks(&RunConfig::hybrid(2, 2), |ctx| {
-            let pool = ctx.pool().expect("a hybrid rank builds a pool");
-            assert_eq!(pool.current_num_threads(), 2);
-            let rank = ctx.rank();
-            pool.install(move || rank + 1)
-        });
-        assert_eq!(run.per_rank, vec![1, 2]);
-        let flat = run_ranks(&RunConfig::flat(2), |ctx| ctx.pool().is_none());
-        assert_eq!(flat.per_rank, vec![true, true]);
+    fn every_rank_pool_has_threads_per_rank_lanes() {
+        for cfg in [RunConfig::flat(2), RunConfig::hybrid(2, 2)] {
+            let run = run_ranks(&cfg, |ctx| {
+                let rank = ctx.rank();
+                let lanes = ctx.pool().current_num_threads();
+                (lanes, ctx.pool().install(move || rank + 1))
+            });
+            let lanes = cfg.threads_per_rank;
+            assert_eq!(run.per_rank, vec![(lanes, 1), (lanes, 2)], "{cfg:?}");
+        }
     }
 
     #[test]

@@ -563,8 +563,11 @@ impl<'a> Parser<'a> {
         else {
             return self.statement_end(i, hi);
         };
-        // Pattern names: strip a `: Type` ascription if present.
-        let colon = |k: usize| self.punct(k, ':') && !self.punct(k + 1, ':');
+        // Pattern names: strip a `: Type` ascription if present. A path
+        // (`Level::Deep(d)`) is no ascription: both its `:` are skipped.
+        let colon = |k: usize| {
+            self.punct(k, ':') && !self.punct(k + 1, ':') && !self.punct(k.wrapping_sub(1), ':')
+        };
         let pat_hi = self.find(i + 1, eq, false, colon).unwrap_or(eq);
         let names = self.bound(i + 1, pat_hi);
         let (end, rhs_hi) = self.rhs_span(eq + 1, hi);
@@ -741,10 +744,11 @@ impl<'a> Parser<'a> {
     }
 
     /// For a closure literal at `i` (`|..|`, `||`, or either after
-    /// `move`): its parameter span and the index its body starts at.
+    /// `move`): its parameter span and the index its body starts at. A `|`
+    /// right after an operand (`done || x`, `f(a) | b`) is an operator.
     fn closure_head(&self, i: usize, hi: usize) -> Option<((usize, usize), usize)> {
         let i = i + usize::from(self.ident(i) == Some("move"));
-        if !self.punct(i, '|') {
+        if !self.punct(i, '|') || self.operand_end(i.wrapping_sub(1)) {
             return None;
         }
         // `||` lexes as two `|` puncts.
@@ -753,6 +757,16 @@ impl<'a> Parser<'a> {
         }
         let j = self.find(i + 1, hi, true, |k| self.punct(k, '|'))?;
         Some(((i + 1, j), j + 1))
+    }
+
+    /// True when the token at `k` ends an operand: a name, a literal, or a
+    /// closing `)` / `]`.
+    fn operand_end(&self, k: usize) -> bool {
+        match self.toks.get(k).map(|t| &t.kind) {
+            Some(TokKind::Ident(name)) => !KEYWORDS.contains(&name.as_str()),
+            Some(TokKind::Num | TokKind::Str | TokKind::Char) => true,
+            _ => self.at(k, ")]"),
+        }
     }
 
     /// Parses a closure literal at `i` (see [`Self::closure_head`]).

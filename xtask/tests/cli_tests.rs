@@ -56,7 +56,7 @@ fn seeded_findings_exit_1_with_one_line_each() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines, expected);
-    assert_eq!(lines.len(), 19);
+    assert_eq!(lines.len(), 21);
     for line in lines {
         let (at, _) = line
             .split_once(" schedule-asymmetry: ")
