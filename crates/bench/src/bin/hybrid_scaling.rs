@@ -1,5 +1,5 @@
 //! Flat-vs-hybrid scaling study (§6, Fig. 5–8 context): with a real
-//! work-stealing pool behind the rayon facade, how does per-level
+//! thread pool behind the rayon facade, how does per-level
 //! *compute* time change as `threads_per_rank` grows while the rank
 //! count — and therefore the communication structure — stays fixed?
 //!

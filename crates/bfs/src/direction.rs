@@ -179,10 +179,11 @@ impl DirectionSwitch {
 
 /// The level loop of both distributed drivers (Algorithms 2 and 3, with
 /// direction per level as in Buluç–Beamer–Madduri, arXiv:1705.04590).
-/// Per level, `step(direction, frontier, level)` expands this rank's
-/// frontier and returns the next one and the edges it examined; then one
-/// `[u64; 3]` allreduce on `comms[0]` (next frontier size and out-edges,
-/// edges examined) is both the termination test and the switch's input.
+/// Per level, `step(direction, frontier, level, edges)` expands this
+/// rank's frontier, of `edges` out-edges, and returns the next one and the
+/// edges it examined; then one `[u64; 3]` allreduce on `comms[0]` (next
+/// frontier size and out-edges, edges examined) is both the termination
+/// test and the switch's input.
 /// A seed allreduce of the same shape carries the edge total and the
 /// source frontier. All inputs are global counts, so every rank takes the
 /// serial [`direction_optimizing_bfs`]'s decision with no broadcast; a
@@ -197,12 +198,13 @@ pub(crate) fn level_loop(
     local_edges: u64,
     mut frontier: Vec<VertexId>,
     out_edges: impl Fn(&[VertexId]) -> u64,
-    mut step: impl FnMut(Direction, &mut Vec<VertexId>, i64) -> (Vec<VertexId>, u64),
+    mut step: impl FnMut(Direction, &mut Vec<VertexId>, i64, u64) -> (Vec<VertexId>, u64),
 ) -> u32 {
     let comm = comms[0];
     let comm_wall = || comms.iter().map(|c| c.comm_wall()).sum::<Duration>();
     let add3 = |a: [u64; 3], b: [u64; 3]| [a[0] + b[0], a[1] + b[1], a[2] + b[2]];
-    let seed = [local_edges, frontier.len() as u64, out_edges(&frontier)];
+    let mut mine = [frontier.len() as u64, out_edges(&frontier), 0];
+    let seed = [local_edges, mine[0], mine[1]];
     let [total_edges, mut gfrontier, mut gfrontier_edges] = comm.allreduce(seed, add3);
     let mut switch = DirectionSwitch::new(mode, DirectionConfig::default(), n, total_edges);
     switch.observe(gfrontier, gfrontier_edges, 0);
@@ -216,9 +218,9 @@ pub(crate) fn level_loop(
         let dir_t = comm.trace_start();
         comm.trace_span(SpanKind::Direction, dir_t, direction.tag());
 
-        let (next, examined) = step(direction, &mut frontier, level);
+        let (next, examined) = step(direction, &mut frontier, level, mine[1]);
 
-        let mine = [next.len() as u64, out_edges(&next), examined];
+        mine = [next.len() as u64, out_edges(&next), examined];
         let [gnext, gnext_edges, gexamined] = comm.allreduce(mine, add3);
         switch.observe(gnext, gnext_edges, gexamined);
         let comm_spent = comm_wall().saturating_sub(comm_before);

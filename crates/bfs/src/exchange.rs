@@ -127,8 +127,8 @@ impl Accumulator {
 }
 
 /// How many parts a rank splits a kernel's work into: one on a one-lane
-/// pool (a flat rank), four per lane on a wider one, so that stealing can
-/// even out uneven parts.
+/// pool (a flat rank), four per lane on a wider one, so that lanes that
+/// finish early claim more parts and uneven parts even out.
 pub(crate) fn part_count(pool: &ThreadPool) -> usize {
     let lanes = pool.current_num_threads();
     if lanes == 1 {

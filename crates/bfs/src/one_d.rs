@@ -210,13 +210,11 @@ impl<'a> RankSearch<'a> {
             local.num_local_edges() as u64,
             frontier,
             out_edges,
-            |direction, frontier, level| match direction {
+            |direction, frontier, level, frontier_edges| match direction {
                 LevelDirection::BottomUp => self.bottom_up_level(frontier, level),
                 // A top-down level examines every out-edge of the frontier
                 // — exactly this rank's packed adjacencies.
-                LevelDirection::TopDown => {
-                    (self.top_down_level(frontier, level), out_edges(frontier))
-                }
+                LevelDirection::TopDown => (self.top_down_level(frontier, level), frontier_edges),
             },
         );
         let into_vec = |v: Vec<AtomicI64>| v.into_iter().map(AtomicI64::into_inner).collect();

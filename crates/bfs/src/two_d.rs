@@ -366,7 +366,7 @@ impl<'g> RankState<'g> {
             0,
             frontier,
             |_| 0,
-            |_, frontier, level| {
+            |_, frontier, level, _| {
                 let mut lvl = LevelCodecStats {
                     level: level as usize,
                     ..Default::default()

@@ -1,6 +1,6 @@
 //! Property-based tests for the hybrid (MPI + threads) variants: with a
-//! real work-stealing pool behind the rayon facade, thread scheduling is
-//! nondeterministic — these tests pin down that the *answers* are not.
+//! real thread pool behind the rayon facade, which thread runs which part
+//! is nondeterministic — these tests pin down that the *answers* are not.
 //! For both distributed algorithms the hybrid run must produce levels and
 //! parents bit-identical to the flat run (the max-parent tie-break makes
 //! the reduction order-independent), and the parent tree must validate.

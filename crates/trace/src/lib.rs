@@ -71,7 +71,7 @@ pub enum SpanKind {
     /// Wait half of a nonblocking exchange: the exposed time blocked in
     /// `PendingExchange::wait()` collecting peers' buffers.
     ExchangeWait,
-    /// One batch handed to the per-rank work-stealing pool.
+    /// One batch of parts handed to the rank's pool.
     TaskBatch,
     /// The per-level direction decision, emitted once per level by the 1D
     /// driver (pinned top-down / bottom-up runs included). `detail` is the
