@@ -17,7 +17,8 @@
 //! the wire/logical ratio, the per-level encoding mix and sieve hits, and
 //! the wire bytes replayed through the α–β model on Franklin and Hopper.
 
-use dmbfs_bench::harness::{print_table, rmat_graph, write_result};
+use super::Doc;
+use crate::harness::{rmat_graph, Knobs};
 use dmbfs_bfs::frontier_codec::LevelCodecStats;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
@@ -46,7 +47,7 @@ struct Row {
 }
 
 #[derive(Serialize)]
-struct Doc {
+struct AblationCompression {
     scale: u32,
     edge_factor: u64,
     ranks: usize,
@@ -95,9 +96,8 @@ fn row(
     }
 }
 
-fn main() {
-    println!("=== ablation_compression — adaptive frontier encoding + sieve ===");
-    let scale = dmbfs_bench::harness::scale_or(16);
+pub(super) fn run(knobs: &Knobs) -> Vec<Doc> {
+    let scale = knobs.scale_or(16);
     let ranks = 16usize;
     let grid = Grid2D::new(4, 4);
 
@@ -126,45 +126,9 @@ fn main() {
     );
     let rows = vec![one_d, two_d];
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algorithm.clone(),
-                r.levels.to_string(),
-                format!("{:.0}KiB", r.logical_bytes as f64 / 1024.0),
-                format!("{:.0}KiB", r.wire_bytes as f64 / 1024.0),
-                format!("{:.3}", r.wire_fraction),
-                format!("{}/{}/{}", r.chose_raw, r.chose_varint, r.chose_bitmap),
-                r.sieve_hits.to_string(),
-                format!("{:.2}ms", r.modeled_comm_franklin_ms),
-                format!("{:.2}ms", r.modeled_comm_hopper_ms),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!("frontier compression, R-MAT scale {scale}, p = {ranks}"),
-        &[
-            "alg",
-            "levels",
-            "logical",
-            "wire",
-            "wire/logical",
-            "raw/varint/bitmap",
-            "sieve hits",
-            "franklin",
-            "hopper",
-        ],
-        &table,
-    );
-
     // Acceptance gate: the adaptive codec must at least halve the frontier
     // exchange bytes relative to the logical (uncompressed) volume.
     for r in &rows {
-        println!(
-            "{} wire/logical = {:.3} (gate: <= 0.50)",
-            r.algorithm, r.wire_fraction
-        );
         assert!(
             r.wire_fraction <= 0.50,
             "{}: adaptive codec only reached wire/logical = {:.3}",
@@ -173,7 +137,7 @@ fn main() {
         );
     }
 
-    let doc = Doc {
+    let doc = AblationCompression {
         scale,
         edge_factor: 16,
         ranks,
@@ -181,6 +145,5 @@ fn main() {
         source,
         rows,
     };
-    let path = write_result("ablation_compression", &doc);
-    println!("\nwrote {}", path.display());
+    vec![Doc::new("ablation_compression", &doc)]
 }

@@ -3,7 +3,8 @@
 //! sweep shows why: elongated grids inflate one of the two collective
 //! phases (expand over pr, fold over pc).
 
-use dmbfs_bench::harness::{functional_scale, num_sources, print_table, rmat_graph, write_result};
+use super::Doc;
+use crate::harness::{rmat_graph, Knobs};
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
 use dmbfs_comm::CollectiveTag;
 use dmbfs_graph::components::sample_sources;
@@ -14,17 +15,19 @@ use serde::Serialize;
 struct Row {
     grid: String,
     mean_seconds: f64,
+    /// Allgatherv bytes per BFS, summed over ranks.
     expand_bytes: u64,
+    /// Alltoallv bytes per BFS, summed over ranks.
     fold_bytes: u64,
 }
 
-fn main() {
-    println!("=== ablation_grid_shape — pr x pc aspect ratio (16 ranks) ===");
-    let g = rmat_graph(functional_scale(), 16, 37);
-    let sources = sample_sources(&g, num_sources().min(3), 41);
+/// Expected: tall grids inflate expand replication, wide grids inflate
+/// fold; the square grid balances the two — the paper's choice.
+pub(super) fn run(knobs: &Knobs) -> Vec<Doc> {
+    let g = rmat_graph(knobs.functional_scale(), 16, 37);
+    let sources = sample_sources(&g, knobs.sources.min(3), 41);
 
     let mut rows = Vec::new();
-    let mut table = Vec::new();
     for (pr, pc) in [(1usize, 16usize), (2, 8), (4, 4), (8, 2), (16, 1)] {
         let cfg = Bfs2dConfig::flat(Grid2D::new(pr, pc));
         let mut secs = 0.0;
@@ -45,33 +48,12 @@ fn main() {
                 .sum::<u64>();
         }
         let n = sources.len() as u64;
-        let row = Row {
+        rows.push(Row {
             grid: format!("{pr}x{pc}"),
             mean_seconds: secs / n as f64,
             expand_bytes: expand / n,
             fold_bytes: fold / n,
-        };
-        table.push(vec![
-            row.grid.clone(),
-            format!("{:.1}ms", row.mean_seconds * 1e3),
-            format!("{:.0}KiB", row.expand_bytes as f64 / 1024.0),
-            format!("{:.0}KiB", row.fold_bytes as f64 / 1024.0),
-        ]);
-        rows.push(row);
+        });
     }
-    print_table(
-        "grid-shape sweep (total network bytes per BFS, all ranks)",
-        &[
-            "grid",
-            "mean time",
-            "expand (allgatherv) bytes",
-            "fold (alltoallv) bytes",
-        ],
-        &table,
-    );
-    println!("\nexpected: tall grids inflate expand replication, wide grids inflate fold;");
-    println!("the square grid balances the two — the paper's choice");
-
-    let path = write_result("ablation_grid_shape", &rows);
-    println!("results written to {}", path.display());
+    vec![Doc::new("ablation_grid_shape", &rows)]
 }

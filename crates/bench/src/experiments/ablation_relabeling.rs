@@ -5,7 +5,8 @@
 //! shuffle, R-MAT's skew concentrates the high-degree vertices (which are
 //! low-numbered by construction) on the first ranks.
 
-use dmbfs_bench::harness::{functional_scale, num_sources, print_table, write_result};
+use super::Doc;
+use crate::harness::Knobs;
 use dmbfs_bfs::distribute::extract_1d;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_graph::components::sample_sources;
@@ -23,15 +24,15 @@ struct Row {
     mean_edge_distance: f64,
 }
 
-fn main() {
-    println!("=== ablation_relabeling — random vertex shuffle on/off (§4.4) ===");
-    let scale = functional_scale();
-    let mut el = rmat(&RmatConfig::graph500(scale, 91));
+/// Paper shape: shuffling flattens the per-rank edge distribution; RCM
+/// minimizes edge distance (locality) but cannot fix R-MAT's skew,
+/// matching §6: relabeling has "minimal effect" on these graphs.
+pub(super) fn run(knobs: &Knobs) -> Vec<Doc> {
+    let mut el = rmat(&RmatConfig::graph500(knobs.functional_scale(), 91));
     el.canonicalize_undirected();
     let p = 16;
 
     let mut rows = Vec::new();
-    let mut table = Vec::new();
     // Three orderings: natural R-MAT ids, the paper's random shuffle
     // (§4.4), and reverse Cuthill–McKee ([14], locality-first).
     for labeling in ["natural order", "shuffled", "rcm"] {
@@ -53,7 +54,7 @@ fn main() {
         let mean = per_rank.iter().sum::<usize>() as f64 / p as f64;
 
         // Dynamic: measured 1D BFS plus per-rank communication volume.
-        let sources = sample_sources(&g, num_sources().min(3), 3);
+        let sources = sample_sources(&g, knobs.sources.min(3), 3);
         let mut secs = 0.0;
         let mut max_bytes = 0u64;
         for &s in &sources {
@@ -67,37 +68,13 @@ fn main() {
                     .unwrap_or(0),
             );
         }
-        let row = Row {
+        rows.push(Row {
             labeling: labeling.to_string(),
             edge_imbalance: max / mean,
             mean_seconds: secs / sources.len() as f64,
             max_rank_bytes: max_bytes,
             mean_edge_distance: mean_edge_distance(&g),
-        };
-        table.push(vec![
-            labeling.into(),
-            format!("{:.2}", row.edge_imbalance),
-            format!("{:.1}ms", row.mean_seconds * 1e3),
-            format!("{:.0}KiB", row.max_rank_bytes as f64 / 1024.0),
-            format!("{:.0}", row.mean_edge_distance),
-        ]);
-        rows.push(row);
+        });
     }
-    print_table(
-        &format!("1D partition balance, R-MAT scale {scale}, p = {p}"),
-        &[
-            "labeling",
-            "edge imbalance (max/mean)",
-            "mean BFS time",
-            "max rank bytes",
-            "mean |u-v|",
-        ],
-        &table,
-    );
-    println!("\npaper shape: shuffling flattens the per-rank edge distribution;");
-    println!("RCM minimizes edge distance (locality) but cannot fix R-MAT's skew,");
-    println!("matching §6: relabeling has \"minimal effect\" on these graphs");
-
-    let path = write_result("ablation_relabeling", &rows);
-    println!("results written to {}", path.display());
+    vec![Doc::new("ablation_relabeling", &rows)]
 }

@@ -14,7 +14,8 @@
 //! reports which algorithm wins each cell at 16 K cores. The paper's
 //! prediction: the 2D/hybrid region grows as either axis worsens.
 
-use dmbfs_bench::harness::{print_table, write_result};
+use super::Doc;
+use crate::harness::Knobs;
 use dmbfs_model::{Algorithm, GraphShape, MachineProfile, ScalePredictor};
 use serde::Serialize;
 
@@ -26,24 +27,21 @@ struct Cell {
     speedup_over_one_d_flat: f64,
 }
 
-fn main() {
-    println!("=== architectural_trends — who wins as architectures evolve (§7) ===");
+/// Winner and speedup over flat 1D of every (cores per node, bisection
+/// exponent) cell, at R-MAT scale 31 on 16 K cores of a Franklin-class
+/// base machine.
+pub(super) fn run(_: &Knobs) -> Vec<Doc> {
     let shape = GraphShape::rmat(31, 16);
     let cores = 16_384usize;
-    println!("instance: R-MAT scale 31, {cores} cores; base machine: Franklin-class\n");
-
     let exponents = [0.0, 0.2, 1.0 / 3.0, 0.5, 0.7];
-    let cores_per_node = [4usize, 8, 16, 32, 64];
 
     let mut cells = Vec::new();
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for &cpn in &cores_per_node {
-        let mut row = vec![format!("{cpn} cores/node")];
+    for cores_per_node in [4usize, 8, 16, 32, 64] {
         for &e in &exponents {
             let mut profile = MachineProfile::franklin();
             profile.a2a_exponent = e;
-            profile.cores_per_node = cpn;
-            profile.hybrid_threads = cpn.min(8); // one process per NUMA-ish domain
+            profile.cores_per_node = cores_per_node;
+            profile.hybrid_threads = cores_per_node.min(8); // one process per NUMA-ish domain
             let pred = ScalePredictor::new(profile);
             let (winner, best) = Algorithm::ALL
                 .iter()
@@ -51,35 +49,13 @@ fn main() {
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("four candidates");
             let one_d = pred.predict(Algorithm::OneDFlat, &shape, cores).total();
-            let short = match winner {
-                Algorithm::OneDFlat => "1Df",
-                Algorithm::OneDHybrid => "1Dh",
-                Algorithm::TwoDFlat => "2Df",
-                Algorithm::TwoDHybrid => "2Dh",
-            };
-            row.push(format!("{short} ({:.1}x)", one_d / best));
             cells.push(Cell {
                 a2a_exponent: e,
-                cores_per_node: cpn,
+                cores_per_node,
                 winner: winner.name().to_string(),
                 speedup_over_one_d_flat: one_d / best,
             });
         }
-        rows.push(row);
     }
-    let headers: Vec<String> = std::iter::once("".to_string())
-        .chain(exponents.iter().map(|e| format!("bisection exp {e:.2}")))
-        .collect();
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    print_table(
-        "winning algorithm (speedup over flat 1D) at 16K cores",
-        &header_refs,
-        &rows,
-    );
-    println!("\npaper prediction: moving right (weaker bisection) or down (more cores");
-    println!("per node) should hand the win to 2D/hybrid variants — flat 1D only");
-    println!("survives in the strong-bisection, few-cores corner");
-
-    let path = write_result("architectural_trends", &cells);
-    println!("results written to {}", path.display());
+    vec![Doc::new("architectural_trends", &cells)]
 }

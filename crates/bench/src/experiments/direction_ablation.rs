@@ -2,7 +2,7 @@
 //! driver) vs pure top-down, on wall-clock TEPS and wire bytes.
 //!
 //! The serial heuristic's savings in *edges examined* are asserted by the
-//! `dmbfs_bfs::direction` unit tests; this binary measures what the
+//! `dmbfs_bfs::direction` unit tests; this experiment measures what the
 //! distributed runtime actually pays. Per cell (rank count × direction)
 //! the best of [`TRIALS`] trials is kept. Every trial is validated: the parent tree passes
 //! `validate_bfs` and the level array is bit-identical to the serial
@@ -17,7 +17,8 @@
 //! huge mid-traversal frontiers vertex-by-vertex, but a term that grows
 //! with n rather than the frontier, so the ledger keeps it visible.
 
-use dmbfs_bench::harness::{print_table, rmat_graph, write_result};
+use super::Doc;
+use crate::harness::{rmat_graph, Knobs};
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig, Dist1dRun};
 use dmbfs_bfs::serial::serial_bfs;
 use dmbfs_bfs::teps::teps_edges;
@@ -111,9 +112,8 @@ fn measure(
     }
 }
 
-fn main() {
-    println!("=== direction_ablation — distributed αβ hybrid vs pure top-down (1D driver) ===");
-    let scale = dmbfs_bench::harness::scale_or(DEFAULT_SCALE);
+pub(super) fn run(knobs: &Knobs) -> Vec<Doc> {
+    let scale = knobs.scale_or(DEFAULT_SCALE);
     let g = rmat_graph(scale, 16, 21);
     let source = sample_sources(&g, 1, 3)[0];
     let oracle = serial_bfs(&g, source);
@@ -124,32 +124,6 @@ fn main() {
             points.push(measure(&g, source, &oracle.levels, p, direction));
         }
     }
-
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("p={}", p.ranks),
-                p.direction.clone(),
-                format!("{:.1}", p.seconds * 1e3),
-                format!("{:.2}", p.mteps),
-                format!("{:.2}", p.wire_bytes as f64 / 1e6),
-                format!("{}/{}", p.bottom_up_levels, p.total_levels),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!("rmat scale {scale}: hybrid vs top-down"),
-        &[
-            "ranks",
-            "direction",
-            "wall ms",
-            "MTEPS",
-            "wire MB",
-            "bottom-up levels",
-        ],
-        &rows,
-    );
 
     // The heuristic must actually have switched somewhere, or the sweep
     // measured nothing.
@@ -174,38 +148,21 @@ fn main() {
     });
     assert!(
         improved,
-        "hybrid beat pure top-down TEPS on no rank count — see the table above"
+        "hybrid beat pure top-down TEPS on no rank count: {:?}",
+        points
+            .iter()
+            .map(|p| (p.ranks, &p.direction, p.mteps))
+            .collect::<Vec<_>>()
     );
-    for &p in &RANKS {
-        let at = |dir: &str| {
-            points
-                .iter()
-                .find(|pt| pt.ranks == p && pt.direction == dir)
-                .unwrap()
-        };
-        let (td, hy) = (at("topdown"), at("hybrid"));
-        println!(
-            "  p={p}: hybrid {:.2} MTEPS vs top-down {:.2} MTEPS ({:+.0}%), \
-             wire {:.2} MB vs {:.2} MB",
-            hy.mteps,
-            td.mteps,
-            100.0 * (hy.mteps / td.mteps - 1.0),
-            hy.wire_bytes as f64 / 1e6,
-            td.wire_bytes as f64 / 1e6,
-        );
-    }
 
-    let path = write_result(
-        "direction_ablation",
-        &DirectionAblation {
-            scale,
-            edge_factor: 16,
-            source,
-            ranks: RANKS.to_vec(),
-            trials: TRIALS,
-            validated: true,
-            points,
-        },
-    );
-    println!("results written to {}", path.display());
+    let doc = DirectionAblation {
+        scale,
+        edge_factor: 16,
+        source,
+        ranks: RANKS.to_vec(),
+        trials: TRIALS,
+        validated: true,
+        points,
+    };
+    vec![Doc::new("direction_ablation", &doc)]
 }

@@ -14,7 +14,8 @@
 //! exactly those dimensions/density (scaled to laptop size) and time both
 //! kernels over a sweep of frontier densities matching BFS level profiles.
 
-use dmbfs_bench::harness::{print_table, write_result};
+use super::Doc;
+use crate::harness::Knobs;
 use dmbfs_graph::gen::{rmat, RmatConfig};
 use dmbfs_matrix::{spmsv_heap, spmsv_spa, Dcsc, SelectMax, SpaWorkspace, SparseVector};
 use serde::Serialize;
@@ -55,13 +56,11 @@ struct Point {
     speedup_spa_over_heap: f64,
 }
 
-fn main() {
-    println!("=== fig3_spa_vs_heap — SPA speedup over heap for local SpMSV ===");
+pub(super) fn run(_: &Knobs) -> Vec<Doc> {
     let n_global: u64 = 1 << GLOBAL_SCALE;
     let m_global: u64 = 16 * n_global;
 
     let mut points = Vec::new();
-    let mut rows = Vec::new();
     for cores in [1225usize, 2500, 5041, 10000, 20164, 40000] {
         let pr = (cores as f64).sqrt().round() as u64;
         let dim = (n_global / pr).max(1);
@@ -100,30 +99,14 @@ fn main() {
             });
         }
 
-        let speedup = heap_total / spa_total;
-        rows.push(vec![
-            cores.to_string(),
-            dim.to_string(),
-            a.nnz().to_string(),
-            format!("{:.1}us", spa_total * 1e6),
-            format!("{:.1}us", heap_total * 1e6),
-            format!("{speedup:.2}x"),
-        ]);
         points.push(Point {
             cores,
             shard_dim: dim,
             shard_nnz: a.nnz(),
             spa_seconds: spa_total,
             heap_seconds: heap_total,
-            speedup_spa_over_heap: speedup,
+            speedup_spa_over_heap: heap_total / spa_total,
         });
     }
-    print_table(
-        "SPA speedup over heap vs simulated core count",
-        &["cores", "shard dim", "shard nnz", "SPA", "heap", "speedup"],
-        &rows,
-    );
-    println!("\npaper shape: speedup > 1 at ~1K cores, decaying toward 1 past ~10K cores");
-    let path = write_result("fig3_spa_vs_heap", &points);
-    println!("results written to {}", path.display());
+    vec![Doc::new("fig3_spa_vs_heap", &points)]
 }

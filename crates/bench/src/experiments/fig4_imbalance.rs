@@ -24,7 +24,8 @@
 //!   time for this blocking collective is accounted for the total MPI
 //!   time") taken from timestamped spans.
 
-use dmbfs_bench::harness::{functional_scale, print_table, rmat_graph, write_result};
+use super::Doc;
+use crate::harness::{rmat_graph, Knobs};
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig, Dist2dRun, VectorDistribution};
 use dmbfs_graph::components::sample_sources;
 use dmbfs_graph::Grid2D;
@@ -68,51 +69,8 @@ fn counter_heatmap(run: &Dist2dRun) -> (Vec<Vec<f64>>, f64) {
     (heat, max / mean.max(1.0))
 }
 
-fn print_heatmap(name: &str, heat: &[Vec<f64>]) {
-    let rows: Vec<Vec<String>> = heat
-        .iter()
-        .map(|row| row.iter().map(|v| format!("{v:.0}%")).collect())
-        .collect();
-    let headers: Vec<String> = (0..GRID).map(|j| format!("P(:,{j})")).collect();
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    print_table(
-        &format!("MPI time heatmap, {name} (normalized to grid max)"),
-        &header_refs,
-        &rows,
-    );
-}
-
-fn print_waits(name: &str, rep: &ImbalanceReport) {
-    // One row per rank: total wait across levels, as a share of that rank's
-    // total level time — the flattened traced heatmap.
-    let rows: Vec<Vec<String>> = (0..rep.ranks)
-        .map(|r| {
-            let wait: u64 = rep.wait_ns[r].iter().sum();
-            let level: u64 = rep.level_ns[r].iter().sum::<u64>().max(1);
-            vec![
-                format!("({},{})", r / GRID, r % GRID),
-                format!("{:.3}", wait as f64 / 1e6),
-                format!("{:.0}%", 100.0 * wait as f64 / level as f64),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!("{name}: per-rank collective wait (traced)"),
-        &["rank (i,j)", "wait ms", "wait share"],
-        &rows,
-    );
-    println!(
-        "  imbalance (max/mean level time) = {:.2}; critical path {:.3} ms \
-         ({:.0}% waiting)",
-        rep.imbalance_factor,
-        rep.critical_path_ns as f64 / 1e6,
-        100.0 * rep.critical_wait_fraction(),
-    );
-}
-
-fn main() {
-    println!("=== fig4_imbalance — diagonal vs 2D vector distribution ===");
-    let scale = functional_scale();
+pub(super) fn run(knobs: &Knobs) -> Vec<Doc> {
+    let scale = knobs.functional_scale();
     let g = rmat_graph(scale, 16, 21);
     let source = sample_sources(&g, 1, 3)[0];
     let grid = Grid2D::new(GRID, GRID);
@@ -138,28 +96,16 @@ fn main() {
     assert_eq!(twod_rep.ranks, GRID * GRID);
     assert!(diag_rep.levels > 0, "traced run must yield level spans");
 
-    let diag_name = "diagonal-only (1D) vector distribution";
-    let twod_name = "2D vector distribution";
-    print_heatmap(diag_name, &diag_heat);
-    print_heatmap(twod_name, &twod_heat);
-    println!("\nmerge-work imbalance (max/mean): diagonal = {di:.2}, 2D = {ti:.2}");
-    print_waits(diag_name, &diag_rep);
-    print_waits(twod_name, &twod_rep);
-    println!("\npaper shape: diagonal distribution idles off-diagonal ranks 3-4x; 2D is near-flat");
-
-    let path = write_result(
-        "fig4_imbalance",
-        &Fig4 {
-            grid: GRID,
-            scale,
-            levels: diag_rep.levels,
-            diagonal_mpi_pct: diag_heat,
-            twod_mpi_pct: twod_heat,
-            diagonal_imbalance: di,
-            twod_imbalance: ti,
-            diagonal: diag_rep,
-            twod: twod_rep,
-        },
-    );
-    println!("results written to {}", path.display());
+    let doc = Fig4 {
+        grid: GRID,
+        scale,
+        levels: diag_rep.levels,
+        diagonal_mpi_pct: diag_heat,
+        twod_mpi_pct: twod_heat,
+        diagonal_imbalance: di,
+        twod_imbalance: ti,
+        diagonal: diag_rep,
+        twod: twod_rep,
+    };
+    vec![Doc::new("fig4_imbalance", &doc)]
 }

@@ -2,10 +2,9 @@
 //! against this repository's functional runs and calibrated model in one
 //! pass. A compact companion to EXPERIMENTS.md.
 
-use dmbfs_bench::harness::{
-    calibrated_predictor, num_sources, print_table, rmat_graph, write_result,
-};
-use dmbfs_bench::scaling::run_functional;
+use super::Doc;
+use crate::harness::{calibrated_predictor, rmat_graph, Knobs};
+use crate::scaling::run_functional;
 use dmbfs_bfs::baseline::pbgl_like_bfs;
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig, VectorDistribution};
 use dmbfs_graph::components::sample_sources;
@@ -21,8 +20,7 @@ struct Claim {
     verdict: String,
 }
 
-fn main() {
-    println!("=== headline_summary — the paper's claims vs this reproduction ===");
+pub(super) fn run(knobs: &Knobs) -> Vec<Doc> {
     let mut claims: Vec<Claim> = Vec::new();
 
     // 1. Abstract: hybrid 2D cuts communication up to 3.5x vs the common
@@ -97,7 +95,7 @@ fn main() {
     });
 
     // 5. §4.3 / Fig. 4: diagonal vector distribution idles ranks 3-4x.
-    let g = rmat_graph(dmbfs_bench::harness::functional_scale(), 16, 21);
+    let g = rmat_graph(knobs.functional_scale(), 16, 21);
     let src = sample_sources(&g, 1, 3)[0];
     let imbalance = |dist| {
         let cfg = Bfs2dConfig {
@@ -127,7 +125,7 @@ fn main() {
     //    matching the paper's "up to" phrasing (single-host timings of the
     //    latency-bound PBGL rounds are noisy, so the max is the stable
     //    statistic here).
-    let sources = sample_sources(&g, num_sources().max(3), 17);
+    let sources = sample_sources(&g, knobs.sources.max(3), 17);
     let speedup = sources
         .iter()
         .map(|&s| {
@@ -165,28 +163,7 @@ fn main() {
         verdict: if b2 < b1 { "✓" } else { "✗" }.into(),
     });
 
-    let rows: Vec<Vec<String>> = claims
-        .iter()
-        .map(|c| {
-            vec![
-                c.claim.clone(),
-                c.paper.clone(),
-                c.ours.clone(),
-                c.verdict.clone(),
-            ]
-        })
-        .collect();
-    print_table("scoreboard", &["claim", "paper", "ours", "verdict"], &rows);
-
-    let failed = claims.iter().filter(|c| c.verdict.starts_with('✗')).count();
-    println!(
-        "\n{} of {} headline claims reproduced",
-        claims.len() - failed,
-        claims.len()
-    );
-    let path = write_result("headline_summary", &claims);
-    println!("results written to {}", path.display());
-    if failed > 0 {
-        std::process::exit(1);
-    }
+    let mut doc = Doc::new("headline_summary", &claims);
+    doc.failed = claims.iter().filter(|c| c.verdict.starts_with('✗')).count();
+    vec![doc]
 }

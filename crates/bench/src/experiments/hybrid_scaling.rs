@@ -19,7 +19,8 @@
 //! core), and the numbers are honest measurements of that situation —
 //! rerun on a multi-core host to see the scaling.
 
-use dmbfs_bench::harness::{print_table, rmat_graph, write_result};
+use super::Doc;
+use crate::harness::{rmat_graph, Knobs};
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
 use dmbfs_bfs::validate::validate_bfs;
@@ -53,7 +54,7 @@ struct Run {
 }
 
 #[derive(Serialize)]
-struct Doc {
+struct HybridScaling {
     scale: u32,
     edge_factor: u64,
     ranks: usize,
@@ -84,21 +85,13 @@ fn critical_path(per_rank: &[CommStats], num_levels: u32) -> Vec<LevelRow> {
         .collect()
 }
 
-fn main() {
-    println!("=== hybrid_scaling — flat vs hybrid per-level compute/comm ===");
-    let scale = dmbfs_bench::harness::scale_or(16);
+pub(super) fn run(knobs: &Knobs) -> Vec<Doc> {
+    let scale = knobs.scale_or(16);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let g = rmat_graph(scale, 16, 99);
     let source = dmbfs_graph::components::sample_sources(&g, 1, 9)[0];
-    println!(
-        "instance: R-MAT scale {scale} (n = {}, stored adjacencies = {}), {RANKS} ranks, \
-         {cores} host core(s)",
-        g.num_vertices(),
-        g.num_edges(),
-    );
 
     let mut runs: Vec<Run> = Vec::new();
-    let mut table: Vec<Vec<String>> = Vec::new();
     for algorithm in ["1d", "2d"] {
         let mut flat_parents: Vec<i64> = Vec::new();
         let mut flat_compute = 0.0f64;
@@ -139,47 +132,20 @@ fn main() {
                 parents_match_flat,
                 "{algorithm} threads={threads}: hybrid parent tree diverged from flat"
             );
-            let speedup = flat_compute / compute_seconds.max(1e-9);
-            table.push(vec![
-                algorithm.into(),
-                threads.to_string(),
-                format!("{:.1}ms", compute_seconds * 1e3),
-                format!("{:.1}ms", comm_seconds * 1e3),
-                format!("{speedup:.2}x"),
-                "yes".into(),
-            ]);
             runs.push(Run {
                 algorithm: algorithm.into(),
                 threads_per_rank: threads,
                 seconds,
                 compute_seconds,
                 comm_seconds,
-                compute_speedup_vs_flat: speedup,
+                compute_speedup_vs_flat: flat_compute / compute_seconds.max(1e-9),
                 parents_match_flat,
                 levels,
             });
         }
     }
-    print_table(
-        "per-level critical-path time vs threads/rank",
-        &[
-            "algorithm",
-            "threads",
-            "compute",
-            "comm",
-            "speedup",
-            "parents==flat",
-        ],
-        &table,
-    );
-    println!(
-        "\nnote: compute speedup requires idle host cores; this host has {cores}. \
-         Communication time is unaffected by threads_per_rank (fixed rank count) — \
-         the paper's hybrid win comes from *fewer ranks per node* shrinking the \
-         collectives' α-term, modeled separately in dmbfs-model."
-    );
 
-    let doc = Doc {
+    let doc = HybridScaling {
         scale,
         edge_factor: 16,
         ranks: RANKS,
@@ -191,6 +157,5 @@ fn main() {
         ),
         runs,
     };
-    let path = write_result("hybrid_scaling", &doc);
-    println!("results written to {}", path.display());
+    vec![Doc::new("hybrid_scaling", &doc)]
 }

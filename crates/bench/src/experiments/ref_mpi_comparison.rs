@@ -8,7 +8,8 @@
 //! coalescing buffers with per-round handshakes instead of one aggregated
 //! all-to-all) — see `dmbfs_bfs::baseline`.
 
-use dmbfs_bench::harness::{num_sources, print_table, rmat_graph, write_result};
+use super::Doc;
+use crate::harness::{rmat_graph, Knobs};
 use dmbfs_bfs::baseline::reference_mpi_bfs;
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::teps::teps_edges;
@@ -24,14 +25,12 @@ struct Row {
     speedup: f64,
 }
 
-fn main() {
-    println!("=== ref_mpi_comparison — Flat 1D vs Graph 500 reference-like ===");
-    let scale = dmbfs_bench::harness::functional_scale();
+pub(super) fn run(knobs: &Knobs) -> Vec<Doc> {
+    let scale = knobs.functional_scale();
     let g = rmat_graph(scale, 16, 23);
-    let sources = sample_sources(&g, num_sources().min(2), 29);
+    let sources = sample_sources(&g, knobs.sources.min(2), 29);
 
     let mut rows = Vec::new();
-    let mut table = Vec::new();
     for ranks in [4usize, 8, 16] {
         let mut ref_secs = 0.0;
         let mut ours_secs = 0.0;
@@ -47,28 +46,13 @@ fn main() {
             ours_secs += o.seconds;
             edges += teps_edges(&g, &o.output);
         }
-        let row = Row {
+        rows.push(Row {
             ranks,
             scale,
             reference_mteps: edges as f64 / ref_secs / 1e6,
             flat1d_mteps: edges as f64 / ours_secs / 1e6,
             speedup: ref_secs / ours_secs,
-        };
-        table.push(vec![
-            ranks.to_string(),
-            format!("{:.1}", row.reference_mteps),
-            format!("{:.1}", row.flat1d_mteps),
-            format!("{:.2}x", row.speedup),
-        ]);
-        rows.push(row);
+        });
     }
-    print_table(
-        &format!("MTEPS at R-MAT scale {scale} (measured)"),
-        &["ranks", "reference-like", "Flat 1D", "speedup"],
-        &table,
-    );
-    println!("\npaper shape: Flat 1D 2.7-4.1x faster, margin growing with rank count");
-
-    let path = write_result("ref_mpi_comparison", &rows);
-    println!("results written to {}", path.display());
+    vec![Doc::new("ref_mpi_comparison", &rows)]
 }

@@ -23,41 +23,51 @@
 //!   percentage of time spent in communication for the 2D hybrid algorithm
 //!   was less than 50% on 20K cores".
 
-use dmbfs_bench::figures::{strong_scaling_figure, Metric, Panel};
-use dmbfs_model::MachineProfile;
+use super::Doc;
+use crate::harness::{calibrated_predictor, Knobs};
+use crate::scaling::{functional_sweep, model_series, FunctionalPoint, ModelPoint};
+use dmbfs_model::{GraphShape, MachineProfile};
+use serde::Serialize;
 
 /// One strong-scaling figure: output name, machine, panels, plotted metric.
 struct Figure {
     name: &'static str,
     profile: fn() -> MachineProfile,
     panels: &'static [Panel],
-    metric: Metric,
+    /// What the figure plots: `GTEPS` or `comm time (s)`.
+    metric: &'static str,
 }
 
+/// One panel of a figure: an R-MAT instance plus the core counts of its
+/// x-axis.
+struct Panel {
+    scale: u32,
+    edge_factor: u64,
+    cores: &'static [usize],
+}
+
+/// (a) n = 2^29, m = 2^33; (b) n = 2^32, m = 2^36.
 const FRANKLIN: &[Panel] = &[
     Panel {
-        label: "(a) n = 2^29, m = 2^33",
         scale: 29,
         edge_factor: 16,
         cores: &[512, 1024, 2048, 4096],
     },
     Panel {
-        label: "(b) n = 2^32, m = 2^36",
         scale: 32,
         edge_factor: 16,
         cores: &[4096, 6400, 8192],
     },
 ];
 
+/// (a) n = 2^30, m = 2^34; (b) n = 2^32, m = 2^36.
 const HOPPER: &[Panel] = &[
     Panel {
-        label: "(a) n = 2^30, m = 2^34",
         scale: 30,
         edge_factor: 16,
         cores: &[1224, 2500, 5040, 10008],
     },
     Panel {
-        label: "(b) n = 2^32, m = 2^36",
         scale: 32,
         edge_factor: 16,
         cores: &[5040, 10008, 20000, 40000],
@@ -69,30 +79,61 @@ const FIGURES: [Figure; 4] = [
         name: "fig5_strong_scaling_franklin",
         profile: MachineProfile::franklin,
         panels: FRANKLIN,
-        metric: Metric::Gteps,
+        metric: "GTEPS",
     },
     Figure {
         name: "fig6_comm_franklin",
         profile: MachineProfile::franklin,
         panels: FRANKLIN,
-        metric: Metric::CommSeconds,
+        metric: "comm time (s)",
     },
     Figure {
         name: "fig7_strong_scaling_hopper",
         profile: MachineProfile::hopper,
         panels: HOPPER,
-        metric: Metric::Gteps,
+        metric: "GTEPS",
     },
     Figure {
         name: "fig8_comm_hopper",
         profile: MachineProfile::hopper,
         panels: HOPPER,
-        metric: Metric::CommSeconds,
+        metric: "comm time (s)",
     },
 ];
 
-fn main() {
-    for fig in &FIGURES {
-        strong_scaling_figure(fig.name, (fig.profile)(), fig.panels, fig.metric);
-    }
+#[derive(Serialize)]
+struct FigureResult {
+    figure: String,
+    machine: String,
+    metric: String,
+    model: Vec<ModelPoint>,
+    functional: Vec<FunctionalPoint>,
+}
+
+/// Per figure: the model series at paper scale for each panel, plus the
+/// shared functional validation sweep at laptop scale.
+pub(super) fn run(knobs: &Knobs) -> Vec<Doc> {
+    let functional = functional_sweep(knobs);
+    FIGURES
+        .iter()
+        .map(|fig| {
+            let profile = (fig.profile)();
+            let pred = calibrated_predictor(profile.clone());
+            let model = fig
+                .panels
+                .iter()
+                .flat_map(|p| {
+                    model_series(&pred, &GraphShape::rmat(p.scale, p.edge_factor), p.cores)
+                })
+                .collect();
+            let doc = FigureResult {
+                figure: fig.name.to_string(),
+                machine: profile.name,
+                metric: fig.metric.to_string(),
+                model,
+                functional: functional.to_vec(),
+            };
+            Doc::new(fig.name, &doc)
+        })
+        .collect()
 }

@@ -10,7 +10,8 @@
 //! cells, per-edge messages with small coalescing buffers, associative
 //! property maps) on the same runtime — see `dmbfs_bfs::baseline`.
 
-use dmbfs_bench::harness::{num_sources, print_table, rmat_graph, write_result};
+use super::Doc;
+use crate::harness::{rmat_graph, Knobs};
 use dmbfs_bfs::baseline::pbgl_like_bfs;
 use dmbfs_bfs::teps::teps_edges;
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
@@ -27,19 +28,16 @@ struct Row {
     speedup: f64,
 }
 
-fn main() {
-    println!("=== table2_pbgl_comparison — PBGL-like vs Flat 2D (functional) ===");
-    println!("(paper ran scales 22/24 on 128/256 Carver cores; this functional");
-    println!(" rerun uses laptop-scale instances and rank counts — the quantity");
-    println!(" under test is the speedup ratio, not absolute MTEPS)\n");
-
-    let base = dmbfs_bench::harness::functional_scale();
+/// The paper ran scales 22/24 on 128/256 Carver cores; this functional
+/// rerun uses laptop-scale instances and rank counts — the quantity under
+/// test is the speedup ratio, not absolute MTEPS.
+pub(super) fn run(knobs: &Knobs) -> Vec<Doc> {
+    let base = knobs.functional_scale();
     let mut rows = Vec::new();
-    let mut table = Vec::new();
     for ranks in [4usize, 16] {
         for scale in [base, base + 2] {
             let g = rmat_graph(scale, 16, 5);
-            let sources = sample_sources(&g, num_sources().min(2), 17);
+            let sources = sample_sources(&g, knobs.sources.min(2), 17);
 
             let mut pbgl_secs = 0.0;
             let mut ours_secs = 0.0;
@@ -56,31 +54,15 @@ fn main() {
                 edges += teps_edges(&g, &o.output);
             }
             let pbgl_mteps = edges as f64 / pbgl_secs / 1e6;
-            let ours_mteps = edges as f64 / ours_secs / 1e6;
-            let row = Row {
+            let flat2d_mteps = edges as f64 / ours_secs / 1e6;
+            rows.push(Row {
                 cores: ranks,
                 scale,
                 pbgl_mteps,
-                flat2d_mteps: ours_mteps,
-                speedup: ours_mteps / pbgl_mteps,
-            };
-            table.push(vec![
-                ranks.to_string(),
-                format!("Scale {scale}"),
-                format!("{pbgl_mteps:.1}"),
-                format!("{ours_mteps:.1}"),
-                format!("{:.1}x", row.speedup),
-            ]);
-            rows.push(row);
+                flat2d_mteps,
+                speedup: flat2d_mteps / pbgl_mteps,
+            });
         }
     }
-    print_table(
-        "MTEPS (measured, in-process runtime)",
-        &["cores", "problem", "PBGL-like", "Flat 2D", "speedup"],
-        &table,
-    );
-    println!("\npaper shape: Flat 2D is ~10-16x faster than PBGL");
-
-    let path = write_result("table2_pbgl_comparison", &rows);
-    println!("results written to {}", path.display());
+    vec![Doc::new("table2_pbgl_comparison", &rows)]
 }

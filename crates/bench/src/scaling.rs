@@ -8,37 +8,44 @@
 //!   core counts this machine can hold, which validate the model's
 //!   orderings (who wins) and provide exact communication volumes.
 
+use crate::harness::{rmat_graph, Knobs};
 use dmbfs_bfs::one_d::{bfs1d_run, Bfs1dConfig};
 use dmbfs_bfs::teps::teps_edges;
 use dmbfs_bfs::two_d::{bfs2d_run, Bfs2dConfig};
 use dmbfs_comm::CommEvent;
+use dmbfs_graph::components::sample_sources;
 use dmbfs_graph::{CsrGraph, Grid2D, VertexId};
-use dmbfs_model::{Algorithm, GraphShape, MachineProfile, ScalePredictor};
+use dmbfs_model::{Algorithm, GraphShape, ScalePredictor};
 use serde::Serialize;
+use std::sync::OnceLock;
 
 /// Threads per rank used by functional hybrid runs (a stand-in for the
 /// machine-specific 4/6-way threading of §6).
-pub const FUNCTIONAL_HYBRID_THREADS: usize = 2;
+const FUNCTIONAL_HYBRID_THREADS: usize = 2;
 
 /// One model-predicted point of a figure series.
 #[derive(Clone, Debug, Serialize)]
-pub struct ModelPoint {
+pub(crate) struct ModelPoint {
     /// Total cores.
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// Algorithm legend name.
-    pub algorithm: String,
+    pub(crate) algorithm: String,
     /// Predicted GTEPS.
-    pub gteps: f64,
+    pub(crate) gteps: f64,
     /// Predicted communication seconds.
-    pub comm_seconds: f64,
+    pub(crate) comm_seconds: f64,
     /// Predicted computation seconds.
-    pub comp_seconds: f64,
+    pub(crate) comp_seconds: f64,
     /// Predicted total seconds.
-    pub total_seconds: f64,
+    pub(crate) total_seconds: f64,
 }
 
 /// Evaluates all four variants at each core count.
-pub fn model_series(pred: &ScalePredictor, shape: &GraphShape, cores: &[usize]) -> Vec<ModelPoint> {
+pub(crate) fn model_series(
+    pred: &ScalePredictor,
+    shape: &GraphShape,
+    cores: &[usize],
+) -> Vec<ModelPoint> {
     let mut out = Vec::new();
     for &p in cores {
         for alg in Algorithm::ALL {
@@ -58,27 +65,27 @@ pub fn model_series(pred: &ScalePredictor, shape: &GraphShape, cores: &[usize]) 
 
 /// One measured point from a functional run.
 #[derive(Clone, Debug, Serialize)]
-pub struct FunctionalPoint {
+pub(crate) struct FunctionalPoint {
     /// Simulated cores (= ranks × threads).
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// Algorithm legend name.
-    pub algorithm: String,
+    pub(crate) algorithm: String,
     /// Mean traversal seconds over the sources.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
     /// Measured GTEPS.
-    pub gteps: f64,
+    pub(crate) gteps: f64,
     /// Mean wall seconds spent inside collectives (max over ranks per run).
-    pub comm_wall_seconds: f64,
+    pub(crate) comm_wall_seconds: f64,
     /// Mean BFS level count.
-    pub levels: f64,
+    pub(crate) levels: f64,
     /// Per-rank event streams of the last source's run (for model replay).
     #[serde(skip)]
-    pub events: Vec<Vec<CommEvent>>,
+    pub(crate) events: Vec<Vec<CommEvent>>,
 }
 
 /// Runs `alg` functionally on `cores` simulated cores over `sources`,
 /// averaging measurements.
-pub fn run_functional(
+pub(crate) fn run_functional(
     g: &CsrGraph,
     alg: Algorithm,
     cores: usize,
@@ -139,25 +146,34 @@ pub fn run_functional(
     }
 }
 
-/// Calibrated predictor + shape pair used by most figure binaries.
-pub fn figure_setup(
-    profile: MachineProfile,
-    scale: u32,
-    edge_factor: u64,
-) -> (ScalePredictor, GraphShape) {
-    let pred = crate::harness::calibrated_predictor(profile);
-    (pred, GraphShape::rmat(scale, edge_factor))
+/// The functional validation sweep of Figs. 5–8: all four variants at 4
+/// and 16 simulated cores on the functional R-MAT instance (seed 42),
+/// demonstrating the orderings the model predicts (and validating
+/// correctness along the way — every output comes from the real
+/// distributed algorithms). Measured once per process, with the knobs of
+/// the first call.
+pub(crate) fn functional_sweep(knobs: &Knobs) -> &'static [FunctionalPoint] {
+    static SWEEP: OnceLock<Vec<FunctionalPoint>> = OnceLock::new();
+    SWEEP.get_or_init(|| {
+        let g = rmat_graph(knobs.functional_scale(), 16, 42);
+        let sources = sample_sources(&g, knobs.sources, 7);
+        [4usize, 16]
+            .iter()
+            .flat_map(|&cores| Algorithm::ALL.map(|alg| run_functional(&g, alg, cores, &sources)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::rmat_graph;
-    use dmbfs_graph::components::sample_sources;
+    use crate::harness::calibrated_predictor;
+    use dmbfs_model::MachineProfile;
 
     #[test]
     fn model_series_covers_all_variants() {
-        let (pred, shape) = figure_setup(MachineProfile::franklin(), 26, 16);
+        let pred = calibrated_predictor(MachineProfile::franklin());
+        let shape = GraphShape::rmat(26, 16);
         let series = model_series(&pred, &shape, &[512, 1024]);
         assert_eq!(series.len(), 8);
         assert!(series.iter().all(|p| p.gteps > 0.0));

@@ -6,15 +6,17 @@ for inline markdown links and checks that relative targets exist on disk.
 External links (http/https/mailto) and pure in-page anchors are skipped;
 a ``path#anchor`` target is checked for the path only.
 
-Every ``--bin NAME`` / ``--example NAME`` in those files and in
-``.github/workflows/*.yml`` must name ``crates/bench/src/bin/NAME.rs`` or
-``examples/NAME.rs``, so a deleted binary or example leaves no command
-behind that no longer runs. Placeholders (``<name>``, ``NAME``) are not
+Every ``dmbfs-bench reproduce NAME`` (``-- reproduce NAME`` after
+``cargo run``) / ``--example NAME`` in those files and in
+``.github/workflows/*.yml`` must name an experiment module
+``crates/bench/src/experiments/NAME.rs`` or ``examples/NAME.rs``, so a
+deleted experiment or example leaves no command behind that no longer
+runs. ``reproduce all`` and placeholders (``<ID>``, ``NAME``) are not
 names and are skipped.
 
-``results/README.md`` must name every bench binary
-(``crates/bench/src/bin/NAME.rs``) and every ``results/*.json`` file, so
-an undocumented binary or an orphan result fails as well.
+``results/README.md`` must name every experiment module
+(``crates/bench/src/experiments/NAME.rs``) and every ``results/*.json``
+file, so an undocumented experiment or an orphan result fails as well.
 
 Usage: python3 scripts/check_doc_links.py [repo-root]
 Exits non-zero listing every broken link and every unnamed file.
@@ -30,12 +32,19 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN = re.compile(r"`[^`]*`")
 FENCE = re.compile(r"^(```|~~~)")
 # Code spans and fences included: that is where commands live.
-RUNNABLE = re.compile(r"--(bin|example)[ =]([a-z0-9_]+)\b")
-RUNNABLE_PATH = {"bin": "crates/bench/src/bin/{}.rs", "example": "examples/{}.rs"}
+# A command is `dmbfs-bench reproduce NAME` (or `-- reproduce NAME` after
+# `cargo run`) or `--example NAME`: kind -> (pattern, file it must name).
+RUNNABLES = {
+    "reproduce": (
+        re.compile(r"(?:dmbfs-bench|--) reproduce ([a-z0-9_]+)\b"),
+        "crates/bench/src/experiments/{}.rs",
+    ),
+    "--example": (re.compile(r"--example[ =]([a-z0-9_]+)\b"), "examples/{}.rs"),
+}
 
 SCAN_DIRS = [".", "docs", "results", "scripts"]
 RESULTS_README = "results/README.md"
-BENCH_BINS = "crates/bench/src/bin"
+EXPERIMENTS = "crates/bench/src/experiments"
 SKIP_DIRS = {"target", "third_party", ".git", "node_modules"}
 
 
@@ -87,24 +96,27 @@ def workflow_files(root):
 def runnables_in(path):
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
-            for match in RUNNABLE.finditer(line):
-                yield lineno, match.group(1), match.group(2)
+            for kind, (pattern, _) in RUNNABLES.items():
+                for match in pattern.finditer(line):
+                    if match.group(1) != "all":
+                        yield lineno, kind, match.group(1)
 
 
 def unnamed_outputs(root):
-    """Bench binaries and result files that results/README.md never names.
+    """Experiment modules and result files that results/README.md never names.
 
-    A binary counts as named when its stem appears as a word (its own
-    ``NAME.json`` counts); a result file when its full file name appears.
+    An experiment counts as named when its module stem appears as a word
+    (its own ``NAME.json`` counts); a result file when its full file name
+    appears.
     """
     with open(os.path.join(root, RESULTS_README), encoding="utf-8") as f:
         text = f.read()
     words = set(re.findall(r"[a-z0-9_]+", text))
     files = set(re.findall(r"[a-z0-9_]+\.json", text))
-    for name in sorted(os.listdir(os.path.join(root, BENCH_BINS))):
+    for name in sorted(os.listdir(os.path.join(root, EXPERIMENTS))):
         stem, ext = os.path.splitext(name)
-        if ext == ".rs" and stem not in words:
-            yield f"{RESULTS_README}: bench binary {BENCH_BINS}/{name} is not named"
+        if ext == ".rs" and stem != "mod" and stem not in words:
+            yield f"{RESULTS_README}: experiment {EXPERIMENTS}/{name} is not named"
     for name in sorted(os.listdir(os.path.join(root, "results"))):
         if name.endswith(".json") and name not in files:
             yield f"{RESULTS_README}: result file results/{name} is not named"
@@ -118,10 +130,10 @@ def main():
     for path in [*md_files(root), *workflow_files(root)]:
         for lineno, kind, name in runnables_in(path):
             named += 1
-            target = RUNNABLE_PATH[kind].format(name)
+            target = RUNNABLES[kind][1].format(name)
             if not os.path.exists(os.path.join(root, target)):
                 broken.append(
-                    f"{os.path.relpath(path, root)}:{lineno}: --{kind} {name} "
+                    f"{os.path.relpath(path, root)}:{lineno}: {kind} {name} "
                     f"has no {target}"
                 )
     for path in md_files(root):
@@ -142,7 +154,8 @@ def main():
         print(f"\n{len(broken)} broken out of {checked} links and {named} names checked")
         return 1
     print(
-        f"all {checked} relative markdown links and {named} --bin/--example names resolve"
+        f"all {checked} relative markdown links and {named} reproduce/--example "
+        "names resolve"
     )
     return 0
 

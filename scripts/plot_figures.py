@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Render the paper's figures from the JSON files the bench binaries write.
+"""Render the paper's figures from the JSON files `dmbfs-bench reproduce` writes.
 
 Usage:
     python3 scripts/plot_figures.py [results_dir] [output_dir]
 
-Reads `results/*.json` (produced by the bench binaries: `strong_scaling`
-for figs 5-8, `fig9_weak_scaling`, `fig4_imbalance`) and writes one SVG per
+Reads `results/*.json` (produced by `dmbfs-bench reproduce`: experiment
+`strong_scaling` for figs 5-8, `fig9_weak_scaling`, `fig4_imbalance`;
+`reproduce all` writes every one) and writes one SVG per
 figure. A missing input file is an error naming it (exit code 1). Only
 needs matplotlib; figures degrade to a text summary when matplotlib is
 unavailable.
@@ -97,7 +98,7 @@ def main():
     missing = [n for n in needed if not (RESULTS / f"{n}.json").exists()]
     if missing:
         for name in missing:
-            print(f"missing {RESULTS / name}.json: run the bench binary first",
+            print(f"missing {RESULTS / name}.json: run `dmbfs-bench reproduce` first",
                   file=sys.stderr)
         return 1
     OUT.mkdir(parents=True, exist_ok=True)
